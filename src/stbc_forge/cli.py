@@ -37,8 +37,13 @@ def _write_json(path: str, obj) -> None:
 
 
 def _load_code(path: str):
+    """Read a code file; a malformed one is a usage error (exit 2), not a traceback."""
     with open(path) as fh:
-        return codes.code_from_json_dict(json.load(fh))
+        try:
+            return codes.code_from_json_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise click.UsageError(
+                f"{path} is not a valid code file: {type(exc).__name__}: {exc}") from None
 
 
 def _make_constellation(name: str, angle: float, energy_mode: str):

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import EXACT, GaussianMatrix, real_rank
+from .gmatrix import GaussianMatrix, real_rank
 
 WeightPair = tuple[GaussianMatrix, GaussianMatrix]
 
@@ -97,7 +97,7 @@ class LinearDispersionCode:
         return wi, wq
 
     def codeword(self, symbols: Sequence[complex]) -> GaussianMatrix:
-        """The float-mode codeword for one symbol vector."""
+        """The codeword for one symbol vector."""
         if len(symbols) != self.k:
             raise ValueError(f"expected {self.k} symbols, got {len(symbols)}")
         acc = np.zeros((self.n, self.n), dtype=np.complex128)
@@ -109,15 +109,14 @@ class LinearDispersionCode:
 
     def left_multiply(self, u: GaussianMatrix) -> LinearDispersionCode:
         """Premultiply every weight by a unitary matrix; preserves SSD-ness."""
-        if not u.is_unitary(1e-10):
+        if not u.is_unitary():
             raise ValueError("left_multiply requires a unitary matrix")
         weights = tuple((u @ wi, u @ wq) for wi, wq in self.weights)
         return LinearDispersionCode(label=self.label, n=self.n, weights=weights)
 
     def scaled(self, s: float) -> LinearDispersionCode:
-        """Float-mode copy with every weight multiplied by a real scalar."""
-        weights = tuple((wi.to_float().scale(s), wq.to_float().scale(s))
-                        for wi, wq in self.weights)
+        """Copy with every weight multiplied by a real scalar."""
+        weights = tuple((wi.scale(s), wq.scale(s)) for wi, wq in self.weights)
         return LinearDispersionCode(label=self.label, n=self.n, weights=weights)
 
 
@@ -126,7 +125,7 @@ def build_max_rate_ussd(a: int, fam: AnticommutingFamily) -> LinearDispersionCod
     if fam.a != a:
         raise ValueError(f"family is for a = {fam.a}, not {a}")
     n = 2 ** a
-    eye = GaussianMatrix.identity(n, EXACT)
+    eye = GaussianMatrix.identity(n)
     m = 1j if a % 2 else 1 + 0j
     b1 = product_subset(fam, list(range(1, 2 * a))).scale(m)
     weights: list[WeightPair] = [(eye, b1)]
@@ -141,7 +140,7 @@ def build_square_cod(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
     if fam.a != a:
         raise ValueError(f"family is for a = {fam.a}, not {a}")
     n = 2 ** a
-    eye = GaussianMatrix.identity(n, EXACT)
+    eye = GaussianMatrix.identity(n)
     weights: list[WeightPair] = [(eye, fam.matrices[0])]
     for i in range(2, a + 2):
         weights.append((fam.matrices[2 * i - 3], fam.matrices[2 * i - 2]))

@@ -44,6 +44,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode
 from .constellations import Constellation
+from .gmatrix import GaussianMatrix, _negligible
 from .verifier import check_ssd
 
 REFERENCE_DISPERSION_GAIN = 2.0
@@ -160,15 +161,13 @@ def eigen_split(mat) -> tuple[int, int]:
     traceless, so a valid input there splits (n/2, n/2); an unbalanced
     split flags the caller that the matrix cannot play that role.
     """
-    from .gmatrix import GaussianMatrix
-
     if isinstance(mat, GaussianMatrix):
         z = mat.to_array()
     else:
         z = np.asarray(mat, dtype=complex)
-    if not np.allclose(z, z.conj().T, atol=1e-10):
+    if not _negligible(np.linalg.norm(z - z.conj().T), 1.0):
         raise ValueError("eigen_split requires a Hermitian matrix")
-    if not np.allclose(z.conj().T @ z, np.eye(z.shape[0]), atol=1e-10):
+    if not _negligible(np.linalg.norm(z.conj().T @ z - np.eye(z.shape[0])), 1.0):
         raise ValueError("eigen_split requires a unitary matrix")
     eig = np.linalg.eigvalsh(z)
     plus = int(np.sum(np.abs(eig - 1.0) <= 1e-8))

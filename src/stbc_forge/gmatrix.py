@@ -1,16 +1,30 @@
-"""Square complex matrices with an exact Gaussian-integer mode.
+"""Square complex matrices over the Gaussian integers, held as complex128.
 
 All the algebraic facts this package verifies (anticommutation,
 unitarity, products of generator matrices, the orthogonality conditions
 on weight matrices) live over matrices whose entries are Gaussian
-integers re + j*im.  Keeping the real and imaginary parts as
-arbitrary-precision Python integers makes every one of those checks
-bit-exact: there is no tolerance to argue about.  Floating mode
-(complex128 precision) exists for everything downstream of a rotated
-constellation, where exactness is impossible anyway.
+integers re + j*im; every weight the package builds has entries in
+{0, +-1, +-j}.  A :class:`GaussianMatrix` is one read-only complex128
+array, and it is *exact* when every entry is a Gaussian integer and
 
-A matrix is immutable after construction.  Binary operations follow the
-promotion rule exact*exact -> exact, anything else -> float.
+    n * max|entry|^2 < 2^53        (the magnitude guard).
+
+Every partial sum of a product of two exact matrices is then an integer
+below 2^53, which float64 holds exactly, so integer-valued complex128
+arithmetic is bit-exact with no separate number type.  Exactness is
+derived from the entries, never stored.  A product of exact matrices
+whose result would leave the guard raises OverflowError instead of
+letting a later product round.
+
+Verification compares a residual norm against one relative tolerance,
+:func:`_negligible`: residual <= REL_TOL * scale, where scale is the
+size of the quantities compared (for weight matrices, the common c in
+W^H W = c I).  A nonzero Gaussian-integer residual has norm >= 1, so
+any tolerance below 1 -- every scale below 1 / REL_TOL; the built-in
+codes have scale 1 or 1/2 -- decides exact inputs bit-exactly, and no
+comparison needs a special case for exactness.  Rotated or rescaled
+float inputs get the same rule, which makes every decision invariant
+under a uniform scale.
 """
 
 from __future__ import annotations
@@ -19,168 +33,127 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+REL_TOL = 1e-10
+_GUARD = 2.0 ** 53
+
+# JSON tags; written from derived exactness, validated on read
 EXACT = "exact"
 FLOAT = "float"
 
-# the only scalars exact mode is closed under
-_EXACT_SCALARS = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+def _negligible(residual, scale):
+    """The one verification tolerance: residual <= REL_TOL * scale (works on arrays)."""
+    return residual <= REL_TOL * scale
 
 
-def _as_int(x) -> int:
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)) and float(x).is_integer():
-        return int(x)
-    raise ValueError(f"exact mode requires integer entries, got {x!r}")
+def product_tensor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """P[p, q] = xs[p] @ ys[q] for two stacks of n x n matrices.
+
+    Shapes (P, n, n) and (Q, n, n) give (P, Q, n, n).  On stacks of exact
+    matrices every entry is computed exactly (see the module docstring).
+    """
+    return xs[:, None] @ ys[None, :]
 
 
 class GaussianMatrix:
-    """An n-by-n complex matrix stored as separate real/imaginary parts.
+    """An immutable n-by-n complex matrix held as one read-only complex128 array."""
 
-    ``mode == "exact"`` keeps both parts as Python integers and all
-    arithmetic bit-exact; ``mode == "float"`` uses float64 parts.
-    """
+    __slots__ = ("_z",)
 
-    __slots__ = ("_re", "_im", "_mode")
-
-    def __init__(self, re, im, mode: str):
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == EXACT:
-            re = np.asarray(re, dtype=object)
-            im = np.asarray(im, dtype=object)
-        else:
-            re = np.asarray(re, dtype=np.float64)
-            im = np.asarray(im, dtype=np.float64)
-        if re.ndim != 2 or re.shape[0] != re.shape[1] or re.shape != im.shape:
-            raise ValueError(f"entries must form a square matrix, got {re.shape} / {im.shape}")
-        if re.shape[0] < 1:
+    def __init__(self, entries):
+        z = np.array(entries, dtype=np.complex128)
+        if z.ndim != 2 or z.shape[0] != z.shape[1]:
+            raise ValueError(f"entries must form a square matrix, got shape {z.shape}")
+        if z.shape[0] < 1:
             raise ValueError("matrix side length must be positive")
-        re.setflags(write=False)
-        im.setflags(write=False)
-        self._re = re
-        self._im = im
-        self._mode = mode
+        if not np.all(np.isfinite(z)):
+            raise ValueError("entries must be finite")
+        z.setflags(write=False)
+        self._z = z
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
     def exact(cls, rows: Sequence[Sequence[complex]]) -> GaussianMatrix:
-        """Build an exact matrix from nested complex values with integer parts."""
-        data = [[complex(v) for v in row] for row in rows]
-        re = [[_as_int(v.real) for v in row] for row in data]
-        im = [[_as_int(v.imag) for v in row] for row in data]
-        return cls(re, im, EXACT)
+        """Build a matrix that must be exact: Gaussian integers inside the guard."""
+        m = cls(rows)
+        if not m.is_exact:
+            raise ValueError("exact entries must be Gaussian integers with "
+                             "n * max|entry|^2 < 2^53")
+        return m
 
     @classmethod
     def floating(cls, rows) -> GaussianMatrix:
-        """Build a float-mode matrix from anything array-like of complex."""
-        z = np.asarray(rows, dtype=np.complex128)
-        return cls(z.real, z.imag, FLOAT)
+        """Build a matrix from anything array-like of complex."""
+        return cls(rows)
 
     @classmethod
-    def identity(cls, n: int, mode: str = EXACT) -> GaussianMatrix:
-        eye = np.eye(n, dtype=np.int64)
-        return cls(eye, np.zeros((n, n), dtype=np.int64), mode)
-
-    @classmethod
-    def zeros(cls, n: int, mode: str = EXACT) -> GaussianMatrix:
-        z = np.zeros((n, n), dtype=np.int64)
-        return cls(z, z.copy(), mode)
+    def identity(cls, n: int) -> GaussianMatrix:
+        return cls(np.eye(n))
 
     # ------------------------------------------------------------------
     # basic queries
 
     @property
     def n(self) -> int:
-        return self._re.shape[0]
-
-    @property
-    def mode(self) -> str:
-        return self._mode
+        return self._z.shape[0]
 
     @property
     def is_exact(self) -> bool:
-        return self._mode == EXACT
+        """Gaussian-integer entries inside the magnitude guard."""
+        z = self._z
+        return bool(np.array_equal(z, np.round(z))
+                    and self.n * float(np.max(z.real ** 2 + z.imag ** 2)) < _GUARD)
 
     def entry(self, i: int, j: int) -> complex:
-        return complex(self._re[i, j], self._im[i, j])
+        return complex(self._z[i, j])
 
     def to_array(self) -> np.ndarray:
-        """The matrix as a complex128 ndarray (lossy for huge exact entries)."""
-        return np.asarray(self._re, dtype=np.float64) + 1j * np.asarray(self._im, dtype=np.float64)
-
-    def to_float(self) -> GaussianMatrix:
-        if self._mode == FLOAT:
-            return self
-        return GaussianMatrix(np.asarray(self._re, dtype=np.float64),
-                              np.asarray(self._im, dtype=np.float64), FLOAT)
+        """The matrix as a read-only complex128 ndarray."""
+        return self._z
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"GaussianMatrix(n={self.n}, mode={self._mode!r})"
+        return f"GaussianMatrix(n={self.n}, exact={self.is_exact})"
 
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _join_mode(self, other: GaussianMatrix) -> str:
-        return EXACT if (self.is_exact and other.is_exact) else FLOAT
+    def _same_size(self, other: GaussianMatrix) -> None:
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
-    def _parts_as(self, mode: str):
-        if mode == self._mode:
-            return self._re, self._im
-        return np.asarray(self._re, dtype=np.float64), np.asarray(self._im, dtype=np.float64)
+    def _product(self, other: GaussianMatrix, z: np.ndarray) -> GaussianMatrix:
+        out = GaussianMatrix(z)
+        if self.is_exact and other.is_exact and not out.is_exact:
+            raise OverflowError("product of exact matrices leaves the magnitude guard "
+                                "n * max|entry|^2 < 2^53")
+        return out
 
     def __matmul__(self, other: GaussianMatrix) -> GaussianMatrix:
         if not isinstance(other, GaussianMatrix):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        mode = self._join_mode(other)
-        ar, ai = self._parts_as(mode)
-        br, bi = other._parts_as(mode)
-        # np.dot (not matmul) because object dtype needs it
-        re = np.dot(ar, br) - np.dot(ai, bi)
-        im = np.dot(ar, bi) + np.dot(ai, br)
-        return GaussianMatrix(re, im, mode)
+        self._same_size(other)
+        return self._product(other, self._z @ other._z)
 
     def __add__(self, other: GaussianMatrix) -> GaussianMatrix:
         if not isinstance(other, GaussianMatrix):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        mode = self._join_mode(other)
-        ar, ai = self._parts_as(mode)
-        br, bi = other._parts_as(mode)
-        return GaussianMatrix(ar + br, ai + bi, mode)
+        self._same_size(other)
+        return GaussianMatrix(self._z + other._z)
 
     def __sub__(self, other: GaussianMatrix) -> GaussianMatrix:
         if not isinstance(other, GaussianMatrix):
             return NotImplemented
-        return self + (-other)
+        self._same_size(other)
+        return GaussianMatrix(self._z - other._z)
 
     def __neg__(self) -> GaussianMatrix:
-        return GaussianMatrix(-self._re, -self._im, self._mode)
+        return GaussianMatrix(-self._z)
 
     def scale(self, c: complex) -> GaussianMatrix:
-        """Entrywise multiplication by a scalar.
-
-        Exact mode is closed only under units of the Gaussian integers,
-        so there c is restricted to {1, -1, j, -j}; convert with
-        :meth:`to_float` before scaling by anything else.
-        """
-        c = complex(c)
-        if self.is_exact:
-            if (c.real, c.imag) not in _EXACT_SCALARS:
-                raise ValueError(
-                    f"exact-mode scalar must be one of 1, -1, j, -j, got {c!r}; "
-                    "use .to_float() first")
-            cr, ci = int(c.real), int(c.imag)
-        else:
-            cr, ci = c.real, c.imag
-        re = cr * self._re - ci * self._im
-        im = cr * self._im + ci * self._re
-        return GaussianMatrix(re, im, self._mode)
+        """Entrywise multiplication by a scalar."""
+        return GaussianMatrix(self._z * complex(c))
 
     def __mul__(self, c: complex) -> GaussianMatrix:
         if isinstance(c, GaussianMatrix):
@@ -191,90 +164,56 @@ class GaussianMatrix:
 
     def herm(self) -> GaussianMatrix:
         """Conjugate transpose."""
-        return GaussianMatrix(self._re.T, -self._im.T, self._mode)
+        return GaussianMatrix(self._z.conj().T)
 
     def trace(self) -> complex:
-        return complex(self._re.trace(), self._im.trace())
+        return complex(np.trace(self._z))
 
     def frob_norm(self) -> float:
-        return float(np.sqrt(float(np.sum(self._re * self._re) + np.sum(self._im * self._im))))
+        z = self._z
+        return float(np.sqrt(np.sum(z.real * z.real) + np.sum(z.imag * z.imag)))
 
     def kron(self, other: GaussianMatrix) -> GaussianMatrix:
         """Kronecker product, preserving exactness."""
-        mode = self._join_mode(other)
-        ar, ai = self._parts_as(mode)
-        br, bi = other._parts_as(mode)
-        re = np.kron(ar, br) - np.kron(ai, bi)
-        im = np.kron(ar, bi) + np.kron(ai, br)
-        return GaussianMatrix(re, im, mode)
+        return self._product(other, np.kron(self._z, other._z))
 
     # ------------------------------------------------------------------
     # predicates
 
     def __eq__(self, other) -> bool:
-        """Bit-exact equality (entries and nothing else; modes may differ)."""
+        """Bit-exact equality of the entries."""
         if not isinstance(other, GaussianMatrix):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        return bool(np.array_equal(self._re, other._re)
-                    and np.array_equal(self._im, other._im))
+        return bool(np.array_equal(self._z, other._z))
 
-    def __hash__(self):
-        # equality ignores mode (1 == 1.0), so the hash must as well
-        return hash((self.n,
-                     tuple(float(v) for v in self._re.ravel()),
-                     tuple(float(v) for v in self._im.ravel())))
+    def is_identity(self) -> bool:
+        return bool(_negligible(np.linalg.norm(self._z - np.eye(self.n)), 1.0))
 
-    def allclose(self, other: GaussianMatrix, tol: float = 1e-10) -> bool:
-        return (self - other).frob_norm() <= tol
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if self.is_exact:
-            return not (np.any(self._re) or np.any(self._im))
-        return self.frob_norm() <= tol
-
-    def is_identity(self, tol: float = 0.0) -> bool:
-        if self.is_exact:
-            return self == GaussianMatrix.identity(self.n, EXACT)
-        return (self - GaussianMatrix.identity(self.n, FLOAT)).frob_norm() <= tol
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        return (self.herm() @ self).is_identity(tol if not self.is_exact else 0.0)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        if self.is_exact:
-            return self.herm() == self
-        return (self.herm() - self).frob_norm() <= tol
+    def is_unitary(self) -> bool:
+        return (self.herm() @ self).is_identity()
 
     # ------------------------------------------------------------------
     # JSON interchange: {"n": 4, "mode": "exact", "entries": [[[re, im], ...], ...]}
 
     def to_json_dict(self) -> dict:
         if self.is_exact:
-            entries = [[[int(self._re[i, j]), int(self._im[i, j])] for j in range(self.n)]
-                       for i in range(self.n)]
+            tag, part = EXACT, int
         else:
-            entries = [[[float(self._re[i, j]), float(self._im[i, j])] for j in range(self.n)]
-                       for i in range(self.n)]
-        return {"n": self.n, "mode": self._mode, "entries": entries}
+            tag, part = FLOAT, float
+        entries = [[[part(v.real), part(v.imag)] for v in row] for row in self._z]
+        return {"n": self.n, "mode": tag, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> GaussianMatrix:
         n = int(obj["n"])
-        mode = obj["mode"]
+        tag = obj["mode"]
         entries = obj["entries"]
+        if tag not in (EXACT, FLOAT):
+            raise ValueError(f"unknown mode {tag!r}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries are not {n}x{n}")
-        if mode == EXACT:
-            re = [[_as_int(e[0]) for e in row] for row in entries]
-            im = [[_as_int(e[1]) for e in row] for row in entries]
-        elif mode == FLOAT:
-            re = [[float(e[0]) for e in row] for row in entries]
-            im = [[float(e[1]) for e in row] for row in entries]
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return cls(re, im, mode)
+        rows = [[complex(re, im) for re, im in row] for row in entries]
+        return cls.exact(rows) if tag == EXACT else cls(rows)
 
 
 def real_rank(matrices: Iterable[GaussianMatrix], rel_tol: float = 1e-9) -> int:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -120,21 +119,6 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     if total <= 0.0:
         raise ValueError("code transmits no energy")
     return math.sqrt(code.n / total)
-
-
-def channel_sample(n: int, m: int, rng: np.random.Generator
-                   ) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
-    """One CN(0, 1) fade matrix plus a noise generator bound to the rng.
-
-    The returned callable draws an n x m noise matrix with entry
-    variance N0.
-    """
-    h = _draw_cn(rng, (n, m))
-
-    def draw_noise(n0: float) -> np.ndarray:
-        return _draw_cn(rng, (n, m)) * math.sqrt(n0)
-
-    return h, draw_noise
 
 
 def _draw_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

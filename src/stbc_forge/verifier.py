@@ -11,7 +11,8 @@ cross-symbol Gram combination vanishes:
 with (A_i, B_i) the in-phase/quadrature weight pair of symbol i.  Two
 further condition families refine the taxonomy:
 
-    UW          : A_i^H A_i = B_i^H B_i = I  (all weights unitary)
+    UW          : A_i^H A_i = B_i^H B_i = c I  (all weights unitary up
+                  to one common scale c > 0)
     COD-IQ-self : A_i^H B_i + B_i^H A_i = 0  (the orthogonal-design
                   condition within each symbol)
 
@@ -19,19 +20,25 @@ Codes satisfying all three groups are complex orthogonal designs; the
 SSD group plus UW but not the self condition gives unitary-weight SSD
 codes; the SSD group without UW gives non-unitary-weight SSD codes.
 
-Exact-mode weight matrices are checked bit-exactly; as soon as any
-weight is floating the comparisons fall back to a 1e-10 Frobenius
-tolerance.
+All of them are index patterns on one Gram tensor G[p, q] = W_p^H W_q
+over the 2k stacked weights: the SSD and self conditions read
+G + G.swapaxes(0, 1), UW reads the diagonal blocks.  Every residual is
+judged by the one relative tolerance of :mod:`.gmatrix`, 1e-10 * c,
+so the verdicts do not change under a uniform scale of the weights.  On
+Gaussian-integer weights the SSD and self residuals are Gaussian-integer
+matrices (norm 0 or >= 1) and the UW residual W^H W - cI has entries in
+Z[j] / (2kn); at the built-in scales (c <= 1) the tolerance lies far
+below both steps, so every verdict there is bit-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import LinearDispersionCode
-from .gmatrix import GaussianMatrix
+import numpy as np
 
-FLOAT_TOL = 1e-10
+from .codes import LinearDispersionCode
+from .gmatrix import _negligible, product_tensor
 
 COND_UW = "UW"
 COND_SSD_IQ = "SSD-IQ"
@@ -69,52 +76,76 @@ class ClassificationReport:
     normalized: bool
 
 
-def _vanishes(a: GaussianMatrix, b: GaussianMatrix) -> bool:
-    """a^H b + b^H a == 0, exactly or within the float tolerance."""
-    g = (a.herm() @ b) + (b.herm() @ a)
-    return g.is_zero(0.0 if g.is_exact else FLOAT_TOL)
+def _flat_weights(code: LinearDispersionCode) -> np.ndarray:
+    """The 2k weights as one (2k, n, n) stack, W_p with p = 2(i-1) + {0: A_i, 1: B_i}."""
+    wi, wq = code.weight_arrays()
+    return np.stack((wi, wq), axis=1).reshape(2 * code.k, code.n, code.n)
 
 
-def _is_unitary(a: GaussianMatrix) -> bool:
-    g = a.herm() @ a
-    return g.is_identity(0.0 if g.is_exact else FLOAT_TOL)
+def _gram_verdicts(code: LinearDispersionCode) -> tuple[np.ndarray, np.ndarray]:
+    """Every condition of the taxonomy, read off one Gram tensor G[p, q] = W_p^H W_q.
+
+    Returns ``vanish[p, q]``, whether W_p^H W_q + W_q^H W_p is negligible
+    (SSD-IQ/II/QQ and COD-IQ-self are entries of it), and ``unitary[p]``,
+    whether W_p^H W_p = c I for the one common c > 0 (UW).  c is the mean
+    of trace(W_p^H W_p) / n, and both verdicts are relative to it.
+    """
+    if code.k == 0:
+        return np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool)
+    w = _flat_weights(code)
+    g = product_tensor(np.conj(w.swapaxes(1, 2)), w)
+    idx = np.arange(len(w))
+    diag = g[idx, idx]
+    c = float(np.mean(np.trace(diag, axis1=1, axis2=2).real)) / code.n
+    vanish = _negligible(np.linalg.norm(g + g.swapaxes(0, 1), axis=(2, 3)), c)
+    unitary = _negligible(np.linalg.norm(diag - c * np.eye(code.n), axis=(1, 2)), c) & (c > 0)
+    return vanish, unitary
+
+
+def _uw_failures(unitary: np.ndarray) -> list[ConditionFailure]:
+    pairs = unitary.reshape(-1, 2).all(axis=1)
+    return [ConditionFailure(COND_UW, i, i) for i, ok in enumerate(pairs, start=1) if not ok]
+
+
+def _ssd_failures(vanish: np.ndarray) -> list[ConditionFailure]:
+    failures: list[ConditionFailure] = []
+    k = len(vanish) // 2
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            if not vanish[2 * i, 2 * j + 1]:
+                failures.append(ConditionFailure(COND_SSD_IQ, i + 1, j + 1))
+            if j > i:
+                if not vanish[2 * i, 2 * j]:
+                    failures.append(ConditionFailure(COND_SSD_II, i + 1, j + 1))
+                if not vanish[2 * i + 1, 2 * j + 1]:
+                    failures.append(ConditionFailure(COND_SSD_QQ, i + 1, j + 1))
+    return failures
+
+
+def _self_failures(vanish: np.ndarray) -> list[ConditionFailure]:
+    return [ConditionFailure(COND_COD_SELF, i + 1, i + 1)
+            for i in range(len(vanish) // 2) if not vanish[2 * i, 2 * i + 1]]
 
 
 def check_ssd(code: LinearDispersionCode) -> CheckResult:
     """All cross-symbol conditions SSD-IQ / SSD-II / SSD-QQ."""
-    failures: list[ConditionFailure] = []
-    w = code.weights
-    for i in range(code.k):
-        for j in range(code.k):
-            if i == j:
-                continue
-            if not _vanishes(w[i][0], w[j][1]):
-                failures.append(ConditionFailure(COND_SSD_IQ, i + 1, j + 1))
-            if j > i:
-                if not _vanishes(w[i][0], w[j][0]):
-                    failures.append(ConditionFailure(COND_SSD_II, i + 1, j + 1))
-                if not _vanishes(w[i][1], w[j][1]):
-                    failures.append(ConditionFailure(COND_SSD_QQ, i + 1, j + 1))
-    return CheckResult(tuple(failures))
+    vanish, _ = _gram_verdicts(code)
+    return CheckResult(tuple(_ssd_failures(vanish)))
 
 
 def check_unitary_weight(code: LinearDispersionCode) -> CheckResult:
-    """Every weight matrix unitary (condition UW)."""
-    failures = []
-    for i, (wi, wq) in enumerate(code.weights, start=1):
-        if not (_is_unitary(wi) and _is_unitary(wq)):
-            failures.append(ConditionFailure(COND_UW, i, i))
-    return CheckResult(tuple(failures))
+    """Every weight matrix a unitary times one common c > 0 (condition UW)."""
+    _, unitary = _gram_verdicts(code)
+    return CheckResult(tuple(_uw_failures(unitary)))
 
 
 def check_cod(code: LinearDispersionCode) -> CheckResult:
     """Full orthogonal-design conditions: UW + SSD + the self condition."""
-    failures = list(check_unitary_weight(code).failures)
-    failures.extend(check_ssd(code).failures)
-    for i, (wi, wq) in enumerate(code.weights, start=1):
-        if not _vanishes(wi, wq):
-            failures.append(ConditionFailure(COND_COD_SELF, i, i))
-    return CheckResult(tuple(failures))
+    vanish, unitary = _gram_verdicts(code)
+    return CheckResult(tuple(_uw_failures(unitary) + _ssd_failures(vanish)
+                             + _self_failures(vanish)))
 
 
 def classify(code: LinearDispersionCode) -> ClassificationReport:
@@ -132,8 +163,7 @@ def classify(code: LinearDispersionCode) -> ClassificationReport:
         code_class = CLASS_UW_SSD
     else:
         code_class = CLASS_NONUW_SSD
-    first = code.weights[0][0] if code.k else None
-    normalized = first is None or first.is_identity(0.0 if first.is_exact else FLOAT_TOL)
+    normalized = code.k == 0 or code.weights[0][0].is_identity()
     return ClassificationReport(
         code_class=code_class,
         failed_conditions=cod.failures,
@@ -152,7 +182,7 @@ def normalize(code: LinearDispersionCode) -> LinearDispersionCode:
     if code.k == 0:
         return code
     first = code.weights[0][0]
-    if not first.is_unitary(FLOAT_TOL):
+    if not first.is_unitary():
         raise ValueError("normalize requires a unitary first in-phase weight")
     return code.left_multiply(first.herm())
 
@@ -172,40 +202,25 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     Reported indices are (symbol, 0) for in-phase and (symbol, 1) for
     quadrature weights.
     """
-    failures: list[ConditionFailure] = []
-    w = code.weights
-    n = code.n
     if code.k == 0:
         return CheckResult(())
-    minus_eye = GaussianMatrix.identity(n).scale(-1)
-
-    def _sq_minus_eye(m: GaussianMatrix) -> bool:
-        g = (m @ m) - minus_eye
-        return g.is_zero(0.0 if g.is_exact else FLOAT_TOL)
-
-    if not w[0][0].is_identity(0.0 if w[0][0].is_exact else FLOAT_TOL):
+    w = _flat_weights(code)
+    idx = np.arange(len(w))
+    eye = np.eye(code.n)
+    p = product_tensor(w, w)
+    square = _negligible(np.linalg.norm(p[idx, idx] + eye, axis=(1, 2)), 1.0)
+    b1_commute = _negligible(np.linalg.norm(np.conj(w[1].T) @ w - p[:, 1], axis=(1, 2)), 1.0)
+    anticommute = _negligible(np.linalg.norm(p + p.swapaxes(0, 1), axis=(2, 3)), 1.0)
+    failures: list[ConditionFailure] = []
+    if not code.weights[0][0].is_identity():
         failures.append(ConditionFailure("normalized", 1, 0))
-    b1 = w[0][1]
-    flat = [(i + 1, q, w[i][q]) for i in range(code.k) for q in (0, 1)]
-    for sym, q, m in flat:
-        if sym == 1:
-            continue
-        if not _sq_minus_eye(m):
-            failures.append(ConditionFailure("square", sym, q))
-    for sym, q, m in flat:
-        if sym == 1:
-            continue
-        g = (b1.herm() @ m) - (m @ b1)
-        if not g.is_zero(0.0 if g.is_exact else FLOAT_TOL):
-            failures.append(ConditionFailure("b1-commute", sym, q))
-    others = [(sym, q, m) for sym, q, m in flat if sym != 1]
-    for x in range(len(others)):
-        for y in range(x + 1, len(others)):
-            si, qi, mi = others[x]
-            sj, qj, mj = others[y]
-            if si == sj:
-                continue  # within-symbol products are unconstrained here
-            g = (mi @ mj) + (mj @ mi)
-            if not g.is_zero(0.0 if g.is_exact else FLOAT_TOL):
-                failures.append(ConditionFailure("anticommute", si, sj))
+    others = range(2, len(w))  # flat indices of the weights of symbols 2..k
+    failures += [ConditionFailure("square", r // 2 + 1, r % 2) for r in others if not square[r]]
+    failures += [ConditionFailure("b1-commute", r // 2 + 1, r % 2)
+                 for r in others if not b1_commute[r]]
+    for x in others:
+        for y in range(x + 1, len(w)):
+            # within-symbol products are unconstrained here
+            if x // 2 != y // 2 and not anticommute[x, y]:
+                failures.append(ConditionFailure("anticommute", x // 2 + 1, y // 2 + 1))
     return CheckResult(tuple(failures))

@@ -5,9 +5,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from stbc_forge import classify, code_from_json_dict, verify_family
 from stbc_forge.cli import main
-from stbc_forge.clifford import family_from_json_dict
+from stbc_forge.clifford import family_from_json_dict, verify_family
+from stbc_forge.codes import code_from_json_dict
+from stbc_forge.verifier import classify
 
 
 @pytest.fixture()
@@ -151,3 +152,16 @@ def test_usage_errors(runner, tmp_path):
                                 "--constellation", "qam4", "--snr", "1:2",
                                 "--out", str(tmp_path / "o.csv")]).exit_code == 2
     assert runner.invoke(main, ["bogus"]).exit_code == 2
+    # malformed code files fail at the boundary with one line, not a traceback
+    obj = json.loads(code.read_text())
+    obj["weights"][0][0]["entries"][0][0] = [2 ** 60, 0]  # outside the magnitude guard
+    for name, content in (("keys.json", {"n": 4}), ("guard.json", obj)):
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        for args in (["verify", str(path)],
+                     ["coding-gain", "--code", str(path), "--constellation", "qam4"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert "not a valid code file" in result.output
+            assert "Traceback" not in result.output

@@ -5,16 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from stbc_forge import (
+from stbc_forge.clifford import (
     AnticommutingFamily,
-    GaussianMatrix,
+    family_from_json_dict,
+    family_to_json_dict,
     generate_family,
     product_subset,
     products_commute,
     square_sign,
     verify_family,
 )
-from stbc_forge.clifford import family_from_json_dict, family_to_json_dict
+from stbc_forge.gmatrix import GaussianMatrix
 
 from conftest import GOLDEN_2TX_GENERATORS, GOLDEN_4TX_GENERATORS
 

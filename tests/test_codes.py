@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
-from stbc_forge import (
-    GaussianMatrix,
+from stbc_forge.codes import (
     LinearDispersionCode,
     build_max_rate_ussd,
     build_square_cod,
+    code_from_json_dict,
+    code_to_json_dict,
+)
+from stbc_forge.gmatrix import GaussianMatrix, real_rank
+from stbc_forge.verifier import (
     check_cod,
     check_normalized_structure,
     check_ssd,
     check_unitary_weight,
     classify,
-    code_from_json_dict,
-    code_to_json_dict,
-    real_rank,
 )
 
 from conftest import golden_4tx_codeword, golden_4tx_family, random_unitary
@@ -54,8 +55,8 @@ def test_weights_recoverable_by_probing(ussd4):
         probed.append((GaussianMatrix.floating(golden_4tx_codeword(real_probe)),
                        GaussianMatrix.floating(golden_4tx_codeword(imag_probe))))
     for (bi, bq), (wi, wq) in zip(probed, ussd4.weights):
-        assert bi == wi.to_float()
-        assert bq == wq.to_float()
+        assert bi == wi
+        assert bq == wq
     flat = [m for pair in probed for m in pair]
     assert real_rank(flat) == 8
 
@@ -175,7 +176,8 @@ def test_scaled(ussd4):
     half = ussd4.scaled(0.5)
     assert half.weights[0][0].entry(0, 0) == 0.5
     assert check_ssd(half).ok  # homogeneous conditions survive scaling
-    assert not check_unitary_weight(half).ok
+    assert check_unitary_weight(half).ok  # UW allows one common scale c > 0
+    assert not half.weights[0][0].is_unitary()
 
 
 def test_code_json_round_trip(ussd4, ciod4):

@@ -5,17 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from stbc_forge import (
-    GaussianMatrix,
-    LinearDispersionCode,
-    ciod_optimal_angle,
+from stbc_forge.codes import LinearDispersionCode
+from stbc_forge.codinggain import (
     dispersion_gain,
     eigen_split,
     min_det_bruteforce,
     min_det_closed_form,
-    optimal_angle,
-    rotated_qam,
 )
+from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
+from stbc_forge.gmatrix import GaussianMatrix
 
 from conftest import random_unitary
 

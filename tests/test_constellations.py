@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from stbc_forge import (
+from stbc_forge.constellations import (
     Constellation,
     ciod_optimal_angle,
     diversity_check,

@@ -5,47 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from stbc_forge import (
-    GaussianMatrix,
-    LinearDispersionCode,
+from stbc_forge.codes import LinearDispersionCode
+from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
+from stbc_forge.gmatrix import GaussianMatrix
+from stbc_forge.simulator import (
     SimConfig,
-    channel_sample,
-    ciod_optimal_angle,
+    _slot_metrics,
     ml_decode_bruteforce,
-    optimal_angle,
-    rotated_qam,
     simulate_cer,
     ssd_decode,
     transmit_scale,
     wilson_halfwidth,
 )
-from stbc_forge.simulator import _slot_metrics
-
-
-def test_channel_sample_statistics():
-    rng = np.random.default_rng(101)
-    total = 0.0
-    count = 0
-    for _ in range(1000):
-        h, _ = channel_sample(10, 10, rng)
-        total += float(np.sum(np.abs(h) ** 2))
-        count += h.size
-    assert total / count == pytest.approx(1.0, abs=0.02)
-
-
-def test_channel_sample_deterministic():
-    h1, _ = channel_sample(4, 2, np.random.default_rng(5))
-    h2, _ = channel_sample(4, 2, np.random.default_rng(5))
-    assert np.array_equal(h1, h2)
-
-
-def test_channel_sample_shapes_and_noise():
-    rng = np.random.default_rng(7)
-    h, draw_noise = channel_sample(4, 1, rng)
-    assert h.shape == (4, 1)
-    n0 = 0.25
-    samples = np.concatenate([draw_noise(n0).ravel() for _ in range(5000)])
-    assert float(np.mean(np.abs(samples) ** 2)) == pytest.approx(n0, rel=0.05)
 
 
 def test_transmit_scale(ussd4, ciod4):
@@ -191,7 +162,7 @@ def test_high_snr_slope_shows_full_diversity(ussd4):
 def test_simulate_8qam_at_3_bpcu(ussd4):
     # rect 8-QAM has unequal I/Q second moments and a nonzero cross
     # moment once rotated; the energy scaling must absorb both
-    from stbc_forge import special_8qam
+    from stbc_forge.constellations import special_8qam
 
     for kind in ("rect", "square-derived"):
         c = special_8qam(kind, optimal_angle(), "unit-average")

@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stbc_forge import (
-    GaussianMatrix,
+from stbc_forge.clifford import generate_family
+from stbc_forge.codes import (
     LinearDispersionCode,
-    check_cod,
-    check_normalized_structure,
-    check_ssd,
-    check_unitary_weight,
-    classify,
-    normalize,
+    build_ciod4,
+    build_max_rate_ussd,
+    build_square_cod,
 )
+from stbc_forge.gmatrix import GaussianMatrix
 from stbc_forge.verifier import (
     CLASS_COD,
     CLASS_NONUW_SSD,
@@ -21,6 +21,12 @@ from stbc_forge.verifier import (
     COND_COD_SELF,
     COND_SSD_II,
     COND_UW,
+    check_cod,
+    check_normalized_structure,
+    check_ssd,
+    check_unitary_weight,
+    classify,
+    normalize,
 )
 
 from conftest import random_unitary
@@ -117,7 +123,7 @@ def test_normalize(ussd4):
     rng = np.random.default_rng(59)
     moved = ussd4.left_multiply(random_unitary(4, rng))
     back = normalize(moved)
-    assert back.weights[0][0].is_identity(1e-10)
+    assert back.weights[0][0].is_identity()
     assert check_normalized_structure(back).ok
     assert classify(back).code_class == classify(moved).code_class
 
@@ -159,3 +165,88 @@ def test_float_tolerance_on_rotated_codes(ussd4):
     assert check_ssd(moved).ok
     assert check_unitary_weight(moved).ok
     assert not check_cod(moved).ok
+
+
+def _mutants(ussd4):
+    bad = _replace_weight(ussd4, 1, 0, ussd4.weights[0][0])
+    sneaky = _replace_weight(ussd4, 1, 0, ussd4.weights[0][0].scale(1j))
+    return bad, sneaky
+
+
+def _as_tuples(failures):
+    return tuple((f.condition, f.i, f.j) for f in failures)
+
+
+def test_failed_conditions_order_is_pinned(ussd4, ciod4):
+    # the order feeds ``verify --report``; these are the seed's lists
+    bad, sneaky = _mutants(ussd4)
+    self_all = tuple(("COD-IQ-self", i, i) for i in range(1, 5))
+    assert _as_tuples(classify(ussd4).failed_conditions) == self_all
+    assert _as_tuples(classify(ciod4).failed_conditions) == tuple(
+        ("UW", i, i) for i in range(1, 5))
+    assert _as_tuples(classify(bad).failed_conditions) == (
+        ("SSD-II", 1, 2), ("SSD-IQ", 2, 1),
+        ("COD-IQ-self", 1, 1), ("COD-IQ-self", 3, 3), ("COD-IQ-self", 4, 4))
+    assert _as_tuples(classify(sneaky).failed_conditions) == (
+        ("SSD-IQ", 2, 3), ("SSD-II", 2, 3), ("SSD-IQ", 2, 4), ("SSD-II", 2, 4)) + self_all
+
+
+def _reference_failures(code):
+    """Per-pair loop over the conditions as the module docstring states them."""
+    w = [(wi.to_array(), wq.to_array()) for wi, wq in code.weights]
+    n = code.n
+    c = np.mean([np.trace(m.conj().T @ m).real for pair in w for m in pair]) / n
+
+    def vanishes(a, b):
+        return np.linalg.norm(a.conj().T @ b + b.conj().T @ a) <= 1e-10 * c
+
+    def unitary(a):
+        return np.linalg.norm(a.conj().T @ a - c * np.eye(n)) <= 1e-10 * c
+
+    out = [(COND_UW, i, i) for i, (a, b) in enumerate(w, 1) if not (unitary(a) and unitary(b))]
+    for i in range(code.k):
+        for j in range(code.k):
+            if i == j:
+                continue
+            if not vanishes(w[i][0], w[j][1]):
+                out.append(("SSD-IQ", i + 1, j + 1))
+            if j > i and not vanishes(w[i][0], w[j][0]):
+                out.append(("SSD-II", i + 1, j + 1))
+            if j > i and not vanishes(w[i][1], w[j][1]):
+                out.append(("SSD-QQ", i + 1, j + 1))
+    out += [(COND_COD_SELF, i, i) for i, (a, b) in enumerate(w, 1) if not vanishes(a, b)]
+    return tuple(out)
+
+
+def test_failed_conditions_match_reference_loop(ussd4, ciod4, cod4):
+    rng = np.random.default_rng(71)
+    bases = (ussd4, ciod4, cod4) + _mutants(ussd4)
+    for t in range(20):
+        code = bases[t % len(bases)].left_multiply(random_unitary(4, rng))
+        want = _reference_failures(code)
+        assert _as_tuples(check_cod(code).failures) == want
+        assert _as_tuples(classify(code).failed_conditions) == want
+
+
+_FAM2 = generate_family(2)
+_USSD4 = build_max_rate_ussd(2, _FAM2)
+_CODES = {
+    "ussd2": build_max_rate_ussd(1, generate_family(1)),
+    "ussd4": _USSD4,
+    "cod4": build_square_cod(2, _FAM2),
+    "ciod4": build_ciod4(),
+    "not-ssd": _mutants(_USSD4)[0],
+}
+
+
+@given(name=st.sampled_from(sorted(_CODES)),
+       scale=st.floats(min_value=1e-3, max_value=1e3),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_class_invariant_under_scale_and_unitary(name, scale, seed):
+    code = _CODES[name]
+    want = classify(code).code_class
+    u = random_unitary(code.n, np.random.default_rng(seed))
+    assert classify(code.scaled(scale)).code_class == want
+    assert classify(code.left_multiply(u)).code_class == want
+    assert classify(code.scaled(scale).left_multiply(u)).code_class == want
