@@ -7,13 +7,15 @@ status is 0 on success, 1 on a verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
 
 import click
+import numpy as np
 
-from . import clifford, codes, codinggain, constellations, simulator
+from . import __version__, clifford, codes, codinggain, constellations, simulator
 from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, classify
 
 CONSTELLATION_CHOICES = ("qam4", "qam16", "qam64", "8qam-rect", "8qam-sq")
@@ -53,9 +55,19 @@ def _make_constellation(name: str, angle: float, energy_mode: str):
     return constellations.special_8qam(kind, angle, energy_mode)
 
 
+def _finite_float(text: str, option: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise click.BadParameter(f"expected a finite number, got {text!r}", param_hint=option)
+    return value
+
+
 def _resolve_angle(angle: str, code) -> float:
     if angle != "auto":
-        return float(angle)
+        return _finite_float(angle, "--angle")
     if classify(code).code_class == CLASS_NONUW_SSD:
         return constellations.ciod_optimal_angle()
     return constellations.optimal_angle()
@@ -67,7 +79,8 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--a", "a", type=int, required=True, help="Doublings: matrices are 2^a x 2^a.")
+@click.option("--a", "a", type=click.IntRange(1, clifford.MAX_DOUBLINGS), required=True,
+              help="Doublings: matrices are 2^a x 2^a.")
 @click.option("--out", "out", type=click.Path(dir_okay=False), required=True)
 def family(a: int, out: str) -> None:
     """Generate the 2a+1 pairwise anticommuting matrices of size 2^a."""
@@ -93,8 +106,9 @@ def construct(antennas: int, family_name: str, out: str) -> None:
         code = codes.build_ciod4()
     else:
         a = antennas.bit_length() - 1
-        if antennas < 2 or 2 ** a != antennas:
-            raise click.UsageError(f"antennas must be a power of 2 >= 2, got {antennas}")
+        if antennas < 2 or 2 ** a != antennas or a > clifford.MAX_DOUBLINGS:
+            raise click.UsageError(
+                f"antennas must be a power of 2 in 2..{2 ** clifford.MAX_DOUBLINGS}, got {antennas}")
         fam = clifford.generate_family(a)
         if family_name == "ussd":
             code = codes.build_max_rate_ussd(a, fam)
@@ -165,7 +179,7 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
 @click.option("--snr", required=True, help="start:step:stop in dB (inclusive).")
 @click.option("--rx", type=int, default=1, show_default=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--decoder", type=click.Choice(["ssd", "brute-ml"]), default="ssd")
 @click.option("--out", "out", type=click.Path(dir_okay=False), required=True)
 def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: int,
@@ -176,10 +190,12 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
     constellation = _make_constellation(constellation_name, theta,
                                         constellations.ENERGY_UNIT)
     snr_list = _parse_snr(snr)
-    config = simulator.SimConfig(code=code, constellation=constellation,
-                                 snr_db_list=tuple(snr_list), trials=trials,
-                                 seed=seed, rx_antennas=rx, decoder=decoder)
-    report = simulator.simulate_cer(config)
+    try:
+        report = simulator.simulate_cer(simulator.SimConfig(
+            code=code, constellation=constellation, snr_db_list=tuple(snr_list),
+            trials=trials, seed=seed, rx_antennas=rx, decoder=decoder))
+    except ValueError as exc:  # SimConfig's range checks, a non-SSD code, the ML budget
+        raise click.UsageError(str(exc)) from None
     lines = ["snr_db,trials,errors,cer,ci95"]
     for p in report.points:
         lines.append(f"{p.snr_db:g},{p.trials},{p.errors},{p.cer:.8g},{p.ci95:.8g}")
@@ -195,18 +211,21 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
         "trials": trials,
         "seed": seed,
         "decoder": decoder,
+        "seed_contract": simulator.SEED_CONTRACT,
+        "stbc_forge_version": __version__,
+        "numpy_version": np.__version__,
     }
     _write_json(out + ".config.json", sidecar)
     click.echo(f"wrote {len(report.points)} CER points to {out}")
 
 
 def _parse_snr(text: str) -> list[float]:
-    parts = text.split(":")
+    parts = [_finite_float(p, "--snr") for p in text.split(":")]
     if len(parts) == 1:
-        return [float(parts[0])]
+        return parts
     if len(parts) != 3:
         raise click.UsageError(f"--snr expects start:step:stop, got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    start, step, stop = parts
     if step <= 0:
         raise click.UsageError("--snr step must be positive")
     out = []

@@ -28,10 +28,14 @@ Both break ties toward the smallest constellation index (ties have
 probability zero under continuous noise but the rule keeps the
 decoder-equivalence oracle deterministic).
 
-Reproducibility:  every SNR point draws from its own generator seeded
-by (seed, point index), and each trial consumes fixed array slots of
-that stream, so a (seed, config) pair gives a bit-identical report no
-matter how the decode work is chunked.
+Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
+trials.  Chunk c of point p draws its symbol indices, then its fades,
+then its noise from ``default_rng([seed, p, c])`` and is decoded before
+the next chunk is drawn, so memory is bounded by one chunk and a (seed,
+config) pair gives a bit-identical report.  ``[seed, p, 0]`` seeds the
+same stream as ``[seed, p]`` (zero padding), so runs of at most 2**14
+trials per point match the earlier contract that drew a whole point
+from ``[seed, p]``.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ DECODER_BRUTE_ML = "brute-ml"
 ML_BUDGET = 1_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
+SEED_CONTRACT = f"default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, fades, noise"
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,9 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     m_ii = float(np.mean(pts.real ** 2))
     m_qq = float(np.mean(pts.imag ** 2))
     m_iq = float(np.mean(pts.real * pts.imag))
-    total = 0.0
-    for wi, wq in code.weights:
-        cross = (wi.herm() @ wq).trace().real
-        total += m_ii * wi.frob_norm() ** 2 + m_qq * wq.frob_norm() ** 2 + 2 * m_iq * cross
+    wi, wq = code.weight_arrays()
+    total = float(m_ii * np.sum(np.abs(wi) ** 2) + m_qq * np.sum(np.abs(wq) ** 2)
+                  + 2 * m_iq * np.sum(np.real(np.conj(wi) * wq)))
     if total <= 0.0:
         raise ValueError("code transmits no energy")
     return math.sqrt(code.n / total)
@@ -131,33 +135,32 @@ def _require_ssd(code: LinearDispersionCode) -> None:
         raise ValueError("per-symbol decoding requires a single-symbol decodable code")
 
 
-def _slot_metrics(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
-                  constellation: Constellation) -> np.ndarray:
-    """The (k, |A|) table of per-slot candidate metrics g_i(x)."""
-    pts = np.asarray(constellation.points)
-    wi, wq = code.weight_arrays()
-    gi = wi @ h  # (k, n, m)
-    gq = wq @ h
-    n_i = np.sum(np.abs(gi) ** 2, axis=(1, 2))        # (k,)
-    n_q = np.sum(np.abs(gq) ** 2, axis=(1, 2))
-    cross = np.real(np.sum(np.conj(gi) * gq, axis=(1, 2)))
-    y_i = np.real(np.sum(np.conj(y) * gi, axis=(1, 2)))
-    y_q = np.real(np.sum(np.conj(y) * gq, axis=(1, 2)))
-    xr = pts.real[None, :]
-    xq = pts.imag[None, :]
-    return (xr ** 2 * n_i[:, None] + xq ** 2 * n_q[:, None]
-            + 2.0 * xr * xq * cross[:, None]
-            - 2.0 * (xr * y_i[:, None] + xq * y_q[:, None]))
+def _slot_metrics(wi: np.ndarray, wq: np.ndarray, y: np.ndarray, h: np.ndarray,
+                  pts: np.ndarray) -> np.ndarray:
+    """The (T, k, |A|) per-slot metrics g_i(x) for T blocks y, h of shape (T, n, m)."""
+    gi = wi @ h[:, None]  # (T, k, n, m)
+    gq = wq @ h[:, None]
+    yc = np.conj(y)[:, None]
+    n_i = np.sum(np.abs(gi) ** 2, axis=(2, 3))  # (T, k)
+    n_q = np.sum(np.abs(gq) ** 2, axis=(2, 3))
+    cross = np.real(np.sum(np.conj(gi) * gq, axis=(2, 3)))
+    y_i = np.real(np.sum(yc * gi, axis=(2, 3)))
+    y_q = np.real(np.sum(yc * gq, axis=(2, 3)))
+    xr = pts.real
+    xq = pts.imag
+    return (xr ** 2 * n_i[..., None] + xq ** 2 * n_q[..., None]
+            + 2.0 * xr * xq * cross[..., None]
+            - 2.0 * (xr * y_i[..., None] + xq * y_q[..., None]))
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
                constellation: Constellation) -> np.ndarray:
     """Per-symbol ML decoding; exactly k * |A| metric evaluations."""
     _require_ssd(code)
-    metrics = _slot_metrics(code, np.asarray(y), np.asarray(h), constellation)
-    idx = np.argmin(metrics, axis=1)  # first minimum = smallest index
     pts = np.asarray(constellation.points)
-    return pts[idx]
+    wi, wq = code.weight_arrays()
+    metrics = _slot_metrics(wi, wq, np.asarray(y)[None], np.asarray(h)[None], pts)
+    return pts[np.argmin(metrics[0], axis=1)]  # first minimum = smallest index
 
 
 def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -206,47 +209,22 @@ def simulate_cer(config: SimConfig) -> CerReport:
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = 10.0 ** (-snr_db / 10.0)
-        rng = np.random.default_rng([int(config.seed), point_index])
-        t = config.trials
-        sym_idx = rng.integers(0, len(pts), size=(t, k))
-        h = _draw_cn(rng, (t, n, m))
-        noise = _draw_cn(rng, (t, n, m)) * math.sqrt(n0)
-        x = pts[sym_idx]
-        s = (np.einsum("tk,knm->tnm", x.real, wi)
-             + np.einsum("tk,knm->tnm", x.imag, wq))
-        y = s @ h + noise
         errors = 0
-        for start in range(0, t, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, t))
+        for chunk, start in enumerate(range(0, config.trials, _CHUNK)):
+            t = min(_CHUNK, config.trials - start)
+            rng = np.random.default_rng([int(config.seed), point_index, chunk])
+            x = pts[rng.integers(0, len(pts), size=(t, k))]
+            h = _draw_cn(rng, (t, n, m))
+            noise = _draw_cn(rng, (t, n, m)) * math.sqrt(n0)
+            s = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
+            y = s @ h + noise
             if config.decoder == DECODER_SSD:
-                decoded = _batch_ssd_indices(wi, wq, y[sl], h[sl], pts)
+                decoded = pts[np.argmin(_slot_metrics(wi, wq, y, h, pts), axis=2)]
             else:
-                decoded = np.stack([
-                    _nearest_indices(pts, ml_decode_bruteforce(scaled, y[i], h[i], constellation))
-                    for i in range(sl.start, sl.stop)])
-            errors += int(np.sum(np.any(decoded != sym_idx[sl], axis=1)))
-        out.append(CerPoint(snr_db=float(snr_db), trials=t, errors=errors,
-                            cer=errors / t, ci95=wilson_halfwidth(errors, t)))
+                decoded = np.stack([ml_decode_bruteforce(scaled, y[i], h[i], constellation)
+                                    for i in range(t)])
+            errors += int(np.sum(np.any(decoded != x, axis=1)))
+        out.append(CerPoint(snr_db=float(snr_db), trials=config.trials, errors=errors,
+                            cer=errors / config.trials,
+                            ci95=wilson_halfwidth(errors, config.trials)))
     return CerReport(points=tuple(out), label=code.label)
-
-
-def _nearest_indices(pts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.asarray([int(np.argmin(np.abs(pts - v))) for v in values])
-
-
-def _batch_ssd_indices(wi: np.ndarray, wq: np.ndarray, y: np.ndarray,
-                       h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized per-symbol decode over a batch of trials -> (T, k) indices."""
-    gi = np.einsum("knm,tmj->tknj", wi, h)
-    gq = np.einsum("knm,tmj->tknj", wq, h)
-    n_i = np.sum(np.abs(gi) ** 2, axis=(2, 3))              # (T, k)
-    n_q = np.sum(np.abs(gq) ** 2, axis=(2, 3))
-    cross = np.real(np.sum(np.conj(gi) * gq, axis=(2, 3)))
-    y_i = np.real(np.einsum("tnj,tknj->tk", np.conj(y), gi))
-    y_q = np.real(np.einsum("tnj,tknj->tk", np.conj(y), gq))
-    xr = pts.real[None, None, :]
-    xq = pts.imag[None, None, :]
-    metrics = (xr ** 2 * n_i[..., None] + xq ** 2 * n_q[..., None]
-               + 2.0 * xr * xq * cross[..., None]
-               - 2.0 * (xr * y_i[..., None] + xq * y_q[..., None]))
-    return np.argmin(metrics, axis=2)

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from stbc_forge import __version__
 from stbc_forge.cli import main
 from stbc_forge.clifford import family_from_json_dict, verify_family
 from stbc_forge.codes import code_from_json_dict
+from stbc_forge.simulator import _CHUNK, SEED_CONTRACT
 from stbc_forge.verifier import classify
 
 
@@ -131,6 +134,11 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     sidecar = json.loads((tmp_path / "cer.csv.config.json").read_text())
     assert sidecar["seed"] == 9
     assert sidecar["snr_db"] == [0.0, 5.0, 10.0]
+    assert sidecar["seed_contract"] == SEED_CONTRACT
+    assert "[seed, point, chunk]" in sidecar["seed_contract"]
+    assert str(_CHUNK) in sidecar["seed_contract"]
+    assert sidecar["stbc_forge_version"] == __version__
+    assert sidecar["numpy_version"] == np.__version__
     # deterministic repeat
     first = csv_path.read_text()
     _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam4",
@@ -152,6 +160,37 @@ def test_usage_errors(runner, tmp_path):
                                 "--constellation", "qam4", "--snr", "1:2",
                                 "--out", str(tmp_path / "o.csv")]).exit_code == 2
     assert runner.invoke(main, ["bogus"]).exit_code == 2
+    # bad values fail at the boundary with exit 2 and a one-line message
+    not_ssd = json.loads(code.read_text())
+    not_ssd["weights"][1][0] = not_ssd["weights"][2][0]  # breaks SSD-II
+    not_ssd_path = tmp_path / "not-ssd.json"
+    not_ssd_path.write_text(json.dumps(not_ssd))
+    sim = ["simulate", "--code", str(code), "--constellation", "qam4",
+           "--out", str(tmp_path / "o.csv")]
+    bad_inputs = [
+        sim + ["--snr", "10", "--trials", "0"],
+        sim + ["--snr", "10", "--trials", "-5"],
+        sim + ["--snr", "10", "--rx", "0"],
+        sim + ["--snr", "10", "--seed", "-3"],
+        sim + ["--snr", "10", "--angle", "foo"],
+        sim + ["--snr", "a:1:3"],
+        sim + ["--snr", "5:1:3"],  # stop below start: no SNR point
+        sim + ["--snr", "0:1:inf"],
+        ["simulate", "--code", str(not_ssd_path), "--constellation", "qam4",
+         "--snr", "10", "--decoder", "ssd", "--out", str(tmp_path / "o.csv")],
+        ["simulate", "--code", str(code), "--constellation", "qam64", "--snr", "10",
+         "--decoder", "brute-ml", "--out", str(tmp_path / "o.csv")],  # 64^4 > ML budget
+        ["coding-gain", "--code", str(code), "--constellation", "qam4", "--angle", "foo"],
+        ["coding-gain", "--code", str(code), "--constellation", "qam4", "--angle", "nan"],
+        ["family", "--a", "9", "--out", str(tmp_path / "x.json")],
+        ["construct", "--antennas", "128", "--family", "ussd", "--out", str(tmp_path / "x.json")],
+    ]
+    for args in bad_inputs:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "Error:" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "o.csv").exists()
     # malformed code files fail at the boundary with one line, not a traceback
     obj = json.loads(code.read_text())
     obj["weights"][0][0]["entries"][0][0] = [2 ** 60, 0]  # outside the magnitude guard

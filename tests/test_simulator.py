@@ -1,14 +1,19 @@
 """Channel statistics, decoders, and the Monte Carlo sweep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stbc_forge.codes import LinearDispersionCode
+from stbc_forge.clifford import generate_family
+from stbc_forge.codes import LinearDispersionCode, build_ciod4, build_max_rate_ussd
 from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
 from stbc_forge.gmatrix import GaussianMatrix
 from stbc_forge.simulator import (
+    _CHUNK,
     SimConfig,
     _slot_metrics,
     ml_decode_bruteforce,
@@ -17,6 +22,8 @@ from stbc_forge.simulator import (
     transmit_scale,
     wilson_halfwidth,
 )
+
+from conftest import random_unitary
 
 
 def test_transmit_scale(ussd4, ciod4):
@@ -44,8 +51,9 @@ def test_ssd_decode_complexity_contract(ussd4):
     rng = np.random.default_rng(13)
     h = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))) / math.sqrt(2)
     y = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    metrics = _slot_metrics(ussd4, y, h, c)
-    assert metrics.shape == (ussd4.k, len(c))  # exactly k * |A| evaluations
+    wi, wq = ussd4.weight_arrays()
+    metrics = _slot_metrics(wi, wq, y[None], h[None], np.asarray(c.points))
+    assert metrics.shape == (1, ussd4.k, len(c))  # exactly k * |A| evaluations
 
 
 def test_ssd_decode_rejects_non_ssd():
@@ -68,6 +76,7 @@ def test_per_slot_decoding_fails_without_ssd():
         (a1, a1.scale(1j)), (a2, a2.scale(1j))))
     c = rotated_qam(4, 0.0, "unit-average")
     pts = np.asarray(c.points)
+    wi, wq = code.weight_arrays()
     rng = np.random.default_rng(17)
     disagreements = 0
     for _ in range(200):
@@ -75,7 +84,7 @@ def test_per_slot_decoding_fails_without_ssd():
         h = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) / math.sqrt(2)
         noise = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) * 0.4
         y = code.codeword(x).to_array() @ h + noise
-        per_slot = pts[np.argmin(_slot_metrics(code, y, h, c), axis=1)]
+        per_slot = pts[np.argmin(_slot_metrics(wi, wq, y[None], h[None], pts)[0], axis=1)]
         ml = ml_decode_bruteforce(code, y, h, c)
         if not np.array_equal(per_slot, ml):
             disagreements += 1
@@ -98,6 +107,34 @@ def test_decoders_agree_on_ssd_code(ussd4, ussd2):
                                   ml_decode_bruteforce(scaled, y, h, c))
 
 
+_SSD_CODES = {
+    "ussd2": build_max_rate_ussd(1, generate_family(1)),
+    "ussd4": build_max_rate_ussd(2, generate_family(2)),
+    "ciod4": build_ciod4(),
+}
+
+
+@given(name=st.sampled_from(sorted(_SSD_CODES)),
+       scale=st.floats(min_value=1e-2, max_value=1e2),
+       angle=st.floats(min_value=0.0, max_value=math.pi / 2),
+       sigma=st.floats(min_value=1e-2, max_value=2.0),
+       rx=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_ssd_decode_equals_bruteforce_ml(name, scale, angle, sigma, rx, seed):
+    rng = np.random.default_rng(seed)
+    base = _SSD_CODES[name]
+    code = base.left_multiply(random_unitary(base.n, rng)).scaled(scale)
+    c = rotated_qam(4, angle, "unit-average")
+    pts = np.asarray(c.points)
+    for _ in range(5):
+        x = pts[rng.integers(0, 4, size=code.k)]
+        h = (rng.standard_normal((code.n, rx)) + 1j * rng.standard_normal((code.n, rx))) / math.sqrt(2)
+        noise = (rng.standard_normal((code.n, rx)) + 1j * rng.standard_normal((code.n, rx))) * sigma
+        y = code.codeword(x).to_array() @ h + noise
+        assert np.array_equal(ssd_decode(code, y, h, c), ml_decode_bruteforce(code, y, h, c))
+
+
 def test_ml_budget():
     a1 = GaussianMatrix.identity(2)
     code = LinearDispersionCode(label="c", n=2, weights=((a1, a1.scale(1j)),) * 10)
@@ -114,6 +151,46 @@ def test_simulate_cer_reproducible(ussd4):
     r2 = simulate_cer(config)
     assert r1 == r2
     assert all(0 <= p.cer <= 1 and p.errors <= p.trials for p in r1.points)
+
+
+def _errors(code, constellation, snrs, trials, seed):
+    config = SimConfig(code=code, constellation=constellation, snr_db_list=snrs,
+                       trials=trials, seed=seed)
+    return [p.errors for p in simulate_cer(config).points]
+
+
+def test_seed_contract_golden_counts(ussd4):
+    # pinned error counts; a change here changes every seeded report.
+    # A single-chunk run draws from [seed, point, 0], the same stream as the
+    # earlier [seed, point] contract, so its counts predate chunked draws
+    qam16 = rotated_qam(16, optimal_angle(), "unit-average")
+    assert _errors(ussd4, qam16, (10.0, 15.0, 20.0), 2000, 7) == [1384, 398, 41]
+    qam4 = rotated_qam(4, optimal_angle(), "unit-average")
+    assert _errors(ussd4, qam4, (4.0, 10.0), 2 * _CHUNK + 1000, 7) == [15480, 2028]
+
+
+def test_seed_contract_trial_prefix_stability(ussd4):
+    # a longer run repeats every full chunk of a shorter one
+    c = rotated_qam(4, optimal_angle(), "unit-average")
+    short = _errors(ussd4, c, (0.0, 6.0), _CHUNK, 21)
+    longer = _errors(ussd4, c, (0.0, 6.0), _CHUNK + 1, 21)
+    assert all(b - a in (0, 1) for a, b in zip(short, longer))
+
+
+def test_simulate_cer_memory_bounded_in_trials(ussd4):
+    c = rotated_qam(4, optimal_angle(), "unit-average")
+
+    def peak(trials):
+        config = SimConfig(code=ussd4, constellation=c, snr_db_list=(10.0,),
+                           trials=trials, seed=1)
+        tracemalloc.start()
+        try:
+            simulate_cer(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * _CHUNK) < 1.5 * peak(_CHUNK)
 
 
 def test_simulate_cer_vanishes_at_high_snr(ussd4):
