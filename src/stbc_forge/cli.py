@@ -19,6 +19,7 @@ from . import __version__, clifford, codes, codinggain, constellations, simulato
 from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, classify
 
 CONSTELLATION_CHOICES = ("qam4", "qam16", "qam64", "8qam-rect", "8qam-sq")
+MAX_SNR_POINTS = 1000
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -231,6 +232,10 @@ def _parse_snr(text: str) -> list[float]:
     out = []
     v = start
     while v <= stop + 1e-9:
+        # counted per point, not from (stop - start) / step: a step below the
+        # spacing of floats near start never moves v
+        if len(out) == MAX_SNR_POINTS:
+            raise click.UsageError(f"--snr {text!r} gives more than {MAX_SNR_POINTS} points")
         out.append(round(v, 9))
         v += step
     return out

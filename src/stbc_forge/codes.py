@@ -7,8 +7,12 @@ x_1 ... x_k is
 
 where the 2k fixed n x n matrices (A_i, B_i) -- the in-phase/quadrature
 weight pair of symbol i -- define the code and must be linearly
-independent over the reals.  Three constructions are provided, all with
-exact Gaussian-integer weights:
+independent over the reals.  A code holds them as one read-only
+complex128 stack ``w`` of shape (k, 2, n, n): w[i-1, 0] = A_i and
+w[i-1, 1] = B_i.  Every module that needs the weights reads or views
+that stack; :class:`GaussianMatrix` remains the type of a single matrix.
+Three constructions are provided, all with exact Gaussian-integer
+weights:
 
 ``build_max_rate_ussd(a, fam)``
     The maximal-rate single-symbol decodable code with unitary weights
@@ -48,27 +52,38 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import GaussianMatrix, real_rank
-
-WeightPair = tuple[GaussianMatrix, GaussianMatrix]
+from .gmatrix import GaussianMatrix, is_exact, real_rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearDispersionCode:
-    """k complex symbols dispersed over an n x n codeword by weight pairs."""
+    """k complex symbols dispersed over an n x n codeword by 2k weights.
+
+    ``w`` is the code's one weight stack: a read-only complex128 array of
+    shape (k, 2, n, n) with w[i, 0] = A_{i+1} and w[i, 1] = B_{i+1}.  The
+    constructor copies it, so the code owns it; every other layout is a
+    view of it (``weight_arrays()``, and ``w.reshape(2k, n, n)`` for the
+    order p = 2(i-1) + {0: A_i, 1: B_i}).  Codes compare by identity;
+    compare ``w`` for equal weights.
+    """
 
     label: str
     n: int
-    weights: tuple[WeightPair, ...]
+    w: np.ndarray
 
     def __post_init__(self):
-        for i, (wi, wq) in enumerate(self.weights, start=1):
-            if wi.n != self.n or wq.n != self.n:
-                raise ValueError(f"weight pair {i} is not {self.n}x{self.n}")
+        w = np.array(self.w, dtype=np.complex128)
+        if w.shape[1:] != (2, self.n, self.n):
+            raise ValueError(f"weights must form a (k, 2, {self.n}, {self.n}) stack, "
+                             f"got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
 
     @property
     def k(self) -> int:
-        return len(self.weights)
+        return len(self.w)
 
     @property
     def rate(self) -> float:
@@ -76,48 +91,42 @@ class LinearDispersionCode:
 
     @property
     def is_exact(self) -> bool:
-        return all(wi.is_exact and wq.is_exact for wi, wq in self.weights)
-
-    def flat_weights(self) -> list[GaussianMatrix]:
-        """All 2k weight matrices, in-phase before quadrature per symbol."""
-        out: list[GaussianMatrix] = []
-        for wi, wq in self.weights:
-            out.extend((wi, wq))
-        return out
+        return is_exact(self.w)
 
     def linearly_independent(self) -> bool:
-        return real_rank(self.flat_weights()) == 2 * self.k
+        return real_rank(self.w.reshape(2 * self.k, self.n, self.n)) == 2 * self.k
 
     def weight_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights as two (k, n, n) complex stacks (in-phase, quadrature)."""
-        wi = np.stack([p[0].to_array() for p in self.weights]) if self.k else \
-            np.zeros((0, self.n, self.n), dtype=complex)
-        wq = np.stack([p[1].to_array() for p in self.weights]) if self.k else \
-            np.zeros((0, self.n, self.n), dtype=complex)
-        return wi, wq
+        """Weights as two (k, n, n) read-only views of ``w`` (in-phase, quadrature)."""
+        return self.w[:, 0], self.w[:, 1]
 
     def codeword(self, symbols: Sequence[complex]) -> GaussianMatrix:
         """The codeword for one symbol vector."""
         if len(symbols) != self.k:
             raise ValueError(f"expected {self.k} symbols, got {len(symbols)}")
-        acc = np.zeros((self.n, self.n), dtype=np.complex128)
-        wi, wq = self.weight_arrays()
         x = np.asarray([complex(s) for s in symbols])
-        if self.k:
-            acc = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
-        return GaussianMatrix.floating(acc)
+        return GaussianMatrix.floating(np.tensordot(x.real, self.w[:, 0], axes=1)
+                                      + np.tensordot(x.imag, self.w[:, 1], axes=1))
 
     def left_multiply(self, u: GaussianMatrix) -> LinearDispersionCode:
         """Premultiply every weight by a unitary matrix; preserves SSD-ness."""
         if not u.is_unitary():
             raise ValueError("left_multiply requires a unitary matrix")
-        weights = tuple((u @ wi, u @ wq) for wi, wq in self.weights)
-        return LinearDispersionCode(label=self.label, n=self.n, weights=weights)
+        # an exact unitary is monomial with unit entries, so u @ w keeps every
+        # magnitude and exact weights stay exact: no product can leave the guard
+        return LinearDispersionCode(label=self.label, n=self.n, w=u.to_array() @ self.w)
 
     def scaled(self, s: float) -> LinearDispersionCode:
         """Copy with every weight multiplied by a real scalar."""
-        weights = tuple((wi.scale(s), wq.scale(s)) for wi, wq in self.weights)
-        return LinearDispersionCode(label=self.label, n=self.n, weights=weights)
+        return LinearDispersionCode(label=self.label, n=self.n, w=self.w * complex(s))
+
+
+def _stack(n: int, pairs: Sequence[tuple[GaussianMatrix, GaussianMatrix]]) -> np.ndarray:
+    """The (k, 2, n, n) weight stack of k pairs (A_i, B_i) of n x n matrices."""
+    for i, (a, b) in enumerate(pairs, start=1):
+        if a.n != n or b.n != n:
+            raise ValueError(f"weight pair {i} is not {n}x{n}")
+    return np.array([(a.to_array(), b.to_array()) for a, b in pairs]).reshape(len(pairs), 2, n, n)
 
 
 def build_max_rate_ussd(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
@@ -128,11 +137,11 @@ def build_max_rate_ussd(a: int, fam: AnticommutingFamily) -> LinearDispersionCod
     eye = GaussianMatrix.identity(n)
     m = 1j if a % 2 else 1 + 0j
     b1 = product_subset(fam, list(range(1, 2 * a))).scale(m)
-    weights: list[WeightPair] = [(eye, b1)]
+    pairs = [(eye, b1)]
     for i in range(2, 2 * a + 1):
         ai = fam.matrices[i - 2]
-        weights.append((ai, b1 @ ai))
-    return LinearDispersionCode(label=f"max-rate-ussd-{n}tx", n=n, weights=tuple(weights))
+        pairs.append((ai, b1 @ ai))
+    return LinearDispersionCode(label=f"max-rate-ussd-{n}tx", n=n, w=_stack(n, pairs))
 
 
 def build_square_cod(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
@@ -141,10 +150,10 @@ def build_square_cod(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
         raise ValueError(f"family is for a = {fam.a}, not {a}")
     n = 2 ** a
     eye = GaussianMatrix.identity(n)
-    weights: list[WeightPair] = [(eye, fam.matrices[0])]
+    pairs = [(eye, fam.matrices[0])]
     for i in range(2, a + 2):
-        weights.append((fam.matrices[2 * i - 3], fam.matrices[2 * i - 2]))
-    return LinearDispersionCode(label=f"square-cod-{n}tx", n=n, weights=tuple(weights))
+        pairs.append((fam.matrices[2 * i - 3], fam.matrices[2 * i - 2]))
+    return LinearDispersionCode(label=f"square-cod-{n}tx", n=n, w=_stack(n, pairs))
 
 
 def build_ciod4() -> LinearDispersionCode:
@@ -164,13 +173,13 @@ def build_ciod4() -> LinearDispersionCode:
             rows[r][c] = v
         return GaussianMatrix.exact(rows)
 
-    weights = (
+    pairs = (
         (m([(0, 0, 1), (1, 1, 1)]), m([(2, 2, 1j), (3, 3, -1j)])),
         (m([(0, 1, 1), (1, 0, -1)]), m([(2, 3, 1j), (3, 2, 1j)])),
         (m([(2, 2, 1), (3, 3, 1)]), m([(0, 0, 1j), (1, 1, -1j)])),
         (m([(2, 3, 1), (3, 2, -1)]), m([(0, 1, 1j), (1, 0, 1j)])),
     )
-    return LinearDispersionCode(label="ciod-4tx", n=4, weights=weights)
+    return LinearDispersionCode(label="ciod-4tx", n=4, w=_stack(4, pairs))
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +191,8 @@ def code_to_json_dict(code: LinearDispersionCode, declared_class: str | None = N
         "label": code.label,
         "n": code.n,
         "k": code.k,
-        "weights": [[wi.to_json_dict(), wq.to_json_dict()] for wi, wq in code.weights],
+        "weights": [[GaussianMatrix(a).to_json_dict(), GaussianMatrix(b).to_json_dict()]
+                    for a, b in code.w],
     }
     if declared_class is not None:
         obj["class"] = declared_class
@@ -190,12 +200,10 @@ def code_to_json_dict(code: LinearDispersionCode, declared_class: str | None = N
 
 
 def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
-    weights = tuple(
-        (GaussianMatrix.from_json_dict(wi), GaussianMatrix.from_json_dict(wq))
-        for wi, wq in obj["weights"]
-    )
-    code = LinearDispersionCode(label=str(obj.get("label", "unnamed")),
-                                n=int(obj["n"]), weights=weights)
+    pairs = [(GaussianMatrix.from_json_dict(a), GaussianMatrix.from_json_dict(b))
+             for a, b in obj["weights"]]
+    n = int(obj["n"])
+    code = LinearDispersionCode(label=str(obj.get("label", "unnamed")), n=n, w=_stack(n, pairs))
     if "k" in obj and int(obj["k"]) != code.k:
         raise ValueError(f"file declares k = {obj['k']} but has {code.k} weight pairs")
     return code, obj.get("class")

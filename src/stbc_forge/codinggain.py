@@ -65,8 +65,8 @@ class MinDetResult:
 
 def dispersion_gain(code: LinearDispersionCode) -> float:
     """Mean squared Frobenius norm of the weight matrices."""
-    flat = code.flat_weights()
-    return sum(w.frob_norm() ** 2 for w in flat) / len(flat)
+    w = code.w
+    return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * code.k)
 
 
 def _det_scale(code: LinearDispersionCode, equal_energy: bool) -> float:

@@ -12,9 +12,10 @@ array, and it is *exact* when every entry is a Gaussian integer and
 Every partial sum of a product of two exact matrices is then an integer
 below 2^53, which float64 holds exactly, so integer-valued complex128
 arithmetic is bit-exact with no separate number type.  Exactness is
-derived from the entries, never stored.  A product of exact matrices
-whose result would leave the guard raises OverflowError instead of
-letting a later product round.
+derived from the entries, never stored, and one rule, :func:`is_exact`,
+judges a single matrix or a whole stack of n x n matrices (the weight
+stack of a code).  A product of exact matrices whose result would leave
+the guard raises OverflowError instead of letting a later product round.
 
 Verification compares a residual norm against one relative tolerance,
 :func:`_negligible`: residual <= REL_TOL * scale, where scale is the
@@ -29,7 +30,7 @@ under a uniform scale.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +45,12 @@ FLOAT = "float"
 def _negligible(residual, scale):
     """The one verification tolerance: residual <= REL_TOL * scale (works on arrays)."""
     return residual <= REL_TOL * scale
+
+
+def is_exact(z: np.ndarray) -> bool:
+    """Gaussian-integer entries with n * max|entry|^2 < 2^53, for one n x n matrix or a stack."""
+    return bool(np.array_equal(z, np.round(z))
+                and z.shape[-1] * float(np.max(z.real ** 2 + z.imag ** 2, initial=0.0)) < _GUARD)
 
 
 def product_tensor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -102,12 +109,7 @@ class GaussianMatrix:
     @property
     def is_exact(self) -> bool:
         """Gaussian-integer entries inside the magnitude guard."""
-        z = self._z
-        return bool(np.array_equal(z, np.round(z))
-                    and self.n * float(np.max(z.real ** 2 + z.imag ** 2)) < _GUARD)
-
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self._z[i, j])
+        return is_exact(self._z)
 
     def to_array(self) -> np.ndarray:
         """The matrix as a read-only complex128 ndarray."""
@@ -136,31 +138,9 @@ class GaussianMatrix:
         self._same_size(other)
         return self._product(other, self._z @ other._z)
 
-    def __add__(self, other: GaussianMatrix) -> GaussianMatrix:
-        if not isinstance(other, GaussianMatrix):
-            return NotImplemented
-        self._same_size(other)
-        return GaussianMatrix(self._z + other._z)
-
-    def __sub__(self, other: GaussianMatrix) -> GaussianMatrix:
-        if not isinstance(other, GaussianMatrix):
-            return NotImplemented
-        self._same_size(other)
-        return GaussianMatrix(self._z - other._z)
-
-    def __neg__(self) -> GaussianMatrix:
-        return GaussianMatrix(-self._z)
-
     def scale(self, c: complex) -> GaussianMatrix:
         """Entrywise multiplication by a scalar."""
         return GaussianMatrix(self._z * complex(c))
-
-    def __mul__(self, c: complex) -> GaussianMatrix:
-        if isinstance(c, GaussianMatrix):
-            return NotImplemented
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def herm(self) -> GaussianMatrix:
         """Conjugate transpose."""
@@ -168,10 +148,6 @@ class GaussianMatrix:
 
     def trace(self) -> complex:
         return complex(np.trace(self._z))
-
-    def frob_norm(self) -> float:
-        z = self._z
-        return float(np.sqrt(np.sum(z.real * z.real) + np.sum(z.imag * z.imag)))
 
     def kron(self, other: GaussianMatrix) -> GaussianMatrix:
         """Kronecker product, preserving exactness."""
@@ -216,25 +192,18 @@ class GaussianMatrix:
         return cls.exact(rows) if tag == EXACT else cls(rows)
 
 
-def real_rank(matrices: Iterable[GaussianMatrix], rel_tol: float = 1e-9) -> int:
-    """Rank over the reals of a set of equally-sized matrices.
+def real_rank(stack: np.ndarray, rel_tol: float = 1e-9) -> int:
+    """Rank over the reals of an (N, n, n) stack of matrices.
 
     Each matrix is flattened to a real vector of length 2*n*n (real parts
     stacked on imaginary parts).  Singular values below ``rel_tol`` times
     the largest are treated as zero.
     """
-    mats = list(matrices)
-    if not mats:
+    z = np.asarray(stack)
+    if len(z) == 0:
         return 0
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise ValueError("all matrices must have the same size")
-    rows = np.empty((len(mats), 2 * n * n), dtype=np.float64)
-    for i, m in enumerate(mats):
-        z = m.to_array()
-        rows[i, : n * n] = z.real.ravel()
-        rows[i, n * n:] = z.imag.ravel()
+    rows = np.concatenate((z.real, z.imag), axis=1).reshape(len(z), -1)
     sv = np.linalg.svd(rows, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rel_tol * sv[0]))

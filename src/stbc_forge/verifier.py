@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import LinearDispersionCode
-from .gmatrix import _negligible, product_tensor
+from .gmatrix import GaussianMatrix, _negligible, product_tensor
 
 COND_UW = "UW"
 COND_SSD_IQ = "SSD-IQ"
@@ -76,12 +76,6 @@ class ClassificationReport:
     normalized: bool
 
 
-def _flat_weights(code: LinearDispersionCode) -> np.ndarray:
-    """The 2k weights as one (2k, n, n) stack, W_p with p = 2(i-1) + {0: A_i, 1: B_i}."""
-    wi, wq = code.weight_arrays()
-    return np.stack((wi, wq), axis=1).reshape(2 * code.k, code.n, code.n)
-
-
 def _gram_verdicts(code: LinearDispersionCode) -> tuple[np.ndarray, np.ndarray]:
     """Every condition of the taxonomy, read off one Gram tensor G[p, q] = W_p^H W_q.
 
@@ -92,7 +86,7 @@ def _gram_verdicts(code: LinearDispersionCode) -> tuple[np.ndarray, np.ndarray]:
     """
     if code.k == 0:
         return np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool)
-    w = _flat_weights(code)
+    w = code.w.reshape(2 * code.k, code.n, code.n)  # W_p, p = 2(i-1) + {0: A_i, 1: B_i}
     g = product_tensor(np.conj(w.swapaxes(1, 2)), w)
     idx = np.arange(len(w))
     diag = g[idx, idx]
@@ -163,7 +157,7 @@ def classify(code: LinearDispersionCode) -> ClassificationReport:
         code_class = CLASS_UW_SSD
     else:
         code_class = CLASS_NONUW_SSD
-    normalized = code.k == 0 or code.weights[0][0].is_identity()
+    normalized = code.k == 0 or GaussianMatrix(code.w[0, 0]).is_identity()
     return ClassificationReport(
         code_class=code_class,
         failed_conditions=cod.failures,
@@ -181,7 +175,7 @@ def normalize(code: LinearDispersionCode) -> LinearDispersionCode:
     """
     if code.k == 0:
         return code
-    first = code.weights[0][0]
+    first = GaussianMatrix(code.w[0, 0])
     if not first.is_unitary():
         raise ValueError("normalize requires a unitary first in-phase weight")
     return code.left_multiply(first.herm())
@@ -204,7 +198,7 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     """
     if code.k == 0:
         return CheckResult(())
-    w = _flat_weights(code)
+    w = code.w.reshape(2 * code.k, code.n, code.n)
     idx = np.arange(len(w))
     eye = np.eye(code.n)
     p = product_tensor(w, w)
@@ -212,7 +206,7 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     b1_commute = _negligible(np.linalg.norm(np.conj(w[1].T) @ w - p[:, 1], axis=(1, 2)), 1.0)
     anticommute = _negligible(np.linalg.norm(p + p.swapaxes(0, 1), axis=(2, 3)), 1.0)
     failures: list[ConditionFailure] = []
-    if not code.weights[0][0].is_identity():
+    if not GaussianMatrix(w[0]).is_identity():
         failures.append(ConditionFailure("normalized", 1, 0))
     others = range(2, len(w))  # flat indices of the weights of symbols 2..k
     failures += [ConditionFailure("square", r // 2 + 1, r % 2) for r in others if not square[r]]

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from stbc_forge import __version__
-from stbc_forge.cli import main
+from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, main
 from stbc_forge.clifford import family_from_json_dict, verify_family
 from stbc_forge.codes import code_from_json_dict
 from stbc_forge.simulator import _CHUNK, SEED_CONTRACT
@@ -176,6 +176,9 @@ def test_usage_errors(runner, tmp_path):
         sim + ["--snr", "a:1:3"],
         sim + ["--snr", "5:1:3"],  # stop below start: no SNR point
         sim + ["--snr", "0:1:inf"],
+        sim + ["--snr", "0:1e-5:1"],  # 100001 points, over MAX_SNR_POINTS
+        sim + ["--snr", "0:1e-300:1"],
+        sim + ["--snr", "1e20:1:1e20"],  # the step is below the float spacing at 1e20
         ["simulate", "--code", str(not_ssd_path), "--constellation", "qam4",
          "--snr", "10", "--decoder", "ssd", "--out", str(tmp_path / "o.csv")],
         ["simulate", "--code", str(code), "--constellation", "qam64", "--snr", "10",
@@ -191,6 +194,9 @@ def test_usage_errors(runner, tmp_path):
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert "Error:" in result.output and "Traceback" not in result.output
     assert not (tmp_path / "o.csv").exists()
+    # lists within the bound keep the values the accumulating loop gives
+    assert len(_parse_snr("0:1:999")) == MAX_SNR_POINTS
+    assert _parse_snr("0:0.1:1") == [round(0.1 * i, 9) for i in range(11)]
     # malformed code files fail at the boundary with one line, not a traceback
     obj = json.loads(code.read_text())
     obj["weights"][0][0]["entries"][0][0] = [2 ** 60, 0]  # outside the magnitude guard

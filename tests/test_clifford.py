@@ -76,7 +76,7 @@ def test_verify_flags_duplicate_member(fam2):
 
 def test_verify_flags_scaled_member(fam2):
     mats = list(fam2.matrices)
-    mats[2] = mats[2] + mats[2]  # doubled: no longer unitary
+    mats[2] = mats[2].scale(2)  # doubled: no longer unitary
     report = verify_family(AnticommutingFamily(a=2, matrices=tuple(mats), c=fam2.c))
     assert any(f.name == "unitary" and f.indices == (3,) for f in report.failures)
     assert any(f.name == "square-minus-identity" for f in report.failures)

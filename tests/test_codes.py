@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stbc_forge.clifford import generate_family
 from stbc_forge.codes import (
     LinearDispersionCode,
     build_max_rate_ussd,
@@ -52,11 +53,10 @@ def test_weights_recoverable_by_probing(ussd4):
         real_probe[i] = 1
         imag_probe = [0] * 4
         imag_probe[i] = 1j
-        probed.append((GaussianMatrix.floating(golden_4tx_codeword(real_probe)),
-                       GaussianMatrix.floating(golden_4tx_codeword(imag_probe))))
-    for (bi, bq), (wi, wq) in zip(probed, ussd4.weights):
-        assert bi == wi
-        assert bq == wq
+        probed.append((golden_4tx_codeword(real_probe), golden_4tx_codeword(imag_probe)))
+    for (bi, bq), (wi, wq) in zip(probed, ussd4.w):
+        assert np.array_equal(bi, wi)
+        assert np.array_equal(bq, wq)
     flat = [m for pair in probed for m in pair]
     assert real_rank(flat) == 8
 
@@ -88,18 +88,18 @@ def test_max_rate_normalized_structure(a, request):
 @pytest.mark.parametrize("a", [1, 2, 3])
 def test_max_rate_structure_identities(a, request):
     code = request.getfixturevalue(f"ussd{2 ** a}")
-    eye = GaussianMatrix.identity(code.n)
-    b1 = code.weights[0][1]
-    assert b1.herm() == b1
-    assert b1 @ b1 == eye
-    for wi, wq in code.weights[1:]:
+    eye = np.eye(code.n)
+    b1 = code.w[0, 1]
+    assert np.array_equal(b1.conj().T, b1)
+    assert np.array_equal(b1 @ b1, eye)
+    for wi, wq in code.w[1:]:
         prod = wi @ b1
-        assert wq == prod or wq == prod.scale(-1)
+        assert np.array_equal(wq, prod) or np.array_equal(wq, -prod)
     # per-symbol products agree up to sign across symbols
-    ref = code.weights[1][0] @ code.weights[1][1]
-    for wi, wq in code.weights[2:]:
+    ref = code.w[1, 0] @ code.w[1, 1]
+    for wi, wq in code.w[2:]:
         p = wi @ wq
-        assert p == ref or p == ref.scale(-1)
+        assert np.array_equal(p, ref) or np.array_equal(p, -ref)
 
 
 def test_build_with_golden_family_reproduces_layout():
@@ -161,8 +161,7 @@ def test_ciod4_block_structure(ciod4):
 def test_left_multiply(ussd4):
     eye = GaussianMatrix.identity(4)
     same = ussd4.left_multiply(eye)
-    assert all(a == b and c == d
-               for (a, c), (b, d) in zip(same.weights, ussd4.weights))
+    assert np.array_equal(same.w, ussd4.w)
     rng = np.random.default_rng(41)
     u = random_unitary(4, rng)
     moved = ussd4.left_multiply(u)
@@ -174,10 +173,10 @@ def test_left_multiply(ussd4):
 
 def test_scaled(ussd4):
     half = ussd4.scaled(0.5)
-    assert half.weights[0][0].entry(0, 0) == 0.5
+    assert half.w[0, 0, 0, 0] == 0.5
     assert check_ssd(half).ok  # homogeneous conditions survive scaling
     assert check_unitary_weight(half).ok  # UW allows one common scale c > 0
-    assert not half.weights[0][0].is_unitary()
+    assert not GaussianMatrix(half.w[0, 0]).is_unitary()
 
 
 def test_code_json_round_trip(ussd4, ciod4):
@@ -185,8 +184,7 @@ def test_code_json_round_trip(ussd4, ciod4):
         obj = code_to_json_dict(code, declared_class=classify(code).code_class)
         back, declared = code_from_json_dict(obj)
         assert back.n == code.n and back.k == code.k
-        assert all(a == b and c == d
-                   for (a, c), (b, d) in zip(back.weights, code.weights))
+        assert np.array_equal(back.w, code.w)
         assert declared == classify(code).code_class
     bad = code_to_json_dict(ussd4)
     bad["k"] = 7
@@ -196,6 +194,37 @@ def test_code_json_round_trip(ussd4, ciod4):
 
 def test_weight_shape_validation(fam2):
     with pytest.raises(ValueError):
-        LinearDispersionCode(label="bad", n=2,
-                             weights=((GaussianMatrix.identity(4),
-                                       GaussianMatrix.identity(4)),))
+        LinearDispersionCode(label="bad", n=2, w=np.stack([[np.eye(4), np.eye(4)]]))
+    for w in (np.zeros((4, 2, 2)), np.zeros((1, 2, 2, 3)), [], np.full((1, 2, 2, 2), np.nan)):
+        with pytest.raises(ValueError):
+            LinearDispersionCode(label="bad", n=2, w=w)
+    obj = code_to_json_dict(build_square_cod(1, generate_family(1)))
+    obj["weights"][1][0] = GaussianMatrix.identity(4).to_json_dict()
+    with pytest.raises(ValueError, match="weight pair 2 is not 2x2"):
+        code_from_json_dict(obj)
+
+
+def test_weights_are_one_read_only_stack(ussd4, ciod4):
+    for code in (ussd4, ciod4):
+        w = code.w
+        assert w.shape == (code.k, 2, code.n, code.n) and w.dtype == np.complex128
+        wi, wq = code.weight_arrays()
+        assert np.shares_memory(wi, w) and np.shares_memory(wq, w)
+        assert np.array_equal(wi, w[:, 0]) and np.array_equal(wq, w[:, 1])
+        for view in (w, wi, wq):
+            with pytest.raises(ValueError):
+                view[0, 0, 0] = 5
+    # the code holds its own copy, and left-multiplying by an exact unitary
+    # (a signed permutation) keeps it exact
+    src = np.array(ussd4.w)
+    code = LinearDispersionCode(label="copy", n=4, w=src)
+    src[0, 0, 0, 0] = 5
+    assert np.array_equal(code.w, ussd4.w)
+    perm = GaussianMatrix.exact(np.eye(4)[[2, 0, 3, 1]] * [1, -1j, 1j, -1])
+    assert code.left_multiply(perm).is_exact
+    assert not code.scaled(0.5).is_exact
+    # an empty code is a (0, 2, n, n) stack
+    empty, _ = code_from_json_dict({"n": 2, "weights": []})
+    assert empty.k == 0 and empty.is_exact
+    assert empty.w.shape == (0, 2, 2, 2) and empty.weight_arrays()[0].shape == (0, 2, 2)
+    assert not np.any(empty.codeword([]).to_array())

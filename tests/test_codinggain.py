@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stbc_forge.codes import LinearDispersionCode
+from stbc_forge.clifford import generate_family
+from stbc_forge.codes import LinearDispersionCode, build_ciod4, build_max_rate_ussd
 from stbc_forge.codinggain import (
     dispersion_gain,
     eigen_split,
@@ -119,12 +122,24 @@ def test_full_search_agrees_with_pairwise_oracle(ussd2):
         pytest.approx(_pairwise_min_det(ussd2, c), rel=1e-9)
 
 
-def test_min_det_invariant_under_unitary(ussd4):
-    c = rotated_qam(4, optimal_angle())
-    want = min_det_bruteforce(ussd4, c).value
-    rng = np.random.default_rng(79)
-    for _ in range(10):
-        moved = ussd4.left_multiply(random_unitary(4, rng))
+_INVARIANCE_CODES = {
+    "ussd2": build_max_rate_ussd(1, generate_family(1)),
+    "ussd4": build_max_rate_ussd(2, generate_family(2)),
+    "ciod4": build_ciod4(),
+}
+
+
+@given(name=st.sampled_from(sorted(_INVARIANCE_CODES)),
+       scale=st.floats(min_value=1e-2, max_value=1e2),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_min_det_invariant_under_unitary(name, scale, seed):
+    # the equal-energy min det ignores a unitary left-multiply and a uniform scale
+    code = _INVARIANCE_CODES[name]
+    c = rotated_qam(4, ciod_optimal_angle() if name == "ciod4" else optimal_angle())
+    want = min_det_bruteforce(code, c).value
+    u = random_unitary(code.n, np.random.default_rng(seed))
+    for moved in (code.left_multiply(u), code.scaled(scale), code.left_multiply(u).scaled(scale)):
         got = min_det_bruteforce(moved, c).value
         assert abs(got - want) < 1e-9
 
@@ -136,16 +151,16 @@ def test_budget_error(ussd4):
 
 
 def test_empty_code_rejected():
-    empty = LinearDispersionCode(label="empty", n=2, weights=())
+    empty = LinearDispersionCode(label="empty", n=2, w=np.zeros((0, 2, 2, 2)))
     with pytest.raises(ValueError):
         min_det_bruteforce(empty, rotated_qam(4))
 
 
 def test_eigen_split(ussd4, ussd8):
-    assert eigen_split(ussd4.weights[0][1]) == (2, 2)
-    assert eigen_split(ussd8.weights[0][1]) == (4, 4)
+    assert eigen_split(ussd4.w[0, 1]) == (2, 2)
+    assert eigen_split(ussd8.w[0, 1]) == (4, 4)
     assert eigen_split(GaussianMatrix.identity(4)) == (4, 0)
     with pytest.raises(ValueError):
-        eigen_split(ussd4.weights[1][0])  # anti-Hermitian, not Hermitian
+        eigen_split(ussd4.w[1, 0])  # anti-Hermitian, not Hermitian
     with pytest.raises(ValueError):
         eigen_split(np.eye(4) * 0.5)

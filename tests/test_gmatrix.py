@@ -38,8 +38,8 @@ def test_golden_generators_anticommute_exactly():
 
 
 def _int_parts(m):
-    return [[(int(m.entry(i, j).real), int(m.entry(i, j).imag)) for j in range(m.n)]
-            for i in range(m.n)]
+    z = m.to_array()
+    return [[(int(z[i, j].real), int(z[i, j].imag)) for j in range(m.n)] for i in range(m.n)]
 
 
 def _int_product(a, b):
@@ -100,8 +100,8 @@ def test_exact_float_composed_agreement():
         za = np.array([[units[rng.integers(len(units))] for _ in range(4)] for _ in range(4)])
         zb = np.array([[units[rng.integers(len(units))] for _ in range(4)] for _ in range(4)])
         a, b = GaussianMatrix.exact(za), GaussianMatrix.exact(zb)
-        expr = ((a @ b).herm() @ a.scale(-1j)) + b
-        want = (za @ zb).conj().T @ (za * -1j) + zb
+        expr = (a @ b).herm() @ a.scale(-1j)
+        want = (za @ zb).conj().T @ (za * -1j)
         assert expr.is_exact
         assert np.array_equal(expr.to_array(), want)
         assert expr.trace() == np.trace(want)
@@ -110,15 +110,10 @@ def test_exact_float_composed_agreement():
 def test_scalar_restriction_in_exact_mode():
     # any scalar is allowed; exactness of the result follows from its entries
     a = GaussianMatrix.identity(2)
-    assert a.scale(-1j).entry(0, 0) == -1j
+    assert a.scale(-1j).to_array()[0, 0] == -1j
     assert a.scale(-1j).is_exact and a.scale(2).is_exact
     assert not a.scale(0.5 + 0.5j).is_exact
-    assert a.scale(0.5).entry(0, 0) == 0.5
-
-
-def test_frob_norm():
-    f1 = GOLDEN_4TX_GENERATORS[0]
-    assert f1.frob_norm() == pytest.approx(2.0)
+    assert a.scale(0.5).to_array()[0, 0] == 0.5
 
 
 def test_dimension_mismatch():
@@ -126,8 +121,6 @@ def test_dimension_mismatch():
     b = GaussianMatrix.identity(4)
     with pytest.raises(ValueError):
         a @ b
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_constructor_validation():
@@ -142,12 +135,12 @@ def test_constructor_validation():
 
 
 def test_real_rank_examples():
-    eye = GaussianMatrix.identity(2)
-    assert real_rank([eye, eye.scale(1j)]) == 2
-    assert real_rank([eye, eye]) == 1
-    assert real_rank([]) == 0
+    eye = np.eye(2)
+    assert real_rank(np.stack([eye, eye * 1j])) == 2
+    assert real_rank(np.stack([eye, eye])) == 1
+    assert real_rank(np.zeros((0, 2, 2))) == 0
     with pytest.raises(ValueError):
-        real_rank([eye, GaussianMatrix.identity(4)])
+        real_rank([eye, np.eye(4)])
 
 
 def test_unitary_and_hermitian_predicates():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from stbc_forge.clifford import generate_family
 from stbc_forge.codes import LinearDispersionCode, build_ciod4, build_max_rate_ussd
 from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
-from stbc_forge.gmatrix import GaussianMatrix
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
@@ -58,10 +57,9 @@ def test_ssd_decode_complexity_contract(ussd4):
 
 def test_ssd_decode_rejects_non_ssd():
     # two symbols interfering on the same antenna: not single-symbol decodable
-    a1 = GaussianMatrix.exact([[1, 0], [0, 0]])
-    a2 = GaussianMatrix.exact([[0, 1], [1, 0]])
-    code = LinearDispersionCode(label="blast-ish", n=2, weights=(
-        (a1, a1.scale(1j)), (a2, a2.scale(1j))))
+    a1 = np.array([[1, 0], [0, 0]])
+    a2 = np.array([[0, 1], [1, 0]])
+    code = LinearDispersionCode(label="blast-ish", n=2, w=[(a1, a1 * 1j), (a2, a2 * 1j)])
     c = rotated_qam(4, 0.0, "unit-average")
     with pytest.raises(ValueError):
         ssd_decode(code, np.zeros((2, 1)), np.ones((2, 1)), c)
@@ -70,10 +68,9 @@ def test_ssd_decode_rejects_non_ssd():
 def test_per_slot_decoding_fails_without_ssd():
     # negative control: on a non-SSD code the per-slot argmin disagrees
     # with exhaustive ML for some noisy instance
-    a1 = GaussianMatrix.exact([[1, 0], [0, 0]])
-    a2 = GaussianMatrix.exact([[0, 1], [1, 0]])
-    code = LinearDispersionCode(label="blast-ish", n=2, weights=(
-        (a1, a1.scale(1j)), (a2, a2.scale(1j))))
+    a1 = np.array([[1, 0], [0, 0]])
+    a2 = np.array([[0, 1], [1, 0]])
+    code = LinearDispersionCode(label="blast-ish", n=2, w=[(a1, a1 * 1j), (a2, a2 * 1j)])
     c = rotated_qam(4, 0.0, "unit-average")
     pts = np.asarray(c.points)
     wi, wq = code.weight_arrays()
@@ -136,8 +133,8 @@ def test_ssd_decode_equals_bruteforce_ml(name, scale, angle, sigma, rx, seed):
 
 
 def test_ml_budget():
-    a1 = GaussianMatrix.identity(2)
-    code = LinearDispersionCode(label="c", n=2, weights=((a1, a1.scale(1j)),) * 10)
+    a1 = np.eye(2)
+    code = LinearDispersionCode(label="c", n=2, w=[(a1, a1 * 1j)] * 10)
     c = rotated_qam(4, 0.3, "unit-average")
     with pytest.raises(ValueError):
         ml_decode_bruteforce(code, np.zeros((2, 1)), np.ones((2, 1)), c, budget=100)

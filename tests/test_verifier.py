@@ -33,10 +33,9 @@ from conftest import random_unitary
 
 
 def _replace_weight(code, symbol, which, matrix):
-    weights = [list(pair) for pair in code.weights]
-    weights[symbol][which] = matrix
-    return LinearDispersionCode(label=code.label + "-mutated", n=code.n,
-                                weights=tuple(tuple(p) for p in weights))
+    w = np.array(code.w)
+    w[symbol, which] = matrix
+    return LinearDispersionCode(label=code.label + "-mutated", n=code.n, w=w)
 
 
 def test_check_ssd_passes_builders(ussd4, cod4, ciod4):
@@ -46,7 +45,7 @@ def test_check_ssd_passes_builders(ussd4, cod4, ciod4):
 
 def test_check_ssd_flags_duplicated_weight(ussd4):
     # copying the first in-phase weight into slot 2 breaks the pair condition
-    bad = _replace_weight(ussd4, 1, 0, ussd4.weights[0][0])
+    bad = _replace_weight(ussd4, 1, 0, ussd4.w[0, 0])
     result = check_ssd(bad)
     assert not result.ok
     assert any(f.condition == COND_SSD_II and {f.i, f.j} == {1, 2}
@@ -54,7 +53,7 @@ def test_check_ssd_flags_duplicated_weight(ussd4):
     assert not classify(bad).linear_independent
     # the j-scaled copy evades the (1,2) pair condition (and stays
     # real-independent of I) but breaks every other pair with slot 2
-    sneaky = _replace_weight(ussd4, 1, 0, ussd4.weights[0][0].scale(1j))
+    sneaky = _replace_weight(ussd4, 1, 0, ussd4.w[0, 0] * 1j)
     failing = check_ssd(sneaky).failures
     assert not any({f.i, f.j} == {1, 2} for f in failing)
     assert failing
@@ -66,8 +65,7 @@ def test_check_unitary_weight(ussd4, ciod4):
     assert not result.ok
     assert all(f.condition == COND_UW for f in result.failures)
     # all-identity weights satisfy unitarity even though they are dependent
-    eye = GaussianMatrix.identity(4)
-    degenerate = LinearDispersionCode(label="deg", n=4, weights=((eye, eye), (eye, eye)))
+    degenerate = LinearDispersionCode(label="deg", n=4, w=np.broadcast_to(np.eye(4), (2, 2, 4, 4)))
     assert check_unitary_weight(degenerate).ok
     assert not classify(degenerate).linear_independent
 
@@ -81,7 +79,7 @@ def test_check_cod(cod2, cod4, cod8, ussd4):
 
 
 def test_check_cod_vacuous_on_empty_code():
-    empty = LinearDispersionCode(label="empty", n=2, weights=())
+    empty = LinearDispersionCode(label="empty", n=2, w=np.zeros((0, 2, 2, 2)))
     assert check_cod(empty).ok
     assert classify(empty).code_class == CLASS_COD
 
@@ -95,7 +93,7 @@ def test_classify_taxonomy(cod2, ussd4, ciod4):
     assert classify(cod2).code_class == CLASS_COD
     assert classify(ussd4).code_class == CLASS_UW_SSD
     assert classify(ciod4).code_class == CLASS_NONUW_SSD
-    bad = _replace_weight(ussd4, 1, 0, ussd4.weights[2][0])
+    bad = _replace_weight(ussd4, 1, 0, ussd4.w[2, 0])
     assert classify(bad).code_class == CLASS_NOT_SSD
 
 
@@ -118,12 +116,11 @@ def test_classify_invariant_under_unitary(ussd4, ciod4, cod4):
 def test_normalize(ussd4):
     # already normalized: unchanged
     again = normalize(ussd4)
-    assert all(a == b and c == d
-               for (a, c), (b, d) in zip(again.weights, ussd4.weights))
+    assert np.array_equal(again.w, ussd4.w)
     rng = np.random.default_rng(59)
     moved = ussd4.left_multiply(random_unitary(4, rng))
     back = normalize(moved)
-    assert back.weights[0][0].is_identity()
+    assert GaussianMatrix(back.w[0, 0]).is_identity()
     assert check_normalized_structure(back).ok
     assert classify(back).code_class == classify(moved).code_class
 
@@ -168,8 +165,8 @@ def test_float_tolerance_on_rotated_codes(ussd4):
 
 
 def _mutants(ussd4):
-    bad = _replace_weight(ussd4, 1, 0, ussd4.weights[0][0])
-    sneaky = _replace_weight(ussd4, 1, 0, ussd4.weights[0][0].scale(1j))
+    bad = _replace_weight(ussd4, 1, 0, ussd4.w[0, 0])
+    sneaky = _replace_weight(ussd4, 1, 0, ussd4.w[0, 0] * 1j)
     return bad, sneaky
 
 
@@ -193,7 +190,7 @@ def test_failed_conditions_order_is_pinned(ussd4, ciod4):
 
 def _reference_failures(code):
     """Per-pair loop over the conditions as the module docstring states them."""
-    w = [(wi.to_array(), wq.to_array()) for wi, wq in code.weights]
+    w = code.w
     n = code.n
     c = np.mean([np.trace(m.conj().T @ m).real for pair in w for m in pair]) / n
 
