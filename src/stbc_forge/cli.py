@@ -6,6 +6,7 @@ status is 0 on success, 1 on a verification failure, 2 on usage errors.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -43,10 +44,14 @@ def _load_code(path: str):
     """Read a code file; a malformed one is a usage error (exit 2), not a traceback."""
     with open(path) as fh:
         try:
-            return codes.code_from_json_dict(json.load(fh))
+            code, declared = codes.code_from_json_dict(json.load(fh))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise click.UsageError(
                 f"{path} is not a valid code file: {type(exc).__name__}: {exc}") from None
+    if code.n < 1 or code.k == 0:
+        raise click.UsageError(f"{path} is not a valid code file: it needs n >= 1 and at "
+                               f"least one weight pair, got n = {code.n}, k = {code.k}")
+    return code, declared
 
 
 def _make_constellation(name: str, angle: float, energy_mode: str):
@@ -213,6 +218,8 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
         "seed": seed,
         "decoder": decoder,
         "seed_contract": simulator.SEED_CONTRACT,
+        "code_sha256": hashlib.sha256(json.dumps(codes.code_to_json_dict(code),
+                                                 sort_keys=True).encode()).hexdigest(),
         "stbc_forge_version": __version__,
         "numpy_version": np.__version__,
     }

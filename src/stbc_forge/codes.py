@@ -203,6 +203,8 @@ def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
     pairs = [(GaussianMatrix.from_json_dict(a), GaussianMatrix.from_json_dict(b))
              for a, b in obj["weights"]]
     n = int(obj["n"])
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     code = LinearDispersionCode(label=str(obj.get("label", "unnamed")), n=n, w=_stack(n, pairs))
     if "k" in obj and int(obj["k"]) != code.k:
         raise ValueError(f"file declares k = {obj['k']} but has {code.k} weight pairs")

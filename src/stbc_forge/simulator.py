@@ -20,6 +20,13 @@ Decoders:
                  - 2 Re <Y, (x_I A_i + x_Q B_i) H>,
 
     minimized independently per slot: k * |A| metric evaluations.
+    Every g_i is a linear functional of two n x n statistics per block,
+    P = H Y^H and Q = H H^H, so a batch of T blocks takes two real
+    GEMMs: the (T, 4n^2) Re/Im of (P, Q) times a (4n^2, 5k) kernel built
+    from A_i, B_i and their Grams gives five statistics per slot, and
+    those times the (5, |A|) basis [x_I^2, x_Q^2, 2 x_I x_Q, -2 x_I,
+    -2 x_Q] give every g_i(x).  The kernel assumes nothing about the
+    weights; only the split into per-slot minima needs SSD.
 
 ``ml_decode_bruteforce``
     Exhaustive argmin of ||Y - SH||^2 over all |A|^k codewords.
@@ -135,22 +142,40 @@ def _require_ssd(code: LinearDispersionCode) -> None:
         raise ValueError("per-symbol decoding requires a single-symbol decodable code")
 
 
+def _metric_kernel(wi: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """The real (4n^2, 5k) kernel that maps Re/Im of (P, Q) to the slot statistics.
+
+    Column 5(i-1) + j holds statistic j = 0..4 of slot i: ||A_i H||^2, ||B_i H||^2,
+    Re <A_i H, B_i H>, Re <Y, A_i H>, Re <Y, B_i H>.  Each is Re tr(M X)
+    with X = Q and M = A_i^H A_i, B_i^H B_i, A_i^H B_i, or X = P and
+    M = A_i, B_i; Re tr(M X) = sum_ab Re M_ab Re X_ba - Im M_ab Im X_ba.
+    """
+    k, n = wi.shape[0], wi.shape[-1]
+    wi_h = np.conj(np.swapaxes(wi, -1, -2))
+    m = np.zeros((2, k, 5, n, n), dtype=complex)  # [P or Q, slot, statistic]
+    m[1, :, 0] = wi_h @ wi
+    m[1, :, 1] = np.conj(np.swapaxes(wq, -1, -2)) @ wq
+    m[1, :, 2] = wi_h @ wq
+    m[0, :, 3] = wi
+    m[0, :, 4] = wq
+    mt = np.swapaxes(m, -1, -2)  # M_ab pairs with X_ba
+    kernel = np.stack((mt.real, -mt.imag), axis=-1)  # (2, k, 5, n, n, Re/Im)
+    return kernel.transpose(0, 3, 4, 5, 1, 2).reshape(4 * n * n, 5 * k)
+
+
 def _slot_metrics(wi: np.ndarray, wq: np.ndarray, y: np.ndarray, h: np.ndarray,
                   pts: np.ndarray) -> np.ndarray:
     """The (T, k, |A|) per-slot metrics g_i(x) for T blocks y, h of shape (T, n, m)."""
-    gi = wi @ h[:, None]  # (T, k, n, m)
-    gq = wq @ h[:, None]
-    yc = np.conj(y)[:, None]
-    n_i = np.sum(np.abs(gi) ** 2, axis=(2, 3))  # (T, k)
-    n_q = np.sum(np.abs(gq) ** 2, axis=(2, 3))
-    cross = np.real(np.sum(np.conj(gi) * gq, axis=(2, 3)))
-    y_i = np.real(np.sum(yc * gi, axis=(2, 3)))
-    y_q = np.real(np.sum(yc * gq, axis=(2, 3)))
+    t, n = h.shape[0], h.shape[1]
+    k = wi.shape[0]
+    stats = np.empty((t, 2, n, n), dtype=complex)  # P = H Y^H, Q = H H^H
+    np.matmul(h, np.conj(np.swapaxes(y, -1, -2)), out=stats[:, 0])
+    np.matmul(h, np.conj(np.swapaxes(h, -1, -2)), out=stats[:, 1])
+    slot_stats = stats.view(np.float64).reshape(t, 4 * n * n) @ _metric_kernel(wi, wq)
     xr = pts.real
     xq = pts.imag
-    return (xr ** 2 * n_i[..., None] + xq ** 2 * n_q[..., None]
-            + 2.0 * xr * xq * cross[..., None]
-            - 2.0 * (xr * y_i[..., None] + xq * y_q[..., None]))
+    basis = np.stack((xr * xr, xq * xq, 2.0 * xr * xq, -2.0 * xr, -2.0 * xq))
+    return (slot_stats.reshape(t * k, 5) @ basis).reshape(t, k, len(pts))
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,

@@ -1,5 +1,6 @@
 """End-to-end CLI: JSON round trips, exit codes, output files."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from stbc_forge import __version__
 from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, main
 from stbc_forge.clifford import family_from_json_dict, verify_family
-from stbc_forge.codes import code_from_json_dict
+from stbc_forge.codes import code_from_json_dict, code_to_json_dict
 from stbc_forge.simulator import _CHUNK, SEED_CONTRACT
 from stbc_forge.verifier import classify
 
@@ -139,6 +140,9 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     assert str(_CHUNK) in sidecar["seed_contract"]
     assert sidecar["stbc_forge_version"] == __version__
     assert sidecar["numpy_version"] == np.__version__
+    canonical = json.dumps(code_to_json_dict(code_from_json_dict(json.loads(code.read_text()))[0]),
+                           sort_keys=True)
+    assert sidecar["code_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
     # deterministic repeat
     first = csv_path.read_text()
     _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam4",
@@ -200,7 +204,12 @@ def test_usage_errors(runner, tmp_path):
     # malformed code files fail at the boundary with one line, not a traceback
     obj = json.loads(code.read_text())
     obj["weights"][0][0]["entries"][0][0] = [2 ** 60, 0]  # outside the magnitude guard
-    for name, content in (("keys.json", {"n": 4}), ("guard.json", obj)):
+    # so do codes with no weight pairs or n < 1, though the library accepts
+    # empty weight stacks
+    for name, content in (("keys.json", {"n": 4}), ("guard.json", obj),
+                          ("empty.json", {"n": 4, "weights": []}),
+                          ("n0.json", {"n": 0, "weights": []}),
+                          ("negative-n.json", {"n": -1, "weights": []})):
         path = tmp_path / name
         path.write_text(json.dumps(content))
         for args in (["verify", str(path)],

@@ -21,6 +21,7 @@ from stbc_forge.simulator import (
     transmit_scale,
     wilson_halfwidth,
 )
+from stbc_forge.verifier import check_ssd
 
 from conftest import random_unitary
 
@@ -132,6 +133,37 @@ def test_ssd_decode_equals_bruteforce_ml(name, scale, angle, sigma, rx, seed):
         assert np.array_equal(ssd_decode(code, y, h, c), ml_decode_bruteforce(code, y, h, c))
 
 
+@given(n=st.sampled_from([2, 4, 8]),
+       k=st.integers(min_value=2, max_value=4),
+       rx=st.integers(min_value=1, max_value=3),
+       t=st.sampled_from([1, 7]),
+       size=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_slot_metrics_match_definition(n, k, rx, t, size, seed):
+    # random complex weights are neither unitary nor SSD and random points
+    # form no constellation: the two-GEMM kernel assumes nothing of either
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    code = LinearDispersionCode(label="random", n=n, w=cn(k, 2, n, n))
+    assert not check_ssd(code).ok
+    wi, wq = code.weight_arrays()
+    pts = cn(size)
+    y, h = cn(t, n, rx), cn(t, n, rx)
+    ref = np.empty((t, k, size))
+    for b in range(t):
+        for i in range(k):
+            for j, x in enumerate(pts):
+                sh = (x.real * wi[i] + x.imag * wq[i]) @ h[b]
+                ref[b, i, j] = np.linalg.norm(sh) ** 2 - 2.0 * np.vdot(y[b], sh).real
+    got = _slot_metrics(wi, wq, y, h, pts)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_ml_budget():
     a1 = np.eye(2)
     code = LinearDispersionCode(label="c", n=2, w=[(a1, a1 * 1j)] * 10)
@@ -150,13 +182,13 @@ def test_simulate_cer_reproducible(ussd4):
     assert all(0 <= p.cer <= 1 and p.errors <= p.trials for p in r1.points)
 
 
-def _errors(code, constellation, snrs, trials, seed):
+def _errors(code, constellation, snrs, trials, seed, rx=1):
     config = SimConfig(code=code, constellation=constellation, snr_db_list=snrs,
-                       trials=trials, seed=seed)
+                       trials=trials, seed=seed, rx_antennas=rx)
     return [p.errors for p in simulate_cer(config).points]
 
 
-def test_seed_contract_golden_counts(ussd4):
+def test_seed_contract_golden_counts(ussd4, ussd8):
     # pinned error counts; a change here changes every seeded report.
     # A single-chunk run draws from [seed, point, 0], the same stream as the
     # earlier [seed, point] contract, so its counts predate chunked draws
@@ -164,6 +196,8 @@ def test_seed_contract_golden_counts(ussd4):
     assert _errors(ussd4, qam16, (10.0, 15.0, 20.0), 2000, 7) == [1384, 398, 41]
     qam4 = rotated_qam(4, optimal_angle(), "unit-average")
     assert _errors(ussd4, qam4, (4.0, 10.0), 2 * _CHUNK + 1000, 7) == [15480, 2028]
+    # the benchmark's large shape: 8 antennas, 16-QAM, two receive antennas
+    assert _errors(ussd8, qam16, (10.0, 15.0), 2 * _CHUNK + 1000, 7, rx=2) == [7495, 108]
 
 
 def test_seed_contract_trial_prefix_stability(ussd4):
