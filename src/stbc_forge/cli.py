@@ -218,6 +218,7 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
         "seed": seed,
         "decoder": decoder,
         "seed_contract": simulator.SEED_CONTRACT,
+        "slot_errors": [list(p.slot_errors) for p in report.points],  # per SNR point
         "code_sha256": hashlib.sha256(json.dumps(codes.code_to_json_dict(code),
                                                  sort_keys=True).encode()).hexdigest(),
         "stbc_forge_version": __version__,

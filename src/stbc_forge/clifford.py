@@ -70,12 +70,6 @@ class AnticommutingFamily:
     def __len__(self) -> int:
         return len(self.matrices)
 
-    def generator(self, i: int) -> GaussianMatrix:
-        """F_i by its 1-based index."""
-        if not 1 <= i <= len(self.matrices):
-            raise ValueError(f"index {i} outside 1..{len(self.matrices)}")
-        return self.matrices[i - 1]
-
 
 @dataclass(frozen=True)
 class FamilyCheck:

@@ -29,9 +29,27 @@ Decoders:
     weights; only the split into per-slot minima needs SSD.
 
 ``ml_decode_bruteforce``
-    Exhaustive argmin of ||Y - SH||^2 over all |A|^k codewords.
+    Exhaustive argmin of ||Y - SH||^2 over all |A|^k codewords.  With the
+    real symbol vector s = (x_1I, x_1Q, ..., x_kI, x_kQ) and the 2k
+    weights W_p = A_1, B_1, ..., A_k, B_k, the metric is a quadratic form,
 
-Both break ties toward the smallest constellation index (ties have
+        ||Y - SH||^2 - ||Y||^2 = sum_{p<=q} c_pq s_p s_q R_pq - 2 sum_p s_p b_p,
+
+    with R_pq = Re tr(W_p^H W_q Q), b_p = Re tr(W_p P), c_pp = 1 and
+    c_pq = 2 for p < q (the real-valued equivalent channel of linear
+    dispersion codes).  One kernel builder maps the (T, 4n^2) Re/Im of
+    (P, Q) to the k(2k+1) + 2k coefficients (R, b); the SSD kernel is its
+    per-slot diagonal (R_pp, R_p'p', R_pp', b_p, b_p' of each slot), so
+    both decoders share the statistics and the kernel.  A batch of T
+    blocks then takes one GEMM of the coefficients against the basis
+    [c_pq s_p s_q, -2 s_p] per chunk of codewords, drawn in lexicographic
+    order with C-order ``unravel_index``, and a running first minimum.
+    Chunks hold at most ``_ML_CHUNK`` metrics and basis entries each, so
+    memory is bounded in T and in |A|^k; ``simulate_cer`` calls the
+    decoder once per trial chunk.
+
+Both break ties toward the smallest constellation index, and brute-force
+ML toward the first codeword in lexicographic order (ties have
 probability zero under continuous noise but the rule keeps the
 decoder-equivalence oracle deterministic).
 
@@ -62,6 +80,7 @@ DECODER_BRUTE_ML = "brute-ml"
 ML_BUDGET = 1_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
+_ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
 SEED_CONTRACT = f"default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, fades, noise"
 
 
@@ -93,6 +112,7 @@ class CerPoint:
     errors: int
     cer: float
     ci95: float
+    slot_errors: tuple[int, ...]  # wrong symbols per slot
 
 
 @dataclass(frozen=True)
@@ -142,40 +162,63 @@ def _require_ssd(code: LinearDispersionCode) -> None:
         raise ValueError("per-symbol decoding requires a single-symbol decodable code")
 
 
-def _metric_kernel(wi: np.ndarray, wq: np.ndarray) -> np.ndarray:
-    """The real (4n^2, 5k) kernel that maps Re/Im of (P, Q) to the slot statistics.
+def _quadratic_kernel(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The real (4n^2, len(p) + 2k) kernel that maps Re/Im of (P, Q) to metric coefficients.
+
+    With the 2k weights W_r = w.reshape(2k, n, n) (A_1, B_1, A_2, ...),
+    column j < len(p) holds R_pq = Re tr(W_p^H W_q Q) for the pair
+    (p[j], q[j]) and column len(p) + r holds b_r = Re tr(W_r P).  Each is
+    Re tr(M X) = sum_ab Re M_ab Re X_ba - Im M_ab Im X_ba, laid out
+    against the (P, Q) rows of ``_channel_stats``.
+    """
+    n = w.shape[-1]
+    ws = w.reshape(-1, n, n)
+    m = np.zeros((2, len(p) + len(ws), n, n), dtype=complex)  # [P or Q, column]
+    m[1, :len(p)] = np.conj(np.swapaxes(ws[p], -1, -2)) @ ws[q]
+    m[0, len(p):] = ws
+    mt = np.swapaxes(m, -1, -2)  # M_ab pairs with X_ba
+    kernel = np.stack((mt.real, -mt.imag), axis=-1)  # (2, column, n, n, Re/Im)
+    return kernel.transpose(0, 2, 3, 4, 1).reshape(4 * n * n, -1)
+
+
+def _metric_kernel(w: np.ndarray) -> np.ndarray:
+    """The (4n^2, 5k) SSD kernel: the per-slot diagonal of the ML kernel.
 
     Column 5(i-1) + j holds statistic j = 0..4 of slot i: ||A_i H||^2, ||B_i H||^2,
-    Re <A_i H, B_i H>, Re <Y, A_i H>, Re <Y, B_i H>.  Each is Re tr(M X)
-    with X = Q and M = A_i^H A_i, B_i^H B_i, A_i^H B_i, or X = P and
-    M = A_i, B_i; Re tr(M X) = sum_ab Re M_ab Re X_ba - Im M_ab Im X_ba.
+    Re <A_i H, B_i H>, Re <Y, A_i H>, Re <Y, B_i H>, that is R_pp, R_p'p',
+    R_pp', b_p and b_p' for A_i = W_p and B_i = W_p', p' = p + 1.
     """
-    k, n = wi.shape[0], wi.shape[-1]
-    wi_h = np.conj(np.swapaxes(wi, -1, -2))
-    m = np.zeros((2, k, 5, n, n), dtype=complex)  # [P or Q, slot, statistic]
-    m[1, :, 0] = wi_h @ wi
-    m[1, :, 1] = np.conj(np.swapaxes(wq, -1, -2)) @ wq
-    m[1, :, 2] = wi_h @ wq
-    m[0, :, 3] = wi
-    m[0, :, 4] = wq
-    mt = np.swapaxes(m, -1, -2)  # M_ab pairs with X_ba
-    kernel = np.stack((mt.real, -mt.imag), axis=-1)  # (2, k, 5, n, n, Re/Im)
-    return kernel.transpose(0, 3, 4, 5, 1, 2).reshape(4 * n * n, 5 * k)
+    k = len(w)
+    a = 2 * np.arange(k)
+    p = np.stack((a, a + 1, a), axis=1).ravel()
+    q = np.stack((a, a + 1, a + 1), axis=1).ravel()
+    kernel = _quadratic_kernel(w, p, q)
+    slot_columns = np.hstack((np.arange(3 * k).reshape(k, 3),
+                              3 * k + np.arange(2 * k).reshape(k, 2)))
+    return kernel[:, slot_columns.ravel()]
 
 
-def _slot_metrics(wi: np.ndarray, wq: np.ndarray, y: np.ndarray, h: np.ndarray,
-                  pts: np.ndarray) -> np.ndarray:
-    """The (T, k, |A|) per-slot metrics g_i(x) for T blocks y, h of shape (T, n, m)."""
+def _channel_stats(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Re/Im of P = H Y^H and Q = H H^H for T blocks of shape (T, n, m), as (T, 4n^2)."""
     t, n = h.shape[0], h.shape[1]
-    k = wi.shape[0]
-    stats = np.empty((t, 2, n, n), dtype=complex)  # P = H Y^H, Q = H H^H
+    stats = np.empty((t, 2, n, n), dtype=complex)
     np.matmul(h, np.conj(np.swapaxes(y, -1, -2)), out=stats[:, 0])
     np.matmul(h, np.conj(np.swapaxes(h, -1, -2)), out=stats[:, 1])
-    slot_stats = stats.view(np.float64).reshape(t, 4 * n * n) @ _metric_kernel(wi, wq)
+    return stats.view(np.float64).reshape(t, 4 * n * n)
+
+
+def _slot_metrics(kernel: np.ndarray, y: np.ndarray, h: np.ndarray,
+                  pts: np.ndarray) -> np.ndarray:
+    """The (T, k, |A|) per-slot metrics g_i(x) for T blocks y, h of shape (T, n, m).
+
+    ``kernel`` is the code's ``_metric_kernel``.
+    """
+    t = h.shape[0]
+    slot_stats = _channel_stats(y, h) @ kernel
     xr = pts.real
     xq = pts.imag
     basis = np.stack((xr * xr, xq * xq, 2.0 * xr * xq, -2.0 * xr, -2.0 * xq))
-    return (slot_stats.reshape(t * k, 5) @ basis).reshape(t, k, len(pts))
+    return (slot_stats.reshape(-1, 5) @ basis).reshape(t, -1, len(pts))
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -183,41 +226,53 @@ def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
     """Per-symbol ML decoding; exactly k * |A| metric evaluations."""
     _require_ssd(code)
     pts = np.asarray(constellation.points)
-    wi, wq = code.weight_arrays()
-    metrics = _slot_metrics(wi, wq, np.asarray(y)[None], np.asarray(h)[None], pts)
+    metrics = _slot_metrics(_metric_kernel(code.w), np.asarray(y)[None], np.asarray(h)[None], pts)
     return pts[np.argmin(metrics[0], axis=1)]  # first minimum = smallest index
 
 
 def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
                          constellation: Constellation,
                          budget: int = ML_BUDGET) -> np.ndarray:
-    """Exhaustive ML decoding over all |A|^k codewords."""
+    """Exhaustive ML decoding over all |A|^k codewords.
+
+    Takes one block, y and h of shape (n, m), and returns its k symbols, or
+    T blocks of shape (T, n, m) and returns (T, k) symbols.
+    """
     pts = np.asarray(constellation.points)
-    total = len(pts) ** code.k
+    k = code.k
+    shape = (len(pts),) * k
+    total = len(pts) ** k
     if total > budget:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {budget}")
     y = np.asarray(y)
     h = np.asarray(h)
-    wi, wq = code.weight_arrays()
-    # per-slot candidate contributions to S @ H, shape (k, |A|, n, m)
-    gi = wi @ h
-    gq = wq @ h
-    contrib = (pts.real[None, :, None, None] * gi[:, None]
-               + pts.imag[None, :, None, None] * gq[:, None])
-    best_metric = np.inf
-    best_idx: tuple[int, ...] = (0,) * code.k
-    grid = np.indices((len(pts),) * code.k).reshape(code.k, -1).T  # lexicographic
-    for start in range(0, total, _CHUNK):
-        block = grid[start:start + _CHUNK]
-        sh = np.zeros((len(block),) + y.shape, dtype=complex)
-        for slot in range(code.k):
-            sh += contrib[slot, block[:, slot]]
-        metrics = np.sum(np.abs(y[None] - sh) ** 2, axis=(1, 2))
-        arg = int(np.argmin(metrics))
-        if metrics[arg] < best_metric:
-            best_metric = float(metrics[arg])
-            best_idx = tuple(block[arg])
-    return pts[list(best_idx)]
+    if y.shape != h.shape or h.ndim not in (2, 3):
+        raise ValueError(f"y and h must share one (n, m) or (T, n, m) shape, got {y.shape} "
+                         f"and {h.shape}")
+    single = h.ndim == 2
+    if single:
+        y, h = y[None], h[None]
+    p, q = np.triu_indices(2 * k)
+    coef = _channel_stats(y, h) @ _quadratic_kernel(code.w, p, q)  # (T, F)
+    t, f = coef.shape
+    pair_weight = np.where(p == q, 1.0, 2.0)
+    best = np.full(t, np.inf)
+    best_idx = np.zeros(t, dtype=np.intp)
+    rows = np.arange(t)
+    chunk = max(1, _ML_CHUNK // max(t, f))
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        x = pts[np.stack(np.unravel_index(idx, shape), axis=1)]  # lexicographic, (C, k)
+        s = np.stack((x.real, x.imag), axis=2).reshape(len(idx), 2 * k)
+        basis = np.concatenate((pair_weight * s[:, p] * s[:, q], -2.0 * s), axis=1)
+        metrics = coef @ basis.T  # ||Y - SH||^2 - ||Y||^2, (T, C)
+        arg = np.argmin(metrics, axis=1)
+        value = metrics[rows, arg]
+        better = value < best  # strict: an earlier chunk keeps a tie
+        best[better] = value[better]
+        best_idx[better] = idx[arg[better]]
+    decoded = pts[np.stack(np.unravel_index(best_idx, shape), axis=1)]
+    return decoded[0] if single else decoded
 
 
 def simulate_cer(config: SimConfig) -> CerReport:
@@ -231,10 +286,12 @@ def simulate_cer(config: SimConfig) -> CerReport:
         _require_ssd(scaled)
     pts = np.asarray(constellation.points)
     wi, wq = scaled.weight_arrays()
+    kernel = _metric_kernel(scaled.w)
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = 10.0 ** (-snr_db / 10.0)
         errors = 0
+        slot_errors = np.zeros(k, dtype=np.int64)
         for chunk, start in enumerate(range(0, config.trials, _CHUNK)):
             t = min(_CHUNK, config.trials - start)
             rng = np.random.default_rng([int(config.seed), point_index, chunk])
@@ -244,12 +301,14 @@ def simulate_cer(config: SimConfig) -> CerReport:
             s = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
             y = s @ h + noise
             if config.decoder == DECODER_SSD:
-                decoded = pts[np.argmin(_slot_metrics(wi, wq, y, h, pts), axis=2)]
+                decoded = pts[np.argmin(_slot_metrics(kernel, y, h, pts), axis=2)]
             else:
-                decoded = np.stack([ml_decode_bruteforce(scaled, y[i], h[i], constellation)
-                                    for i in range(t)])
-            errors += int(np.sum(np.any(decoded != x, axis=1)))
+                decoded = ml_decode_bruteforce(scaled, y, h, constellation)
+            wrong = decoded != x
+            errors += int(np.sum(np.any(wrong, axis=1)))
+            slot_errors += np.sum(wrong, axis=0)
         out.append(CerPoint(snr_db=float(snr_db), trials=config.trials, errors=errors,
                             cer=errors / config.trials,
-                            ci95=wilson_halfwidth(errors, config.trials)))
+                            ci95=wilson_halfwidth(errors, config.trials),
+                            slot_errors=tuple(slot_errors.tolist())))
     return CerReport(points=tuple(out), label=code.label)

@@ -138,6 +138,12 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     assert sidecar["seed_contract"] == SEED_CONTRACT
     assert "[seed, point, chunk]" in sidecar["seed_contract"]
     assert str(_CHUNK) in sidecar["seed_contract"]
+    # one list of k = 4 wrong-symbol counts per SNR point, consistent with the CSV
+    assert len(sidecar["slot_errors"]) == 3
+    for line, slots in zip(lines[1:], sidecar["slot_errors"]):
+        errors = int(line.split(",")[2])
+        assert len(slots) == 4
+        assert max(slots) <= errors <= sum(slots)
     assert sidecar["stbc_forge_version"] == __version__
     assert sidecar["numpy_version"] == np.__version__
     canonical = json.dumps(code_to_json_dict(code_from_json_dict(json.loads(code.read_text()))[0]),

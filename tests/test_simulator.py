@@ -1,5 +1,6 @@
 """Channel statistics, decoders, and the Monte Carlo sweep."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stbc_forge import simulator
 from stbc_forge.clifford import generate_family
 from stbc_forge.codes import LinearDispersionCode, build_ciod4, build_max_rate_ussd
 from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
+    _metric_kernel,
     _slot_metrics,
     ml_decode_bruteforce,
     simulate_cer,
@@ -51,8 +54,7 @@ def test_ssd_decode_complexity_contract(ussd4):
     rng = np.random.default_rng(13)
     h = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))) / math.sqrt(2)
     y = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    wi, wq = ussd4.weight_arrays()
-    metrics = _slot_metrics(wi, wq, y[None], h[None], np.asarray(c.points))
+    metrics = _slot_metrics(_metric_kernel(ussd4.w), y[None], h[None], np.asarray(c.points))
     assert metrics.shape == (1, ussd4.k, len(c))  # exactly k * |A| evaluations
 
 
@@ -74,7 +76,7 @@ def test_per_slot_decoding_fails_without_ssd():
     code = LinearDispersionCode(label="blast-ish", n=2, w=[(a1, a1 * 1j), (a2, a2 * 1j)])
     c = rotated_qam(4, 0.0, "unit-average")
     pts = np.asarray(c.points)
-    wi, wq = code.weight_arrays()
+    kernel = _metric_kernel(code.w)
     rng = np.random.default_rng(17)
     disagreements = 0
     for _ in range(200):
@@ -82,7 +84,7 @@ def test_per_slot_decoding_fails_without_ssd():
         h = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) / math.sqrt(2)
         noise = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) * 0.4
         y = code.codeword(x).to_array() @ h + noise
-        per_slot = pts[np.argmin(_slot_metrics(wi, wq, y[None], h[None], pts)[0], axis=1)]
+        per_slot = pts[np.argmin(_slot_metrics(kernel, y[None], h[None], pts)[0], axis=1)]
         ml = ml_decode_bruteforce(code, y, h, c)
         if not np.array_equal(per_slot, ml):
             disagreements += 1
@@ -159,9 +161,97 @@ def test_slot_metrics_match_definition(n, k, rx, t, size, seed):
             for j, x in enumerate(pts):
                 sh = (x.real * wi[i] + x.imag * wq[i]) @ h[b]
                 ref[b, i, j] = np.linalg.norm(sh) ** 2 - 2.0 * np.vdot(y[b], sh).real
-    got = _slot_metrics(wi, wq, y, h, pts)
+    got = _slot_metrics(_metric_kernel(code.w), y, h, pts)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _random_code(rng, n, k):
+    w = rng.standard_normal((k, 2, n, n)) + 1j * rng.standard_normal((k, 2, n, n))
+    return LinearDispersionCode(label="random", n=n, w=w)
+
+
+def _ml_chunk_for(codewords, t, k):
+    """The ``_ML_CHUNK`` that makes ``ml_decode_bruteforce`` take ``codewords`` per block."""
+    return codewords * max(t, k * (2 * k + 1) + 2 * k)
+
+
+@given(n=st.sampled_from([2, 4]),
+       k=st.integers(min_value=2, max_value=3),
+       rx=st.integers(min_value=1, max_value=2),
+       t=st.sampled_from([1, 7]),
+       size=st.sampled_from([4, 16]),
+       chunk=st.integers(min_value=1, max_value=15),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, seed):
+    # random complex weights are neither unitary nor SSD, so only the full
+    # quadratic form decodes them; chunks of fewer than |A|^k >= 16
+    # codewords make the first minimum cross chunk boundaries
+    rng = np.random.default_rng(seed)
+    code = _random_code(rng, n, k)
+    c = rotated_qam(size, rng.uniform(0.0, math.pi / 2), "unit-average")
+    pts = np.asarray(c.points)
+    wi, wq = code.weight_arrays()
+    shape = (t, n, rx)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = pts[rng.integers(0, size, size=(t, k))]
+    s = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
+    y = s @ h + 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # every codeword, lexicographic: np.argmin keeps the first minimum
+    xs = pts[np.array(list(itertools.product(range(size), repeat=k)))]
+    codewords = np.tensordot(xs.real, wi, axes=1) + np.tensordot(xs.imag, wq, axes=1)
+    want = np.stack([xs[np.argmin([np.linalg.norm(y[b] - cw @ h[b]) ** 2 for cw in codewords])]
+                     for b in range(t)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(chunk, t, k))
+        batched = ml_decode_bruteforce(code, y, h, c)
+        one_by_one = np.stack([ml_decode_bruteforce(code, y[b], h[b], c) for b in range(t)])
+    assert np.array_equal(batched, want)
+    assert np.array_equal(one_by_one, batched)
+
+
+def test_ml_decode_bruteforce_exact_tie_takes_first_codeword(monkeypatch):
+    # y = 0 and h = 0 make every metric exactly 0; the first codeword in
+    # lexicographic order wins, also when later codeword chunks tie with it
+    code = _random_code(np.random.default_rng(23), 2, 3)
+    c = rotated_qam(4, 0.3, "unit-average")
+    first = np.full(3, c.points[0])
+    assert np.array_equal(ml_decode_bruteforce(code, np.zeros((2, 1)), np.zeros((2, 1)), c),
+                          first)
+    monkeypatch.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(5, 7, 3))
+    got = ml_decode_bruteforce(code, np.zeros((7, 2, 1)), np.zeros((7, 2, 1)), c)
+    assert np.array_equal(got, np.tile(first, (7, 1)))
+
+
+def test_ml_decode_bruteforce_memory_bounded():
+    # 64^3 = 4^9 codewords: the codeword chunk, not T or |A|^k, sets the peak
+    rng = np.random.default_rng(29)
+    code = _random_code(rng, 2, 3)
+    c = rotated_qam(64, 0.3, "unit-average")
+
+    def peak(t):
+        h = rng.standard_normal((t, 2, 1)) + 1j * rng.standard_normal((t, 2, 1))
+        y = rng.standard_normal((t, 2, 1)) + 1j * rng.standard_normal((t, 2, 1))
+        tracemalloc.start()
+        try:
+            ml_decode_bruteforce(code, y, h, c)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(64)
+    assert small < 32 * 2 ** 20
+    assert peak(1024) < 1.25 * small
+
+
+def test_ml_decode_bruteforce_rejects_mismatched_blocks(ussd4):
+    # one y against a batch of fades would otherwise broadcast silently
+    c = rotated_qam(4, 0.3, "unit-average")
+    with pytest.raises(ValueError, match="shape"):
+        ml_decode_bruteforce(ussd4, np.ones((4, 1)), np.ones((3, 4, 1)), c)
+    with pytest.raises(ValueError, match="shape"):
+        ml_decode_bruteforce(ussd4, np.ones((4,)), np.ones((4,)), c)
 
 
 def test_ml_budget():
@@ -182,13 +272,13 @@ def test_simulate_cer_reproducible(ussd4):
     assert all(0 <= p.cer <= 1 and p.errors <= p.trials for p in r1.points)
 
 
-def _errors(code, constellation, snrs, trials, seed, rx=1):
+def _errors(code, constellation, snrs, trials, seed, rx=1, decoder="ssd"):
     config = SimConfig(code=code, constellation=constellation, snr_db_list=snrs,
-                       trials=trials, seed=seed, rx_antennas=rx)
+                       trials=trials, seed=seed, rx_antennas=rx, decoder=decoder)
     return [p.errors for p in simulate_cer(config).points]
 
 
-def test_seed_contract_golden_counts(ussd4, ussd8):
+def test_seed_contract_golden_counts(ussd4, ussd8, ciod4):
     # pinned error counts; a change here changes every seeded report.
     # A single-chunk run draws from [seed, point, 0], the same stream as the
     # earlier [seed, point] contract, so its counts predate chunked draws
@@ -198,6 +288,22 @@ def test_seed_contract_golden_counts(ussd4, ussd8):
     assert _errors(ussd4, qam4, (4.0, 10.0), 2 * _CHUNK + 1000, 7) == [15480, 2028]
     # the benchmark's large shape: 8 antennas, 16-QAM, two receive antennas
     assert _errors(ussd8, qam16, (10.0, 15.0), 2 * _CHUNK + 1000, 7, rx=2) == [7495, 108]
+    # brute-force ML over one trial chunk and across two, counted before it was batched
+    assert _errors(ussd4, qam4, (6.0, 10.0), _CHUNK + 500, 7, decoder="brute-ml") == [4833, 1002]
+    ciod_qam4 = rotated_qam(4, ciod_optimal_angle(), "unit-average")
+    assert _errors(ciod4, ciod_qam4, (10.0,), 2000, 7, decoder="brute-ml") == [123]
+
+
+@pytest.mark.parametrize("decoder", ["ssd", "brute-ml"])
+def test_slot_errors_bound_codeword_errors(ussd4, decoder):
+    # a codeword error has at least one wrong slot and at most k of them
+    c = rotated_qam(4, optimal_angle(), "unit-average")
+    config = SimConfig(code=ussd4, constellation=c, snr_db_list=(0.0, 8.0), trials=3000,
+                       seed=31, decoder=decoder)
+    for p in simulate_cer(config).points:
+        assert len(p.slot_errors) == ussd4.k
+        assert p.errors > 0
+        assert max(p.slot_errors) <= p.errors <= sum(p.slot_errors)
 
 
 def test_seed_contract_trial_prefix_stability(ussd4):
