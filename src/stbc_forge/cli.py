@@ -170,7 +170,10 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
     mode = constellations.ENERGY_RAW if energy == "raw" else constellations.ENERGY_UNIT
     theta = _resolve_angle(angle, code)
     constellation = _make_constellation(constellation_name, theta, mode)
-    result = codinggain.min_det_bruteforce(code, constellation, force_full=brute_force)
+    try:
+        result = codinggain.min_det_bruteforce(code, constellation, force_full=brute_force)
+    except ValueError as exc:  # the unreduced search's budget
+        raise click.UsageError(str(exc)) from None
     diff = ", ".join(f"{d.real:+.6f}{d.imag:+.6f}j" for d in result.difference)
     click.echo(f"min_det = {result.value:.6f}  (angle {theta:.6f} rad, "
                f"{'full' if not result.reduced else 'single-symbol'} search)")

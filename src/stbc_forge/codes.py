@@ -11,6 +11,8 @@ independent over the reals.  A code holds them as one read-only
 complex128 stack ``w`` of shape (k, 2, n, n): w[i-1, 0] = A_i and
 w[i-1, 1] = B_i.  Every module that needs the weights reads or views
 that stack; :class:`GaussianMatrix` remains the type of a single matrix.
+The verifier, the decoders and the coding gain read its Gram tensor,
+:func:`gram`, and share one exhaustive search, :func:`lexicographic_first_min`.
 Three constructions are provided, all with exact Gaussian-integer
 weights:
 
@@ -52,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import GaussianMatrix, is_exact, real_rank
+from .gmatrix import GaussianMatrix, is_exact, product_tensor, real_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +121,37 @@ class LinearDispersionCode:
     def scaled(self, s: float) -> LinearDispersionCode:
         """Copy with every weight multiplied by a real scalar."""
         return LinearDispersionCode(label=self.label, n=self.n, w=self.w * complex(s))
+
+
+def gram(w: np.ndarray) -> np.ndarray:
+    """The (2k, 2k, n, n) Gram tensor G[p, q] = W_p^H W_q of a (k, 2, n, n) weight stack.
+
+    W_p = w.reshape(2k, n, n)[p]; slot i's 2 x 2 block is ``gram(w[i:i + 1])``.
+    """
+    ws = w.reshape(-1, w.shape[-2], w.shape[-1])
+    return product_tensor(np.conj(ws.swapaxes(1, 2)), ws)
+
+
+def lexicographic_first_min(values: np.ndarray, k: int, chunk: int,
+                            metric) -> tuple[np.ndarray, np.ndarray]:
+    """First minimum of ``metric`` over the |values|^k vectors of k entries of ``values``.
+
+    ``metric`` maps a (C, k) block of at most ``chunk`` vectors, taken in
+    lexicographic (``itertools.product``) order, to (..., C) metrics.  Returns
+    the (...) minima and the (..., k) first vectors that reach them.
+    """
+    shape = (len(values),) * k
+    total = len(values) ** k
+    best, best_idx = np.inf, 0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        metrics = metric(values[np.stack(np.unravel_index(idx, shape), axis=1)])
+        arg = np.argmin(metrics, axis=-1)
+        value = np.take_along_axis(metrics, arg[..., None], axis=-1)[..., 0]
+        better = value < best  # strict: an earlier block keeps a tie
+        best = np.where(better, value, best)
+        best_idx = np.where(better, idx[arg], best_idx)
+    return best, values[np.stack(np.unravel_index(best_idx, shape), axis=-1)]
 
 
 def _stack(n: int, pairs: Sequence[tuple[GaussianMatrix, GaussianMatrix]]) -> np.ndarray:

@@ -21,12 +21,20 @@ unitary-weight code on n antennas has dispersion gain n, so its raw
 determinant is scaled by (2/n)^n.  Pass ``equal_energy=False`` for the
 plain unnormalized determinant.
 
-For a single-symbol decodable code the difference Gram matrix is a sum
-of one positive-semidefinite term per symbol, and the determinant is
-monotone on that cone, so the minimum is always achieved by a
-single-symbol difference.  That reduces the search from |A|^k vectors
-to k * |A|^2 ordered point pairs; the unreduced search remains
-available (``force_full=True``) and is used to validate the reduction.
+Every determinant is read off the Gram tensor G[p, q] = W_p^H W_q of
+:func:`.codes.gram`.  The difference D = sum_p s_p W_p of the real
+vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has D^H D = sum_pq s_p s_q G[p, q],
+so V difference vectors take one (V, 4k^2) @ (4k^2, n^2) GEMM and one
+batched determinant.  For a single-symbol decodable code every
+cross-symbol G[p, q] + G[q, p] vanishes, so D^H D is a sum of one
+positive-semidefinite term per symbol, from its 2 x 2 block of G, and
+the determinant is monotone on that cone: a single-symbol difference
+always achieves the minimum.  That reduces the search from |A|^k
+vectors to k * |A|^2 ordered point pairs.  The unreduced search
+(``force_full=True``, which validates the reduction) runs over the full
+G with :func:`.codes.lexicographic_first_min`, the enumerator of
+brute-force ML, so memory is bounded by its ``_FULL_CHUNK``-vector
+blocks and the first minimum in lexicographic order is reported.
 
 For the maximal-rate unitary-weight construction the determinant of a
 single-symbol difference d has the closed form |d_I^2 - d_Q^2|^n: the
@@ -37,18 +45,18 @@ eigenvalues split evenly, and the Gram determinant factors into
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearDispersionCode
+from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
 from .gmatrix import GaussianMatrix, _negligible
 from .verifier import check_ssd
 
 REFERENCE_DISPERSION_GAIN = 2.0
 FULL_SEARCH_BUDGET = 10_000_000
+_FULL_CHUNK = 1 << 12  # difference vectors in one block of the unreduced search
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,6 @@ class MinDetResult:
     difference: tuple[complex, ...]
     reduced: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def dispersion_gain(code: LinearDispersionCode) -> float:
     """Mean squared Frobenius norm of the weight matrices."""
@@ -69,14 +74,15 @@ def dispersion_gain(code: LinearDispersionCode) -> float:
     return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * code.k)
 
 
-def _det_scale(code: LinearDispersionCode, equal_energy: bool) -> float:
-    if not equal_energy:
-        return 1.0
-    return (REFERENCE_DISPERSION_GAIN / dispersion_gain(code)) ** code.n
+def _difference_dets(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """det(sum_pq s_p s_q g[p, q]) per row of the real (V, P) s, on a (P, P, n, n) Gram block.
 
-
-def _gram_det(delta: np.ndarray) -> float:
-    return float(np.linalg.det(delta.conj().T @ delta).real)
+    One real GEMM meets the (V, P^2) outer products with the Re/Im pairs of g.
+    """
+    n = g.shape[-1]
+    outer = (s[:, :, None] * s[:, None, :]).reshape(len(s), -1)
+    grams = outer @ g.reshape(-1, n * n).view(np.float64)
+    return np.linalg.det(grams.view(np.complex128).reshape(len(s), n, n)).real
 
 
 def min_det_bruteforce(code: LinearDispersionCode,
@@ -95,48 +101,35 @@ def min_det_bruteforce(code: LinearDispersionCode,
     """
     if code.k == 0:
         raise ValueError("cannot search an empty code")
-    scale = _det_scale(code, equal_energy)
-    wi, wq = code.weight_arrays()
-    reduced = not force_full and check_ssd(code).ok
-
-    if reduced:
+    scale = (REFERENCE_DISPERSION_GAIN / dispersion_gain(code)) ** code.n if equal_energy else 1.0
+    if not force_full and check_ssd(code).ok:
         diffs = np.asarray(constellation.differences())
-        best = np.inf
-        best_diff: tuple[complex, ...] = ()
-        for slot in range(code.k):
-            deltas = (diffs.real[:, None, None] * wi[slot]
-                      + diffs.imag[:, None, None] * wq[slot])
-            dets = np.linalg.det(np.conj(np.swapaxes(deltas, 1, 2)) @ deltas).real
-            arg = int(np.argmin(dets))
-            if dets[arg] < best:
-                best = float(dets[arg])
-                vec = [0j] * code.k
-                vec[slot] = complex(diffs[arg])
-                best_diff = tuple(vec)
-        return MinDetResult(value=best * scale, difference=best_diff, reduced=True)
+        s = np.stack((diffs.real, diffs.imag), axis=1)
+        dets = np.stack([_difference_dets(gram(code.w[i:i + 1]), s) for i in range(code.k)])
+        slot, arg = divmod(int(np.argmin(dets)), len(diffs))  # first minimum, slot-major
+        vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
+        return MinDetResult(value=float(dets[slot, arg]) * scale, difference=vec, reduced=True)
 
     # unreduced: every vector of per-symbol differences (0 allowed per slot);
     # deduplicate on rounded keys but keep an unrounded representative
     uniq = {(round(d.real, 12), round(d.imag, 12)): d
             for d in constellation.differences()}
     uniq[(0.0, 0.0)] = 0j
-    per_slot = [uniq[k] for k in sorted(uniq)]
+    per_slot = np.array([uniq[key] for key in sorted(uniq)])
     total = len(per_slot) ** code.k
     if total > budget:
         raise ValueError(
             f"unreduced search needs {total} difference vectors, over budget {budget}")
-    best = np.inf
-    best_diff = ()
-    for combo in itertools.product(per_slot, repeat=code.k):
-        if not any(combo):
-            continue
-        x = np.asarray(combo)
-        delta = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
-        v = _gram_det(delta)
-        if v < best:
-            best = v
-            best_diff = combo
-    return MinDetResult(value=best * scale, difference=best_diff, reduced=False)
+    g = gram(code.w)
+
+    def dets(x: np.ndarray) -> np.ndarray:
+        s = np.stack((x.real, x.imag), axis=2).reshape(len(x), -1)
+        # the all-zero vector is no codeword difference
+        return np.where(np.any(x != 0, axis=1), _difference_dets(g, s), np.inf)
+
+    best, diff = lexicographic_first_min(per_slot, code.k, _FULL_CHUNK, dets)
+    return MinDetResult(value=float(best) * scale, difference=tuple(complex(d) for d in diff),
+                        reduced=False)
 
 
 def min_det_closed_form(constellation: Constellation, n: int, *,

@@ -35,18 +35,18 @@ Decoders:
 
         ||Y - SH||^2 - ||Y||^2 = sum_{p<=q} c_pq s_p s_q R_pq - 2 sum_p s_p b_p,
 
-    with R_pq = Re tr(W_p^H W_q Q), b_p = Re tr(W_p P), c_pp = 1 and
-    c_pq = 2 for p < q (the real-valued equivalent channel of linear
-    dispersion codes).  One kernel builder maps the (T, 4n^2) Re/Im of
-    (P, Q) to the k(2k+1) + 2k coefficients (R, b); the SSD kernel is its
-    per-slot diagonal (R_pp, R_p'p', R_pp', b_p, b_p' of each slot), so
-    both decoders share the statistics and the kernel.  A batch of T
-    blocks then takes one GEMM of the coefficients against the basis
-    [c_pq s_p s_q, -2 s_p] per chunk of codewords, drawn in lexicographic
-    order with C-order ``unravel_index``, and a running first minimum.
-    Chunks hold at most ``_ML_CHUNK`` metrics and basis entries each, so
-    memory is bounded in T and in |A|^k; ``simulate_cer`` calls the
-    decoder once per trial chunk.
+    with R_pq = Re tr(G[p, q] Q) on the Gram tensor of :func:`.codes.gram`,
+    b_p = Re tr(W_p P), c_pp = 1 and c_pq = 2 for p < q (the real-valued
+    equivalent channel of linear dispersion codes).  One kernel builder
+    maps the (T, 4n^2) Re/Im of (P, Q) to the k(2k+1) + 2k coefficients
+    (R, b); the SSD kernel is its per-slot diagonal (R_pp, R_p'p', R_pp',
+    b_p, b_p' of each slot), so both decoders share the statistics and
+    the kernel.  A batch of T blocks then takes one GEMM of the
+    coefficients against the basis [c_pq s_p s_q, -2 s_p] per chunk of
+    codewords from :func:`.codes.lexicographic_first_min`, the enumerator
+    of the unreduced minimum-determinant search too.  Chunks hold at most
+    ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
+    T and in |A|^k; ``simulate_cer`` calls the decoder once per trial chunk.
 
 Both break ties toward the smallest constellation index, and brute-force
 ML toward the first codeword in lexicographic order (ties have
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearDispersionCode
+from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
 from .verifier import check_ssd
 
@@ -166,16 +166,15 @@ def _quadratic_kernel(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray
     """The real (4n^2, len(p) + 2k) kernel that maps Re/Im of (P, Q) to metric coefficients.
 
     With the 2k weights W_r = w.reshape(2k, n, n) (A_1, B_1, A_2, ...),
-    column j < len(p) holds R_pq = Re tr(W_p^H W_q Q) for the pair
+    column j < len(p) holds R_pq = Re tr(G[p, q] Q) for the pair
     (p[j], q[j]) and column len(p) + r holds b_r = Re tr(W_r P).  Each is
     Re tr(M X) = sum_ab Re M_ab Re X_ba - Im M_ab Im X_ba, laid out
     against the (P, Q) rows of ``_channel_stats``.
     """
     n = w.shape[-1]
-    ws = w.reshape(-1, n, n)
-    m = np.zeros((2, len(p) + len(ws), n, n), dtype=complex)  # [P or Q, column]
-    m[1, :len(p)] = np.conj(np.swapaxes(ws[p], -1, -2)) @ ws[q]
-    m[0, len(p):] = ws
+    m = np.zeros((2, len(p) + 2 * len(w), n, n), dtype=complex)  # [P or Q, column]
+    m[1, :len(p)] = gram(w)[p, q]
+    m[0, len(p):] = w.reshape(-1, n, n)
     mt = np.swapaxes(m, -1, -2)  # M_ab pairs with X_ba
     kernel = np.stack((mt.real, -mt.imag), axis=-1)  # (2, column, n, n, Re/Im)
     return kernel.transpose(0, 2, 3, 4, 1).reshape(4 * n * n, -1)
@@ -240,7 +239,6 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     """
     pts = np.asarray(constellation.points)
     k = code.k
-    shape = (len(pts),) * k
     total = len(pts) ** k
     if total > budget:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {budget}")
@@ -254,24 +252,14 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
         y, h = y[None], h[None]
     p, q = np.triu_indices(2 * k)
     coef = _channel_stats(y, h) @ _quadratic_kernel(code.w, p, q)  # (T, F)
-    t, f = coef.shape
     pair_weight = np.where(p == q, 1.0, 2.0)
-    best = np.full(t, np.inf)
-    best_idx = np.zeros(t, dtype=np.intp)
-    rows = np.arange(t)
-    chunk = max(1, _ML_CHUNK // max(t, f))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        x = pts[np.stack(np.unravel_index(idx, shape), axis=1)]  # lexicographic, (C, k)
-        s = np.stack((x.real, x.imag), axis=2).reshape(len(idx), 2 * k)
+
+    def metrics(x: np.ndarray) -> np.ndarray:  # ||Y - SH||^2 - ||Y||^2 of C codewords, (T, C)
+        s = np.stack((x.real, x.imag), axis=2).reshape(len(x), 2 * k)
         basis = np.concatenate((pair_weight * s[:, p] * s[:, q], -2.0 * s), axis=1)
-        metrics = coef @ basis.T  # ||Y - SH||^2 - ||Y||^2, (T, C)
-        arg = np.argmin(metrics, axis=1)
-        value = metrics[rows, arg]
-        better = value < best  # strict: an earlier chunk keeps a tie
-        best[better] = value[better]
-        best_idx[better] = idx[arg[better]]
-    decoded = pts[np.stack(np.unravel_index(best_idx, shape), axis=1)]
+        return coef @ basis.T
+
+    _, decoded = lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)), metrics)
     return decoded[0] if single else decoded
 
 

@@ -20,8 +20,8 @@ Codes satisfying all three groups are complex orthogonal designs; the
 SSD group plus UW but not the self condition gives unitary-weight SSD
 codes; the SSD group without UW gives non-unitary-weight SSD codes.
 
-All of them are index patterns on one Gram tensor G[p, q] = W_p^H W_q
-over the 2k stacked weights: the SSD and self conditions read
+All of them are index patterns on the Gram tensor G[p, q] = W_p^H W_q
+of the 2k weights, :func:`.codes.gram`: the SSD and self conditions read
 G + G.swapaxes(0, 1), UW reads the diagonal blocks.  Every residual is
 judged by the one relative tolerance of :mod:`.gmatrix`, 1e-10 * c,
 so the verdicts do not change under a uniform scale of the weights.  On
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import LinearDispersionCode
+from .codes import LinearDispersionCode, gram
 from .gmatrix import GaussianMatrix, _negligible, product_tensor
 
 COND_UW = "UW"
@@ -86,9 +86,8 @@ def _gram_verdicts(code: LinearDispersionCode) -> tuple[np.ndarray, np.ndarray]:
     """
     if code.k == 0:
         return np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool)
-    w = code.w.reshape(2 * code.k, code.n, code.n)  # W_p, p = 2(i-1) + {0: A_i, 1: B_i}
-    g = product_tensor(np.conj(w.swapaxes(1, 2)), w)
-    idx = np.arange(len(w))
+    g = gram(code.w)
+    idx = np.arange(2 * code.k)
     diag = g[idx, idx]
     c = float(np.mean(np.trace(diag, axis1=1, axis2=2).real)) / code.n
     vanish = _negligible(np.linalg.norm(g + g.swapaxes(0, 1), axis=(2, 3)), c)
@@ -203,7 +202,7 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     eye = np.eye(code.n)
     p = product_tensor(w, w)
     square = _negligible(np.linalg.norm(p[idx, idx] + eye, axis=(1, 2)), 1.0)
-    b1_commute = _negligible(np.linalg.norm(np.conj(w[1].T) @ w - p[:, 1], axis=(1, 2)), 1.0)
+    b1_commute = _negligible(np.linalg.norm(gram(code.w)[1] - p[:, 1], axis=(1, 2)), 1.0)
     anticommute = _negligible(np.linalg.norm(p + p.swapaxes(0, 1), axis=(2, 3)), 1.0)
     failures: list[ConditionFailure] = []
     if not GaussianMatrix(w[0]).is_identity():

@@ -175,6 +175,8 @@ def test_usage_errors(runner, tmp_path):
     not_ssd["weights"][1][0] = not_ssd["weights"][2][0]  # breaks SSD-II
     not_ssd_path = tmp_path / "not-ssd.json"
     not_ssd_path.write_text(json.dumps(not_ssd))
+    code8 = tmp_path / "c8.json"
+    _invoke(runner, "construct", "--antennas", "8", "--family", "ussd", "--out", str(code8))
     sim = ["simulate", "--code", str(code), "--constellation", "qam4",
            "--out", str(tmp_path / "o.csv")]
     bad_inputs = [
@@ -195,6 +197,8 @@ def test_usage_errors(runner, tmp_path):
          "--decoder", "brute-ml", "--out", str(tmp_path / "o.csv")],  # 64^4 > ML budget
         ["coding-gain", "--code", str(code), "--constellation", "qam4", "--angle", "foo"],
         ["coding-gain", "--code", str(code), "--constellation", "qam4", "--angle", "nan"],
+        ["coding-gain", "--code", str(code8), "--constellation", "qam16",
+         "--brute-force"],  # 49^6 difference vectors, over the unreduced search's budget
         ["family", "--a", "9", "--out", str(tmp_path / "x.json")],
         ["construct", "--antennas", "128", "--family", "ussd", "--out", str(tmp_path / "x.json")],
     ]

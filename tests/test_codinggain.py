@@ -1,12 +1,14 @@
 """Minimum determinants: brute force, closed form, energy convention."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stbc_forge import codinggain
 from stbc_forge.clifford import generate_family
 from stbc_forge.codes import LinearDispersionCode, build_ciod4, build_max_rate_ussd
 from stbc_forge.codinggain import (
@@ -15,7 +17,7 @@ from stbc_forge.codinggain import (
     min_det_bruteforce,
     min_det_closed_form,
 )
-from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
+from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam, special_8qam
 from stbc_forge.gmatrix import GaussianMatrix
 
 from conftest import random_unitary
@@ -33,6 +35,36 @@ def _pairwise_min_det(code, constellation):
             d = sa - code.codeword(xb).to_array()
             best = min(best, float(np.linalg.det(d.conj().T @ d).real))
     return best
+
+
+def _difference_det(code, difference):
+    d = code.codeword(difference).to_array()
+    return float(np.linalg.det(d.conj().T @ d).real)
+
+
+def _per_slot_differences(constellation):
+    uniq = {(round(d.real, 12), round(d.imag, 12)): d for d in constellation.differences()}
+    uniq[(0.0, 0.0)] = 0j
+    return [uniq[key] for key in sorted(uniq)]
+
+
+def _itertools_min_det(code, constellation):
+    """The unreduced search as one loop over itertools.product (reference).
+
+    The first minimum over every nonzero vector of per-slot differences, in
+    lexicographic order, of det(D^H D) with D formed from the weights.
+    """
+    wi, wq = code.weight_arrays()
+    best, best_diff = np.inf, ()
+    for combo in itertools.product(_per_slot_differences(constellation), repeat=code.k):
+        if not any(combo):
+            continue
+        x = np.asarray(combo)
+        delta = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
+        v = float(np.linalg.det(delta.conj().T @ delta).real)
+        if v < best:
+            best, best_diff = v, combo
+    return best, best_diff
 
 
 def test_table_values_4qam(ussd4, ciod4):
@@ -114,6 +146,71 @@ def test_reduction_matches_full_search(ussd2, ciod4):
     full = min_det_bruteforce(ciod4, c4, force_full=True)
     reduced = min_det_bruteforce(ciod4, c4)
     assert abs(full.value - reduced.value) < 1e-9
+
+
+def test_reduction_exact_on_ussd8(ussd8):
+    # 9^6 = 531441 difference vectors: reduced == unreduced == closed form
+    c = rotated_qam(4, optimal_angle())
+    full = min_det_bruteforce(ussd8, c, force_full=True)
+    reduced = min_det_bruteforce(ussd8, c)
+    closed = min_det_closed_form(c, 8)
+    assert not full.reduced and reduced.reduced
+    assert full.value == pytest.approx(closed, rel=1e-9)
+    assert reduced.value == pytest.approx(closed, rel=1e-9)
+    scale = (2 / 8) ** 8  # equal-energy factor of unitary weights on 8 antennas
+    assert _difference_det(ussd8, full.difference) * scale == pytest.approx(closed, rel=1e-9)
+
+
+@given(n=st.sampled_from([2, 3]), k=st.integers(min_value=1, max_value=2),
+       chunk=st.integers(min_value=1, max_value=7),
+       angle=st.floats(min_value=0.0, max_value=1.6),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_unreduced_search_matches_itertools_loop(n, k, chunk, angle, seed):
+    # random non-SSD weights; blocks of 1-7 vectors put ties across blocks
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((k, 2, n, n)) + 1j * rng.standard_normal((k, 2, n, n))
+    code = LinearDispersionCode(label="random", n=n, w=w)
+    c = rotated_qam(4, angle)
+    want, _ = _itertools_min_det(code, c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codinggain, "_FULL_CHUNK", chunk)
+        got = min_det_bruteforce(code, c, force_full=True, equal_energy=False)
+    assert not got.reduced
+    assert got.value == pytest.approx(want, rel=1e-9)
+    assert _difference_det(code, got.difference) == pytest.approx(got.value, rel=1e-9)
+    # x and -x tie exactly; the search reports the one first in lexicographic order
+    order = {d: i for i, d in enumerate(_per_slot_differences(c))}
+    position = [order[d] for d in got.difference]
+    assert position <= [len(order) - 1 - i for i in position]
+
+
+def test_unreduced_search_memory_bounded(cod4):
+    # the peak follows the block size, not the number of difference vectors
+    peaks = []
+    for c in (special_8qam("rect", 0.3), rotated_qam(16, 0.3)):  # 21^3 and 49^3 vectors
+        tracemalloc.start()
+        try:
+            min_det_bruteforce(cod4, c, force_full=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 8 * 2 ** 20
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_reduction_reads_each_slot(ussd4):
+    # halving slot 2's weights keeps the code SSD and moves the minimum there
+    w = ussd4.w.copy()
+    w[1] *= 0.5
+    code = LinearDispersionCode(label="uneven", n=4, w=w)
+    c = rotated_qam(4, optimal_angle())
+    reduced = min_det_bruteforce(code, c, equal_energy=False)
+    full = min_det_bruteforce(code, c, force_full=True, equal_energy=False)
+    assert reduced.reduced and not full.reduced
+    assert reduced.value == pytest.approx(full.value, rel=1e-9)
+    assert reduced.value == pytest.approx(0.5 ** 8 * 163.84, rel=1e-9)
+    assert [d != 0 for d in reduced.difference] == [False, True, False, False]
 
 
 def test_full_search_agrees_with_pairwise_oracle(ussd2):
