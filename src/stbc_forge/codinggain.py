@@ -23,18 +23,24 @@ plain unnormalized determinant.
 
 Every determinant is read off the Gram tensor G[p, q] = W_p^H W_q of
 :func:`.codes.gram`.  The difference D = sum_p s_p W_p of the real
-vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has D^H D = sum_pq s_p s_q G[p, q],
-so V difference vectors take one (V, 4k^2) @ (4k^2, n^2) GEMM and one
-batched determinant.  For a single-symbol decodable code every
-cross-symbol G[p, q] + G[q, p] vanishes, so D^H D is a sum of one
-positive-semidefinite term per symbol, from its 2 x 2 block of G, and
-the determinant is monotone on that cone: a single-symbol difference
-always achieves the minimum.  That reduces the search from |A|^k
+vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has D^H D = sum_pq s_p s_q G[p, q]
+= sum_{p<=q} s_p s_q M_pq with M_pp = G[p, p] and M_pq = G[p, q] + G[q, p],
+so V difference vectors take one (V, k(2k+1)) @ (k(2k+1), n^2) GEMM over
+the pairs p <= q and one batched determinant.  For a single-symbol
+decodable code every cross-symbol G[p, q] + G[q, p] vanishes, so D^H D
+is a sum of one positive-semidefinite term per symbol, from its 2 x 2
+block of G, and the determinant is monotone on that cone: a
+single-symbol difference always achieves the minimum.  That reduces the search from |A|^k
 vectors to k * |A|^2 ordered point pairs.  The unreduced search
 (``force_full=True``, which validates the reduction) runs over the full
 G with :func:`.codes.lexicographic_first_min`, the enumerator of
 brute-force ML, so memory is bounded by its ``_FULL_CHUNK``-vector
-blocks and the first minimum in lexicographic order is reported.
+blocks and the first minimum in lexicographic order is reported.  Since
+x and -x give the same D^H D, it takes the determinant of one vector per
+pair, the one first in that order (its first nonzero entry in the lower
+half of the sorted per-slot differences), and gives the other +inf: an
+exact tie never rests on rounding that depends on the block shape, and
+the search does half the work.
 
 For the maximal-rate unitary-weight construction the determinant of a
 single-symbol difference d has the closed form |d_I^2 - d_Q^2|^n: the
@@ -74,14 +80,25 @@ def dispersion_gain(code: LinearDispersionCode) -> float:
     return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * code.k)
 
 
-def _difference_dets(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """det(sum_pq s_p s_q g[p, q]) per row of the real (V, P) s, on a (P, P, n, n) Gram block.
+def _pair_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs p <= q of (..., P, P, n, n) Gram blocks g and their (..., pairs, n, n) terms.
 
-    One real GEMM meets the (V, P^2) outer products with the Re/Im pairs of g.
+    sum_pq s_p s_q g[p, q] = sum_{p<=q} s_p s_q M_pq with M_pp = g[p, p] and
+    M_pq = g[p, q] + g[q, p].
     """
-    n = g.shape[-1]
-    outer = (s[:, :, None] * s[:, None, :]).reshape(len(s), -1)
-    grams = outer @ g.reshape(-1, n * n).view(np.float64)
+    r = np.arange(g.shape[-3])
+    p, q = np.nonzero(r[:, None] <= r)  # row-major, as np.triu_indices
+    gpq = g[..., p, q, :, :]
+    return p, q, np.where((p == q)[:, None, None], gpq, gpq + g[..., q, p, :, :])
+
+
+def _difference_dets(p: np.ndarray, q: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """det(sum_{p<=q} s_p s_q M_pq) per row of the real (V, P) s, on the (pairs, n, n) terms m.
+
+    One real GEMM meets the (V, pairs) products s_p s_q with the Re/Im pairs of m.
+    """
+    n = m.shape[-1]
+    grams = (s[:, p] * s[:, q]) @ m.reshape(len(m), -1).view(np.float64)
     return np.linalg.det(grams.view(np.complex128).reshape(len(s), n, n)).real
 
 
@@ -105,31 +122,41 @@ def min_det_bruteforce(code: LinearDispersionCode,
     if not force_full and check_ssd(code).ok:
         diffs = np.asarray(constellation.differences())
         s = np.stack((diffs.real, diffs.imag), axis=1)
-        dets = np.stack([_difference_dets(gram(code.w[i:i + 1]), s) for i in range(code.k)])
+        # each slot's 2 x 2 Gram block; one GEMM and one det per slot keep memory per slot
+        p, q, m = _pair_terms(np.stack([gram(code.w[i:i + 1]) for i in range(code.k)]))
+        dets = np.stack([_difference_dets(p, q, slot_terms, s) for slot_terms in m])
         slot, arg = divmod(int(np.argmin(dets)), len(diffs))  # first minimum, slot-major
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
         return MinDetResult(value=float(dets[slot, arg]) * scale, difference=vec, reduced=True)
 
     # unreduced: every vector of per-symbol differences (0 allowed per slot);
-    # deduplicate on rounded keys but keep an unrounded representative
+    # deduplicate on rounded keys but keep an unrounded representative.  The
+    # keys are symmetric, so per_slot[i] mirrors per_slot[-1 - i] around 0 at half
     uniq = {(round(d.real, 12), round(d.imag, 12)): d
             for d in constellation.differences()}
     uniq[(0.0, 0.0)] = 0j
     per_slot = np.array([uniq[key] for key in sorted(uniq)])
+    half = len(per_slot) // 2
     total = len(per_slot) ** code.k
     if total > budget:
         raise ValueError(
             f"unreduced search needs {total} difference vectors, over budget {budget}")
-    g = gram(code.w)
+    p, q, m = _pair_terms(gram(code.w))
 
-    def dets(x: np.ndarray) -> np.ndarray:
-        s = np.stack((x.real, x.imag), axis=2).reshape(len(x), -1)
-        # the all-zero vector is no codeword difference
-        return np.where(np.any(x != 0, axis=1), _difference_dets(g, s), np.inf)
+    def dets(idx: np.ndarray) -> np.ndarray:
+        # x and -x tie: evaluate only the first in lexicographic order, whose
+        # first nonzero entry is in the lower half; the all-zero vector is no
+        # codeword difference
+        first = idx[np.arange(len(idx)), np.argmax(idx != half, axis=1)]
+        keep = first < half
+        x = per_slot[idx[keep]]
+        out = np.full(len(idx), np.inf)
+        out[keep] = _difference_dets(p, q, m, x.view(np.float64))  # rows (d_1I, d_1Q, ...)
+        return out
 
-    best, diff = lexicographic_first_min(per_slot, code.k, _FULL_CHUNK, dets)
-    return MinDetResult(value=float(best) * scale, difference=tuple(complex(d) for d in diff),
-                        reduced=False)
+    best, arg = lexicographic_first_min(np.arange(len(per_slot)), code.k, _FULL_CHUNK, dets)
+    return MinDetResult(value=float(best) * scale,
+                        difference=tuple(complex(d) for d in per_slot[arg]), reduced=False)
 
 
 def min_det_closed_form(constellation: Constellation, n: int, *,

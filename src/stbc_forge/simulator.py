@@ -21,12 +21,16 @@ Decoders:
 
     minimized independently per slot: k * |A| metric evaluations.
     Every g_i is a linear functional of two n x n statistics per block,
-    P = H Y^H and Q = H H^H, so a batch of T blocks takes two real
-    GEMMs: the (T, 4n^2) Re/Im of (P, Q) times a (4n^2, 5k) kernel built
-    from A_i, B_i and their Grams gives five statistics per slot, and
-    those times the (5, |A|) basis [x_I^2, x_Q^2, 2 x_I x_Q, -2 x_I,
-    -2 x_Q] give every g_i(x).  The kernel assumes nothing about the
-    weights; only the split into per-slot minima needs SSD.
+    P = H Y^H and Q = H H^H.  The three quadratic statistics of a slot,
+    ||A_i H||^2, ||B_i H||^2 and Re <A_i H, B_i H>, read only Q, and the
+    two linear ones, Re <Y, A_i H> and Re <Y, B_i H>, read only P.  So a
+    batch of T blocks takes the (T, 2n^2) float64 view of Q times a
+    (2n^2, 3k) kernel from the Grams of A_i, B_i, the view of P times a
+    (2n^2, 2k) kernel from A_i, B_i themselves, and then the five
+    statistics per slot times the (5, |A|) basis [x_I^2, x_Q^2,
+    2 x_I x_Q, -2 x_I, -2 x_Q], which gives every g_i(x).  The kernels
+    assume nothing about the weights; only the split into per-slot minima
+    needs SSD.
 
 ``ml_decode_bruteforce``
     Exhaustive argmin of ||Y - SH||^2 over all |A|^k codewords.  With the
@@ -38,12 +42,14 @@ Decoders:
     with R_pq = Re tr(G[p, q] Q) on the Gram tensor of :func:`.codes.gram`,
     b_p = Re tr(W_p P), c_pp = 1 and c_pq = 2 for p < q (the real-valued
     equivalent channel of linear dispersion codes).  One kernel builder
-    maps the (T, 4n^2) Re/Im of (P, Q) to the k(2k+1) + 2k coefficients
-    (R, b); the SSD kernel is its per-slot diagonal (R_pp, R_p'p', R_pp',
-    b_p, b_p' of each slot), so both decoders share the statistics and
-    the kernel.  A batch of T blocks then takes one GEMM of the
-    coefficients against the basis [c_pq s_p s_q, -2 s_p] per chunk of
-    codewords from :func:`.codes.lexicographic_first_min`, the enumerator
+    gives both decoders a (2n^2, #pairs) Q-kernel of the Grams G[p, q] and
+    a (2n^2, 2k) P-kernel of the weights: ML takes all k(2k+1) pairs
+    p <= q and concatenates R and b; SSD takes the per-slot diagonal
+    pairs (R_pp, R_p'p', R_pp' of each slot).  No kernel holds the zero
+    half that pairs a Q column with P or a P column with Q.  A batch of
+    T blocks then takes one GEMM of the coefficients against the basis
+    [c_pq s_p s_q, -2 s_p] per chunk of codewords from
+    :func:`.codes.lexicographic_first_min`, the enumerator
     of the unreduced minimum-determinant search too.  Chunks hold at most
     ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
     T and in |A|^k; ``simulate_cer`` calls the decoder once per trial chunk.
@@ -52,6 +58,10 @@ Both break ties toward the smallest constellation index, and brute-force
 ML toward the first codeword in lexicographic order (ties have
 probability zero under continuous noise but the rule keeps the
 decoder-equivalence oracle deterministic).
+
+Encoding:  the codewords of a trial chunk are one (T, 2k) @ (2k, 2n^2)
+real GEMM of the float64 views of the symbols and of the weight stack,
+and every CN(0, 1) draw is a complex view of interleaved normals.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  Chunk c of point p draws its symbol indices, then its fades,
@@ -153,8 +163,20 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
 
 
 def _draw_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    parts = rng.standard_normal(shape + (2,))
-    return (parts[..., 0] + 1j * parts[..., 1]) / math.sqrt(2.0)
+    z = rng.standard_normal(shape[:-1] + (2 * shape[-1],)).view(np.complex128)  # Re/Im pairs
+    z *= 1.0 / math.sqrt(2.0)
+    return z
+
+
+def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (T, n, n) codewords of (T, k) complex symbols x on a (k, 2, n, n) weight stack w.
+
+    One real (T, 2k) @ (2k, 2n^2) GEMM on float64 views: row (x_1I, x_1Q, ...)
+    meets the Re/Im pairs of A_1, B_1, ...
+    """
+    n = w.shape[-1]
+    s = x.view(np.float64) @ w.reshape(-1, n * n).view(np.float64)
+    return s.view(np.complex128).reshape(len(x), n, n)
 
 
 def _require_ssd(code: LinearDispersionCode) -> None:
@@ -162,58 +184,60 @@ def _require_ssd(code: LinearDispersionCode) -> None:
         raise ValueError("per-symbol decoding requires a single-symbol decodable code")
 
 
-def _quadratic_kernel(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The real (4n^2, len(p) + 2k) kernel that maps Re/Im of (P, Q) to metric coefficients.
+def _blocks(y, h) -> tuple[np.ndarray, np.ndarray, bool]:
+    """y and h as complex (T, n, m) blocks, and whether one (n, m) block was given."""
+    y = np.asarray(y, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    if y.shape != h.shape or h.ndim not in (2, 3):
+        raise ValueError(f"y and h must share one (n, m) or (T, n, m) shape, got {y.shape} "
+                         f"and {h.shape}")
+    single = h.ndim == 2
+    return (y[None], h[None], single) if single else (y, h, single)
 
-    With the 2k weights W_r = w.reshape(2k, n, n) (A_1, B_1, A_2, ...),
-    column j < len(p) holds R_pq = Re tr(G[p, q] Q) for the pair
-    (p[j], q[j]) and column len(p) + r holds b_r = Re tr(W_r P).  Each is
-    Re tr(M X) = sum_ab Re M_ab Re X_ba - Im M_ab Im X_ba, laid out
-    against the (P, Q) rows of ``_channel_stats``.
-    """
+
+def _trace_kernel(m: np.ndarray) -> np.ndarray:
+    """The real (2n^2, J) kernel from the float64 view of X to Re tr(m[j] X) = Re <m[j]^H, X>."""
+    mh = np.ascontiguousarray(np.conj(np.swapaxes(m, -1, -2))).reshape(len(m), -1)
+    return mh.view(np.float64).T
+
+
+def _kernels(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Q-kernel of R_pq = Re tr(G[p, q] Q) per pair and the P-kernel of b_r = Re tr(W_r P)."""
     n = w.shape[-1]
-    m = np.zeros((2, len(p) + 2 * len(w), n, n), dtype=complex)  # [P or Q, column]
-    m[1, :len(p)] = gram(w)[p, q]
-    m[0, len(p):] = w.reshape(-1, n, n)
-    mt = np.swapaxes(m, -1, -2)  # M_ab pairs with X_ba
-    kernel = np.stack((mt.real, -mt.imag), axis=-1)  # (2, column, n, n, Re/Im)
-    return kernel.transpose(0, 2, 3, 4, 1).reshape(4 * n * n, -1)
+    return _trace_kernel(gram(w)[p, q]), _trace_kernel(w.reshape(-1, n, n))
 
 
-def _metric_kernel(w: np.ndarray) -> np.ndarray:
-    """The (4n^2, 5k) SSD kernel: the per-slot diagonal of the ML kernel.
+def _metric_kernel(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SSD kernels: the per-slot diagonal of the ML pairs.
 
-    Column 5(i-1) + j holds statistic j = 0..4 of slot i: ||A_i H||^2, ||B_i H||^2,
-    Re <A_i H, B_i H>, Re <Y, A_i H>, Re <Y, B_i H>, that is R_pp, R_p'p',
-    R_pp', b_p and b_p' for A_i = W_p and B_i = W_p', p' = p + 1.
+    Slot i's Q-kernel columns 3(i-1) .. 3i-1 give ||A_i H||^2, ||B_i H||^2 and
+    Re <A_i H, B_i H>, that is R_pp, R_p'p' and R_pp' for A_i = W_p and
+    B_i = W_p', p' = p + 1; its P-kernel columns 2(i-1), 2i-1 give
+    Re <Y, A_i H> = b_p and Re <Y, B_i H> = b_p'.
     """
-    k = len(w)
-    a = 2 * np.arange(k)
-    p = np.stack((a, a + 1, a), axis=1).ravel()
-    q = np.stack((a, a + 1, a + 1), axis=1).ravel()
-    kernel = _quadratic_kernel(w, p, q)
-    slot_columns = np.hstack((np.arange(3 * k).reshape(k, 3),
-                              3 * k + np.arange(2 * k).reshape(k, 2)))
-    return kernel[:, slot_columns.ravel()]
+    a = 2 * np.arange(len(w))[:, None]
+    return _kernels(w, (a + [0, 1, 0]).ravel(), (a + [0, 1, 1]).ravel())
 
 
-def _channel_stats(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Re/Im of P = H Y^H and Q = H H^H for T blocks of shape (T, n, m), as (T, 4n^2)."""
-    t, n = h.shape[0], h.shape[1]
-    stats = np.empty((t, 2, n, n), dtype=complex)
-    np.matmul(h, np.conj(np.swapaxes(y, -1, -2)), out=stats[:, 0])
-    np.matmul(h, np.conj(np.swapaxes(h, -1, -2)), out=stats[:, 1])
-    return stats.view(np.float64).reshape(t, 4 * n * n)
+def _coefficients(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray,
+                  h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, #pairs) R and (T, 2k) b of T complex blocks y, h of shape (T, n, m)."""
+    t = h.shape[0]
+    q = np.matmul(h, np.conj(np.swapaxes(h, -1, -2)))  # Q = H H^H
+    p = np.matmul(h, np.conj(np.swapaxes(y, -1, -2)))  # P = H Y^H
+    return (q.view(np.float64).reshape(t, -1) @ kernels[0],
+            p.view(np.float64).reshape(t, -1) @ kernels[1])
 
 
-def _slot_metrics(kernel: np.ndarray, y: np.ndarray, h: np.ndarray,
+def _slot_metrics(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray, h: np.ndarray,
                   pts: np.ndarray) -> np.ndarray:
-    """The (T, k, |A|) per-slot metrics g_i(x) for T blocks y, h of shape (T, n, m).
+    """The (T, k, |A|) per-slot metrics g_i(x) for T complex blocks y, h of shape (T, n, m).
 
-    ``kernel`` is the code's ``_metric_kernel``.
+    ``kernels`` are the code's ``_metric_kernel``.
     """
     t = h.shape[0]
-    slot_stats = _channel_stats(y, h) @ kernel
+    r, b = _coefficients(kernels, y, h)
+    slot_stats = np.concatenate((r.reshape(t, -1, 3), b.reshape(t, -1, 2)), axis=2)
     xr = pts.real
     xq = pts.imag
     basis = np.stack((xr * xr, xq * xq, 2.0 * xr * xq, -2.0 * xr, -2.0 * xq))
@@ -222,11 +246,17 @@ def _slot_metrics(kernel: np.ndarray, y: np.ndarray, h: np.ndarray,
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
                constellation: Constellation) -> np.ndarray:
-    """Per-symbol ML decoding; exactly k * |A| metric evaluations."""
+    """Per-symbol ML decoding; exactly k * |A| metric evaluations per block.
+
+    Takes one block, y and h of shape (n, m), and returns its k symbols, or
+    T blocks of shape (T, n, m) and returns (T, k) symbols.  The code is
+    checked once per call.
+    """
     _require_ssd(code)
+    y, h, single = _blocks(y, h)
     pts = np.asarray(constellation.points)
-    metrics = _slot_metrics(_metric_kernel(code.w), np.asarray(y)[None], np.asarray(h)[None], pts)
-    return pts[np.argmin(metrics[0], axis=1)]  # first minimum = smallest index
+    decoded = pts[np.argmin(_slot_metrics(_metric_kernel(code.w), y, h, pts), axis=2)]
+    return decoded[0] if single else decoded  # first minimum = smallest index
 
 
 def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -242,16 +272,9 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     total = len(pts) ** k
     if total > budget:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {budget}")
-    y = np.asarray(y)
-    h = np.asarray(h)
-    if y.shape != h.shape or h.ndim not in (2, 3):
-        raise ValueError(f"y and h must share one (n, m) or (T, n, m) shape, got {y.shape} "
-                         f"and {h.shape}")
-    single = h.ndim == 2
-    if single:
-        y, h = y[None], h[None]
+    y, h, single = _blocks(y, h)
     p, q = np.triu_indices(2 * k)
-    coef = _channel_stats(y, h) @ _quadratic_kernel(code.w, p, q)  # (T, F)
+    coef = np.concatenate(_coefficients(_kernels(code.w, p, q), y, h), axis=1)  # (T, F)
     pair_weight = np.where(p == q, 1.0, 2.0)
 
     def metrics(x: np.ndarray) -> np.ndarray:  # ||Y - SH||^2 - ||Y||^2 of C codewords, (T, C)
@@ -273,8 +296,7 @@ def simulate_cer(config: SimConfig) -> CerReport:
     if config.decoder == DECODER_SSD:
         _require_ssd(scaled)
     pts = np.asarray(constellation.points)
-    wi, wq = scaled.weight_arrays()
-    kernel = _metric_kernel(scaled.w)
+    kernels = _metric_kernel(scaled.w)
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = 10.0 ** (-snr_db / 10.0)
@@ -285,11 +307,11 @@ def simulate_cer(config: SimConfig) -> CerReport:
             rng = np.random.default_rng([int(config.seed), point_index, chunk])
             x = pts[rng.integers(0, len(pts), size=(t, k))]
             h = _draw_cn(rng, (t, n, m))
-            noise = _draw_cn(rng, (t, n, m)) * math.sqrt(n0)
-            s = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
-            y = s @ h + noise
+            y = _draw_cn(rng, (t, n, m))  # the noise; N + S H is the same sum as S H + N
+            y *= math.sqrt(n0)
+            y += _encode(scaled.w, x) @ h
             if config.decoder == DECODER_SSD:
-                decoded = pts[np.argmin(_slot_metrics(kernel, y, h, pts), axis=2)]
+                decoded = pts[np.argmin(_slot_metrics(kernels, y, h, pts), axis=2)]
             else:
                 decoded = ml_decode_bruteforce(scaled, y, h, constellation)
             wrong = decoded != x

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stbc_forge import codinggain
@@ -166,6 +166,9 @@ def test_reduction_exact_on_ussd8(ussd8):
        angle=st.floats(min_value=0.0, max_value=1.6),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
+# x and -x once took dets in blocks of two rows and of one, whose BLAS kernels
+# round apart, so the block shape decided their exact tie
+@example(n=2, k=1, chunk=2, angle=0.25, seed=11116)
 def test_unreduced_search_matches_itertools_loop(n, k, chunk, angle, seed):
     # random non-SSD weights; blocks of 1-7 vectors put ties across blocks
     rng = np.random.default_rng(seed)

@@ -16,6 +16,8 @@ from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
+    _draw_cn,
+    _encode,
     _metric_kernel,
     _slot_metrics,
     ml_decode_bruteforce,
@@ -98,13 +100,69 @@ def test_decoders_agree_on_ssd_code(ussd4, ussd2):
         scaled = code.scaled(transmit_scale(code, c))
         n = code.n
         pts = np.asarray(c.points)
+        ys, hs = [], []
         for _ in range(1000):
             x = pts[rng.integers(0, 4, size=code.k)]
             h = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) / math.sqrt(2)
             noise = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) * 0.2
-            y = scaled.codeword(x).to_array() @ h + noise
-            assert np.array_equal(ssd_decode(scaled, y, h, c),
-                                  ml_decode_bruteforce(scaled, y, h, c))
+            ys.append(scaled.codeword(x).to_array() @ h + noise)
+            hs.append(h)
+        y, h = np.stack(ys), np.stack(hs)
+        assert np.array_equal(ssd_decode(scaled, y, h, c), ml_decode_bruteforce(scaled, y, h, c))
+
+
+def test_ssd_decode_batch_matches_blocks_and_checks_once(ussd4, monkeypatch):
+    c = rotated_qam(4, optimal_angle(), "unit-average")
+    rng = np.random.default_rng(37)
+    h = rng.standard_normal((9, 4, 2)) + 1j * rng.standard_normal((9, 4, 2))
+    y = rng.standard_normal((9, 4, 2)) + 1j * rng.standard_normal((9, 4, 2))
+    one_by_one = np.stack([ssd_decode(ussd4, y[b], h[b], c) for b in range(9)])
+    checks = []
+    monkeypatch.setattr(simulator, "check_ssd", lambda code: checks.append(code) or check_ssd(code))
+    batched = ssd_decode(ussd4, y, h, c)
+    assert batched.shape == (9, ussd4.k)
+    assert np.array_equal(batched, one_by_one)
+    assert len(checks) == 1
+
+
+def test_ssd_decode_rejects_mismatched_blocks(ussd4):
+    c = rotated_qam(4, 0.3, "unit-average")
+    with pytest.raises(ValueError, match="shape"):
+        ssd_decode(ussd4, np.ones((4, 1)), np.ones((3, 4, 1)), c)
+    with pytest.raises(ValueError, match="shape"):
+        ssd_decode(ussd4, np.ones((4,)), np.ones((4,)), c)
+
+
+def test_decoders_accept_real_blocks(ussd4):
+    # real y and h decode as their complex casts, one block or a batch
+    c = rotated_qam(4, optimal_angle(), "unit-average")
+    rng = np.random.default_rng(41)
+    y, h = rng.standard_normal((2, 5, 4, 1))
+    for decode in (ssd_decode, ml_decode_bruteforce):
+        want = decode(ussd4, y.astype(complex), h.astype(complex), c)
+        assert np.array_equal(decode(ussd4, y, h, c), want)
+        assert np.array_equal(decode(ussd4, y[0], h[0], c), want[0])
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1), (7, 4, 2), (3, 8, 3)])
+def test_draw_cn_bit_identical_to_complex_formula(shape):
+    # the seed contract: the zero-copy view draws what (a + 1j b) / sqrt(2) drew
+    parts = np.random.default_rng(43).standard_normal(shape + (2,))
+    want = (parts[..., 0] + 1j * parts[..., 1]) / math.sqrt(2.0)
+    got = _draw_cn(np.random.default_rng(43), shape)
+    assert got.shape == shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["ussd8", "ciod4", "random"])
+def test_encode_matches_codeword(name, ussd8, ciod4):
+    rng = np.random.default_rng(47)
+    code = {"ussd8": ussd8, "ciod4": ciod4, "random": _random_code(rng, 3, 4)}[name]
+    x = rng.standard_normal((6, code.k)) + 1j * rng.standard_normal((6, code.k))
+    got = _encode(code.w, x)
+    want = np.stack([code.codeword(row).to_array() for row in x])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 _SSD_CODES = {
