@@ -12,12 +12,19 @@ is forced up to scale: F_{2a+1} = c * F_1 F_2 ... F_{2a}, where c = +j
 when the product squares to +I and c = +1 when it squares to -I (we fix
 the positive sign in both cases so the output is deterministic).
 
+A family is held as one read-only complex128 (2a+1, 2^a, 2^a) stack;
+the constructor copies any sequence of equal-size square matrices and
+rejects a ragged one.  :func:`verify_family` judges every residual by
+``gmatrix._negligible`` at scale 1: exact families are decided
+bit-exactly, and a unitary change of basis U F U^H still verifies.
+
 The family is built recursively.  At size 2 the three generators are
 
     F_1 = [[j, 0], [0, -j]],  F_2 = [[0, 1], [-1, 0]],  F_3 = [[0, j], [j, 0]].
 
 Doubling the size maps every generator G of the previous family to
-G (x) diag(1, -1) and appends I (x) [[0, j], [j, 0]] as a fresh
+G (x) diag(1, -1), one batched Kronecker product of the whole stack,
+and appends I (x) [[0, j], [j, 0]] as a fresh
 generator; the closing member is recomputed from the product rule.  All
 tensor factors have Gaussian-integer entries, so the whole construction
 stays exact.  For a = 2 the result is reordered once (fixed permutation)
@@ -36,39 +43,43 @@ Useful parity facts about products of s distinct family members:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .gmatrix import GaussianMatrix, product_tensor
+from .gmatrix import GaussianMatrix, _negligible, product_tensor
 
 MAX_DOUBLINGS = 6  # 64x64
 
-_SIGMA3 = GaussianMatrix.exact([[1, 0], [0, -1]])
-_J_SIGMA1 = GaussianMatrix.exact([[0, 1j], [1j, 0]])
-_BASE = (
-    GaussianMatrix.exact([[1j, 0], [0, -1j]]),
-    GaussianMatrix.exact([[0, 1], [-1, 0]]),
-    GaussianMatrix.exact([[0, 1j], [1j, 0]]),
-)
+_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_J_SIGMA1 = np.array([[0, 1j], [1j, 0]])
+_BASE = np.array([[[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
 # reorder applied at size 4 (see module docstring)
-_ORDER_4TX = (0, 4, 1, 3)
+_ORDER_4TX = [0, 4, 1, 3]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnticommutingFamily:
-    """Ordered family F_1 ... F_{2a+1} with F_{2a+1} = c * F_1 ... F_{2a}."""
+    """Ordered family F_1 ... F_{2a+1} with F_{2a+1} = c * F_1 ... F_{2a}.
+
+    ``matrices`` is the read-only (members, n, n) stack (see module docstring).
+    """
 
     a: int
-    matrices: tuple[GaussianMatrix, ...]
+    matrices: np.ndarray
     c: complex
+
+    def __post_init__(self):
+        f = np.array(self.matrices, dtype=np.complex128)
+        if f.ndim != 3 or f.shape[1] != f.shape[2]:
+            raise ValueError(f"family members must form an (m, n, n) stack, got {f.shape}")
+        f.setflags(write=False)
+        object.__setattr__(self, "matrices", f)
 
     @property
     def n(self) -> int:
         return 2 ** self.a
-
-    def __len__(self) -> int:
-        return len(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -91,19 +102,21 @@ class FamilyReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _ordered_product(mats: Sequence[GaussianMatrix], n: int) -> GaussianMatrix:
-    out = GaussianMatrix.identity(n)
-    for m in mats:
-        out = out @ m
-    return out
+def _product(stack: np.ndarray) -> np.ndarray:
+    """stack[0] @ stack[1] @ ... in order; the identity for an empty (0, n, n) stack."""
+    return reduce(np.matmul, stack, np.eye(stack.shape[-1], dtype=np.complex128))
 
 
-def _close_family(generators: list[GaussianMatrix]) -> tuple[list[GaussianMatrix], complex]:
+def _negligible_norm(residual: np.ndarray, axis=None):
+    """The family tolerance: ``_negligible`` at scale 1 on the Frobenius norm over ``axis``."""
+    return _negligible(np.linalg.norm(residual, axis=axis), 1.0)
+
+
+def _close_family(generators: np.ndarray) -> tuple[np.ndarray, complex]:
     """Append c * (product of all generators), c per the sign convention."""
-    n = generators[0].n
-    prod = _ordered_product(generators, n)
-    c = 1j if (prod @ prod).is_identity() else 1.0 + 0j
-    return generators + [prod.scale(c)], c
+    prod = _product(generators)
+    c = 1j if _negligible_norm(prod @ prod - np.eye(len(prod))) else 1.0 + 0j
+    return np.concatenate((generators, (prod * c)[None])), c
 
 
 def generate_family(a: int) -> AnticommutingFamily:
@@ -115,44 +128,38 @@ def generate_family(a: int) -> AnticommutingFamily:
         raise ValueError(f"a must be >= 1, got {a}")
     if a > MAX_DOUBLINGS:
         raise ValueError(f"a = {a} exceeds the practical cap of {MAX_DOUBLINGS}")
-    mats = list(_BASE)
+    mats = _BASE
     c: complex = 1.0 + 0j  # the 2x2 base already satisfies F_3 = F_1 F_2
     for level in range(2, a + 1):
-        half = 2 ** (level - 1)
-        generators = [g.kron(_SIGMA3) for g in mats]
-        generators.append(GaussianMatrix.identity(half).kron(_J_SIGMA1))
-        mats, c = _close_family(generators)
+        fresh = np.kron(np.eye(2 ** (level - 1)), _J_SIGMA1)
+        mats, c = _close_family(np.concatenate((np.kron(mats, _SIGMA3), fresh[None])))
         if level == 2:
-            generators = [mats[i] for i in _ORDER_4TX]
-            mats, c = _close_family(generators)
-    return AnticommutingFamily(a=a, matrices=tuple(mats), c=c)
+            mats, c = _close_family(mats[_ORDER_4TX])
+    return AnticommutingFamily(a=a, matrices=mats, c=c)
 
 
 def verify_family(fam: AnticommutingFamily) -> FamilyReport:
-    """Exhaustively check every family invariant, bit-exactly.
+    """Exhaustively check every family invariant.
 
     Per member: unitarity, anti-Hermitian, square = -I.  Per pair:
     anticommutation.  Plus the closing product identity and the sign
     convention on c.  Member and pair checks come from one batched
-    product tensor.  A member of the wrong size is reported as ``shape``
-    and ends the checks.  Nothing raises; failures land in the report.
+    product tensor, each residual judged by ``_negligible`` at scale 1.
+    Members that are not 2^a x 2^a give one ``shape`` failure, which
+    ends the checks.  Nothing raises; failures land in the report.
     """
-    mats = fam.matrices
-    n = fam.n
-    checks = [FamilyCheck("size", (), len(mats) == 2 * fam.a + 1)]
-    wrong_shape = [FamilyCheck("shape", (i,), False)
-                   for i, f in enumerate(mats, start=1) if f.n != n]
-    if wrong_shape or not mats:
-        return FamilyReport(tuple(checks + wrong_shape))
-    f = np.stack([m.to_array() for m in mats])
+    f = fam.matrices
+    checks = [FamilyCheck("size", (), len(f) == 2 * fam.a + 1)]
+    if f.shape[1:] != (fam.n, fam.n):
+        return FamilyReport((*checks, FamilyCheck("shape", (), False)))
     fh = np.conj(f.swapaxes(1, 2))
-    eye = np.eye(n)
+    eye = np.eye(fam.n)
     p = product_tensor(f, f)
     idx = np.arange(len(f))
-    unitary = np.all(fh @ f == eye, axis=(1, 2))
-    anti_hermitian = np.all(fh == -f, axis=(1, 2))
-    square = np.all(p[idx, idx] == -eye, axis=(1, 2))
-    anticommute = np.all(p + p.swapaxes(0, 1) == 0, axis=(2, 3))
+    unitary = _negligible_norm(fh @ f - eye, axis=(1, 2))
+    anti_hermitian = _negligible_norm(fh + f, axis=(1, 2))
+    square = _negligible_norm(p[idx, idx] + eye, axis=(1, 2))
+    anticommute = _negligible_norm(p + p.swapaxes(0, 1), axis=(2, 3))
     for i in range(len(f)):
         checks.append(FamilyCheck("unitary", (i + 1,), bool(unitary[i])))
         checks.append(FamilyCheck("anti-hermitian", (i + 1,), bool(anti_hermitian[i])))
@@ -160,12 +167,12 @@ def verify_family(fam: AnticommutingFamily) -> FamilyReport:
     for i in range(len(f)):
         for j in range(i + 1, len(f)):
             checks.append(FamilyCheck("anticommute", (i + 1, j + 1), bool(anticommute[i, j])))
-    if len(mats) == 2 * fam.a + 1:
-        prod = _ordered_product(mats[:-1], n)
-        square_is_eye = (prod @ prod).is_identity()
-        c_ok = fam.c in ((1j, -1j) if square_is_eye else (1 + 0j, -1 + 0j))
+    if len(f) == 2 * fam.a + 1:
+        prod = _product(f[:-1])
+        c_ok = fam.c in ((1j, -1j) if _negligible_norm(prod @ prod - eye) else (1 + 0j, -1 + 0j))
         checks.append(FamilyCheck("closure-scalar", (), c_ok))
-        checks.append(FamilyCheck("closure-product", (), mats[-1] == prod.scale(fam.c)))
+        checks.append(FamilyCheck("closure-product", (),
+                                  bool(_negligible_norm(f[-1] - prod * fam.c))))
     return FamilyReport(tuple(checks))
 
 
@@ -179,7 +186,7 @@ def product_subset(fam: AnticommutingFamily, indices: Sequence[int]) -> Gaussian
         raise ValueError(f"indices must lie in 1..{limit}, got {list(indices)}")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError(f"indices must be strictly increasing, got {list(indices)}")
-    return _ordered_product([fam.matrices[i - 1] for i in indices], fam.n)
+    return GaussianMatrix(_product(fam.matrices[[i - 1 for i in indices]]))
 
 
 def square_sign(s: int) -> int:
@@ -209,11 +216,11 @@ def family_to_json_dict(fam: AnticommutingFamily) -> dict:
         "a": fam.a,
         "n": fam.n,
         "c": [int(fam.c.real), int(fam.c.imag)],
-        "matrices": [m.to_json_dict() for m in fam.matrices],
+        "matrices": [GaussianMatrix(m).to_json_dict() for m in fam.matrices],
     }
 
 
 def family_from_json_dict(obj: dict) -> AnticommutingFamily:
-    mats = tuple(GaussianMatrix.from_json_dict(m) for m in obj["matrices"])
+    mats = [GaussianMatrix.from_json_dict(m) for m in obj["matrices"]]
     c = complex(obj["c"][0], obj["c"][1])
     return AnticommutingFamily(a=int(obj["a"]), matrices=mats, c=c)

@@ -13,8 +13,9 @@ w[i-1, 1] = B_i.  Every module that needs the weights reads or views
 that stack; :class:`GaussianMatrix` remains the type of a single matrix.
 The verifier, the decoders and the coding gain read its Gram tensor,
 :func:`gram`, and share one exhaustive search, :func:`lexicographic_first_min`.
-Three constructions are provided, all with exact Gaussian-integer
-weights:
+:meth:`LinearDispersionCode.codeword` and the simulator share one
+encoder, ``_encode``.  Three constructions are provided, all with exact
+Gaussian-integer weights; the first two slice a family's member stack:
 
 ``build_max_rate_ussd(a, fam)``
     The maximal-rate single-symbol decodable code with unitary weights
@@ -106,9 +107,7 @@ class LinearDispersionCode:
         """The codeword for one symbol vector."""
         if len(symbols) != self.k:
             raise ValueError(f"expected {self.k} symbols, got {len(symbols)}")
-        x = np.asarray([complex(s) for s in symbols])
-        return GaussianMatrix.floating(np.tensordot(x.real, self.w[:, 0], axes=1)
-                                      + np.tensordot(x.imag, self.w[:, 1], axes=1))
+        return GaussianMatrix(_encode(self.w, np.array([symbols], dtype=np.complex128))[0])
 
     def left_multiply(self, u: GaussianMatrix) -> LinearDispersionCode:
         """Premultiply every weight by a unitary matrix; preserves SSD-ness."""
@@ -132,6 +131,17 @@ def gram(w: np.ndarray) -> np.ndarray:
     return product_tensor(np.conj(ws.swapaxes(1, 2)), ws)
 
 
+def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (T, n, n) codewords of (T, k) complex symbols x on a (k, 2, n, n) weight stack w.
+
+    One real (T, 2k) @ (2k, 2n^2) GEMM on float64 views: row (x_1I, x_1Q, ...)
+    meets the Re/Im pairs of A_1, B_1, ...
+    """
+    n = w.shape[-1]
+    s = x.view(np.float64) @ w.reshape(-1, n * n).view(np.float64)
+    return s.view(np.complex128).reshape(len(x), n, n)
+
+
 def lexicographic_first_min(values: np.ndarray, k: int, chunk: int,
                             metric) -> tuple[np.ndarray, np.ndarray]:
     """First minimum of ``metric`` over the |values|^k vectors of k entries of ``values``.
@@ -151,15 +161,9 @@ def lexicographic_first_min(values: np.ndarray, k: int, chunk: int,
         better = value < best  # strict: an earlier block keeps a tie
         best = np.where(better, value, best)
         best_idx = np.where(better, idx[arg], best_idx)
-    return best, values[np.stack(np.unravel_index(best_idx, shape), axis=-1)]
-
-
-def _stack(n: int, pairs: Sequence[tuple[GaussianMatrix, GaussianMatrix]]) -> np.ndarray:
-    """The (k, 2, n, n) weight stack of k pairs (A_i, B_i) of n x n matrices."""
-    for i, (a, b) in enumerate(pairs, start=1):
-        if a.n != n or b.n != n:
-            raise ValueError(f"weight pair {i} is not {n}x{n}")
-    return np.array([(a.to_array(), b.to_array()) for a, b in pairs]).reshape(len(pairs), 2, n, n)
+    # unravelled flat: np.unravel_index misreads large (N, 1) index arrays
+    digits = np.stack(np.unravel_index(np.ravel(best_idx), shape), axis=-1)
+    return best, values[digits.reshape(np.shape(best_idx) + (k,))]
 
 
 def build_max_rate_ussd(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
@@ -167,14 +171,11 @@ def build_max_rate_ussd(a: int, fam: AnticommutingFamily) -> LinearDispersionCod
     if fam.a != a:
         raise ValueError(f"family is for a = {fam.a}, not {a}")
     n = 2 ** a
-    eye = GaussianMatrix.identity(n)
     m = 1j if a % 2 else 1 + 0j
-    b1 = product_subset(fam, list(range(1, 2 * a))).scale(m)
-    pairs = [(eye, b1)]
-    for i in range(2, 2 * a + 1):
-        ai = fam.matrices[i - 2]
-        pairs.append((ai, b1 @ ai))
-    return LinearDispersionCode(label=f"max-rate-ussd-{n}tx", n=n, w=_stack(n, pairs))
+    b1 = product_subset(fam, range(1, 2 * a)).to_array() * m
+    in_phase = np.concatenate((np.eye(n)[None], fam.matrices[:2 * a - 1]))
+    return LinearDispersionCode(label=f"max-rate-ussd-{n}tx", n=n,
+                                w=np.stack((in_phase, b1 @ in_phase), axis=1))
 
 
 def build_square_cod(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
@@ -182,11 +183,9 @@ def build_square_cod(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
     if fam.a != a:
         raise ValueError(f"family is for a = {fam.a}, not {a}")
     n = 2 ** a
-    eye = GaussianMatrix.identity(n)
-    pairs = [(eye, fam.matrices[0])]
-    for i in range(2, a + 2):
-        pairs.append((fam.matrices[2 * i - 3], fam.matrices[2 * i - 2]))
-    return LinearDispersionCode(label=f"square-cod-{n}tx", n=n, w=_stack(n, pairs))
+    in_phase = np.concatenate((np.eye(n)[None], fam.matrices[1::2]))
+    return LinearDispersionCode(label=f"square-cod-{n}tx", n=n,
+                                w=np.stack((in_phase, fam.matrices[0::2]), axis=1))
 
 
 def build_ciod4() -> LinearDispersionCode:
@@ -200,19 +199,19 @@ def build_ciod4() -> LinearDispersionCode:
         [  0    0    u3   u4 ]
         [  0    0   -u4*  u3*]
     """
-    def m(entries):
-        rows = [[0] * 4 for _ in range(4)]
+    def m(*entries):
+        z = np.zeros((4, 4), dtype=np.complex128)
         for r, c, v in entries:
-            rows[r][c] = v
-        return GaussianMatrix.exact(rows)
+            z[r, c] = v
+        return z
 
-    pairs = (
-        (m([(0, 0, 1), (1, 1, 1)]), m([(2, 2, 1j), (3, 3, -1j)])),
-        (m([(0, 1, 1), (1, 0, -1)]), m([(2, 3, 1j), (3, 2, 1j)])),
-        (m([(2, 2, 1), (3, 3, 1)]), m([(0, 0, 1j), (1, 1, -1j)])),
-        (m([(2, 3, 1), (3, 2, -1)]), m([(0, 1, 1j), (1, 0, 1j)])),
-    )
-    return LinearDispersionCode(label="ciod-4tx", n=4, w=_stack(4, pairs))
+    w = [
+        (m((0, 0, 1), (1, 1, 1)), m((2, 2, 1j), (3, 3, -1j))),
+        (m((0, 1, 1), (1, 0, -1)), m((2, 3, 1j), (3, 2, 1j))),
+        (m((2, 2, 1), (3, 3, 1)), m((0, 0, 1j), (1, 1, -1j))),
+        (m((2, 3, 1), (3, 2, -1)), m((0, 1, 1j), (1, 0, 1j))),
+    ]
+    return LinearDispersionCode(label="ciod-4tx", n=4, w=w)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +237,11 @@ def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
     n = int(obj["n"])
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    code = LinearDispersionCode(label=str(obj.get("label", "unnamed")), n=n, w=_stack(n, pairs))
+    for i, pair in enumerate(pairs, start=1):
+        if any(m.n != n for m in pair):
+            raise ValueError(f"weight pair {i} is not {n}x{n}")
+    code = LinearDispersionCode(label=str(obj.get("label", "unnamed")), n=n,
+                                w=np.array(pairs, dtype=np.complex128).reshape(len(pairs), 2, n, n))
     if "k" in obj and int(obj["k"]) != code.k:
         raise ValueError(f"file declares k = {obj['k']} but has {code.k} weight pairs")
     return code, obj.get("class")

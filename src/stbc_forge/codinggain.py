@@ -57,7 +57,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
-from .gmatrix import GaussianMatrix, _negligible
+from .gmatrix import _negligible
 from .verifier import check_ssd
 
 REFERENCE_DISPERSION_GAIN = 2.0
@@ -181,10 +181,7 @@ def eigen_split(mat) -> tuple[int, int]:
     traceless, so a valid input there splits (n/2, n/2); an unbalanced
     split flags the caller that the matrix cannot play that role.
     """
-    if isinstance(mat, GaussianMatrix):
-        z = mat.to_array()
-    else:
-        z = np.asarray(mat, dtype=complex)
+    z = np.asarray(mat, dtype=complex)
     if not _negligible(np.linalg.norm(z - z.conj().T), 1.0):
         raise ValueError("eigen_split requires a Hermitian matrix")
     if not _negligible(np.linalg.norm(z.conj().T @ z - np.eye(z.shape[0])), 1.0):

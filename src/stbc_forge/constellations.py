@@ -20,6 +20,8 @@ ENERGY_RAW = "raw"
 ENERGY_UNIT = "unit-average"
 
 QAM_SIZES = (4, 16, 64)
+# diversity_check: a difference within this of a +-45 degree line lies on it
+DIVERSITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,11 @@ class DiversityReport:
     witnesses: tuple[complex, ...]
 
 
-def diversity_check(constellation: Constellation, tol: float = 1e-12) -> DiversityReport:
+def diversity_check(constellation: Constellation) -> DiversityReport:
     """Full-diversity test: no difference may lie on a +-45 degree line.
 
     Returns the offending differences as witnesses when the test fails.
     """
     witnesses = tuple(d for d in constellation.differences()
-                      if abs(abs(d.real) - abs(d.imag)) <= tol)
+                      if abs(abs(d.real) - abs(d.imag)) <= DIVERSITY_TOL)
     return DiversityReport(ok=not witnesses, witnesses=witnesses)

@@ -5,7 +5,8 @@ unitarity, products of generator matrices, the orthogonality conditions
 on weight matrices) live over matrices whose entries are Gaussian
 integers re + j*im; every weight the package builds has entries in
 {0, +-1, +-j}.  A :class:`GaussianMatrix` is one read-only complex128
-array, and it is *exact* when every entry is a Gaussian integer and
+array (numpy reads it through ``__array__``), and it is *exact* when
+every entry is a Gaussian integer and
 
     n * max|entry|^2 < 2^53        (the magnitude guard).
 
@@ -13,19 +14,20 @@ Every partial sum of a product of two exact matrices is then an integer
 below 2^53, which float64 holds exactly, so integer-valued complex128
 arithmetic is bit-exact with no separate number type.  Exactness is
 derived from the entries, never stored, and one rule, :func:`is_exact`,
-judges a single matrix or a whole stack of n x n matrices (the weight
-stack of a code).  A product of exact matrices whose result would leave
-the guard raises OverflowError instead of letting a later product round.
+judges a single matrix or a whole stack of n x n matrices (a code's
+weight stack, a family's member stack).  A product of exact matrices
+whose result would leave the guard raises OverflowError instead of
+letting a later product round.
 
 Verification compares a residual norm against one relative tolerance,
 :func:`_negligible`: residual <= REL_TOL * scale, where scale is the
 size of the quantities compared (for weight matrices, the common c in
-W^H W = c I).  A nonzero Gaussian-integer residual has norm >= 1, so
-any tolerance below 1 -- every scale below 1 / REL_TOL; the built-in
-codes have scale 1 or 1/2 -- decides exact inputs bit-exactly, and no
-comparison needs a special case for exactness.  Rotated or rescaled
-float inputs get the same rule, which makes every decision invariant
-under a uniform scale.
+W^H W = c I; for the unitary members of a family, 1).  A nonzero
+Gaussian-integer residual has norm >= 1, so any tolerance below 1 --
+every scale below 1 / REL_TOL; the built-in codes have scale 1 or 1/2 --
+decides exact inputs bit-exactly, and no comparison needs a special
+case for exactness.  Rotated or rescaled float inputs get the same rule,
+which makes every decision invariant under a uniform scale.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 REL_TOL = 1e-10
+RANK_TOL = 1e-9  # real_rank: singular values below RANK_TOL * the largest are zero
 _GUARD = 2.0 ** 53
 
 # JSON tags; written from derived exactness, validated on read
@@ -115,6 +118,10 @@ class GaussianMatrix:
         """The matrix as a read-only complex128 ndarray."""
         return self._z
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The entries for numpy, so a sequence of matrices stacks with ``np.array``."""
+        return np.array(self._z, dtype=dtype, copy=copy)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"GaussianMatrix(n={self.n}, exact={self.is_exact})"
 
@@ -148,10 +155,6 @@ class GaussianMatrix:
 
     def trace(self) -> complex:
         return complex(np.trace(self._z))
-
-    def kron(self, other: GaussianMatrix) -> GaussianMatrix:
-        """Kronecker product, preserving exactness."""
-        return self._product(other, np.kron(self._z, other._z))
 
     # ------------------------------------------------------------------
     # predicates
@@ -192,11 +195,11 @@ class GaussianMatrix:
         return cls.exact(rows) if tag == EXACT else cls(rows)
 
 
-def real_rank(stack: np.ndarray, rel_tol: float = 1e-9) -> int:
+def real_rank(stack: np.ndarray) -> int:
     """Rank over the reals of an (N, n, n) stack of matrices.
 
     Each matrix is flattened to a real vector of length 2*n*n (real parts
-    stacked on imaginary parts).  Singular values below ``rel_tol`` times
+    stacked on imaginary parts).  Singular values below ``RANK_TOL`` times
     the largest are treated as zero.
     """
     z = np.asarray(stack)
@@ -206,4 +209,4 @@ def real_rank(stack: np.ndarray, rel_tol: float = 1e-9) -> int:
     sv = np.linalg.svd(rows, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))

@@ -59,9 +59,10 @@ ML toward the first codeword in lexicographic order (ties have
 probability zero under continuous noise but the rule keeps the
 decoder-equivalence oracle deterministic).
 
-Encoding:  the codewords of a trial chunk are one (T, 2k) @ (2k, 2n^2)
-real GEMM of the float64 views of the symbols and of the weight stack,
-and every CN(0, 1) draw is a complex view of interleaved normals.
+Encoding:  ``codes._encode``, the encoder of ``codeword`` too, makes a
+trial chunk's codewords with one (T, 2k) @ (2k, 2n^2) real GEMM of the
+float64 views of the symbols and of the weight stack, and every CN(0, 1)
+draw is a complex view of interleaved normals.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  Chunk c of point p draws its symbol indices, then its fades,
@@ -80,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearDispersionCode, gram, lexicographic_first_min
+from .codes import LinearDispersionCode, _encode, gram, lexicographic_first_min
 from .constellations import Constellation
 from .verifier import check_ssd
 
@@ -166,17 +167,6 @@ def _draw_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     z = rng.standard_normal(shape[:-1] + (2 * shape[-1],)).view(np.complex128)  # Re/Im pairs
     z *= 1.0 / math.sqrt(2.0)
     return z
-
-
-def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (T, n, n) codewords of (T, k) complex symbols x on a (k, 2, n, n) weight stack w.
-
-    One real (T, 2k) @ (2k, 2n^2) GEMM on float64 views: row (x_1I, x_1Q, ...)
-    meets the Re/Im pairs of A_1, B_1, ...
-    """
-    n = w.shape[-1]
-    s = x.view(np.float64) @ w.reshape(-1, n * n).view(np.float64)
-    return s.view(np.complex128).reshape(len(x), n, n)
 
 
 def _require_ssd(code: LinearDispersionCode) -> None:

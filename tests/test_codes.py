@@ -10,6 +10,7 @@ from stbc_forge.codes import (
     build_square_cod,
     code_from_json_dict,
     code_to_json_dict,
+    lexicographic_first_min,
 )
 from stbc_forge.gmatrix import GaussianMatrix, real_rank
 from stbc_forge.verifier import (
@@ -202,6 +203,21 @@ def test_weight_shape_validation(fam2):
     obj["weights"][1][0] = GaussianMatrix.identity(4).to_json_dict()
     with pytest.raises(ValueError, match="weight pair 2 is not 2x2"):
         code_from_json_dict(obj)
+
+
+def test_lexicographic_first_min_on_trailing_unit_axis():
+    # np.unravel_index misreads an (N, 1) index array this large, so the
+    # search must unravel its best indices flat
+    rng = np.random.default_rng(53)
+    table = rng.standard_normal((16384, 1, 9))
+
+    def metric(vectors):
+        return table[..., 3 * vectors[:, 0] + vectors[:, 1]]
+
+    best, vectors = lexicographic_first_min(np.arange(3), 2, 4, metric)
+    assert vectors.shape == (16384, 1, 2)
+    assert np.array_equal(3 * vectors[..., 0] + vectors[..., 1], np.argmin(table, axis=-1))
+    assert np.array_equal(best, np.min(table, axis=-1))
 
 
 def test_weights_are_one_read_only_stack(ussd4, ciod4):

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from stbc_forge import simulator
 from stbc_forge.clifford import generate_family
-from stbc_forge.codes import LinearDispersionCode, build_ciod4, build_max_rate_ussd
+from stbc_forge.codes import LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd
 from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
     _draw_cn,
-    _encode,
     _metric_kernel,
     _slot_metrics,
     ml_decode_bruteforce,
@@ -160,9 +159,12 @@ def test_encode_matches_codeword(name, ussd8, ciod4):
     code = {"ussd8": ussd8, "ciod4": ciod4, "random": _random_code(rng, 3, 4)}[name]
     x = rng.standard_normal((6, code.k)) + 1j * rng.standard_normal((6, code.k))
     got = _encode(code.w, x)
-    want = np.stack([code.codeword(row).to_array() for row in x])
+    # S = sum_i x_iI A_i + x_iQ B_i, written out
+    want = np.stack([sum(xi.real * a + xi.imag * b for xi, (a, b) in zip(row, code.w))
+                     for row in x])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(code.codeword(x[1]).to_array() - want[1])) <= 1e-15 * np.max(np.abs(want))
 
 
 _SSD_CODES = {
