@@ -1,6 +1,7 @@
 """Command-line interface: family / construct / verify / coding-gain / simulate.
 
-All file outputs are written atomically (temp file + rename).  Exit
+All file outputs are written atomically (temp file + rename); JSON files
+are byte for byte ``json.dumps(obj, indent=2)`` plus a newline.  Exit
 status is 0 on success, 1 on a verification failure, 2 on usage errors.
 """
 
@@ -12,6 +13,8 @@ import math
 import os
 import sys
 import tempfile
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -36,8 +39,67 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(o) -> str:
+    """A JSON leaf spelled as ``json.dumps`` spells it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _FLOAT_WORDS.get(text, text)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_text(obj, path: tuple = ()) -> str:
+    """``json.dumps(obj, indent=2)`` for ``obj`` inside the containers whose ids are ``path``.
+
+    That call runs json's pure-Python encoder, because an indent turns its C
+    encoder off.  A rectangular nested list whose leaves are all ints or all
+    finite floats is spelled in one step instead: its flattened leaves are
+    poured into a %-skeleton of the nested brackets.  A container inside
+    itself raises json's ValueError.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        return _json_scalar(obj)
+    if id(obj) in path:
+        raise ValueError("Circular reference detected")
+    level, path = len(path), path + (id(obj),)
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))}: "
+                 f"{_json_text(v, path)}" for k, v in obj.items()]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}" if items else "{}"
+    if not obj:
+        return "[]"
+    shape, leaves, firsts = [], [obj], path
+    while set(map(type, leaves)) == {list} and len(set(map(len, leaves))) == 1 and leaves[0]:
+        shape.append(len(leaves[0]))
+        leaves = list(chain.from_iterable(leaves))
+        if id(leaves[0]) in firsts:  # the first-element chain of a cycle never ends
+            raise ValueError("Circular reference detected")
+        firsts += (id(leaves[0]),)
+    kinds = set(map(type, leaves))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, leaves)):
+        skeleton = "%s"
+        for depth in reversed(range(len(shape))):
+            inner = "\n" + "  " * (level + depth + 1)
+            skeleton = ("[" + inner + ("," + inner).join([skeleton] * shape[depth])
+                        + inner[:-2] + "]")
+        return skeleton % tuple(map(kinds.pop().__repr__, leaves))
+    return "[" + pad + ("," + pad).join([_json_text(v, path) for v in obj]) + pad[:-2] + "]"
+
+
 def _write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """Write ``json.dumps(obj, indent=2)`` and a newline, byte for byte."""
+    _atomic_write_text(path, _json_text(obj) + "\n")
 
 
 def _load_code(path: str):
@@ -71,10 +133,11 @@ def _finite_float(text: str, option: str) -> float:
     return value
 
 
-def _resolve_angle(angle: str, code) -> float:
+def _resolve_angle(angle: str, code, code_class: str | None = None) -> float:
+    """``--angle`` in radians; "auto" reads ``code_class``, or classifies ``code`` without it."""
     if angle != "auto":
         return _finite_float(angle, "--angle")
-    if classify(code).code_class == CLASS_NONUW_SSD:
+    if (code_class or classify(code).code_class) == CLASS_NONUW_SSD:
         return constellations.ciod_optimal_angle()
     return constellations.optimal_angle()
 
@@ -195,7 +258,8 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
              trials: int, seed: int, decoder: str, out: str) -> None:
     """Monte Carlo codeword-error-rate sweep; writes CSV plus a config sidecar."""
     code, _ = _load_code(code_json)
-    theta = _resolve_angle(angle, code)
+    code_class = classify(code).code_class
+    theta = _resolve_angle(angle, code, code_class)
     constellation = _make_constellation(constellation_name, theta,
                                         constellations.ENERGY_UNIT)
     snr_list = _parse_snr(snr)
@@ -211,6 +275,7 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
     _atomic_write_text(out, "\n".join(lines) + "\n")
     sidecar = {
         "code": code.label,
+        "class": code_class,
         "constellation": constellation.name,
         "rotation_rad": theta,
         "energy_mode": constellation.energy_mode,

@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import GaussianMatrix, is_exact, product_tensor, real_rank
+from .gmatrix import GaussianMatrix, _json_int, is_exact, product_tensor, real_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +234,7 @@ def code_to_json_dict(code: LinearDispersionCode, declared_class: str | None = N
 def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
     pairs = [(GaussianMatrix.from_json_dict(a), GaussianMatrix.from_json_dict(b))
              for a, b in obj["weights"]]
-    n = int(obj["n"])
+    n = _json_int(obj, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     for i, pair in enumerate(pairs, start=1):
@@ -242,6 +242,6 @@ def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
             raise ValueError(f"weight pair {i} is not {n}x{n}")
     code = LinearDispersionCode(label=str(obj.get("label", "unnamed")), n=n,
                                 w=np.array(pairs, dtype=np.complex128).reshape(len(pairs), 2, n, n))
-    if "k" in obj and int(obj["k"]) != code.k:
+    if "k" in obj and _json_int(obj, "k") != code.k:
         raise ValueError(f"file declares k = {obj['k']} but has {code.k} weight pairs")
     return code, obj.get("class")

@@ -56,6 +56,14 @@ def is_exact(z: np.ndarray) -> bool:
                 and z.shape[-1] * float(np.max(z.real ** 2 + z.imag ** 2, initial=0.0)) < _GUARD)
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer; 4.5, "4" and true are rejected, not truncated."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def product_tensor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """P[p, q] = xs[p] @ ys[q] for two stacks of n x n matrices.
 
@@ -175,16 +183,14 @@ class GaussianMatrix:
     # JSON interchange: {"n": 4, "mode": "exact", "entries": [[[re, im], ...], ...]}
 
     def to_json_dict(self) -> dict:
+        parts = np.stack((self._z.real, self._z.imag), -1)
         if self.is_exact:
-            tag, part = EXACT, int
-        else:
-            tag, part = FLOAT, float
-        entries = [[[part(v.real), part(v.imag)] for v in row] for row in self._z]
-        return {"n": self.n, "mode": tag, "entries": entries}
+            return {"n": self.n, "mode": EXACT, "entries": parts.astype(np.int64).tolist()}
+        return {"n": self.n, "mode": FLOAT, "entries": parts.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> GaussianMatrix:
-        n = int(obj["n"])
+        n = _json_int(obj, "n")
         tag = obj["mode"]
         entries = obj["entries"]
         if tag not in (EXACT, FLOAT):

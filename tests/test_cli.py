@@ -2,15 +2,30 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stbc_forge import __version__
-from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, main
-from stbc_forge.clifford import family_from_json_dict, verify_family
-from stbc_forge.codes import code_from_json_dict, code_to_json_dict
+from stbc_forge import __version__, ciod_optimal_angle
+from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, _write_json, main
+from stbc_forge.clifford import (
+    MAX_DOUBLINGS,
+    family_from_json_dict,
+    family_to_json_dict,
+    generate_family,
+    verify_family,
+)
+from stbc_forge.codes import (
+    build_ciod4,
+    build_max_rate_ussd,
+    build_square_cod,
+    code_from_json_dict,
+    code_to_json_dict,
+)
 from stbc_forge.simulator import _CHUNK, SEED_CONTRACT
 from stbc_forge.verifier import classify
 
@@ -144,6 +159,7 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
         errors = int(line.split(",")[2])
         assert len(slots) == 4
         assert max(slots) <= errors <= sum(slots)
+    assert sidecar["class"] == "unitary-weight-SSD"
     assert sidecar["stbc_forge_version"] == __version__
     assert sidecar["numpy_version"] == np.__version__
     canonical = json.dumps(code_to_json_dict(code_from_json_dict(json.loads(code.read_text()))[0]),
@@ -155,6 +171,14 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
             "--angle", "auto", "--snr", "0:5:10", "--trials", "500", "--seed", "9",
             "--out", str(csv_path))
     assert csv_path.read_text() == first
+    # the sidecar names the computed class, here the one that picks the CIOD angle
+    ciod = tmp_path / "ciod4.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ciod4", "--out", str(ciod))
+    _invoke(runner, "simulate", "--code", str(ciod), "--constellation", "qam4",
+            "--angle", "auto", "--snr", "10", "--trials", "50", "--out", str(csv_path))
+    sidecar = json.loads((tmp_path / "cer.csv.config.json").read_text())
+    assert sidecar["class"] == "non-unitary-weight-SSD"
+    assert sidecar["rotation_rad"] == ciod_optimal_angle()
 
 
 def test_usage_errors(runner, tmp_path):
@@ -214,18 +238,139 @@ def test_usage_errors(runner, tmp_path):
     # malformed code files fail at the boundary with one line, not a traceback
     obj = json.loads(code.read_text())
     obj["weights"][0][0]["entries"][0][0] = [2 ** 60, 0]  # outside the magnitude guard
+    # sizes must be JSON integers: 4.5 is not read as 4, nor "4" as 4
+    not_int = []
+    for where, key, value in ((None, "n", 4.5), (None, "n", "4"), (None, "n", True),
+                              (None, "k", 4.0), ((0, 0), "n", 4.5), ((1, 1), "n", "4")):
+        bad = json.loads(code.read_text())
+        (bad if where is None else bad["weights"][where[0]][where[1]])[key] = value
+        not_int.append((f"not-int-{len(not_int)}.json", bad))
     # so do codes with no weight pairs or n < 1, though the library accepts
     # empty weight stacks
-    for name, content in (("keys.json", {"n": 4}), ("guard.json", obj),
+    for name, content in [("keys.json", {"n": 4}), ("guard.json", obj),
                           ("empty.json", {"n": 4, "weights": []}),
                           ("n0.json", {"n": 0, "weights": []}),
-                          ("negative-n.json", {"n": -1, "weights": []})):
+                          ("negative-n.json", {"n": -1, "weights": []})] + not_int:
         path = tmp_path / name
         path.write_text(json.dumps(content))
         for args in (["verify", str(path)],
-                     ["coding-gain", "--code", str(path), "--constellation", "qam4"]):
+                     ["coding-gain", "--code", str(path), "--constellation", "qam4"],
+                     ["simulate", "--code", str(path), "--constellation", "qam4",
+                      "--snr", "10", "--trials", "10", "--out", str(tmp_path / "o.csv")]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)
             assert "not a valid code file" in result.output
             assert "Traceback" not in result.output
+    assert not (tmp_path / "o.csv").exists()
+
+
+# ----------------------------------------------------------------------
+# _write_json writes json.dumps(obj, indent=2) and a newline, byte for byte
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
+                                   1.7976931348623157e308, 0.1])
+_NUMBERS = {
+    "int": st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    "float": st.floats() | _SPECIAL_FLOATS,
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "mixed": st.integers(-3, 3) | st.floats(-3, 3),
+    "bool": st.booleans(),
+}
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 300, 10 ** 300)
+           | st.floats() | _SPECIAL_FLOATS | st.text()
+           | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfffé☃𝄞')))
+
+
+@st.composite
+def _numeric_blocks(draw):
+    """A rectangular 1-3-dimensional nested list of one kind of number (or a mix)."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    flat = draw(st.lists(_NUMBERS[draw(st.sampled_from(sorted(_NUMBERS)))],
+                         min_size=math.prod(shape), max_size=math.prod(shape)))
+    for n in reversed(shape[1:]):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return flat
+
+
+# ragged or partly empty lists of numbers, which are not rectangular blocks
+_RAGGED = st.lists(st.lists(st.integers(-9, 9), max_size=3)
+                   | st.lists(st.floats(-9, 9), max_size=3), min_size=2, max_size=4)
+_JSON_OBJECTS = st.recursive(
+    _LEAVES | _numeric_blocks() | _RAGGED,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text() | st.sampled_from(["a", "b", "\n"]), inner,
+                                     max_size=4)
+                   | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(),
+                                     inner, max_size=3)
+                   | _numeric_blocks().map(lambda b: [b, b]) | st.just([[]])),
+    max_leaves=30)
+
+
+@given(obj=_JSON_OBJECTS)
+@settings(max_examples=300, deadline=None)
+def test_write_json_matches_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    _write_json(str(path), obj)
+    assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_write_json_on_every_output_file(runner, tmp_path):
+    """Every family, code, report and sidecar the CLI writes is json.dumps(obj, indent=2)."""
+    def code_dict(code):
+        return code_to_json_dict(code, declared_class=classify(code).code_class)
+
+    cases = [("ciod4.json", ["construct", "--antennas", "4", "--family", "ciod4"],
+              code_dict(build_ciod4()))]
+    for a in range(1, MAX_DOUBLINGS + 1):
+        fam = generate_family(a)
+        cases += [
+            (f"family{a}.json", ["family", "--a", str(a)], family_to_json_dict(fam)),
+            (f"ussd{fam.n}.json", ["construct", "--antennas", str(fam.n), "--family", "ussd"],
+             code_dict(build_max_rate_ussd(a, fam))),
+            (f"cod{fam.n}.json", ["construct", "--antennas", str(fam.n), "--family", "cod"],
+             code_dict(build_square_cod(a, fam))),
+        ]
+    for name, args, obj in cases:
+        assert _invoke(runner, *args, "--out", str(tmp_path / name)).exit_code == 0
+        assert (tmp_path / name).read_text() == json.dumps(obj, indent=2) + "\n", name
+    # the outputs whose objects the CLI builds: a report with failures, a sidecar
+    corrupt = json.loads((tmp_path / "ussd4.json").read_text())
+    corrupt["weights"][1][0] = corrupt["weights"][2][0]
+    (tmp_path / "bad.json").write_text(json.dumps(corrupt))
+    report = tmp_path / "report.json"
+    assert _invoke(runner, "verify", str(tmp_path / "bad.json"), "--report",
+                   str(report)).exit_code == 1
+    csv_path = tmp_path / "cer.csv"
+    assert _invoke(runner, "simulate", "--code", str(tmp_path / "ciod4.json"),
+                   "--constellation", "qam16", "--snr", "0:2.5:10", "--trials", "200",
+                   "--out", str(csv_path)).exit_code == 0
+    for path in (report, tmp_path / "cer.csv.config.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert json.loads(report.read_text())["failed_conditions"]
+
+
+def _cycles():
+    """Containers inside themselves: through a rectangular block, a ragged list, a dict."""
+    block = []
+    block += [block, block]
+    ragged = [1]
+    ragged.append(ragged)
+    mapping = {}
+    mapping["a"] = [mapping]
+    deep = [[1]]
+    deep[0].append(deep)
+    return [block, ragged, mapping, deep]
+
+
+@pytest.mark.parametrize("obj", [
+    np.int64(3), {"n": np.int64(4)}, [[np.int64(1), 2]], [[1, 2], [3, np.int64(4)]],
+    [object()], {"a": {1, 2}}, {(1, 2): 3},
+] + _cycles())
+def test_write_json_rejects_what_json_rejects(tmp_path, obj):
+    with pytest.raises((TypeError, ValueError)) as rejected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(rejected.type):
+        _write_json(str(tmp_path / "x.json"), obj)
+    assert not (tmp_path / "x.json").exists()
