@@ -42,11 +42,21 @@ half of the sorted per-slot differences), and gives the other +inf: an
 exact tie never rests on rounding that depends on the block shape, and
 the search does half the work.
 
-For the maximal-rate unitary-weight construction the determinant of a
-single-symbol difference d has the closed form |d_I^2 - d_Q^2|^n: the
-quadrature weight of symbol 1 is traceless Hermitian unitary, its +-1
-eigenvalues split evenly, and the Gram determinant factors into
-(d_I + d_Q)^2 and (d_I - d_Q)^2 raised to n/2 each.
+Spectral route.  If every W_p^H W_p = c I (UW, c = dispersion gain / n),
+a single-symbol difference d in slot i has
+
+    D^H D = c |d|^2 I + d_I d_Q H_i,    H_i = A_i^H B_i + B_i^H A_i,
+
+so its determinant is prod_j (c |d|^2 + d_I d_Q lambda_ij) over the
+eigenvalues of H_i: one ``eigvalsh`` per slot replaces |A|^2 determinants.
+Since |lambda_ij| <= 2c (A_i^H B_i is c times a unitary) and
+c |d|^2 >= 2c |d_I d_Q|, a factor vanishes only if |d_I| = |d_Q| and
+lambda_ij = -2c sign(d_I d_Q): such a code loses full diversity exactly when
+a slot has an eigenvalue at +-2c and a difference lies on the matching +-45
+degree line, a witness of :func:`.constellations.diversity_check`.  COD
+slots have H_i = 0; maximal-rate slots the spectrum +-2c, split n/2 : n/2,
+whence the closed form (c |d_I^2 - d_Q^2|)^n.  Other SSD codes (ciod4, a
+slot rescaled) keep the determinant route.
 """
 
 from __future__ import annotations
@@ -57,8 +67,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
-from .gmatrix import _negligible
-from .verifier import check_ssd
+from .verifier import _gram_verdicts, _ssd_failures
 
 REFERENCE_DISPERSION_GAIN = 2.0
 FULL_SEARCH_BUDGET = 10_000_000
@@ -119,12 +128,19 @@ def min_det_bruteforce(code: LinearDispersionCode,
     if code.k == 0:
         raise ValueError("cannot search an empty code")
     scale = (REFERENCE_DISPERSION_GAIN / dispersion_gain(code)) ** code.n if equal_energy else 1.0
-    if not force_full and check_ssd(code).ok:
+    vanish, unitary = _gram_verdicts(code) if not force_full else (None, None)
+    if not force_full and not _ssd_failures(vanish):
         diffs = np.asarray(constellation.differences())
         s = np.stack((diffs.real, diffs.imag), axis=1)
-        # each slot's 2 x 2 Gram block; one GEMM and one det per slot keep memory per slot
-        p, q, m = _pair_terms(np.stack([gram(code.w[i:i + 1]) for i in range(code.k)]))
-        dets = np.stack([_difference_dets(p, q, slot_terms, s) for slot_terms in m])
+        g = np.stack([gram(code.w[i:i + 1]) for i in range(code.k)])  # each slot's 2 x 2 block
+        if unitary.all():  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
+            lam = np.linalg.eigvalsh(g[:, 0, 1] + g[:, 1, 0])
+            c = dispersion_gain(code) / code.n
+            dets = np.prod(c * np.sum(s ** 2, axis=1)[:, None]
+                           + (s[:, 0] * s[:, 1])[:, None] * lam[:, None, :], axis=-1)
+        else:  # one GEMM and one det per slot keep memory per slot
+            p, q, m = _pair_terms(g)
+            dets = np.stack([_difference_dets(p, q, slot_terms, s) for slot_terms in m])
         slot, arg = divmod(int(np.argmin(dets)), len(diffs))  # first minimum, slot-major
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
         return MinDetResult(value=float(dets[slot, arg]) * scale, difference=vec, reduced=True)
@@ -173,22 +189,3 @@ def min_det_closed_form(constellation: Constellation, n: int, *,
     scale = (REFERENCE_DISPERSION_GAIN / n) ** n if equal_energy else 1.0
     return base ** n * scale
 
-
-def eigen_split(mat) -> tuple[int, int]:
-    """Multiplicities of the +1 and -1 eigenvalues of a Hermitian unitary matrix.
-
-    The quadrature weight of symbol 1 in a maximal-rate code is
-    traceless, so a valid input there splits (n/2, n/2); an unbalanced
-    split flags the caller that the matrix cannot play that role.
-    """
-    z = np.asarray(mat, dtype=complex)
-    if not _negligible(np.linalg.norm(z - z.conj().T), 1.0):
-        raise ValueError("eigen_split requires a Hermitian matrix")
-    if not _negligible(np.linalg.norm(z.conj().T @ z - np.eye(z.shape[0])), 1.0):
-        raise ValueError("eigen_split requires a unitary matrix")
-    eig = np.linalg.eigvalsh(z)
-    plus = int(np.sum(np.abs(eig - 1.0) <= 1e-8))
-    minus = int(np.sum(np.abs(eig + 1.0) <= 1e-8))
-    if plus + minus != z.shape[0]:
-        raise ValueError("eigenvalues did not snap to +-1")
-    return plus, minus

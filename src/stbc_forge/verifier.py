@@ -143,23 +143,14 @@ def check_cod(code: LinearDispersionCode) -> CheckResult:
 
 def classify(code: LinearDispersionCode) -> ClassificationReport:
     """Place a code in the COD / unitary-weight / non-unitary-weight taxonomy."""
-    cod = check_cod(code)  # superset of every individual check
-    ssd_ok = not any(f.condition in (COND_SSD_IQ, COND_SSD_II, COND_SSD_QQ)
-                     for f in cod.failures)
-    uw_ok = not any(f.condition == COND_UW for f in cod.failures)
-    self_ok = not any(f.condition == COND_COD_SELF for f in cod.failures)
-    if not ssd_ok:
-        code_class = CLASS_NOT_SSD
-    elif uw_ok and self_ok:
-        code_class = CLASS_COD
-    elif uw_ok:
-        code_class = CLASS_UW_SSD
-    else:
-        code_class = CLASS_NONUW_SSD
+    vanish, unitary = _gram_verdicts(code)
+    uw, ssd, self_ = _uw_failures(unitary), _ssd_failures(vanish), _self_failures(vanish)
+    code_class = (CLASS_NOT_SSD if ssd else CLASS_NONUW_SSD if uw
+                  else CLASS_UW_SSD if self_ else CLASS_COD)
     normalized = code.k == 0 or GaussianMatrix(code.w[0, 0]).is_identity()
     return ClassificationReport(
         code_class=code_class,
-        failed_conditions=cod.failures,
+        failed_conditions=tuple(uw + ssd + self_),  # check_cod's order
         linear_independent=code.linearly_independent() if code.k else True,
         normalized=normalized,
     )

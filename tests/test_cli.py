@@ -116,6 +116,34 @@ def test_coding_gain_prints_table_value(runner, tmp_path):
     assert "10.240000" in result.output
 
 
+def test_coding_gain_reports_lost_diversity(runner, tmp_path):
+    ussd = tmp_path / "ussd4.json"
+    ciod = tmp_path / "ciod4.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(ussd))
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ciod4", "--out", str(ciod))
+
+    def lines(code, angle):
+        result = _invoke(runner, "coding-gain", "--code", str(code),
+                         "--constellation", "qam4", "--angle", angle)
+        assert result.exit_code == 0
+        return result.output.splitlines()
+
+    # unrotated QAM puts 2 + 2j on the 45 degree line, where a -2c eigenvalue of
+    # every ussd slot zeroes a factor of the determinant
+    out = lines(ussd, "0")
+    assert out[0].startswith("min_det = 0.000000")
+    assert len(out) == 3
+    assert out[2].startswith("full diversity lost in slot 1: witness ")
+    witness = out[2].split("witness ")[1].split()[0]
+    assert witness in out[1]  # the reported difference itself
+    assert abs(abs(complex(witness).real) - abs(complex(witness).imag)) < 1e-6
+    assert len(lines(ussd, "auto")) == 2
+    assert len(lines(ciod, "auto")) == 2
+    # ciod4 loses diversity at angle 0 too, but on an axis, not on a 45 degree line
+    out = lines(ciod, "0")
+    assert out[0].startswith("min_det = 0.000000") and len(out) == 2
+
+
 def test_coding_gain_8qam_choice(runner, tmp_path):
     out = tmp_path / "ussd4.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(out))

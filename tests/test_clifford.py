@@ -279,3 +279,17 @@ def test_family_json_round_trip(fam2):
     assert back.c == fam2.c
     assert np.array_equal(back.matrices, fam2.matrices)
     assert verify_family(back).ok
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", 2.5), ("a", "2"), ("a", True), ("a", 3), ("a", -1),
+    ("n", 4.0), ("n", 8), ("n", 2 ** 70),
+    ("c", [0.0, 1]), ("c", [0, 1, 0]), ("c", "j"), ("c", [False, 1]),
+    ("matrices", "drop one"),
+])
+def test_family_json_rejects_malformed(fam2, field, value):
+    # "a": 2.5 once loaded as a = 2 and verified
+    obj = family_to_json_dict(fam2)
+    obj[field] = obj[field][:-1] if value == "drop one" else value
+    with pytest.raises(ValueError):
+        family_from_json_dict(obj)

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from stbc_forge import codinggain
 from stbc_forge.clifford import generate_family
-from stbc_forge.codes import LinearDispersionCode, build_ciod4, build_max_rate_ussd
-from stbc_forge.codinggain import (
-    dispersion_gain,
-    eigen_split,
-    min_det_bruteforce,
-    min_det_closed_form,
+from stbc_forge.codes import (
+    LinearDispersionCode,
+    build_ciod4,
+    build_max_rate_ussd,
+    build_square_cod,
+    gram,
 )
+from stbc_forge.codinggain import dispersion_gain, min_det_bruteforce, min_det_closed_form
 from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam, special_8qam
-from stbc_forge.gmatrix import GaussianMatrix
 
 from conftest import random_unitary
 
@@ -225,6 +225,8 @@ def test_full_search_agrees_with_pairwise_oracle(ussd2):
 _INVARIANCE_CODES = {
     "ussd2": build_max_rate_ussd(1, generate_family(1)),
     "ussd4": build_max_rate_ussd(2, generate_family(2)),
+    "ussd8": build_max_rate_ussd(3, generate_family(3)),
+    "cod4": build_square_cod(2, generate_family(2)),
     "ciod4": build_ciod4(),
 }
 
@@ -256,11 +258,79 @@ def test_empty_code_rejected():
         min_det_bruteforce(empty, rotated_qam(4))
 
 
-def test_eigen_split(ussd4, ussd8):
-    assert eigen_split(ussd4.w[0, 1]) == (2, 2)
-    assert eigen_split(ussd8.w[0, 1]) == (4, 4)
-    assert eigen_split(GaussianMatrix.identity(4)) == (4, 0)
-    with pytest.raises(ValueError):
-        eigen_split(ussd4.w[1, 0])  # anti-Hermitian, not Hermitian
-    with pytest.raises(ValueError):
-        eigen_split(np.eye(4) * 0.5)
+def _slot_blocks(code):
+    """Each slot's 2 x 2 block of the Gram tensor, (k, 2, 2, n, n)."""
+    return np.stack([gram(code.w[i:i + 1]) for i in range(code.k)])
+
+
+def _builtin(family, a):
+    return (build_max_rate_ussd if family == "ussd" else build_square_cod)(a, generate_family(a))
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+def test_slot_spectra(a):
+    # H_i = A_i^H B_i + B_i^H A_i: +-2c split n/2 : n/2 on every ussd slot, 0 on every cod slot
+    n = 2 ** a
+    g = _slot_blocks(_builtin("ussd", a))
+    lam = np.linalg.eigvalsh(g[:, 0, 1] + g[:, 1, 0])
+    assert np.allclose(lam, np.repeat([-2.0, 2.0], n // 2), atol=1e-12)
+    g = _slot_blocks(_builtin("cod", a))
+    assert not np.any(g[:, 0, 1] + g[:, 1, 0])
+
+
+def _determinant_route(code, constellation):
+    """The reduced search's minimum by one determinant per slot and unique difference."""
+    diffs = np.array([d for d in _per_slot_differences(constellation) if d])
+    s = np.stack((diffs.real, diffs.imag), axis=1)
+    p, q, m = codinggain._pair_terms(_slot_blocks(code))
+    dets = np.stack([codinggain._difference_dets(p, q, slot_terms, s) for slot_terms in m])
+    return float(dets.min()) * (2 / dispersion_gain(code)) ** code.n
+
+
+@pytest.mark.parametrize("family", ["ussd", "cod"])
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+def test_spectral_route_matches_determinants(family, a):
+    code = _builtin(family, a)
+    for size in (4, 16, 64):
+        for angle in (optimal_angle(), 0.0, 0.3):
+            c = rotated_qam(size, angle)
+            want = _determinant_route(code, c)
+            got = min_det_bruteforce(code, c).value
+            if want == 0.0 or got == 0.0:
+                assert got == want, (size, angle)
+            else:
+                assert got == pytest.approx(want, rel=1e-9), (size, angle)
+            # only unrotated QAM meets the 45 degree line, and only ussd has -2c eigenvalues
+            assert (got == 0.0) == (family == "ussd" and angle == 0.0), (size, angle)
+
+
+def test_spectral_route_on_uneven_spectrum():
+    # one slot, A = I and B = diag(1, 1, 1, -1): H has the spectrum (-2, 2, 2, 2), which
+    # is not symmetric, so the sign of d_I d_Q matters
+    w = np.stack((np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])))[None]
+    code = LinearDispersionCode(label="uneven-spectrum", n=4, w=w)
+    for angle in (optimal_angle(), 0.0, 0.3, 1.0):
+        c = rotated_qam(16, angle)
+        got = min_det_bruteforce(code, c)
+        assert got.value == pytest.approx(_determinant_route(code, c), rel=1e-9, abs=0.0)
+        d = got.difference[0]
+        want = (d.real ** 2 + d.imag ** 2 + 2 * d.real * d.imag) ** 3 \
+            * (d.real ** 2 + d.imag ** 2 - 2 * d.real * d.imag) * (2 / 4) ** 4
+        assert got.value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_route_by_verdicts(ussd4, ussd8, cod4, ciod4, monkeypatch):
+    # unitary-weight SSD codes and CODs take the spectral route, other SSD codes the
+    # determinant route; no code takes both
+    calls = []
+    dets = codinggain._difference_dets
+    monkeypatch.setattr(codinggain, "_difference_dets",
+                        lambda *args: calls.append(1) or dets(*args))
+    uneven = ussd4.w.copy()
+    uneven[1] *= 0.5  # the code of test_reduction_reads_each_slot
+    c = rotated_qam(4, optimal_angle())
+    for code, spectral in ((ussd4, True), (ussd8, True), (cod4, True), (ciod4, False),
+                           (LinearDispersionCode(label="uneven", n=4, w=uneven), False)):
+        calls.clear()
+        assert min_det_bruteforce(code, c).reduced
+        assert (not calls) == spectral, code.label
