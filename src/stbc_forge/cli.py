@@ -111,9 +111,6 @@ def _load_code(path: str):
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise click.UsageError(
                 f"{path} is not a valid code file: {type(exc).__name__}: {exc}") from None
-    if code.n < 1 or code.k == 0:
-        raise click.UsageError(f"{path} is not a valid code file: it needs n >= 1 and at "
-                               f"least one weight pair, got n = {code.n}, k = {code.k}")
     return code, declared
 
 
@@ -239,7 +236,7 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
     except ValueError as exc:  # the unreduced search's budget
         raise click.UsageError(str(exc)) from None
     diff = ", ".join(f"{d.real:+.6f}{d.imag:+.6f}j" for d in result.difference)
-    click.echo(f"min_det = {result.value:.6f}  (angle {theta:.6f} rad, "
+    click.echo(f"min_det = {result.value:.6e}  (angle {theta:.6f} rad, "
                f"{'full' if not result.reduced else 'single-symbol'} search)")
     click.echo(f"achieved by difference vector [{diff}]")
     slot, d = next((i, d) for i, d in enumerate(result.difference, start=1) if d)
@@ -256,7 +253,8 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
               type=click.Choice(CONSTELLATION_CHOICES), required=True)
 @click.option("--angle", default="auto", help='"auto" or radians.')
 @click.option("--snr", required=True, help="start:step:stop in dB (inclusive).")
-@click.option("--rx", type=int, default=1, show_default=True)
+@click.option("--rx", type=click.IntRange(1, 2 ** clifford.MAX_DOUBLINGS), default=1,
+              show_default=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--decoder", type=click.Choice(["ssd", "brute-ml"]), default="ssd")

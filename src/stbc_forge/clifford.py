@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gmatrix import GaussianMatrix, _json_int, _negligible, product_tensor
+from .gmatrix import GaussianMatrix, _negligible, product_tensor, stack_to_json
 
 MAX_DOUBLINGS = 6  # 64x64
 
@@ -216,17 +216,5 @@ def family_to_json_dict(fam: AnticommutingFamily) -> dict:
         "a": fam.a,
         "n": fam.n,
         "c": [int(fam.c.real), int(fam.c.imag)],
-        "matrices": [GaussianMatrix(m).to_json_dict() for m in fam.matrices],
+        "matrices": stack_to_json(fam.matrices),
     }
-
-
-def family_from_json_dict(obj: dict) -> AnticommutingFamily:
-    """Read a family file; ``ValueError`` unless n = 2^a, 2a + 1 matrices and c = [int, int]."""
-    a, n, c, mats = _json_int(obj, "a"), _json_int(obj, "n"), obj["c"], obj["matrices"]
-    # bit_length first, so a huge a never reaches 2 ** a
-    if (a != n.bit_length() - 1 or n != 2 ** a or len(mats) != 2 * a + 1
-            or type(c) is not list or len(c) != 2 or any(type(x) is not int for x in c)):
-        raise ValueError(f"need n = 2^a, 2a + 1 matrices and c = [int, int], got a = {a}, "
-                         f"n = {n}, {len(mats)} matrices, c = {c!r}")
-    return AnticommutingFamily(a=a, matrices=[GaussianMatrix.from_json_dict(m) for m in mats],
-                               c=complex(*c))

@@ -55,7 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import GaussianMatrix, _json_int, is_exact, product_tensor, real_rank
+from .gmatrix import (GaussianMatrix, _json_int, _negligible, is_exact, product_tensor,
+                      real_rank, stack_from_json, stack_to_json)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +67,9 @@ class LinearDispersionCode:
     shape (k, 2, n, n) with w[i, 0] = A_{i+1} and w[i, 1] = B_{i+1}.  The
     constructor copies it, so the code owns it; every other layout is a
     view of it (``weight_arrays()``, and ``w.reshape(2k, n, n)`` for the
-    order p = 2(i-1) + {0: A_i, 1: B_i}).  Codes compare by identity;
-    compare ``w`` for equal weights.
+    order p = 2(i-1) + {0: A_i, 1: B_i}).  Every code has n >= 1 and
+    k >= 1: the constructor is the one place that checks it.  Codes
+    compare by identity; compare ``w`` for equal weights.
     """
 
     label: str
@@ -76,6 +78,8 @@ class LinearDispersionCode:
 
     def __post_init__(self):
         w = np.array(self.w, dtype=np.complex128)
+        if self.n < 1 or w.size == 0:
+            raise ValueError(f"a code needs n >= 1 and k >= 1, got n = {self.n}, weights {w.shape}")
         if w.shape[1:] != (2, self.n, self.n):
             raise ValueError(f"weights must form a (k, 2, {self.n}, {self.n}) stack, "
                              f"got shape {w.shape}")
@@ -94,7 +98,7 @@ class LinearDispersionCode:
 
     @property
     def is_exact(self) -> bool:
-        return is_exact(self.w)
+        return bool(is_exact(self.w))
 
     def linearly_independent(self) -> bool:
         return real_rank(self.w.reshape(2 * self.k, self.n, self.n)) == 2 * self.k
@@ -109,13 +113,14 @@ class LinearDispersionCode:
             raise ValueError(f"expected {self.k} symbols, got {len(symbols)}")
         return GaussianMatrix(_encode(self.w, np.array([symbols], dtype=np.complex128))[0])
 
-    def left_multiply(self, u: GaussianMatrix) -> LinearDispersionCode:
-        """Premultiply every weight by a unitary matrix; preserves SSD-ness."""
-        if not u.is_unitary():
+    def left_multiply(self, u) -> LinearDispersionCode:
+        """Premultiply every weight by a unitary n x n matrix (array-like); preserves SSD-ness."""
+        u = np.asarray(u)
+        if not _negligible(np.linalg.norm(np.conj(u).T @ u - np.eye(self.n)), 1.0):
             raise ValueError("left_multiply requires a unitary matrix")
         # an exact unitary is monomial with unit entries, so u @ w keeps every
         # magnitude and exact weights stay exact: no product can leave the guard
-        return LinearDispersionCode(label=self.label, n=self.n, w=u.to_array() @ self.w)
+        return LinearDispersionCode(label=self.label, n=self.n, w=u @ self.w)
 
     def scaled(self, s: float) -> LinearDispersionCode:
         """Copy with every weight multiplied by a real scalar."""
@@ -219,12 +224,12 @@ def build_ciod4() -> LinearDispersionCode:
 #                    "weights": [[mat, mat], ...]}
 
 def code_to_json_dict(code: LinearDispersionCode, declared_class: str | None = None) -> dict:
+    mats = stack_to_json(code.w.reshape(2 * code.k, code.n, code.n))
     obj = {
         "label": code.label,
         "n": code.n,
         "k": code.k,
-        "weights": [[GaussianMatrix(a).to_json_dict(), GaussianMatrix(b).to_json_dict()]
-                    for a, b in code.w],
+        "weights": [[a, b] for a, b in zip(mats[::2], mats[1::2])],
     }
     if declared_class is not None:
         obj["class"] = declared_class
@@ -232,16 +237,12 @@ def code_to_json_dict(code: LinearDispersionCode, declared_class: str | None = N
 
 
 def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
-    pairs = [(GaussianMatrix.from_json_dict(a), GaussianMatrix.from_json_dict(b))
-             for a, b in obj["weights"]]
     n = _json_int(obj, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    for i, pair in enumerate(pairs, start=1):
-        if any(m.n != n for m in pair):
-            raise ValueError(f"weight pair {i} is not {n}x{n}")
+    pairs = obj["weights"]
+    flat = stack_from_json([m for a, b in pairs for m in (a, b)], n)
+    # no pairs give a (0,) stack, so k = 0 and n < 1 reach the constructor's check
     code = LinearDispersionCode(label=str(obj.get("label", "unnamed")), n=n,
-                                w=np.array(pairs, dtype=np.complex128).reshape(len(pairs), 2, n, n))
+                                w=flat.reshape(len(pairs), 2, *flat.shape[1:]))
     if "k" in obj and _json_int(obj, "k") != code.k:
         raise ValueError(f"file declares k = {obj['k']} but has {code.k} weight pairs")
     return code, obj.get("class")

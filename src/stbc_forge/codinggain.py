@@ -125,8 +125,6 @@ def min_det_bruteforce(code: LinearDispersionCode,
     difference vectors.  The unreduced search raises when the number of
     difference vectors exceeds ``budget``.
     """
-    if code.k == 0:
-        raise ValueError("cannot search an empty code")
     scale = (REFERENCE_DISPERSION_GAIN / dispersion_gain(code)) ** code.n if equal_energy else 1.0
     vanish, unitary = _gram_verdicts(code) if not force_full else (None, None)
     if not force_full and not _ssd_failures(vanish):

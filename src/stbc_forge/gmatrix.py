@@ -50,10 +50,10 @@ def _negligible(residual, scale):
     return residual <= REL_TOL * scale
 
 
-def is_exact(z: np.ndarray) -> bool:
-    """Gaussian-integer entries with n * max|entry|^2 < 2^53, for one n x n matrix or a stack."""
-    return bool(np.array_equal(z, np.round(z))
-                and z.shape[-1] * float(np.max(z.real ** 2 + z.imag ** 2, initial=0.0)) < _GUARD)
+def is_exact(z: np.ndarray, axis=None):
+    """Gaussian-integer entries with n * max|entry|^2 < 2^53, over all of z or along ``axis``."""
+    return (np.all(z == np.round(z), axis=axis)
+            & (z.shape[-1] * np.max(z.real ** 2 + z.imag ** 2, axis=axis, initial=0.0) < _GUARD))
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -82,8 +82,6 @@ class GaussianMatrix:
         z = np.array(entries, dtype=np.complex128)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError(f"entries must form a square matrix, got shape {z.shape}")
-        if z.shape[0] < 1:
-            raise ValueError("matrix side length must be positive")
         if not np.all(np.isfinite(z)):
             raise ValueError("entries must be finite")
         z.setflags(write=False)
@@ -120,7 +118,7 @@ class GaussianMatrix:
     @property
     def is_exact(self) -> bool:
         """Gaussian-integer entries inside the magnitude guard."""
-        return is_exact(self._z)
+        return bool(is_exact(self._z))
 
     def to_array(self) -> np.ndarray:
         """The matrix as a read-only complex128 ndarray."""
@@ -157,10 +155,6 @@ class GaussianMatrix:
         """Entrywise multiplication by a scalar."""
         return GaussianMatrix(self._z * complex(c))
 
-    def herm(self) -> GaussianMatrix:
-        """Conjugate transpose."""
-        return GaussianMatrix(self._z.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self._z))
 
@@ -176,29 +170,39 @@ class GaussianMatrix:
     def is_identity(self) -> bool:
         return bool(_negligible(np.linalg.norm(self._z - np.eye(self.n)), 1.0))
 
-    def is_unitary(self) -> bool:
-        return (self.herm() @ self).is_identity()
 
-    # ------------------------------------------------------------------
-    # JSON interchange: {"n": 4, "mode": "exact", "entries": [[[re, im], ...], ...]}
+# ----------------------------------------------------------------------
+# JSON interchange of an (N, n, n) stack: one object per matrix,
+#     {"n": 4, "mode": "exact", "entries": [[[re, im], ...], ...]}
 
-    def to_json_dict(self) -> dict:
-        parts = np.stack((self._z.real, self._z.imag), -1)
-        if self.is_exact:
-            return {"n": self.n, "mode": EXACT, "entries": parts.astype(np.int64).tolist()}
-        return {"n": self.n, "mode": FLOAT, "entries": parts.tolist()}
+def stack_to_json(z: np.ndarray) -> list[dict]:
+    """The JSON objects of an (N, n, n) stack; a matrix is tagged "exact" iff :func:`is_exact`."""
+    n = z.shape[-1]
+    return [{"n": n, "mode": EXACT, "entries": parts.astype(np.int64).tolist()} if exact
+            else {"n": n, "mode": FLOAT, "entries": parts.tolist()}
+            for parts, exact in zip(np.stack((z.real, z.imag), -1), is_exact(z, axis=(1, 2)))]
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> GaussianMatrix:
-        n = _json_int(obj, "n")
-        tag = obj["mode"]
+
+def stack_from_json(objs: list, n: int) -> np.ndarray:
+    """The (N, n, n) complex128 stack of N matrix objects ((0,) for none), read bit-exactly.
+
+    Each object needs the integer ``n``, a known mode and n x n [re, im] entries, the
+    stack finite entries, and its "exact" matrices :func:`is_exact`; ValueError otherwise.
+    """
+    for i, obj in enumerate(objs, start=1):
         entries = obj["entries"]
-        if tag not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {tag!r}")
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise ValueError(f"entries are not {n}x{n}")
-        rows = [[complex(re, im) for re, im in row] for row in entries]
-        return cls.exact(rows) if tag == EXACT else cls(rows)
+        if _json_int(obj, "n") != n or len(entries) != n or any(len(row) != n for row in entries):
+            raise ValueError(f"matrix {i} is not {n}x{n}")
+        if obj["mode"] not in (EXACT, FLOAT):
+            raise ValueError(f"unknown mode {obj['mode']!r}")
+    z = np.array([[[complex(re, im) for re, im in row] for row in obj["entries"]]
+                  for obj in objs], dtype=np.complex128)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("entries must be finite")
+    if not is_exact(z[[obj["mode"] == EXACT for obj in objs]]):
+        raise ValueError("exact entries must be Gaussian integers with "
+                         "n * max|entry|^2 < 2^53")
+    return z
 
 
 def real_rank(stack: np.ndarray) -> int:
@@ -209,8 +213,6 @@ def real_rank(stack: np.ndarray) -> int:
     the largest are treated as zero.
     """
     z = np.asarray(stack)
-    if len(z) == 0:
-        return 0
     rows = np.concatenate((z.real, z.imag), axis=1).reshape(len(z), -1)
     sv = np.linalg.svd(rows, compute_uv=False)
     if sv[0] == 0.0:

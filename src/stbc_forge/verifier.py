@@ -84,8 +84,6 @@ def _gram_verdicts(code: LinearDispersionCode) -> tuple[np.ndarray, np.ndarray]:
     whether W_p^H W_p = c I for the one common c > 0 (UW).  c is the mean
     of trace(W_p^H W_p) / n, and both verdicts are relative to it.
     """
-    if code.k == 0:
-        return np.zeros((0, 0), dtype=bool), np.zeros(0, dtype=bool)
     g = gram(code.w)
     idx = np.arange(2 * code.k)
     diag = g[idx, idx]
@@ -134,25 +132,17 @@ def check_unitary_weight(code: LinearDispersionCode) -> CheckResult:
     return CheckResult(tuple(_uw_failures(unitary)))
 
 
-def check_cod(code: LinearDispersionCode) -> CheckResult:
-    """Full orthogonal-design conditions: UW + SSD + the self condition."""
-    vanish, unitary = _gram_verdicts(code)
-    return CheckResult(tuple(_uw_failures(unitary) + _ssd_failures(vanish)
-                             + _self_failures(vanish)))
-
-
 def classify(code: LinearDispersionCode) -> ClassificationReport:
     """Place a code in the COD / unitary-weight / non-unitary-weight taxonomy."""
     vanish, unitary = _gram_verdicts(code)
     uw, ssd, self_ = _uw_failures(unitary), _ssd_failures(vanish), _self_failures(vanish)
     code_class = (CLASS_NOT_SSD if ssd else CLASS_NONUW_SSD if uw
                   else CLASS_UW_SSD if self_ else CLASS_COD)
-    normalized = code.k == 0 or GaussianMatrix(code.w[0, 0]).is_identity()
     return ClassificationReport(
         code_class=code_class,
-        failed_conditions=tuple(uw + ssd + self_),  # check_cod's order
-        linear_independent=code.linearly_independent() if code.k else True,
-        normalized=normalized,
+        failed_conditions=tuple(uw + ssd + self_),  # the full COD conditions: UW, SSD, self
+        linear_independent=code.linearly_independent(),
+        normalized=GaussianMatrix(code.w[0, 0]).is_identity(),
     )
 
 
@@ -160,15 +150,10 @@ def normalize(code: LinearDispersionCode) -> LinearDispersionCode:
     """Left-multiply by the conjugate transpose of the first in-phase weight.
 
     Afterwards that weight is the identity, which is the form the
-    structural conditions below expect.  Requires the first weight to be
-    unitary.
+    structural conditions below expect.  ``left_multiply`` raises
+    ValueError unless the first weight is unitary.
     """
-    if code.k == 0:
-        return code
-    first = GaussianMatrix(code.w[0, 0])
-    if not first.is_unitary():
-        raise ValueError("normalize requires a unitary first in-phase weight")
-    return code.left_multiply(first.herm())
+    return code.left_multiply(np.conj(code.w[0, 0]).T)
 
 
 def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
@@ -186,8 +171,6 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     Reported indices are (symbol, 0) for in-phase and (symbol, 1) for
     quadrature weights.
     """
-    if code.k == 0:
-        return CheckResult(())
     w = code.w.reshape(2 * code.k, code.n, code.n)
     idx = np.arange(len(w))
     eye = np.eye(code.n)

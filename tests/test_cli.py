@@ -10,11 +10,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stbc_forge import __version__, ciod_optimal_angle
+from stbc_forge import (__version__, ciod_optimal_angle, min_det_closed_form, optimal_angle,
+                        rotated_qam)
 from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, _write_json, main
 from stbc_forge.clifford import (
     MAX_DOUBLINGS,
-    family_from_json_dict,
+    AnticommutingFamily,
     family_to_json_dict,
     generate_family,
     verify_family,
@@ -26,6 +27,7 @@ from stbc_forge.codes import (
     code_from_json_dict,
     code_to_json_dict,
 )
+from stbc_forge.gmatrix import stack_from_json
 from stbc_forge.simulator import _CHUNK, SEED_CONTRACT
 from stbc_forge.verifier import classify
 
@@ -45,7 +47,8 @@ def test_family_command(runner, tmp_path):
     assert result.exit_code == 0
     obj = json.loads(out.read_text())
     assert len(obj["matrices"]) == 5
-    fam = family_from_json_dict(obj)
+    fam = AnticommutingFamily(a=obj["a"], matrices=stack_from_json(obj["matrices"], obj["n"]),
+                              c=complex(*obj["c"]))
     assert verify_family(fam).ok
 
 
@@ -106,14 +109,25 @@ def test_coding_gain_prints_table_value(runner, tmp_path):
     result = _invoke(runner, "coding-gain", "--code", str(out),
                      "--constellation", "qam4", "--angle", "auto", "--energy", "raw")
     assert result.exit_code == 0
-    assert "10.240000" in result.output
+    assert "min_det = 1.024000e+01" in result.output
 
     ciod = tmp_path / "ciod4.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ciod4", "--out", str(ciod))
     result = _invoke(runner, "coding-gain", "--code", str(ciod),
                      "--constellation", "qam4", "--angle", "auto", "--energy", "raw")
     assert result.exit_code == 0
-    assert "10.240000" in result.output
+    assert "min_det = 1.024000e+01" in result.output
+
+
+def test_coding_gain_prints_tiny_min_det(runner, tmp_path):
+    # about 1.5e-21: six fixed decimals printed 0.000000, like a code that lost diversity
+    out = tmp_path / "ussd32.json"
+    _invoke(runner, "construct", "--antennas", "32", "--family", "ussd", "--out", str(out))
+    result = _invoke(runner, "coding-gain", "--code", str(out), "--constellation", "qam16")
+    value = float(result.output.split("min_det = ")[1].split()[0])
+    want = min_det_closed_form(rotated_qam(16, optimal_angle()), 32)
+    assert 0 < want < 1e-20
+    assert abs(value - want) <= 1e-6 * want
 
 
 def test_coding_gain_reports_lost_diversity(runner, tmp_path):
@@ -131,7 +145,7 @@ def test_coding_gain_reports_lost_diversity(runner, tmp_path):
     # unrotated QAM puts 2 + 2j on the 45 degree line, where a -2c eigenvalue of
     # every ussd slot zeroes a factor of the determinant
     out = lines(ussd, "0")
-    assert out[0].startswith("min_det = 0.000000")
+    assert out[0].startswith("min_det = 0.000000e+00")
     assert len(out) == 3
     assert out[2].startswith("full diversity lost in slot 1: witness ")
     witness = out[2].split("witness ")[1].split()[0]
@@ -141,7 +155,7 @@ def test_coding_gain_reports_lost_diversity(runner, tmp_path):
     assert len(lines(ciod, "auto")) == 2
     # ciod4 loses diversity at angle 0 too, but on an axis, not on a 45 degree line
     out = lines(ciod, "0")
-    assert out[0].startswith("min_det = 0.000000") and len(out) == 2
+    assert out[0].startswith("min_det = 0.000000e+00") and len(out) == 2
 
 
 def test_coding_gain_8qam_choice(runner, tmp_path):
@@ -209,6 +223,20 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     assert sidecar["rotation_rad"] == ciod_optimal_angle()
 
 
+def test_simulate_rx_is_bounded(runner, tmp_path):
+    # each chunk draws (2^14, n, rx) arrays, so an unbounded --rx exhausted memory
+    code = tmp_path / "c.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(code))
+    for rx in ("65", "0"):
+        result = runner.invoke(main, ["simulate", "--code", str(code), "--constellation", "qam4",
+                                      "--snr", "10", "--trials", "10", "--rx", rx,
+                                      "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert [line.startswith("Error:") for line in result.output.splitlines()].count(True) == 1
+        assert "--rx" in result.output and "Traceback" not in result.output
+    assert not list(tmp_path.glob("o.csv*"))
+
+
 def test_usage_errors(runner, tmp_path):
     code = tmp_path / "c.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(code))
@@ -273,8 +301,7 @@ def test_usage_errors(runner, tmp_path):
         bad = json.loads(code.read_text())
         (bad if where is None else bad["weights"][where[0]][where[1]])[key] = value
         not_int.append((f"not-int-{len(not_int)}.json", bad))
-    # so do codes with no weight pairs or n < 1, though the library accepts
-    # empty weight stacks
+    # so do codes with no weight pairs or n < 1
     for name, content in [("keys.json", {"n": 4}), ("guard.json", obj),
                           ("empty.json", {"n": 4, "weights": []}),
                           ("n0.json", {"n": 0, "weights": []}),

@@ -14,7 +14,6 @@ from stbc_forge.codes import (
 )
 from stbc_forge.gmatrix import GaussianMatrix, real_rank
 from stbc_forge.verifier import (
-    check_cod,
     check_normalized_structure,
     check_ssd,
     check_unitary_weight,
@@ -121,7 +120,7 @@ def test_family_parameter_mismatch(fam2):
 def test_square_cod(a, request):
     code = request.getfixturevalue(f"cod{2 ** a}")
     assert code.k == a + 1
-    assert check_cod(code).ok
+    assert not classify(code).failed_conditions
     assert code.linearly_independent()
     rng = np.random.default_rng(31 + a)
     eye = np.eye(code.n)
@@ -177,7 +176,8 @@ def test_scaled(ussd4):
     assert half.w[0, 0, 0, 0] == 0.5
     assert check_ssd(half).ok  # homogeneous conditions survive scaling
     assert check_unitary_weight(half).ok  # UW allows one common scale c > 0
-    assert not GaussianMatrix(half.w[0, 0]).is_unitary()
+    a1 = half.w[0, 0]
+    assert np.array_equal(np.conj(a1).T @ a1, 0.25 * np.eye(4))  # not unitary
 
 
 def test_code_json_round_trip(ussd4, ciod4):
@@ -199,9 +199,17 @@ def test_weight_shape_validation(fam2):
     for w in (np.zeros((4, 2, 2)), np.zeros((1, 2, 2, 3)), [], np.full((1, 2, 2, 2), np.nan)):
         with pytest.raises(ValueError):
             LinearDispersionCode(label="bad", n=2, w=w)
+    # every code has k >= 1 and n >= 1
+    for n, w in ((2, np.zeros((0, 2, 2, 2))), (0, np.zeros((1, 2, 0, 0))),
+                 (0, np.zeros((0, 2, 0, 0))), (-1, np.zeros((0, 2)))):
+        with pytest.raises(ValueError, match="n >= 1 and k >= 1"):
+            LinearDispersionCode(label="bad", n=n, w=w)
+    for obj in ({"n": 2, "weights": []}, {"n": 0, "weights": []}, {"n": -1, "weights": []}):
+        with pytest.raises(ValueError, match="n >= 1 and k >= 1"):
+            code_from_json_dict(obj)
     obj = code_to_json_dict(build_square_cod(1, generate_family(1)))
-    obj["weights"][1][0] = GaussianMatrix.identity(4).to_json_dict()
-    with pytest.raises(ValueError, match="weight pair 2 is not 2x2"):
+    obj["weights"][1][0] = code_to_json_dict(build_square_cod(2, fam2))["weights"][0][0]
+    with pytest.raises(ValueError, match="matrix 3 is not 2x2"):
         code_from_json_dict(obj)
 
 
@@ -239,8 +247,3 @@ def test_weights_are_one_read_only_stack(ussd4, ciod4):
     perm = GaussianMatrix.exact(np.eye(4)[[2, 0, 3, 1]] * [1, -1j, 1j, -1])
     assert code.left_multiply(perm).is_exact
     assert not code.scaled(0.5).is_exact
-    # an empty code is a (0, 2, n, n) stack
-    empty, _ = code_from_json_dict({"n": 2, "weights": []})
-    assert empty.k == 0 and empty.is_exact
-    assert empty.w.shape == (0, 2, 2, 2) and empty.weight_arrays()[0].shape == (0, 2, 2)
-    assert not np.any(empty.codeword([]).to_array())

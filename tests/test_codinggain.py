@@ -252,12 +252,6 @@ def test_budget_error(ussd4):
         min_det_bruteforce(ussd4, c, force_full=True, budget=1000)
 
 
-def test_empty_code_rejected():
-    empty = LinearDispersionCode(label="empty", n=2, w=np.zeros((0, 2, 2, 2)))
-    with pytest.raises(ValueError):
-        min_det_bruteforce(empty, rotated_qam(4))
-
-
 def _slot_blocks(code):
     """Each slot's 2 x 2 block of the Gram tensor, (k, 2, 2, n, n)."""
     return np.stack([gram(code.w[i:i + 1]) for i in range(code.k)])

@@ -1,11 +1,13 @@
-"""Matrix core: exact arithmetic, the magnitude guard, rank, JSON."""
+"""Matrix core: exact arithmetic, the magnitude guard, rank, the stack JSON codec."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stbc_forge.gmatrix import GaussianMatrix, real_rank
+from stbc_forge.gmatrix import GaussianMatrix, is_exact, real_rank, stack_from_json, stack_to_json
 
 from conftest import GOLDEN_4TX_GENERATORS
 
@@ -85,13 +87,6 @@ def test_trace_examples():
     assert GaussianMatrix.identity(4).trace() == 4
     f1 = GOLDEN_4TX_GENERATORS[0]
     assert f1.trace() == 0
-    assert f1.herm() == f1.scale(-1)
-
-
-@given(exact_matrices())
-@settings(max_examples=60, deadline=None)
-def test_herm_involution(a):
-    assert a.herm().herm() == a
 
 
 @given(exact_matrices(), exact_matrices())
@@ -108,7 +103,7 @@ def test_exact_float_composed_agreement():
         za = np.array([[units[rng.integers(len(units))] for _ in range(4)] for _ in range(4)])
         zb = np.array([[units[rng.integers(len(units))] for _ in range(4)] for _ in range(4)])
         a, b = GaussianMatrix.exact(za), GaussianMatrix.exact(zb)
-        expr = (a @ b).herm() @ a.scale(-1j)
+        expr = GaussianMatrix(np.conj((a @ b).to_array()).T) @ a.scale(-1j)
         want = (za @ zb).conj().T @ (za * -1j)
         assert expr.is_exact
         assert np.array_equal(expr.to_array(), want)
@@ -146,46 +141,63 @@ def test_real_rank_examples():
     eye = np.eye(2)
     assert real_rank(np.stack([eye, eye * 1j])) == 2
     assert real_rank(np.stack([eye, eye])) == 1
-    assert real_rank(np.zeros((0, 2, 2))) == 0
     with pytest.raises(ValueError):
         real_rank([eye, np.eye(4)])
 
 
-def test_unitary_and_hermitian_predicates():
-    f1 = GOLDEN_4TX_GENERATORS[0]
-    assert f1.is_unitary()
-    assert not f1.herm() == f1
-    assert not f1.scale(2).is_unitary()
-    assert (f1 @ f1).scale(-1).is_identity()
+# an (N, n, n) stack whose matrices are each exact or float, for the JSON codec
+@st.composite
+def json_stacks(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    mats = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        parts = np.array(draw(st.lists(_entries, min_size=2 * n * n, max_size=2 * n * n)),
+                         dtype=float).reshape(n, n, 2)
+        if draw(st.booleans()):  # a float matrix: scale by a non-integer
+            parts *= draw(st.floats(min_value=0.01, max_value=100.0).filter(
+                lambda x: x != int(x)))
+        mats.append(parts.view(np.complex128)[..., 0])
+    return np.stack(mats)
 
 
-def test_json_round_trip():
-    rng = np.random.default_rng(3)
-    a = _random_exact(rng)
-    assert GaussianMatrix.from_json_dict(a.to_json_dict()) == a
-    d = a.to_json_dict()
-    assert d["mode"] == "exact"
-    assert isinstance(d["entries"][0][0][0], int)
-
-    f = GaussianMatrix.floating(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    back = GaussianMatrix.from_json_dict(f.to_json_dict())
-    assert back == f
-    assert not back.is_exact
-    assert f.to_json_dict()["mode"] == "float"
+@given(json_stacks())
+@settings(max_examples=60, deadline=None)
+def test_json_round_trip(z):
+    objs = stack_to_json(z)
+    back = stack_from_json(json.loads(json.dumps(objs)), z.shape[-1])
+    assert back.dtype == np.complex128 and back.tobytes() == z.tobytes()
+    assert [o["mode"] == "exact" for o in objs] == [bool(is_exact(m)) for m in z]
 
 
-def test_json_validation():
-    with pytest.raises(ValueError):
-        GaussianMatrix.from_json_dict({"n": 2, "mode": "exact", "entries": [[[1, 0]]]})
-    with pytest.raises(ValueError):
-        GaussianMatrix.from_json_dict(
-            {"n": 1, "mode": "other", "entries": [[[1, 0]]]})
-    # "exact" entries must be Gaussian integers inside the magnitude guard
-    for entry in ([0.5, 0], [2 ** 60, 0]):
-        with pytest.raises(ValueError):
-            GaussianMatrix.from_json_dict({"n": 1, "mode": "exact", "entries": [[entry]]})
-    assert not GaussianMatrix.from_json_dict(
-        {"n": 1, "mode": "float", "entries": [[[2 ** 60, 0]]]}).is_exact
+def _one(entries, mode="exact", n=1):
+    return [{"n": n, "mode": mode, "entries": entries}]
+
+
+@pytest.mark.parametrize("objs, n", [
+    (_one([[[1, 0]]], mode="other"), 1),                    # bad mode
+    (_one([[[1, 0]]], n=2), 2),                             # one row, not 2 x 2
+    (_one([[[1, 0], [0, 0]], [[0, 0]]], n=2), 2),           # ragged rows
+    (_one([[[1, 0, 0]]]), 1),                               # an entry is not [re, im]
+    (_one([[[1, 0]]]), 2),                                  # n differs from the stack's
+    (_one([[[1, 0]]], n=1.0), 1),                           # non-integer n
+    (_one([[[1, 0]]], n="1"), 1),
+    (_one([[[0.5, 0]]]), 1),                                # exact tag on 0.5
+    (_one([[[2 ** 60, 0]]]), 1),                            # exact tag outside the guard
+    (_one([[["1", 0]]]), 1),                                # string and None entries
+    (_one([[[None, 0]]], mode="float"), 1),
+    (_one([[[float("nan"), 0]]], mode="float"), 1),         # NaN
+    (_one([[[1, 0]]]) + _one([[[0.5, 0]]]), 1),             # the second matrix is bad
+], ids=["mode", "rows", "ragged", "entry", "n-other", "n-float", "n-str", "exact-half",
+        "exact-guard", "str", "none", "nan", "second"])
+def test_json_validation(objs, n):
+    with pytest.raises((ValueError, TypeError)):
+        stack_from_json(objs, n)
+
+
+def test_json_float_tag_outside_the_guard():
+    z = stack_from_json(_one([[[2 ** 60, 0]]], mode="float"), 1)
+    assert z.shape == (1, 1, 1) and not is_exact(z)
+    assert stack_to_json(z)[0]["mode"] == "float"
 
 
 def test_entries_are_immutable():

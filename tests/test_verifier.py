@@ -21,7 +21,6 @@ from stbc_forge.verifier import (
     COND_COD_SELF,
     COND_SSD_II,
     COND_UW,
-    check_cod,
     check_normalized_structure,
     check_ssd,
     check_unitary_weight,
@@ -71,17 +70,11 @@ def test_check_unitary_weight(ussd4, ciod4):
 
 
 def test_check_cod(cod2, cod4, cod8, ussd4):
+    # the full COD conditions are classify's failed_conditions
     for code in (cod2, cod4, cod8):
-        assert check_cod(code).ok
-    result = check_cod(ussd4)
-    assert not result.ok
-    assert all(f.condition == COND_COD_SELF for f in result.failures)
-
-
-def test_check_cod_vacuous_on_empty_code():
-    empty = LinearDispersionCode(label="empty", n=2, w=np.zeros((0, 2, 2, 2)))
-    assert check_cod(empty).ok
-    assert classify(empty).code_class == CLASS_COD
+        assert not classify(code).failed_conditions
+    failures = classify(ussd4).failed_conditions
+    assert failures and all(f.condition == COND_COD_SELF for f in failures)
 
 
 def test_cod_implies_ssd_and_unitary(cod2, cod4, cod8):
@@ -161,7 +154,7 @@ def test_float_tolerance_on_rotated_codes(ussd4):
     moved = ussd4.left_multiply(random_unitary(4, rng))
     assert check_ssd(moved).ok
     assert check_unitary_weight(moved).ok
-    assert not check_cod(moved).ok
+    assert classify(moved).code_class == CLASS_UW_SSD
 
 
 def _mutants(ussd4):
@@ -221,7 +214,6 @@ def test_failed_conditions_match_reference_loop(ussd4, ciod4, cod4):
     for t in range(20):
         code = bases[t % len(bases)].left_multiply(random_unitary(4, rng))
         want = _reference_failures(code)
-        assert _as_tuples(check_cod(code).failures) == want
         assert _as_tuples(classify(code).failed_conditions) == want
 
 
