@@ -65,8 +65,9 @@ def _json_text(obj, path: tuple = ()) -> str:
     That call runs json's pure-Python encoder, because an indent turns its C
     encoder off.  A rectangular nested list whose leaves are all ints or all
     finite floats is spelled in one step instead: its flattened leaves are
-    poured into a %-skeleton of the nested brackets.  A container inside
-    itself raises json's ValueError.
+    poured straight into a %d or %r skeleton of the nested brackets, which
+    spells them as ``int.__repr__`` and ``float.__repr__`` do.  A container
+    inside itself raises json's ValueError.
     """
     if not isinstance(obj, (dict, list, tuple)):
         return _json_scalar(obj)
@@ -89,12 +90,12 @@ def _json_text(obj, path: tuple = ()) -> str:
         firsts += (id(leaves[0]),)
     kinds = set(map(type, leaves))
     if kinds == {int} or kinds == {float} and all(map(math.isfinite, leaves)):
-        skeleton = "%s"
+        skeleton = "%d" if kinds == {int} else "%r"
         for depth in reversed(range(len(shape))):
             inner = "\n" + "  " * (level + depth + 1)
             skeleton = ("[" + inner + ("," + inner).join([skeleton] * shape[depth])
                         + inner[:-2] + "]")
-        return skeleton % tuple(map(kinds.pop().__repr__, leaves))
+        return skeleton % tuple(leaves)
     return "[" + pad + ("," + pad).join([_json_text(v, path) for v in obj]) + pad[:-2] + "]"
 
 

@@ -11,8 +11,10 @@ independent over the reals.  A code holds them as one read-only
 complex128 stack ``w`` of shape (k, 2, n, n): w[i-1, 0] = A_i and
 w[i-1, 1] = B_i.  Every module that needs the weights reads or views
 that stack; :class:`GaussianMatrix` remains the type of a single matrix.
-The verifier, the decoders and the coding gain read its Gram tensor,
-:func:`gram`, and share one exhaustive search, :func:`lexicographic_first_min`.
+The verifier, the decoders and the coding gain read Gram products
+W_p^H W_q pair by pair, each caller only the pairs it needs, from one
+function, :func:`gram`, and share one exhaustive search,
+:func:`lexicographic_first_min`.
 :meth:`LinearDispersionCode.codeword` and the simulator share one
 encoder, ``_encode``.  Three constructions are provided, all with exact
 Gaussian-integer weights; the first two slice a family's member stack:
@@ -55,8 +57,8 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import (GaussianMatrix, _json_int, _negligible, is_exact, product_tensor,
-                      real_rank, stack_from_json, stack_to_json)
+from .gmatrix import (GaussianMatrix, _json_int, _negligible, is_exact, real_rank,
+                      stack_from_json, stack_to_json)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +129,16 @@ class LinearDispersionCode:
         return LinearDispersionCode(label=self.label, n=self.n, w=self.w * complex(s))
 
 
-def gram(w: np.ndarray) -> np.ndarray:
-    """The (2k, 2k, n, n) Gram tensor G[p, q] = W_p^H W_q of a (k, 2, n, n) weight stack.
+def gram(w: np.ndarray, p, q) -> np.ndarray:
+    """The (len(p), n, n) Gram products G_pq = W_p^H W_q of a (k, 2, n, n) weight stack.
 
-    W_p = w.reshape(2k, n, n)[p]; slot i's 2 x 2 block is ``gram(w[i:i + 1])``.
+    W_p = w.reshape(2k, n, n)[p] and p, q are equal-length index arrays: one
+    n x n product per pair asked for.  G_qp = G_pq^H, so a caller that needs
+    both takes the pair p <= q and the conjugate transpose.
     """
     ws = w.reshape(-1, w.shape[-2], w.shape[-1])
-    return product_tensor(np.conj(ws.swapaxes(1, 2)), ws)
+    # a transposed view, not a transposed copy: matmul hands the transpose to BLAS
+    return np.conj(ws)[p].swapaxes(-1, -2) @ ws[q]
 
 
 def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -21,19 +21,20 @@ unitary-weight code on n antennas has dispersion gain n, so its raw
 determinant is scaled by (2/n)^n.  Pass ``equal_energy=False`` for the
 plain unnormalized determinant.
 
-Every determinant is read off the Gram tensor G[p, q] = W_p^H W_q of
-:func:`.codes.gram`.  The difference D = sum_p s_p W_p of the real
-vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has D^H D = sum_pq s_p s_q G[p, q]
-= sum_{p<=q} s_p s_q M_pq with M_pp = G[p, p] and M_pq = G[p, q] + G[q, p],
-so V difference vectors take one (V, k(2k+1)) @ (k(2k+1), n^2) GEMM over
-the pairs p <= q and one batched determinant.  For a single-symbol
-decodable code every cross-symbol G[p, q] + G[q, p] vanishes, so D^H D
-is a sum of one positive-semidefinite term per symbol, from its 2 x 2
-block of G, and the determinant is monotone on that cone: a
-single-symbol difference always achieves the minimum.  That reduces the search from |A|^k
-vectors to k * |A|^2 ordered point pairs.  The unreduced search
-(``force_full=True``, which validates the reduction) runs over the full
-G with :func:`.codes.lexicographic_first_min`, the enumerator of
+Every determinant is read off the Gram products G_pq = W_p^H W_q of
+:func:`.codes.gram`, taken pair by pair for p <= q only.  The difference
+D = sum_p s_p W_p of the real vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has
+D^H D = sum_pq s_p s_q G_pq = sum_{p<=q} s_p s_q M_pq with M_pp = G_pp and
+M_pq = G_pq + G_qp = G_pq + G_pq^H, so V difference vectors take one
+(V, k(2k+1)) @ (k(2k+1), n^2) GEMM over the pairs p <= q and one batched
+determinant.  For a single-symbol decodable code every cross-symbol
+M_pq vanishes, so D^H D is a sum of one positive-semidefinite term per
+symbol, from its three pairs (A_i, A_i), (A_i, B_i), (B_i, B_i), and the
+determinant is monotone on that cone: a single-symbol difference always
+achieves the minimum.  That reduces the search from |A|^k vectors to
+k * |A|^2 ordered point pairs.  The unreduced search
+(``force_full=True``, which validates the reduction) runs over all the
+pairs with :func:`.codes.lexicographic_first_min`, the enumerator of
 brute-force ML, so memory is bounded by its ``_FULL_CHUNK``-vector
 blocks and the first minimum in lexicographic order is reported.  Since
 x and -x give the same D^H D, it takes the determinant of one vector per
@@ -48,7 +49,8 @@ a single-symbol difference d in slot i has
     D^H D = c |d|^2 I + d_I d_Q H_i,    H_i = A_i^H B_i + B_i^H A_i,
 
 so its determinant is prod_j (c |d|^2 + d_I d_Q lambda_ij) over the
-eigenvalues of H_i: one ``eigvalsh`` per slot replaces |A|^2 determinants.
+eigenvalues of H_i = G + G^H for the one pair G = A_i^H B_i: one
+``eigvalsh`` per slot replaces |A|^2 determinants.
 Since |lambda_ij| <= 2c (A_i^H B_i is c times a unitary) and
 c |d|^2 >= 2c |d_I d_Q|, a factor vanishes only if |d_I| = |d_Q| and
 lambda_ij = -2c sign(d_I d_Q): such a code loses full diversity exactly when
@@ -56,7 +58,9 @@ a slot has an eigenvalue at +-2c and a difference lies on the matching +-45
 degree line, a witness of :func:`.constellations.diversity_check`.  COD
 slots have H_i = 0; maximal-rate slots the spectrum +-2c, split n/2 : n/2,
 whence the closed form (c |d_I^2 - d_Q^2|)^n.  Other SSD codes (ciod4, a
-slot rescaled) keep the determinant route.
+slot rescaled) keep the determinant route.  The route is chosen by the
+verifier's SSD and UW verdicts, whose cached pass this search shares
+with a ``classify`` of the same code.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
+from .gmatrix import _upper_pairs
 from .verifier import _gram_verdicts, _ssd_failures
 
 REFERENCE_DISPERSION_GAIN = 2.0
@@ -89,16 +94,15 @@ def dispersion_gain(code: LinearDispersionCode) -> float:
     return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * code.k)
 
 
-def _pair_terms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs p <= q of (..., P, P, n, n) Gram blocks g and their (..., pairs, n, n) terms.
+def _pair_terms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs p <= q of a (k, 2, n, n) weight stack and their (pairs, n, n) terms.
 
-    sum_pq s_p s_q g[p, q] = sum_{p<=q} s_p s_q M_pq with M_pp = g[p, p] and
-    M_pq = g[p, q] + g[q, p].
+    sum_pq s_p s_q G_pq = sum_{p<=q} s_p s_q M_pq with M_pp = G_pp and
+    M_pq = G_pq + G_pq^H, since G_qp = G_pq^H.
     """
-    r = np.arange(g.shape[-3])
-    p, q = np.nonzero(r[:, None] <= r)  # row-major, as np.triu_indices
-    gpq = g[..., p, q, :, :]
-    return p, q, np.where((p == q)[:, None, None], gpq, gpq + g[..., q, p, :, :])
+    p, q = _upper_pairs(2 * len(w))
+    g = gram(w, p, q)
+    return p, q, np.where((p == q)[:, None, None], g, g + np.conj(g).swapaxes(1, 2))
 
 
 def _difference_dets(p: np.ndarray, q: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -130,15 +134,16 @@ def min_det_bruteforce(code: LinearDispersionCode,
     if not force_full and not _ssd_failures(vanish):
         diffs = np.asarray(constellation.differences())
         s = np.stack((diffs.real, diffs.imag), axis=1)
-        g = np.stack([gram(code.w[i:i + 1]) for i in range(code.k)])  # each slot's 2 x 2 block
         if unitary.all():  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
-            lam = np.linalg.eigvalsh(g[:, 0, 1] + g[:, 1, 0])
+            a = 2 * np.arange(code.k)
+            g = gram(code.w, a, a + 1)  # each slot's A_i^H B_i
+            lam = np.linalg.eigvalsh(g + np.conj(g).swapaxes(1, 2))
             c = dispersion_gain(code) / code.n
             dets = np.prod(c * np.sum(s ** 2, axis=1)[:, None]
                            + (s[:, 0] * s[:, 1])[:, None] * lam[:, None, :], axis=-1)
         else:  # one GEMM and one det per slot keep memory per slot
-            p, q, m = _pair_terms(g)
-            dets = np.stack([_difference_dets(p, q, slot_terms, s) for slot_terms in m])
+            dets = np.stack([_difference_dets(*_pair_terms(code.w[i:i + 1]), s)
+                             for i in range(code.k)])
         slot, arg = divmod(int(np.argmin(dets)), len(diffs))  # first minimum, slot-major
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
         return MinDetResult(value=float(dets[slot, arg]) * scale, difference=vec, reduced=True)
@@ -155,7 +160,7 @@ def min_det_bruteforce(code: LinearDispersionCode,
     if total > budget:
         raise ValueError(
             f"unreduced search needs {total} difference vectors, over budget {budget}")
-    p, q, m = _pair_terms(gram(code.w))
+    p, q, m = _pair_terms(code.w)
 
     def dets(idx: np.ndarray) -> np.ndarray:
         # x and -x tie: evaluate only the first in lexicographic order, whose

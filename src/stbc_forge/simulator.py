@@ -39,12 +39,13 @@ Decoders:
 
         ||Y - SH||^2 - ||Y||^2 = sum_{p<=q} c_pq s_p s_q R_pq - 2 sum_p s_p b_p,
 
-    with R_pq = Re tr(G[p, q] Q) on the Gram tensor of :func:`.codes.gram`,
-    b_p = Re tr(W_p P), c_pp = 1 and c_pq = 2 for p < q (the real-valued
-    equivalent channel of linear dispersion codes).  One kernel builder
-    gives both decoders a (2n^2, #pairs) Q-kernel of the Grams G[p, q] and
-    a (2n^2, 2k) P-kernel of the weights: ML takes all k(2k+1) pairs
-    p <= q and concatenates R and b; SSD takes the per-slot diagonal
+    with R_pq = Re tr(G_pq Q) on the Gram products G_pq = W_p^H W_q of
+    :func:`.codes.gram`, b_p = Re tr(W_p P), c_pp = 1 and c_pq = 2 for
+    p < q (the real-valued equivalent channel of linear dispersion codes).
+    One kernel builder gives both decoders a (2n^2, #pairs) Q-kernel of
+    the Grams G_pq, computed only for the pairs it asks for, and a
+    (2n^2, 2k) P-kernel of the weights: ML takes all k(2k+1) pairs
+    p <= q and concatenates R and b; SSD takes the 3k per-slot diagonal
     pairs (R_pp, R_p'p', R_pp' of each slot).  No kernel holds the zero
     half that pairs a Q column with P or a P column with Q.  A batch of
     T blocks then takes one GEMM of the coefficients against the basis
@@ -83,6 +84,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, _encode, gram, lexicographic_first_min
 from .constellations import Constellation
+from .gmatrix import _upper_pairs
 from .verifier import check_ssd
 
 DECODER_SSD = "ssd"
@@ -192,9 +194,9 @@ def _trace_kernel(m: np.ndarray) -> np.ndarray:
 
 
 def _kernels(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Q-kernel of R_pq = Re tr(G[p, q] Q) per pair and the P-kernel of b_r = Re tr(W_r P)."""
+    """The Q-kernel of R_pq = Re tr(G_pq Q) per pair and the P-kernel of b_r = Re tr(W_r P)."""
     n = w.shape[-1]
-    return _trace_kernel(gram(w)[p, q]), _trace_kernel(w.reshape(-1, n, n))
+    return _trace_kernel(gram(w, p, q)), _trace_kernel(w.reshape(-1, n, n))
 
 
 def _metric_kernel(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,16 +216,18 @@ def _coefficients(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray,
     """The (T, #pairs) R and (T, 2k) b of T complex blocks y, h of shape (T, n, m)."""
     t = h.shape[0]
     q = np.matmul(h, np.conj(np.swapaxes(h, -1, -2)))  # Q = H H^H
+    r = q.view(np.float64).reshape(t, -1) @ kernels[0]
+    del q  # freed before P is formed: one (T, n, n) statistic is alive at a time
     p = np.matmul(h, np.conj(np.swapaxes(y, -1, -2)))  # P = H Y^H
-    return (q.view(np.float64).reshape(t, -1) @ kernels[0],
-            p.view(np.float64).reshape(t, -1) @ kernels[1])
+    return r, p.view(np.float64).reshape(t, -1) @ kernels[1]
 
 
 def _slot_metrics(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray, h: np.ndarray,
-                  pts: np.ndarray) -> np.ndarray:
+                  pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (T, k, |A|) per-slot metrics g_i(x) for T complex blocks y, h of shape (T, n, m).
 
-    ``kernels`` are the code's ``_metric_kernel``.
+    ``kernels`` are the code's ``_metric_kernel``; ``out``, if given, is a
+    C-contiguous (T k, |A|) float64 buffer the metrics are written to.
     """
     t = h.shape[0]
     r, b = _coefficients(kernels, y, h)
@@ -231,7 +235,7 @@ def _slot_metrics(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray, h: np.n
     xr = pts.real
     xq = pts.imag
     basis = np.stack((xr * xr, xq * xq, 2.0 * xr * xq, -2.0 * xr, -2.0 * xq))
-    return (slot_stats.reshape(-1, 5) @ basis).reshape(t, -1, len(pts))
+    return np.matmul(slot_stats.reshape(-1, 5), basis, out=out).reshape(t, -1, len(pts))
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -263,7 +267,7 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     if total > budget:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {budget}")
     y, h, single = _blocks(y, h)
-    p, q = np.triu_indices(2 * k)
+    p, q = _upper_pairs(2 * k)
     coef = np.concatenate(_coefficients(_kernels(code.w, p, q), y, h), axis=1)  # (T, F)
     pair_weight = np.where(p == q, 1.0, 2.0)
 
@@ -283,10 +287,13 @@ def simulate_cer(config: SimConfig) -> CerReport:
     n, m, k = code.n, config.rx_antennas, code.k
     scale = transmit_scale(code, constellation)
     scaled = code.scaled(scale)
-    if config.decoder == DECODER_SSD:
-        _require_ssd(scaled)
     pts = np.asarray(constellation.points)
-    kernels = _metric_kernel(scaled.w)
+    if config.decoder == DECODER_SSD:
+        _require_ssd(code)  # scale-invariant verdicts: the caller's classify pass is reused
+        kernels = _metric_kernel(scaled.w)
+        # the chunk's largest array, allocated once per call: allocated per chunk,
+        # it is mapped and faulted in afresh each time once past malloc's mmap threshold
+        metrics = np.empty((min(_CHUNK, config.trials) * k, len(pts)))
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = 10.0 ** (-snr_db / 10.0)
@@ -301,7 +308,8 @@ def simulate_cer(config: SimConfig) -> CerReport:
             y *= math.sqrt(n0)
             y += _encode(scaled.w, x) @ h
             if config.decoder == DECODER_SSD:
-                decoded = pts[np.argmin(_slot_metrics(kernels, y, h, pts), axis=2)]
+                slot_metrics = _slot_metrics(kernels, y, h, pts, metrics[:t * k])
+                decoded = pts[np.argmin(slot_metrics, axis=2)]
             else:
                 decoded = ml_decode_bruteforce(scaled, y, h, constellation)
             wrong = decoded != x

@@ -20,11 +20,16 @@ Codes satisfying all three groups are complex orthogonal designs; the
 SSD group plus UW but not the self condition gives unitary-weight SSD
 codes; the SSD group without UW gives non-unitary-weight SSD codes.
 
-All of them are index patterns on the Gram tensor G[p, q] = W_p^H W_q
-of the 2k weights, :func:`.codes.gram`: the SSD and self conditions read
-G + G.swapaxes(0, 1), UW reads the diagonal blocks.  Every residual is
-judged by the one relative tolerance of :mod:`.gmatrix`, 1e-10 * c,
-so the verdicts do not change under a uniform scale of the weights.  On
+All of them are pairwise conditions on the Gram products
+G_pq = W_p^H W_q of the 2k weights, :func:`.codes.gram`, and each is
+symmetric in (p, q): G_qp = G_pq^H, so one pass reads the k(2k+1) pairs
+p <= q only.  The SSD and self conditions judge G_pq + G_pq^H, UW
+judges the diagonal G_pp.  Every residual's Frobenius norm is judged by
+the one relative tolerance of :mod:`.gmatrix`, 1e-10 * c, so the
+verdicts do not change under a uniform scale of the weights.  The pass
+is cached for the last code it judged (codes are immutable and compare
+by identity), so a command that classifies a code and then searches or
+decodes it computes the products once.  On
 Gaussian-integer weights the SSD and self residuals are Gaussian-integer
 matrices (norm 0 or >= 1) and the UW residual W^H W - cI has entries in
 Z[j] / (2kn); at the built-in scales (c <= 1) the tolerance lies far
@@ -34,11 +39,12 @@ below both steps, so every verdict there is bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .codes import LinearDispersionCode, gram
-from .gmatrix import GaussianMatrix, _negligible, product_tensor
+from .gmatrix import GaussianMatrix, _frobenius, _negligible, _upper_pairs
 
 COND_UW = "UW"
 COND_SSD_IQ = "SSD-IQ"
@@ -76,20 +82,27 @@ class ClassificationReport:
     normalized: bool
 
 
+@lru_cache(maxsize=1)
 def _gram_verdicts(code: LinearDispersionCode) -> tuple[np.ndarray, np.ndarray]:
-    """Every condition of the taxonomy, read off one Gram tensor G[p, q] = W_p^H W_q.
+    """Every condition of the taxonomy, read off the Gram products G_pq = W_p^H W_q, p <= q.
 
-    Returns ``vanish[p, q]``, whether W_p^H W_q + W_q^H W_p is negligible
-    (SSD-IQ/II/QQ and COD-IQ-self are entries of it), and ``unitary[p]``,
-    whether W_p^H W_p = c I for the one common c > 0 (UW).  c is the mean
-    of trace(W_p^H W_p) / n, and both verdicts are relative to it.
+    Returns the symmetric ``vanish[p, q]``, whether W_p^H W_q + W_q^H W_p is
+    negligible (SSD-IQ/II/QQ and COD-IQ-self are entries of it), and
+    ``unitary[p]``, whether W_p^H W_p = c I for the one common c > 0 (UW).
+    c is the mean of trace(W_p^H W_p) / n, and both verdicts are relative
+    to it.  Both arrays are read-only: the last code's are cached, keyed on
+    the code object, and shared by every caller.
     """
-    g = gram(code.w)
-    idx = np.arange(2 * code.k)
-    diag = g[idx, idx]
-    c = float(np.mean(np.trace(diag, axis1=1, axis2=2).real)) / code.n
-    vanish = _negligible(np.linalg.norm(g + g.swapaxes(0, 1), axis=(2, 3)), c)
-    unitary = _negligible(np.linalg.norm(diag - c * np.eye(code.n), axis=(1, 2)), c) & (c > 0)
+    p, q = _upper_pairs(2 * code.k)
+    g = gram(code.w, p, q)
+    diag = g[p == q]
+    c = float(np.mean(np.einsum("pii->p", diag).real)) / code.n
+    half = _negligible(_frobenius(g + np.conj(g).swapaxes(1, 2)), c)
+    vanish = np.empty((2 * code.k, 2 * code.k), dtype=bool)
+    vanish[p, q] = vanish[q, p] = half
+    unitary = _negligible(_frobenius(diag - c * np.eye(code.n)), c) & (c > 0)
+    vanish.setflags(write=False)
+    unitary.setflags(write=False)
     return vanish, unitary
 
 
@@ -173,11 +186,13 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     """
     w = code.w.reshape(2 * code.k, code.n, code.n)
     idx = np.arange(len(w))
-    eye = np.eye(code.n)
-    p = product_tensor(w, w)
-    square = _negligible(np.linalg.norm(p[idx, idx] + eye, axis=(1, 2)), 1.0)
-    b1_commute = _negligible(np.linalg.norm(gram(code.w)[1] - p[:, 1], axis=(1, 2)), 1.0)
-    anticommute = _negligible(np.linalg.norm(p + p.swapaxes(0, 1), axis=(2, 3)), 1.0)
+    square = _negligible(_frobenius(w @ w + np.eye(code.n)), 1.0)
+    # row 1 of the Gram products against W_r W_1: B_1^H W_r - W_r B_1
+    b1_commute = _negligible(_frobenius(gram(code.w, np.ones_like(idx), idx) - w @ w[1]), 1.0)
+    x, y = _upper_pairs(len(w), 1)
+    pairs = (x >= 2) & (x // 2 != y // 2)  # within-symbol products are unconstrained here
+    x, y = x[pairs], y[pairs]
+    anticommute = _negligible(_frobenius(w[x] @ w[y] + w[y] @ w[x]), 1.0)
     failures: list[ConditionFailure] = []
     if not GaussianMatrix(w[0]).is_identity():
         failures.append(ConditionFailure("normalized", 1, 0))
@@ -185,9 +200,6 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     failures += [ConditionFailure("square", r // 2 + 1, r % 2) for r in others if not square[r]]
     failures += [ConditionFailure("b1-commute", r // 2 + 1, r % 2)
                  for r in others if not b1_commute[r]]
-    for x in others:
-        for y in range(x + 1, len(w)):
-            # within-symbol products are unconstrained here
-            if x // 2 != y // 2 and not anticommute[x, y]:
-                failures.append(ConditionFailure("anticommute", x // 2 + 1, y // 2 + 1))
+    failures += [ConditionFailure("anticommute", i // 2 + 1, j // 2 + 1)
+                 for i, j, ok in zip(x.tolist(), y.tolist(), anticommute) if not ok]
     return CheckResult(tuple(failures))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbc_forge import (__version__, ciod_optimal_angle, min_det_closed_form, optimal_angle,
-                        rotated_qam)
+                        rotated_qam, verifier)
 from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, _write_json, main
 from stbc_forge.clifford import (
     MAX_DOUBLINGS,
@@ -221,6 +221,22 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     sidecar = json.loads((tmp_path / "cer.csv.config.json").read_text())
     assert sidecar["class"] == "non-unitary-weight-SSD"
     assert sidecar["rotation_rad"] == ciod_optimal_angle()
+
+
+def test_one_verdict_pass_per_command(runner, tmp_path, monkeypatch):
+    # coding-gain --angle auto classifies the code and then searches it, and simulate
+    # classifies it and then checks it is SSD: each computes the verdicts' Gram products once
+    calls = []
+    products = verifier.gram
+    monkeypatch.setattr(verifier, "gram", lambda *args: calls.append(1) or products(*args))
+    code = tmp_path / "ussd4.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(code))
+    for command in (("coding-gain", "--code", str(code), "--constellation", "qam16"),
+                    ("simulate", "--code", str(code), "--constellation", "qam4", "--snr", "10",
+                     "--trials", "10", "--decoder", "ssd", "--out", str(tmp_path / "c.csv"))):
+        calls.clear()
+        assert _invoke(runner, *command).exit_code == 0
+        assert len(calls) == 1, command[0]
 
 
 def test_simulate_rx_is_bounded(runner, tmp_path):

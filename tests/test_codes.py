@@ -10,6 +10,7 @@ from stbc_forge.codes import (
     build_square_cod,
     code_from_json_dict,
     code_to_json_dict,
+    gram,
     lexicographic_first_min,
 )
 from stbc_forge.gmatrix import GaussianMatrix, real_rank
@@ -247,3 +248,22 @@ def test_weights_are_one_read_only_stack(ussd4, ciod4):
     perm = GaussianMatrix.exact(np.eye(4)[[2, 0, 3, 1]] * [1, -1j, 1j, -1])
     assert code.left_multiply(perm).is_exact
     assert not code.scaled(0.5).is_exact
+
+
+def test_gram_pairs(ussd8, ciod4):
+    # G_pq = W_p^H W_q for any index arrays, in either order and with repeats, bit for bit;
+    # G_qp = G_pq^H bit for bit, which lets every caller read the pairs p <= q only
+    rng = np.random.default_rng(29)
+    noise = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    codes = (ussd8, ussd8.scaled(0.3).left_multiply(random_unitary(8, rng)), ciod4,
+             LinearDispersionCode(label="noise", n=4, w=noise))
+    for code in codes:
+        w = code.w.reshape(2 * code.k, code.n, code.n)
+        p = rng.integers(0, len(w), size=40)
+        q = rng.integers(0, len(w), size=40)
+        g = gram(code.w, p, q)
+        assert g.shape == (40, code.n, code.n)
+        for pq, x, y in zip(g, p, q):
+            assert np.array_equal(pq, np.conj(w[x]).T @ w[y])
+        assert np.array_equal(gram(code.w, q, p), np.conj(g).swapaxes(1, 2))
+    assert gram(ussd8.w, [], []).shape == (0, 8, 8)

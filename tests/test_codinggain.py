@@ -15,7 +15,6 @@ from stbc_forge.codes import (
     build_ciod4,
     build_max_rate_ussd,
     build_square_cod,
-    gram,
 )
 from stbc_forge.codinggain import dispersion_gain, min_det_bruteforce, min_det_closed_form
 from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam, special_8qam
@@ -252,9 +251,10 @@ def test_budget_error(ussd4):
         min_det_bruteforce(ussd4, c, force_full=True, budget=1000)
 
 
-def _slot_blocks(code):
-    """Each slot's 2 x 2 block of the Gram tensor, (k, 2, 2, n, n)."""
-    return np.stack([gram(code.w[i:i + 1]) for i in range(code.k)])
+def _slot_hermitians(code):
+    """Each slot's H_i = A_i^H B_i + B_i^H A_i, (k, n, n), by plain products."""
+    a, b = code.w[:, 0], code.w[:, 1]
+    return np.conj(a.swapaxes(1, 2)) @ b + np.conj(b.swapaxes(1, 2)) @ a
 
 
 def _builtin(family, a):
@@ -265,19 +265,17 @@ def _builtin(family, a):
 def test_slot_spectra(a):
     # H_i = A_i^H B_i + B_i^H A_i: +-2c split n/2 : n/2 on every ussd slot, 0 on every cod slot
     n = 2 ** a
-    g = _slot_blocks(_builtin("ussd", a))
-    lam = np.linalg.eigvalsh(g[:, 0, 1] + g[:, 1, 0])
+    lam = np.linalg.eigvalsh(_slot_hermitians(_builtin("ussd", a)))
     assert np.allclose(lam, np.repeat([-2.0, 2.0], n // 2), atol=1e-12)
-    g = _slot_blocks(_builtin("cod", a))
-    assert not np.any(g[:, 0, 1] + g[:, 1, 0])
+    assert not np.any(_slot_hermitians(_builtin("cod", a)))
 
 
 def _determinant_route(code, constellation):
     """The reduced search's minimum by one determinant per slot and unique difference."""
     diffs = np.array([d for d in _per_slot_differences(constellation) if d])
     s = np.stack((diffs.real, diffs.imag), axis=1)
-    p, q, m = codinggain._pair_terms(_slot_blocks(code))
-    dets = np.stack([codinggain._difference_dets(p, q, slot_terms, s) for slot_terms in m])
+    dets = np.stack([codinggain._difference_dets(*codinggain._pair_terms(code.w[i:i + 1]), s)
+                     for i in range(code.k)])
     return float(dets.min()) * (2 / dispersion_gain(code)) ** code.n
 
 

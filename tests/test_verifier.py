@@ -21,6 +21,7 @@ from stbc_forge.verifier import (
     COND_COD_SELF,
     COND_SSD_II,
     COND_UW,
+    _gram_verdicts,
     check_normalized_structure,
     check_ssd,
     check_unitary_weight,
@@ -239,3 +240,56 @@ def test_class_invariant_under_scale_and_unitary(name, scale, seed):
     assert classify(code.scaled(scale)).code_class == want
     assert classify(code.left_multiply(u)).code_class == want
     assert classify(code.scaled(scale).left_multiply(u)).code_class == want
+
+
+_BUILT_IN = {
+    **{f"ussd{2 ** a}": build_max_rate_ussd(a, generate_family(a)) for a in (1, 2, 3)},
+    **{f"cod{2 ** a}": build_square_cod(a, generate_family(a)) for a in (1, 2, 3)},
+    "ciod4": build_ciod4(),
+}
+
+
+def _reference_verdicts(code):
+    """The verdicts by a loop over every pair (p, q), with np.linalg.norm residuals."""
+    w = code.w.reshape(2 * code.k, code.n, code.n)
+    g = [[np.conj(x).T @ y for y in w] for x in w]
+    c = np.mean([np.trace(g[p][p]).real for p in range(len(w))]) / code.n
+    vanish = np.array([[np.linalg.norm(g[p][q] + g[q][p]) <= 1e-10 * c for q in range(len(w))]
+                       for p in range(len(w))])
+    unitary = np.array([np.linalg.norm(g[p][p] - c * np.eye(code.n)) <= 1e-10 * c
+                        for p in range(len(w))]) & (c > 0)
+    return vanish, unitary
+
+
+@given(name=st.sampled_from(sorted(_BUILT_IN)),
+       scale=st.floats(min_value=1e-3, max_value=1e3),
+       rel=st.sampled_from([1e-13, 1e-8]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_half_gram_verdicts_match_reference_loop(name, scale, rel, seed):
+    # one weight perturbed 1e-13 relative stays inside the tolerance 1e-10 * c, and 1e-8
+    # relative leaves it, so the drawn cases fall on both sides
+    rng = np.random.default_rng(seed)
+    code = _BUILT_IN[name].scaled(scale).left_multiply(random_unitary(_BUILT_IN[name].n, rng))
+    w = np.array(code.w)
+    i, j = rng.integers(code.k), rng.integers(2)
+    e = rng.standard_normal((code.n, code.n)) + 1j * rng.standard_normal((code.n, code.n))
+    w[i, j] += rel * np.linalg.norm(w[i, j]) * e / np.linalg.norm(e)
+    code = LinearDispersionCode(label=name, n=code.n, w=w)
+    vanish, unitary = _gram_verdicts(code)
+    want_vanish, want_unitary = _reference_verdicts(code)
+    assert np.array_equal(vanish, want_vanish)
+    assert np.array_equal(unitary, want_unitary)
+    if rel == 1e-8 and name != "ciod4":  # a built-in unitary weight, pushed off unitarity
+        assert not unitary[2 * i + j]
+
+
+def test_cached_verdicts_are_read_only(ussd4):
+    _gram_verdicts.cache_clear()
+    vanish, unitary = _gram_verdicts(ussd4)
+    assert _gram_verdicts(ussd4)[0] is vanish  # the second call is served from the cache
+    assert _gram_verdicts.cache_info().hits == 1
+    for verdicts in (vanish, unitary):
+        assert not verdicts.flags.writeable
+        with pytest.raises(ValueError):
+            verdicts[0] = False
