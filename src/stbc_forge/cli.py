@@ -109,10 +109,18 @@ def _load_code(path: str):
     with open(path) as fh:
         try:
             code, declared = codes.code_from_json_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # RecursionError: json's scanner on deeply nested brackets
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise click.UsageError(
                 f"{path} is not a valid code file: {type(exc).__name__}: {exc}") from None
     return code, declared
+
+
+def _output_path(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
+    """An output path whose directory exists, checked as the option is parsed, before any work."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise click.BadParameter(f"the directory of {path!r} does not exist", ctx, param)
+    return path
 
 
 def _make_constellation(name: str, angle: float, energy_mode: str):
@@ -149,7 +157,8 @@ def main() -> None:
 @main.command()
 @click.option("--a", "a", type=click.IntRange(1, clifford.MAX_DOUBLINGS), required=True,
               help="Doublings: matrices are 2^a x 2^a.")
-@click.option("--out", "out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", "out", type=click.Path(dir_okay=False), required=True,
+              callback=_output_path)
 def family(a: int, out: str) -> None:
     """Generate the 2a+1 pairwise anticommuting matrices of size 2^a."""
     fam = clifford.generate_family(a)
@@ -165,7 +174,8 @@ def family(a: int, out: str) -> None:
 @click.option("--antennas", type=int, required=True, help="Transmit antennas (power of 2).")
 @click.option("--family", "family_name", type=click.Choice(["ussd", "cod", "ciod4"]),
               required=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", "out", type=click.Path(dir_okay=False), required=True,
+              callback=_output_path)
 def construct(antennas: int, family_name: str, out: str) -> None:
     """Build one of the known code families."""
     if family_name == "ciod4":
@@ -190,12 +200,13 @@ def construct(antennas: int, family_name: str, out: str) -> None:
 
 @main.command()
 @click.argument("code_json", type=click.Path(exists=True, dir_okay=False))
-@click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
+              callback=_output_path)
 def verify(code_json: str, report_path: str | None) -> None:
     """Classify a code file and check it against its declared class."""
     code, declared = _load_code(code_json)
     rep = classify(code)
-    failures = [{"condition": f.condition, "i": f.i, "j": f.j}
+    failures = [{"condition": f.condition, "i": f.i, "j": f.j, "residual": f.residual}
                 for f in rep.failed_conditions]
     out = {
         "label": code.label,
@@ -259,7 +270,8 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
 @click.option("--trials", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--decoder", type=click.Choice(["ssd", "brute-ml"]), default="ssd")
-@click.option("--out", "out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", "out", type=click.Path(dir_okay=False), required=True,
+              callback=_output_path)
 def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: int,
              trials: int, seed: int, decoder: str, out: str) -> None:
     """Monte Carlo codeword-error-rate sweep; writes CSV plus a config sidecar."""

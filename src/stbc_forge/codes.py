@@ -11,10 +11,17 @@ independent over the reals.  A code holds them as one read-only
 complex128 stack ``w`` of shape (k, 2, n, n): w[i-1, 0] = A_i and
 w[i-1, 1] = B_i.  Every module that needs the weights reads or views
 that stack; :class:`GaussianMatrix` remains the type of a single matrix.
-The verifier, the decoders and the coding gain read Gram products
-W_p^H W_q pair by pair, each caller only the pairs it needs, from one
-function, :func:`gram`, and share one exhaustive search,
-:func:`lexicographic_first_min`.
+The verifier, the decoders and the coding gain read the Gram products
+W_p^H W_q from one routine, :func:`gram_rows`, and share one exhaustive
+search, :func:`lexicographic_first_min`.  ``gram_rows`` forms them by
+block rows: row p is W_p^H [W_p ... W_{m-1}], one GEMM on column ranges
+of the concatenated weights [W_0 ... W_{m-1}], and consecutive rows share
+one GEMM while its product stays within ``_GRAM_CHUNK`` elements, so a
+code with n <= 8 is one GEMM and a 32-antenna code one GEMM per row.
+``gram_rows`` yields each block row before it forms the next: the
+verdict pass keeps only residual norms, :func:`gram` gathers the
+pairs p <= q into one stack for the callers that need them all, and a
+code's (k, 2, n, n) ``w`` gives each symbol's own 2 x 2 products.
 :meth:`LinearDispersionCode.codeword` and the simulator share one
 encoder, ``_encode``.  Three constructions are provided, all with exact
 Gaussian-integer weights; the first two slice a family's member stack:
@@ -52,13 +59,15 @@ Gaussian-integer weights; the first two slice a family's member stack:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import (GaussianMatrix, _json_int, _negligible, is_exact, real_rank,
-                      stack_from_json, stack_to_json)
+from .gmatrix import (GaussianMatrix, _json_int, _negligible, _upper_pairs, is_exact,
+                      real_rank, stack_from_json, stack_to_json)
+
+_GRAM_CHUNK = 1 << 14  # elements in one product of gram_rows: its rows x columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +138,46 @@ class LinearDispersionCode:
         return LinearDispersionCode(label=self.label, n=self.n, w=self.w * complex(s))
 
 
-def gram(w: np.ndarray, p, q) -> np.ndarray:
-    """The (len(p), n, n) Gram products G_pq = W_p^H W_q of a (k, 2, n, n) weight stack.
+def gram_rows(ws: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the Gram products G_pq = W_p^H W_q, q >= p, of a stack by block rows.
 
-    W_p = w.reshape(2k, n, n)[p] and p, q are equal-length index arrays: one
-    n x n product per pair asked for.  G_qp = G_pq^H, so a caller that needs
-    both takes the pair p <= q and the conjugate transpose.
+    ``ws`` is an (..., m, n, n) stack W_0 ... W_{m-1}, each leading index a
+    stack of its own: a code's ``w.reshape(2k, n, n)`` for all its weights
+    in the order p = 2(i-1) + {0: A_i, 1: B_i}, or its (k, 2, n, n) ``w``
+    for the 2 x 2 products of each symbol.  Rows p0 <= p < p1 take one GEMM
+    of [W_p0 ... W_{p1-1}]^H against [W_p0 ... W_{m-1}], two column ranges
+    of one n x mn concatenation [W_0 ... W_{m-1}], so no pair is gathered
+    by index before the product.  Each GEMM yields ``(p, q, g)``: its
+    blocks q >= p as the (..., len(p), n, n) stack g = G_pq, with the index
+    arrays p, q in row-major order; the next GEMM is formed only when the
+    caller asks for it.  Chunk rule: a GEMM takes rows while its product
+    stays within ``_GRAM_CHUNK`` elements per stack, and at least one row,
+    so every built-in code with n <= 8 is one GEMM.
     """
-    ws = w.reshape(-1, w.shape[-2], w.shape[-1])
-    # a transposed view, not a transposed copy: matmul hands the transpose to BLAS
-    return np.conj(ws)[p].swapaxes(-1, -2) @ ws[q]
+    *batch, m, _, n = ws.shape
+    cat = ws.swapaxes(-3, -2).reshape(*batch, n, m * n)
+    p_all, q_all = _upper_pairs(m)  # row-major, so rows p0 <= p < p1 are one slice
+    p0 = 0
+    while p0 < m:
+        cols = m - p0
+        p1 = min(m, p0 + max(1, _GRAM_CHUNK // (cols * n * n)))
+        pairs = slice(p0 * (2 * m - p0 + 1) // 2, p1 * (2 * m - p1 + 1) // 2)
+        p, q = p_all[pairs], q_all[pairs]
+        # a transposed view, not a transposed copy: matmul hands the transpose to BLAS
+        z = cat[..., p0 * n:p1 * n].conj().swapaxes(-1, -2) @ cat[..., p0 * n:]
+        g = z.reshape(*batch, p1 - p0, n, cols, n).swapaxes(-3, -2)[..., p - p0, q - p0, :, :]
+        del z  # only the blocks q >= p stay alive while the caller reads them
+        yield p, q, g
+        p0 = p1
+
+
+def gram(ws: np.ndarray) -> np.ndarray:
+    """The (..., m(m+1)/2, n, n) Gram products G_pq, p <= q, of an (..., m, n, n) stack.
+
+    In row-major pair order (``gmatrix._upper_pairs(m)``), from the block
+    rows of :func:`gram_rows`.  G_qp = G_pq^H, so these are all of them.
+    """
+    return np.concatenate([g for _, _, g in gram_rows(ws)], axis=-3)
 
 
 def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ unitary-weight code on n antennas has dispersion gain n, so its raw
 determinant is scaled by (2/n)^n.  Pass ``equal_energy=False`` for the
 plain unnormalized determinant.
 
-Every determinant is read off the Gram products G_pq = W_p^H W_q of
-:func:`.codes.gram`, taken pair by pair for p <= q only.  The difference
+Every determinant is read off the Gram products G_pq = W_p^H W_q, taken
+for the pairs p <= q only (:func:`.codes.gram`).  The difference
 D = sum_p s_p W_p of the real vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has
 D^H D = sum_pq s_p s_q G_pq = sum_{p<=q} s_p s_q M_pq with M_pp = G_pp and
 M_pq = G_pq + G_qp = G_pq + G_pq^H, so V difference vectors take one
@@ -101,7 +101,7 @@ def _pair_terms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M_pq = G_pq + G_pq^H, since G_qp = G_pq^H.
     """
     p, q = _upper_pairs(2 * len(w))
-    g = gram(w, p, q)
+    g = gram(w.reshape(-1, *w.shape[-2:]))
     return p, q, np.where((p == q)[:, None, None], g, g + np.conj(g).swapaxes(1, 2))
 
 
@@ -130,13 +130,12 @@ def min_det_bruteforce(code: LinearDispersionCode,
     difference vectors exceeds ``budget``.
     """
     scale = (REFERENCE_DISPERSION_GAIN / dispersion_gain(code)) ** code.n if equal_energy else 1.0
-    vanish, unitary = _gram_verdicts(code) if not force_full else (None, None)
-    if not force_full and not _ssd_failures(vanish):
+    verdicts = _gram_verdicts(code) if not force_full else None
+    if not force_full and not _ssd_failures(verdicts):
         diffs = np.asarray(constellation.differences())
         s = np.stack((diffs.real, diffs.imag), axis=1)
-        if unitary.all():  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
-            a = 2 * np.arange(code.k)
-            g = gram(code.w, a, a + 1)  # each slot's A_i^H B_i
+        if verdicts.unitary.all():  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
+            g = gram(code.w)[:, 1]  # each slot's A_i^H B_i: pair (0, 1) of its 2 x 2 products
             lam = np.linalg.eigvalsh(g + np.conj(g).swapaxes(1, 2))
             c = dispersion_gain(code) / code.n
             dets = np.prod(c * np.sum(s ** 2, axis=1)[:, None]

@@ -43,13 +43,14 @@ Decoders:
     :func:`.codes.gram`, b_p = Re tr(W_p P), c_pp = 1 and c_pq = 2 for
     p < q (the real-valued equivalent channel of linear dispersion codes).
     One kernel builder gives both decoders a (2n^2, #pairs) Q-kernel of
-    the Grams G_pq, computed only for the pairs it asks for, and a
-    (2n^2, 2k) P-kernel of the weights: ML takes all k(2k+1) pairs
-    p <= q and concatenates R and b; SSD takes the 3k per-slot diagonal
-    pairs (R_pp, R_p'p', R_pp' of each slot).  No kernel holds the zero
-    half that pairs a Q column with P or a P column with Q.  A batch of
-    T blocks then takes one GEMM of the coefficients against the basis
-    [c_pq s_p s_q, -2 s_p] per chunk of codewords from
+    Grams G_pq and a (2n^2, 2k) P-kernel of the weights: ML takes all
+    k(2k+1) pairs p <= q and concatenates R and b; SSD takes the 3k
+    per-slot diagonal pairs (R_pp, R_p'p', R_pp' of each slot), from each
+    slot's own 2 x 2 Gram products (:func:`.codes.gram` on the (k, 2, n, n)
+    weight stack), so no cross-slot product is formed.  No kernel holds
+    the zero half that pairs a Q column with P or a P column with Q.  A
+    batch of T blocks then takes one GEMM of the coefficients against the
+    basis [c_pq s_p s_q, -2 s_p] per chunk of codewords from
     :func:`.codes.lexicographic_first_min`, the enumerator
     of the unreduced minimum-determinant search too.  Chunks hold at most
     ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
@@ -193,10 +194,9 @@ def _trace_kernel(m: np.ndarray) -> np.ndarray:
     return mh.view(np.float64).T
 
 
-def _kernels(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Q-kernel of R_pq = Re tr(G_pq Q) per pair and the P-kernel of b_r = Re tr(W_r P)."""
-    n = w.shape[-1]
-    return _trace_kernel(gram(w, p, q)), _trace_kernel(w.reshape(-1, n, n))
+def _kernels(grams: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Q-kernel of R_pq = Re tr(G_pq Q) per Gram product, the P-kernel of b_r = Re tr(W_r P)."""
+    return _trace_kernel(grams), _trace_kernel(w.reshape(-1, *w.shape[-2:]))
 
 
 def _metric_kernel(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,11 +204,11 @@ def _metric_kernel(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Slot i's Q-kernel columns 3(i-1) .. 3i-1 give ||A_i H||^2, ||B_i H||^2 and
     Re <A_i H, B_i H>, that is R_pp, R_p'p' and R_pp' for A_i = W_p and
-    B_i = W_p', p' = p + 1; its P-kernel columns 2(i-1), 2i-1 give
-    Re <Y, A_i H> = b_p and Re <Y, B_i H> = b_p'.
+    B_i = W_p', p' = p + 1, read from the slot's own 2 x 2 Gram products; its
+    P-kernel columns 2(i-1), 2i-1 give Re <Y, A_i H> = b_p and Re <Y, B_i H> = b_p'.
     """
-    a = 2 * np.arange(len(w))[:, None]
-    return _kernels(w, (a + [0, 1, 0]).ravel(), (a + [0, 1, 1]).ravel())
+    slots = gram(w)[:, [0, 2, 1]]  # each slot's pairs (A A, A B, B B) as (A A, B B, A B)
+    return _kernels(slots.reshape(-1, *w.shape[-2:]), w)
 
 
 def _coefficients(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray,
@@ -268,7 +268,8 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {budget}")
     y, h, single = _blocks(y, h)
     p, q = _upper_pairs(2 * k)
-    coef = np.concatenate(_coefficients(_kernels(code.w, p, q), y, h), axis=1)  # (T, F)
+    grams = gram(code.w.reshape(2 * k, code.n, code.n))
+    coef = np.concatenate(_coefficients(_kernels(grams, code.w), y, h), axis=1)  # (T, F)
     pair_weight = np.where(p == q, 1.0, 2.0)
 
     def metrics(x: np.ndarray) -> np.ndarray:  # ||Y - SH||^2 - ||Y||^2 of C codewords, (T, C)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbc_forge import (__version__, ciod_optimal_angle, min_det_closed_form, optimal_angle,
-                        rotated_qam, verifier)
+                        rotated_qam, simulator, verifier)
 from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, _write_json, main
 from stbc_forge.clifford import (
     MAX_DOUBLINGS,
@@ -21,6 +21,7 @@ from stbc_forge.clifford import (
     verify_family,
 )
 from stbc_forge.codes import (
+    LinearDispersionCode,
     build_ciod4,
     build_max_rate_ussd,
     build_square_cod,
@@ -225,10 +226,11 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
 
 def test_one_verdict_pass_per_command(runner, tmp_path, monkeypatch):
     # coding-gain --angle auto classifies the code and then searches it, and simulate
-    # classifies it and then checks it is SSD: each computes the verdicts' Gram products once
+    # classifies it and then checks it is SSD: each runs the verdicts' Gram pass once, and
+    # the pass calls gram_rows once
     calls = []
-    products = verifier.gram
-    monkeypatch.setattr(verifier, "gram", lambda *args: calls.append(1) or products(*args))
+    products = verifier.gram_rows
+    monkeypatch.setattr(verifier, "gram_rows", lambda *args: calls.append(1) or products(*args))
     code = tmp_path / "ussd4.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(code))
     for command in (("coding-gain", "--code", str(code), "--constellation", "qam16"),
@@ -335,6 +337,78 @@ def test_usage_errors(runner, tmp_path):
             assert "Traceback" not in result.output
     assert not (tmp_path / "o.csv").exists()
 
+
+def _one_error_line(result) -> str:
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "Traceback" not in result.output, result.output
+    return errors[0]
+
+
+def test_deeply_nested_code_file_is_a_usage_error(runner, tmp_path):
+    # json's scanner raises RecursionError on deep nesting: like any malformed code file it
+    # is exit 2 and one line, not a traceback under 1, the verification-failure code
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for args in (["verify", str(path)],
+                 ["coding-gain", "--code", str(path), "--constellation", "qam4"],
+                 ["simulate", "--code", str(path), "--constellation", "qam4", "--snr", "10",
+                  "--trials", "10", "--out", str(tmp_path / "o.csv")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "not a valid code file: RecursionError" in _one_error_line(result)
+    assert not list(tmp_path.glob("o.csv*"))
+
+
+def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, monkeypatch):
+    # every output path is checked as its option is parsed: exit 2 and one line before any
+    # work, so simulate never starts its sweep and nothing is written
+    code = tmp_path / "c.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(code))
+    monkeypatch.setattr(simulator, "simulate_cer", lambda config: pytest.fail("sweep started"))
+    missing = str(tmp_path / "missing" / "out.json")
+    before = sorted(tmp_path.rglob("*"))
+    for args in (["family", "--a", "2", "--out", missing],
+                 ["construct", "--antennas", "4", "--family", "ussd", "--out", missing],
+                 ["verify", str(code), "--report", missing],
+                 ["simulate", "--code", str(code), "--constellation", "qam4", "--snr", "10",
+                  "--trials", "10", "--out", missing]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "does not exist" in _one_error_line(result)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_verify_report_gives_the_residual_of_a_failed_condition(runner, tmp_path):
+    # cod4 with A_2 scaled by 1 + 1e-9 and B_2 by s, (1 + 1e-9)^2 + s^2 = 2, keeps c and every
+    # vanishing sum, and misses UW for symbol 2 only, by a near miss; the report gives the
+    # residual the verdict judged, ||G_pp - c I|| / c, the worse of the symbol's two
+    a_scale = 1 + 1e-9
+    b_scale = np.sqrt(2 - a_scale ** 2)
+    w = np.array(build_square_cod(2, generate_family(2)).w)
+    w[1, 0] *= a_scale
+    w[1, 1] *= b_scale
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(code_to_json_dict(LinearDispersionCode(label="near", n=4, w=w))))
+    report = tmp_path / "report.json"
+    assert _invoke(runner, "verify", str(path), "--report", str(report)).exit_code == 0
+    rep = json.loads(report.read_text())
+    assert rep["class"] == "non-unitary-weight-SSD"
+    c = (a_scale ** 2 + b_scale ** 2 + 4) / 6  # the mean of trace(W_p^H W_p) / n
+    want = 2 * max(abs(a_scale ** 2 - c), abs(b_scale ** 2 - c)) / c  # ||x I|| = 2 |x|, n = 4
+    (failure,) = rep["failed_conditions"]
+    assert (failure["condition"], failure["i"], failure["j"]) == ("UW", 2, 2)
+    assert failure["residual"] == pytest.approx(want, rel=1e-4)
+    assert 1e-10 < failure["residual"] < 1e-8  # above the tolerance 1e-10 c, but barely
+    # a report with no failure keeps its bytes
+    clean = tmp_path / "cod4.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "cod", "--out", str(clean))
+    assert _invoke(runner, "verify", str(clean), "--report", str(report)).exit_code == 0
+    assert report.read_text() == json.dumps({
+        "label": "square-cod-4tx", "class": "COD", "declared_class": "COD",
+        "linear_independent": True, "normalized": True, "failed_conditions": []},
+        indent=2) + "\n"
 
 # ----------------------------------------------------------------------
 # _write_json writes json.dumps(obj, indent=2) and a newline, byte for byte

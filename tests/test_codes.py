@@ -11,9 +11,10 @@ from stbc_forge.codes import (
     code_from_json_dict,
     code_to_json_dict,
     gram,
+    gram_rows,
     lexicographic_first_min,
 )
-from stbc_forge.gmatrix import GaussianMatrix, real_rank
+from stbc_forge.gmatrix import GaussianMatrix, _upper_pairs, real_rank
 from stbc_forge.verifier import (
     check_normalized_structure,
     check_ssd,
@@ -22,6 +23,7 @@ from stbc_forge.verifier import (
 )
 
 from conftest import golden_4tx_codeword, golden_4tx_family, random_unitary
+from exact_codes import exact_built_in_codes
 
 
 def test_codeword_matches_golden_layout(ussd4):
@@ -250,20 +252,31 @@ def test_weights_are_one_read_only_stack(ussd4, ciod4):
     assert not code.scaled(0.5).is_exact
 
 
-def test_gram_pairs(ussd8, ciod4):
-    # G_pq = W_p^H W_q for any index arrays, in either order and with repeats, bit for bit;
-    # G_qp = G_pq^H bit for bit, which lets every caller read the pairs p <= q only
+def test_gram_pairs():
+    # gram_rows yields every pair q >= p in row-major order, one GEMM for a code with
+    # n <= 8 and several from n = 16 on, and each block is G_pq = W_p^H W_q bit for bit on
+    # the exact built-in codes; gram gathers all the pairs p <= q from it
+    for name, code in exact_built_in_codes().items():
+        w = code.w.reshape(2 * code.k, code.n, code.n)
+        chunks = list(gram_rows(w))
+        assert (len(chunks) == 1) == (code.n <= 8), name
+        p, q, g = (np.concatenate(parts) for parts in zip(*chunks))
+        assert all(np.array_equal(x, y) for x, y in zip((p, q), _upper_pairs(len(w))))
+        assert np.array_equal(g, np.conj(w[p]).swapaxes(1, 2) @ w[q]), name
+        assert np.array_equal(gram(w), g), name
+        # each symbol's own 2 x 2 products, (A A, A B, B B), in one GEMM
+        (p, q, g), = gram_rows(code.w)
+        assert p.tolist() == [0, 0, 1] and q.tolist() == [0, 1, 1]
+        assert g.shape == (code.k, 3, code.n, code.n)
+        assert np.array_equal(g, np.conj(code.w[:, p]).swapaxes(-1, -2) @ code.w[:, q]), name
+    # on float weights the block-row GEMM and a per-pair one may round differently
     rng = np.random.default_rng(29)
     noise = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
-    codes = (ussd8, ussd8.scaled(0.3).left_multiply(random_unitary(8, rng)), ciod4,
-             LinearDispersionCode(label="noise", n=4, w=noise))
-    for code in codes:
+    ussd8 = exact_built_in_codes()["ussd8"]
+    for code in (ussd8.scaled(0.3).left_multiply(random_unitary(8, rng)),
+                 LinearDispersionCode(label="noise", n=4, w=noise)):
         w = code.w.reshape(2 * code.k, code.n, code.n)
-        p = rng.integers(0, len(w), size=40)
-        q = rng.integers(0, len(w), size=40)
-        g = gram(code.w, p, q)
-        assert g.shape == (40, code.n, code.n)
-        for pq, x, y in zip(g, p, q):
-            assert np.array_equal(pq, np.conj(w[x]).T @ w[y])
-        assert np.array_equal(gram(code.w, q, p), np.conj(g).swapaxes(1, 2))
-    assert gram(ussd8.w, [], []).shape == (0, 8, 8)
+        p, q = _upper_pairs(len(w))
+        for pq, x, y in zip(gram(w), p, q):
+            want = np.conj(w[x]).T @ w[y]
+            assert np.max(np.abs(pq - want)) <= 1e-14 * np.max(np.abs(want))

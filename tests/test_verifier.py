@@ -30,6 +30,7 @@ from stbc_forge.verifier import (
 )
 
 from conftest import random_unitary
+from exact_codes import exact_built_in_codes
 
 
 def _replace_weight(code, symbol, which, matrix):
@@ -242,23 +243,29 @@ def test_class_invariant_under_scale_and_unitary(name, scale, seed):
     assert classify(code.scaled(scale).left_multiply(u)).code_class == want
 
 
-_BUILT_IN = {
-    **{f"ussd{2 ** a}": build_max_rate_ussd(a, generate_family(a)) for a in (1, 2, 3)},
-    **{f"cod{2 ** a}": build_square_cod(a, generate_family(a)) for a in (1, 2, 3)},
-    "ciod4": build_ciod4(),
-}
+# one block-row GEMM per code up to n = 8, several from n = 16 on
+_BUILT_IN = {name: code for name, code in exact_built_in_codes().items() if code.n <= 32}
 
 
 def _reference_verdicts(code):
-    """The verdicts by a loop over every pair (p, q), with np.linalg.norm residuals."""
+    """The verdicts and residuals by a loop over every pair (p, q), with np.linalg.norm."""
     w = code.w.reshape(2 * code.k, code.n, code.n)
     g = [[np.conj(x).T @ y for y in w] for x in w]
     c = np.mean([np.trace(g[p][p]).real for p in range(len(w))]) / code.n
-    vanish = np.array([[np.linalg.norm(g[p][q] + g[q][p]) <= 1e-10 * c for q in range(len(w))]
-                       for p in range(len(w))])
-    unitary = np.array([np.linalg.norm(g[p][p] - c * np.eye(code.n)) <= 1e-10 * c
-                        for p in range(len(w))]) & (c > 0)
-    return vanish, unitary
+    half = np.array([[np.linalg.norm(g[p][q] + g[q][p]) for q in range(len(w))]
+                     for p in range(len(w))])
+    off = np.array([np.linalg.norm(g[p][p] - c * np.eye(code.n)) for p in range(len(w))])
+    return half <= 1e-10 * c, (off <= 1e-10 * c) & (c > 0), half / c, off / c
+
+
+def _assert_matches_reference(code):
+    got = _gram_verdicts(code)
+    want = _reference_verdicts(code)
+    assert np.array_equal(got.vanish, want[0])
+    assert np.array_equal(got.unitary, want[1])
+    assert np.allclose(got.vanish_residual, want[2], rtol=1e-9, atol=1e-12)
+    assert np.allclose(got.unitary_residual, want[3], rtol=1e-9, atol=1e-12)
+    return got
 
 
 @given(name=st.sampled_from(sorted(_BUILT_IN)),
@@ -276,20 +283,23 @@ def test_half_gram_verdicts_match_reference_loop(name, scale, rel, seed):
     e = rng.standard_normal((code.n, code.n)) + 1j * rng.standard_normal((code.n, code.n))
     w[i, j] += rel * np.linalg.norm(w[i, j]) * e / np.linalg.norm(e)
     code = LinearDispersionCode(label=name, n=code.n, w=w)
-    vanish, unitary = _gram_verdicts(code)
-    want_vanish, want_unitary = _reference_verdicts(code)
-    assert np.array_equal(vanish, want_vanish)
-    assert np.array_equal(unitary, want_unitary)
+    unitary = _assert_matches_reference(code).unitary
     if rel == 1e-8 and name != "ciod4":  # a built-in unitary weight, pushed off unitarity
         assert not unitary[2 * i + j]
 
 
+@pytest.mark.parametrize("name", sorted(exact_built_in_codes()))
+def test_exact_verdicts_match_reference_loop(name):
+    # the exact built-in codes up to 64 antennas, on both sides of the one-GEMM chunk rule
+    _assert_matches_reference(exact_built_in_codes()[name])
+
+
 def test_cached_verdicts_are_read_only(ussd4):
     _gram_verdicts.cache_clear()
-    vanish, unitary = _gram_verdicts(ussd4)
-    assert _gram_verdicts(ussd4)[0] is vanish  # the second call is served from the cache
+    verdicts = _gram_verdicts(ussd4)
+    assert _gram_verdicts(ussd4) is verdicts  # the second call is served from the cache
     assert _gram_verdicts.cache_info().hits == 1
-    for verdicts in (vanish, unitary):
-        assert not verdicts.flags.writeable
+    for array in verdicts:  # the verdicts and the residuals behind them
+        assert not array.flags.writeable
         with pytest.raises(ValueError):
-            verdicts[0] = False
+            array[0] = False
