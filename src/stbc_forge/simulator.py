@@ -54,7 +54,8 @@ Decoders:
     :func:`.codes.lexicographic_first_min`, the enumerator
     of the unreduced minimum-determinant search too.  Chunks hold at most
     ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
-    T and in |A|^k; ``simulate_cer`` calls the decoder once per trial chunk.
+    T and in |A|^k.  ``simulate_cer`` builds the kernels once per call and
+    decodes once per trial block.
 
 Both break ties toward the smallest constellation index, and brute-force
 ML toward the first codeword in lexicographic order (ties have
@@ -62,23 +63,28 @@ probability zero under continuous noise but the rule keeps the
 decoder-equivalence oracle deterministic).
 
 Encoding:  ``codes._encode``, the encoder of ``codeword`` too, makes a
-trial chunk's codewords with one (T, 2k) @ (2k, 2n^2) real GEMM of the
+trial block's codewords with one (T, 2k) @ (2k, 2n^2) real GEMM of the
 float64 views of the symbols and of the weight stack, and every CN(0, 1)
 draw is a complex view of interleaved normals.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  Chunk c of point p draws its symbol indices, then its fades,
-then its noise from ``default_rng([seed, p, c])`` and is decoded before
-the next chunk is drawn, so memory is bounded by one chunk and a (seed,
-config) pair gives a bit-identical report.  ``[seed, p, 0]`` seeds the
-same stream as ``[seed, p]`` (zero padding), so runs of at most 2**14
-trials per point match the earlier contract that drew a whole point
-from ``[seed, p]``.
+then its noise from ``default_rng([seed, p, c])``, into buffers
+allocated once per call, and is decoded before the next chunk is drawn.
+Encoding, the P and Q statistics, the metrics, the argmin and the error
+counts run over consecutive blocks of ``_BLOCK`` = 2**11 of the chunk's
+trials, so memory is bounded by one chunk's draws plus one block's
+arrays, and the block size does not change a count.  A (seed, config)
+pair gives a bit-identical report.  ``[seed, p, 0]`` seeds the same
+stream as ``[seed, p]`` (zero padding), so runs of at most 2**14 trials
+per point match the earlier contract that drew a whole point from
+``[seed, p]``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +100,7 @@ DECODER_BRUTE_ML = "brute-ml"
 ML_BUDGET = 1_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
+_BLOCK = 1 << 11  # trials of a chunk encoded and decoded together
 _ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
 SEED_CONTRACT = f"default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, fades, noise"
 
@@ -109,6 +116,14 @@ class SimConfig:
     decoder: str = DECODER_SSD
 
     def __post_init__(self):
+        for name in ("trials", "seed", "rx_antennas"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.snr_db_list:
@@ -166,10 +181,11 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     return math.sqrt(code.n / total)
 
 
-def _draw_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = rng.standard_normal(shape[:-1] + (2 * shape[-1],)).view(np.complex128)  # Re/Im pairs
-    z *= 1.0 / math.sqrt(2.0)
-    return z
+def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous complex array ``out`` with CN(0, 1) draws and return it."""
+    rng.standard_normal(out=out.view(np.float64))  # Re/Im pairs
+    out *= 1.0 / math.sqrt(2.0)
+    return out
 
 
 def _require_ssd(code: LinearDispersionCode) -> None:
@@ -262,23 +278,45 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     T blocks of shape (T, n, m) and returns (T, k) symbols.
     """
     pts = np.asarray(constellation.points)
-    k = code.k
-    total = len(pts) ** k
-    if total > budget:
-        raise ValueError(f"brute-force ML needs {total} codewords, over budget {budget}")
+    _require_ml_budget(code.k, len(pts), budget)
     y, h, single = _blocks(y, h)
+    decoded = _ml_decode(_ml_kernel(code.w), y, h, pts)
+    return decoded[0] if single else decoded
+
+
+def _require_ml_budget(k: int, size: int, budget: int) -> None:
+    if size ** k > budget:
+        raise ValueError(f"brute-force ML needs {size ** k} codewords, over budget {budget}")
+
+
+def _ml_kernel(w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray,
+                                       np.ndarray]:
+    """The brute-force ML tables of a (k, 2, n, n) weight stack.
+
+    The Q- and P-kernels of all k(2k+1) pairs p <= q, the pairs p and q
+    themselves and their weights c_pq.
+    """
+    k, _, n, _ = w.shape
     p, q = _upper_pairs(2 * k)
-    grams = gram(code.w.reshape(2 * k, code.n, code.n))
-    coef = np.concatenate(_coefficients(_kernels(grams, code.w), y, h), axis=1)  # (T, F)
-    pair_weight = np.where(p == q, 1.0, 2.0)
+    grams = gram(w.reshape(2 * k, n, n))
+    return _kernels(grams, w), p, q, np.where(p == q, 1.0, 2.0)
+
+
+def _ml_decode(tables, y: np.ndarray, h: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The (T, k) first ML symbols of T complex blocks y, h of shape (T, n, m).
+
+    ``tables`` are the code's ``_ml_kernel``.
+    """
+    kernels, p, q, pair_weight = tables
+    k = kernels[1].shape[1] // 2  # the P-kernel has one column per weight
+    coef = np.concatenate(_coefficients(kernels, y, h), axis=1)  # (T, F)
 
     def metrics(x: np.ndarray) -> np.ndarray:  # ||Y - SH||^2 - ||Y||^2 of C codewords, (T, C)
         s = np.stack((x.real, x.imag), axis=2).reshape(len(x), 2 * k)
         basis = np.concatenate((pair_weight * s[:, p] * s[:, q], -2.0 * s), axis=1)
         return coef @ basis.T
 
-    _, decoded = lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)), metrics)
-    return decoded[0] if single else decoded
+    return lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)), metrics)[1]
 
 
 def simulate_cer(config: SimConfig) -> CerReport:
@@ -287,35 +325,46 @@ def simulate_cer(config: SimConfig) -> CerReport:
     constellation = config.constellation
     n, m, k = code.n, config.rx_antennas, code.k
     scale = transmit_scale(code, constellation)
-    scaled = code.scaled(scale)
+    w = code.scaled(scale).w
     pts = np.asarray(constellation.points)
+    chunk = min(_CHUNK, config.trials)
     if config.decoder == DECODER_SSD:
         _require_ssd(code)  # scale-invariant verdicts: the caller's classify pass is reused
-        kernels = _metric_kernel(scaled.w)
-        # the chunk's largest array, allocated once per call: allocated per chunk,
-        # it is mapped and faulted in afresh each time once past malloc's mmap threshold
-        metrics = np.empty((min(_CHUNK, config.trials) * k, len(pts)))
+        kernels = _metric_kernel(w)
+        metrics = np.empty((min(_BLOCK, chunk) * k, len(pts)))
+
+        def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+            return pts[np.argmin(_slot_metrics(kernels, y, h, pts, metrics[:len(h) * k]), axis=2)]
+    else:
+        _require_ml_budget(k, len(pts), ML_BUDGET)
+        tables = _ml_kernel(w)
+
+        def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+            return _ml_decode(tables, y, h, pts)
+    # one chunk's draws, in buffers allocated once per call: a chunk's fresh arrays
+    # would be alive beside the last chunk's, and past malloc's mmap threshold
+    # they are mapped and faulted in afresh each time
+    x_all = np.empty((chunk, k), dtype=complex)
+    h_all = np.empty((chunk, n, m), dtype=complex)
+    y_all = np.empty_like(h_all)
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = 10.0 ** (-snr_db / 10.0)
         errors = 0
         slot_errors = np.zeros(k, dtype=np.int64)
-        for chunk, start in enumerate(range(0, config.trials, _CHUNK)):
+        for chunk_index, start in enumerate(range(0, config.trials, _CHUNK)):
             t = min(_CHUNK, config.trials - start)
-            rng = np.random.default_rng([int(config.seed), point_index, chunk])
-            x = pts[rng.integers(0, len(pts), size=(t, k))]
-            h = _draw_cn(rng, (t, n, m))
-            y = _draw_cn(rng, (t, n, m))  # the noise; N + S H is the same sum as S H + N
+            rng = np.random.default_rng([config.seed, point_index, chunk_index])
+            x = np.take(pts, rng.integers(0, len(pts), size=(t, k)), out=x_all[:t])
+            h = _draw_cn(rng, h_all[:t])
+            y = _draw_cn(rng, y_all[:t])  # the noise; N + S H is the same sum as S H + N
             y *= math.sqrt(n0)
-            y += _encode(scaled.w, x) @ h
-            if config.decoder == DECODER_SSD:
-                slot_metrics = _slot_metrics(kernels, y, h, pts, metrics[:t * k])
-                decoded = pts[np.argmin(slot_metrics, axis=2)]
-            else:
-                decoded = ml_decode_bruteforce(scaled, y, h, constellation)
-            wrong = decoded != x
-            errors += int(np.sum(np.any(wrong, axis=1)))
-            slot_errors += np.sum(wrong, axis=0)
+            for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
+                xb, hb, yb = x[b:b + _BLOCK], h[b:b + _BLOCK], y[b:b + _BLOCK]
+                yb += _encode(w, xb) @ hb
+                wrong = decode(yb, hb) != xb
+                errors += int(np.sum(np.any(wrong, axis=1)))
+                slot_errors += np.sum(wrong, axis=0)
         out.append(CerPoint(snr_db=float(snr_db), trials=config.trials, errors=errors,
                             cer=errors / config.trials,
                             ci95=wilson_halfwidth(errors, config.trials),

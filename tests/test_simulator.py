@@ -148,7 +148,7 @@ def test_draw_cn_bit_identical_to_complex_formula(shape):
     # the seed contract: the zero-copy view draws what (a + 1j b) / sqrt(2) drew
     parts = np.random.default_rng(43).standard_normal(shape + (2,))
     want = (parts[..., 0] + 1j * parts[..., 1]) / math.sqrt(2.0)
-    got = _draw_cn(np.random.default_rng(43), shape)
+    got = _draw_cn(np.random.default_rng(43), np.empty(shape, dtype=complex))
     assert got.shape == shape
     assert np.array_equal(got, want)
 
@@ -390,6 +390,39 @@ def test_simulate_cer_memory_bounded_in_trials(ussd4):
     assert peak(4 * _CHUNK) < 1.5 * peak(_CHUNK)
 
 
+def test_simulate_cer_chunk_memory(ussd8):
+    # one chunk's draws plus one block's statistics and metrics; arrays that
+    # each spanned the whole chunk would take about 44.5 MiB
+    c = rotated_qam(16, optimal_angle(), "unit-average")
+    config = SimConfig(code=ussd8, constellation=c, snr_db_list=(10.0,), trials=_CHUNK,
+                       seed=1, rx_antennas=2)
+    tracemalloc.start()
+    try:
+        simulate_cer(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["ussd8-ssd", "ciod4-ssd", "ussd4-brute-ml"])
+def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
+    # the block size only schedules the work: 7 divides neither 2^14 nor the tail of 1000
+    code, constellation, snr, rx, decoder = {
+        "ussd8-ssd": (ussd8, rotated_qam(16, optimal_angle(), "unit-average"), 10.0, 2, "ssd"),
+        "ciod4-ssd": (ciod4, rotated_qam(4, ciod_optimal_angle(), "unit-average"), 8.0, 1,
+                      "ssd"),
+        "ussd4-brute-ml": (ussd4, rotated_qam(4, optimal_angle(), "unit-average"), 6.0, 1,
+                           "brute-ml"),
+    }[name]
+    config = SimConfig(code=code, constellation=constellation, snr_db_list=(snr,),
+                       trials=2 * _CHUNK + 1000, seed=13, rx_antennas=rx, decoder=decoder)
+    want = simulate_cer(config)
+    assert want.points[0].errors > 0
+    monkeypatch.setattr(simulator, "_BLOCK", 7)
+    assert simulate_cer(config) == want
+
+
 def test_simulate_cer_vanishes_at_high_snr(ussd4):
     c = rotated_qam(4, optimal_angle(), "unit-average")
     config = SimConfig(code=ussd4, constellation=c, snr_db_list=(60.0,),
@@ -455,6 +488,16 @@ def test_config_validation(ussd4):
     with pytest.raises(ValueError):
         SimConfig(code=ussd4, constellation=c, snr_db_list=(1.0,), trials=10,
                   seed=1, decoder="genie")
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", -1), ("trials", 2.5),
+                                          ("rx_antennas", 1.5)])
+def test_config_rejects_non_integer_or_negative(ussd4, field, value):
+    # rejected at the boundary: not left to fail inside numpy or range, nor truncated
+    kwargs = dict(code=ussd4, constellation=rotated_qam(4, 0.0, "unit-average"),
+                  snr_db_list=(1.0,), trials=10, seed=1)
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{**kwargs, field: value})
 
 
 def test_wilson_halfwidth():
