@@ -245,7 +245,7 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
     constellation = _make_constellation(constellation_name, theta, mode)
     try:
         result = codinggain.min_det_bruteforce(code, constellation, force_full=brute_force)
-    except ValueError as exc:  # the unreduced search's budget
+    except ValueError as exc:  # the unreduced search's budget, a code with no energy
         raise click.UsageError(str(exc)) from None
     diff = ", ".join(f"{d.real:+.6f}{d.imag:+.6f}j" for d in result.difference)
     click.echo(f"min_det = {result.value:.6e}  (angle {theta:.6f} rad, "

@@ -48,8 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gmatrix import (GaussianMatrix, _frobenius, _negligible, _upper_pairs, product_tensor,
-                      stack_to_json)
+from .gmatrix import GaussianMatrix, _frobenius, _negligible, _upper_pairs, stack_to_json
 
 MAX_DOUBLINGS = 6  # 64x64
 
@@ -145,7 +144,7 @@ def verify_family(fam: AnticommutingFamily) -> FamilyReport:
     Per member: unitarity, anti-Hermitian, square = -I.  Per pair:
     anticommutation.  Plus the closing product identity and the sign
     convention on c.  Member and pair checks come from one batched
-    product tensor, each residual judged by ``_negligible`` at scale 1;
+    product stack F_i F_j, each residual judged by ``_negligible`` at scale 1;
     anticommutation is summed and judged only for the pairs i < j it
     reports.
     Members that are not 2^a x 2^a give one ``shape`` failure, which
@@ -157,7 +156,7 @@ def verify_family(fam: AnticommutingFamily) -> FamilyReport:
         return FamilyReport((*checks, FamilyCheck("shape", (), False)))
     fh = np.conj(f.swapaxes(1, 2))
     eye = np.eye(fam.n)
-    p = product_tensor(f, f)
+    p = f[:, None] @ f[None, :]  # p[i, j] = F_i F_j
     idx = np.arange(len(f))
     x, y = _upper_pairs(len(f), 1)
     unitary = _negligible_norm(fh @ f - eye)

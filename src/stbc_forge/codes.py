@@ -65,7 +65,7 @@ import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
 from .gmatrix import (GaussianMatrix, _json_int, _negligible, _upper_pairs, is_exact,
-                      real_rank, stack_from_json, stack_to_json)
+                      stack_from_json, stack_to_json)
 
 _GRAM_CHUNK = 1 << 14  # elements in one product of gram_rows: its rows x columns
 
@@ -88,7 +88,7 @@ class LinearDispersionCode:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=np.complex128)
+        w = np.array(self.w, dtype=np.complex128, order="C")  # float64 views need C order
         if self.n < 1 or w.size == 0:
             raise ValueError(f"a code needs n >= 1 and k >= 1, got n = {self.n}, weights {w.shape}")
         if w.shape[1:] != (2, self.n, self.n):
@@ -112,7 +112,16 @@ class LinearDispersionCode:
         return bool(is_exact(self.w))
 
     def linearly_independent(self) -> bool:
-        return real_rank(self.w.reshape(2 * self.k, self.n, self.n)) == 2 * self.k
+        """Whether the 2k weights are linearly independent over the reals.
+
+        The real Gram matrix Gamma_pq = Re tr(W_p^H W_q) is one GEMM of the
+        (2k, 2n^2) float64 view of ``w``; the weights are independent iff its
+        smallest eigenvalue is not negligible against its largest, by the one
+        tolerance rule: sigma_min > 1e-5 sigma_max on the singular values.
+        """
+        r = self.w.reshape(2 * self.k, -1).view(np.float64)
+        lam = np.linalg.eigvalsh(r @ r.T)
+        return not _negligible(lam[0], lam[-1])
 
     def weight_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights as two (k, n, n) read-only views of ``w`` (in-phase, quadrature)."""

@@ -119,17 +119,20 @@ def min_det_bruteforce(code: LinearDispersionCode,
                        constellation: Constellation,
                        *,
                        equal_energy: bool = True,
-                       force_full: bool = False,
-                       budget: int = FULL_SEARCH_BUDGET) -> MinDetResult:
+                       force_full: bool = False) -> MinDetResult:
     """Search for the minimum codeword-difference determinant.
 
     Single-symbol decodable codes are searched over single-symbol
     differences (provably sufficient, see module doc) unless
     ``force_full`` demands the unreduced enumeration over all
-    difference vectors.  The unreduced search raises when the number of
-    difference vectors exceeds ``budget``.
+    difference vectors.  Raises ValueError when the unreduced search would
+    exceed ``FULL_SEARCH_BUDGET`` difference vectors, or when equal energy
+    is asked of a code that transmits none.
     """
-    scale = (REFERENCE_DISPERSION_GAIN / dispersion_gain(code)) ** code.n if equal_energy else 1.0
+    gain = dispersion_gain(code)
+    if equal_energy and gain == 0.0:
+        raise ValueError("code transmits no energy")
+    scale = (REFERENCE_DISPERSION_GAIN / gain) ** code.n if equal_energy else 1.0
     verdicts = _gram_verdicts(code) if not force_full else None
     if not force_full and not _ssd_failures(verdicts):
         diffs = np.asarray(constellation.differences())
@@ -137,7 +140,7 @@ def min_det_bruteforce(code: LinearDispersionCode,
         if verdicts.unitary.all():  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
             g = gram(code.w)[:, 1]  # each slot's A_i^H B_i: pair (0, 1) of its 2 x 2 products
             lam = np.linalg.eigvalsh(g + np.conj(g).swapaxes(1, 2))
-            c = dispersion_gain(code) / code.n
+            c = gain / code.n
             dets = np.prod(c * np.sum(s ** 2, axis=1)[:, None]
                            + (s[:, 0] * s[:, 1])[:, None] * lam[:, None, :], axis=-1)
         else:  # one GEMM and one det per slot keep memory per slot
@@ -156,9 +159,9 @@ def min_det_bruteforce(code: LinearDispersionCode,
     per_slot = np.array([uniq[key] for key in sorted(uniq)])
     half = len(per_slot) // 2
     total = len(per_slot) ** code.k
-    if total > budget:
-        raise ValueError(
-            f"unreduced search needs {total} difference vectors, over budget {budget}")
+    if total > FULL_SEARCH_BUDGET:
+        raise ValueError(f"unreduced search needs {total} difference vectors, "
+                         f"over budget {FULL_SEARCH_BUDGET}")
     p, q, m = _pair_terms(code.w)
 
     def dets(idx: np.ndarray) -> np.ndarray:

@@ -28,14 +28,12 @@ DIVERSITY_TOL = 1e-12
 class Constellation:
     """A finite set of complex signal points.
 
-    ``rotation`` records the angle already applied to the base grid;
     ``energy_mode`` is ``raw`` (odd-integer grid as-is) or
     ``unit-average`` (scaled so the mean of |x|^2 is exactly 1).
     """
 
     name: str
     points: tuple[complex, ...]
-    rotation: float = 0.0
     energy_mode: str = ENERGY_RAW
 
     def __post_init__(self):
@@ -66,7 +64,7 @@ def _finish(name: str, base: list[complex], angle: float, energy_mode: str) -> C
     if energy_mode == ENERGY_UNIT:
         scale = 1.0 / math.sqrt(sum(abs(p) ** 2 for p in pts) / len(pts))
         pts = [p * scale for p in pts]
-    return Constellation(name=name, points=tuple(pts), rotation=angle, energy_mode=energy_mode)
+    return Constellation(name=name, points=tuple(pts), energy_mode=energy_mode)
 
 
 def rotated_qam(m: int, angle: float = 0.0, energy_mode: str = ENERGY_RAW) -> Constellation:

@@ -28,7 +28,9 @@ Gaussian-integer residual has norm >= 1, so any tolerance below 1 --
 every scale below 1 / REL_TOL; the built-in codes have scale 1 or 1/2 --
 decides exact inputs bit-exactly, and no comparison needs a special
 case for exactness.  Rotated or rescaled float inputs get the same rule,
-which makes every decision invariant under a uniform scale.
+which makes every decision invariant under a uniform scale.  A code's
+linear independence is judged by it too: the smallest eigenvalue of the
+weights' real Gram matrix against the largest.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 REL_TOL = 1e-10
-RANK_TOL = 1e-9  # real_rank: singular values below RANK_TOL * the largest are zero
 _GUARD = 2.0 ** 53
 
 # JSON tags; written from derived exactness, validated on read
@@ -85,15 +86,6 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
-def product_tensor(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """P[p, q] = xs[p] @ ys[q] for two stacks of n x n matrices.
-
-    Shapes (P, n, n) and (Q, n, n) give (P, Q, n, n).  On stacks of exact
-    matrices every entry is computed exactly (see the module docstring).
-    """
-    return xs[:, None] @ ys[None, :]
-
-
 class GaussianMatrix:
     """An immutable n-by-n complex matrix held as one read-only complex128 array."""
 
@@ -119,11 +111,6 @@ class GaussianMatrix:
             raise ValueError("exact entries must be Gaussian integers with "
                              "n * max|entry|^2 < 2^53")
         return m
-
-    @classmethod
-    def floating(cls, rows) -> GaussianMatrix:
-        """Build a matrix from anything array-like of complex."""
-        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> GaussianMatrix:
@@ -225,17 +212,3 @@ def stack_from_json(objs: list, n: int) -> np.ndarray:
                          "n * max|entry|^2 < 2^53")
     return z
 
-
-def real_rank(stack: np.ndarray) -> int:
-    """Rank over the reals of an (N, n, n) stack of matrices.
-
-    Each matrix is flattened to a real vector of length 2*n*n (real parts
-    stacked on imaginary parts).  Singular values below ``RANK_TOL`` times
-    the largest are treated as zero.
-    """
-    z = np.asarray(stack)
-    rows = np.concatenate((z.real, z.imag), axis=1).reshape(len(z), -1)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))

@@ -128,6 +128,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not self.snr_db_list:
             raise ValueError("need at least one SNR point")
+        for snr_db in self.snr_db_list:
+            _noise_power(snr_db)
         if self.rx_antennas < 1:
             raise ValueError("rx_antennas must be >= 1")
         if self.decoder not in (DECODER_SSD, DECODER_BRUTE_ML):
@@ -147,7 +149,6 @@ class CerPoint:
 @dataclass(frozen=True)
 class CerReport:
     points: tuple[CerPoint, ...]
-    label: str = ""
 
     def cer_at(self, snr_db: float) -> CerPoint:
         for p in self.points:
@@ -156,11 +157,23 @@ class CerReport:
         raise KeyError(f"no point at {snr_db} dB")
 
 
-def wilson_halfwidth(errors: int, trials: int, z: float = _WILSON_Z) -> float:
+def wilson_halfwidth(errors: int, trials: int) -> float:
     """Half-width of the Wilson 95% score interval for errors/trials."""
+    z = _WILSON_Z
     p = errors / trials
     denom = 1.0 + z * z / trials
     return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+
+
+def _noise_power(snr_db: float) -> float:
+    """N0 = 10^(-SNR/10) of one SNR point in dB; ValueError unless both are finite."""
+    try:
+        n0 = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        n0 = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(n0)):
+        raise ValueError(f"SNR point {snr_db!r} dB gives no finite noise power")
+    return n0
 
 
 def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> float:
@@ -270,23 +283,22 @@ def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
 
 
 def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
-                         constellation: Constellation,
-                         budget: int = ML_BUDGET) -> np.ndarray:
+                         constellation: Constellation) -> np.ndarray:
     """Exhaustive ML decoding over all |A|^k codewords.
 
     Takes one block, y and h of shape (n, m), and returns its k symbols, or
     T blocks of shape (T, n, m) and returns (T, k) symbols.
     """
     pts = np.asarray(constellation.points)
-    _require_ml_budget(code.k, len(pts), budget)
+    _require_ml_budget(code.k, len(pts))
     y, h, single = _blocks(y, h)
     decoded = _ml_decode(_ml_kernel(code.w), y, h, pts)
     return decoded[0] if single else decoded
 
 
-def _require_ml_budget(k: int, size: int, budget: int) -> None:
-    if size ** k > budget:
-        raise ValueError(f"brute-force ML needs {size ** k} codewords, over budget {budget}")
+def _require_ml_budget(k: int, size: int) -> None:
+    if size ** k > ML_BUDGET:
+        raise ValueError(f"brute-force ML needs {size ** k} codewords, over budget {ML_BUDGET}")
 
 
 def _ml_kernel(w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray,
@@ -336,7 +348,7 @@ def simulate_cer(config: SimConfig) -> CerReport:
         def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
             return pts[np.argmin(_slot_metrics(kernels, y, h, pts, metrics[:len(h) * k]), axis=2)]
     else:
-        _require_ml_budget(k, len(pts), ML_BUDGET)
+        _require_ml_budget(k, len(pts))
         tables = _ml_kernel(w)
 
         def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -349,7 +361,7 @@ def simulate_cer(config: SimConfig) -> CerReport:
     y_all = np.empty_like(h_all)
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
-        n0 = 10.0 ** (-snr_db / 10.0)
+        n0 = _noise_power(snr_db)
         errors = 0
         slot_errors = np.zeros(k, dtype=np.int64)
         for chunk_index, start in enumerate(range(0, config.trials, _CHUNK)):
@@ -369,4 +381,4 @@ def simulate_cer(config: SimConfig) -> CerReport:
                             cer=errors / config.trials,
                             ci95=wilson_halfwidth(errors, config.trials),
                             slot_errors=tuple(slot_errors.tolist())))
-    return CerReport(points=tuple(out), label=code.label)
+    return CerReport(points=tuple(out))

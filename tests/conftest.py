@@ -74,7 +74,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> GaussianMatrix:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return GaussianMatrix.floating(q)
+    return GaussianMatrix(q)
 
 
 @pytest.fixture(scope="session")

@@ -277,7 +277,14 @@ def test_usage_errors(runner, tmp_path):
     _invoke(runner, "construct", "--antennas", "8", "--family", "ussd", "--out", str(code8))
     sim = ["simulate", "--code", str(code), "--constellation", "qam4",
            "--out", str(tmp_path / "o.csv")]
+    # codes that transmit no energy have no equal-energy scale (weights of 1e-200 square to 0)
+    no_energy = [tmp_path / "zero.json", tmp_path / "tiny.json"]
+    for path, w in zip(no_energy, (np.zeros((1, 2, 2, 2)), np.full((1, 2, 2, 2), 1e-200))):
+        path.write_text(json.dumps(code_to_json_dict(LinearDispersionCode(label="x", n=2, w=w))))
     bad_inputs = [
+        *(["coding-gain", "--code", str(path), "--constellation", "qam4", *extra]
+          for path in no_energy for extra in ([], ["--brute-force"])),
+        sim + ["--snr", "-4000"],  # N0 = 10^400 overflows
         sim + ["--snr", "10", "--trials", "0"],
         sim + ["--snr", "10", "--trials", "-5"],
         sim + ["--snr", "10", "--rx", "0"],
@@ -378,6 +385,17 @@ def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, monkeypa
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert "does not exist" in _one_error_line(result)
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_verify_fails_a_code_with_nearly_dependent_weights(runner, tmp_path):
+    # A_1 = I, B_1 = diag(1 + 1e-6, 1 - 1e-6): singular values in the ratio 5e-7, at or
+    # below the rule's 1e-5, so the weights count as dependent
+    code = LinearDispersionCode(label="eps", n=2, w=[(np.eye(2), np.diag([1 + 1e-6, 1 - 1e-6]))])
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps(code_to_json_dict(code)))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 1
+    assert "independent=False [FAIL]" in result.output
 
 
 def test_verify_report_gives_the_residual_of_a_failed_condition(runner, tmp_path):

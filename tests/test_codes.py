@@ -14,7 +14,7 @@ from stbc_forge.codes import (
     gram_rows,
     lexicographic_first_min,
 )
-from stbc_forge.gmatrix import GaussianMatrix, _upper_pairs, real_rank
+from stbc_forge.gmatrix import GaussianMatrix, _upper_pairs
 from stbc_forge.verifier import (
     check_normalized_structure,
     check_ssd,
@@ -60,8 +60,7 @@ def test_weights_recoverable_by_probing(ussd4):
     for (bi, bq), (wi, wq) in zip(probed, ussd4.w):
         assert np.array_equal(bi, wi)
         assert np.array_equal(bq, wq)
-    flat = [m for pair in probed for m in pair]
-    assert real_rank(flat) == 8
+    assert ussd4.linearly_independent()
 
 
 def test_codeword_symbol_count(ussd4):
@@ -171,7 +170,7 @@ def test_left_multiply(ussd4):
     assert check_ssd(moved).ok
     assert check_unitary_weight(moved).ok
     with pytest.raises(ValueError):
-        ussd4.left_multiply(GaussianMatrix.floating(np.eye(4) * 2.0))
+        ussd4.left_multiply(GaussianMatrix(np.eye(4) * 2.0))
 
 
 def test_scaled(ussd4):
@@ -181,6 +180,52 @@ def test_scaled(ussd4):
     assert check_unitary_weight(half).ok  # UW allows one common scale c > 0
     a1 = half.w[0, 0]
     assert np.array_equal(np.conj(a1).T @ a1, 0.25 * np.eye(4))  # not unitary
+
+
+def _k1_code(eps):
+    """A_1 = I_2, B_1 = diag(1 + eps, 1 - eps): the weights' singular values are in the ratio eps/2."""
+    return LinearDispersionCode(label=f"eps-{eps:g}", n=2,
+                                w=[(np.eye(2), np.diag([1.0 + eps, 1.0 - eps]))])
+
+
+def test_linearly_independent_examples():
+    eye = np.eye(2)
+    assert LinearDispersionCode(label="i-ji", n=2, w=[(eye, eye * 1j)]).linearly_independent()
+    assert not LinearDispersionCode(label="i-i", n=2, w=[(eye, eye)]).linearly_independent()
+    assert not LinearDispersionCode(label="zero", n=2,
+                                    w=np.zeros((1, 2, 2, 2))).linearly_independent()
+    # the one tolerance rule on the real Gram eigenvalues, lambda = sigma^2:
+    # independent iff sigma_min > 1e-5 sigma_max
+    assert _k1_code(1e-4).linearly_independent()  # sigma ratio 5e-5
+    assert not _k1_code(1e-6).linearly_independent()  # sigma ratio 5e-7
+
+
+def test_linear_independence_is_invariant_under_scale_and_unitary():
+    rng = np.random.default_rng(61)
+    eye = np.eye(2)
+    dependent = {"eps-1e-06": _k1_code(1e-6),
+                 "i-i": LinearDispersionCode(label="i-i", n=2, w=[(eye, eye)])}
+    cases = {**exact_built_in_codes(), "eps-0.0001": _k1_code(1e-4), **dependent}
+    for name, code in cases.items():
+        want = name not in dependent
+        assert code.linearly_independent() == want, name
+        for s in (1e-100, 1e-3, 1e3, 1e100):
+            assert code.scaled(s).linearly_independent() == want, (name, s)
+        assert code.left_multiply(random_unitary(code.n, rng)).linearly_independent() == want, name
+
+
+def test_weights_are_copied_in_c_order(ussd4):
+    # the encoder and the Gram matrix take float64 views of w, which need its last
+    # axis contiguous: a broadcast view and a Fortran-ordered stack are copied in C order
+    degenerate = LinearDispersionCode(label="deg", n=4, w=np.broadcast_to(np.eye(4), (2, 2, 4, 4)))
+    fortran = LinearDispersionCode(label="fortran", n=4, w=np.asfortranarray(ussd4.w))
+    for code in (degenerate, fortran):
+        assert code.w.flags.c_contiguous
+    assert np.array_equal(degenerate.codeword([1, 1]).to_array(), 2 * np.eye(4))
+    assert not degenerate.linearly_independent()
+    x = [1, 1j, -1 + 1j, 3]
+    assert np.array_equal(fortran.codeword(x).to_array(), ussd4.codeword(x).to_array())
+    assert fortran.linearly_independent()
 
 
 def test_code_json_round_trip(ussd4, ciod4):

@@ -246,9 +246,9 @@ def test_min_det_invariant_under_unitary(name, scale, seed):
 
 
 def test_budget_error(ussd4):
-    c = rotated_qam(16, optimal_angle())
-    with pytest.raises(ValueError):
-        min_det_bruteforce(ussd4, c, force_full=True, budget=1000)
+    c = rotated_qam(64, optimal_angle())  # 225^4 difference vectors, over FULL_SEARCH_BUDGET
+    with pytest.raises(ValueError, match="over budget"):
+        min_det_bruteforce(ussd4, c, force_full=True)
 
 
 def _slot_hermitians(code):

@@ -1,4 +1,4 @@
-"""Matrix core: exact arithmetic, the magnitude guard, rank, the stack JSON codec."""
+"""Matrix core: exact arithmetic, the magnitude guard, the stack JSON codec."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stbc_forge.gmatrix import GaussianMatrix, is_exact, real_rank, stack_from_json, stack_to_json
+from stbc_forge.gmatrix import GaussianMatrix, is_exact, stack_from_json, stack_to_json
 
 from conftest import GOLDEN_4TX_GENERATORS
 
@@ -68,7 +68,7 @@ def test_exact_product_leaving_the_guard_raises():
     a = GaussianMatrix.exact([[2 ** 20, 0], [0, 2 ** 20]])
     with pytest.raises(OverflowError):
         a @ a
-    assert not GaussianMatrix.floating([[2 ** 27, 0], [0, 1]]).is_exact
+    assert not GaussianMatrix([[2 ** 27, 0], [0, 1]]).is_exact
     # a float operand makes no exactness claim, so nothing raises
     assert not (a @ a.scale(0.3)).is_exact
 
@@ -132,17 +132,9 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         GaussianMatrix.exact([[1, 2]])  # not square
     with pytest.raises(ValueError):
-        GaussianMatrix.floating([[np.nan]])
+        GaussianMatrix([[np.nan]])
     with pytest.raises(ValueError):
         GaussianMatrix.exact([[2 ** 27]])  # outside the magnitude guard
-
-
-def test_real_rank_examples():
-    eye = np.eye(2)
-    assert real_rank(np.stack([eye, eye * 1j])) == 2
-    assert real_rank(np.stack([eye, eye])) == 1
-    with pytest.raises(ValueError):
-        real_rank([eye, np.eye(4)])
 
 
 # an (N, n, n) stack whose matrices are each exact or float, for the JSON codec
@@ -205,6 +197,6 @@ def test_entries_are_immutable():
     with pytest.raises(ValueError):
         a.to_array()[0, 0] = 5
     rows = np.eye(2)
-    b = GaussianMatrix.floating(rows)
+    b = GaussianMatrix(rows)
     rows[0, 0] = 5  # the matrix holds its own copy
     assert b == a

@@ -314,12 +314,10 @@ def test_ml_decode_bruteforce_rejects_mismatched_blocks(ussd4):
         ml_decode_bruteforce(ussd4, np.ones((4,)), np.ones((4,)), c)
 
 
-def test_ml_budget():
-    a1 = np.eye(2)
-    code = LinearDispersionCode(label="c", n=2, w=[(a1, a1 * 1j)] * 10)
-    c = rotated_qam(4, 0.3, "unit-average")
-    with pytest.raises(ValueError):
-        ml_decode_bruteforce(code, np.zeros((2, 1)), np.ones((2, 1)), c, budget=100)
+def test_ml_budget(ussd4):
+    c = rotated_qam(64, 0.3, "unit-average")  # 64^4 codewords, over ML_BUDGET
+    with pytest.raises(ValueError, match="over budget"):
+        ml_decode_bruteforce(ussd4, np.zeros((4, 1)), np.ones((4, 1)), c)
 
 
 def test_simulate_cer_reproducible(ussd4):
@@ -498,6 +496,17 @@ def test_config_rejects_non_integer_or_negative(ussd4, field, value):
                   snr_db_list=(1.0,), trials=10, seed=1)
     with pytest.raises(ValueError, match=field):
         SimConfig(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize("snr", [-4000.0, -3090.0, math.inf, -math.inf, math.nan])
+def test_config_rejects_snr_without_finite_noise_power(ussd4, snr):
+    # N0 = 10^(-SNR/10) overflows below about -3083 dB: rejected at the boundary,
+    # not left to end in an OverflowError inside simulate_cer
+    kwargs = dict(code=ussd4, constellation=rotated_qam(4, 0.0, "unit-average"),
+                  trials=10, seed=1)
+    with pytest.raises(ValueError, match="noise power"):
+        SimConfig(snr_db_list=(10.0, snr), **kwargs)
+    SimConfig(snr_db_list=(-3080.0, 4000.0), **kwargs)  # N0 = 1e308 and N0 = 0 are finite
 
 
 def test_wilson_halfwidth():

@@ -13,7 +13,6 @@ TRACED = (
     (codes.LinearDispersionCode, "weight_arrays"),
     (codes.LinearDispersionCode, "scaled"),
     (gmatrix.GaussianMatrix, "__matmul__"),
-    (gmatrix, "real_rank"),
     (simulator, "transmit_scale"),
     (simulator, "ml_decode_bruteforce"),
     (verifier, "check_ssd"),
