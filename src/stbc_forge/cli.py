@@ -140,11 +140,11 @@ def _finite_float(text: str, option: str) -> float:
     return value
 
 
-def _resolve_angle(angle: str, code, code_class: str | None = None) -> float:
-    """``--angle`` in radians; "auto" reads ``code_class``, or classifies ``code`` without it."""
+def _resolve_angle(angle: str, code_class: str) -> float:
+    """``--angle`` in radians; "auto" picks the rotation for ``code_class``."""
     if angle != "auto":
         return _finite_float(angle, "--angle")
-    if (code_class or classify(code).code_class) == CLASS_NONUW_SSD:
+    if code_class == CLASS_NONUW_SSD:
         return constellations.ciod_optimal_angle()
     return constellations.optimal_angle()
 
@@ -241,7 +241,7 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
     """Minimum codeword-difference determinant of a code on a constellation."""
     code, _ = _load_code(code_json)
     mode = constellations.ENERGY_RAW if energy == "raw" else constellations.ENERGY_UNIT
-    theta = _resolve_angle(angle, code)
+    theta = _resolve_angle(angle, classify(code).code_class)
     constellation = _make_constellation(constellation_name, theta, mode)
     try:
         result = codinggain.min_det_bruteforce(code, constellation, force_full=brute_force)
@@ -277,7 +277,7 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
     """Monte Carlo codeword-error-rate sweep; writes CSV plus a config sidecar."""
     code, _ = _load_code(code_json)
     code_class = classify(code).code_class
-    theta = _resolve_angle(angle, code, code_class)
+    theta = _resolve_angle(angle, code_class)
     constellation = _make_constellation(constellation_name, theta,
                                         constellations.ENERGY_UNIT)
     snr_list = _parse_snr(snr)

@@ -19,7 +19,7 @@ of the concatenated weights [W_0 ... W_{m-1}], and consecutive rows share
 one GEMM while its product stays within ``_GRAM_CHUNK`` elements, so a
 code with n <= 8 is one GEMM and a 32-antenna code one GEMM per row.
 ``gram_rows`` yields each block row before it forms the next: the
-verdict pass keeps only residual norms, :func:`gram` gathers the
+classification pass keeps only residual norms, :func:`gram` gathers the
 pairs p <= q into one stack for the callers that need them all, and a
 code's (k, 2, n, n) ``w`` gives each symbol's own 2 x 2 products.
 :meth:`LinearDispersionCode.codeword` and the simulator share one
@@ -64,8 +64,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import (GaussianMatrix, _json_int, _negligible, _upper_pairs, is_exact,
-                      stack_from_json, stack_to_json)
+from .gmatrix import (GaussianMatrix, _json_int, _negligible, _pow2_scaled, _upper_pairs,
+                      is_exact, stack_from_json, stack_to_json)
 
 _GRAM_CHUNK = 1 << 14  # elements in one product of gram_rows: its rows x columns
 
@@ -118,8 +118,9 @@ class LinearDispersionCode:
         (2k, 2n^2) float64 view of ``w``; the weights are independent iff its
         smallest eigenvalue is not negligible against its largest, by the one
         tolerance rule: sigma_min > 1e-5 sigma_max on the singular values.
+        Gamma is that of the weights times 2^e (``gmatrix._pow2_scaled``): finite.
         """
-        r = self.w.reshape(2 * self.k, -1).view(np.float64)
+        r = _pow2_scaled(self.w)[0].reshape(2 * self.k, -1).view(np.float64)
         lam = np.linalg.eigvalsh(r @ r.T)
         return not _negligible(lam[0], lam[-1])
 

@@ -18,8 +18,10 @@ squared Frobenius norm of the weight matrices is brought to 2 -- the
 value for the Alamouti and coordinate-interleaved families, whose
 published minimum determinants are therefore reproduced unchanged.  A
 unitary-weight code on n antennas has dispersion gain n, so its raw
-determinant is scaled by (2/n)^n.  Pass ``equal_energy=False`` for the
-plain unnormalized determinant.
+determinant is scaled by (2/n)^n.  The equal-energy minimum is
+invariant under a uniform scale of the weights, which the search reads
+exactly rescaled by a power of two, so it holds over the whole float
+range.  Pass ``equal_energy=False`` for the plain unnormalized determinant.
 
 Every determinant is read off the Gram products G_pq = W_p^H W_q, taken
 for the pairs p <= q only (:func:`.codes.gram`).  The difference
@@ -57,10 +59,12 @@ lambda_ij = -2c sign(d_I d_Q): such a code loses full diversity exactly when
 a slot has an eigenvalue at +-2c and a difference lies on the matching +-45
 degree line, a witness of :func:`.constellations.diversity_check`.  COD
 slots have H_i = 0; maximal-rate slots the spectrum +-2c, split n/2 : n/2,
-whence the closed form (c |d_I^2 - d_Q^2|)^n.  Other SSD codes (ciod4, a
-slot rescaled) keep the determinant route.  The route is chosen by the
-verifier's SSD and UW verdicts, whose cached pass this search shares
-with a ``classify`` of the same code.
+whence the closed form (c |d_I^2 - d_Q^2|)^n.  The route is the class in
+the verifier's cached report, which this search shares with a
+``classify`` of the same code: CODs and unitary-weight SSD codes take
+the spectral route, other SSD codes (ciod4, a slot rescaled) one
+determinant per slot and difference, and not-SSD codes the unreduced
+search.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
-from .gmatrix import _upper_pairs
-from .verifier import _gram_verdicts, _ssd_failures
+from .gmatrix import _pow2_scaled, _upper_pairs
+from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, _report
 
 REFERENCE_DISPERSION_GAIN = 2.0
 FULL_SEARCH_BUDGET = 10_000_000
@@ -88,10 +92,9 @@ class MinDetResult:
     reduced: bool
 
 
-def dispersion_gain(code: LinearDispersionCode) -> float:
-    """Mean squared Frobenius norm of the weight matrices."""
-    w = code.w
-    return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * code.k)
+def dispersion_gain(w: np.ndarray) -> float:
+    """Mean squared Frobenius norm of the matrices of a (k, 2, n, n) weight stack."""
+    return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * len(w))
 
 
 def _pair_terms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,22 +132,24 @@ def min_det_bruteforce(code: LinearDispersionCode,
     exceed ``FULL_SEARCH_BUDGET`` difference vectors, or when equal energy
     is asked of a code that transmits none.
     """
-    gain = dispersion_gain(code)
+    # the equal-energy minimum is scale-invariant: search 2^e w, largest entry part in [1, 2)
+    w = _pow2_scaled(code.w)[0] if equal_energy else code.w
+    gain = dispersion_gain(w)
     if equal_energy and gain == 0.0:
         raise ValueError("code transmits no energy")
     scale = (REFERENCE_DISPERSION_GAIN / gain) ** code.n if equal_energy else 1.0
-    verdicts = _gram_verdicts(code) if not force_full else None
-    if not force_full and not _ssd_failures(verdicts):
+    code_class = CLASS_NOT_SSD if force_full else _report(code).code_class
+    if code_class != CLASS_NOT_SSD:
         diffs = np.asarray(constellation.differences())
         s = np.stack((diffs.real, diffs.imag), axis=1)
-        if verdicts.unitary.all():  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
-            g = gram(code.w)[:, 1]  # each slot's A_i^H B_i: pair (0, 1) of its 2 x 2 products
+        if code_class != CLASS_NONUW_SSD:  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
+            g = gram(w)[:, 1]  # each slot's A_i^H B_i: pair (0, 1) of its 2 x 2 products
             lam = np.linalg.eigvalsh(g + np.conj(g).swapaxes(1, 2))
             c = gain / code.n
             dets = np.prod(c * np.sum(s ** 2, axis=1)[:, None]
                            + (s[:, 0] * s[:, 1])[:, None] * lam[:, None, :], axis=-1)
         else:  # one GEMM and one det per slot keep memory per slot
-            dets = np.stack([_difference_dets(*_pair_terms(code.w[i:i + 1]), s)
+            dets = np.stack([_difference_dets(*_pair_terms(w[i:i + 1]), s)
                              for i in range(code.k)])
         slot, arg = divmod(int(np.argmin(dets)), len(diffs))  # first minimum, slot-major
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
@@ -162,7 +167,7 @@ def min_det_bruteforce(code: LinearDispersionCode,
     if total > FULL_SEARCH_BUDGET:
         raise ValueError(f"unreduced search needs {total} difference vectors, "
                          f"over budget {FULL_SEARCH_BUDGET}")
-    p, q, m = _pair_terms(code.w)
+    p, q, m = _pair_terms(w)
 
     def dets(idx: np.ndarray) -> np.ndarray:
         # x and -x tie: evaluate only the first in lexicographic order, whose

@@ -16,12 +16,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .gmatrix import _negligible
+
 ENERGY_RAW = "raw"
 ENERGY_UNIT = "unit-average"
 
 QAM_SIZES = (4, 16, 64)
-# diversity_check: a difference within this of a +-45 degree line lies on it
-DIVERSITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,10 @@ def diversity_check(constellation: Constellation) -> DiversityReport:
     """Full-diversity test: no difference may lie on a +-45 degree line.
 
     Returns the offending differences as witnesses when the test fails.
+    A difference d lies on such a line when ||d_I| - |d_Q|| is negligible
+    against |d| by the one tolerance rule of :mod:`.gmatrix`, so the
+    verdict does not change under a uniform scale of the points.
     """
     witnesses = tuple(d for d in constellation.differences()
-                      if abs(abs(d.real) - abs(d.imag)) <= DIVERSITY_TOL)
+                      if _negligible(abs(abs(d.real) - abs(d.imag)), abs(d)))
     return DiversityReport(ok=not witnesses, witnesses=witnesses)

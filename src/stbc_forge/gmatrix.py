@@ -30,11 +30,14 @@ decides exact inputs bit-exactly, and no comparison needs a special
 case for exactness.  Rotated or rescaled float inputs get the same rule,
 which makes every decision invariant under a uniform scale.  A code's
 linear independence is judged by it too: the smallest eigenvalue of the
-weights' real Gram matrix against the largest.
+weights' real Gram matrix against the largest.  A code's checks read its
+weights scaled exactly by a power of two, :func:`_pow2_scaled`, so no
+square of a tiny or huge weight underflows or overflows.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +66,18 @@ def _frobenius(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", r, r))
 
 
+def _pow2_scaled(z: np.ndarray) -> tuple[np.ndarray, int]:
+    """C-contiguous complex z times the 2^e putting its largest |Re|, |Im| in [1, 2), and e.
+
+    ``np.ldexp`` on the float64 view is exact short of the subnormal range, so a
+    relative decision on the result is the one on z.  The built-in codes get
+    e = 0 and z itself.
+    """
+    r = z.view(np.float64)
+    e = 1 - math.frexp(np.abs(r).max())[1]
+    return (np.ldexp(r, e).view(np.complex128) if e else z), e
+
+
 def _upper_pairs(m: int, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs p + offset <= q of m matrices, row-major as ``np.triu_indices``.
 
@@ -74,8 +89,9 @@ def _upper_pairs(m: int, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 def is_exact(z: np.ndarray, axis=None):
     """Gaussian-integer entries with n * max|entry|^2 < 2^53, over all of z or along ``axis``."""
-    return (np.all(z == np.round(z), axis=axis)
-            & (z.shape[-1] * np.max(z.real ** 2 + z.imag ** 2, axis=axis, initial=0.0) < _GUARD))
+    with np.errstate(over="ignore"):  # a square past the float range is inf: not exact
+        big = z.shape[-1] * np.max(z.real ** 2 + z.imag ** 2, axis=axis, initial=0.0)
+    return np.all(z == np.round(z), axis=axis) & (big < _GUARD)
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -176,7 +192,8 @@ class GaussianMatrix:
         return bool(np.array_equal(self._z, other._z))
 
     def is_identity(self) -> bool:
-        return bool(_negligible(np.linalg.norm(self._z - np.eye(self.n)), 1.0))
+        with np.errstate(over="ignore"):  # a norm past the float range is inf: not I
+            return bool(_negligible(np.linalg.norm(self._z - np.eye(self.n)), 1.0))
 
 
 # ----------------------------------------------------------------------

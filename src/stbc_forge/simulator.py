@@ -91,7 +91,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, _encode, gram, lexicographic_first_min
 from .constellations import Constellation
-from .gmatrix import _upper_pairs
+from .gmatrix import _pow2_scaled, _upper_pairs
 from .verifier import check_ssd
 
 DECODER_SSD = "ssd"
@@ -180,18 +180,20 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     """Scalar s such that s * S averages unit energy per channel use.
 
     Uses the constellation's exact second moments, so the scale is
-    rate- and energy-mode-aware.
+    rate- and energy-mode-aware.  The energy of the weights times 2^e
+    (``gmatrix._pow2_scaled``) cannot overflow; the scale carries 2^e back.
     """
     pts = np.asarray(constellation.points)
     m_ii = float(np.mean(pts.real ** 2))
     m_qq = float(np.mean(pts.imag ** 2))
     m_iq = float(np.mean(pts.real * pts.imag))
-    wi, wq = code.weight_arrays()
+    w, e = _pow2_scaled(code.w)
+    wi, wq = w[:, 0], w[:, 1]
     total = float(m_ii * np.sum(np.abs(wi) ** 2) + m_qq * np.sum(np.abs(wq) ** 2)
                   + 2 * m_iq * np.sum(np.real(np.conj(wi) * wq)))
     if total <= 0.0:
         raise ValueError("code transmits no energy")
-    return math.sqrt(code.n / total)
+    return math.ldexp(math.sqrt(code.n / total), e)
 
 
 def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -341,7 +343,7 @@ def simulate_cer(config: SimConfig) -> CerReport:
     pts = np.asarray(constellation.points)
     chunk = min(_CHUNK, config.trials)
     if config.decoder == DECODER_SSD:
-        _require_ssd(code)  # scale-invariant verdicts: the caller's classify pass is reused
+        _require_ssd(code)  # reads the cached classification of the caller's classify
         kernels = _metric_kernel(w)
         metrics = np.empty((min(_BLOCK, chunk) * k, len(pts)))
 

@@ -24,34 +24,35 @@ All of them are pairwise conditions on the Gram products
 G_pq = W_p^H W_q of the 2k weights, and each is symmetric in (p, q):
 G_qp = G_pq^H, so one pass reads the k(2k+1) pairs p <= q only.  The SSD
 and self conditions judge G_pq + G_pq^H, UW judges the diagonal G_pp.
-The pass takes the products from :func:`.codes.gram_rows` by block rows,
-several rows per GEMM while the product stays within the codes module's
-element budget, and reduces each block row to the norms of its
-G_pq + G_pq^H and its diagonal block before the next is formed: the
-(pairs, n, n) stack of the whole code is never alive.  Every residual's
-Frobenius norm is judged by the one relative tolerance of
-:mod:`.gmatrix`, 1e-10 * c, so the verdicts do not change under a
-uniform scale of the weights, and each failed condition carries its
-residual relative to c.
-The pass is cached for the last code it judged (codes are immutable and
-compare by identity), so a command that classifies a code and then
-searches or decodes it computes the products once.  On
-Gaussian-integer weights the SSD and self residuals are Gaussian-integer
-matrices (norm 0 or >= 1) and the UW residual W^H W - cI has entries in
-Z[j] / (2kn); at the built-in scales (c <= 1) the tolerance lies far
-below both steps, so every verdict there is bit-exact.
+The pass takes the products from :func:`.codes.gram_rows` by block rows
+and reduces each to the norms of its G_pq + G_pq^H and its diagonal
+block before the next is formed: the (pairs, n, n) stack of the whole
+code is never alive.  It reads the weights rescaled by the power of two
+that puts their largest entry part in [1, 2) (exact, and 1 for the
+built-in codes), and judges every residual's Frobenius norm by the one
+relative tolerance of :mod:`.gmatrix`, 1e-10 * c, so the class does not
+change under a uniform scale of the weights anywhere in the float range;
+each failed condition carries its residual relative to c.
+The pass returns the :class:`ClassificationReport` itself, and the report
+of the last code is cached (codes are immutable and compare by
+identity): ``classify``, the checks, the coding-gain route and the
+simulator's SSD gate all read it, so a command computes the products
+once.  On Gaussian-integer weights the SSD and self residuals are
+Gaussian-integer matrices (norm 0 or >= 1) and the UW residual
+W^H W - cI has entries in Z[j] / (2kn); at the built-in scales (c <= 1)
+the tolerance lies far below both steps, so every verdict there is
+bit-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .codes import LinearDispersionCode, gram_rows
-from .gmatrix import GaussianMatrix, _frobenius, _negligible, _upper_pairs
+from .gmatrix import GaussianMatrix, _frobenius, _negligible, _pow2_scaled, _upper_pairs
 
 COND_UW = "UW"
 COND_SSD_IQ = "SSD-IQ"
@@ -92,100 +93,68 @@ class ClassificationReport:
     normalized: bool
 
 
-class _Verdicts(NamedTuple):
-    vanish: np.ndarray            # (2k, 2k) bool: ||G_pq + G_pq^H|| negligible
-    unitary: np.ndarray           # (2k,) bool: G_pp = c I with c > 0
-    vanish_residual: np.ndarray   # (2k, 2k): ||G_pq + G_pq^H|| / c
-    unitary_residual: np.ndarray  # (2k,): ||G_pp - c I|| / c
+_SSD_CONDITIONS = (COND_SSD_IQ, COND_SSD_II, COND_SSD_QQ)
 
 
 @lru_cache(maxsize=1)
-def _gram_verdicts(code: LinearDispersionCode) -> _Verdicts:
-    """Every condition of the taxonomy, read off the Gram products G_pq = W_p^H W_q, q >= p.
+def _report(code: LinearDispersionCode) -> ClassificationReport:
+    """The classification of a code, from one pass over its Gram products (module doc).
 
-    ``vanish[p, q]`` (symmetric) is whether W_p^H W_q + W_q^H W_p is
-    negligible (SSD-IQ/II/QQ and COD-IQ-self are entries of it), and
-    ``unitary[p]`` whether W_p^H W_p = c I for the one common c > 0 (UW).
-    c is the mean of trace(W_p^H W_p) / n, and both verdicts are relative
-    to it; the residual norms behind them are kept divided by c (by 1 for
-    an all-zero code, c = 0).  :func:`.codes.gram_rows` yields the
-    products by block rows, and each block row is reduced to the norms of
-    its G_pq + G_pq^H and its diagonal blocks G_pp before the next is
-    formed, so no (pairs, n, n) stack of the whole code is ever alive.
-    Every array is read-only: the last code's are cached, keyed on the
-    code object, and shared by every caller.
+    c is the mean of trace(W_p^H W_p) / n, and each failure's residual is
+    its norm divided by c (by 1 for an all-zero code, c = 0).  The failures
+    come in the pinned order UW, SSD (i, j loop order), COD-IQ-self.
     """
-    m = 2 * code.k
+    k, m = code.k, 2 * code.k
     half = np.zeros((m, m))  # ||G_pq + G_pq^H||, filled by block rows
     diag = []
-    for p, q, g in gram_rows(code.w.reshape(m, code.n, code.n)):
+    for p, q, g in gram_rows(_pow2_scaled(code.w)[0].reshape(m, code.n, code.n)):
         half[p, q] = half[q, p] = _frobenius(g + np.conj(g).swapaxes(1, 2))
         diag.append(g[p == q])
     diag = np.concatenate(diag)
     c = float(np.mean(np.einsum("pii->p", diag).real)) / code.n
-    off = _frobenius(diag - c * np.eye(code.n))
+    off = _frobenius(diag - c * np.eye(code.n)).reshape(k, 2)
     scale = c if c > 0 else 1.0
-    verdicts = _Verdicts(_negligible(half, c), _negligible(off, c) & (c > 0),
-                         half / scale, off / scale)
-    for v in verdicts:
-        v.setflags(write=False)
-    return verdicts
-
-
-def _uw_failures(v: _Verdicts) -> list[ConditionFailure]:
-    pairs = v.unitary.reshape(-1, 2).all(axis=1)
-    return [ConditionFailure(COND_UW, i, i, float(v.unitary_residual[2 * i - 2:2 * i].max()))
-            for i, ok in enumerate(pairs, start=1) if not ok]
-
-
-def _ssd_failures(v: _Verdicts) -> list[ConditionFailure]:
-    failures: list[ConditionFailure] = []
-    k = len(v.vanish) // 2
-
-    def check(condition: str, i: int, j: int, x: int, y: int) -> None:
-        if not v.vanish[x, y]:
-            failures.append(ConditionFailure(condition, i + 1, j + 1,
-                                             float(v.vanish_residual[x, y])))
-
+    vanish, unitary = _negligible(half, c), _negligible(off, c) & (c > 0)
+    pairs = []  # (condition, i, j) judged at weight pair (x, y), in the pinned order
     for i in range(k):
         for j in range(k):
-            if i == j:
-                continue
-            check(COND_SSD_IQ, i, j, 2 * i, 2 * j + 1)
+            if i != j:
+                pairs.append((COND_SSD_IQ, i, j, 2 * i, 2 * j + 1))
             if j > i:
-                check(COND_SSD_II, i, j, 2 * i, 2 * j)
-                check(COND_SSD_QQ, i, j, 2 * i + 1, 2 * j + 1)
-    return failures
-
-
-def _self_failures(v: _Verdicts) -> list[ConditionFailure]:
-    return [ConditionFailure(COND_COD_SELF, i + 1, i + 1,
-                             float(v.vanish_residual[2 * i, 2 * i + 1]))
-            for i in range(len(v.vanish) // 2) if not v.vanish[2 * i, 2 * i + 1]]
+                pairs += [(COND_SSD_II, i, j, 2 * i, 2 * j),
+                          (COND_SSD_QQ, i, j, 2 * i + 1, 2 * j + 1)]
+    pairs += [(COND_COD_SELF, i, i, 2 * i, 2 * i + 1) for i in range(k)]
+    failures = [ConditionFailure(COND_UW, i + 1, i + 1, float(off[i].max() / scale))
+                for i in range(k) if not unitary[i].all()]
+    failures += [ConditionFailure(cond, i + 1, j + 1, float(half[x, y] / scale))
+                 for cond, i, j, x, y in pairs if not vanish[x, y]]
+    failed = {f.condition for f in failures}
+    code_class = (CLASS_NOT_SSD if failed.intersection(_SSD_CONDITIONS)
+                  else CLASS_NONUW_SSD if COND_UW in failed
+                  else CLASS_UW_SSD if COND_COD_SELF in failed else CLASS_COD)
+    return ClassificationReport(
+        code_class=code_class,
+        failed_conditions=tuple(failures),  # the full COD conditions: UW, SSD, self
+        linear_independent=code.linearly_independent(),
+        normalized=GaussianMatrix(code.w[0, 0]).is_identity(),
+    )
 
 
 def check_ssd(code: LinearDispersionCode) -> CheckResult:
     """All cross-symbol conditions SSD-IQ / SSD-II / SSD-QQ."""
-    return CheckResult(tuple(_ssd_failures(_gram_verdicts(code))))
+    return CheckResult(tuple(f for f in _report(code).failed_conditions
+                             if f.condition in _SSD_CONDITIONS))
 
 
 def check_unitary_weight(code: LinearDispersionCode) -> CheckResult:
     """Every weight matrix a unitary times one common c > 0 (condition UW)."""
-    return CheckResult(tuple(_uw_failures(_gram_verdicts(code))))
+    return CheckResult(tuple(f for f in _report(code).failed_conditions
+                             if f.condition == COND_UW))
 
 
 def classify(code: LinearDispersionCode) -> ClassificationReport:
-    """Place a code in the COD / unitary-weight / non-unitary-weight taxonomy."""
-    v = _gram_verdicts(code)
-    uw, ssd, self_ = _uw_failures(v), _ssd_failures(v), _self_failures(v)
-    code_class = (CLASS_NOT_SSD if ssd else CLASS_NONUW_SSD if uw
-                  else CLASS_UW_SSD if self_ else CLASS_COD)
-    return ClassificationReport(
-        code_class=code_class,
-        failed_conditions=tuple(uw + ssd + self_),  # the full COD conditions: UW, SSD, self
-        linear_independent=code.linearly_independent(),
-        normalized=GaussianMatrix(code.w[0, 0]).is_identity(),
-    )
+    """Place a code in the COD / unitary-weight / non-unitary-weight taxonomy (cached)."""
+    return _report(code)
 
 
 def normalize(code: LinearDispersionCode) -> LinearDispersionCode:

@@ -277,13 +277,20 @@ def test_usage_errors(runner, tmp_path):
     _invoke(runner, "construct", "--antennas", "8", "--family", "ussd", "--out", str(code8))
     sim = ["simulate", "--code", str(code), "--constellation", "qam4",
            "--out", str(tmp_path / "o.csv")]
-    # codes that transmit no energy have no equal-energy scale (weights of 1e-200 square to 0)
-    no_energy = [tmp_path / "zero.json", tmp_path / "tiny.json"]
-    for path, w in zip(no_energy, (np.zeros((1, 2, 2, 2)), np.full((1, 2, 2, 2), 1e-200))):
+    # a code that transmits no energy has no equal-energy scale; weights of 1e-200, whose
+    # squares underflow, are an ordinary code and score as the unit code they scale
+    zero, tiny, unit = (tmp_path / f"{name}.json" for name in ("zero", "tiny", "unit"))
+    for path, value in ((zero, 0.0), (tiny, 1e-200), (unit, 1.0)):
+        w = np.full((1, 2, 2, 2), value)
         path.write_text(json.dumps(code_to_json_dict(LinearDispersionCode(label="x", n=2, w=w))))
+    for extra in ([], ["--brute-force"]):
+        first_lines = [_invoke(runner, "coding-gain", "--code", str(path), "--constellation",
+                               "qam4", *extra).output.splitlines()[0] for path in (tiny, unit)]
+        assert first_lines[0].startswith("min_det = ")
+        assert first_lines[0] == first_lines[1]
     bad_inputs = [
-        *(["coding-gain", "--code", str(path), "--constellation", "qam4", *extra]
-          for path in no_energy for extra in ([], ["--brute-force"])),
+        *(["coding-gain", "--code", str(zero), "--constellation", "qam4", *extra]
+          for extra in ([], ["--brute-force"])),
         sim + ["--snr", "-4000"],  # N0 = 10^400 overflows
         sim + ["--snr", "10", "--trials", "0"],
         sim + ["--snr", "10", "--trials", "-5"],

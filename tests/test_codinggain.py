@@ -80,10 +80,10 @@ def test_unrotated_qam_gives_zero(ussd4):
 
 def test_energy_convention_factor(ussd4, ciod4, ussd2, cod2):
     # unitary weights on 4 antennas carry dispersion gain 4 -> factor 16
-    assert dispersion_gain(ussd4) == pytest.approx(4.0)
-    assert dispersion_gain(ciod4) == pytest.approx(2.0)
-    assert dispersion_gain(ussd2) == pytest.approx(2.0)
-    assert dispersion_gain(cod2) == pytest.approx(2.0)
+    assert dispersion_gain(ussd4.w) == pytest.approx(4.0)
+    assert dispersion_gain(ciod4.w) == pytest.approx(2.0)
+    assert dispersion_gain(ussd2.w) == pytest.approx(2.0)
+    assert dispersion_gain(cod2.w) == pytest.approx(2.0)
     c = rotated_qam(4, optimal_angle())
     raw = min_det_bruteforce(ussd4, c, equal_energy=False)
     fair = min_det_bruteforce(ussd4, c)
@@ -276,7 +276,7 @@ def _determinant_route(code, constellation):
     s = np.stack((diffs.real, diffs.imag), axis=1)
     dets = np.stack([codinggain._difference_dets(*codinggain._pair_terms(code.w[i:i + 1]), s)
                      for i in range(code.k)])
-    return float(dets.min()) * (2 / dispersion_gain(code)) ** code.n
+    return float(dets.min()) * (2 / dispersion_gain(code.w)) ** code.n
 
 
 @pytest.mark.parametrize("family", ["ussd", "cod"])

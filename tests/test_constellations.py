@@ -84,6 +84,15 @@ def test_diversity_unrotated_qam_fails():
     assert any(abs(w - (2 + 2j)) < 1e-12 for w in report.witnesses)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 0.01, 1.0, 100.0, 1e100])
+def test_diversity_verdict_is_scale_invariant(scale):
+    # a difference 1e-11 relative off the 45 degree line lies on it at every scale, one
+    # 1e-8 relative off it does not: the rule is relative to |d|, not an absolute step
+    on_line = diversity_check(Constellation("two", (0j, scale * complex(1, 1 + 1e-11))))
+    assert not on_line.ok and len(on_line.witnesses) == 2
+    assert diversity_check(Constellation("two", (0j, scale * complex(1, 1 + 1e-8)))).ok
+
+
 def test_diversity_rotated_qam_passes():
     c = rotated_qam(4, optimal_angle())
     report = diversity_check(c)

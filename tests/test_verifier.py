@@ -1,5 +1,7 @@
 """Condition checks, classification taxonomy, normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,10 @@ from stbc_forge.codes import (
     build_max_rate_ussd,
     build_square_cod,
 )
+from stbc_forge.codinggain import min_det_bruteforce
+from stbc_forge.constellations import optimal_angle, rotated_qam
 from stbc_forge.gmatrix import GaussianMatrix
+from stbc_forge.simulator import SimConfig, simulate_cer
 from stbc_forge.verifier import (
     CLASS_COD,
     CLASS_NONUW_SSD,
@@ -20,8 +25,10 @@ from stbc_forge.verifier import (
     CLASS_UW_SSD,
     COND_COD_SELF,
     COND_SSD_II,
+    COND_SSD_IQ,
+    COND_SSD_QQ,
     COND_UW,
-    _gram_verdicts,
+    _report,
     check_normalized_structure,
     check_ssd,
     check_unitary_weight,
@@ -184,39 +191,51 @@ def test_failed_conditions_order_is_pinned(ussd4, ciod4):
 
 
 def _reference_failures(code):
-    """Per-pair loop over the conditions as the module docstring states them."""
-    w = code.w
-    n = code.n
+    """The failed conditions with their residuals relative to c, by a loop over the
+    conditions as the module docstring states them, one pair at a time, with np.linalg.norm."""
+    w, n = code.w, code.n
     c = np.mean([np.trace(m.conj().T @ m).real for pair in w for m in pair]) / n
+    scale = c if c > 0 else 1.0
+    out = []
 
-    def vanishes(a, b):
-        return np.linalg.norm(a.conj().T @ b + b.conj().T @ a) <= 1e-10 * c
+    def check(condition, i, j, residual):
+        if residual > 1e-10 or condition == COND_UW and c <= 0:
+            out.append((condition, i + 1, j + 1, residual))
+
+    def vanish(a, b):
+        return np.linalg.norm(a.conj().T @ b + b.conj().T @ a) / scale
 
     def unitary(a):
-        return np.linalg.norm(a.conj().T @ a - c * np.eye(n)) <= 1e-10 * c
+        return np.linalg.norm(a.conj().T @ a - c * np.eye(n)) / scale
 
-    out = [(COND_UW, i, i) for i, (a, b) in enumerate(w, 1) if not (unitary(a) and unitary(b))]
+    for i, (a, b) in enumerate(w):
+        check(COND_UW, i, i, max(unitary(a), unitary(b)))
     for i in range(code.k):
         for j in range(code.k):
             if i == j:
                 continue
-            if not vanishes(w[i][0], w[j][1]):
-                out.append(("SSD-IQ", i + 1, j + 1))
-            if j > i and not vanishes(w[i][0], w[j][0]):
-                out.append(("SSD-II", i + 1, j + 1))
-            if j > i and not vanishes(w[i][1], w[j][1]):
-                out.append(("SSD-QQ", i + 1, j + 1))
-    out += [(COND_COD_SELF, i, i) for i, (a, b) in enumerate(w, 1) if not vanishes(a, b)]
-    return tuple(out)
+            check(COND_SSD_IQ, i, j, vanish(w[i][0], w[j][1]))
+            if j > i:
+                check(COND_SSD_II, i, j, vanish(w[i][0], w[j][0]))
+                check(COND_SSD_QQ, i, j, vanish(w[i][1], w[j][1]))
+    for i, (a, b) in enumerate(w):
+        check(COND_COD_SELF, i, i, vanish(a, b))
+    return out
+
+
+def _assert_matches_reference(code):
+    got = classify(code).failed_conditions
+    want = _reference_failures(code)
+    assert _as_tuples(got) == tuple(f[:3] for f in want)
+    assert np.allclose([f.residual for f in got], [f[3] for f in want], rtol=1e-9, atol=1e-12)
+    return got
 
 
 def test_failed_conditions_match_reference_loop(ussd4, ciod4, cod4):
     rng = np.random.default_rng(71)
     bases = (ussd4, ciod4, cod4) + _mutants(ussd4)
     for t in range(20):
-        code = bases[t % len(bases)].left_multiply(random_unitary(4, rng))
-        want = _reference_failures(code)
-        assert _as_tuples(classify(code).failed_conditions) == want
+        _assert_matches_reference(bases[t % len(bases)].left_multiply(random_unitary(4, rng)))
 
 
 _FAM2 = generate_family(2)
@@ -230,42 +249,68 @@ _CODES = {
 }
 
 
+_QAM4 = rotated_qam(4, optimal_angle())
+
+
 @given(name=st.sampled_from(sorted(_CODES)),
-       scale=st.floats(min_value=1e-3, max_value=1e3),
+       exponent=st.floats(min_value=-300, max_value=300),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_class_invariant_under_scale_and_unitary(name, scale, seed):
+def test_class_invariant_under_scale_and_unitary(name, exponent, seed):
+    # log-uniform scales over the float range: the squares of the weights would
+    # underflow or overflow, the power-of-two rescale keeps them near 1
     code = _CODES[name]
-    want = classify(code).code_class
+    want = classify(code)
+    want_det = min_det_bruteforce(code, _QAM4).value
+    scale = 10.0 ** exponent
     u = random_unitary(code.n, np.random.default_rng(seed))
-    assert classify(code.scaled(scale)).code_class == want
-    assert classify(code.left_multiply(u)).code_class == want
-    assert classify(code.scaled(scale).left_multiply(u)).code_class == want
+    for moved in (code.scaled(scale), code.left_multiply(u), code.scaled(scale).left_multiply(u)):
+        got = classify(moved)
+        assert got.code_class == want.code_class
+        assert got.linear_independent == want.linear_independent
+        assert min_det_bruteforce(moved, _QAM4).value == pytest.approx(want_det, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["ussd4", "ciod4", "cod4"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-40, 1e40, 1e100, 1e300])
+def test_extreme_scales_keep_class_independence_and_min_det(name, scale):
+    code = _CODES[name]
+    want, got = classify(code), classify(code.scaled(scale))
+    assert got.code_class == want.code_class
+    assert got.linear_independent and want.linear_independent
+    assert min_det_bruteforce(code.scaled(scale), _QAM4).value == pytest.approx(
+        min_det_bruteforce(code, _QAM4).value, rel=1e-9)
+
+
+def _residuals(report):
+    return [f.residual for f in report.failed_conditions]
+
+
+@pytest.mark.parametrize("name", sorted(_CODES))
+def test_power_of_two_scales_are_bit_identical(name):
+    # 2^+-900 rescales back to the very same weights: the same report, residuals
+    # included, the same minimum determinant and the same seeded CER counts;
+    # ``normalized`` names the literal form A_1 = I, which no such scale keeps
+    code = _CODES[name]
+    want = dataclasses.replace(classify(code), normalized=False)
+    want_det = min_det_bruteforce(code, _QAM4).value
+    ssd = want.code_class != CLASS_NOT_SSD
+
+    def cer(c):
+        return simulate_cer(SimConfig(code=c, constellation=_QAM4, snr_db_list=(6.0,),
+                                      trials=3000, seed=11, decoder="ssd" if ssd else "brute-ml"))
+
+    want_cer = cer(code)
+    for exponent in (-900, 900):
+        scaled = code.scaled(2.0 ** exponent)
+        got = classify(scaled)
+        assert got == want and _residuals(got) == _residuals(want)
+        assert min_det_bruteforce(scaled, _QAM4).value == want_det
+        assert cer(scaled) == want_cer
 
 
 # one block-row GEMM per code up to n = 8, several from n = 16 on
 _BUILT_IN = {name: code for name, code in exact_built_in_codes().items() if code.n <= 32}
-
-
-def _reference_verdicts(code):
-    """The verdicts and residuals by a loop over every pair (p, q), with np.linalg.norm."""
-    w = code.w.reshape(2 * code.k, code.n, code.n)
-    g = [[np.conj(x).T @ y for y in w] for x in w]
-    c = np.mean([np.trace(g[p][p]).real for p in range(len(w))]) / code.n
-    half = np.array([[np.linalg.norm(g[p][q] + g[q][p]) for q in range(len(w))]
-                     for p in range(len(w))])
-    off = np.array([np.linalg.norm(g[p][p] - c * np.eye(code.n)) for p in range(len(w))])
-    return half <= 1e-10 * c, (off <= 1e-10 * c) & (c > 0), half / c, off / c
-
-
-def _assert_matches_reference(code):
-    got = _gram_verdicts(code)
-    want = _reference_verdicts(code)
-    assert np.array_equal(got.vanish, want[0])
-    assert np.array_equal(got.unitary, want[1])
-    assert np.allclose(got.vanish_residual, want[2], rtol=1e-9, atol=1e-12)
-    assert np.allclose(got.unitary_residual, want[3], rtol=1e-9, atol=1e-12)
-    return got
 
 
 @given(name=st.sampled_from(sorted(_BUILT_IN)),
@@ -283,9 +328,9 @@ def test_half_gram_verdicts_match_reference_loop(name, scale, rel, seed):
     e = rng.standard_normal((code.n, code.n)) + 1j * rng.standard_normal((code.n, code.n))
     w[i, j] += rel * np.linalg.norm(w[i, j]) * e / np.linalg.norm(e)
     code = LinearDispersionCode(label=name, n=code.n, w=w)
-    unitary = _assert_matches_reference(code).unitary
+    failures = _as_tuples(_assert_matches_reference(code))
     if rel == 1e-8 and name != "ciod4":  # a built-in unitary weight, pushed off unitarity
-        assert not unitary[2 * i + j]
+        assert (COND_UW, i + 1, i + 1) in failures
 
 
 @pytest.mark.parametrize("name", sorted(exact_built_in_codes()))
@@ -295,11 +340,10 @@ def test_exact_verdicts_match_reference_loop(name):
 
 
 def test_cached_verdicts_are_read_only(ussd4):
-    _gram_verdicts.cache_clear()
-    verdicts = _gram_verdicts(ussd4)
-    assert _gram_verdicts(ussd4) is verdicts  # the second call is served from the cache
-    assert _gram_verdicts.cache_info().hits == 1
-    for array in verdicts:  # the verdicts and the residuals behind them
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = False
+    _report.cache_clear()
+    report = classify(ussd4)
+    assert classify(ussd4) is report  # the second call is served from the cache
+    assert check_ssd(ussd4).ok  # and so is the check's
+    assert _report.cache_info().hits == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.code_class = CLASS_COD
