@@ -18,7 +18,6 @@ from .clifford import (
 from .codes import build_ciod4, build_max_rate_ussd, build_square_cod
 from .codinggain import min_det_bruteforce, min_det_closed_form
 from .constellations import ciod_optimal_angle, optimal_angle, rotated_qam
-from .gmatrix import GaussianMatrix
 from .simulator import (
     SimConfig,
     ml_decode_bruteforce,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnticommutingFamily",
-    "GaussianMatrix",
     "SimConfig",
     "build_ciod4",
     "build_max_rate_ussd",

@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gmatrix import GaussianMatrix, _frobenius, _negligible, _upper_pairs, stack_to_json
+from .gmatrix import _frobenius, _negligible, _upper_pairs, stack_to_json
 
 MAX_DOUBLINGS = 6  # 64x64
 
@@ -178,17 +178,17 @@ def verify_family(fam: AnticommutingFamily) -> FamilyReport:
     return FamilyReport(tuple(checks))
 
 
-def product_subset(fam: AnticommutingFamily, indices: Sequence[int]) -> GaussianMatrix:
+def product_subset(fam: AnticommutingFamily, indices: Sequence[int]) -> np.ndarray:
     """Ordered product over a strictly increasing 1-based subset of 1..2a.
 
-    The empty subset gives the identity.
+    An (n, n) complex128 array; the empty subset gives the identity.
     """
     limit = 2 * fam.a
     if any(not 1 <= i <= limit for i in indices):
         raise ValueError(f"indices must lie in 1..{limit}, got {list(indices)}")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError(f"indices must be strictly increasing, got {list(indices)}")
-    return GaussianMatrix(_product(fam.matrices[[i - 1 for i in indices]]))
+    return _product(fam.matrices[[i - 1 for i in indices]])
 
 
 def square_sign(s: int) -> int:

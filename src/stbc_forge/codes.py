@@ -10,7 +10,8 @@ weight pair of symbol i -- define the code and must be linearly
 independent over the reals.  A code holds them as one read-only
 complex128 stack ``w`` of shape (k, 2, n, n): w[i-1, 0] = A_i and
 w[i-1, 1] = B_i.  Every module that needs the weights reads or views
-that stack; :class:`GaussianMatrix` remains the type of a single matrix.
+that stack, and a single matrix, such as a codeword, is a plain
+complex128 array.
 The verifier, the decoders and the coding gain read the Gram products
 W_p^H W_q from one routine, :func:`gram_rows`, and share one exhaustive
 search, :func:`lexicographic_first_min`.  ``gram_rows`` forms them by
@@ -64,8 +65,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .clifford import AnticommutingFamily, product_subset
-from .gmatrix import (GaussianMatrix, _json_int, _negligible, _pow2_scaled, _upper_pairs,
-                      is_exact, stack_from_json, stack_to_json)
+from .gmatrix import (_json_int, _negligible, _pow2_scaled, _upper_pairs, is_exact,
+                      stack_from_json, stack_to_json)
 
 _GRAM_CHUNK = 1 << 14  # elements in one product of gram_rows: its rows x columns
 
@@ -128,11 +129,11 @@ class LinearDispersionCode:
         """Weights as two (k, n, n) read-only views of ``w`` (in-phase, quadrature)."""
         return self.w[:, 0], self.w[:, 1]
 
-    def codeword(self, symbols: Sequence[complex]) -> GaussianMatrix:
-        """The codeword for one symbol vector."""
+    def codeword(self, symbols: Sequence[complex]) -> np.ndarray:
+        """The (n, n) complex128 codeword for one symbol vector."""
         if len(symbols) != self.k:
             raise ValueError(f"expected {self.k} symbols, got {len(symbols)}")
-        return GaussianMatrix(_encode(self.w, np.array([symbols], dtype=np.complex128))[0])
+        return _encode(self.w, np.array([symbols], dtype=np.complex128))[0]
 
     def left_multiply(self, u) -> LinearDispersionCode:
         """Premultiply every weight by a unitary n x n matrix (array-like); preserves SSD-ness."""
@@ -231,7 +232,7 @@ def build_max_rate_ussd(a: int, fam: AnticommutingFamily) -> LinearDispersionCod
         raise ValueError(f"family is for a = {fam.a}, not {a}")
     n = 2 ** a
     m = 1j if a % 2 else 1 + 0j
-    b1 = product_subset(fam, range(1, 2 * a)).to_array() * m
+    b1 = product_subset(fam, range(1, 2 * a)) * m
     in_phase = np.concatenate((np.eye(n)[None], fam.matrices[:2 * a - 1]))
     return LinearDispersionCode(label=f"max-rate-ussd-{n}tx", n=n,
                                 w=np.stack((in_phase, b1 @ in_phase), axis=1))

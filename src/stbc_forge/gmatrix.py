@@ -1,12 +1,11 @@
-"""Square complex matrices over the Gaussian integers, held as complex128.
+"""Exactness, the tolerance rule and the JSON codec for complex128 matrix stacks.
 
 All the algebraic facts this package verifies (anticommutation,
 unitarity, products of generator matrices, the orthogonality conditions
 on weight matrices) live over matrices whose entries are Gaussian
 integers re + j*im; every weight the package builds has entries in
-{0, +-1, +-j}.  A :class:`GaussianMatrix` is one read-only complex128
-array (numpy reads it through ``__array__``), and it is *exact* when
-every entry is a Gaussian integer and
+{0, +-1, +-j}.  Every matrix is a plain complex128 array, and a matrix
+is *exact* when every entry is a Gaussian integer and
 
     n * max|entry|^2 < 2^53        (the magnitude guard).
 
@@ -15,9 +14,7 @@ below 2^53, which float64 holds exactly, so integer-valued complex128
 arithmetic is bit-exact with no separate number type.  Exactness is
 derived from the entries, never stored, and one rule, :func:`is_exact`,
 judges a single matrix or a whole stack of n x n matrices (a code's
-weight stack, a family's member stack).  A product of exact matrices
-whose result would leave the guard raises OverflowError instead of
-letting a later product round.
+weight stack, a family's member stack).
 
 Verification compares a residual's Frobenius norm, :func:`_frobenius`,
 against one relative tolerance, :func:`_negligible`: residual <=
@@ -38,7 +35,7 @@ square of a tiny or huge weight underflows or overflows.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -102,100 +99,6 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
-class GaussianMatrix:
-    """An immutable n-by-n complex matrix held as one read-only complex128 array."""
-
-    __slots__ = ("_z",)
-
-    def __init__(self, entries):
-        z = np.array(entries, dtype=np.complex128)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise ValueError(f"entries must form a square matrix, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("entries must be finite")
-        z.setflags(write=False)
-        self._z = z
-
-    # ------------------------------------------------------------------
-    # construction
-
-    @classmethod
-    def exact(cls, rows: Sequence[Sequence[complex]]) -> GaussianMatrix:
-        """Build a matrix that must be exact: Gaussian integers inside the guard."""
-        m = cls(rows)
-        if not m.is_exact:
-            raise ValueError("exact entries must be Gaussian integers with "
-                             "n * max|entry|^2 < 2^53")
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> GaussianMatrix:
-        return cls(np.eye(n))
-
-    # ------------------------------------------------------------------
-    # basic queries
-
-    @property
-    def n(self) -> int:
-        return self._z.shape[0]
-
-    @property
-    def is_exact(self) -> bool:
-        """Gaussian-integer entries inside the magnitude guard."""
-        return bool(is_exact(self._z))
-
-    def to_array(self) -> np.ndarray:
-        """The matrix as a read-only complex128 ndarray."""
-        return self._z
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The entries for numpy, so a sequence of matrices stacks with ``np.array``."""
-        return np.array(self._z, dtype=dtype, copy=copy)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"GaussianMatrix(n={self.n}, exact={self.is_exact})"
-
-    # ------------------------------------------------------------------
-    # arithmetic
-
-    def _same_size(self, other: GaussianMatrix) -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def _product(self, other: GaussianMatrix, z: np.ndarray) -> GaussianMatrix:
-        out = GaussianMatrix(z)
-        if self.is_exact and other.is_exact and not out.is_exact:
-            raise OverflowError("product of exact matrices leaves the magnitude guard "
-                                "n * max|entry|^2 < 2^53")
-        return out
-
-    def __matmul__(self, other: GaussianMatrix) -> GaussianMatrix:
-        if not isinstance(other, GaussianMatrix):
-            return NotImplemented
-        self._same_size(other)
-        return self._product(other, self._z @ other._z)
-
-    def scale(self, c: complex) -> GaussianMatrix:
-        """Entrywise multiplication by a scalar."""
-        return GaussianMatrix(self._z * complex(c))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self._z))
-
-    # ------------------------------------------------------------------
-    # predicates
-
-    def __eq__(self, other) -> bool:
-        """Bit-exact equality of the entries."""
-        if not isinstance(other, GaussianMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self._z, other._z))
-
-    def is_identity(self) -> bool:
-        with np.errstate(over="ignore"):  # a norm past the float range is inf: not I
-            return bool(_negligible(np.linalg.norm(self._z - np.eye(self.n)), 1.0))
-
-
 # ----------------------------------------------------------------------
 # JSON interchange of an (N, n, n) stack: one object per matrix,
 #     {"n": 4, "mode": "exact", "entries": [[[re, im], ...], ...]}
@@ -211,8 +114,9 @@ def stack_to_json(z: np.ndarray) -> list[dict]:
 def stack_from_json(objs: list, n: int) -> np.ndarray:
     """The (N, n, n) complex128 stack of N matrix objects ((0,) for none), read bit-exactly.
 
-    Each object needs the integer ``n``, a known mode and n x n [re, im] entries, the
-    stack finite entries, and its "exact" matrices :func:`is_exact`; ValueError otherwise.
+    Each object needs the integer ``n``, a known mode and n x n [re, im] entries
+    that are JSON numbers (true, false, strings and null are not), the stack finite
+    entries, and its "exact" matrices :func:`is_exact`; ValueError otherwise.
     """
     for i, obj in enumerate(objs, start=1):
         entries = obj["entries"]
@@ -220,8 +124,13 @@ def stack_from_json(objs: list, n: int) -> np.ndarray:
             raise ValueError(f"matrix {i} is not {n}x{n}")
         if obj["mode"] not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {obj['mode']!r}")
-    z = np.array([[[complex(re, im) for re, im in row] for row in obj["entries"]]
-                  for obj in objs], dtype=np.complex128)
+    pairs = list(chain.from_iterable(chain.from_iterable(obj["entries"] for obj in objs)))
+    parts = list(chain.from_iterable(pairs))
+    # JSON numbers by the rule of _json_int, so true and false are not read as 1 and 0
+    if set(map(len, pairs)) - {2} or set(map(type, parts)) - {int, float}:
+        raise ValueError("entries must be [re, im] pairs of JSON numbers")
+    z = np.array(parts, dtype=np.float64).view(np.complex128)
+    z = z.reshape(len(objs), n, n) if objs else z
     if not np.all(np.isfinite(z)):
         raise ValueError("entries must be finite")
     if not is_exact(z[[obj["mode"] == EXACT for obj in objs]]):

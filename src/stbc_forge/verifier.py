@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import LinearDispersionCode, gram_rows
-from .gmatrix import GaussianMatrix, _frobenius, _negligible, _pow2_scaled, _upper_pairs
+from .gmatrix import _frobenius, _negligible, _pow2_scaled, _upper_pairs
 
 COND_UW = "UW"
 COND_SSD_IQ = "SSD-IQ"
@@ -90,7 +90,13 @@ class ClassificationReport:
     code_class: str
     failed_conditions: tuple[ConditionFailure, ...]
     linear_independent: bool
-    normalized: bool
+    normalized: bool  # A_1 = t I for some t > 0: kept by a scale s > 0, lost by s < 0
+
+
+def _scaled_identity(a: np.ndarray) -> tuple[float, bool]:
+    """t = Re tr(a) / n, and whether a = t I with t > 0 (the one tolerance rule at scale t)."""
+    t = float(np.trace(a).real) / len(a)
+    return t, t > 0 and bool(_negligible(_frobenius(a - t * np.eye(len(a))), t))
 
 
 _SSD_CONDITIONS = (COND_SSD_IQ, COND_SSD_II, COND_SSD_QQ)
@@ -105,9 +111,10 @@ def _report(code: LinearDispersionCode) -> ClassificationReport:
     come in the pinned order UW, SSD (i, j loop order), COD-IQ-self.
     """
     k, m = code.k, 2 * code.k
+    w = _pow2_scaled(code.w)[0]
     half = np.zeros((m, m))  # ||G_pq + G_pq^H||, filled by block rows
     diag = []
-    for p, q, g in gram_rows(_pow2_scaled(code.w)[0].reshape(m, code.n, code.n)):
+    for p, q, g in gram_rows(w.reshape(m, code.n, code.n)):
         half[p, q] = half[q, p] = _frobenius(g + np.conj(g).swapaxes(1, 2))
         diag.append(g[p == q])
     diag = np.concatenate(diag)
@@ -136,7 +143,7 @@ def _report(code: LinearDispersionCode) -> ClassificationReport:
         code_class=code_class,
         failed_conditions=tuple(failures),  # the full COD conditions: UW, SSD, self
         linear_independent=code.linearly_independent(),
-        normalized=GaussianMatrix(code.w[0, 0]).is_identity(),
+        normalized=_scaled_identity(w[0, 0])[1],
     )
 
 
@@ -170,30 +177,33 @@ def normalize(code: LinearDispersionCode) -> LinearDispersionCode:
 def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     """Structural conditions for a normalized unitary-weight SSD code.
 
-    With the first in-phase weight equal to I, single-symbol
-    decodability forces, for i, j >= 2 and i != j:
+    With the first in-phase weight equal to t I, t > 0 (``normalized``),
+    single-symbol decodability forces, for i, j >= 2 and i != j:
 
-      * every weight except the pair of symbol 1 squares to -I
+      * every weight except the pair of symbol 1 squares to -t^2 I
         (anti-Hermitian, reported as ``square``),
       * the quadrature weight of symbol 1 commutes with everything
         (reported as ``b1-commute``),
       * all remaining distinct pairs anticommute (``anticommute``).
 
-    Reported indices are (symbol, 0) for in-phase and (symbol, 1) for
-    quadrature weights.
+    Each product is judged at scale t^2 on the rescaled weights, as in the
+    classification.  Reported indices are (symbol, 0) for in-phase and
+    (symbol, 1) for quadrature weights.
     """
-    w = code.w.reshape(2 * code.k, code.n, code.n)
-    square = _negligible(_frobenius(w @ w + np.eye(code.n)), 1.0)
+    w = _pow2_scaled(code.w)[0].reshape(2 * code.k, code.n, code.n)
+    t, normalized = _scaled_identity(w[0])
+    scale = t * t
+    square = _negligible(_frobenius(w @ w + scale * np.eye(code.n)), scale)
     # row 1 of the Gram products against W_r W_1: B_1^H W_r - W_r B_1, r >= 2
     others = np.arange(2, len(w))  # flat indices of the weights of symbols 2..k
     p, _, g = next(gram_rows(w[1:]))  # its first block row: B_1^H [B_1 W_2 ... W_{2k-1}]
-    b1_commute = _negligible(_frobenius(g[p == 0][1:] - w[others] @ w[1]), 1.0)
+    b1_commute = _negligible(_frobenius(g[p == 0][1:] - w[others] @ w[1]), scale)
     x, y = _upper_pairs(len(w), 1)
     pairs = (x >= 2) & (x // 2 != y // 2)  # within-symbol products are unconstrained here
     x, y = x[pairs], y[pairs]
-    anticommute = _negligible(_frobenius(w[x] @ w[y] + w[y] @ w[x]), 1.0)
+    anticommute = _negligible(_frobenius(w[x] @ w[y] + w[y] @ w[x]), scale)
     failures: list[ConditionFailure] = []
-    if not GaussianMatrix(w[0]).is_identity():
+    if not normalized:
         failures.append(ConditionFailure("normalized", 1, 0))
     failures += [ConditionFailure("square", r // 2 + 1, r % 2)
                  for r in others.tolist() if not square[r]]

@@ -12,38 +12,48 @@ import pytest
 
 from stbc_forge import (
     AnticommutingFamily,
-    GaussianMatrix,
     build_ciod4,
     build_max_rate_ussd,
     build_square_cod,
     generate_family,
 )
+from stbc_forge.gmatrix import is_exact
+
+
+def _exact(rows) -> np.ndarray:
+    """A literal Gaussian-integer matrix as a read-only complex128 array, checked with
+    ``is_exact``."""
+    z = np.array(rows, dtype=np.complex128)
+    assert is_exact(z)
+    z.setflags(write=False)
+    return z
+
 
 # canonical 4x4 anticommuting, anti-Hermitian, unitary generators
 GOLDEN_4TX_GENERATORS = (
-    GaussianMatrix.exact([[1j, 0, 0, 0],
-                          [0, -1j, 0, 0],
-                          [0, 0, -1j, 0],
-                          [0, 0, 0, 1j]]),
-    GaussianMatrix.exact([[0, 1, 0, 0],
-                          [-1, 0, 0, 0],
-                          [0, 0, 0, 1],
-                          [0, 0, -1, 0]]),
-    GaussianMatrix.exact([[0, 0, 1, 0],
-                          [0, 0, 0, -1],
-                          [-1, 0, 0, 0],
-                          [0, 1, 0, 0]]),
-    GaussianMatrix.exact([[0, 1j, 0, 0],
-                          [1j, 0, 0, 0],
-                          [0, 0, 0, 1j],
-                          [0, 0, 1j, 0]]),
+    _exact([[1j, 0, 0, 0],
+            [0, -1j, 0, 0],
+            [0, 0, -1j, 0],
+            [0, 0, 0, 1j]]),
+    _exact([[0, 1, 0, 0],
+            [-1, 0, 0, 0],
+            [0, 0, 0, 1],
+            [0, 0, -1, 0]]),
+    _exact([[0, 0, 1, 0],
+            [0, 0, 0, -1],
+            [-1, 0, 0, 0],
+            [0, 1, 0, 0]]),
+    _exact([[0, 1j, 0, 0],
+            [1j, 0, 0, 0],
+            [0, 0, 0, 1j],
+            [0, 0, 1j, 0]]),
 )
 
 # the three pinned 2x2 generators
 GOLDEN_2TX_GENERATORS = (
-    GaussianMatrix.exact([[1j, 0], [0, -1j]]),
-    GaussianMatrix.exact([[0, 1], [-1, 0]]),
-    GaussianMatrix.exact([[0, 1j], [1j, 0]]),
+    _exact([[1j, 0], [0, -1j]]),
+    _exact([[0, 1], [-1, 0]]),
+    _exact([[0, 1j], [1j, 0]]),
 )
 
 
@@ -66,15 +76,14 @@ def golden_4tx_family() -> AnticommutingFamily:
     """A family built around the golden generators (closure recomputed)."""
     f1, f2, f3, f4 = GOLDEN_4TX_GENERATORS
     prod = f1 @ f2 @ f3 @ f4
-    c = 1j if (prod @ prod).is_identity() else 1 + 0j
-    return AnticommutingFamily(a=2, matrices=(f1, f2, f3, f4, prod.scale(c)), c=c)
+    c = 1j if np.array_equal(prod @ prod, np.eye(4)) else 1 + 0j
+    return AnticommutingFamily(a=2, matrices=(f1, f2, f3, f4, prod * c), c=c)
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> GaussianMatrix:
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return GaussianMatrix(q)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ def test_criterion_2_golden_codeword():
     worst = 0.0
     for _ in range(20):
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = code.codeword(x).to_array()
+        got = code.codeword(x)
         worst = max(worst, float(np.max(np.abs(got - golden_4tx_codeword(x)))))
     assert worst <= 1e-12, f"worst entrywise error {worst:.3e}"
     _verdict(2, f"codeword matches the reference 4x4 layout entrywise "
@@ -112,13 +112,13 @@ def test_criterion_5_clifford_properties():
     checked_pairs = 0
     for a in (1, 2, 3):
         fam = generate_family(a)
-        eye = sf.GaussianMatrix.identity(fam.n)
+        eye = np.eye(fam.n)
         indices = list(range(1, 2 * a + 1))
         for r in range(1, 2 * a + 1):
             for subset in itertools.combinations(indices, r):
                 p = product_subset(fam, list(subset))
-                assert p @ p == eye.scale(square_sign(r))   # exact
-                assert p.trace() == 0                        # exact
+                assert np.array_equal(p @ p, square_sign(r) * eye)  # exact
+                assert np.trace(p) == 0                              # exact
                 checked_squares += 1
         rng = np.random.default_rng(1000 + a)
         for _ in range(200):
@@ -129,9 +129,9 @@ def test_criterion_5_clifford_properties():
             p = len(set(s1) & set(s2))
             m1, m2 = product_subset(fam, s1), product_subset(fam, s2)
             if products_commute(r, s, p):
-                assert m1 @ m2 == m2 @ m1                    # exact
+                assert np.array_equal(m1 @ m2, m2 @ m1)     # exact
             else:
-                assert m1 @ m2 == (m2 @ m1).scale(-1)        # exact
+                assert np.array_equal(m1 @ m2, -(m2 @ m1))  # exact
             checked_pairs += 1
     _verdict(5, f"{checked_squares} exhaustive subset squares/traces and "
                 f"{checked_pairs} random commutation pairs, all bit-exact")
@@ -152,7 +152,7 @@ def test_criterion_6_decoder_equivalence():
         h = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))) / math.sqrt(2)
         noise = (rng.standard_normal((4, 1))
                  + 1j * rng.standard_normal((4, 1))) * math.sqrt(n0 / 2)
-        y = scaled.codeword(x).to_array() @ h + noise
+        y = scaled.codeword(x) @ h + noise
         fast = ssd_decode(scaled, y, h, constellation)
         exhaustive = ml_decode_bruteforce(scaled, y, h, constellation)
         agree += int(np.array_equal(fast, exhaustive))

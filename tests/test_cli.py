@@ -326,6 +326,8 @@ def test_usage_errors(runner, tmp_path):
     # malformed code files fail at the boundary with one line, not a traceback
     obj = json.loads(code.read_text())
     obj["weights"][0][0]["entries"][0][0] = [2 ** 60, 0]  # outside the magnitude guard
+    boolean = json.loads(code.read_text())
+    boolean["weights"][0][0]["entries"][0][0] = [True, False]  # not read as 1 + 0j
     # sizes must be JSON integers: 4.5 is not read as 4, nor "4" as 4
     not_int = []
     for where, key, value in ((None, "n", 4.5), (None, "n", "4"), (None, "n", True),
@@ -334,7 +336,7 @@ def test_usage_errors(runner, tmp_path):
         (bad if where is None else bad["weights"][where[0]][where[1]])[key] = value
         not_int.append((f"not-int-{len(not_int)}.json", bad))
     # so do codes with no weight pairs or n < 1
-    for name, content in [("keys.json", {"n": 4}), ("guard.json", obj),
+    for name, content in [("keys.json", {"n": 4}), ("guard.json", obj), ("bool.json", boolean),
                           ("empty.json", {"n": 4, "weights": []}),
                           ("n0.json", {"n": 0, "weights": []}),
                           ("negative-n.json", {"n": -1, "weights": []})] + not_int:

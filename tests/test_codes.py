@@ -14,7 +14,7 @@ from stbc_forge.codes import (
     gram_rows,
     lexicographic_first_min,
 )
-from stbc_forge.gmatrix import GaussianMatrix, _upper_pairs
+from stbc_forge.gmatrix import _upper_pairs, is_exact
 from stbc_forge.verifier import (
     check_normalized_structure,
     check_ssd,
@@ -30,14 +30,14 @@ def test_codeword_matches_golden_layout(ussd4):
     rng = np.random.default_rng(23)
     for _ in range(20):
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = ussd4.codeword(x).to_array()
+        got = ussd4.codeword(x)
         assert np.max(np.abs(got - golden_4tx_codeword(x))) < 1e-12
 
 
 def test_codeword_unit_probes(ussd4):
-    eye = ussd4.codeword([1, 0, 0, 0]).to_array()
+    eye = ussd4.codeword([1, 0, 0, 0])
     assert np.array_equal(eye, np.eye(4))
-    herm_antidiag = ussd4.codeword([1j, 0, 0, 0]).to_array()
+    herm_antidiag = ussd4.codeword([1j, 0, 0, 0])
     expected = np.array([
         [0, 0, 0, -1j],
         [0, 0, 1j, 0],
@@ -45,7 +45,7 @@ def test_codeword_unit_probes(ussd4):
         [1j, 0, 0, 0],
     ])
     assert np.array_equal(herm_antidiag, expected)
-    assert not np.any(ussd4.codeword([0, 0, 0, 0]).to_array())
+    assert not np.any(ussd4.codeword([0, 0, 0, 0]))
 
 
 def test_weights_recoverable_by_probing(ussd4):
@@ -80,11 +80,20 @@ def test_max_rate_code_parameters(a, request):
     assert code.linearly_independent()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a", [1, 2, 3])
 def test_max_rate_normalized_structure(a, request):
-    # anti-Hermitian squares, commuting quadrature-1 weight, anticommuting rest
+    # anti-Hermitian squares, commuting quadrature-1 weight, anticommuting rest; A_1 = t I
+    # with t > 0 is normalized at every scale, and no product overflows (warnings are errors)
     code = request.getfixturevalue(f"ussd{2 ** a}")
-    assert check_normalized_structure(code).ok
+    for s in (1, 3, 2.0 ** 900, 2.0 ** -900, 1e160):
+        assert check_normalized_structure(code.scaled(s)).ok, s
+        assert classify(code.scaled(s)).normalized, s
+    # A_1 = -I: t < 0, so only the normalization fails
+    flipped = code.scaled(-1)
+    assert not classify(flipped).normalized
+    assert [(f.condition, f.i, f.j) for f in check_normalized_structure(flipped).failures] == [
+        ("normalized", 1, 0)]
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
@@ -108,7 +117,7 @@ def test_build_with_golden_family_reproduces_layout():
     code = build_max_rate_ussd(2, golden_4tx_family())
     rng = np.random.default_rng(29)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.max(np.abs(code.codeword(x).to_array() - golden_4tx_codeword(x))) < 1e-12
+    assert np.max(np.abs(code.codeword(x) - golden_4tx_codeword(x))) < 1e-12
 
 
 def test_family_parameter_mismatch(fam2):
@@ -128,14 +137,14 @@ def test_square_cod(a, request):
     eye = np.eye(code.n)
     for _ in range(100):
         x = rng.standard_normal(code.k) + 1j * rng.standard_normal(code.k)
-        s = code.codeword(x).to_array()
+        s = code.codeword(x)
         gram = s.conj().T @ s
         assert np.max(np.abs(gram - np.sum(np.abs(x) ** 2) * eye)) < 1e-10
 
 
 def test_alamouti_layout(cod2):
     x1, x2 = 0.3 - 0.7j, -1.1 + 0.2j
-    s = cod2.codeword([x1, x2]).to_array()
+    s = cod2.codeword([x1, x2])
     expected = np.array([[x1, x2], [-np.conj(x2), np.conj(x1)]])
     assert np.max(np.abs(s - expected)) < 1e-14
 
@@ -146,12 +155,12 @@ def test_ciod4_contracts(ciod4):
     assert not check_unitary_weight(ciod4).ok
     assert classify(ciod4).code_class == "non-unitary-weight-SSD"
     assert ciod4.linearly_independent()
-    assert not np.any(ciod4.codeword([0, 0, 0, 0]).to_array())
+    assert not np.any(ciod4.codeword([0, 0, 0, 0]))
 
 
 def test_ciod4_block_structure(ciod4):
     # top-left block carries x1I, x3Q; bottom-right carries x3I, x1Q
-    s = ciod4.codeword([1 + 2j, 0, 3 + 4j, 0]).to_array()
+    s = ciod4.codeword([1 + 2j, 0, 3 + 4j, 0])
     assert np.array_equal(s[:2, 2:], np.zeros((2, 2)))
     assert np.array_equal(s[2:, :2], np.zeros((2, 2)))
     u1 = 1 + 4j   # x1I + j*x3Q
@@ -161,7 +170,7 @@ def test_ciod4_block_structure(ciod4):
 
 
 def test_left_multiply(ussd4):
-    eye = GaussianMatrix.identity(4)
+    eye = np.eye(4)
     same = ussd4.left_multiply(eye)
     assert np.array_equal(same.w, ussd4.w)
     rng = np.random.default_rng(41)
@@ -170,7 +179,7 @@ def test_left_multiply(ussd4):
     assert check_ssd(moved).ok
     assert check_unitary_weight(moved).ok
     with pytest.raises(ValueError):
-        ussd4.left_multiply(GaussianMatrix(np.eye(4) * 2.0))
+        ussd4.left_multiply(np.eye(4) * 2.0)
 
 
 def test_scaled(ussd4):
@@ -221,10 +230,10 @@ def test_weights_are_copied_in_c_order(ussd4):
     fortran = LinearDispersionCode(label="fortran", n=4, w=np.asfortranarray(ussd4.w))
     for code in (degenerate, fortran):
         assert code.w.flags.c_contiguous
-    assert np.array_equal(degenerate.codeword([1, 1]).to_array(), 2 * np.eye(4))
+    assert np.array_equal(degenerate.codeword([1, 1]), 2 * np.eye(4))
     assert not degenerate.linearly_independent()
     x = [1, 1j, -1 + 1j, 3]
-    assert np.array_equal(fortran.codeword(x).to_array(), ussd4.codeword(x).to_array())
+    assert np.array_equal(fortran.codeword(x), ussd4.codeword(x))
     assert fortran.linearly_independent()
 
 
@@ -292,7 +301,8 @@ def test_weights_are_one_read_only_stack(ussd4, ciod4):
     code = LinearDispersionCode(label="copy", n=4, w=src)
     src[0, 0, 0, 0] = 5
     assert np.array_equal(code.w, ussd4.w)
-    perm = GaussianMatrix.exact(np.eye(4)[[2, 0, 3, 1]] * [1, -1j, 1j, -1])
+    perm = np.eye(4)[[2, 0, 3, 1]] * [1, -1j, 1j, -1]
+    assert is_exact(perm)
     assert code.left_multiply(perm).is_exact
     assert not code.scaled(0.5).is_exact
 

@@ -27,17 +27,17 @@ def _pairwise_min_det(code, constellation):
     pts = list(constellation.points)
     best = np.inf
     for xa in itertools.product(pts, repeat=code.k):
-        sa = code.codeword(xa).to_array()
+        sa = code.codeword(xa)
         for xb in itertools.product(pts, repeat=code.k):
             if xa == xb:
                 continue
-            d = sa - code.codeword(xb).to_array()
+            d = sa - code.codeword(xb)
             best = min(best, float(np.linalg.det(d.conj().T @ d).real))
     return best
 
 
 def _difference_det(code, difference):
-    d = code.codeword(difference).to_array()
+    d = code.codeword(difference)
     return float(np.linalg.det(d.conj().T @ d).real)
 
 
@@ -94,7 +94,7 @@ def test_energy_convention_factor(ussd4, ciod4, ussd2, cod2):
 def test_achieving_difference_consistent(ussd4):
     c = rotated_qam(4, optimal_angle())
     r = min_det_bruteforce(ussd4, c, equal_energy=False)
-    delta = ussd4.codeword(r.difference).to_array()
+    delta = ussd4.codeword(r.difference)
     det = float(np.linalg.det(delta.conj().T @ delta).real)
     assert det == pytest.approx(r.value, rel=1e-9)
     assert sum(1 for d in r.difference if d != 0) == 1  # single active slot

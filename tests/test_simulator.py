@@ -45,7 +45,7 @@ def test_ssd_decode_noiseless(ussd4):
     for _ in range(25):
         x = pts[rng.integers(0, 4, size=4)]
         h = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))) / math.sqrt(2)
-        y = ussd4.codeword(x).to_array() @ h
+        y = ussd4.codeword(x) @ h
         got = ssd_decode(ussd4, y, h, c)
         assert np.array_equal(got, x)
 
@@ -84,7 +84,7 @@ def test_per_slot_decoding_fails_without_ssd():
         x = pts[rng.integers(0, 4, size=2)]
         h = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) / math.sqrt(2)
         noise = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) * 0.4
-        y = code.codeword(x).to_array() @ h + noise
+        y = code.codeword(x) @ h + noise
         per_slot = pts[np.argmin(_slot_metrics(kernel, y[None], h[None], pts)[0], axis=1)]
         ml = ml_decode_bruteforce(code, y, h, c)
         if not np.array_equal(per_slot, ml):
@@ -104,7 +104,7 @@ def test_decoders_agree_on_ssd_code(ussd4, ussd2):
             x = pts[rng.integers(0, 4, size=code.k)]
             h = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) / math.sqrt(2)
             noise = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) * 0.2
-            ys.append(scaled.codeword(x).to_array() @ h + noise)
+            ys.append(scaled.codeword(x) @ h + noise)
             hs.append(h)
         y, h = np.stack(ys), np.stack(hs)
         assert np.array_equal(ssd_decode(scaled, y, h, c), ml_decode_bruteforce(scaled, y, h, c))
@@ -164,7 +164,7 @@ def test_encode_matches_codeword(name, ussd8, ciod4):
                      for row in x])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    assert np.max(np.abs(code.codeword(x[1]).to_array() - want[1])) <= 1e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(code.codeword(x[1]) - want[1])) <= 1e-15 * np.max(np.abs(want))
 
 
 _SSD_CODES = {
@@ -191,7 +191,7 @@ def test_ssd_decode_equals_bruteforce_ml(name, scale, angle, sigma, rx, seed):
         x = pts[rng.integers(0, 4, size=code.k)]
         h = (rng.standard_normal((code.n, rx)) + 1j * rng.standard_normal((code.n, rx))) / math.sqrt(2)
         noise = (rng.standard_normal((code.n, rx)) + 1j * rng.standard_normal((code.n, rx))) * sigma
-        y = code.codeword(x).to_array() @ h + noise
+        y = code.codeword(x) @ h + noise
         assert np.array_equal(ssd_decode(code, y, h, c), ml_decode_bruteforce(code, y, h, c))
 
 

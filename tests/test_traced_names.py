@@ -7,12 +7,11 @@ here would silently blank its per-layer metrics.
 
 import inspect
 
-from stbc_forge import clifford, codes, codinggain, gmatrix, simulator, verifier
+from stbc_forge import clifford, codes, codinggain, simulator, verifier
 
 TRACED = (
     (codes.LinearDispersionCode, "weight_arrays"),
     (codes.LinearDispersionCode, "scaled"),
-    (gmatrix.GaussianMatrix, "__matmul__"),
     (simulator, "transmit_scale"),
     (simulator, "ml_decode_bruteforce"),
     (verifier, "check_ssd"),
