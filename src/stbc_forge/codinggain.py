@@ -34,7 +34,12 @@ M_pq vanishes, so D^H D is a sum of one positive-semidefinite term per
 symbol, from its three pairs (A_i, A_i), (A_i, B_i), (B_i, B_i), and the
 determinant is monotone on that cone: a single-symbol difference always
 achieves the minimum.  That reduces the search from |A|^k vectors to
-k * |A|^2 ordered point pairs.  The unreduced search
+k * |A|^2 ordered point pairs.  It reports the first difference, slot
+by slot and in the constellation's difference order, whose determinant
+lies within the one relative tolerance of the minimum: determinants that
+tie exactly but round apart (which rounding splits them depends on the
+scale) are one tie, so a uniform scale does not change the reported
+difference.  The unreduced search
 (``force_full=True``, which validates the reduction) runs over all the
 pairs with :func:`.codes.lexicographic_first_min`, the enumerator of
 brute-force ML, so memory is bounded by its ``_FULL_CHUNK``-vector
@@ -75,7 +80,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
-from .gmatrix import _pow2_scaled, _upper_pairs
+from .gmatrix import _negligible, _pow2_scaled, _upper_pairs
 from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, _report
 
 REFERENCE_DISPERSION_GAIN = 2.0
@@ -151,9 +156,12 @@ def min_det_bruteforce(code: LinearDispersionCode,
         else:  # one GEMM and one det per slot keep memory per slot
             dets = np.stack([_difference_dets(*_pair_terms(w[i:i + 1]), s)
                              for i in range(code.k)])
-        slot, arg = divmod(int(np.argmin(dets)), len(diffs))  # first minimum, slot-major
+        best = dets.min()
+        # the first slot-major det tied with the minimum by the one tolerance rule
+        tied = _negligible(dets - best, abs(best))
+        slot, arg = divmod(int(np.argmax(tied)), len(diffs))
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
-        return MinDetResult(value=float(dets[slot, arg]) * scale, difference=vec, reduced=True)
+        return MinDetResult(value=float(best) * scale, difference=vec, reduced=True)
 
     # unreduced: every vector of per-symbol differences (0 allowed per slot);
     # deduplicate on rounded keys but keep an unrounded representative.  The

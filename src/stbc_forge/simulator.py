@@ -69,13 +69,17 @@ draw is a complex view of interleaved normals.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  Chunk c of point p draws its symbol indices, then its fades,
-then its noise from ``default_rng([seed, p, c])``, into buffers
-allocated once per call, and is decoded before the next chunk is drawn.
-Encoding, the P and Q statistics, the metrics, the argmin and the error
-counts run over consecutive blocks of ``_BLOCK`` = 2**11 of the chunk's
-trials, so memory is bounded by one chunk's draws plus one block's
-arrays, and the block size does not change a count.  A (seed, config)
-pair gives a bit-identical report.  ``[seed, p, 0]`` seeds the same
+then its noise from ``default_rng([seed, p, c])``, and is decoded before
+the next chunk is drawn.  Only the indices and the fades are drawn for
+the whole chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
+2**11 of the chunk's trials: a block takes its symbols from the indices,
+draws its noise from the same Generator, and is encoded, decoded and
+counted before the next block's noise is drawn.  Consecutive
+``standard_normal(out=)`` calls continue one stream, so the blocks'
+noise is the whole-chunk draw value for value.  Memory is bounded by one
+chunk's indices and fades plus one block's arrays, in buffers allocated
+once per call, and the block size does not change a count.  A (seed,
+config) pair gives a bit-identical report.  ``[seed, p, 0]`` seeds the same
 stream as ``[seed, p]`` (zero padding), so runs of at most 2**14 trials
 per point match the earlier contract that drew a whole point from
 ``[seed, p]``.
@@ -342,10 +346,11 @@ def simulate_cer(config: SimConfig) -> CerReport:
     w = code.scaled(scale).w
     pts = np.asarray(constellation.points)
     chunk = min(_CHUNK, config.trials)
+    block = min(_BLOCK, chunk)
     if config.decoder == DECODER_SSD:
         _require_ssd(code)  # reads the cached classification of the caller's classify
         kernels = _metric_kernel(w)
-        metrics = np.empty((min(_BLOCK, chunk) * k, len(pts)))
+        metrics = np.empty((block * k, len(pts)))
 
         def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
             return pts[np.argmin(_slot_metrics(kernels, y, h, pts, metrics[:len(h) * k]), axis=2)]
@@ -355,12 +360,12 @@ def simulate_cer(config: SimConfig) -> CerReport:
 
         def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
             return _ml_decode(tables, y, h, pts)
-    # one chunk's draws, in buffers allocated once per call: a chunk's fresh arrays
-    # would be alive beside the last chunk's, and past malloc's mmap threshold
-    # they are mapped and faulted in afresh each time
-    x_all = np.empty((chunk, k), dtype=complex)
+    # one chunk's fades and one block's symbols and noise, in buffers allocated once
+    # per call: a chunk's fresh arrays would be alive beside the last chunk's, and
+    # past malloc's mmap threshold they are mapped and faulted in afresh each time
     h_all = np.empty((chunk, n, m), dtype=complex)
-    y_all = np.empty_like(h_all)
+    x_block = np.empty((block, k), dtype=complex)
+    y_block = np.empty((block, n, m), dtype=complex)
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = _noise_power(snr_db)
@@ -369,12 +374,15 @@ def simulate_cer(config: SimConfig) -> CerReport:
         for chunk_index, start in enumerate(range(0, config.trials, _CHUNK)):
             t = min(_CHUNK, config.trials - start)
             rng = np.random.default_rng([config.seed, point_index, chunk_index])
-            x = np.take(pts, rng.integers(0, len(pts), size=(t, k)), out=x_all[:t])
+            symbols = rng.integers(0, len(pts), size=(t, k))
             h = _draw_cn(rng, h_all[:t])
-            y = _draw_cn(rng, y_all[:t])  # the noise; N + S H is the same sum as S H + N
-            y *= math.sqrt(n0)
             for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
-                xb, hb, yb = x[b:b + _BLOCK], h[b:b + _BLOCK], y[b:b + _BLOCK]
+                hb = h[b:b + _BLOCK]
+                xb = np.take(pts, symbols[b:b + _BLOCK], out=x_block[:len(hb)])
+                # the block's noise continues the chunk's one stream of normals, so
+                # it is the slice a whole-chunk draw would give; N + S H = S H + N
+                yb = _draw_cn(rng, y_block[:len(hb)])
+                yb *= math.sqrt(n0)
                 yb += _encode(w, xb) @ hb
                 wrong = decode(yb, hb) != xb
                 errors += int(np.sum(np.any(wrong, axis=1)))

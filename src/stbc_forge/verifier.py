@@ -165,13 +165,19 @@ def classify(code: LinearDispersionCode) -> ClassificationReport:
 
 
 def normalize(code: LinearDispersionCode) -> LinearDispersionCode:
-    """Left-multiply by the conjugate transpose of the first in-phase weight.
+    """Left-multiply by the unitary (A_1 / t)^H, with t = ||A_1||_F / sqrt(n).
 
-    Afterwards that weight is the identity, which is the form the
-    structural conditions below expect.  ``left_multiply`` raises
-    ValueError unless the first weight is unitary.
+    Afterwards the first in-phase weight A_1 is t I, t > 0, the form the
+    structural conditions below expect, at any uniform scale of the
+    weights: t is read from the weights rescaled as in the classification.
+    A zero A_1 raises ValueError, and so does ``left_multiply`` unless A_1 is
+    t times a unitary.
     """
-    return code.left_multiply(np.conj(code.w[0, 0]).T)
+    a1 = _pow2_scaled(code.w)[0][0, 0]
+    t = float(_frobenius(a1)) / np.sqrt(code.n)
+    if t == 0.0:
+        raise ValueError("normalize requires a nonzero first in-phase weight")
+    return code.left_multiply(np.conj(a1 / t).T)
 
 
 def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:

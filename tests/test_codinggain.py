@@ -245,6 +245,20 @@ def test_min_det_invariant_under_unitary(name, scale, seed):
         assert abs(got - want) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["ussd4", "ciod4"])
+def test_achieving_difference_invariant_under_scale(name):
+    # determinants tied with the minimum up to rounding are one tie: the first
+    # slot-major one is reported, whichever of them rounding makes smallest
+    code = _INVARIANCE_CODES[name]
+    angle = ciod_optimal_angle() if name == "ciod4" else optimal_angle()
+    got = {tuple(f"{d.real:+.6f}{d.imag:+.6f}j" for d in
+                 min_det_bruteforce(code.scaled(s), rotated_qam(size, angle)).difference)
+           for size in (4, 16) for s in (1.0, 3.0, 1e160, 1e-100, 2.0 ** -900)}
+    assert len(got) == 1  # as coding-gain prints it
+    if name == "ussd4":
+        assert got.pop()[0] == "+1.946498-0.459506j"
+
+
 def test_budget_error(ussd4):
     c = rotated_qam(64, optimal_angle())  # 225^4 difference vectors, over FULL_SEARCH_BUDGET
     with pytest.raises(ValueError, match="over budget"):

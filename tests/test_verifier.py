@@ -126,11 +126,22 @@ def test_normalize(ussd4):
     assert np.linalg.norm(back.w[0, 0] - np.eye(4)) <= 1e-10
     assert check_normalized_structure(back).ok
     assert classify(back).code_class == classify(moved).code_class
+    # A_1 = t U goes to t I at any uniform scale: x3, x1e160 and x1e-100 (whose
+    # squares overflow and underflow), and x3 after a unitary left-multiply
+    three = ussd4.scaled(3)
+    moved = three.left_multiply(random_unitary(4, rng))
+    for code in (three, ussd4.scaled(1e160), ussd4.scaled(1e-100), moved):
+        back = normalize(code)
+        assert classify(back).normalized
+        assert check_normalized_structure(back).ok
+    assert np.allclose(normalize(moved).w, three.w, rtol=0.0, atol=1e-12)
 
 
-def test_normalize_requires_unitary_first_weight(ciod4):
+def test_normalize_requires_unitary_first_weight(ciod4, ussd4):
     with pytest.raises(ValueError):
         normalize(ciod4)  # first in-phase weight is rank deficient
+    with pytest.raises(ValueError, match="nonzero first in-phase weight"):
+        normalize(_replace_weight(ussd4, 0, 0, np.zeros((4, 4))))
 
 
 def test_metric_difference_depends_only_on_changed_slot(ussd4):
