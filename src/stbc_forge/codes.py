@@ -12,17 +12,24 @@ complex128 stack ``w`` of shape (k, 2, n, n): w[i-1, 0] = A_i and
 w[i-1, 1] = B_i.  Every module that needs the weights reads or views
 that stack, and a single matrix, such as a codeword, is a plain
 complex128 array.
-The verifier, the decoders and the coding gain read the Gram products
-W_p^H W_q from one routine, :func:`gram_rows`, and share one exhaustive
-search, :func:`lexicographic_first_min`.  ``gram_rows`` forms them by
-block rows: row p is W_p^H [W_p ... W_{m-1}], one GEMM on column ranges
-of the concatenated weights [W_0 ... W_{m-1}], and consecutive rows share
-one GEMM while its product stays within ``_GRAM_CHUNK`` elements, so a
-code with n <= 8 is one GEMM and a 32-antenna code one GEMM per row.
+The verifier, the decoders and the coding gain read one quadratic form.
+A real combination D = sum_p s_p W_p of the weights has
+
+    D^H D = sum_{p<=q} s_p s_q M_pq,   M_pp = W_p^H W_p,
+                                       M_pq = W_p^H W_q + W_q^H W_p (p < q),
+
+and a code is single-symbol decodable exactly when every cross-symbol
+M_pq vanishes.  One routine, :func:`gram_rows`, forms the pair terms
+M_pq, and the callers share one exhaustive search,
+:func:`lexicographic_first_min`.  ``gram_rows`` forms them by block rows:
+row p comes from W_p^H [W_p ... W_{m-1}], one GEMM on column ranges of the
+concatenated weights [W_0 ... W_{m-1}], and consecutive rows share one
+GEMM while its product stays within ``_GRAM_CHUNK`` elements, so a code
+with n <= 8 is one GEMM and a 32-antenna code one GEMM per row.
 ``gram_rows`` yields each block row before it forms the next: the
 classification pass keeps only residual norms, :func:`gram` gathers the
 pairs p <= q into one stack for the callers that need them all, and a
-code's (k, 2, n, n) ``w`` gives each symbol's own 2 x 2 products.
+code's (k, 2, n, n) ``w`` gives each symbol's own three terms.
 :meth:`LinearDispersionCode.codeword` and the simulator share one
 encoder, ``_encode``.  Three constructions are provided, all with exact
 Gaussian-integer weights; the first two slice a family's member stack:
@@ -150,16 +157,20 @@ class LinearDispersionCode:
 
 
 def gram_rows(ws: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the Gram products G_pq = W_p^H W_q, q >= p, of a stack by block rows.
+    """Yield the pair terms M_pq, q >= p, of a stack's Gram products by block rows.
 
-    ``ws`` is an (..., m, n, n) stack W_0 ... W_{m-1}, each leading index a
-    stack of its own: a code's ``w.reshape(2k, n, n)`` for all its weights
-    in the order p = 2(i-1) + {0: A_i, 1: B_i}, or its (k, 2, n, n) ``w``
-    for the 2 x 2 products of each symbol.  Rows p0 <= p < p1 take one GEMM
-    of [W_p0 ... W_{p1-1}]^H against [W_p0 ... W_{m-1}], two column ranges
-    of one n x mn concatenation [W_0 ... W_{m-1}], so no pair is gathered
-    by index before the product.  Each GEMM yields ``(p, q, g)``: its
-    blocks q >= p as the (..., len(p), n, n) stack g = G_pq, with the index
+    With G_pq = W_p^H W_q, the terms are M_pp = G_pp and M_pq = G_pq + G_pq^H
+    for p < q, so that D = sum_p s_p W_p of a real s has the one quadratic form
+    D^H D = sum_{p<=q} s_p s_q M_pq (G_qp = G_pq^H).  This is the one place
+    that forms G_pq + G_pq^H.  ``ws`` is an (..., m, n, n) stack
+    W_0 ... W_{m-1}, each leading index a stack of its own: a code's
+    ``w.reshape(2k, n, n)`` for all its weights in the order
+    p = 2(i-1) + {0: A_i, 1: B_i}, or its (k, 2, n, n) ``w`` for the three
+    terms (A_i A_i, A_i B_i, B_i B_i) of each symbol.  Rows p0 <= p < p1 take
+    one GEMM of [W_p0 ... W_{p1-1}]^H against [W_p0 ... W_{m-1}], two column
+    ranges of one n x mn concatenation [W_0 ... W_{m-1}], so no pair is
+    gathered by index before the product.  Each GEMM yields ``(p, q, terms)``:
+    its terms M_pq, q >= p, as one (..., len(p), n, n) stack, with the index
     arrays p, q in row-major order; the next GEMM is formed only when the
     caller asks for it.  Chunk rule: a GEMM takes rows while its product
     stays within ``_GRAM_CHUNK`` elements per stack, and at least one row,
@@ -176,19 +187,21 @@ def gram_rows(ws: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
         p, q = p_all[pairs], q_all[pairs]
         # a transposed view, not a transposed copy: matmul hands the transpose to BLAS
         z = cat[..., p0 * n:p1 * n].conj().swapaxes(-1, -2) @ cat[..., p0 * n:]
-        g = z.reshape(*batch, p1 - p0, n, cols, n).swapaxes(-3, -2)[..., p - p0, q - p0, :, :]
+        terms = z.reshape(*batch, p1 - p0, n, cols, n).swapaxes(-3, -2)[..., p - p0, q - p0, :, :]
         del z  # only the blocks q >= p stay alive while the caller reads them
-        yield p, q, g
+        # G_pq + G_pq^H in place off the diagonal; the gather above made a fresh array
+        np.add(terms, np.conj(terms).swapaxes(-1, -2), out=terms, where=(p != q)[:, None, None])
+        yield p, q, terms
         p0 = p1
 
 
 def gram(ws: np.ndarray) -> np.ndarray:
-    """The (..., m(m+1)/2, n, n) Gram products G_pq, p <= q, of an (..., m, n, n) stack.
+    """The (..., m(m+1)/2, n, n) pair terms M_pq, p <= q, of an (..., m, n, n) stack.
 
     In row-major pair order (``gmatrix._upper_pairs(m)``), from the block
-    rows of :func:`gram_rows`.  G_qp = G_pq^H, so these are all of them.
+    rows of :func:`gram_rows`: M_pp = W_p^H W_p and M_pq = W_p^H W_q + W_q^H W_p.
     """
-    return np.concatenate([g for _, _, g in gram_rows(ws)], axis=-3)
+    return np.concatenate([m for _, _, m in gram_rows(ws)], axis=-3)
 
 
 def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -23,11 +23,11 @@ invariant under a uniform scale of the weights, which the search reads
 exactly rescaled by a power of two, so it holds over the whole float
 range.  Pass ``equal_energy=False`` for the plain unnormalized determinant.
 
-Every determinant is read off the Gram products G_pq = W_p^H W_q, taken
-for the pairs p <= q only (:func:`.codes.gram`).  The difference
-D = sum_p s_p W_p of the real vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has
-D^H D = sum_pq s_p s_q G_pq = sum_{p<=q} s_p s_q M_pq with M_pp = G_pp and
-M_pq = G_pq + G_qp = G_pq + G_pq^H, so V difference vectors take one
+Every determinant is read off the code's one quadratic form: the
+difference D = sum_p s_p W_p of the real vector
+s = (d_1I, d_1Q, ..., d_kI, d_kQ) has D^H D = sum_{p<=q} s_p s_q M_pq on
+the pair terms M_pp = W_p^H W_p and M_pq = W_p^H W_q + W_q^H W_p of
+:func:`.codes.gram`, so V difference vectors take one
 (V, k(2k+1)) @ (k(2k+1), n^2) GEMM over the pairs p <= q and one batched
 determinant.  For a single-symbol decodable code every cross-symbol
 M_pq vanishes, so D^H D is a sum of one positive-semidefinite term per
@@ -56,7 +56,7 @@ a single-symbol difference d in slot i has
     D^H D = c |d|^2 I + d_I d_Q H_i,    H_i = A_i^H B_i + B_i^H A_i,
 
 so its determinant is prod_j (c |d|^2 + d_I d_Q lambda_ij) over the
-eigenvalues of H_i = G + G^H for the one pair G = A_i^H B_i: one
+eigenvalues of H_i, the slot's pair term M_AB of :func:`.codes.gram`: one
 ``eigvalsh`` per slot replaces |A|^2 determinants.
 Since |lambda_ij| <= 2c (A_i^H B_i is c times a unitary) and
 c |d|^2 >= 2c |d_I d_Q|, a factor vanishes only if |d_I| = |d_Q| and
@@ -102,22 +102,13 @@ def dispersion_gain(w: np.ndarray) -> float:
     return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * len(w))
 
 
-def _pair_terms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs p <= q of a (k, 2, n, n) weight stack and their (pairs, n, n) terms.
-
-    sum_pq s_p s_q G_pq = sum_{p<=q} s_p s_q M_pq with M_pp = G_pp and
-    M_pq = G_pq + G_pq^H, since G_qp = G_pq^H.
-    """
-    p, q = _upper_pairs(2 * len(w))
-    g = gram(w.reshape(-1, *w.shape[-2:]))
-    return p, q, np.where((p == q)[:, None, None], g, g + np.conj(g).swapaxes(1, 2))
-
-
-def _difference_dets(p: np.ndarray, q: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _difference_dets(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     """det(sum_{p<=q} s_p s_q M_pq) per row of the real (V, P) s, on the (pairs, n, n) terms m.
 
-    One real GEMM meets the (V, pairs) products s_p s_q with the Re/Im pairs of m.
+    ``m`` is the :func:`.codes.gram` of P weights.  One real GEMM meets the
+    (V, pairs) products s_p s_q with the Re/Im pairs of m.
     """
+    p, q = _upper_pairs(s.shape[1])
     n = m.shape[-1]
     grams = (s[:, p] * s[:, q]) @ m.reshape(len(m), -1).view(np.float64)
     return np.linalg.det(grams.view(np.complex128).reshape(len(s), n, n)).real
@@ -147,15 +138,14 @@ def min_det_bruteforce(code: LinearDispersionCode,
     if code_class != CLASS_NOT_SSD:
         diffs = np.asarray(constellation.differences())
         s = np.stack((diffs.real, diffs.imag), axis=1)
+        terms = gram(w)  # each slot's (A_i A_i, A_i B_i, B_i B_i)
         if code_class != CLASS_NONUW_SSD:  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
-            g = gram(w)[:, 1]  # each slot's A_i^H B_i: pair (0, 1) of its 2 x 2 products
-            lam = np.linalg.eigvalsh(g + np.conj(g).swapaxes(1, 2))
+            lam = np.linalg.eigvalsh(terms[:, 1])
             c = gain / code.n
             dets = np.prod(c * np.sum(s ** 2, axis=1)[:, None]
                            + (s[:, 0] * s[:, 1])[:, None] * lam[:, None, :], axis=-1)
         else:  # one GEMM and one det per slot keep memory per slot
-            dets = np.stack([_difference_dets(*_pair_terms(w[i:i + 1]), s)
-                             for i in range(code.k)])
+            dets = np.stack([_difference_dets(terms[i], s) for i in range(code.k)])
         best = dets.min()
         # the first slot-major det tied with the minimum by the one tolerance rule
         tied = _negligible(dets - best, abs(best))
@@ -175,7 +165,7 @@ def min_det_bruteforce(code: LinearDispersionCode,
     if total > FULL_SEARCH_BUDGET:
         raise ValueError(f"unreduced search needs {total} difference vectors, "
                          f"over budget {FULL_SEARCH_BUDGET}")
-    p, q, m = _pair_terms(w)
+    m = gram(w.reshape(2 * code.k, code.n, code.n))
 
     def dets(idx: np.ndarray) -> np.ndarray:
         # x and -x tie: evaluate only the first in lexicographic order, whose
@@ -185,7 +175,7 @@ def min_det_bruteforce(code: LinearDispersionCode,
         keep = first < half
         x = per_slot[idx[keep]]
         out = np.full(len(idx), np.inf)
-        out[keep] = _difference_dets(p, q, m, x.view(np.float64))  # rows (d_1I, d_1Q, ...)
+        out[keep] = _difference_dets(m, x.view(np.float64))  # rows (d_1I, d_1Q, ...)
         return out
 
     best, arg = lexicographic_first_min(np.arange(len(per_slot)), code.k, _FULL_CHUNK, dets)

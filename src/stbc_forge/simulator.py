@@ -6,61 +6,48 @@ for the codeword, and N i.i.d. CN(0, N0).
 
 SNR convention:  codewords are scaled so the average transmit energy
 per channel use is 1 (the scale follows from the constellation's second
-moments and the weight matrices), and SNR = 1/N0 per receive antenna.
+moments and mean and the weight matrices), and SNR = 1/N0 per receive
+antenna.
 This makes curves of different codes directly comparable; an absolute
 dB offset against conventions that normalize differently is expected.
 
-Decoders:
+Decoders:  both minimize ||Y - SH||^2 through one quadratic form.  With
+the real symbol vector s = (x_1I, x_1Q, ..., x_kI, x_kQ) and the 2k
+weights W_p = A_1, B_1, ..., A_k, B_k,
+
+    ||Y - SH||^2 - ||Y||^2 = sum_{p<=q} s_p s_q R_pq - 2 sum_p s_p b_p,
+
+with R_pq = Re tr(M_pq Q) on the pair terms M_pp = W_p^H W_p and
+M_pq = W_p^H W_q + W_q^H W_p of :func:`.codes.gram`, b_p = Re tr(W_p P),
+and the two n x n statistics per block Q = H H^H and P = H Y^H.  A
+decoder works on S sub-codes of g symbols each: one table builder gives
+the (2n^2, S g(2g+1)) Q-kernel of the sub-codes' M_pq and the
+(2n^2, S 2g) P-kernel of their weights, so a batch of T blocks takes one
+GEMM of the float64 view of Q and one of P to the (T S, F) coefficients
+[R_pq, b_p] of every block and sub-code, F = g(2g+1) + 2g.  Those times
+the (F, C) basis [s_p s_q, -2 s_p] of C candidate symbol vectors give
+every metric in one GEMM.  The kernels assume nothing about the weights.
 
 ``ssd_decode``
-    Per-symbol decoding.  For a single-symbol decodable code the metric
-    ||Y - SH||^2 splits into one term per symbol,
-
-        g_i(x) = || (x_I A_i + x_Q B_i) H ||^2
-                 - 2 Re <Y, (x_I A_i + x_Q B_i) H>,
-
-    minimized independently per slot: k * |A| metric evaluations.
-    Every g_i is a linear functional of two n x n statistics per block,
-    P = H Y^H and Q = H H^H.  The three quadratic statistics of a slot,
-    ||A_i H||^2, ||B_i H||^2 and Re <A_i H, B_i H>, read only Q, and the
-    two linear ones, Re <Y, A_i H> and Re <Y, B_i H>, read only P.  So a
-    batch of T blocks takes the (T, 2n^2) float64 view of Q times a
-    (2n^2, 3k) kernel from the Grams of A_i, B_i, the view of P times a
-    (2n^2, 2k) kernel from A_i, B_i themselves, and then the five
-    statistics per slot times the (5, |A|) basis [x_I^2, x_Q^2,
-    2 x_I x_Q, -2 x_I, -2 x_Q], which gives every g_i(x).  The kernels
-    assume nothing about the weights; only the split into per-slot minima
-    needs SSD.
+    ML of each slot's one-symbol sub-code (S = k, g = 1, from the code's
+    (k, 2, n, n) weight stack) over the |A| points: k * |A| metric
+    evaluations.  It is ML of the code exactly when every cross-symbol
+    M_pq vanishes, the single-symbol decodable codes, so it checks the
+    code first.  No cross-slot product is formed.
 
 ``ml_decode_bruteforce``
-    Exhaustive argmin of ||Y - SH||^2 over all |A|^k codewords.  With the
-    real symbol vector s = (x_1I, x_1Q, ..., x_kI, x_kQ) and the 2k
-    weights W_p = A_1, B_1, ..., A_k, B_k, the metric is a quadratic form,
-
-        ||Y - SH||^2 - ||Y||^2 = sum_{p<=q} c_pq s_p s_q R_pq - 2 sum_p s_p b_p,
-
-    with R_pq = Re tr(G_pq Q) on the Gram products G_pq = W_p^H W_q of
-    :func:`.codes.gram`, b_p = Re tr(W_p P), c_pp = 1 and c_pq = 2 for
-    p < q (the real-valued equivalent channel of linear dispersion codes).
-    One kernel builder gives both decoders a (2n^2, #pairs) Q-kernel of
-    Grams G_pq and a (2n^2, 2k) P-kernel of the weights: ML takes all
-    k(2k+1) pairs p <= q and concatenates R and b; SSD takes the 3k
-    per-slot diagonal pairs (R_pp, R_p'p', R_pp' of each slot), from each
-    slot's own 2 x 2 Gram products (:func:`.codes.gram` on the (k, 2, n, n)
-    weight stack), so no cross-slot product is formed.  No kernel holds
-    the zero half that pairs a Q column with P or a P column with Q.  A
-    batch of T blocks then takes one GEMM of the coefficients against the
-    basis [c_pq s_p s_q, -2 s_p] per chunk of codewords from
-    :func:`.codes.lexicographic_first_min`, the enumerator
-    of the unreduced minimum-determinant search too.  Chunks hold at most
+    ML of the whole code (S = 1, g = k) over its |A|^k codewords, in
+    chunks from :func:`.codes.lexicographic_first_min`, the enumerator of
+    the unreduced minimum-determinant search too.  Chunks hold at most
     ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
-    T and in |A|^k.  ``simulate_cer`` builds the kernels once per call and
-    decodes once per trial block.
+    T and in |A|^k.
 
-Both break ties toward the smallest constellation index, and brute-force
-ML toward the first codeword in lexicographic order (ties have
-probability zero under continuous noise but the rule keeps the
-decoder-equivalence oracle deterministic).
+One builder, ``_decoder``, sets up either decoder; ``simulate_cer`` calls
+it once per call and decodes once per trial block, writing SSD metrics
+into one block-sized buffer.  Both break ties toward the smallest
+constellation index, and brute-force ML toward the first codeword in
+lexicographic order (ties have probability zero under continuous noise
+but the rule keeps the decoder-equivalence oracle deterministic).
 
 Encoding:  ``codes._encode``, the encoder of ``codeword`` too, makes a
 trial block's codewords with one (T, 2k) @ (2k, 2n^2) real GEMM of the
@@ -89,6 +76,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +172,12 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     """Scalar s such that s * S averages unit energy per channel use.
 
     Uses the constellation's exact second moments, so the scale is
-    rate- and energy-mode-aware.  The energy of the weights times 2^e
+    rate- and energy-mode-aware.  Symbols of distinct slots are
+    independent, so their cross energy is that of the symbols' means,
+    sum_{i != j} Re tr(S_i^H S_j) with S_i = mu_I A_i + mu_Q B_i: the real
+    Gram Re tr(W_p^H W_q) of weights of distinct slots against the mean
+    vector.  It is exactly 0 for an SSD code with exact weights, and 0 for a
+    constellation of zero mean.  The energy of the weights times 2^e
     (``gmatrix._pow2_scaled``) cannot overflow; the scale carries 2^e back.
     """
     pts = np.asarray(constellation.points)
@@ -193,8 +186,14 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     m_iq = float(np.mean(pts.real * pts.imag))
     w, e = _pow2_scaled(code.w)
     wi, wq = w[:, 0], w[:, 1]
+    r = w.reshape(2 * code.k, -1).view(np.float64)
+    cross = r @ r.T  # Re tr(W_p^H W_q), kept for weights of distinct slots
+    slot = np.arange(2 * code.k) // 2
+    cross[slot[:, None] == slot] = 0.0
+    mu = np.mean(pts)
+    mean = np.array([mu.real, mu.imag] * code.k)
     total = float(m_ii * np.sum(np.abs(wi) ** 2) + m_qq * np.sum(np.abs(wq) ** 2)
-                  + 2 * m_iq * np.sum(np.real(np.conj(wi) * wq)))
+                  + 2 * m_iq * np.sum(np.real(np.conj(wi) * wq)) + mean @ cross @ mean)
     if total <= 0.0:
         raise ValueError("code transmits no energy")
     return math.ldexp(math.sqrt(code.n / total), e)
@@ -207,70 +206,97 @@ def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_ssd(code: LinearDispersionCode) -> None:
-    if not check_ssd(code).ok:
-        raise ValueError("per-symbol decoding requires a single-symbol decodable code")
-
-
-def _blocks(y, h) -> tuple[np.ndarray, np.ndarray, bool]:
-    """y and h as complex (T, n, m) blocks, and whether one (n, m) block was given."""
-    y = np.asarray(y, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if y.shape != h.shape or h.ndim not in (2, 3):
-        raise ValueError(f"y and h must share one (n, m) or (T, n, m) shape, got {y.shape} "
-                         f"and {h.shape}")
-    single = h.ndim == 2
-    return (y[None], h[None], single) if single else (y, h, single)
-
-
 def _trace_kernel(m: np.ndarray) -> np.ndarray:
     """The real (2n^2, J) kernel from the float64 view of X to Re tr(m[j] X) = Re <m[j]^H, X>."""
     mh = np.ascontiguousarray(np.conj(np.swapaxes(m, -1, -2))).reshape(len(m), -1)
     return mh.view(np.float64).T
 
 
-def _kernels(grams: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Q-kernel of R_pq = Re tr(G_pq Q) per Gram product, the P-kernel of b_r = Re tr(W_r P)."""
-    return _trace_kernel(grams), _trace_kernel(w.reshape(-1, *w.shape[-2:]))
+def _tables(subcodes: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The decoding tables of an (S, 2g, n, n) stack of S sub-codes of g symbols each.
 
-
-def _metric_kernel(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The SSD kernels: the per-slot diagonal of the ML pairs.
-
-    Slot i's Q-kernel columns 3(i-1) .. 3i-1 give ||A_i H||^2, ||B_i H||^2 and
-    Re <A_i H, B_i H>, that is R_pp, R_p'p' and R_pp' for A_i = W_p and
-    B_i = W_p', p' = p + 1, read from the slot's own 2 x 2 Gram products; its
-    P-kernel columns 2(i-1), 2i-1 give Re <Y, A_i H> = b_p and Re <Y, B_i H> = b_p'.
+    S, the Q-kernel of R_pq = Re tr(M_pq Q) over each sub-code's pair terms
+    M_pq (:func:`.codes.gram`), and the P-kernel of b_p = Re tr(W_p P) over
+    its weights, both sub-code by sub-code.
     """
-    slots = gram(w)[:, [0, 2, 1]]  # each slot's pairs (A A, A B, B B) as (A A, B B, A B)
-    return _kernels(slots.reshape(-1, *w.shape[-2:]), w)
+    n = subcodes.shape[-1]
+    return (len(subcodes), _trace_kernel(gram(subcodes).reshape(-1, n, n)),
+            _trace_kernel(subcodes.reshape(-1, n, n)))
 
 
-def _coefficients(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray,
-                  h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, #pairs) R and (T, 2k) b of T complex blocks y, h of shape (T, n, m)."""
-    t = h.shape[0]
+def _coefficients(tables: tuple[int, np.ndarray, np.ndarray], y: np.ndarray,
+                  h: np.ndarray) -> np.ndarray:
+    """The (T S, F) coefficients [R_pq, b_p] of each block and sub-code.
+
+    For T complex blocks y, h of shape (T, n, m) and the ``_tables`` of S
+    sub-codes; row t S + i holds sub-code i of block t.
+    """
+    subcodes, q_kernel, p_kernel = tables
+    rows = h.shape[0] * subcodes
     q = np.matmul(h, np.conj(np.swapaxes(h, -1, -2)))  # Q = H H^H
-    r = q.view(np.float64).reshape(t, -1) @ kernels[0]
+    r = q.view(np.float64).reshape(len(h), -1) @ q_kernel
     del q  # freed before P is formed: one (T, n, n) statistic is alive at a time
     p = np.matmul(h, np.conj(np.swapaxes(y, -1, -2)))  # P = H Y^H
-    return r, p.view(np.float64).reshape(t, -1) @ kernels[1]
+    b = p.view(np.float64).reshape(len(h), -1) @ p_kernel
+    del p  # and P before the coefficients are gathered
+    return np.concatenate((r.reshape(rows, -1), b.reshape(rows, -1)), axis=1)
 
 
-def _slot_metrics(kernels: tuple[np.ndarray, np.ndarray], y: np.ndarray, h: np.ndarray,
-                  pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The (T, k, |A|) per-slot metrics g_i(x) for T complex blocks y, h of shape (T, n, m).
+def _basis(x: np.ndarray) -> np.ndarray:
+    """The (F, C) basis [s_p s_q (p <= q), -2 s_p] of C complex symbol vectors x, (C, g).
 
-    ``kernels`` are the code's ``_metric_kernel``; ``out``, if given, is a
-    C-contiguous (T k, |A|) float64 buffer the metrics are written to.
+    s = (x_1I, x_1Q, ..., x_gI, x_gQ), so a row of ``_coefficients`` times
+    column c is ||Y - S H||^2 - ||Y||^2 of codeword c of the sub-code.
     """
-    t = h.shape[0]
-    r, b = _coefficients(kernels, y, h)
-    slot_stats = np.concatenate((r.reshape(t, -1, 3), b.reshape(t, -1, 2)), axis=2)
-    xr = pts.real
-    xq = pts.imag
-    basis = np.stack((xr * xr, xq * xq, 2.0 * xr * xq, -2.0 * xr, -2.0 * xq))
-    return np.matmul(slot_stats.reshape(-1, 5), basis, out=out).reshape(t, -1, len(pts))
+    s = np.ascontiguousarray(x).view(np.float64).T
+    p, q = _upper_pairs(len(s))
+    return np.concatenate((s[p] * s[q], -2.0 * s))  # C order: a transposed operand is slower
+
+
+def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder: str,
+             block: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The decoder that maps T <= ``block`` blocks y, h of shape (T, n, m) to (T, k) symbols.
+
+    ``w`` is the code's weight stack, at the transmit scale in a simulation.
+    SSD decodes each slot's one-symbol sub-code, the (k, 2, n, n) ``w``,
+    over the |A| points into one block-sized metric buffer; brute-force ML
+    decodes the whole code, one sub-code of k symbols, over its |A|^k
+    codewords in chunks from :func:`.codes.lexicographic_first_min`.
+    """
+    k, _, n, _ = w.shape
+    if decoder == DECODER_SSD:
+        if not check_ssd(code).ok:
+            raise ValueError("per-symbol decoding requires a single-symbol decodable code")
+        tables = _tables(w)
+        basis = _basis(pts[:, None])
+        metrics = np.empty((block * k, len(pts)))
+
+        def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+            out = np.matmul(_coefficients(tables, y, h), basis, out=metrics[:len(h) * k])
+            return pts[np.argmin(out, axis=1)].reshape(len(h), k)  # first minimum: smallest index
+        return decode
+    if len(pts) ** k > ML_BUDGET:
+        raise ValueError(f"brute-force ML needs {len(pts) ** k} codewords, over budget {ML_BUDGET}")
+    tables = _tables(w.reshape(1, 2 * k, n, n))
+
+    def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+        coef = _coefficients(tables, y, h)
+        return lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)),
+                                       lambda x: coef @ _basis(x))[1]
+    return decode
+
+
+def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellation,
+                   decoder: str) -> np.ndarray:
+    """Decode one (n, m) block y, h to its k symbols, or T (T, n, m) blocks to (T, k)."""
+    y = np.asarray(y, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    if y.shape != h.shape or h.ndim not in (2, 3):
+        raise ValueError(f"y and h must share one (n, m) or (T, n, m) shape, got {y.shape} "
+                         f"and {h.shape}")
+    if h.ndim == 2:
+        return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
+    return _decoder(code, code.w, np.asarray(constellation.points), decoder, len(h))(y, h)
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -281,11 +307,7 @@ def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
     T blocks of shape (T, n, m) and returns (T, k) symbols.  The code is
     checked once per call.
     """
-    _require_ssd(code)
-    y, h, single = _blocks(y, h)
-    pts = np.asarray(constellation.points)
-    decoded = pts[np.argmin(_slot_metrics(_metric_kernel(code.w), y, h, pts), axis=2)]
-    return decoded[0] if single else decoded  # first minimum = smallest index
+    return _decode_blocks(code, y, h, constellation, DECODER_SSD)
 
 
 def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -295,46 +317,7 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     Takes one block, y and h of shape (n, m), and returns its k symbols, or
     T blocks of shape (T, n, m) and returns (T, k) symbols.
     """
-    pts = np.asarray(constellation.points)
-    _require_ml_budget(code.k, len(pts))
-    y, h, single = _blocks(y, h)
-    decoded = _ml_decode(_ml_kernel(code.w), y, h, pts)
-    return decoded[0] if single else decoded
-
-
-def _require_ml_budget(k: int, size: int) -> None:
-    if size ** k > ML_BUDGET:
-        raise ValueError(f"brute-force ML needs {size ** k} codewords, over budget {ML_BUDGET}")
-
-
-def _ml_kernel(w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray,
-                                       np.ndarray]:
-    """The brute-force ML tables of a (k, 2, n, n) weight stack.
-
-    The Q- and P-kernels of all k(2k+1) pairs p <= q, the pairs p and q
-    themselves and their weights c_pq.
-    """
-    k, _, n, _ = w.shape
-    p, q = _upper_pairs(2 * k)
-    grams = gram(w.reshape(2 * k, n, n))
-    return _kernels(grams, w), p, q, np.where(p == q, 1.0, 2.0)
-
-
-def _ml_decode(tables, y: np.ndarray, h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The (T, k) first ML symbols of T complex blocks y, h of shape (T, n, m).
-
-    ``tables`` are the code's ``_ml_kernel``.
-    """
-    kernels, p, q, pair_weight = tables
-    k = kernels[1].shape[1] // 2  # the P-kernel has one column per weight
-    coef = np.concatenate(_coefficients(kernels, y, h), axis=1)  # (T, F)
-
-    def metrics(x: np.ndarray) -> np.ndarray:  # ||Y - SH||^2 - ||Y||^2 of C codewords, (T, C)
-        s = np.stack((x.real, x.imag), axis=2).reshape(len(x), 2 * k)
-        basis = np.concatenate((pair_weight * s[:, p] * s[:, q], -2.0 * s), axis=1)
-        return coef @ basis.T
-
-    return lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)), metrics)[1]
+    return _decode_blocks(code, y, h, constellation, DECODER_BRUTE_ML)
 
 
 def simulate_cer(config: SimConfig) -> CerReport:
@@ -347,19 +330,7 @@ def simulate_cer(config: SimConfig) -> CerReport:
     pts = np.asarray(constellation.points)
     chunk = min(_CHUNK, config.trials)
     block = min(_BLOCK, chunk)
-    if config.decoder == DECODER_SSD:
-        _require_ssd(code)  # reads the cached classification of the caller's classify
-        kernels = _metric_kernel(w)
-        metrics = np.empty((block * k, len(pts)))
-
-        def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-            return pts[np.argmin(_slot_metrics(kernels, y, h, pts, metrics[:len(h) * k]), axis=2)]
-    else:
-        _require_ml_budget(k, len(pts))
-        tables = _ml_kernel(w)
-
-        def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-            return _ml_decode(tables, y, h, pts)
+    decode = _decoder(code, w, pts, config.decoder, block)  # SSD reads the caller's classify
     # one chunk's fades and one block's symbols and noise, in buffers allocated once
     # per call: a chunk's fresh arrays would be alive beside the last chunk's, and
     # past malloc's mmap threshold they are mapped and faulted in afresh each time

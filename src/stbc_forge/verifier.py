@@ -20,14 +20,15 @@ Codes satisfying all three groups are complex orthogonal designs; the
 SSD group plus UW but not the self condition gives unitary-weight SSD
 codes; the SSD group without UW gives non-unitary-weight SSD codes.
 
-All of them are pairwise conditions on the Gram products
-G_pq = W_p^H W_q of the 2k weights, and each is symmetric in (p, q):
-G_qp = G_pq^H, so one pass reads the k(2k+1) pairs p <= q only.  The SSD
-and self conditions judge G_pq + G_pq^H, UW judges the diagonal G_pp.
-The pass takes the products from :func:`.codes.gram_rows` by block rows
-and reduces each to the norms of its G_pq + G_pq^H and its diagonal
-block before the next is formed: the (pairs, n, n) stack of the whole
-code is never alive.  It reads the weights rescaled by the power of two
+All of them are conditions on the pair terms of the code's one
+quadratic form D^H D = sum_{p<=q} s_p s_q M_pq (:mod:`.codes`), with
+M_pp = W_p^H W_p and M_pq = W_p^H W_q + W_q^H W_p for the 2k weights, so
+one pass reads the k(2k+1) pairs p <= q only.  The SSD and self
+conditions judge M_pq = 0 off the diagonal, UW judges the diagonal
+M_pp.  The pass takes the terms from :func:`.codes.gram_rows` by block
+rows and reduces each to its norms and its diagonal terms before the
+next is formed: the (pairs, n, n) stack of the whole code is never
+alive.  It reads the weights rescaled by the power of two
 that puts their largest entry part in [1, 2) (exact, and 1 for the
 built-in codes), and judges every residual's Frobenius norm by the one
 relative tolerance of :mod:`.gmatrix`, 1e-10 * c, so the class does not
@@ -112,16 +113,16 @@ def _report(code: LinearDispersionCode) -> ClassificationReport:
     """
     k, m = code.k, 2 * code.k
     w = _pow2_scaled(code.w)[0]
-    half = np.zeros((m, m))  # ||G_pq + G_pq^H||, filled by block rows
+    norms = np.zeros((m, m))  # ||M_pq||, filled by block rows; the off-diagonal ones are read
     diag = []
-    for p, q, g in gram_rows(w.reshape(m, code.n, code.n)):
-        half[p, q] = half[q, p] = _frobenius(g + np.conj(g).swapaxes(1, 2))
-        diag.append(g[p == q])
+    for p, q, terms in gram_rows(w.reshape(m, code.n, code.n)):
+        norms[p, q] = norms[q, p] = _frobenius(terms)
+        diag.append(terms[p == q])
     diag = np.concatenate(diag)
     c = float(np.mean(np.einsum("pii->p", diag).real)) / code.n
     off = _frobenius(diag - c * np.eye(code.n)).reshape(k, 2)
     scale = c if c > 0 else 1.0
-    vanish, unitary = _negligible(half, c), _negligible(off, c) & (c > 0)
+    vanish, unitary = _negligible(norms, c), _negligible(off, c) & (c > 0)
     pairs = []  # (condition, i, j) judged at weight pair (x, y), in the pinned order
     for i in range(k):
         for j in range(k):
@@ -133,7 +134,7 @@ def _report(code: LinearDispersionCode) -> ClassificationReport:
     pairs += [(COND_COD_SELF, i, i, 2 * i, 2 * i + 1) for i in range(k)]
     failures = [ConditionFailure(COND_UW, i + 1, i + 1, float(off[i].max() / scale))
                 for i in range(k) if not unitary[i].all()]
-    failures += [ConditionFailure(cond, i + 1, j + 1, float(half[x, y] / scale))
+    failures += [ConditionFailure(cond, i + 1, j + 1, float(norms[x, y] / scale))
                  for cond, i, j, x, y in pairs if not vanish[x, y]]
     failed = {f.condition for f in failures}
     code_class = (CLASS_NOT_SSD if failed.intersection(_SSD_CONDITIONS)
@@ -200,10 +201,8 @@ def check_normalized_structure(code: LinearDispersionCode) -> CheckResult:
     t, normalized = _scaled_identity(w[0])
     scale = t * t
     square = _negligible(_frobenius(w @ w + scale * np.eye(code.n)), scale)
-    # row 1 of the Gram products against W_r W_1: B_1^H W_r - W_r B_1, r >= 2
     others = np.arange(2, len(w))  # flat indices of the weights of symbols 2..k
-    p, _, g = next(gram_rows(w[1:]))  # its first block row: B_1^H [B_1 W_2 ... W_{2k-1}]
-    b1_commute = _negligible(_frobenius(g[p == 0][1:] - w[others] @ w[1]), scale)
+    b1_commute = _negligible(_frobenius(np.conj(w[1]).T @ w[others] - w[others] @ w[1]), scale)
     x, y = _upper_pairs(len(w), 1)
     pairs = (x >= 2) & (x // 2 != y // 2)  # within-symbol products are unconstrained here
     x, y = x[pairs], y[pairs]

@@ -307,23 +307,31 @@ def test_weights_are_one_read_only_stack(ussd4, ciod4):
     assert not code.scaled(0.5).is_exact
 
 
+def _pair_terms(ws, p, q):
+    """G_pq and M_pq of the pairs (p, q) of a stack, from one matmul per pair."""
+    g = np.conj(ws[..., p, :, :]).swapaxes(-1, -2) @ ws[..., q, :, :]
+    off = (p != q)[:, None, None]
+    return g, np.where(off, g + np.conj(g).swapaxes(-1, -2), g)
+
+
 def test_gram_pairs():
     # gram_rows yields every pair q >= p in row-major order, one GEMM for a code with
-    # n <= 8 and several from n = 16 on, and each block is G_pq = W_p^H W_q bit for bit on
-    # the exact built-in codes; gram gathers all the pairs p <= q from it
+    # n <= 8 and several from n = 16 on, and each block is the pair term M_pp = G_pp,
+    # M_pq = G_pq + G_pq^H of G_pq = W_p^H W_q bit for bit on the exact built-in codes;
+    # gram gathers all the pairs p <= q from it
     for name, code in exact_built_in_codes().items():
         w = code.w.reshape(2 * code.k, code.n, code.n)
         chunks = list(gram_rows(w))
         assert (len(chunks) == 1) == (code.n <= 8), name
-        p, q, g = (np.concatenate(parts) for parts in zip(*chunks))
+        p, q, m = (np.concatenate(parts) for parts in zip(*chunks))
         assert all(np.array_equal(x, y) for x, y in zip((p, q), _upper_pairs(len(w))))
-        assert np.array_equal(g, np.conj(w[p]).swapaxes(1, 2) @ w[q]), name
-        assert np.array_equal(gram(w), g), name
-        # each symbol's own 2 x 2 products, (A A, A B, B B), in one GEMM
-        (p, q, g), = gram_rows(code.w)
+        assert np.array_equal(m, _pair_terms(w, p, q)[1]), name
+        assert np.array_equal(gram(w), m), name
+        # each symbol's own three terms, (A A, A B, B B), in one GEMM
+        (p, q, m), = gram_rows(code.w)
         assert p.tolist() == [0, 0, 1] and q.tolist() == [0, 1, 1]
-        assert g.shape == (code.k, 3, code.n, code.n)
-        assert np.array_equal(g, np.conj(code.w[:, p]).swapaxes(-1, -2) @ code.w[:, q]), name
+        assert m.shape == (code.k, 3, code.n, code.n)
+        assert np.array_equal(m, _pair_terms(code.w, p, q)[1]), name
     # on float weights the block-row GEMM and a per-pair one may round differently
     rng = np.random.default_rng(29)
     noise = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
@@ -332,6 +340,25 @@ def test_gram_pairs():
                  LinearDispersionCode(label="noise", n=4, w=noise)):
         w = code.w.reshape(2 * code.k, code.n, code.n)
         p, q = _upper_pairs(len(w))
-        for pq, x, y in zip(gram(w), p, q):
-            want = np.conj(w[x]).T @ w[y]
-            assert np.max(np.abs(pq - want)) <= 1e-14 * np.max(np.abs(want))
+        g, want = _pair_terms(w, p, q)
+        # relative to G_pq: the cross terms of the SSD code cancel to rounding
+        err = np.max(np.abs(gram(w) - want), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.max(np.abs(g), axis=(1, 2)))
+
+
+def test_gram_is_the_quadratic_form():
+    # sum_{p<=q} s_p s_q M_pq = D^H D for D = sum_p s_p W_p and random real s
+    rng = np.random.default_rng(31)
+    noise = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    exact = exact_built_in_codes()
+    codes = [exact[name] for name in ("ussd2", "ussd4", "cod4", "ciod4", "ussd8")]
+    for code in codes + [LinearDispersionCode(label="noise", n=4, w=noise)]:
+        w = code.w.reshape(2 * code.k, code.n, code.n)
+        p, q = _upper_pairs(len(w))
+        m = gram(w)
+        for _ in range(5):
+            s = rng.standard_normal(len(w))
+            d = np.tensordot(s, w, axes=1)
+            want = np.conj(d).T @ d
+            got = np.tensordot(s[p] * s[q], m, axes=1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), code.label

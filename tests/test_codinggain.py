@@ -15,6 +15,7 @@ from stbc_forge.codes import (
     build_ciod4,
     build_max_rate_ussd,
     build_square_cod,
+    gram,
 )
 from stbc_forge.codinggain import dispersion_gain, min_det_bruteforce, min_det_closed_form
 from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam, special_8qam
@@ -288,8 +289,8 @@ def _determinant_route(code, constellation):
     """The reduced search's minimum by one determinant per slot and unique difference."""
     diffs = np.array([d for d in _per_slot_differences(constellation) if d])
     s = np.stack((diffs.real, diffs.imag), axis=1)
-    dets = np.stack([codinggain._difference_dets(*codinggain._pair_terms(code.w[i:i + 1]), s)
-                     for i in range(code.k)])
+    terms = gram(code.w)  # each slot's three pair terms
+    dets = np.stack([codinggain._difference_dets(terms[i], s) for i in range(code.k)])
     return float(dets.min()) * (2 / dispersion_gain(code.w)) ** code.n
 
 

@@ -12,22 +12,29 @@ from hypothesis import strategies as st
 from stbc_forge import simulator
 from stbc_forge.clifford import generate_family
 from stbc_forge.codes import LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd
-from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam
+from stbc_forge.constellations import (ciod_optimal_angle, optimal_angle, rotated_qam,
+                                       special_8qam)
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
+    _basis,
+    _coefficients,
     _draw_cn,
-    _metric_kernel,
-    _slot_metrics,
+    _tables,
     ml_decode_bruteforce,
     simulate_cer,
     ssd_decode,
     transmit_scale,
     wilson_halfwidth,
 )
-from stbc_forge.verifier import check_ssd
+from stbc_forge.verifier import check_ssd, classify
 
 from conftest import random_unitary
+
+
+def _slot_metrics(tables, y, h, pts):
+    """The (T, k, |A|) per-slot metrics of T blocks, from the SSD decoder's pieces."""
+    return (_coefficients(tables, y, h) @ _basis(pts[:, None])).reshape(len(h), -1, len(pts))
 
 
 def test_transmit_scale(ussd4, ciod4):
@@ -36,6 +43,23 @@ def test_transmit_scale(ussd4, ciod4):
     assert transmit_scale(ciod4, unit) == pytest.approx(1 / math.sqrt(2))
     raw = rotated_qam(4, optimal_angle())  # mean energy 2
     assert transmit_scale(ussd4, raw) == pytest.approx(0.5 / math.sqrt(2))
+
+
+def test_transmit_scale_counts_cross_symbol_mean_energy():
+    # weights of distinct symbols that do not cancel, on a constellation of nonzero
+    # mean: every codeword, each equally likely, averages unit energy per channel use
+    eye = np.eye(2)
+    code = LinearDispersionCode(label="cross", n=2, w=[(eye, 1j * eye),
+                                                      (np.diag([1.0, 0.0]), np.eye(2)[::-1])])
+    assert not check_ssd(code).ok
+    c = special_8qam("square-derived", 0.0, "unit-average")
+    assert abs(np.mean(c.points)) > 0.4
+    for scale in (1.0, 3.0, 1e-100):
+        scaled = code.scaled(scale)
+        s = transmit_scale(scaled, c)
+        energy = [np.linalg.norm(s * scaled.codeword(x)) ** 2 / code.n
+                  for x in itertools.product(c.points, repeat=code.k)]
+        assert abs(np.mean(energy) - 1.0) < 1e-12, scale
 
 
 def test_ssd_decode_noiseless(ussd4):
@@ -55,7 +79,7 @@ def test_ssd_decode_complexity_contract(ussd4):
     rng = np.random.default_rng(13)
     h = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))) / math.sqrt(2)
     y = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    metrics = _slot_metrics(_metric_kernel(ussd4.w), y[None], h[None], np.asarray(c.points))
+    metrics = _slot_metrics(_tables(ussd4.w), y[None], h[None], np.asarray(c.points))
     assert metrics.shape == (1, ussd4.k, len(c))  # exactly k * |A| evaluations
 
 
@@ -77,7 +101,7 @@ def test_per_slot_decoding_fails_without_ssd():
     code = LinearDispersionCode(label="blast-ish", n=2, w=[(a1, a1 * 1j), (a2, a2 * 1j)])
     c = rotated_qam(4, 0.0, "unit-average")
     pts = np.asarray(c.points)
-    kernel = _metric_kernel(code.w)
+    tables = _tables(code.w)
     rng = np.random.default_rng(17)
     disagreements = 0
     for _ in range(200):
@@ -85,7 +109,7 @@ def test_per_slot_decoding_fails_without_ssd():
         h = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) / math.sqrt(2)
         noise = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) * 0.4
         y = code.codeword(x) @ h + noise
-        per_slot = pts[np.argmin(_slot_metrics(kernel, y[None], h[None], pts)[0], axis=1)]
+        per_slot = pts[np.argmin(_slot_metrics(tables, y[None], h[None], pts)[0], axis=1)]
         ml = ml_decode_bruteforce(code, y, h, c)
         if not np.array_equal(per_slot, ml):
             disagreements += 1
@@ -232,7 +256,7 @@ def test_slot_metrics_match_definition(n, k, rx, t, size, seed):
             for j, x in enumerate(pts):
                 sh = (x.real * wi[i] + x.imag * wq[i]) @ h[b]
                 ref[b, i, j] = np.linalg.norm(sh) ** 2 - 2.0 * np.vdot(y[b], sh).real
-    got = _slot_metrics(_metric_kernel(code.w), y, h, pts)
+    got = _slot_metrics(_tables(code.w), y, h, pts)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -412,6 +436,7 @@ def test_simulate_cer_chunk_memory(ussd8):
     c = rotated_qam(16, optimal_angle(), "unit-average")
     config = SimConfig(code=ussd8, constellation=c, snr_db_list=(10.0,), trials=_CHUNK,
                        seed=1, rx_antennas=2)
+    classify(ussd8)  # as the CLI does: the SSD gate then reads the cached classification
     tracemalloc.start()
     try:
         simulate_cer(config)
@@ -485,8 +510,6 @@ def test_high_snr_slope_shows_full_diversity(ussd4):
 def test_simulate_8qam_at_3_bpcu(ussd4):
     # rect 8-QAM has unequal I/Q second moments and a nonzero cross
     # moment once rotated; the energy scaling must absorb both
-    from stbc_forge.constellations import special_8qam
-
     for kind in ("rect", "square-derived"):
         c = special_8qam(kind, optimal_angle(), "unit-average")
         config = SimConfig(code=ussd4, constellation=c, snr_db_list=(14.0,),
