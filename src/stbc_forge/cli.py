@@ -1,8 +1,9 @@
 """Command-line interface: family / construct / verify / coding-gain / simulate.
 
 All file outputs are written atomically (temp file + rename); JSON files
-are byte for byte ``json.dumps(obj, indent=2)`` plus a newline.  Exit
-status is 0 on success, 1 on a verification failure, 2 on usage errors.
+are compact, ``json.dumps(obj)`` plus a newline (``python -m json.tool
+FILE`` pretty-prints one).  Exit status is 0 on success, 1 on a
+verification failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ import math
 import os
 import sys
 import tempfile
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
 
 from . import __version__, clifford, codes, codinggain, constellations, simulator
 from .gmatrix import _negligible
-from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, classify
+from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, CLASSES, classify
 
 CONSTELLATION_CHOICES = ("qam4", "qam16", "qam64", "8qam-rect", "8qam-sq")
 MAX_SNR_POINTS = 1000
@@ -40,68 +39,8 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_scalar(o) -> str:
-    """A JSON leaf spelled as ``json.dumps`` spells it."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if isinstance(o, bool):
-        return "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _FLOAT_WORDS.get(text, text)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _json_text(obj, path: tuple = ()) -> str:
-    """``json.dumps(obj, indent=2)`` for ``obj`` inside the containers whose ids are ``path``.
-
-    That call runs json's pure-Python encoder, because an indent turns its C
-    encoder off.  A rectangular nested list whose leaves are all ints or all
-    finite floats is spelled in one step instead: its flattened leaves are
-    poured straight into a %d or %r skeleton of the nested brackets, which
-    spells them as ``int.__repr__`` and ``float.__repr__`` do.  A container
-    inside itself raises json's ValueError.
-    """
-    if not isinstance(obj, (dict, list, tuple)):
-        return _json_scalar(obj)
-    if id(obj) in path:
-        raise ValueError("Circular reference detected")
-    level, path = len(path), path + (id(obj),)
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))}: "
-                 f"{_json_text(v, path)}" for k, v in obj.items()]
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}" if items else "{}"
-    if not obj:
-        return "[]"
-    shape, leaves, firsts = [], [obj], path
-    while set(map(type, leaves)) == {list} and len(set(map(len, leaves))) == 1 and leaves[0]:
-        shape.append(len(leaves[0]))
-        leaves = list(chain.from_iterable(leaves))
-        if id(leaves[0]) in firsts:  # the first-element chain of a cycle never ends
-            raise ValueError("Circular reference detected")
-        firsts += (id(leaves[0]),)
-    kinds = set(map(type, leaves))
-    if kinds == {int} or kinds == {float} and all(map(math.isfinite, leaves)):
-        skeleton = "%d" if kinds == {int} else "%r"
-        for depth in reversed(range(len(shape))):
-            inner = "\n" + "  " * (level + depth + 1)
-            skeleton = ("[" + inner + ("," + inner).join([skeleton] * shape[depth])
-                        + inner[:-2] + "]")
-        return skeleton % tuple(leaves)
-    return "[" + pad + ("," + pad).join([_json_text(v, path) for v in obj]) + pad[:-2] + "]"
-
-
 def _write_json(path: str, obj) -> None:
-    """Write ``json.dumps(obj, indent=2)`` and a newline, byte for byte."""
-    _atomic_write_text(path, _json_text(obj) + "\n")
+    _atomic_write_text(path, json.dumps(obj) + "\n")
 
 
 def _load_code(path: str):
@@ -109,6 +48,8 @@ def _load_code(path: str):
     with open(path) as fh:
         try:
             code, declared = codes.code_from_json_dict(json.load(fh))
+            if declared not in (None, *CLASSES):  # null is undeclared
+                raise ValueError(f"class must be null or one of {CLASSES}, got {declared!r}")
         # RecursionError: json's scanner on deeply nested brackets
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise click.UsageError(
@@ -309,6 +250,8 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
                                                  sort_keys=True).encode()).hexdigest(),
         "stbc_forge_version": __version__,
         "numpy_version": np.__version__,
+        "blas_threads": {name: os.environ.get(name) for name in  # recorded, never set
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     _write_json(out + ".config.json", sidecar)
     click.echo(f"wrote {len(report.points)} CER points to {out}")

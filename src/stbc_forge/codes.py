@@ -133,7 +133,10 @@ class LinearDispersionCode:
         return not _negligible(lam[0], lam[-1])
 
     def weight_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights as two (k, n, n) read-only views of ``w`` (in-phase, quadrature)."""
+        """Weights as two (k, n, n) read-only views of ``w`` (in-phase, quadrature).
+
+        Kept: perfbench's ``tracer._fingerprint_code`` hashes classified codes through it.
+        """
         return self.w[:, 0], self.w[:, 1]
 
     def codeword(self, symbols: Sequence[complex]) -> np.ndarray:
@@ -306,11 +309,13 @@ def code_to_json_dict(code: LinearDispersionCode, declared_class: str | None = N
 
 def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
     n = _json_int(obj, "n")
+    label = obj.get("label", "unnamed")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
     pairs = obj["weights"]
     flat = stack_from_json([m for a, b in pairs for m in (a, b)], n)
     # no pairs give a (0,) stack, so k = 0 and n < 1 reach the constructor's check
-    code = LinearDispersionCode(label=str(obj.get("label", "unnamed")), n=n,
-                                w=flat.reshape(len(pairs), 2, *flat.shape[1:]))
+    code = LinearDispersionCode(label=label, n=n, w=flat.reshape(len(pairs), 2, *flat.shape[1:]))
     if "k" in obj and _json_int(obj, "k") != code.k:
         raise ValueError(f"file declares k = {obj['k']} but has {code.k} weight pairs")
     return code, obj.get("class")

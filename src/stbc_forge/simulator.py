@@ -291,9 +291,9 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
     """Decode one (n, m) block y, h to its k symbols, or T (T, n, m) blocks to (T, k)."""
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    if y.shape != h.shape or h.ndim not in (2, 3):
-        raise ValueError(f"y and h must share one (n, m) or (T, n, m) shape, got {y.shape} "
-                         f"and {h.shape}")
+    if y.shape != h.shape or h.ndim not in (2, 3) or h.shape[-2] != code.n:
+        raise ValueError(f"y and h must share one (n, m) or (T, n, m) shape with n = {code.n}, "
+                         f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
     return _decoder(code, code.w, np.asarray(constellation.points), decoder, len(h))(y, h)

@@ -65,6 +65,7 @@ CLASS_COD = "COD"
 CLASS_UW_SSD = "unitary-weight-SSD"
 CLASS_NONUW_SSD = "non-unitary-weight-SSD"
 CLASS_NOT_SSD = "not-SSD"
+CLASSES = (CLASS_COD, CLASS_UW_SSD, CLASS_NONUW_SSD, CLASS_NOT_SSD)
 
 
 @dataclass(frozen=True)

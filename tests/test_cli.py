@@ -2,13 +2,11 @@
 
 import hashlib
 import json
-import math
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stbc_forge import (__version__, ciod_optimal_angle, min_det_closed_form, optimal_angle,
                         rotated_qam, simulator, verifier)
@@ -102,6 +100,10 @@ def test_verify_flags_wrong_declared_class(runner, tmp_path):
     out.write_text(json.dumps(obj))
     result = runner.invoke(main, ["verify", str(out)])
     assert result.exit_code == 1
+    # null is undeclared, not a wrong class
+    obj["class"] = None
+    out.write_text(json.dumps(obj))
+    assert runner.invoke(main, ["verify", str(out)]).exit_code == 0
 
 
 def test_coding_gain_prints_table_value(runner, tmp_path):
@@ -224,6 +226,22 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     assert sidecar["rotation_rad"] == ciod_optimal_angle()
 
 
+def test_simulate_sidecar_records_blas_threads(runner, tmp_path, monkeypatch):
+    # the BLAS thread settings are recorded as the environment gives them, null when unset,
+    # and the CLI does not set them
+    code = tmp_path / "ussd2.json"
+    _invoke(runner, "construct", "--antennas", "2", "--family", "ussd", "--out", str(code))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam4", "--snr", "10",
+            "--trials", "10", "--out", str(tmp_path / "cer.csv"))
+    sidecar = json.loads((tmp_path / "cer.csv.config.json").read_text())
+    assert sidecar["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+                                       "MKL_NUM_THREADS": None}
+    assert "MKL_NUM_THREADS" not in os.environ
+
+
 def test_one_verdict_pass_per_command(runner, tmp_path, monkeypatch):
     # coding-gain --angle auto classifies the code and then searches it, and simulate
     # classifies it and then checks it is SSD: each runs the verdicts' Gram pass once, and
@@ -335,11 +353,18 @@ def test_usage_errors(runner, tmp_path):
         bad = json.loads(code.read_text())
         (bad if where is None else bad["weights"][where[0]][where[1]])[key] = value
         not_int.append((f"not-int-{len(not_int)}.json", bad))
+    # a declared class is null or one of the four class names, and a label is a string
+    fields = []
+    for key, value in (("class", 3), ("class", "COD "), ("class", ["COD"]),
+                       ("label", {"x": 1}), ("label", 5), ("label", None)):
+        bad = json.loads(code.read_text())
+        bad[key] = value
+        fields.append((f"{key}-{len(fields)}.json", bad))
     # so do codes with no weight pairs or n < 1
     for name, content in [("keys.json", {"n": 4}), ("guard.json", obj), ("bool.json", boolean),
                           ("empty.json", {"n": 4, "weights": []}),
                           ("n0.json", {"n": 0, "weights": []}),
-                          ("negative-n.json", {"n": -1, "weights": []})] + not_int:
+                          ("negative-n.json", {"n": -1, "weights": []})] + not_int + fields:
         path = tmp_path / name
         path.write_text(json.dumps(content))
         for args in (["verify", str(path)],
@@ -349,8 +374,7 @@ def test_usage_errors(runner, tmp_path):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)
-            assert "not a valid code file" in result.output
-            assert "Traceback" not in result.output
+            assert "not a valid code file" in _one_error_line(result)
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -434,61 +458,14 @@ def test_verify_report_gives_the_residual_of_a_failed_condition(runner, tmp_path
     assert _invoke(runner, "verify", str(clean), "--report", str(report)).exit_code == 0
     assert report.read_text() == json.dumps({
         "label": "square-cod-4tx", "class": "COD", "declared_class": "COD",
-        "linear_independent": True, "normalized": True, "failed_conditions": []},
-        indent=2) + "\n"
+        "linear_independent": True, "normalized": True, "failed_conditions": []}) + "\n"
 
 # ----------------------------------------------------------------------
-# _write_json writes json.dumps(obj, indent=2) and a newline, byte for byte
-
-_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
-                                   1.7976931348623157e308, 0.1])
-_NUMBERS = {
-    "int": st.integers(min_value=-2 ** 70, max_value=2 ** 70),
-    "float": st.floats() | _SPECIAL_FLOATS,
-    "finite": st.floats(allow_nan=False, allow_infinity=False),
-    "mixed": st.integers(-3, 3) | st.floats(-3, 3),
-    "bool": st.booleans(),
-}
-_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 300, 10 ** 300)
-           | st.floats() | _SPECIAL_FLOATS | st.text()
-           | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfffé☃𝄞')))
-
-
-@st.composite
-def _numeric_blocks(draw):
-    """A rectangular 1-3-dimensional nested list of one kind of number (or a mix)."""
-    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    flat = draw(st.lists(_NUMBERS[draw(st.sampled_from(sorted(_NUMBERS)))],
-                         min_size=math.prod(shape), max_size=math.prod(shape)))
-    for n in reversed(shape[1:]):
-        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
-    return flat
-
-
-# ragged or partly empty lists of numbers, which are not rectangular blocks
-_RAGGED = st.lists(st.lists(st.integers(-9, 9), max_size=3)
-                   | st.lists(st.floats(-9, 9), max_size=3), min_size=2, max_size=4)
-_JSON_OBJECTS = st.recursive(
-    _LEAVES | _numeric_blocks() | _RAGGED,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text() | st.sampled_from(["a", "b", "\n"]), inner,
-                                     max_size=4)
-                   | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(),
-                                     inner, max_size=3)
-                   | _numeric_blocks().map(lambda b: [b, b]) | st.just([[]])),
-    max_leaves=30)
-
-
-@given(obj=_JSON_OBJECTS)
-@settings(max_examples=300, deadline=None)
-def test_write_json_matches_json_dumps(tmp_path_factory, obj):
-    path = tmp_path_factory.getbasetemp() / "written.json"
-    _write_json(str(path), obj)
-    assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+# _write_json writes json.dumps(obj) and a newline
 
 
 def test_write_json_on_every_output_file(runner, tmp_path):
-    """Every family, code, report and sidecar the CLI writes is json.dumps(obj, indent=2)."""
+    """Every family, code, report and sidecar the CLI writes is json.dumps(obj) and a newline."""
     def code_dict(code):
         return code_to_json_dict(code, declared_class=classify(code).code_class)
 
@@ -505,7 +482,7 @@ def test_write_json_on_every_output_file(runner, tmp_path):
         ]
     for name, args, obj in cases:
         assert _invoke(runner, *args, "--out", str(tmp_path / name)).exit_code == 0
-        assert (tmp_path / name).read_text() == json.dumps(obj, indent=2) + "\n", name
+        assert (tmp_path / name).read_text() == json.dumps(obj) + "\n", name
     # the outputs whose objects the CLI builds: a report with failures, a sidecar
     corrupt = json.loads((tmp_path / "ussd4.json").read_text())
     corrupt["weights"][1][0] = corrupt["weights"][2][0]
@@ -519,7 +496,7 @@ def test_write_json_on_every_output_file(runner, tmp_path):
                    "--out", str(csv_path)).exit_code == 0
     for path in (report, tmp_path / "cer.csv.config.json"):
         text = path.read_text()
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert text == json.dumps(json.loads(text)) + "\n"
     assert json.loads(report.read_text())["failed_conditions"]
 
 
@@ -542,7 +519,7 @@ def _cycles():
 ] + _cycles())
 def test_write_json_rejects_what_json_rejects(tmp_path, obj):
     with pytest.raises((TypeError, ValueError)) as rejected:
-        json.dumps(obj, indent=2)
+        json.dumps(obj)
     with pytest.raises(rejected.type):
         _write_json(str(tmp_path / "x.json"), obj)
     assert not (tmp_path / "x.json").exists()

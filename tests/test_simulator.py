@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -347,6 +348,18 @@ def test_ml_decode_bruteforce_rejects_mismatched_blocks(ussd4):
         ml_decode_bruteforce(ussd4, np.ones((4, 1)), np.ones((3, 4, 1)), c)
     with pytest.raises(ValueError, match="shape"):
         ml_decode_bruteforce(ussd4, np.ones((4,)), np.ones((4,)), c)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 8])
+def test_decoders_reject_blocks_of_another_row_count(ussd4, rows):
+    # blocks of the wrong row count are one line naming both sizes, not numpy's matmul error
+    c = rotated_qam(4, 0.3, "unit-average")
+    for decode in (ssd_decode, ml_decode_bruteforce):
+        for shape in ((rows, 1), (5, rows, 2)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"shape with n = 4, got {shape} and {shape}")) as rejected:
+                decode(ussd4, np.ones(shape), np.ones(shape), c)
+            assert "\n" not in str(rejected.value)
 
 
 def test_ml_budget(ussd4):
