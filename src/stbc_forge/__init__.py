@@ -8,13 +8,7 @@ The package namespace carries what the command line and the acceptance
 suite use; everything else is imported from its submodule.
 """
 
-from .clifford import (
-    AnticommutingFamily,
-    generate_family,
-    product_subset,
-    products_commute,
-    square_sign,
-)
+from .clifford import generate_family, product_subset, products_commute, square_sign
 from .codes import build_ciod4, build_max_rate_ussd, build_square_cod
 from .codinggain import min_det_bruteforce, min_det_closed_form
 from .constellations import ciod_optimal_angle, optimal_angle, rotated_qam
@@ -30,7 +24,6 @@ from .verifier import check_ssd, check_unitary_weight, classify
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnticommutingFamily",
     "SimConfig",
     "build_ciod4",
     "build_max_rate_ussd",

@@ -67,6 +67,7 @@ Gaussian-integer weights; the first two slice a family's member stack:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -119,17 +120,30 @@ class LinearDispersionCode:
     def is_exact(self) -> bool:
         return bool(is_exact(self.w))
 
+    @cached_property
+    def real_gram(self) -> tuple[np.ndarray, int]:
+        """(Gamma, e): the one energy form, formed at most once per code, read-only.
+
+        Gamma_pq = Re tr(W_p^H W_q) of the weights times 2^e (``gmatrix._pow2_scaled``,
+        so it is finite), p = 2(i-1) + {0: A_i, 1: B_i}: one GEMM of their float64
+        view.  A real symbol vector s has ||S||_F^2 = 4^-e s^T Gamma s.  Independence,
+        the UW scale c = tr Gamma / (2kn), the dispersion gain tr Gamma / (2k) and
+        the transmit scale all read it.
+        """
+        w, e = _pow2_scaled(self.w)
+        r = w.reshape(2 * self.k, -1).view(np.float64)
+        gamma = r @ r.T
+        gamma.setflags(write=False)
+        return gamma, e
+
     def linearly_independent(self) -> bool:
         """Whether the 2k weights are linearly independent over the reals.
 
-        The real Gram matrix Gamma_pq = Re tr(W_p^H W_q) is one GEMM of the
-        (2k, 2n^2) float64 view of ``w``; the weights are independent iff its
-        smallest eigenvalue is not negligible against its largest, by the one
-        tolerance rule: sigma_min > 1e-5 sigma_max on the singular values.
-        Gamma is that of the weights times 2^e (``gmatrix._pow2_scaled``): finite.
+        They are iff the smallest eigenvalue of ``real_gram`` is not negligible
+        against its largest, by the one tolerance rule: sigma_min > 1e-5
+        sigma_max on the singular values.
         """
-        r = _pow2_scaled(self.w)[0].reshape(2 * self.k, -1).view(np.float64)
-        lam = np.linalg.eigvalsh(r @ r.T)
+        lam = np.linalg.eigvalsh(self.real_gram[0])
         return not _negligible(lam[0], lam[-1])
 
     def weight_arrays(self) -> tuple[np.ndarray, np.ndarray]:

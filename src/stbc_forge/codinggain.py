@@ -12,16 +12,18 @@ constellation differences.
 Energy convention
 -----------------
 Minimum determinants of different codes are only comparable when the
-codes transmit at the same average energy.  All evaluation here scales
-codewords to a common per-symbol dispersion gain of 2, i.e. the mean
-squared Frobenius norm of the weight matrices is brought to 2 -- the
+codes transmit at the same average energy.  Every value reported here
+scales codewords to a common per-symbol dispersion gain of 2: the mean
+squared Frobenius norm of the weights, tr Gamma / (2k) on the code's one
+energy form ``LinearDispersionCode.real_gram``, is brought to 2 -- the
 value for the Alamouti and coordinate-interleaved families, whose
 published minimum determinants are therefore reproduced unchanged.  A
 unitary-weight code on n antennas has dispersion gain n, so its raw
-determinant is scaled by (2/n)^n.  The equal-energy minimum is
+determinant is scaled by (2/n)^n; in general the plain determinant is the
+reported value times (gain / 2)^n.  The equal-energy minimum is
 invariant under a uniform scale of the weights, which the search reads
 exactly rescaled by a power of two, so it holds over the whole float
-range.  Pass ``equal_energy=False`` for the plain unnormalized determinant.
+range.
 
 Every determinant is read off the code's one quadratic form: the
 difference D = sum_p s_p W_p of the real vector
@@ -74,6 +76,7 @@ search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +100,6 @@ class MinDetResult:
     reduced: bool
 
 
-def dispersion_gain(w: np.ndarray) -> float:
-    """Mean squared Frobenius norm of the matrices of a (k, 2, n, n) weight stack."""
-    return float(np.sum(w.real ** 2 + w.imag ** 2)) / (2 * len(w))
-
-
 def _difference_dets(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     """det(sum_{p<=q} s_p s_q M_pq) per row of the real (V, P) s, on the (pairs, n, n) terms m.
 
@@ -114,10 +112,7 @@ def _difference_dets(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.linalg.det(grams.view(np.complex128).reshape(len(s), n, n)).real
 
 
-def min_det_bruteforce(code: LinearDispersionCode,
-                       constellation: Constellation,
-                       *,
-                       equal_energy: bool = True,
+def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation, *,
                        force_full: bool = False) -> MinDetResult:
     """Search for the minimum codeword-difference determinant.
 
@@ -125,15 +120,16 @@ def min_det_bruteforce(code: LinearDispersionCode,
     differences (provably sufficient, see module doc) unless
     ``force_full`` demands the unreduced enumeration over all
     difference vectors.  Raises ValueError when the unreduced search would
-    exceed ``FULL_SEARCH_BUDGET`` difference vectors, or when equal energy
-    is asked of a code that transmits none.
+    exceed ``FULL_SEARCH_BUDGET`` difference vectors, or for a code that
+    transmits no energy.
     """
-    # the equal-energy minimum is scale-invariant: search 2^e w, largest entry part in [1, 2)
-    w = _pow2_scaled(code.w)[0] if equal_energy else code.w
-    gain = dispersion_gain(w)
-    if equal_energy and gain == 0.0:
+    # the equal-energy minimum is scale-invariant: search 2^e w, largest entry part in [1, 2),
+    # whose dispersion gain is tr Gamma / (2k) on the code's real_gram
+    w = _pow2_scaled(code.w)[0]
+    gain = float(np.trace(code.real_gram[0])) / (2 * code.k)
+    if gain == 0.0:
         raise ValueError("code transmits no energy")
-    scale = (REFERENCE_DISPERSION_GAIN / gain) ** code.n if equal_energy else 1.0
+    scale = (REFERENCE_DISPERSION_GAIN / gain) ** code.n
     code_class = CLASS_NOT_SSD if force_full else _report(code).code_class
     if code_class != CLASS_NOT_SSD:
         diffs = np.asarray(constellation.differences())
@@ -154,10 +150,13 @@ def min_det_bruteforce(code: LinearDispersionCode,
         return MinDetResult(value=float(best) * scale, difference=vec, reduced=True)
 
     # unreduced: every vector of per-symbol differences (0 allowed per slot);
-    # deduplicate on rounded keys but keep an unrounded representative.  The
-    # keys are symmetric, so per_slot[i] mirrors per_slot[-1 - i] around 0 at half
-    uniq = {(round(d.real, 12), round(d.imag, 12)): d
-            for d in constellation.differences()}
+    # deduplicate on keys rounded relative to the largest |d|, exactly scaled by
+    # 2^-t, but keep an unrounded representative.  The keys are symmetric, so
+    # per_slot[i] mirrors per_slot[-1 - i] around 0 at half
+    diffs = constellation.differences()
+    t = math.frexp(max(map(abs, diffs)))[1]
+    uniq = {(round(math.ldexp(d.real, -t), 12), round(math.ldexp(d.imag, -t), 12)): d
+            for d in diffs}
     uniq[(0.0, 0.0)] = 0j
     per_slot = np.array([uniq[key] for key in sorted(uniq)])
     half = len(per_slot) // 2
@@ -183,8 +182,7 @@ def min_det_bruteforce(code: LinearDispersionCode,
                         difference=tuple(complex(d) for d in per_slot[arg]), reduced=False)
 
 
-def min_det_closed_form(constellation: Constellation, n: int, *,
-                        equal_energy: bool = True) -> float:
+def min_det_closed_form(constellation: Constellation, n: int) -> float:
     """Closed-form minimum determinant of the maximal-rate unitary-weight
     code on n antennas: min over differences d of |d_I^2 - d_Q^2|^n.
 
@@ -194,6 +192,5 @@ def min_det_closed_form(constellation: Constellation, n: int, *,
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     base = min(abs(d.real ** 2 - d.imag ** 2) for d in constellation.differences())
-    scale = (REFERENCE_DISPERSION_GAIN / n) ** n if equal_energy else 1.0
-    return base ** n * scale
+    return base ** n * (REFERENCE_DISPERSION_GAIN / n) ** n
 

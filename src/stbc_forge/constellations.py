@@ -39,6 +39,8 @@ class Constellation:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ValueError("a constellation needs at least 2 points")
+        if not all(map(cmath.isfinite, self.points)):
+            raise ValueError("constellation points must be finite")
         if len(set(self.points)) != len(self.points):
             raise ValueError("constellation points must be distinct")
         if self.energy_mode not in (ENERGY_RAW, ENERGY_UNIT):

@@ -83,7 +83,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, _encode, gram, lexicographic_first_min
 from .constellations import Constellation
-from .gmatrix import _pow2_scaled, _upper_pairs
+from .gmatrix import _upper_pairs
 from .verifier import check_ssd
 
 DECODER_SSD = "ssd"
@@ -171,29 +171,21 @@ def _noise_power(snr_db: float) -> float:
 def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> float:
     """Scalar s such that s * S averages unit energy per channel use.
 
-    Uses the constellation's exact second moments, so the scale is
-    rate- and energy-mode-aware.  Symbols of distinct slots are
-    independent, so their cross energy is that of the symbols' means,
-    sum_{i != j} Re tr(S_i^H S_j) with S_i = mu_I A_i + mu_Q B_i: the real
-    Gram Re tr(W_p^H W_q) of weights of distinct slots against the mean
-    vector.  It is exactly 0 for an SSD code with exact weights, and 0 for a
-    constellation of zero mean.  The energy of the weights times 2^e
-    (``gmatrix._pow2_scaled``) cannot overflow; the scale carries 2^e back.
+    A codeword of the real symbol vector x has energy x^T Gamma x on the
+    code's ``real_gram``.  Symbols of distinct slots are independent and
+    uniform over the points, so E[x x^T] is the tiled mean mu mu^T plus
+    the points' 2 x 2 covariance C in each slot's diagonal block, and the
+    mean energy is mu^T Gamma mu + <sum_i Gamma_ii, C>: rate-, mean- and
+    energy-mode-aware.  Gamma is that of the weights times 2^e, so the
+    energy cannot overflow; the scale carries 2^e back.
     """
+    gamma, e = code.real_gram
     pts = np.asarray(constellation.points)
-    m_ii = float(np.mean(pts.real ** 2))
-    m_qq = float(np.mean(pts.imag ** 2))
-    m_iq = float(np.mean(pts.real * pts.imag))
-    w, e = _pow2_scaled(code.w)
-    wi, wq = w[:, 0], w[:, 1]
-    r = w.reshape(2 * code.k, -1).view(np.float64)
-    cross = r @ r.T  # Re tr(W_p^H W_q), kept for weights of distinct slots
-    slot = np.arange(2 * code.k) // 2
-    cross[slot[:, None] == slot] = 0.0
     mu = np.mean(pts)
+    d = (pts - mu).view(np.float64).reshape(-1, 2)
     mean = np.array([mu.real, mu.imag] * code.k)
-    total = float(m_ii * np.sum(np.abs(wi) ** 2) + m_qq * np.sum(np.abs(wq) ** 2)
-                  + 2 * m_iq * np.sum(np.real(np.conj(wi) * wq)) + mean @ cross @ mean)
+    slots = np.einsum("iaib->ab", gamma.reshape(code.k, 2, code.k, 2))  # sum_i Gamma_ii
+    total = float(mean @ gamma @ mean + np.sum(slots * (d.T @ d)) / len(pts))
     if total <= 0.0:
         raise ValueError("code transmits no energy")
     return math.ldexp(math.sqrt(code.n / total), e)

@@ -108,8 +108,8 @@ _SSD_CONDITIONS = (COND_SSD_IQ, COND_SSD_II, COND_SSD_QQ)
 def _report(code: LinearDispersionCode) -> ClassificationReport:
     """The classification of a code, from one pass over its Gram products (module doc).
 
-    c is the mean of trace(W_p^H W_p) / n, and each failure's residual is
-    its norm divided by c (by 1 for an all-zero code, c = 0).  The failures
+    c = tr Gamma / (2kn) on the code's ``real_gram``, and each failure's residual
+    is its norm divided by c (by 1 for an all-zero code, c = 0).  The failures
     come in the pinned order UW, SSD (i, j loop order), COD-IQ-self.
     """
     k, m = code.k, 2 * code.k
@@ -120,7 +120,7 @@ def _report(code: LinearDispersionCode) -> ClassificationReport:
         norms[p, q] = norms[q, p] = _frobenius(terms)
         diag.append(terms[p == q])
     diag = np.concatenate(diag)
-    c = float(np.mean(np.einsum("pii->p", diag).real)) / code.n
+    c = float(np.trace(code.real_gram[0])) / (m * code.n)
     off = _frobenius(diag - c * np.eye(code.n)).reshape(k, 2)
     scale = c if c > 0 else 1.0
     vanish, unitary = _negligible(norms, c), _negligible(off, c) & (c > 0)

@@ -10,13 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stbc_forge import (
-    AnticommutingFamily,
-    build_ciod4,
-    build_max_rate_ussd,
-    build_square_cod,
-    generate_family,
-)
+from stbc_forge import build_ciod4, build_max_rate_ussd, build_square_cod, generate_family
+from stbc_forge.clifford import AnticommutingFamily
 from stbc_forge.gmatrix import is_exact
 
 

@@ -1,6 +1,7 @@
 """Minimum determinants: brute force, closed form, energy convention."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,9 @@ from stbc_forge.codes import (
     build_square_cod,
     gram,
 )
-from stbc_forge.codinggain import dispersion_gain, min_det_bruteforce, min_det_closed_form
-from stbc_forge.constellations import ciod_optimal_angle, optimal_angle, rotated_qam, special_8qam
+from stbc_forge.codinggain import min_det_bruteforce, min_det_closed_form
+from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
+                                       rotated_qam, special_8qam)
 
 from conftest import random_unitary
 
@@ -37,13 +39,22 @@ def _pairwise_min_det(code, constellation):
     return best
 
 
+def _equal_energy(code):
+    """(2 / gain)^n, gain = tr Gamma / (2k): the reported min det over the plain determinant."""
+    gamma, e = code.real_gram  # Gamma of the weights times 2^e
+    return (2 / (math.ldexp(float(np.trace(gamma)), -2 * e) / (2 * code.k))) ** code.n
+
+
 def _difference_det(code, difference):
     d = code.codeword(difference)
     return float(np.linalg.det(d.conj().T @ d).real)
 
 
 def _per_slot_differences(constellation):
-    uniq = {(round(d.real, 12), round(d.imag, 12)): d for d in constellation.differences()}
+    # keys relative to the largest |d|, scaled exactly by a power of two
+    t = math.frexp(max(abs(d) for d in constellation.differences()))[1]
+    uniq = {(round(math.ldexp(d.real, -t), 12), round(math.ldexp(d.imag, -t), 12)): d
+            for d in constellation.differences()}
     uniq[(0.0, 0.0)] = 0j
     return [uniq[key] for key in sorted(uniq)]
 
@@ -80,24 +91,23 @@ def test_unrotated_qam_gives_zero(ussd4):
 
 
 def test_energy_convention_factor(ussd4, ciod4, ussd2, cod2):
-    # unitary weights on 4 antennas carry dispersion gain 4 -> factor 16
-    assert dispersion_gain(ussd4.w) == pytest.approx(4.0)
-    assert dispersion_gain(ciod4.w) == pytest.approx(2.0)
-    assert dispersion_gain(ussd2.w) == pytest.approx(2.0)
-    assert dispersion_gain(cod2.w) == pytest.approx(2.0)
+    # unitary weights on 4 antennas carry dispersion gain tr Gamma / (2k) = 4 -> factor 16
+    for code, gain in ((ussd4, 4.0), (ciod4, 2.0), (ussd2, 2.0), (cod2, 2.0)):
+        assert np.trace(code.real_gram[0]) / (2 * code.k) == pytest.approx(gain)
+    assert _equal_energy(ussd4) == pytest.approx(1 / 16)
     c = rotated_qam(4, optimal_angle())
-    raw = min_det_bruteforce(ussd4, c, equal_energy=False)
     fair = min_det_bruteforce(ussd4, c)
-    assert raw.value == pytest.approx(163.84, abs=1e-6)
-    assert raw.value == pytest.approx(16 * fair.value, rel=1e-9)
+    raw = _difference_det(ussd4, fair.difference)
+    assert raw == pytest.approx(163.84, abs=1e-6)
+    assert raw == pytest.approx(16 * fair.value, rel=1e-9)
 
 
 def test_achieving_difference_consistent(ussd4):
     c = rotated_qam(4, optimal_angle())
-    r = min_det_bruteforce(ussd4, c, equal_energy=False)
+    r = min_det_bruteforce(ussd4, c)
     delta = ussd4.codeword(r.difference)
     det = float(np.linalg.det(delta.conj().T @ delta).real)
-    assert det == pytest.approx(r.value, rel=1e-9)
+    assert det * _equal_energy(ussd4) == pytest.approx(r.value, rel=1e-9)
     assert sum(1 for d in r.difference if d != 0) == 1  # single active slot
 
 
@@ -125,8 +135,8 @@ def test_closed_form_pi_over_4_equals_product_distance_form():
     # unrotated differences
     base = rotated_qam(4)
     rot = rotated_qam(4, np.pi / 4)
-    direct = min_det_closed_form(rot, 4, equal_energy=False)
-    product_form = min(abs(2 * d.real * d.imag) ** 4 for d in base.differences())
+    direct = min_det_closed_form(rot, 4)
+    product_form = min(abs(2 * d.real * d.imag) ** 4 for d in base.differences()) * (2 / 4) ** 4
     assert direct == pytest.approx(product_form, rel=1e-12)
 
 
@@ -178,10 +188,11 @@ def test_unreduced_search_matches_itertools_loop(n, k, chunk, angle, seed):
     want, _ = _itertools_min_det(code, c)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codinggain, "_FULL_CHUNK", chunk)
-        got = min_det_bruteforce(code, c, force_full=True, equal_energy=False)
+        got = min_det_bruteforce(code, c, force_full=True)
     assert not got.reduced
-    assert got.value == pytest.approx(want, rel=1e-9)
-    assert _difference_det(code, got.difference) == pytest.approx(got.value, rel=1e-9)
+    assert got.value == pytest.approx(want * _equal_energy(code), rel=1e-9)
+    assert _difference_det(code, got.difference) * _equal_energy(code) == \
+        pytest.approx(got.value, rel=1e-9)
     # x and -x tie exactly; the search reports the one first in lexicographic order
     order = {d: i for i, d in enumerate(_per_slot_differences(c))}
     position = [order[d] for d in got.difference]
@@ -208,18 +219,18 @@ def test_reduction_reads_each_slot(ussd4):
     w[1] *= 0.5
     code = LinearDispersionCode(label="uneven", n=4, w=w)
     c = rotated_qam(4, optimal_angle())
-    reduced = min_det_bruteforce(code, c, equal_energy=False)
-    full = min_det_bruteforce(code, c, force_full=True, equal_energy=False)
+    reduced = min_det_bruteforce(code, c)
+    full = min_det_bruteforce(code, c, force_full=True)
     assert reduced.reduced and not full.reduced
     assert reduced.value == pytest.approx(full.value, rel=1e-9)
-    assert reduced.value == pytest.approx(0.5 ** 8 * 163.84, rel=1e-9)
+    assert reduced.value == pytest.approx(0.5 ** 8 * 163.84 * _equal_energy(code), rel=1e-9)
     assert [d != 0 for d in reduced.difference] == [False, True, False, False]
 
 
 def test_full_search_agrees_with_pairwise_oracle(ussd2):
     c = rotated_qam(4, 0.7)
-    assert min_det_bruteforce(ussd2, c, force_full=True, equal_energy=False).value == \
-        pytest.approx(_pairwise_min_det(ussd2, c), rel=1e-9)
+    assert min_det_bruteforce(ussd2, c, force_full=True).value == \
+        pytest.approx(_pairwise_min_det(ussd2, c) * _equal_energy(ussd2), rel=1e-9)
 
 
 _INVARIANCE_CODES = {
@@ -229,6 +240,18 @@ _INVARIANCE_CODES = {
     "cod4": build_square_cod(2, generate_family(2)),
     "ciod4": build_ciod4(),
 }
+
+
+@pytest.mark.parametrize("name", ["ussd2", "ciod4"])
+@pytest.mark.parametrize("scale", [1e-13, 1e13])
+def test_unreduced_search_keys_differences_relative(name, scale):
+    # differences of 1e-13 once all rounded to the zero key, and the search found no vector
+    code = _INVARIANCE_CODES[name]
+    base = rotated_qam(4, ciod_optimal_angle() if name == "ciod4" else optimal_angle())
+    c = Constellation(name="tiny", points=tuple(p * scale for p in base.points))
+    full = min_det_bruteforce(code, c, force_full=True)
+    assert full.value == pytest.approx(min_det_bruteforce(code, c).value, rel=1e-9)
+    assert any(full.difference)
 
 
 @given(name=st.sampled_from(sorted(_INVARIANCE_CODES)),
@@ -291,7 +314,7 @@ def _determinant_route(code, constellation):
     s = np.stack((diffs.real, diffs.imag), axis=1)
     terms = gram(code.w)  # each slot's three pair terms
     dets = np.stack([codinggain._difference_dets(terms[i], s) for i in range(code.k)])
-    return float(dets.min()) * (2 / dispersion_gain(code.w)) ** code.n
+    return float(dets.min()) * _equal_energy(code)
 
 
 @pytest.mark.parametrize("family", ["ussd", "cod"])

@@ -119,3 +119,12 @@ def test_constellation_validation():
                       energy_mode="unit-average")
     with pytest.raises(ValueError):
         Constellation(name="bad-mode", points=(1 + 0j, -1 + 0j), energy_mode="peak")
+
+
+def test_constellation_rejects_non_finite_points():
+    for point in (complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            Constellation(name="non-finite", points=(1 + 0j, point))
+    # an infinite angle gave all-NaN points that reached the searches and the simulator
+    with pytest.raises(ValueError, match="finite"):
+        rotated_qam(4, math.inf, "unit-average")

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from stbc_forge import simulator
 from stbc_forge.clifford import generate_family
 from stbc_forge.codes import LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd
-from stbc_forge.constellations import (ciod_optimal_angle, optimal_angle, rotated_qam,
-                                       special_8qam)
+from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
+                                       rotated_qam, special_8qam)
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
@@ -46,20 +46,24 @@ def test_transmit_scale(ussd4, ciod4):
     assert transmit_scale(ussd4, raw) == pytest.approx(0.5 / math.sqrt(2))
 
 
-def test_transmit_scale_counts_cross_symbol_mean_energy():
-    # weights of distinct symbols that do not cancel, on a constellation of nonzero
-    # mean: every codeword, each equally likely, averages unit energy per channel use
-    eye = np.eye(2)
-    code = LinearDispersionCode(label="cross", n=2, w=[(eye, 1j * eye),
-                                                      (np.diag([1.0, 0.0]), np.eye(2)[::-1])])
-    assert not check_ssd(code).ok
-    c = special_8qam("square-derived", 0.0, "unit-average")
-    assert abs(np.mean(c.points)) > 0.4
-    for scale in (1.0, 3.0, 1e-100):
+@given(n=st.sampled_from([2, 3]), k=st.integers(min_value=1, max_value=2),
+       size=st.integers(min_value=2, max_value=8),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_transmit_scale_counts_cross_symbol_mean_energy(n, k, size, seed):
+    # random weights, whose distinct symbols do not cancel, on points of nonzero mean:
+    # every codeword, each equally likely, averages unit energy per channel use
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((k, 2, n, n)) + 1j * rng.standard_normal((k, 2, n, n))
+    code = LinearDispersionCode(label="random", n=n, w=w)
+    points = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    points += 2 * np.exp(2j * np.pi * rng.uniform()) - np.mean(points)  # mean of modulus 2
+    c = Constellation(name="random", points=tuple(points.tolist()))
+    for scale in (1.0, 3.0, 2.0 ** 600, 2.0 ** -600):
         scaled = code.scaled(scale)
         s = transmit_scale(scaled, c)
-        energy = [np.linalg.norm(s * scaled.codeword(x)) ** 2 / code.n
-                  for x in itertools.product(c.points, repeat=code.k)]
+        energy = [np.linalg.norm(s * scaled.codeword(x)) ** 2 / n
+                  for x in itertools.product(c.points, repeat=k)]
         assert abs(np.mean(energy) - 1.0) < 1e-12, scale
 
 
