@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__, clifford, codes, codinggain, constellations, simulator
-from .gmatrix import _negligible
+from .gmatrix import _negligible, _pow2_scaled
 from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, CLASSES, classify
 
 CONSTELLATION_CHOICES = ("qam4", "qam16", "qam64", "8qam-rect", "8qam-sq")
@@ -192,12 +192,17 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
     click.echo(f"min_det = {result.value:.6e}  (angle {theta:.6f} rad, "
                f"{'full' if not result.reduced else 'single-symbol'} search)")
     click.echo(f"achieved by difference vector [{diff}]")
-    slot, d = next((i, d) for i, d in enumerate(result.difference, start=1) if d)
-    # the scale (2 |d|^2 / n)^n is d's equal-energy determinant if D^H D were a multiple of I
-    if result.reduced and _negligible(result.value, (2 * abs(d) ** 2 / code.n) ** code.n) \
-            and d in constellations.diversity_check(constellation).witnesses:
+    # full diversity is lost when D^H D of the achieving vector is singular by the one
+    # tolerance rule; D is formed on the weights scaled by a power of two, so it is finite
+    delta = codes._encode(_pow2_scaled(code.w)[0], np.array([result.difference]))[0]
+    if not _negligible(*np.linalg.eigvalsh(np.conj(delta.T) @ delta)[[0, -1]]):
+        return
+    (slot, d), *more = ((i, d) for i, d in enumerate(result.difference, start=1) if d)
+    if not more and d in constellations.diversity_check(constellation).witnesses:
         click.echo(f"full diversity lost in slot {slot}: witness {d.real:+.6f}{d.imag:+.6f}j "
                    "lies on a +-45 degree line")
+    else:
+        click.echo(f"full diversity lost: difference vector [{diff}] has a zero determinant")
 
 
 @main.command()

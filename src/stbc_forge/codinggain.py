@@ -1,56 +1,50 @@
 """Coding gain: minimum codeword-difference determinants.
 
-The high-SNR error performance of a full-diversity code is governed by
-
-    min det( (S - S')^H (S - S') )        over codeword pairs S != S',
-
-called the minimum determinant.  Because codewords are real-linear in
-the symbols, the difference S - S' is itself a codeword evaluated at
-the symbol differences, so the minimum runs over nonzero vectors of
+The high-SNR error performance of a full-diversity code is governed by the
+minimum determinant min det((S - S')^H (S - S')) over codeword pairs
+S != S'.  Codewords are real-linear in the symbols, so S - S' is a codeword
+of the symbol differences, and the minimum runs over nonzero vectors of
 constellation differences.
 
 Energy convention
 -----------------
-Minimum determinants of different codes are only comparable when the
-codes transmit at the same average energy.  Every value reported here
-scales codewords to a common per-symbol dispersion gain of 2: the mean
-squared Frobenius norm of the weights, tr Gamma / (2k) on the code's one
-energy form ``LinearDispersionCode.real_gram``, is brought to 2 -- the
-value for the Alamouti and coordinate-interleaved families, whose
-published minimum determinants are therefore reproduced unchanged.  A
-unitary-weight code on n antennas has dispersion gain n, so its raw
-determinant is scaled by (2/n)^n; in general the plain determinant is the
-reported value times (gain / 2)^n.  The equal-energy minimum is
-invariant under a uniform scale of the weights, which the search reads
-exactly rescaled by a power of two, so it holds over the whole float
-range.
+Minimum determinants of different codes are only comparable at equal
+average transmit energy.  Every value reported here scales codewords to a
+per-symbol dispersion gain of 2: the mean squared Frobenius norm of the
+weights, tr Gamma / (2k) on the code's one energy form
+``LinearDispersionCode.real_gram``, is brought to 2, the value of the
+Alamouti and coordinate-interleaved families, whose published minimum
+determinants are reproduced unchanged.  A unitary-weight code on n antennas
+has gain n, so its raw determinant is scaled by (2/n)^n; in general the
+plain determinant is the reported value times (gain / 2)^n.  The
+equal-energy minimum is invariant under a uniform scale of the weights,
+which the search reads exactly rescaled by a power of two, so it holds over
+the whole float range.
 
-Every determinant is read off the code's one quadratic form: the
-difference D = sum_p s_p W_p of the real vector
-s = (d_1I, d_1Q, ..., d_kI, d_kQ) has D^H D = sum_{p<=q} s_p s_q M_pq on
-the pair terms M_pp = W_p^H W_p and M_pq = W_p^H W_q + W_q^H W_p of
-:func:`.codes.gram`, so V difference vectors take one
-(V, k(2k+1)) @ (k(2k+1), n^2) GEMM over the pairs p <= q and one batched
-determinant.  For a single-symbol decodable code every cross-symbol
-M_pq vanishes, so D^H D is a sum of one positive-semidefinite term per
-symbol, from its three pairs (A_i, A_i), (A_i, B_i), (B_i, B_i), and the
+Every determinant is read off the code's one quadratic form: the difference
+D = sum_p s_p W_p of the real vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has
+D^H D = sum_{p<=q} s_p s_q M_pq on the pair terms M_pp = W_p^H W_p and
+M_pq = W_p^H W_q + W_q^H W_p of :func:`.codes.gram`, so V difference
+vectors take one (V, k(2k+1)) @ (k(2k+1), n^2) GEMM over the pairs p <= q
+and one batched determinant.  For a single-symbol decodable code every
+cross-symbol M_pq vanishes, so D^H D is a sum of one positive-semidefinite
+term per symbol, from its pairs (A_i, A_i), (A_i, B_i), (B_i, B_i), and the
 determinant is monotone on that cone: a single-symbol difference always
-achieves the minimum.  That reduces the search from |A|^k vectors to
-k * |A|^2 ordered point pairs.  It reports the first difference, slot
-by slot and in the constellation's difference order, whose determinant
-lies within the one relative tolerance of the minimum: determinants that
-tie exactly but round apart (which rounding splits them depends on the
-scale) are one tie, so a uniform scale does not change the reported
-difference.  The unreduced search
-(``force_full=True``, which validates the reduction) runs over all the
-pairs with :func:`.codes.lexicographic_first_min`, the enumerator of
-brute-force ML, so memory is bounded by its ``_FULL_CHUNK``-vector
-blocks and the first minimum in lexicographic order is reported.  Since
-x and -x give the same D^H D, it takes the determinant of one vector per
-pair, the one first in that order (its first nonzero entry in the lower
-half of the sorted per-slot differences), and gives the other +inf: an
-exact tie never rests on rounding that depends on the block shape, and
-the search does half the work.
+achieves the minimum.  Both searches read the constellation's one
+difference set, ``Constellation.differences()``, sorted so that
+d[i] = -d[-1 - i].  x and -x give the same D^H D, so the single-symbol
+search reads its first half: k times half the distinct differences instead
+of |A|^k vectors.  It reports the first difference, slot by slot and in
+that order, whose determinant lies within the one relative tolerance of
+the minimum, so determinants that tie exactly but round apart at one scale
+are one tie.  The unreduced search (``force_full``, which validates the
+reduction) runs over every vector of the set with 0 inserted at its
+middle, with :func:`.codes.lexicographic_first_min`, the enumerator of
+brute-force ML: memory is bounded by its ``_FULL_CHUNK``-vector blocks,
+and the first minimum in lexicographic order is reported.  Of each pair
+x, -x it takes the determinant of the one first in that order (its first
+nonzero entry in the lower half) and gives the other +inf, so an exact tie
+never rests on rounding that depends on the block shape.
 
 Spectral route.  If every W_p^H W_p = c I (UW, c = dispersion gain / n),
 a single-symbol difference d in slot i has
@@ -58,25 +52,23 @@ a single-symbol difference d in slot i has
     D^H D = c |d|^2 I + d_I d_Q H_i,    H_i = A_i^H B_i + B_i^H A_i,
 
 so its determinant is prod_j (c |d|^2 + d_I d_Q lambda_ij) over the
-eigenvalues of H_i, the slot's pair term M_AB of :func:`.codes.gram`: one
-``eigvalsh`` per slot replaces |A|^2 determinants.
-Since |lambda_ij| <= 2c (A_i^H B_i is c times a unitary) and
-c |d|^2 >= 2c |d_I d_Q|, a factor vanishes only if |d_I| = |d_Q| and
-lambda_ij = -2c sign(d_I d_Q): such a code loses full diversity exactly when
-a slot has an eigenvalue at +-2c and a difference lies on the matching +-45
-degree line, a witness of :func:`.constellations.diversity_check`.  COD
-slots have H_i = 0; maximal-rate slots the spectrum +-2c, split n/2 : n/2,
-whence the closed form (c |d_I^2 - d_Q^2|)^n.  The route is the class in
-the verifier's cached report, which this search shares with a
-``classify`` of the same code: CODs and unitary-weight SSD codes take
-the spectral route, other SSD codes (ciod4, a slot rescaled) one
-determinant per slot and difference, and not-SSD codes the unreduced
-search.
+eigenvalues of H_i, the slot's pair term M_AB: one ``eigvalsh`` per slot
+replaces the determinants.  Since |lambda_ij| <= 2c (A_i^H B_i is c times a
+unitary) and c |d|^2 >= 2c |d_I d_Q|, a factor vanishes only if
+|d_I| = |d_Q| and lambda_ij = -2c sign(d_I d_Q): such a code loses full
+diversity exactly when a slot has an eigenvalue at +-2c and a difference
+lies on the matching +-45 degree line, a witness of
+:func:`.constellations.diversity_check`.  COD slots have H_i = 0;
+maximal-rate slots the spectrum +-2c, split n/2 : n/2, whence the closed
+form (c |d_I^2 - d_Q^2|)^n.  The route is the class in the verifier's
+cached report, shared with a ``classify`` of the same code: CODs and
+unitary-weight SSD codes take the spectral route, other SSD codes (ciod4,
+a slot rescaled) one determinant per slot and difference, and not-SSD
+codes the unreduced search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +123,10 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
         raise ValueError("code transmits no energy")
     scale = (REFERENCE_DISPERSION_GAIN / gain) ** code.n
     code_class = CLASS_NOT_SSD if force_full else _report(code).code_class
-    if code_class != CLASS_NOT_SSD:
-        diffs = np.asarray(constellation.differences())
-        s = np.stack((diffs.real, diffs.imag), axis=1)
+    diffs = constellation.differences()  # d[i] = -d[-1 - i], and x, -x give the same D^H D
+    half = len(diffs) // 2
+    if code_class != CLASS_NOT_SSD:  # one of each pair x, -x: the first half
+        s = diffs[:half].view(np.float64).reshape(-1, 2)
         terms = gram(w)  # each slot's (A_i A_i, A_i B_i, B_i B_i)
         if code_class != CLASS_NONUW_SSD:  # spectral route: prod_j (c |d|^2 + d_I d_Q lambda_ij)
             lam = np.linalg.eigvalsh(terms[:, 1])
@@ -145,21 +138,12 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
         best = dets.min()
         # the first slot-major det tied with the minimum by the one tolerance rule
         tied = _negligible(dets - best, abs(best))
-        slot, arg = divmod(int(np.argmax(tied)), len(diffs))
+        slot, arg = divmod(int(np.argmax(tied)), half)
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
         return MinDetResult(value=float(best) * scale, difference=vec, reduced=True)
 
-    # unreduced: every vector of per-symbol differences (0 allowed per slot);
-    # deduplicate on keys rounded relative to the largest |d|, exactly scaled by
-    # 2^-t, but keep an unrounded representative.  The keys are symmetric, so
-    # per_slot[i] mirrors per_slot[-1 - i] around 0 at half
-    diffs = constellation.differences()
-    t = math.frexp(max(map(abs, diffs)))[1]
-    uniq = {(round(math.ldexp(d.real, -t), 12), round(math.ldexp(d.imag, -t), 12)): d
-            for d in diffs}
-    uniq[(0.0, 0.0)] = 0j
-    per_slot = np.array([uniq[key] for key in sorted(uniq)])
-    half = len(per_slot) // 2
+    # unreduced: every vector of per-symbol differences, 0 allowed per slot at half
+    per_slot = np.insert(diffs, half, 0)
     total = len(per_slot) ** code.k
     if total > FULL_SEARCH_BUDGET:
         raise ValueError(f"unreduced search needs {total} difference vectors, "
@@ -191,6 +175,6 @@ def min_det_closed_form(constellation: Constellation, n: int) -> float:
     """
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
-    base = min(abs(d.real ** 2 - d.imag ** 2) for d in constellation.differences())
-    return base ** n * (REFERENCE_DISPERSION_GAIN / n) ** n
+    d = constellation.differences()
+    return float(np.min(abs(d.real ** 2 - d.imag ** 2))) ** n * (REFERENCE_DISPERSION_GAIN / n) ** n
 

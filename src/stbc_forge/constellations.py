@@ -7,7 +7,7 @@ diversity therefore requires the difference set to avoid the +-45
 degree lines, and the determinant is maximized over QAM by rotating the
 grid through pi/4 + arctan(2)/2.  Coordinate-interleaved designs need
 the companion rotation arctan(2)/2, which maximizes the product
-distance min |d_I * d_Q|.
+distance min |d_I * d_Q|.  All of them read ``Constellation.differences()``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gmatrix import _negligible
 
@@ -24,27 +26,31 @@ ENERGY_UNIT = "unit-average"
 QAM_SIZES = (4, 16, 64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
-    """A finite set of complex signal points.
+    """A finite set of complex signal points, compared by identity.
 
+    ``points`` is a read-only complex128 array, the constructor's own copy.
     ``energy_mode`` is ``raw`` (odd-integer grid as-is) or
     ``unit-average`` (scaled so the mean of |x|^2 is exactly 1).
     """
 
     name: str
-    points: tuple[complex, ...]
+    points: np.ndarray
     energy_mode: str = ENERGY_RAW
 
     def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValueError("a constellation needs at least 2 points")
-        if not all(map(cmath.isfinite, self.points)):
+        points = np.array(self.points, dtype=np.complex128)
+        if points.ndim != 1 or len(points) < 2:
+            raise ValueError("a constellation needs a 1-D array of at least 2 points")
+        if not np.all(np.isfinite(points)):
             raise ValueError("constellation points must be finite")
-        if len(set(self.points)) != len(self.points):
+        if np.any(np.diff(np.sort(points)) == 0):  # np.unique would import numpy.ma
             raise ValueError("constellation points must be distinct")
         if self.energy_mode not in (ENERGY_RAW, ENERGY_UNIT):
             raise ValueError(f"unknown energy mode {self.energy_mode!r}")
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
         if self.energy_mode == ENERGY_UNIT and abs(self.mean_energy - 1.0) > 1e-12:
             raise ValueError("unit-average constellation is not normalized")
 
@@ -53,11 +59,21 @@ class Constellation:
 
     @property
     def mean_energy(self) -> float:
-        return sum(abs(p) ** 2 for p in self.points) / len(self.points)
+        return float(np.mean(np.abs(self.points) ** 2))
 
-    def differences(self) -> list[complex]:
-        """All ordered nonzero differences a - b over point pairs."""
-        return [a - b for a in self.points for b in self.points if a != b]
+    def differences(self) -> np.ndarray:
+        """The distinct nonzero differences of the points, each once, sorted by key.
+
+        One per key round(2^-t d, 12), 2^t just above the largest |d| (a power-of-two scale
+        keeps every key), the last ordered pair (a, b) of a key its representative d = a - b.
+        d[i] = -d[-1 - i], and a difference keyed 0 is none.
+        """
+        p = self.points[::-1]  # the ordered pairs last to first: np.unique keeps the first
+        d = (p[:, None] - p)[~np.eye(len(p), dtype=bool)]
+        t = math.frexp(np.max(np.abs(d)))[1]
+        keys, last = np.unique(np.round(np.ldexp(d.view(np.float64), -t), 12)
+                               .view(np.complex128), return_index=True)
+        return d[last[keys != 0]]
 
 
 def _finish(name: str, base: list[complex], angle: float, energy_mode: str) -> Constellation:
@@ -66,7 +82,7 @@ def _finish(name: str, base: list[complex], angle: float, energy_mode: str) -> C
     if energy_mode == ENERGY_UNIT:
         scale = 1.0 / math.sqrt(sum(abs(p) ** 2 for p in pts) / len(pts))
         pts = [p * scale for p in pts]
-    return Constellation(name=name, points=tuple(pts), energy_mode=energy_mode)
+    return Constellation(name=name, points=pts, energy_mode=energy_mode)
 
 
 def rotated_qam(m: int, angle: float = 0.0, energy_mode: str = ENERGY_RAW) -> Constellation:
@@ -114,11 +130,9 @@ class DiversityReport:
 def diversity_check(constellation: Constellation) -> DiversityReport:
     """Full-diversity test: no difference may lie on a +-45 degree line.
 
-    Returns the offending differences as witnesses when the test fails.
-    A difference d lies on such a line when ||d_I| - |d_Q|| is negligible
-    against |d| by the one tolerance rule of :mod:`.gmatrix`, so the
-    verdict does not change under a uniform scale of the points.
+    Witnesses are the distinct differences d whose ||d_I| - |d_Q|| is negligible against |d|
+    by the one tolerance rule of :mod:`.gmatrix`, a verdict no uniform scale changes.
     """
-    witnesses = tuple(d for d in constellation.differences()
-                      if _negligible(abs(abs(d.real) - abs(d.imag)), abs(d)))
+    d = constellation.differences()
+    witnesses = tuple(map(complex, d[_negligible(abs(abs(d.real) - abs(d.imag)), abs(d))]))
     return DiversityReport(ok=not witnesses, witnesses=witnesses)

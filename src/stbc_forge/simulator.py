@@ -180,12 +180,11 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     energy cannot overflow; the scale carries 2^e back.
     """
     gamma, e = code.real_gram
-    pts = np.asarray(constellation.points)
-    mu = np.mean(pts)
-    d = (pts - mu).view(np.float64).reshape(-1, 2)
+    mu = np.mean(constellation.points)
+    d = (constellation.points - mu).view(np.float64).reshape(-1, 2)
     mean = np.array([mu.real, mu.imag] * code.k)
     slots = np.einsum("iaib->ab", gamma.reshape(code.k, 2, code.k, 2))  # sum_i Gamma_ii
-    total = float(mean @ gamma @ mean + np.sum(slots * (d.T @ d)) / len(pts))
+    total = float(mean @ gamma @ mean + np.sum(slots * (d.T @ d)) / len(d))
     if total <= 0.0:
         raise ValueError("code transmits no energy")
     return math.ldexp(math.sqrt(code.n / total), e)
@@ -288,7 +287,7 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                          f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
-    return _decoder(code, code.w, np.asarray(constellation.points), decoder, len(h))(y, h)
+    return _decoder(code, code.w, constellation.points, decoder, len(h))(y, h)
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -315,11 +314,9 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
 def simulate_cer(config: SimConfig) -> CerReport:
     """Codeword-error-rate sweep over the configured SNR points."""
     code = config.code
-    constellation = config.constellation
     n, m, k = code.n, config.rx_antennas, code.k
-    scale = transmit_scale(code, constellation)
-    w = code.scaled(scale).w
-    pts = np.asarray(constellation.points)
+    w = code.scaled(transmit_scale(code, config.constellation)).w
+    pts = config.constellation.points
     chunk = min(_CHUNK, config.trials)
     block = min(_BLOCK, chunk)
     decode = _decoder(code, w, pts, config.decoder, block)  # SSD reads the caller's classify

@@ -7,6 +7,8 @@ can catch any drift in ordering or sign conventions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,19 @@ def golden_4tx_family() -> AnticommutingFamily:
     prod = f1 @ f2 @ f3 @ f4
     c = 1j if np.array_equal(prod @ prod, np.eye(4)) else 1 + 0j
     return AnticommutingFamily(a=2, matrices=(f1, f2, f3, f4, prod * c), c=c)
+
+
+def difference_keys(points) -> list:
+    """(key, a - b) for the ordered pairs of the points, a != b, row-major (test oracle).
+
+    A difference's key is the pair round(2^-t d_I, 12), round(2^-t d_Q, 12) with
+    2^t just above the largest |d|.
+    """
+    pts = [complex(p) for p in points]
+    diffs = [a - b for a in pts for b in pts if a != b]
+    t = math.frexp(max(map(abs, diffs)))[1]
+    return [((float(np.round(math.ldexp(d.real, -t), 12)),
+              float(np.round(math.ldexp(d.imag, -t), 12))), d) for d in diffs]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -139,9 +139,9 @@ def test_coding_gain_reports_lost_diversity(runner, tmp_path):
     _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(ussd))
     _invoke(runner, "construct", "--antennas", "4", "--family", "ciod4", "--out", str(ciod))
 
-    def lines(code, angle):
+    def lines(code, angle, *extra):
         result = _invoke(runner, "coding-gain", "--code", str(code),
-                         "--constellation", "qam4", "--angle", angle)
+                         "--constellation", "qam4", "--angle", angle, *extra)
         assert result.exit_code == 0
         return result.output.splitlines()
 
@@ -156,9 +156,30 @@ def test_coding_gain_reports_lost_diversity(runner, tmp_path):
     assert abs(abs(complex(witness).real) - abs(complex(witness).imag)) < 1e-6
     assert len(lines(ussd, "auto")) == 2
     assert len(lines(ciod, "auto")) == 2
-    # ciod4 loses diversity at angle 0 too, but on an axis, not on a 45 degree line
-    out = lines(ciod, "0")
-    assert out[0].startswith("min_det = 0.000000e+00") and len(out) == 2
+    # ciod4 loses diversity at angle 0 too, but on an axis, not on a 45 degree line; and
+    # the unreduced search's vector of four nonzero differences has no single witness
+    for code, extra in ((ciod, ()), (ussd, ("--brute-force",)), (ciod, ("--brute-force",))):
+        out = lines(code, "0", *extra)
+        assert out[0].startswith("min_det = 0.000000e+00") and len(out) == 3
+        vector = out[1].split("achieved by difference vector ")[1]
+        assert out[2] == f"full diversity lost: difference vector {vector} has a zero determinant"
+    assert len(lines(ussd, "auto", "--brute-force")) == 2
+    assert len(lines(ciod, "auto", "--brute-force")) == 2
+
+
+def test_coding_gain_brute_force_is_pinned(runner, tmp_path):
+    # the unreduced search's vector at the auto angles: the last ordered pair of each
+    # difference key represents it, as before the constellation deduplicated them
+    zero = "+0.000000+0.000000j"
+    for family, angle, first in (("ussd", "1.338973", "-1.946498+0.459506j"),
+                                 ("ciod4", "0.553574", "-1.701302-1.051462j")):
+        out = tmp_path / f"{family}.json"
+        _invoke(runner, "construct", "--antennas", "4", "--family", family, "--out", str(out))
+        result = _invoke(runner, "coding-gain", "--code", str(out), "--constellation", "qam4",
+                         "--brute-force")
+        assert result.output.splitlines() == [
+            f"min_det = 1.024000e+01  (angle {angle} rad, full search)",
+            f"achieved by difference vector [{first}, {zero}, {zero}, {zero}]"]
 
 
 def test_coding_gain_8qam_choice(runner, tmp_path):

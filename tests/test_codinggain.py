@@ -22,7 +22,7 @@ from stbc_forge.codinggain import min_det_bruteforce, min_det_closed_form
 from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
                                        rotated_qam, special_8qam)
 
-from conftest import random_unitary
+from conftest import difference_keys, random_unitary
 
 
 def _pairwise_min_det(code, constellation):
@@ -51,12 +51,10 @@ def _difference_det(code, difference):
 
 
 def _per_slot_differences(constellation):
-    # keys relative to the largest |d|, scaled exactly by a power of two
-    t = math.frexp(max(abs(d) for d in constellation.differences()))[1]
-    uniq = {(round(math.ldexp(d.real, -t), 12), round(math.ldexp(d.imag, -t), 12)): d
-            for d in constellation.differences()}
-    uniq[(0.0, 0.0)] = 0j
-    return [uniq[key] for key in sorted(uniq)]
+    """0 and one difference per key, the last ordered pair of the key, sorted by key."""
+    keyed = dict(difference_keys(constellation.points))
+    keyed[(0.0, 0.0)] = 0j
+    return [keyed[key] for key in sorted(keyed)]
 
 
 def _itertools_min_det(code, constellation):
@@ -271,16 +269,31 @@ def test_min_det_invariant_under_unitary(name, scale, seed):
 
 @pytest.mark.parametrize("name", ["ussd4", "ciod4"])
 def test_achieving_difference_invariant_under_scale(name):
-    # determinants tied with the minimum up to rounding are one tie: the first
-    # slot-major one is reported, whichever of them rounding makes smallest
+    # determinants tied with the minimum up to rounding are one tie: the first in the
+    # sorted difference order is reported, whichever of them rounding makes smallest
     code = _INVARIANCE_CODES[name]
     angle = ciod_optimal_angle() if name == "ciod4" else optimal_angle()
-    got = {tuple(f"{d.real:+.6f}{d.imag:+.6f}j" for d in
-                 min_det_bruteforce(code.scaled(s), rotated_qam(size, angle)).difference)
-           for size in (4, 16) for s in (1.0, 3.0, 1e160, 1e-100, 2.0 ** -900)}
-    assert len(got) == 1  # as coding-gain prints it
-    if name == "ussd4":
-        assert got.pop()[0] == "+1.946498-0.459506j"
+    want = {"ussd4": {4: "-2.406004-1.486992j", 16: "-5.271513-4.920482j"},
+            "ciod4": {4: "-2.752764+0.649839j", 16: "-7.206829+0.248217j"}}[name]
+    for size in (4, 16):
+        got = {tuple(f"{d.real:+.6f}{d.imag:+.6f}j" for d in
+                     min_det_bruteforce(code.scaled(s), rotated_qam(size, angle)).difference)
+               for s in (1.0, 3.0, 1e160, 1e-100, 2.0 ** -900)}
+        assert got == {(want[size],) + ("+0.000000+0.000000j",) * 3}  # as coding-gain prints it
+
+
+def test_reduced_search_names_first_of_each_pair(ussd4, ciod4, cod4):
+    # x and -x give the same D^H D: the search reads the first half of the sorted
+    # differences, one of each pair, and its minimum is that of all of them
+    for code in (ussd4, ciod4, cod4):
+        for c in (rotated_qam(4, 0.3), special_8qam("rect", 0.3), rotated_qam(16, 0.3)):
+            d = c.differences()
+            r = min_det_bruteforce(code, c)
+            (slot, x), = ((i, x) for i, x in enumerate(r.difference) if x)
+            assert list(d).index(x) < len(d) // 2
+            dets = [_difference_det(code, [y if i == slot else 0 for i in range(code.k)])
+                    for y in d]
+            assert r.value == pytest.approx(min(dets) * _equal_energy(code), rel=1e-9)
 
 
 def test_budget_error(ussd4):

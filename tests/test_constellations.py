@@ -3,7 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stbc_forge.constellations import (
     Constellation,
@@ -13,6 +16,8 @@ from stbc_forge.constellations import (
     rotated_qam,
     special_8qam,
 )
+
+from conftest import difference_keys
 
 
 def _as_point_set(constellation, ndigits=9):
@@ -82,6 +87,8 @@ def test_diversity_unrotated_qam_fails():
     report = diversity_check(rotated_qam(4))
     assert not report.ok
     assert any(abs(w - (2 + 2j)) < 1e-12 for w in report.witnesses)
+    # each witness once: +-2a +-2aj for a = 1, 2, 3 on unrotated QAM16
+    assert len(diversity_check(rotated_qam(16)).witnesses) == 12
 
 
 @pytest.mark.parametrize("scale", [1e-100, 0.01, 1.0, 100.0, 1e100])
@@ -102,6 +109,60 @@ def test_diversity_rotated_qam_passes():
     diffs = [a - b for a in c.points for b in c.points if a != b]
     assert len(diffs) == 12
     assert all(abs(abs(d.real) - abs(d.imag)) > 1e-12 for d in diffs)
+
+
+@pytest.mark.parametrize("make, size", [(lambda a: rotated_qam(4, a), 8),
+                                        (lambda a: rotated_qam(16, a), 48),
+                                        (lambda a: rotated_qam(64, a), 224),
+                                        (lambda a: special_8qam("rect", a), 20),
+                                        (lambda a: special_8qam("square-derived", a), 22)],
+                         ids=["qam4", "qam16", "qam64", "8qam-rect", "8qam-sq"])
+def test_difference_set_sizes(make, size):
+    # of |A|(|A| - 1) ordered pairs, the distinct differences of the grid, which these
+    # rotations keep distinct
+    for angle in (0.0, optimal_angle(), 0.3):
+        assert len(make(angle).differences()) == size
+
+
+def _key_classes(points):
+    """Each ordered pair labelled by the first pair of its key: equal lists, equal partitions."""
+    first = {}
+    return [first.setdefault(key, i) for i, (key, _) in enumerate(difference_keys(points))]
+
+
+@given(grid=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                     min_size=2, max_size=10, unique=True),
+       angle=st.sampled_from([0.0, 0.3, optimal_angle()]),
+       scale=st.sampled_from([1.0, 3.0, 1e100, 1e-100, 2.0 ** 600, 2.0 ** -600]))
+@settings(max_examples=150, deadline=None)
+def test_differences_one_per_relative_key(grid, angle, scale):
+    base = Constellation("base", [complex(a, b) * cmath.exp(1j * angle) for a, b in grid])
+    c = Constellation("scaled", base.points * scale)
+    d = c.differences()
+    keyed = dict(difference_keys(c.points))  # the last ordered pair of each key
+    keys = sorted(key for key in keyed if key != (0.0, 0.0))
+    # one entry per key, the last ordered pair of the key, in key order
+    assert d.dtype == np.complex128 and list(d) == [keyed[key] for key in keys]
+    # d[i] = -d[-1 - i] within one key step, 1e-12 of 2^t
+    step = 1e-12 * 2.0 ** math.frexp(np.max(np.abs(d)))[1]
+    assert np.all(np.abs((d + d[::-1]).view(np.float64)) <= step)
+    # the scale groups the pairs as before: exactly so under a power of two, and on the
+    # unrotated grid, whose keys are dyadic; another scale rounds the rotated points, and
+    # two pairs within that rounding of a rounding boundary could split
+    if angle == 0.0 or math.frexp(scale)[0] == 0.5:
+        assert _key_classes(c.points) == _key_classes(base.points)
+        if math.frexp(scale)[0] == 0.5:
+            assert keys == sorted({key for key, _ in difference_keys(base.points)} - {(0.0, 0.0)})
+
+
+def test_points_are_one_read_only_array():
+    pts = [1 + 1j, -1 - 1j]
+    c = Constellation("two", pts)
+    pts[0] = 0j  # the constellation owns a copy
+    assert c.points.dtype == np.complex128 and list(c.points) == [1 + 1j, -1 - 1j]
+    with pytest.raises(ValueError):
+        c.points[0] = 0j
+    assert rotated_qam(4).points.flags.writeable is False
 
 
 def test_diversity_two_point_pam_passes():
