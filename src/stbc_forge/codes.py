@@ -20,12 +20,11 @@ A real combination D = sum_p s_p W_p of the weights has
 
 and a code is single-symbol decodable exactly when every cross-symbol
 M_pq vanishes.  One routine, :func:`gram_rows`, forms the pair terms
-M_pq, and the callers share one exhaustive search,
-:func:`lexicographic_first_min`.  ``gram_rows`` forms them by block rows:
-row p comes from W_p^H [W_p ... W_{m-1}], one GEMM on column ranges of the
-concatenated weights [W_0 ... W_{m-1}], and consecutive rows share one
-GEMM while its product stays within ``_GRAM_CHUNK`` elements, so a code
-with n <= 8 is one GEMM and a 32-antenna code one GEMM per row.
+M_pq by block rows: row p comes from W_p^H [W_p ... W_{m-1}], one GEMM
+on column ranges of the concatenated weights [W_0 ... W_{m-1}], and
+consecutive rows share one GEMM while its product stays within
+``_GRAM_CHUNK`` elements, so a code with n <= 8 is one GEMM and a
+32-antenna code one GEMM per row.
 ``gram_rows`` yields each block row before it forms the next: the
 classification pass keeps only residual norms, :func:`gram` gathers the
 pairs p <= q into one stack for the callers that need them all, and a
@@ -234,11 +233,11 @@ def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def lexicographic_first_min(values: np.ndarray, k: int, chunk: int,
                             metric) -> tuple[np.ndarray, np.ndarray]:
-    """First minimum of ``metric`` over the |values|^k vectors of k entries of ``values``.
+    """Brute-force ML's enumerator: the exact first minimum of ``metric`` over |values|^k vectors.
 
-    ``metric`` maps a (C, k) block of at most ``chunk`` vectors, taken in
-    lexicographic (``itertools.product``) order, to (..., C) metrics.  Returns
-    the (...) minima and the (..., k) first vectors that reach them.
+    ``metric`` maps a (C, k) block of at most ``chunk`` vectors of k entries of
+    ``values``, taken in lexicographic (``itertools.product``) order, to (..., C)
+    metrics.  Returns the (...) minima and the (..., k) first vectors that reach them.
     """
     shape = (len(values),) * k
     total = len(values) ** k

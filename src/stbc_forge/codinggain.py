@@ -30,21 +30,18 @@ and one batched determinant.  For a single-symbol decodable code every
 cross-symbol M_pq vanishes, so D^H D is a sum of one positive-semidefinite
 term per symbol, from its pairs (A_i, A_i), (A_i, B_i), (B_i, B_i), and the
 determinant is monotone on that cone: a single-symbol difference always
-achieves the minimum.  Both searches read the constellation's one
-difference set, ``Constellation.differences()``, sorted so that
-d[i] = -d[-1 - i].  x and -x give the same D^H D, so the single-symbol
-search reads its first half: k times half the distinct differences instead
-of |A|^k vectors.  It reports the first difference, slot by slot and in
-that order, whose determinant lies within the one relative tolerance of
-the minimum, so determinants that tie exactly but round apart at one scale
-are one tie.  The unreduced search (``force_full``, which validates the
-reduction) runs over every vector of the set with 0 inserted at its
-middle, with :func:`.codes.lexicographic_first_min`, the enumerator of
-brute-force ML: memory is bounded by its ``_FULL_CHUNK``-vector blocks,
-and the first minimum in lexicographic order is reported.  Of each pair
-x, -x it takes the determinant of the one first in that order (its first
-nonzero entry in the lower half) and gives the other +inf, so an exact tie
-never rests on rounding that depends on the block shape.
+achieves the minimum.  Both searches read the one sorted difference set
+``Constellation.differences()`` (d[i] = -d[-1 - i]) and name, by one
+rule, ``_first_tied``, the first vector in the lexicographic order of
+that set with 0 inserted at its middle whose determinant lies within the
+one relative tolerance of the minimum, so a tie that rounds apart at one
+scale is one tie.  The single-symbol search reads the first half slot by
+slot: that order on single-symbol vectors, one of each pair x, -x (same
+D^H D), k times half the differences instead of |A|^k vectors.  The
+unreduced search (``force_full``, which validates the reduction) holds
+one ``_FULL_CHUNK``-vector block at a time and evaluates the block that
+first ties the minimum again only if it was not kept.  A zero minimum is
+judged exactly, so there the searches can name different vectors.
 
 Spectral route.  If every W_p^H W_p = c I (UW, c = dispersion gain / n),
 a single-symbol difference d in slot i has
@@ -73,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearDispersionCode, gram, lexicographic_first_min
+from .codes import LinearDispersionCode, gram
 from .constellations import Constellation
 from .gmatrix import _negligible, _pow2_scaled, _upper_pairs
 from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, _report
@@ -102,6 +99,11 @@ def _difference_dets(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     n = m.shape[-1]
     grams = (s[:, p] * s[:, q]) @ m.reshape(len(m), -1).view(np.float64)
     return np.linalg.det(grams.view(np.complex128).reshape(len(s), n, n)).real
+
+
+def _first_tied(values: np.ndarray, best: float) -> int:
+    """Flat index of the first value within the one tolerance of the minimum ``best``."""
+    return int(np.argmax(_negligible(values - best, abs(best))))
 
 
 def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation, *,
@@ -136,9 +138,7 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
         else:  # one GEMM and one det per slot keep memory per slot
             dets = np.stack([_difference_dets(terms[i], s) for i in range(code.k)])
         best = dets.min()
-        # the first slot-major det tied with the minimum by the one tolerance rule
-        tied = _negligible(dets - best, abs(best))
-        slot, arg = divmod(int(np.argmax(tied)), half)
+        slot, arg = divmod(_first_tied(dets, best), half)  # slot-major: lexicographic order
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
         return MinDetResult(value=float(best) * scale, difference=vec, reduced=True)
 
@@ -150,20 +150,27 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
                          f"over budget {FULL_SEARCH_BUDGET}")
     m = gram(w.reshape(2 * code.k, code.n, code.n))
 
-    def dets(idx: np.ndarray) -> np.ndarray:
-        # x and -x tie: evaluate only the first in lexicographic order, whose
-        # first nonzero entry is in the lower half; the all-zero vector is no
-        # codeword difference
+    def block(start: int) -> tuple[np.ndarray, np.ndarray]:
+        # of x, -x keep the first, whose first nonzero entry is in the lower half; drop 0
+        idx = np.stack(np.unravel_index(np.arange(start, min(start + _FULL_CHUNK, total)),
+                                        (len(per_slot),) * code.k), axis=1)
         first = idx[np.arange(len(idx)), np.argmax(idx != half, axis=1)]
-        keep = first < half
-        x = per_slot[idx[keep]]
-        out = np.full(len(idx), np.inf)
-        out[keep] = _difference_dets(m, x.view(np.float64))  # rows (d_1I, d_1Q, ...)
-        return out
+        x = per_slot[idx[first < half]]
+        return x, _difference_dets(m, x.view(np.float64))  # rows (d_1I, d_1Q, ...)
 
-    best, arg = lexicographic_first_min(np.arange(len(per_slot)), code.k, _FULL_CHUNK, dets)
-    return MinDetResult(value=float(best) * scale,
-                        difference=tuple(complex(d) for d in per_slot[arg]), reduced=False)
+    # block minima, and in hand the last block to undercut the one in hand beyond a tie
+    starts = range(0, total, _FULL_CHUNK)
+    mins, held = np.empty(len(starts)), None
+    for b, start in enumerate(starts):
+        x, dets = block(start)
+        mins[b] = dets.min(initial=np.inf)
+        if held is None or not _negligible(mins[held[0]] - mins[b], abs(mins[b])):
+            held = b, x, dets
+    best = mins.min()
+    b = _first_tied(mins, best)
+    x, dets = held[1:] if held[0] == b else block(starts[b])
+    vec = tuple(complex(d) for d in x[_first_tied(dets, best)])
+    return MinDetResult(value=float(best) * scale, difference=vec, reduced=False)
 
 
 def min_det_closed_form(constellation: Constellation, n: int) -> float:

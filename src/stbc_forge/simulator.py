@@ -37,8 +37,7 @@ every metric in one GEMM.  The kernels assume nothing about the weights.
 
 ``ml_decode_bruteforce``
     ML of the whole code (S = 1, g = k) over its |A|^k codewords, in
-    chunks from :func:`.codes.lexicographic_first_min`, the enumerator of
-    the unreduced minimum-determinant search too.  Chunks hold at most
+    chunks from :func:`.codes.lexicographic_first_min` of at most
     ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
     T and in |A|^k.
 

@@ -168,11 +168,11 @@ def test_coding_gain_reports_lost_diversity(runner, tmp_path):
 
 
 def test_coding_gain_brute_force_is_pinned(runner, tmp_path):
-    # the unreduced search's vector at the auto angles: the last ordered pair of each
-    # difference key represents it, as before the constellation deduplicated them
+    # the unreduced search names the single-symbol search's vector at the auto angles:
+    # the first in lexicographic order within the one tolerance of the minimum
     zero = "+0.000000+0.000000j"
-    for family, angle, first in (("ussd", "1.338973", "-1.946498+0.459506j"),
-                                 ("ciod4", "0.553574", "-1.701302-1.051462j")):
+    for family, angle, first in (("ussd", "1.338973", "-2.406004-1.486992j"),
+                                 ("ciod4", "0.553574", "-2.752764+0.649839j")):
         out = tmp_path / f"{family}.json"
         _invoke(runner, "construct", "--antennas", "4", "--family", family, "--out", str(out))
         result = _invoke(runner, "coding-gain", "--code", str(out), "--constellation", "qam4",

@@ -60,20 +60,20 @@ def _per_slot_differences(constellation):
 def _itertools_min_det(code, constellation):
     """The unreduced search as one loop over itertools.product (reference).
 
-    The first minimum over every nonzero vector of per-slot differences, in
-    lexicographic order, of det(D^H D) with D formed from the weights.
+    The minimum over every nonzero vector of per-slot differences of
+    det(D^H D) with D formed from the weights, and the first vector, in
+    lexicographic order, within 1e-10 relative of it.
     """
     wi, wq = code.weight_arrays()
-    best, best_diff = np.inf, ()
+    found = []
     for combo in itertools.product(_per_slot_differences(constellation), repeat=code.k):
         if not any(combo):
             continue
         x = np.asarray(combo)
         delta = np.tensordot(x.real, wi, axes=1) + np.tensordot(x.imag, wq, axes=1)
-        v = float(np.linalg.det(delta.conj().T @ delta).real)
-        if v < best:
-            best, best_diff = v, combo
-    return best, best_diff
+        found.append((float(np.linalg.det(delta.conj().T @ delta).real), combo))
+    best = min(v for v, _ in found)
+    return best, next(combo for v, combo in found if v - best <= 1e-10 * abs(best))
 
 
 def test_table_values_4qam(ussd4, ciod4):
@@ -172,18 +172,23 @@ def test_reduction_exact_on_ussd8(ussd8):
 @given(n=st.sampled_from([2, 3]), k=st.integers(min_value=1, max_value=2),
        chunk=st.integers(min_value=1, max_value=7),
        angle=st.floats(min_value=0.0, max_value=1.6),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1), linear=st.booleans())
 @settings(max_examples=60, deadline=None)
 # x and -x once took dets in blocks of two rows and of one, whose BLAS kernels
 # round apart, so the block shape decided their exact tie
-@example(n=2, k=1, chunk=2, angle=0.25, seed=11116)
-def test_unreduced_search_matches_itertools_loop(n, k, chunk, angle, seed):
-    # random non-SSD weights; blocks of 1-7 vectors put ties across blocks
+@example(n=2, k=1, chunk=2, angle=0.25, seed=11116, linear=False)
+# the differences of one modulus tie, and rounding once chose among them
+@example(n=3, k=1, chunk=3, angle=0.3, seed=0, linear=True)
+def test_unreduced_search_matches_itertools_loop(n, k, chunk, angle, seed, linear):
+    # random non-SSD weights, or complex-linear ones (B_i = j A_i, so det D^H D is
+    # |d|^2n |det A|^2 for k = 1); blocks of 1-7 vectors put ties across blocks
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((k, 2, n, n)) + 1j * rng.standard_normal((k, 2, n, n))
+    if linear:
+        w[:, 1] = 1j * w[:, 0]
     code = LinearDispersionCode(label="random", n=n, w=w)
     c = rotated_qam(4, angle)
-    want, _ = _itertools_min_det(code, c)
+    want, first = _itertools_min_det(code, c)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codinggain, "_FULL_CHUNK", chunk)
         got = min_det_bruteforce(code, c, force_full=True)
@@ -191,10 +196,8 @@ def test_unreduced_search_matches_itertools_loop(n, k, chunk, angle, seed):
     assert got.value == pytest.approx(want * _equal_energy(code), rel=1e-9)
     assert _difference_det(code, got.difference) * _equal_energy(code) == \
         pytest.approx(got.value, rel=1e-9)
-    # x and -x tie exactly; the search reports the one first in lexicographic order
-    order = {d: i for i, d in enumerate(_per_slot_differences(c))}
-    position = [order[d] for d in got.difference]
-    assert position <= [len(order) - 1 - i for i in position]
+    # x and -x tie exactly; the search names the first tied vector in lexicographic order
+    assert got.difference == first
 
 
 def test_unreduced_search_memory_bounded(cod4):
@@ -275,11 +278,44 @@ def test_achieving_difference_invariant_under_scale(name):
     angle = ciod_optimal_angle() if name == "ciod4" else optimal_angle()
     want = {"ussd4": {4: "-2.406004-1.486992j", 16: "-5.271513-4.920482j"},
             "ciod4": {4: "-2.752764+0.649839j", 16: "-7.206829+0.248217j"}}[name]
-    for size in (4, 16):
+    # the unreduced search too, on QAM4 (6,561 vectors)
+    for size, force_full in ((4, False), (16, False), (4, True)):
         got = {tuple(f"{d.real:+.6f}{d.imag:+.6f}j" for d in
-                     min_det_bruteforce(code.scaled(s), rotated_qam(size, angle)).difference)
+                     min_det_bruteforce(code.scaled(s), rotated_qam(size, angle),
+                                        force_full=force_full).difference)
                for s in (1.0, 3.0, 1e160, 1e-100, 2.0 ** -900)}
         assert got == {(want[size],) + ("+0.000000+0.000000j",) * 3}  # as coding-gain prints it
+
+
+@pytest.mark.parametrize("name", ["ussd4", "ciod4", "cod4"])
+def test_both_searches_name_one_vector(name):
+    # one tie rule: the first vector in lexicographic order within the one tolerance, which
+    # the single-symbol search's slot-major order over the first half already is
+    code = _INVARIANCE_CODES[name]
+    auto = ciod_optimal_angle() if name == "ciod4" else optimal_angle()
+    for angle in (auto, 0.3):
+        for c in (rotated_qam(4, angle), special_8qam("rect", angle),
+                  special_8qam("square-derived", angle)):
+            reduced = min_det_bruteforce(code, c)
+            full = min_det_bruteforce(code, c, force_full=True)
+            assert reduced.reduced and not full.reduced
+            assert full.value == pytest.approx(reduced.value, rel=1e-9)
+            assert full.difference == reduced.difference
+
+
+@pytest.mark.parametrize("name", ["ussd4", "ciod4"])
+def test_unreduced_search_evaluates_each_pair_once(name, monkeypatch):
+    # one of each pair x, -x and no block evaluated twice: (9^4 - 1) / 2 determinants
+    rows, original = [], codinggain._difference_dets
+
+    def counted(m, s):
+        rows.append(len(s))
+        return original(m, s)
+
+    monkeypatch.setattr(codinggain, "_difference_dets", counted)
+    angle = ciod_optimal_angle() if name == "ciod4" else optimal_angle()
+    min_det_bruteforce(_INVARIANCE_CODES[name], rotated_qam(4, angle), force_full=True)
+    assert sum(rows) == 3280
 
 
 def test_reduced_search_names_first_of_each_pair(ussd4, ciod4, cod4):
