@@ -29,8 +29,9 @@ consecutive rows share one GEMM while its product stays within
 classification pass keeps only residual norms, :func:`gram` gathers the
 pairs p <= q into one stack for the callers that need them all, and a
 code's (k, 2, n, n) ``w`` gives each symbol's own three terms.
-:meth:`LinearDispersionCode.codeword` and the simulator share one
-encoder, ``_encode``.  Three constructions are provided, all with exact
+:meth:`LinearDispersionCode.codeword` and the coding-gain report's
+difference codeword share one encoder, ``_encode``; the simulator forms
+no codeword.  Three constructions are provided, all with exact
 Gaussian-integer weights; the first two slice a family's member stack:
 
 ``build_max_rate_ussd(a, fam)``

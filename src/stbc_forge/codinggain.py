@@ -41,7 +41,10 @@ D^H D), k times half the differences instead of |A|^k vectors.  The
 unreduced search (``force_full``, which validates the reduction) holds
 one ``_FULL_CHUNK``-vector block at a time and evaluates the block that
 first ties the minimum again only if it was not kept.  A zero minimum is
-judged exactly, so there the searches can name different vectors.
+judged exactly, so there the searches can name different vectors.  D^H D
+is positive semidefinite, so a minimum that rounds below 0 (a singular
+D^H D on rounded weights) is reported as 0; the vector is named at the
+rounded value.
 
 Spectral route.  If every W_p^H W_p = c I (UW, c = dispersion gain / n),
 a single-symbol difference d in slot i has
@@ -140,7 +143,7 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
         best = dets.min()
         slot, arg = divmod(_first_tied(dets, best), half)  # slot-major: lexicographic order
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
-        return MinDetResult(value=float(best) * scale, difference=vec, reduced=True)
+        return MinDetResult(value=max(0.0, float(best)) * scale, difference=vec, reduced=True)
 
     # unreduced: every vector of per-symbol differences, 0 allowed per slot at half
     per_slot = np.insert(diffs, half, 0)
@@ -170,7 +173,7 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
     b = _first_tied(mins, best)
     x, dets = held[1:] if held[0] == b else block(starts[b])
     vec = tuple(complex(d) for d in x[_first_tied(dets, best)])
-    return MinDetResult(value=float(best) * scale, difference=vec, reduced=False)
+    return MinDetResult(value=max(0.0, float(best)) * scale, difference=vec, reduced=False)
 
 
 def min_det_closed_form(constellation: Constellation, n: int) -> float:

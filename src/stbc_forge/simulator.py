@@ -20,13 +20,16 @@ weights W_p = A_1, B_1, ..., A_k, B_k,
 with R_pq = Re tr(M_pq Q) on the pair terms M_pp = W_p^H W_p and
 M_pq = W_p^H W_q + W_q^H W_p of :func:`.codes.gram`, b_p = Re tr(W_p P),
 and the two n x n statistics per block Q = H H^H and P = H Y^H.  A
-decoder works on S sub-codes of g symbols each: one table builder gives
-the (2n^2, S g(2g+1)) Q-kernel of the sub-codes' M_pq and the
-(2n^2, S 2g) P-kernel of their weights, so a batch of T blocks takes one
-GEMM of the float64 view of Q and one of P to the (T S, F) coefficients
-[R_pq, b_p] of every block and sub-code, F = g(2g+1) + 2g.  Those times
-the (F, C) basis [s_p s_q, -2 s_p] of C candidate symbol vectors give
-every metric in one GEMM.  The kernels assume nothing about the weights.
+decoder works on S sub-codes of g symbols each.  One table builder keeps
+the sub-codes' pair terms that are not exactly zero, entrywise in some
+sub-code (a pruned M_pq adds nothing; one mask serves every sub-code),
+and gives one (4n^2, S F) kernel, F = (kept pairs) + 2g.  A batch of T
+blocks takes one batched product H [H; Z]^H = [Q | H Z^H] of (T, n, m)
+blocks h, z and one GEMM of its float64 view to the (T S, F)
+coefficients [R_pq, Re tr(W_p H Z^H)] of every block and sub-code; with
+Z = Y they are [R_pq, b_p].  Those times the (F, C) basis
+[s_p s_q, -2 s_p] of C candidate symbol vectors on the kept pairs give
+every metric in one GEMM.  The kernel assumes nothing about the weights.
 
 ``ssd_decode``
     ML of each slot's one-symbol sub-code (S = k, g = 1, from the code's
@@ -41,34 +44,45 @@ every metric in one GEMM.  The kernels assume nothing about the weights.
     ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
     T and in |A|^k.
 
-One builder, ``_decoder``, sets up either decoder; ``simulate_cer`` calls
-it once per call and decodes once per trial block, writing SSD metrics
-into one block-sized buffer.  Both break ties toward the smallest
-constellation index, and brute-force ML toward the first codeword in
-lexicographic order (ties have probability zero under continuous noise
-but the rule keeps the decoder-equivalence oracle deterministic).
+One builder, ``_decoder``, sets up either decoder's tables and its map
+from coefficients to symbols; ``simulate_cer`` calls it once per call and
+decodes once per trial block, writing SSD metrics into one block-sized
+buffer.  Both break ties toward the smallest constellation index, and
+brute-force ML toward the first codeword in lexicographic order (ties
+have probability zero under continuous noise but the rule keeps the
+decoder-equivalence oracle deterministic).
 
-Encoding:  ``codes._encode``, the encoder of ``codeword`` too, makes a
-trial block's codewords with one (T, 2k) @ (2k, 2n^2) real GEMM of the
-float64 views of the symbols and of the weight stack, and every CN(0, 1)
-draw is a complex view of interleaved normals.
+Sufficient statistics:  Q is Hermitian, so Y = S H + N gives
+P = Q S^H + H N^H and, for any weights,
+
+    b_p = sum_q R~_pq s_q + Re tr(W_p H N^H),   R~_pp = R_pp,
+                                                R~_pq = R~_qp = R_pq / 2.
+
+``simulate_cer`` forms no codeword and no S H: a block's coefficients of
+Z = N, plus the signal term of its sent symbols added by ``_add_signal``
+over the sub-code's kept pairs, are its coefficients of Y.  The whole
+code (brute-force ML) drops only pruned pairs.  The slot sub-codes (SSD)
+also drop the cross-slot terms, which are exactly zero for every
+built-in code and within ``check_ssd``'s tolerance otherwise.  Every
+CN(0, 1) draw is a complex view of interleaved normals.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  Chunk c of point p draws its symbol indices, then its fades,
 then its noise from ``default_rng([seed, p, c])``, and is decoded before
 the next chunk is drawn.  Only the indices and the fades are drawn for
 the whole chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
-2**11 of the chunk's trials: a block takes its symbols from the indices,
-draws its noise from the same Generator, and is encoded, decoded and
-counted before the next block's noise is drawn.  Consecutive
+2**10 of the chunk's trials: a block takes its symbols from the indices,
+draws its noise from the same Generator, and is decoded and counted
+before the next block's noise is drawn.  Consecutive
 ``standard_normal(out=)`` calls continue one stream, so the blocks'
 noise is the whole-chunk draw value for value.  Memory is bounded by one
 chunk's indices and fades plus one block's arrays, in buffers allocated
-once per call, and the block size does not change a count.  A (seed,
-config) pair gives a bit-identical report.  ``[seed, p, 0]`` seeds the same
-stream as ``[seed, p]`` (zero padding), so runs of at most 2**14 trials
-per point match the earlier contract that drew a whole point from
-``[seed, p]``.
+once per call, and the block size does not change a count; at 2**10 one
+block's [Q | H N^H] of a USSD8 code on two receive antennas is 2 MiB.  A
+(seed, config) pair gives a bit-identical report.  ``[seed, p, 0]``
+seeds the same stream as ``[seed, p]`` (zero padding), so runs of at
+most 2**14 trials per point match the earlier contract that drew a whole
+point from ``[seed, p]``.
 """
 
 from __future__ import annotations
@@ -77,10 +91,11 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .codes import LinearDispersionCode, _encode, gram, lexicographic_first_min
+from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
 from .gmatrix import _upper_pairs
 from .verifier import check_ssd
@@ -91,7 +106,7 @@ DECODER_BRUTE_ML = "brute-ml"
 ML_BUDGET = 1_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
-_BLOCK = 1 << 11  # trials of a chunk encoded and decoded together
+_BLOCK = 1 << 10  # trials of a chunk decoded together
 _ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
 SEED_CONTRACT = f"default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, fades, noise"
 
@@ -202,78 +217,118 @@ def _trace_kernel(m: np.ndarray) -> np.ndarray:
     return mh.view(np.float64).T
 
 
-def _tables(subcodes: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+class _Tables(NamedTuple):
+    """The decoding tables of S sub-codes of g symbols each, from :func:`_tables`."""
+
+    subcodes: int  # S
+    p: np.ndarray  # the kept pairs p <= q of a sub-code's 2g weights, row-major
+    q: np.ndarray
+    kernel: np.ndarray  # (4n^2, S F): the float64 view of [Q | H Z^H] to [R_pq, b_p]
+
+
+def _tables(subcodes: np.ndarray) -> _Tables:
     """The decoding tables of an (S, 2g, n, n) stack of S sub-codes of g symbols each.
 
-    S, the Q-kernel of R_pq = Re tr(M_pq Q) over each sub-code's pair terms
-    M_pq (:func:`.codes.gram`), and the P-kernel of b_p = Re tr(W_p P) over
-    its weights, both sub-code by sub-code.
+    A pair term M_pq (:func:`.codes.gram`) that is exactly zero, entrywise
+    and in every sub-code, adds nothing to the metric or to the signal term
+    and is pruned: one mask for all sub-codes, so the basis and the signal
+    term read the same kept (p, q).  The one kernel maps the float64 view
+    of an (n, 2n) statistic [Q | H Z^H] to R_pq = Re tr(M_pq Q) on the kept
+    pairs and Re tr(W_p H Z^H) on the weights, sub-code by sub-code.
     """
-    n = subcodes.shape[-1]
-    return (len(subcodes), _trace_kernel(gram(subcodes).reshape(-1, n, n)),
-            _trace_kernel(subcodes.reshape(-1, n, n)))
+    s, g2, n, _ = subcodes.shape
+    terms = gram(subcodes)
+    keep = np.any(terms != 0, axis=(0, 2, 3))
+    pairs = int(np.count_nonzero(keep))
+    kernel = np.zeros((n, 2, n, 2, s, pairs + g2))
+    kernel[:, 0, :, :, :, :pairs] = _trace_kernel(
+        terms[:, keep].reshape(-1, n, n)).reshape(n, n, 2, s, pairs)
+    kernel[:, 1, :, :, :, pairs:] = _trace_kernel(
+        subcodes.reshape(-1, n, n)).reshape(n, n, 2, s, g2)
+    p, q = _upper_pairs(g2)
+    return _Tables(s, p[keep], q[keep], kernel.reshape(4 * n * n, -1))
 
 
-def _coefficients(tables: tuple[int, np.ndarray, np.ndarray], y: np.ndarray,
-                  h: np.ndarray) -> np.ndarray:
-    """The (T S, F) coefficients [R_pq, b_p] of each block and sub-code.
+def _coefficients(tables: _Tables, z: np.ndarray, h: np.ndarray, hz: np.ndarray | None = None,
+                  stats: np.ndarray | None = None) -> np.ndarray:
+    """The (T S, F) coefficients [R_pq, Re tr(W_p H Z^H)] of each block and sub-code.
 
-    For T complex blocks y, h of shape (T, n, m) and the ``_tables`` of S
-    sub-codes; row t S + i holds sub-code i of block t.
+    For T complex blocks z, h of shape (T, n, m) and the ``_tables`` of S
+    sub-codes; row t S + i holds sub-code i of block t.  With Z = Y these
+    are the decoder's [R_pq, b_p]; with Z = N, :func:`_add_signal` adds the
+    rest of b_p.  One batched product H [H; Z]^H = [Q | H Z^H] and one GEMM;
+    ``hz`` and ``stats``, if given, are (T, 2n, m) and (T, n, 2n) buffers
+    for [H; Z] and [Q | H Z^H].
     """
-    subcodes, q_kernel, p_kernel = tables
-    rows = h.shape[0] * subcodes
-    q = np.matmul(h, np.conj(np.swapaxes(h, -1, -2)))  # Q = H H^H
-    r = q.view(np.float64).reshape(len(h), -1) @ q_kernel
-    del q  # freed before P is formed: one (T, n, n) statistic is alive at a time
-    p = np.matmul(h, np.conj(np.swapaxes(y, -1, -2)))  # P = H Y^H
-    b = p.view(np.float64).reshape(len(h), -1) @ p_kernel
-    del p  # and P before the coefficients are gathered
-    return np.concatenate((r.reshape(rows, -1), b.reshape(rows, -1)), axis=1)
+    hz = np.concatenate((h, z), axis=1, out=hz)
+    stats = np.matmul(h, np.conjugate(hz, out=hz).swapaxes(-1, -2), out=stats)
+    r = stats.view(np.float64).reshape(len(h), -1) @ tables.kernel
+    return r.reshape(len(h) * tables.subcodes, -1)
 
 
-def _basis(x: np.ndarray) -> np.ndarray:
-    """The (F, C) basis [s_p s_q (p <= q), -2 s_p] of C complex symbol vectors x, (C, g).
+def _add_signal(tables: _Tables, coef: np.ndarray, s: np.ndarray) -> None:
+    """Add sum_q R~_pq s_q (module doc) to the b columns of Z = N's ``_coefficients``, in place.
 
-    s = (x_1I, x_1Q, ..., x_gI, x_gQ), so a row of ``_coefficients`` times
-    column c is ||Y - S H||^2 - ||Y||^2 of codeword c of the sub-code.
+    ``s`` holds the (T S, 2g) real symbol vectors of the rows' sub-codes; the
+    sum runs over the kept pairs.  One multiply-add per pair and weight on
+    1-D column views: elementwise ops on the strided (rows, 2g) block cost more.
+    """
+    half = 0.5 * s
+    b = coef[:, len(tables.p):]
+    for j, (p, q) in enumerate(zip(tables.p.tolist(), tables.q.tolist())):
+        r = coef[:, j]
+        bp = b[:, p]
+        if p == q:
+            bp += r * s[:, p]
+        else:
+            bp += r * half[:, q]
+            bq = b[:, q]
+            bq += r * half[:, p]
+
+
+def _basis(tables: _Tables, x: np.ndarray) -> np.ndarray:
+    """The (F, C) basis [s_p s_q (kept p <= q), -2 s_p] of C complex symbol vectors x, (C, g).
+
+    s = (x_1I, x_1Q, ..., x_gI, x_gQ), so a row of ``_coefficients`` of
+    Z = Y times column c is ||Y - S H||^2 - ||Y||^2 of codeword c of the sub-code.
     """
     s = np.ascontiguousarray(x).view(np.float64).T
-    p, q = _upper_pairs(len(s))
-    return np.concatenate((s[p] * s[q], -2.0 * s))  # C order: a transposed operand is slower
+    # C order: a transposed operand is slower
+    return np.concatenate((s[tables.p] * s[tables.q], -2.0 * s))
 
 
 def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder: str,
-             block: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The decoder that maps T <= ``block`` blocks y, h of shape (T, n, m) to (T, k) symbols.
+             block: int) -> tuple[_Tables, Callable[[np.ndarray], np.ndarray]]:
+    """A decoder's sub-code tables, and its map from the coefficients of T <= ``block`` blocks.
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
-    SSD decodes each slot's one-symbol sub-code, the (k, 2, n, n) ``w``,
-    over the |A| points into one block-sized metric buffer; brute-force ML
-    decodes the whole code, one sub-code of k symbols, over its |A|^k
-    codewords in chunks from :func:`.codes.lexicographic_first_min`.
+    The map takes the (T S, F) ``_coefficients`` of T blocks to their
+    (T, k) symbols.  SSD decodes each slot's one-symbol sub-code, the
+    (k, 2, n, n) ``w``, over the |A| points into one block-sized metric
+    buffer; brute-force ML decodes the whole code, one sub-code of k
+    symbols, over its |A|^k codewords in chunks from
+    :func:`.codes.lexicographic_first_min`.
     """
     k, _, n, _ = w.shape
     if decoder == DECODER_SSD:
         if not check_ssd(code).ok:
             raise ValueError("per-symbol decoding requires a single-symbol decodable code")
         tables = _tables(w)
-        basis = _basis(pts[:, None])
+        basis = _basis(tables, pts[:, None])
         metrics = np.empty((block * k, len(pts)))
 
-        def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-            out = np.matmul(_coefficients(tables, y, h), basis, out=metrics[:len(h) * k])
-            return pts[np.argmin(out, axis=1)].reshape(len(h), k)  # first minimum: smallest index
-        return decode
+        def decode(coef: np.ndarray) -> np.ndarray:
+            out = np.matmul(coef, basis, out=metrics[:len(coef)])
+            return pts[np.argmin(out, axis=1)].reshape(-1, k)  # first minimum: smallest index
+        return tables, decode
     if len(pts) ** k > ML_BUDGET:
         raise ValueError(f"brute-force ML needs {len(pts) ** k} codewords, over budget {ML_BUDGET}")
     tables = _tables(w.reshape(1, 2 * k, n, n))
 
-    def decode(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-        coef = _coefficients(tables, y, h)
+    def decode(coef: np.ndarray) -> np.ndarray:
         return lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)),
-                                       lambda x: coef @ _basis(x))[1]
-    return decode
+                                       lambda x: coef @ _basis(tables, x))[1]
+    return tables, decode
 
 
 def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellation,
@@ -286,7 +341,8 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                          f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
-    return _decoder(code, code.w, constellation.points, decoder, len(h))(y, h)
+    tables, decode = _decoder(code, code.w, constellation.points, decoder, len(h))
+    return decode(_coefficients(tables, y, h))
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -318,13 +374,18 @@ def simulate_cer(config: SimConfig) -> CerReport:
     pts = config.constellation.points
     chunk = min(_CHUNK, config.trials)
     block = min(_BLOCK, chunk)
-    decode = _decoder(code, w, pts, config.decoder, block)  # SSD reads the caller's classify
-    # one chunk's fades and one block's symbols and noise, in buffers allocated once
-    # per call: a chunk's fresh arrays would be alive beside the last chunk's, and
-    # past malloc's mmap threshold they are mapped and faulted in afresh each time
+    # SSD reads the caller's classify
+    tables, decode = _decoder(code, w, pts, config.decoder, block)
+    # one chunk's fades and one block's symbols, noise and statistics, in buffers
+    # allocated once per call: a chunk's fresh arrays would be alive beside the last
+    # chunk's, past malloc's mmap threshold they are mapped and faulted in afresh each
+    # time, and a block's fresh [H; N] and [Q | H N^H] fragment the heap (about 1 MB
+    # more peak RSS on USSD8, two receive antennas)
     h_all = np.empty((chunk, n, m), dtype=complex)
     x_block = np.empty((block, k), dtype=complex)
-    y_block = np.empty((block, n, m), dtype=complex)
+    noise_block = np.empty((block, n, m), dtype=complex)
+    hz_block = np.empty((block, 2 * n, m), dtype=complex)
+    stats_block = np.empty((block, n, 2 * n), dtype=complex)
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = _noise_power(snr_db)
@@ -339,11 +400,12 @@ def simulate_cer(config: SimConfig) -> CerReport:
                 hb = h[b:b + _BLOCK]
                 xb = np.take(pts, symbols[b:b + _BLOCK], out=x_block[:len(hb)])
                 # the block's noise continues the chunk's one stream of normals, so
-                # it is the slice a whole-chunk draw would give; N + S H = S H + N
-                yb = _draw_cn(rng, y_block[:len(hb)])
-                yb *= math.sqrt(n0)
-                yb += _encode(w, xb) @ hb
-                wrong = decode(yb, hb) != xb
+                # it is the slice a whole-chunk draw would give
+                nb = _draw_cn(rng, noise_block[:len(hb)])
+                nb *= math.sqrt(n0)
+                coef = _coefficients(tables, nb, hb, hz_block[:len(hb)], stats_block[:len(hb)])
+                _add_signal(tables, coef, xb.view(np.float64).reshape(len(coef), -1))
+                wrong = decode(coef) != xb
                 errors += int(np.sum(np.any(wrong, axis=1)))
                 slot_errors += np.sum(wrong, axis=0)
         out.append(CerPoint(snr_db=float(snr_db), trials=config.trials, errors=errors,

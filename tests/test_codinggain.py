@@ -88,6 +88,17 @@ def test_unrotated_qam_gives_zero(ussd4):
     assert r.value == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale, vector", [(1e160, ((-14 - 14j), (-12 - 12j))),
+                                           (1e-100, ((-10 - 10j), (-14 - 14j)))])
+def test_lost_diversity_reports_no_negative_min_det(ussd2, scale, vector):
+    # D^H D is positive semidefinite; a non-power-of-two scale rounds the weights, and
+    # the determinant of a singular D^H D rounds to about -1e-11 at these scales.
+    # The report is 0, and the vector is the one the tie rule names at the rounded value
+    r = min_det_bruteforce(ussd2.scaled(scale), rotated_qam(64), force_full=True)
+    assert r.value == 0.0 and math.copysign(1.0, r.value) == 1.0
+    assert r.difference == vector
+
+
 def test_energy_convention_factor(ussd4, ciod4, ussd2, cod2):
     # unitary weights on 4 antennas carry dispersion gain tr Gamma / (2k) = 4 -> factor 16
     for code, gain in ((ussd4, 4.0), (ciod4, 2.0), (ussd2, 2.0), (cod2, 2.0)):

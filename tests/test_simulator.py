@@ -18,6 +18,7 @@ from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optima
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
+    _add_signal,
     _basis,
     _coefficients,
     _draw_cn,
@@ -35,7 +36,8 @@ from conftest import random_unitary
 
 def _slot_metrics(tables, y, h, pts):
     """The (T, k, |A|) per-slot metrics of T blocks, from the SSD decoder's pieces."""
-    return (_coefficients(tables, y, h) @ _basis(pts[:, None])).reshape(len(h), -1, len(pts))
+    metrics = _coefficients(tables, y, h) @ _basis(tables, pts[:, None])
+    return metrics.reshape(len(h), -1, len(pts))
 
 
 def test_transmit_scale(ussd4, ciod4):
@@ -244,7 +246,7 @@ def test_ssd_decode_equals_bruteforce_ml(name, scale, angle, sigma, rx, seed):
 @settings(max_examples=40, deadline=None)
 def test_slot_metrics_match_definition(n, k, rx, t, size, seed):
     # random complex weights are neither unitary nor SSD and random points
-    # form no constellation: the two-GEMM kernel assumes nothing of either
+    # form no constellation: the one kernel assumes nothing of either
     rng = np.random.default_rng(seed)
 
     def cn(*shape):
@@ -264,6 +266,53 @@ def test_slot_metrics_match_definition(n, k, rx, t, size, seed):
     got = _slot_metrics(_tables(code.w), y, h, pts)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _pair_term(w, p, q):
+    """M_pq of the (2g, n, n) weights w by its definition."""
+    g = np.conj(w[p]).T @ w[q]
+    return g if p == q else g + np.conj(g).T
+
+
+@given(name=st.sampled_from(["random", "ussd2", "ussd4", "ussd8", "cod4", "ciod4", "ussd4-uvs"]),
+       whole=st.booleans(),
+       n=st.sampled_from([2, 4, 8]),
+       k=st.integers(min_value=1, max_value=3),
+       rx=st.integers(min_value=1, max_value=3),
+       t=st.sampled_from([1, 7]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_coefficients_from_noise_and_symbols(name, whole, n, k, rx, t, seed, ussd2, ussd4, ussd8,
+                                             cod4, ciod4):
+    # P = Q S^H + H N^H: the coefficients of the noise plus the signal term are those
+    # of Y = S H + N, so the simulator forms no codeword.  The whole code as one
+    # sub-code (brute-force ML) holds for any weights; random weights are not SSD, so
+    # only it.  Slot sub-codes drop the cross-slot terms, exactly zero in the built-in
+    # codes and of rounding size in ussd4 under a random unitary U W V
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if name == "random":
+        w = cn(k, 2, n, n)
+    elif name == "ussd4-uvs":
+        w = random_unitary(4, rng) @ ussd4.w @ random_unitary(4, rng)
+    else:
+        w = {"ussd2": ussd2, "ussd4": ussd4, "ussd8": ussd8, "cod4": cod4, "ciod4": ciod4}[name].w
+    k, _, n, _ = w.shape
+    subcodes = w.reshape(1, 2 * k, n, n) if whole or name == "random" else w
+    tables = _tables(subcodes)
+    x, h, noise = cn(t, k), cn(t, n, rx), cn(t, n, rx)
+    want = _coefficients(tables, _encode(w, x) @ h + noise, h)
+    got = _coefficients(tables, noise, h)
+    _add_signal(tables, got, x.view(np.float64).reshape(len(got), -1))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the pruned pairs are exactly those whose M_pq is zero in every sub-code
+    pairs = [(p, q) for p in range(subcodes.shape[1]) for q in range(p, subcodes.shape[1])]
+    nonzero = [(p, q) for p, q in pairs if any(np.any(_pair_term(sc, p, q)) for sc in subcodes)]
+    assert list(zip(tables.p.tolist(), tables.q.tolist())) == nonzero
 
 
 def _random_code(rng, n, k):
@@ -446,10 +495,10 @@ def test_simulate_cer_memory_bounded_in_trials(ussd4):
 
 
 def test_simulate_cer_chunk_memory(ussd8):
-    # one chunk's symbol indices and fades (4.75 MiB) plus one block's symbols,
-    # noise, codewords, statistics and metrics: about 9.8 MiB.  Symbols and
-    # noise drawn for the whole chunk peak at 13.8 MiB, and arrays that each
-    # spanned the whole chunk would take about 44.5 MiB
+    # one chunk's symbol indices and fades (4.75 MiB) plus one 2^10-trial block's
+    # symbols, noise, [H; N], statistics [Q | H N^H] and metrics: about 8.9 MiB.
+    # Blocks of 2^11 trials, whose (T, n, 2n) statistic alone is 4 MiB, peak at
+    # 13 MiB, and arrays that each spanned the whole chunk would take about 44.5 MiB
     c = rotated_qam(16, optimal_angle(), "unit-average")
     config = SimConfig(code=ussd8, constellation=c, snr_db_list=(10.0,), trials=_CHUNK,
                        seed=1, rx_antennas=2)
@@ -460,7 +509,7 @@ def test_simulate_cer_chunk_memory(ussd8):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", ["ussd8-ssd", "ciod4-ssd", "ussd4-brute-ml"])
