@@ -1,9 +1,10 @@
 """Command-line interface: family / construct / verify / coding-gain / simulate.
 
-All file outputs are written atomically (temp file + rename); JSON files
-are compact, ``json.dumps(obj)`` plus a newline (``python -m json.tool
-FILE`` pretty-prints one).  Exit status is 0 on success, 1 on a
-verification failure, 2 on usage errors.
+All file outputs are written atomically (temp file + rename), with the
+mode the umask gives a new file; JSON files are compact,
+``json.dumps(obj)`` plus a newline (``python -m json.tool FILE``
+pretty-prints one).  Exit status is 0 on success, 1 on a verification
+failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import click
 import numpy as np
 
 from . import __version__, clifford, codes, codinggain, constellations, simulator
-from .gmatrix import _negligible, _pow2_scaled
 from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, CLASSES, classify
 
 CONSTELLATION_CHOICES = ("qam4", "qam16", "qam64", "8qam-rect", "8qam-sq")
@@ -32,6 +32,10 @@ def _atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -192,10 +196,7 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
     click.echo(f"min_det = {result.value:.6e}  (angle {theta:.6f} rad, "
                f"{'full' if not result.reduced else 'single-symbol'} search)")
     click.echo(f"achieved by difference vector [{diff}]")
-    # full diversity is lost when D^H D of the achieving vector is singular by the one
-    # tolerance rule; D is formed on the weights scaled by a power of two, so it is finite
-    delta = codes._encode(_pow2_scaled(code.w)[0], np.array([result.difference]))[0]
-    if not _negligible(*np.linalg.eigvalsh(np.conj(delta.T) @ delta)[[0, -1]]):
+    if result.full_diversity:
         return
     (slot, d), *more = ((i, d) for i, d in enumerate(result.difference, start=1) if d)
     if not more and d in constellations.diversity_check(constellation).witnesses:

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearDispersionCode, gram
+from .codes import LinearDispersionCode, _encode, gram
 from .constellations import Constellation
 from .gmatrix import _negligible, _pow2_scaled, _upper_pairs
 from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, _report
@@ -85,11 +85,16 @@ _FULL_CHUNK = 1 << 12  # difference vectors in one block of the unreduced search
 
 @dataclass(frozen=True)
 class MinDetResult:
-    """Minimum determinant plus the symbol-difference vector achieving it."""
+    """Minimum determinant plus the symbol-difference vector achieving it.
+
+    ``full_diversity`` is False when D^H D of that vector is singular by the
+    one tolerance rule, so the code loses full diversity on the constellation.
+    """
 
     value: float
     difference: tuple[complex, ...]
     reduced: bool
+    full_diversity: bool
 
 
 def _difference_dets(m: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -107,6 +112,16 @@ def _difference_dets(m: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _first_tied(values: np.ndarray, best: float) -> int:
     """Flat index of the first value within the one tolerance of the minimum ``best``."""
     return int(np.argmax(_negligible(values - best, abs(best))))
+
+
+def _result(w: np.ndarray, best: float, scale: float, vec: tuple[complex, ...],
+            reduced: bool) -> MinDetResult:
+    """The report of the minimum ``best`` on the power-of-two-scaled weights ``w``, at ``vec``."""
+    # D is formed on the scaled weights, so it is finite at every scale of the code
+    delta = _encode(w, np.array([vec]))[0]
+    lo, hi = np.linalg.eigvalsh(np.conj(delta.T) @ delta)[[0, -1]]
+    return MinDetResult(value=max(0.0, float(best)) * scale, difference=vec, reduced=reduced,
+                        full_diversity=not _negligible(lo, hi))
 
 
 def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation, *,
@@ -143,7 +158,7 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
         best = dets.min()
         slot, arg = divmod(_first_tied(dets, best), half)  # slot-major: lexicographic order
         vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
-        return MinDetResult(value=max(0.0, float(best)) * scale, difference=vec, reduced=True)
+        return _result(w, best, scale, vec, reduced=True)
 
     # unreduced: every vector of per-symbol differences, 0 allowed per slot at half
     per_slot = np.insert(diffs, half, 0)
@@ -173,7 +188,7 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
     b = _first_tied(mins, best)
     x, dets = held[1:] if held[0] == b else block(starts[b])
     vec = tuple(complex(d) for d in x[_first_tied(dets, best)])
-    return MinDetResult(value=max(0.0, float(best)) * scale, difference=vec, reduced=False)
+    return _result(w, best, scale, vec, reduced=False)
 
 
 def min_det_closed_form(constellation: Constellation, n: int) -> float:

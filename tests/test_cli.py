@@ -3,11 +3,15 @@
 import hashlib
 import json
 import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import stbc_forge
 from stbc_forge import (__version__, ciod_optimal_angle, min_det_closed_form, optimal_angle,
                         rotated_qam, simulator, verifier)
 from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, _write_json, main
@@ -58,6 +62,8 @@ def test_family_command(runner, tmp_path):
     (2, "cod", "COD"),
     (4, "cod", "COD"),
     (8, "cod", "COD"),
+    (64, "ussd", "unitary-weight-SSD"),
+    (64, "cod", "COD"),
     (4, "ciod4", "non-unitary-weight-SSD"),
 ])
 def test_construct_verify_round_trip(runner, tmp_path, antennas, family, klass):
@@ -123,14 +129,18 @@ def test_coding_gain_prints_table_value(runner, tmp_path):
 
 
 def test_coding_gain_prints_tiny_min_det(runner, tmp_path):
-    # about 1.5e-21: six fixed decimals printed 0.000000, like a code that lost diversity
-    out = tmp_path / "ussd32.json"
-    _invoke(runner, "construct", "--antennas", "32", "--family", "ussd", "--out", str(out))
-    result = _invoke(runner, "coding-gain", "--code", str(out), "--constellation", "qam16")
-    value = float(result.output.split("min_det = ")[1].split()[0])
-    want = min_det_closed_form(rotated_qam(16, optimal_angle()), 32)
-    assert 0 < want < 1e-20
-    assert abs(value - want) <= 1e-6 * want
+    # about 1.5e-21 at 32 antennas: six fixed decimals printed 0.000000, like a code that
+    # lost diversity; the maximal-rate codes take the single-symbol search
+    for antennas in (32, 64):
+        out = tmp_path / f"ussd{antennas}.json"
+        _invoke(runner, "construct", "--antennas", str(antennas), "--family", "ussd",
+                "--out", str(out))
+        result = _invoke(runner, "coding-gain", "--code", str(out), "--constellation", "qam16")
+        assert "single-symbol search" in result.output.splitlines()[0]
+        value = float(result.output.split("min_det = ")[1].split()[0])
+        want = min_det_closed_form(rotated_qam(16, optimal_angle()), antennas)
+        assert 0 < want < 1e-20
+        assert abs(value - want) <= 1e-6 * want
 
 
 def test_coding_gain_reports_lost_diversity(runner, tmp_path):
@@ -180,6 +190,40 @@ def test_coding_gain_brute_force_is_pinned(runner, tmp_path):
         assert result.output.splitlines() == [
             f"min_det = 1.024000e+01  (angle {angle} rad, full search)",
             f"achieved by difference vector [{first}, {zero}, {zero}, {zero}]"]
+        # the single-symbol search prints the same minimum and names the same vector
+        result = _invoke(runner, "coding-gain", "--code", str(out), "--constellation", "qam4")
+        assert result.output.splitlines() == [
+            f"min_det = 1.024000e+01  (angle {angle} rad, single-symbol search)",
+            f"achieved by difference vector [{first}, {zero}, {zero}, {zero}]"]
+
+
+@pytest.mark.parametrize("family, klass", [("ussd", "unitary-weight-SSD"),
+                                           ("ciod4", "non-unitary-weight-SSD")])
+def test_scaled_code_files_verify_and_score_as_the_code(runner, tmp_path, family, klass):
+    # float-mode files of the code x1e-100 and x1e160, where the squares of the weights
+    # underflow and overflow, and x3: the class, and every line coding-gain prints on the
+    # single-symbol route and the unreduced search, are the unscaled code's
+    out = tmp_path / "code.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", family, "--out", str(out))
+    code, _ = code_from_json_dict(json.loads(out.read_text()))
+
+    def gains(path):
+        return [_invoke(runner, "coding-gain", "--code", str(path), *args).output
+                for args in (("--constellation", "qam16"),
+                             ("--constellation", "qam4", "--brute-force"))]
+
+    want = gains(out)
+    assert "min_det = 1.024000e+01" in want[1]
+    for scale in (1e-100, 1e160, 3.0):
+        path = tmp_path / f"scaled-{scale:g}.json"
+        path.write_text(json.dumps(code_to_json_dict(code.scaled(scale))))
+        report = tmp_path / f"report-{scale:g}.json"
+        result = _invoke(runner, "verify", str(path), "--report", str(report))
+        assert result.exit_code == 0, result.output
+        assert f"computed={klass} " in result.output
+        assert gains(path) == want, scale
+        if family == "ussd" and scale == 3.0:  # A_1 = 3 I is normalized: A_1 = t I, t > 0
+            assert json.loads(report.read_text())["normalized"] is True
 
 
 def test_coding_gain_8qam_choice(runner, tmp_path):
@@ -480,6 +524,46 @@ def test_verify_report_gives_the_residual_of_a_failed_condition(runner, tmp_path
     assert report.read_text() == json.dumps({
         "label": "square-cod-4tx", "class": "COD", "declared_class": "COD",
         "linear_independent": True, "normalized": True, "failed_conditions": []}) + "\n"
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_output_files_follow_the_umask(runner, tmp_path, umask):
+    # a new file gets the mode open(path, "w") gives it, not the temp file's 0600
+    code, report, csv_path = (tmp_path / name for name in ("c.json", "report.json", "cer.csv"))
+    old = os.umask(umask)
+    try:
+        _invoke(runner, "construct", "--antennas", "2", "--family", "ussd", "--out", str(code))
+        _invoke(runner, "verify", str(code), "--report", str(report))
+        _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam4", "--snr", "10",
+                "--trials", "10", "--out", str(csv_path))
+    finally:
+        os.umask(old)
+    for path in (code, report, csv_path, tmp_path / "cer.csv.config.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+def test_process_exit_codes(tmp_path):
+    # CliRunner emulates sys.exit; here a real interpreter runs the CLI module and exits
+    src = os.path.dirname(os.path.dirname(stbc_forge.__file__))  # the package under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "stbc_forge.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    assert run("construct", "--antennas", "4", "--family", "ussd",
+               "--out", "ussd4.json").returncode == 0
+    assert run("verify", "ussd4.json").returncode == 0
+    obj = json.loads((tmp_path / "ussd4.json").read_text())
+    obj["weights"][1][0] = obj["weights"][2][0]  # breaks SSD-II
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    result = run("verify", "bad.json")
+    assert result.returncode == 1 and "SSD-II" in result.stdout
+    (tmp_path / "empty.json").write_text(json.dumps({"n": 4, "weights": []}))
+    result = run("verify", "empty.json")
+    assert result.returncode == 2
+    assert [line.startswith("Error:") for line in result.stderr.splitlines()].count(True) == 1
+    assert "Traceback" not in result.stderr
 
 # ----------------------------------------------------------------------
 # _write_json writes json.dumps(obj) and a newline

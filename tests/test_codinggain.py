@@ -315,6 +315,19 @@ def test_both_searches_name_one_vector(name):
 
 
 @pytest.mark.parametrize("name", ["ussd4", "ciod4"])
+@pytest.mark.parametrize("force_full", [False, True])
+def test_full_diversity_verdict(name, force_full):
+    # unrotated QAM4 loses full diversity on both codes (ussd4 on a 45 degree line, ciod4
+    # on an axis); the code's auto angle keeps it
+    code = _INVARIANCE_CODES[name]
+    auto = ciod_optimal_angle() if name == "ciod4" else optimal_angle()
+    lost = min_det_bruteforce(code, rotated_qam(4, 0.0), force_full=force_full)
+    assert lost.value == 0.0 and not lost.full_diversity
+    kept = min_det_bruteforce(code, rotated_qam(4, auto), force_full=force_full)
+    assert kept.value == pytest.approx(10.24) and kept.full_diversity
+
+
+@pytest.mark.parametrize("name", ["ussd4", "ciod4"])
 def test_unreduced_search_evaluates_each_pair_once(name, monkeypatch):
     # one of each pair x, -x and no block evaluated twice: (9^4 - 1) / 2 determinants
     rows, original = [], codinggain._difference_dets

@@ -1,5 +1,6 @@
 """Channel statistics, decoders, and the Monte Carlo sweep."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -456,6 +457,10 @@ def test_seed_contract_golden_counts(ussd4, ussd8, ciod4):
     assert _errors(ussd4, qam4, (6.0, 10.0), _CHUNK + 500, 7, decoder="brute-ml") == [4833, 1002]
     ciod_qam4 = rotated_qam(4, ciod_optimal_angle(), "unit-average")
     assert _errors(ciod4, ciod_qam4, (10.0,), 2000, 7, decoder="brute-ml") == [123]
+    # both decoders over a sweep from 0 dB, as `simulate --snr 0:4:12 --seed 5` runs it
+    for decoder in ("ssd", "brute-ml"):
+        assert _errors(ussd4, qam4, (0.0, 4.0, 8.0, 12.0), 3000, 5,
+                       decoder=decoder) == [2284, 1401, 471, 59], decoder
 
 
 @pytest.mark.parametrize("decoder", ["ssd", "brute-ml"])
@@ -503,6 +508,8 @@ def test_simulate_cer_chunk_memory(ussd8):
     config = SimConfig(code=ussd8, constellation=c, snr_db_list=(10.0,), trials=_CHUNK,
                        seed=1, rx_antennas=2)
     classify(ussd8)  # as the CLI does: the SSD gate then reads the cached classification
+    # one trial first, so the window does not count the lazy imports of a first call
+    simulate_cer(dataclasses.replace(config, trials=1))
     tracemalloc.start()
     try:
         simulate_cer(config)
@@ -543,6 +550,11 @@ def test_simulate_decoders_identical_on_ssd(ciod4):
     ssd = simulate_cer(SimConfig(decoder="ssd", **kwargs))
     ml = simulate_cer(SimConfig(decoder="brute-ml", **kwargs))
     assert ssd.points[0].errors == ml.points[0].errors
+    # the signal term of a code without unitary weights, with two receive antennas: the
+    # same nonzero error column over a sweep
+    sweep = [_errors(ciod4, c, (0.0, 4.0, 8.0, 12.0), 3000, 5, rx=2, decoder=decoder)
+             for decoder in ("ssd", "brute-ml")]
+    assert sweep == [[1545, 507, 46, 2]] * 2
 
 
 def test_simulate_rotated_beats_unrotated(ussd4):
