@@ -34,23 +34,33 @@ every metric in one GEMM.  The kernel assumes nothing about the weights.
 ``ssd_decode``
     ML of each slot's one-symbol sub-code (S = k, g = 1, from the code's
     (k, 2, n, n) weight stack) over the |A| points: k * |A| metric
-    evaluations.  It is ML of the code exactly when every cross-symbol
-    M_pq vanishes, the single-symbol decodable codes, so it checks the
-    code first.  No cross-slot product is formed.
+    evaluations, written candidate-major as one (|A|, T k) GEMM
+    basis^T coefficients^T into one block-sized buffer.  It is ML of the
+    code exactly when every cross-symbol M_pq vanishes, the single-symbol
+    decodable codes, so it checks the code first.  No cross-slot product
+    is formed.
 
 ``ml_decode_bruteforce``
-    ML of the whole code (S = 1, g = k) over its |A|^k codewords, in
-    chunks from :func:`.codes.lexicographic_first_min` of at most
-    ``_ML_CHUNK`` metrics and basis entries each, so memory is bounded in
-    T and in |A|^k.
+    ML of the whole code (S = 1, g = k) over its |A|^k codewords.  When
+    they fit one ``_ML_CHUNK`` of metrics and basis entries beside the
+    block, their basis is built once per call and a block decodes with
+    one GEMM; larger spaces take chunks from
+    :func:`.codes.lexicographic_first_min` of at most ``_ML_CHUNK``
+    metrics and basis entries each, so memory is bounded in T and in
+    |A|^k.
 
-One builder, ``_decoder``, sets up either decoder's tables and its map
-from coefficients to symbols; ``simulate_cer`` calls it once per call and
-decodes once per trial block, writing SSD metrics into one block-sized
-buffer.  Both break ties toward the smallest constellation index, and
-brute-force ML toward the first codeword in lexicographic order (ties
-have probability zero under continuous noise but the rule keeps the
-decoder-equivalence oracle deterministic).
+One builder, ``_decoder``, sets up either decoder's tables, its map from
+coefficients to symbols and its map from coefficients and sent symbols
+to wrong slots; ``simulate_cer`` calls it once per call and counts once
+per trial block.  The decoders break ties toward the first minimum: SSD
+toward the smallest constellation index, brute-force ML toward the first
+codeword in lexicographic order.  ``simulate_cer`` decodes nothing on
+the SSD path: it counts a slot as wrong when some point's metric is
+strictly below the sent point's, one column minimum, one gather and one
+compare per block; brute-force ML counts by decoding.  The two rules
+agree except at an exact tie with an earlier point, which has
+probability zero under continuous noise; the first-minimum rule keeps
+the decoder-equivalence oracle deterministic.
 
 Sufficient statistics:  Q is Hermitian, so Y = S H + N gives
 P = Q S^H + H N^H and, for any weights,
@@ -297,38 +307,76 @@ def _basis(tables: _Tables, x: np.ndarray) -> np.ndarray:
     return np.concatenate((s[tables.p] * s[tables.q], -2.0 * s))
 
 
+class _Decoder(NamedTuple):
+    """A decoder's sub-code tables and its two maps from the ``_coefficients`` of T blocks."""
+
+    tables: _Tables
+    decode: Callable[[np.ndarray], np.ndarray]  # to the (T, k) decoded symbols
+    wrong: Callable[[np.ndarray, np.ndarray], np.ndarray]  # and (T, k) sent indices: (k, T) flags
+
+
+def _wrong(metrics: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The (k, T) flags of the slots whose sent point some point beats, strictly.
+
+    ``metrics`` is the SSD decoder's C-contiguous (|A|, T k) block, column
+    t k + i for slot i of block t, and ``symbols`` the (T, k) sent indices.
+    A slot is wrong when its column minimum is below the sent point's
+    metric: one reduction, one gather and one compare, no decoded symbol.
+    Only an exact tie with an earlier point, which first-minimum decoding
+    would name, reads right.  Slot-major flags reduce along contiguous rows.
+    """
+    t, k = symbols.shape
+    cols = metrics.shape[1]
+    sent = np.take(metrics, symbols.ravel() * cols + np.arange(cols))
+    return np.less(metrics.min(axis=0).reshape(t, k).T, sent.reshape(t, k).T, order="C")
+
+
 def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder: str,
-             block: int) -> tuple[_Tables, Callable[[np.ndarray], np.ndarray]]:
-    """A decoder's sub-code tables, and its map from the coefficients of T <= ``block`` blocks.
+             block: int) -> _Decoder:
+    """A decoder's sub-code tables, and its maps from the coefficients of T <= ``block`` blocks.
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
-    The map takes the (T S, F) ``_coefficients`` of T blocks to their
-    (T, k) symbols.  SSD decodes each slot's one-symbol sub-code, the
-    (k, 2, n, n) ``w``, over the |A| points into one block-sized metric
-    buffer; brute-force ML decodes the whole code, one sub-code of k
-    symbols, over its |A|^k codewords in chunks from
-    :func:`.codes.lexicographic_first_min`.
+    SSD scores each slot's one-symbol sub-code, the (k, 2, n, n) ``w``, over
+    the |A| points in one candidate-major GEMM into one block-sized buffer;
+    it decodes by the first column minimum and counts by :func:`_wrong`.
+    Brute-force ML scores the whole code, one sub-code of k symbols, over its
+    |A|^k codewords: with one GEMM against a basis built once when they fit
+    one ``_ML_CHUNK`` beside the block, else in chunks from
+    :func:`.codes.lexicographic_first_min`; it counts by decoding.
     """
     k, _, n, _ = w.shape
     if decoder == DECODER_SSD:
         if not check_ssd(code).ok:
             raise ValueError("per-symbol decoding requires a single-symbol decodable code")
         tables = _tables(w)
-        basis = _basis(tables, pts[:, None])
-        metrics = np.empty((block * k, len(pts)))
+        basis_t = np.ascontiguousarray(_basis(tables, pts[:, None]).T)
+        buffer = np.empty(len(pts) * block * k)
+
+        def metrics(coef: np.ndarray) -> np.ndarray:
+            out = buffer[:len(pts) * len(coef)].reshape(len(pts), -1)
+            return np.matmul(basis_t, coef.T, out=out)
 
         def decode(coef: np.ndarray) -> np.ndarray:
-            out = np.matmul(coef, basis, out=metrics[:len(coef)])
-            return pts[np.argmin(out, axis=1)].reshape(-1, k)  # first minimum: smallest index
-        return tables, decode
-    if len(pts) ** k > ML_BUDGET:
-        raise ValueError(f"brute-force ML needs {len(pts) ** k} codewords, over budget {ML_BUDGET}")
+            # first minimum: smallest index
+            return pts[np.argmin(metrics(coef), axis=0)].reshape(-1, k)
+        return _Decoder(tables, decode, lambda coef, symbols: _wrong(metrics(coef), symbols))
+    total = len(pts) ** k
+    if total > ML_BUDGET:
+        raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
     tables = _tables(w.reshape(1, 2 * k, n, n))
+    if total * max(block, tables.kernel.shape[1]) <= _ML_CHUNK:
+        codewords = pts[np.indices((len(pts),) * k).reshape(k, -1).T]  # lexicographic
+        basis = _basis(tables, codewords)
+        buffer = np.empty((block, total))
 
-    def decode(coef: np.ndarray) -> np.ndarray:
-        return lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)),
-                                       lambda x: coef @ _basis(tables, x))[1]
-    return tables, decode
+        def decode(coef: np.ndarray) -> np.ndarray:
+            # first minimum: the first codeword in lexicographic order
+            return codewords[np.argmin(np.matmul(coef, basis, out=buffer[:len(coef)]), axis=1)]
+    else:
+        def decode(coef: np.ndarray) -> np.ndarray:
+            return lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)),
+                                           lambda x: coef @ _basis(tables, x))[1]
+    return _Decoder(tables, decode, lambda coef, symbols: (decode(coef) != pts[symbols]).T)
 
 
 def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellation,
@@ -341,8 +389,8 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                          f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
-    tables, decode = _decoder(code, code.w, constellation.points, decoder, len(h))
-    return decode(_coefficients(tables, y, h))
+    dec = _decoder(code, code.w, constellation.points, decoder, len(h))
+    return dec.decode(_coefficients(dec.tables, y, h))
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -375,7 +423,7 @@ def simulate_cer(config: SimConfig) -> CerReport:
     chunk = min(_CHUNK, config.trials)
     block = min(_BLOCK, chunk)
     # SSD reads the caller's classify
-    tables, decode = _decoder(code, w, pts, config.decoder, block)
+    dec = _decoder(code, w, pts, config.decoder, block)
     # one chunk's fades and one block's symbols, noise and statistics, in buffers
     # allocated once per call: a chunk's fresh arrays would be alive beside the last
     # chunk's, past malloc's mmap threshold they are mapped and faulted in afresh each
@@ -403,11 +451,12 @@ def simulate_cer(config: SimConfig) -> CerReport:
                 # it is the slice a whole-chunk draw would give
                 nb = _draw_cn(rng, noise_block[:len(hb)])
                 nb *= math.sqrt(n0)
-                coef = _coefficients(tables, nb, hb, hz_block[:len(hb)], stats_block[:len(hb)])
-                _add_signal(tables, coef, xb.view(np.float64).reshape(len(coef), -1))
-                wrong = decode(coef) != xb
-                errors += int(np.sum(np.any(wrong, axis=1)))
-                slot_errors += np.sum(wrong, axis=0)
+                coef = _coefficients(dec.tables, nb, hb, hz_block[:len(hb)],
+                                     stats_block[:len(hb)])
+                _add_signal(dec.tables, coef, xb.view(np.float64).reshape(len(coef), -1))
+                wrong = dec.wrong(coef, symbols[b:b + _BLOCK])
+                errors += int(np.count_nonzero(wrong.any(axis=0)))
+                slot_errors += wrong.sum(axis=1)
         out.append(CerPoint(snr_db=float(snr_db), trials=config.trials, errors=errors,
                             cer=errors / config.trials,
                             ci95=wilson_halfwidth(errors, config.trials),

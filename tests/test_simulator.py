@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from stbc_forge import simulator
 from stbc_forge.clifford import generate_family
-from stbc_forge.codes import LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd
+from stbc_forge.codes import (LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd,
+                              lexicographic_first_min)
 from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
                                        rotated_qam, special_8qam)
 from stbc_forge.simulator import (
@@ -22,8 +23,10 @@ from stbc_forge.simulator import (
     _add_signal,
     _basis,
     _coefficients,
+    _decoder,
     _draw_cn,
     _tables,
+    _wrong,
     ml_decode_bruteforce,
     simulate_cer,
     ssd_decode,
@@ -238,6 +241,49 @@ def test_ssd_decode_equals_bruteforce_ml(name, scale, angle, sigma, rx, seed):
         assert np.array_equal(ssd_decode(code, y, h, c), ml_decode_bruteforce(code, y, h, c))
 
 
+@given(name=st.sampled_from(["ussd2", "ussd4", "ussd8", "ciod4", "cod4"]),
+       points=st.sampled_from(["qam4", "qam16", "qam64", "rect", "square-derived"]),
+       scale=st.floats(min_value=1e-2, max_value=1e2),
+       angle=st.floats(min_value=0.0, max_value=math.pi / 2),
+       sigma=st.floats(min_value=1e-2, max_value=2.0),
+       t=st.sampled_from([1, 7]),
+       rx=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_slot_count_flags_the_ssd_decoder_errors(name, points, scale, angle, sigma, t, rx, seed,
+                                                 ussd2, ussd4, ussd8, ciod4, cod4):
+    # the Monte Carlo counts a slot as wrong when some point's metric is strictly
+    # below the sent point's, without decoding: the slots ssd_decode gets wrong
+    rng = np.random.default_rng(seed)
+    base = {"ussd2": ussd2, "ussd4": ussd4, "ussd8": ussd8, "ciod4": ciod4, "cod4": cod4}[name]
+    code = base.left_multiply(random_unitary(base.n, rng)).scaled(scale)
+    c = (rotated_qam(int(points[3:]), angle, "unit-average") if points.startswith("qam")
+         else special_8qam(points, angle, "unit-average"))
+    pts = np.asarray(c.points)
+    symbols = rng.integers(0, len(pts), size=(t, code.k))
+    shape = (t, code.n, rx)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * sigma * scale
+    y = _encode(code.w, pts[symbols]) @ h + noise
+    dec = _decoder(code, code.w, pts, "ssd", t)
+    flags = dec.wrong(_coefficients(dec.tables, y, h), symbols)
+    assert flags.shape == (code.k, t)
+    assert np.array_equal(flags.T, ssd_decode(code, y, h, c) != pts[symbols])
+
+
+def test_slot_count_keeps_an_exact_tie_with_an_earlier_point():
+    # crafted (|A|, T k) metrics of two blocks of two slots over three points.  Column 0:
+    # the sent point 2 ties with the earlier point 0 at the minimum, which argmin names;
+    # column 1: point 0 beats the sent point 1 by one ulp; column 2: the sent point is
+    # the only minimum; column 3: the sent point 0 ties with the later point 2
+    metrics = np.array([[1.0, np.nextafter(1.0, 0.0), 2.0, 0.5],
+                        [2.0, 1.0, 1.0, 3.0],
+                        [1.0, 3.0, 4.0, 0.5]])
+    symbols = np.array([[2, 1], [1, 0]])
+    assert np.array_equal(np.argmin(metrics, axis=0), [0, 0, 1, 0])
+    assert np.array_equal(_wrong(metrics, symbols), [[False, False], [True, False]])
+
+
 @given(n=st.sampled_from([2, 4, 8]),
        k=st.integers(min_value=2, max_value=4),
        rx=st.integers(min_value=1, max_value=3),
@@ -332,12 +378,14 @@ def _ml_chunk_for(codewords, t, k):
        t=st.sampled_from([1, 7]),
        size=st.sampled_from([4, 16]),
        chunk=st.integers(min_value=1, max_value=15),
+       whole=st.booleans(),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, seed):
+def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, whole, seed):
     # random complex weights are neither unitary nor SSD, so only the full
     # quadratic form decodes them; chunks of fewer than |A|^k >= 16
-    # codewords make the first minimum cross chunk boundaries
+    # codewords make the first minimum cross chunk boundaries, and a chunk
+    # that just holds every codeword takes the one GEMM against the basis built once
     rng = np.random.default_rng(seed)
     code = _random_code(rng, n, k)
     c = rotated_qam(size, rng.uniform(0.0, math.pi / 2), "unit-average")
@@ -353,25 +401,31 @@ def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, se
     codewords = np.tensordot(xs.real, wi, axes=1) + np.tensordot(xs.imag, wq, axes=1)
     want = np.stack([xs[np.argmin([np.linalg.norm(y[b] - cw @ h[b]) ** 2 for cw in codewords])]
                      for b in range(t)])
+    walks = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(chunk, t, k))
+        mp.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(size ** k if whole else chunk, t, k))
+        mp.setattr(simulator, "lexicographic_first_min",
+                   lambda *args: walks.append(args) or lexicographic_first_min(*args))
         batched = ml_decode_bruteforce(code, y, h, c)
         one_by_one = np.stack([ml_decode_bruteforce(code, y[b], h[b], c) for b in range(t)])
     assert np.array_equal(batched, want)
     assert np.array_equal(one_by_one, batched)
+    assert bool(walks) != whole
 
 
 def test_ml_decode_bruteforce_exact_tie_takes_first_codeword(monkeypatch):
     # y = 0 and h = 0 make every metric exactly 0; the first codeword in
-    # lexicographic order wins, also when later codeword chunks tie with it
+    # lexicographic order wins, in the one GEMM over all 64 codewords and
+    # also when later codeword chunks tie with it
     code = _random_code(np.random.default_rng(23), 2, 3)
     c = rotated_qam(4, 0.3, "unit-average")
     first = np.full(3, c.points[0])
     assert np.array_equal(ml_decode_bruteforce(code, np.zeros((2, 1)), np.zeros((2, 1)), c),
                           first)
-    monkeypatch.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(5, 7, 3))
-    got = ml_decode_bruteforce(code, np.zeros((7, 2, 1)), np.zeros((7, 2, 1)), c)
-    assert np.array_equal(got, np.tile(first, (7, 1)))
+    for codewords in (64, 5):
+        monkeypatch.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(codewords, 7, 3))
+        got = ml_decode_bruteforce(code, np.zeros((7, 2, 1)), np.zeros((7, 2, 1)), c)
+        assert np.array_equal(got, np.tile(first, (7, 1))), codewords
 
 
 def test_ml_decode_bruteforce_memory_bounded():
@@ -461,6 +515,25 @@ def test_seed_contract_golden_counts(ussd4, ussd8, ciod4):
     for decoder in ("ssd", "brute-ml"):
         assert _errors(ussd4, qam4, (0.0, 4.0, 8.0, 12.0), 3000, 5,
                        decoder=decoder) == [2284, 1401, 471, 59], decoder
+
+
+def test_seed_contract_golden_counts_on_64_and_8_points(ussd4, ciod4):
+    # pinned error counts and slot errors: QAM64 at the benchmark's small sweeps'
+    # 15:5:25 dB and 2,000 trials, and rect 8-QAM on two receive antennas; auto angles
+    qam64 = rotated_qam(64, optimal_angle(), "unit-average")
+    ciod_qam64 = rotated_qam(64, ciod_optimal_angle(), "unit-average")
+    rect = special_8qam("rect", ciod_optimal_angle(), "unit-average")
+    for code, constellation, snrs, rx, errors, slot_errors in (
+            (ussd4, qam64, (15.0, 20.0, 25.0), 1, [1667, 685, 100],
+             [(828, 872, 833, 842), (232, 254, 235, 242), (24, 25, 31, 28)]),
+            (ciod4, ciod_qam64, (15.0, 20.0, 25.0), 1, [1682, 692, 82],
+             [(847, 865, 862, 850), (244, 261, 230, 229), (22, 32, 18, 24)]),
+            (ciod4, rect, (0.0, 5.0, 10.0), 2, [1808, 1140, 189],
+             [(948, 926, 940, 903), (387, 415, 420, 410), (50, 50, 46, 63)])):
+        report = simulate_cer(SimConfig(code=code, constellation=constellation, snr_db_list=snrs,
+                                        trials=2000, seed=7, rx_antennas=rx))
+        assert [p.errors for p in report.points] == errors, constellation.name
+        assert [p.slot_errors for p in report.points] == slot_errors, constellation.name
 
 
 @pytest.mark.parametrize("decoder", ["ssd", "brute-ml"])
