@@ -1,7 +1,10 @@
 """Command-line interface: family / construct / verify / coding-gain / simulate.
 
-All file outputs are written atomically (temp file + rename), with the
-mode the umask gives a new file; JSON files are compact,
+All file outputs are written atomically: each is written to a fresh temp
+file in the target's directory, ``.tmp-`` and 16 random hex digits, opened
+once with ``O_CREAT | O_EXCL`` and mode 0666, so the kernel applies the
+umask and the file gets the mode ``open(path, "w")`` would give it; then
+the temp file is renamed over the target.  JSON files are compact,
 ``json.dumps(obj)`` plus a newline (``python -m json.tool FILE``
 pretty-prints one).  Exit status is 0 on success, 1 on a verification
 failure, 2 on usage errors.
@@ -14,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import click
 import numpy as np
@@ -24,22 +26,19 @@ from .verifier import CLASS_NONUW_SSD, CLASS_NOT_SSD, CLASSES, classify
 
 CONSTELLATION_CHOICES = ("qam4", "qam16", "qam64", "8qam-rect", "8qam-sq")
 MAX_SNR_POINTS = 1000
+SIDECAR_SUFFIX = ".config.json"  # simulate's sidecar is the CSV's path plus this
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    # a fixed-length temp name, so any name the directory accepts for path can be written
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -62,10 +61,32 @@ def _load_code(path: str):
 
 
 def _output_path(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
-    """An output path whose directory exists, checked as the option is parsed, before any work."""
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-        raise click.BadParameter(f"the directory of {path!r} does not exist", ctx, param)
+    """An output path whose directory exists and takes its name, checked as the option is
+    parsed, before any work."""
+    if path is not None:
+        _check_names(ctx, param, path)
     return path
+
+
+def _csv_path(ctx: click.Context, param: click.Parameter, path: str) -> str:
+    """``simulate --out``: an output path whose sidecar, written after it, fits as well."""
+    _check_names(ctx, param, path, path + SIDECAR_SUFFIX)
+    return path
+
+
+def _check_names(ctx: click.Context, param: click.Parameter, path: str, *more: str) -> None:
+    """``path`` and the paths ``more`` beside it are names their one directory accepts,
+    and none of them is a directory."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise click.BadParameter(f"the directory of {path!r} does not exist", ctx, param)
+    name_max = os.pathconf(directory, "PC_NAME_MAX")  # -1: the file system sets no limit
+    for p in (path, *more):
+        if 0 <= name_max < len(os.fsencode(os.path.basename(p))):
+            raise click.BadParameter(f"the name of {p!r} is longer than the {name_max} bytes "
+                                     "its directory allows", ctx, param)
+        if os.path.isdir(p):
+            raise click.BadParameter(f"{p!r} is a directory", ctx, param)
 
 
 def _make_constellation(name: str, angle: float, energy_mode: str):
@@ -218,7 +239,7 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--decoder", type=click.Choice(["ssd", "brute-ml"]), default="ssd")
 @click.option("--out", "out", type=click.Path(dir_okay=False), required=True,
-              callback=_output_path)
+              callback=_csv_path)
 def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: int,
              trials: int, seed: int, decoder: str, out: str) -> None:
     """Monte Carlo codeword-error-rate sweep; writes CSV plus a config sidecar."""
@@ -252,15 +273,23 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
         "decoder": decoder,
         "seed_contract": simulator.SEED_CONTRACT,
         "slot_errors": [list(p.slot_errors) for p in report.points],  # per SNR point
-        "code_sha256": hashlib.sha256(json.dumps(codes.code_to_json_dict(code),
-                                                 sort_keys=True).encode()).hexdigest(),
+        "code_sha256": _weights_sha256(code.w),
         "stbc_forge_version": __version__,
         "numpy_version": np.__version__,
         "blas_threads": {name: os.environ.get(name) for name in  # recorded, never set
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
-    _write_json(out + ".config.json", sidecar)
+    _write_json(out + SIDECAR_SUFFIX, sidecar)
     click.echo(f"wrote {len(report.points)} CER points to {out}")
+
+
+def _weights_sha256(w: np.ndarray) -> str:
+    """sha256 of a weight stack: its shape as little-endian int64s, then its little-endian
+    complex128 entries, -0.0 read as 0.0; the label, formatting and exact/float tag do not
+    enter it."""
+    digest = hashlib.sha256(np.array(w.shape, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(w + 0.0, dtype="<c16"))
+    return digest.hexdigest()
 
 
 def _parse_snr(text: str) -> list[float]:

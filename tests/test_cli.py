@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import stbc_forge
-from stbc_forge import (__version__, ciod_optimal_angle, min_det_closed_form, optimal_angle,
-                        rotated_qam, simulator, verifier)
+from stbc_forge import (__version__, ciod_optimal_angle, codes, min_det_closed_form,
+                        optimal_angle, rotated_qam, simulator, verifier)
 from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, _write_json, main
 from stbc_forge.clifford import (
     MAX_DOUBLINGS,
@@ -272,9 +272,12 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     assert sidecar["class"] == "unitary-weight-SSD"
     assert sidecar["stbc_forge_version"] == __version__
     assert sidecar["numpy_version"] == np.__version__
-    canonical = json.dumps(code_to_json_dict(code_from_json_dict(json.loads(code.read_text()))[0]),
-                           sort_keys=True)
-    assert sidecar["code_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+    # the sha256 of the weight stack's shape as little-endian int64s, then of its entries as
+    # little-endian complex128: here the file's [re, im] pairs as little-endian float64s
+    parts = np.array([[m["entries"] for m in pair]
+                      for pair in json.loads(code.read_text())["weights"]], dtype="<f8")
+    stack = np.array(parts.shape[:-1], dtype="<i8").tobytes() + parts.tobytes()
+    assert sidecar["code_sha256"] == hashlib.sha256(stack).hexdigest()
     # deterministic repeat
     first = csv_path.read_text()
     _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam4",
@@ -289,6 +292,42 @@ def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     sidecar = json.loads((tmp_path / "cer.csv.config.json").read_text())
     assert sidecar["class"] == "non-unitary-weight-SSD"
     assert sidecar["rotation_rad"] == ciod_optimal_angle()
+
+
+def test_code_sha256_fingerprints_the_loaded_weights(runner, tmp_path, monkeypatch):
+    # the same weights give one code_sha256 whatever their label, exact/float tag, number
+    # formatting and signed zeros; one ulp in one entry gives another, and simulate never
+    # re-encodes the code to JSON to get it
+    exact = tmp_path / "ussd4.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(exact))
+    obj = json.loads(exact.read_text())
+
+    def as_float(m):
+        return {"n": m["n"], "mode": "float",
+                "entries": [[[float(re), float(im) if im else -0.0] for re, im in row]
+                            for row in m["entries"]]}
+
+    by_hand = dict(obj, label="by hand", weights=[[as_float(a), as_float(b)]
+                                                  for a, b in obj["weights"]])
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(by_hand))
+    assert "-0.0" in floats.read_text() and '"float"' in floats.read_text()
+    by_hand["weights"][0][0]["entries"][0][0][0] = np.nextafter(1.0, 2.0)  # A_1[0, 0] = 1
+    nudged = tmp_path / "nudged.json"
+    nudged.write_text(json.dumps(by_hand))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("code_to_json_dict called")
+
+    monkeypatch.setattr(codes, "code_to_json_dict", fail)
+
+    def code_sha256(path):
+        out = tmp_path / f"{path.stem}.csv"
+        _invoke(runner, "simulate", "--code", str(path), "--constellation", "qam4",
+                "--snr", "10", "--trials", "10", "--out", str(out))
+        return json.loads((tmp_path / f"{path.stem}.csv.config.json").read_text())["code_sha256"]
+
+    assert code_sha256(exact) == code_sha256(floats) != code_sha256(nudged)
 
 
 def test_simulate_sidecar_records_blas_threads(runner, tmp_path, monkeypatch):
@@ -539,6 +578,89 @@ def test_output_files_follow_the_umask(runner, tmp_path, umask):
         os.umask(old)
     for path in (code, report, csv_path, tmp_path / "cer.csv.config.json"):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+def test_failed_rename_keeps_the_target_and_leaves_no_temp_file(runner, tmp_path,
+                                                                monkeypatch):
+    out = tmp_path / "c.json"
+    _invoke(runner, "construct", "--antennas", "2", "--family", "ussd", "--out", str(out))
+    before = out.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    result = runner.invoke(main, ["construct", "--antennas", "4", "--family", "ussd",
+                                  "--out", str(out)])
+    assert isinstance(result.exception, OSError) and "rename failed" in str(result.exception)
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_writes_leave_the_umask_alone(runner, tmp_path, monkeypatch):
+    # the kernel applies the umask to the temp file's one open: no command reads or sets it
+    def fail(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", fail)
+    code, report, csv_path = (tmp_path / name for name in ("c.json", "report.json", "cer.csv"))
+    _invoke(runner, "construct", "--antennas", "2", "--family", "ussd", "--out", str(code))
+    _invoke(runner, "verify", str(code), "--report", str(report))
+    _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam4", "--snr", "10",
+            "--trials", "10", "--out", str(csv_path))
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "cer.csv", "cer.csv.config.json",
+                                            "report.json"]
+
+
+def test_long_output_names_are_written(runner, tmp_path):
+    # the temp file's name has a fixed length, so any name the directory takes can be written:
+    # 250-byte code, report and sidecar names, and a CSV whose sidecar name is the longest
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    code, report = tmp_path / ("c" * 245 + ".json"), tmp_path / ("r" * 245 + ".json")
+    assert _invoke(runner, "construct", "--antennas", "4", "--family", "ussd",
+                   "--out", str(code)).exit_code == 0
+    assert _invoke(runner, "verify", str(code), "--report", str(report)).exit_code == 0
+    csv_names = ["s" * (250 - len(".csv.config.json")) + ".csv",
+                 "t" * (name_max - len(".csv.config.json")) + ".csv"]
+    for name in csv_names:
+        result = _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam4",
+                         "--snr", "10", "--trials", "10", "--out", str(tmp_path / name))
+        assert result.exit_code == 0
+    names = [code.name, report.name] + [n + s for n in csv_names for s in ("", ".config.json")]
+    assert [len(name.encode()) for name in names] == [250, 250, 238, 250, name_max - 12, name_max]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    assert json.loads(code.read_text())["label"] == "max-rate-ussd-4tx"
+
+
+def test_output_names_that_cannot_be_written_are_usage_errors(runner, tmp_path, monkeypatch):
+    # a name longer than the directory takes is exit 2 and one line before any work; for
+    # simulate that includes its sidecar, so no CSV is written without one
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    code = tmp_path / "c.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(code))
+    monkeypatch.setattr(simulator, "simulate_cer", lambda config: pytest.fail("sweep started"))
+    too_long = str(tmp_path / ("x" * (name_max - len(".json") + 1) + ".json"))
+    csv_path = str(tmp_path / ("s" * (name_max - len(".csv.config.json") + 1) + ".csv"))
+    for args, named in (
+            (["family", "--a", "2", "--out", too_long], too_long),
+            (["construct", "--antennas", "4", "--family", "ussd", "--out", too_long], too_long),
+            (["verify", str(code), "--report", too_long], too_long),
+            (["simulate", "--code", str(code), "--constellation", "qam4", "--snr", "10",
+              "--trials", "10", "--out", csv_path], csv_path + ".config.json")):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        line = _one_error_line(result)
+        assert repr(named) in line and f"longer than the {name_max} bytes" in line
+    assert os.listdir(tmp_path) == ["c.json"]
+    # a directory where the sidecar goes is caught at the boundary too
+    (tmp_path / "cer.csv.config.json").mkdir()
+    result = runner.invoke(main, ["simulate", "--code", str(code), "--constellation", "qam4",
+                                  "--snr", "10", "--trials", "10",
+                                  "--out", str(tmp_path / "cer.csv")])
+    assert result.exit_code == 2, result.output
+    assert f"{str(tmp_path / 'cer.csv.config.json')!r} is a directory" in _one_error_line(result)
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "cer.csv.config.json"]
 
 
 def test_process_exit_codes(tmp_path):
