@@ -89,13 +89,6 @@ def _check_names(ctx: click.Context, param: click.Parameter, path: str, *more: s
             raise click.BadParameter(f"{p!r} is a directory", ctx, param)
 
 
-def _make_constellation(name: str, angle: float, energy_mode: str):
-    if name.startswith("qam"):
-        return constellations.rotated_qam(int(name[3:]), angle, energy_mode)
-    kind = "rect" if name == "8qam-rect" else "square-derived"
-    return constellations.special_8qam(kind, angle, energy_mode)
-
-
 def _finite_float(text: str, option: str) -> float:
     try:
         value = float(text)
@@ -106,13 +99,24 @@ def _finite_float(text: str, option: str) -> float:
     return value
 
 
-def _resolve_angle(angle: str, code_class: str) -> float:
-    """``--angle`` in radians; "auto" picks the rotation for ``code_class``."""
+def _code_on_grid(code_json: str, constellation_name: str, angle: str):
+    """The one grid path of ``coding-gain`` and ``simulate``: the loaded code, its computed
+    class, the ``--angle`` in radians ("auto" picks the rotation for the class) and the
+    constellation at that angle."""
+    code, _ = _load_code(code_json)
+    code_class = classify(code).code_class
     if angle != "auto":
-        return _finite_float(angle, "--angle")
-    if code_class == CLASS_NONUW_SSD:
-        return constellations.ciod_optimal_angle()
-    return constellations.optimal_angle()
+        theta = _finite_float(angle, "--angle")
+    elif code_class == CLASS_NONUW_SSD:
+        theta = constellations.ciod_optimal_angle()
+    else:
+        theta = constellations.optimal_angle()
+    if constellation_name.startswith("qam"):
+        grid = constellations.rotated_qam(int(constellation_name[3:]), theta)
+    else:
+        kind = "rect" if constellation_name == "8qam-rect" else "square-derived"
+        grid = constellations.special_8qam(kind, theta)
+    return code, code_class, theta, grid
 
 
 @click.group()
@@ -191,7 +195,8 @@ def verify(code_json: str, report_path: str | None) -> None:
                f"independent={rep.linear_independent} [{status}]")
     if not ok:
         for f in failures:
-            click.echo(f"  condition {f['condition']} violated at ({f['i']},{f['j']})")
+            click.echo(f"  condition {f['condition']} violated at ({f['i']},{f['j']}): "
+                       f"residual {f['residual']:.3e} relative to c")
         sys.exit(1)
 
 
@@ -200,15 +205,10 @@ def verify(code_json: str, report_path: str | None) -> None:
 @click.option("--constellation", "constellation_name",
               type=click.Choice(CONSTELLATION_CHOICES), required=True)
 @click.option("--angle", default="auto", help='"auto" or radians.')
-@click.option("--energy", type=click.Choice(["raw", "unit"]), default="raw")
 @click.option("--brute-force", is_flag=True, help="Unreduced search over all difference vectors.")
-def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str,
-                brute_force: bool) -> None:
+def coding_gain(code_json: str, constellation_name: str, angle: str, brute_force: bool) -> None:
     """Minimum codeword-difference determinant of a code on a constellation."""
-    code, _ = _load_code(code_json)
-    mode = constellations.ENERGY_RAW if energy == "raw" else constellations.ENERGY_UNIT
-    theta = _resolve_angle(angle, classify(code).code_class)
-    constellation = _make_constellation(constellation_name, theta, mode)
+    code, _, theta, constellation = _code_on_grid(code_json, constellation_name, angle)
     try:
         result = codinggain.min_det_bruteforce(code, constellation, force_full=brute_force)
     except ValueError as exc:  # the unreduced search's budget, a code with no energy
@@ -243,11 +243,7 @@ def coding_gain(code_json: str, constellation_name: str, angle: str, energy: str
 def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: int,
              trials: int, seed: int, decoder: str, out: str) -> None:
     """Monte Carlo codeword-error-rate sweep; writes CSV plus a config sidecar."""
-    code, _ = _load_code(code_json)
-    code_class = classify(code).code_class
-    theta = _resolve_angle(angle, code_class)
-    constellation = _make_constellation(constellation_name, theta,
-                                        constellations.ENERGY_UNIT)
+    code, code_class, theta, constellation = _code_on_grid(code_json, constellation_name, angle)
     snr_list = _parse_snr(snr)
     try:
         report = simulator.simulate_cer(simulator.SimConfig(
@@ -264,7 +260,6 @@ def simulate(code_json: str, constellation_name: str, angle: str, snr: str, rx: 
         "class": code_class,
         "constellation": constellation.name,
         "rotation_rad": theta,
-        "energy_mode": constellation.energy_mode,
         "snr_definition": "unit average transmit energy per channel use; SNR = 1/N0 per receive antenna",
         "snr_db": list(snr_list),
         "rx_antennas": rx,

@@ -327,6 +327,10 @@ def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
     if not isinstance(label, str):
         raise ValueError(f"label must be a string, got {label!r}")
     pairs = obj["weights"]
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(m, dict) for m in p)
+            for p in pairs):
+        raise ValueError("weights must be a list of [A, B] pairs of matrix objects")
     flat = stack_from_json([m for a, b in pairs for m in (a, b)], n)
     # no pairs give a (0,) stack, so k = 0 and n < 1 reach the constructor's check
     code = LinearDispersionCode(label=label, n=n, w=flat.reshape(len(pairs), 2, *flat.shape[1:]))

@@ -8,6 +8,9 @@ degree lines, and the determinant is maximized over QAM by rotating the
 grid through pi/4 + arctan(2)/2.  Coordinate-interleaved designs need
 the companion rotation arctan(2)/2, which maximizes the product
 distance min |d_I * d_Q|.  All of them read ``Constellation.differences()``.
+
+A constellation is its raw points, here the odd-integer grids the coding
+gains are stated on; the simulator's transmit scale absorbs their energy.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ import numpy as np
 
 from .gmatrix import _negligible
 
-ENERGY_RAW = "raw"
-ENERGY_UNIT = "unit-average"
-
 QAM_SIZES = (4, 16, 64)
 
 
@@ -31,13 +31,10 @@ class Constellation:
     """A finite set of complex signal points, compared by identity.
 
     ``points`` is a read-only complex128 array, the constructor's own copy.
-    ``energy_mode`` is ``raw`` (odd-integer grid as-is) or
-    ``unit-average`` (scaled so the mean of |x|^2 is exactly 1).
     """
 
     name: str
     points: np.ndarray
-    energy_mode: str = ENERGY_RAW
 
     def __post_init__(self):
         points = np.array(self.points, dtype=np.complex128)
@@ -47,19 +44,11 @@ class Constellation:
             raise ValueError("constellation points must be finite")
         if np.any(np.diff(np.sort(points)) == 0):  # np.unique would import numpy.ma
             raise ValueError("constellation points must be distinct")
-        if self.energy_mode not in (ENERGY_RAW, ENERGY_UNIT):
-            raise ValueError(f"unknown energy mode {self.energy_mode!r}")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
-        if self.energy_mode == ENERGY_UNIT and abs(self.mean_energy - 1.0) > 1e-12:
-            raise ValueError("unit-average constellation is not normalized")
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def mean_energy(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
 
     def differences(self) -> np.ndarray:
         """The distinct nonzero differences of the points, each once, sorted by key.
@@ -76,26 +65,22 @@ class Constellation:
         return d[last[keys != 0]]
 
 
-def _finish(name: str, base: list[complex], angle: float, energy_mode: str) -> Constellation:
+def _finish(name: str, base: list[complex], angle: float) -> Constellation:
     rot = cmath.exp(1j * angle)
-    pts = [p * rot for p in base]
-    if energy_mode == ENERGY_UNIT:
-        scale = 1.0 / math.sqrt(sum(abs(p) ** 2 for p in pts) / len(pts))
-        pts = [p * scale for p in pts]
-    return Constellation(name=name, points=pts, energy_mode=energy_mode)
+    return Constellation(name=name, points=[p * rot for p in base])
 
 
-def rotated_qam(m: int, angle: float = 0.0, energy_mode: str = ENERGY_RAW) -> Constellation:
+def rotated_qam(m: int, angle: float = 0.0) -> Constellation:
     """Square M-QAM on the odd-integer grid, rotated by ``angle`` radians."""
     if m not in QAM_SIZES:
         raise ValueError(f"supported QAM sizes are {QAM_SIZES}, got {m}")
     side = int(round(math.sqrt(m)))
     base = [complex(2 * i - side + 1, 2 * q - side + 1)
             for i in range(side) for q in range(side)]
-    return _finish(f"qam{m}", base, angle, energy_mode)
+    return _finish(f"qam{m}", base, angle)
 
 
-def special_8qam(kind: str, angle: float = 0.0, energy_mode: str = ENERGY_RAW) -> Constellation:
+def special_8qam(kind: str, angle: float = 0.0) -> Constellation:
     """Two 8-point constellations used at 3 bits per channel use.
 
     ``square-derived`` is the 3x3 grid on {-1, 1, 3}^2 with its
@@ -108,7 +93,7 @@ def special_8qam(kind: str, angle: float = 0.0, energy_mode: str = ENERGY_RAW) -
         base = [complex(re, im) for re in (-3, -1, 1, 3) for im in (-1, 1)]
     else:
         raise ValueError(f"kind must be 'rect' or 'square-derived', got {kind!r}")
-    return _finish(f"8qam-{kind}", base, angle, energy_mode)
+    return _finish(f"8qam-{kind}", base, angle)
 
 
 def optimal_angle() -> float:

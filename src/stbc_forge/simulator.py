@@ -107,7 +107,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram, lexicographic_first_min
 from .constellations import Constellation
-from .gmatrix import _upper_pairs
+from .gmatrix import _pow2_scaled, _upper_pairs
 from .verifier import check_ssd
 
 DECODER_SSD = "ssd"
@@ -200,12 +200,19 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     uniform over the points, so E[x x^T] is the tiled mean mu mu^T plus
     the points' 2 x 2 covariance C in each slot's diagonal block, and the
     mean energy is mu^T Gamma mu + <sum_i Gamma_ii, C>: rate-, mean- and
-    energy-mode-aware.  Gamma is that of the weights times 2^e, so the
-    energy cannot overflow; the scale carries 2^e back.
+    grid-scale-aware.  Gamma is that of the weights times 2^e, and the
+    points are read times 2^t (both ``gmatrix._pow2_scaled``), so the
+    energy cannot overflow; the scale carries 2^(e + t) back.
     """
+    pts, t = _pow2_scaled(constellation.points)
+    return math.ldexp(_transmit_scale(code, pts), t)
+
+
+def _transmit_scale(code: LinearDispersionCode, pts: np.ndarray) -> float:
+    """:func:`transmit_scale` of the points ``pts`` as they are, read at their scale."""
     gamma, e = code.real_gram
-    mu = np.mean(constellation.points)
-    d = (constellation.points - mu).view(np.float64).reshape(-1, 2)
+    mu = np.mean(pts)
+    d = (pts - mu).view(np.float64).reshape(-1, 2)
     mean = np.array([mu.real, mu.imag] * code.k)
     slots = np.einsum("iaib->ab", gamma.reshape(code.k, 2, code.k, 2))  # sum_i Gamma_ii
     total = float(mean @ gamma @ mean + np.sum(slots * (d.T @ d)) / len(d))
@@ -418,8 +425,11 @@ def simulate_cer(config: SimConfig) -> CerReport:
     """Codeword-error-rate sweep over the configured SNR points."""
     code = config.code
     n, m, k = code.n, config.rx_antennas, code.k
-    w = code.scaled(transmit_scale(code, config.constellation)).w
-    pts = config.constellation.points
+    # the points times the 2^t of gmatrix._pow2_scaled, the weights at the transmit scale
+    # for those: every metric scales exactly by a power of two, so a grid's scale changes
+    # no count, and the weight scale stays in the float range where 2^t could carry it out
+    pts = _pow2_scaled(config.constellation.points)[0]
+    w = code.scaled(_transmit_scale(code, pts)).w
     chunk = min(_CHUNK, config.trials)
     block = min(_BLOCK, chunk)
     # SSD reads the caller's classify

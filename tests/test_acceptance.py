@@ -140,7 +140,7 @@ def test_criterion_5_clifford_properties():
 def test_criterion_6_decoder_equivalence():
     fam = generate_family(2)
     code = build_max_rate_ussd(2, fam)
-    constellation = rotated_qam(4, sf.optimal_angle(), "unit-average")
+    constellation = rotated_qam(4, sf.optimal_angle())
     scaled = code.scaled(transmit_scale(code, constellation))
     n0 = 10.0 ** (-10.0 / 10.0)  # SNR 10 dB
     rng = np.random.default_rng(606)
@@ -170,9 +170,9 @@ def test_criterion_7_cer_parity_and_rotation_gain():
     trials = 100_000
     seed = 20260809  # same stream for every config couples the comparison
     configs = {
-        "ussd-rotated": (ussd4, rotated_qam(4, sf.optimal_angle(), "unit-average")),
-        "ciod-rotated": (ciod4, rotated_qam(4, sf.ciod_optimal_angle(), "unit-average")),
-        "ussd-unrotated": (ussd4, rotated_qam(4, 0.0, "unit-average")),
+        "ussd-rotated": (ussd4, rotated_qam(4, sf.optimal_angle())),
+        "ciod-rotated": (ciod4, rotated_qam(4, sf.ciod_optimal_angle())),
+        "ussd-unrotated": (ussd4, rotated_qam(4, 0.0)),
     }
     reports = {
         name: simulate_cer(sf.SimConfig(code=code, constellation=con,

@@ -95,6 +95,12 @@ def test_verify_flags_corrupted_code(runner, tmp_path):
     assert any(f["condition"] == "SSD-II" and {f["i"], f["j"]} == {2, 3}
                for f in rep["failed_conditions"])
     assert "SSD-II" in result.output
+    # each console line gives the residual of its condition, as the report does
+    lines = [line for line in result.output.splitlines() if "violated at" in line]
+    assert len(lines) == len(rep["failed_conditions"]) > 0
+    for line, f in zip(lines, rep["failed_conditions"]):
+        assert line == (f"  condition {f['condition']} violated at ({f['i']},{f['j']}): "
+                        f"residual {f['residual']:.3e} relative to c")
 
 
 def test_verify_flags_wrong_declared_class(runner, tmp_path):
@@ -106,6 +112,10 @@ def test_verify_flags_wrong_declared_class(runner, tmp_path):
     out.write_text(json.dumps(obj))
     result = runner.invoke(main, ["verify", str(out)])
     assert result.exit_code == 1
+    # ussd4 misses the orthogonal-design condition of each symbol by ||2 B_i|| = 4 c
+    assert [line for line in result.output.splitlines() if "violated" in line] == [
+        f"  condition COD-IQ-self violated at ({i},{i}): residual 4.000e+00 relative to c"
+        for i in range(1, 5)]
     # null is undeclared, not a wrong class
     obj["class"] = None
     out.write_text(json.dumps(obj))
@@ -116,14 +126,14 @@ def test_coding_gain_prints_table_value(runner, tmp_path):
     out = tmp_path / "ussd4.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(out))
     result = _invoke(runner, "coding-gain", "--code", str(out),
-                     "--constellation", "qam4", "--angle", "auto", "--energy", "raw")
+                     "--constellation", "qam4", "--angle", "auto")
     assert result.exit_code == 0
     assert "min_det = 1.024000e+01" in result.output
 
     ciod = tmp_path / "ciod4.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ciod4", "--out", str(ciod))
     result = _invoke(runner, "coding-gain", "--code", str(ciod),
-                     "--constellation", "qam4", "--angle", "auto", "--energy", "raw")
+                     "--constellation", "qam4", "--angle", "auto")
     assert result.exit_code == 0
     assert "min_det = 1.024000e+01" in result.output
 
@@ -230,7 +240,7 @@ def test_coding_gain_8qam_choice(runner, tmp_path):
     out = tmp_path / "ussd4.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(out))
     result = _invoke(runner, "coding-gain", "--code", str(out),
-                     "--constellation", "8qam-sq", "--angle", "auto", "--energy", "raw")
+                     "--constellation", "8qam-sq", "--angle", "auto")
     assert result.exit_code == 0
     assert "min_det" in result.output
 
@@ -239,8 +249,7 @@ def test_coding_gain_explicit_angle_and_full_search(runner, tmp_path):
     out = tmp_path / "ussd2.json"
     _invoke(runner, "construct", "--antennas", "2", "--family", "ussd", "--out", str(out))
     result = _invoke(runner, "coding-gain", "--code", str(out),
-                     "--constellation", "qam4", "--angle", "0.7",
-                     "--energy", "raw", "--brute-force")
+                     "--constellation", "qam4", "--angle", "0.7", "--brute-force")
     assert result.exit_code == 0
     assert "full search" in result.output
 
@@ -464,11 +473,22 @@ def test_usage_errors(runner, tmp_path):
         bad = json.loads(code.read_text())
         bad[key] = value
         fields.append((f"{key}-{len(fields)}.json", bad))
+    # a weights value that is not a list of [A, B] pairs of matrix objects says so, where
+    # Python's own text ("not enough values to unpack", "list indices must be integers")
+    # named no field
+    matrix = json.loads(code.read_text())["weights"][0][0]
+    weights = []
+    for value in ({"A": matrix}, 4, None, [[matrix]], [[matrix, matrix, matrix]],
+                  [[1, matrix]], [[matrix, matrix["entries"]]]):
+        bad = json.loads(code.read_text())
+        bad["weights"] = value
+        weights.append((f"weights-{len(weights)}.json", bad))
     # so do codes with no weight pairs or n < 1
     for name, content in [("keys.json", {"n": 4}), ("guard.json", obj), ("bool.json", boolean),
                           ("empty.json", {"n": 4, "weights": []}),
                           ("n0.json", {"n": 0, "weights": []}),
-                          ("negative-n.json", {"n": -1, "weights": []})] + not_int + fields:
+                          ("negative-n.json", {"n": -1, "weights": []})] + not_int + fields \
+            + weights:
         path = tmp_path / name
         path.write_text(json.dumps(content))
         for args in (["verify", str(path)],
@@ -478,7 +498,10 @@ def test_usage_errors(runner, tmp_path):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)
-            assert "not a valid code file" in _one_error_line(result)
+            line = _one_error_line(result)
+            assert "not a valid code file" in line
+            if name.startswith("weights-"):
+                assert "ValueError: weights must be" in line, line
     assert not (tmp_path / "o.csv").exists()
 
 

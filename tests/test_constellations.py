@@ -27,7 +27,7 @@ def _as_point_set(constellation, ndigits=9):
 def test_qam4_unrotated():
     c = rotated_qam(4)
     assert _as_point_set(c) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert c.mean_energy == pytest.approx(2.0)
+    assert np.mean(np.abs(c.points) ** 2) == pytest.approx(2.0)
 
 
 def test_qam4_quarter_turn_is_same_set():
@@ -47,18 +47,12 @@ def test_qam_size_validation():
         rotated_qam(32)
 
 
-def test_unit_average_mode():
-    for m in (4, 16, 64):
-        c = rotated_qam(m, optimal_angle(), "unit-average")
-        assert abs(c.mean_energy - 1.0) <= 1e-12
-
-
 def test_square_derived_8qam_points():
     c = special_8qam("square-derived")
     expected = {(-1, -1), (-1, 1), (-1, 3), (1, -1), (1, 1), (1, 3), (3, -1), (3, 1)}
     assert _as_point_set(c) == expected
     # enumerated mean of |x|^2: (4*2 + 4*10) / 8
-    assert c.mean_energy == pytest.approx(6.0)
+    assert np.mean(np.abs(c.points) ** 2) == pytest.approx(6.0)
 
 
 def test_rect_8qam_points():
@@ -175,11 +169,6 @@ def test_constellation_validation():
         Constellation(name="one", points=(1 + 0j,))
     with pytest.raises(ValueError):
         Constellation(name="dup", points=(1 + 0j, 1 + 0j))
-    with pytest.raises(ValueError):
-        Constellation(name="bad-unit", points=(1 + 0j, -1 + 0j, 3 + 0j),
-                      energy_mode="unit-average")
-    with pytest.raises(ValueError):
-        Constellation(name="bad-mode", points=(1 + 0j, -1 + 0j), energy_mode="peak")
 
 
 def test_constellation_rejects_non_finite_points():
@@ -188,4 +177,4 @@ def test_constellation_rejects_non_finite_points():
             Constellation(name="non-finite", points=(1 + 0j, point))
     # an infinite angle gave all-NaN points that reached the searches and the simulator
     with pytest.raises(ValueError, match="finite"):
-        rotated_qam(4, math.inf, "unit-average")
+        rotated_qam(4, math.inf)

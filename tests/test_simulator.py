@@ -45,18 +45,37 @@ def _slot_metrics(tables, y, h, pts):
 
 
 def test_transmit_scale(ussd4, ciod4):
-    unit = rotated_qam(4, optimal_angle(), "unit-average")
+    raw = rotated_qam(4, optimal_angle())  # mean energy 2
+    unit = Constellation("qam4", raw.points / math.sqrt(2))
     assert transmit_scale(ussd4, unit) == pytest.approx(0.5)
     assert transmit_scale(ciod4, unit) == pytest.approx(1 / math.sqrt(2))
-    raw = rotated_qam(4, optimal_angle())  # mean energy 2
     assert transmit_scale(ussd4, raw) == pytest.approx(0.5 / math.sqrt(2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid_scale", [1.0, 3.0, 2.0 ** -30, 2.0 ** -1000,
+                                        1e160, 1e-160, 1e200, 1e-200])
+def test_a_uniform_scale_of_the_grid_changes_no_count(ussd4, ciod4, grid_scale):
+    # simulate_cer reads the points at the power of two of gmatrix._pow2_scaled and scales
+    # the weights for those, so every metric moves by an exact power of two; grids of
+    # 1e+-160 and 1e+-200 raised before, through an overflow or a transmit scale of 0
+    qam16 = rotated_qam(16, optimal_angle())
+    grid = Constellation("qam16", qam16.points * grid_scale)
+    for code, want in ((ussd4, [2055, 650]), (ciod4, [2152, 795])):
+        assert transmit_scale(code, grid) * grid_scale == pytest.approx(
+            transmit_scale(code, qam16), rel=1e-12)
+        reports = [simulate_cer(SimConfig(code=code.scaled(weight_scale), constellation=c,
+                                          snr_db_list=(10.0, 15.0), trials=3000, seed=5))
+                   for c in (qam16, grid) for weight_scale in (1.0, 1e300, 1e-300)]
+        assert [p.errors for p in reports[0].points] == want
+        assert all(r.points == reports[0].points for r in reports)
 
 
 @given(n=st.sampled_from([2, 3]), k=st.integers(min_value=1, max_value=2),
        size=st.integers(min_value=2, max_value=8),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_transmit_scale_counts_cross_symbol_mean_energy(n, k, size, seed):
+def test_transmit_scale_counts_cross_symbol_energy(n, k, size, seed):
     # random weights, whose distinct symbols do not cancel, on points of nonzero mean:
     # every codeword, each equally likely, averages unit energy per channel use
     rng = np.random.default_rng(seed)
@@ -74,7 +93,7 @@ def test_transmit_scale_counts_cross_symbol_mean_energy(n, k, size, seed):
 
 
 def test_ssd_decode_noiseless(ussd4):
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     rng = np.random.default_rng(11)
     pts = np.asarray(c.points)
     for _ in range(25):
@@ -86,7 +105,7 @@ def test_ssd_decode_noiseless(ussd4):
 
 
 def test_ssd_decode_complexity_contract(ussd4):
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     rng = np.random.default_rng(13)
     h = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))) / math.sqrt(2)
     y = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
@@ -99,7 +118,7 @@ def test_ssd_decode_rejects_non_ssd():
     a1 = np.array([[1, 0], [0, 0]])
     a2 = np.array([[0, 1], [1, 0]])
     code = LinearDispersionCode(label="blast-ish", n=2, w=[(a1, a1 * 1j), (a2, a2 * 1j)])
-    c = rotated_qam(4, 0.0, "unit-average")
+    c = rotated_qam(4, 0.0)
     with pytest.raises(ValueError):
         ssd_decode(code, np.zeros((2, 1)), np.ones((2, 1)), c)
 
@@ -110,7 +129,7 @@ def test_per_slot_decoding_fails_without_ssd():
     a1 = np.array([[1, 0], [0, 0]])
     a2 = np.array([[0, 1], [1, 0]])
     code = LinearDispersionCode(label="blast-ish", n=2, w=[(a1, a1 * 1j), (a2, a2 * 1j)])
-    c = rotated_qam(4, 0.0, "unit-average")
+    c = rotated_qam(4, 0.0)
     pts = np.asarray(c.points)
     tables = _tables(code.w)
     rng = np.random.default_rng(17)
@@ -128,7 +147,7 @@ def test_per_slot_decoding_fails_without_ssd():
 
 
 def test_decoders_agree_on_ssd_code(ussd4, ussd2):
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     rng = np.random.default_rng(19)
     for code in (ussd2, ussd4):
         scaled = code.scaled(transmit_scale(code, c))
@@ -146,7 +165,7 @@ def test_decoders_agree_on_ssd_code(ussd4, ussd2):
 
 
 def test_ssd_decode_batch_matches_blocks_and_checks_once(ussd4, monkeypatch):
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     rng = np.random.default_rng(37)
     h = rng.standard_normal((9, 4, 2)) + 1j * rng.standard_normal((9, 4, 2))
     y = rng.standard_normal((9, 4, 2)) + 1j * rng.standard_normal((9, 4, 2))
@@ -160,7 +179,7 @@ def test_ssd_decode_batch_matches_blocks_and_checks_once(ussd4, monkeypatch):
 
 
 def test_ssd_decode_rejects_mismatched_blocks(ussd4):
-    c = rotated_qam(4, 0.3, "unit-average")
+    c = rotated_qam(4, 0.3)
     with pytest.raises(ValueError, match="shape"):
         ssd_decode(ussd4, np.ones((4, 1)), np.ones((3, 4, 1)), c)
     with pytest.raises(ValueError, match="shape"):
@@ -169,7 +188,7 @@ def test_ssd_decode_rejects_mismatched_blocks(ussd4):
 
 def test_decoders_accept_real_blocks(ussd4):
     # real y and h decode as their complex casts, one block or a batch
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     rng = np.random.default_rng(41)
     y, h = rng.standard_normal((2, 5, 4, 1))
     for decode in (ssd_decode, ml_decode_bruteforce):
@@ -231,7 +250,7 @@ def test_ssd_decode_equals_bruteforce_ml(name, scale, angle, sigma, rx, seed):
     rng = np.random.default_rng(seed)
     base = _SSD_CODES[name]
     code = base.left_multiply(random_unitary(base.n, rng)).scaled(scale)
-    c = rotated_qam(4, angle, "unit-average")
+    c = rotated_qam(4, angle)
     pts = np.asarray(c.points)
     for _ in range(5):
         x = pts[rng.integers(0, 4, size=code.k)]
@@ -257,8 +276,8 @@ def test_slot_count_flags_the_ssd_decoder_errors(name, points, scale, angle, sig
     rng = np.random.default_rng(seed)
     base = {"ussd2": ussd2, "ussd4": ussd4, "ussd8": ussd8, "ciod4": ciod4, "cod4": cod4}[name]
     code = base.left_multiply(random_unitary(base.n, rng)).scaled(scale)
-    c = (rotated_qam(int(points[3:]), angle, "unit-average") if points.startswith("qam")
-         else special_8qam(points, angle, "unit-average"))
+    c = (rotated_qam(int(points[3:]), angle) if points.startswith("qam")
+         else special_8qam(points, angle))
     pts = np.asarray(c.points)
     symbols = rng.integers(0, len(pts), size=(t, code.k))
     shape = (t, code.n, rx)
@@ -388,7 +407,7 @@ def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, wh
     # that just holds every codeword takes the one GEMM against the basis built once
     rng = np.random.default_rng(seed)
     code = _random_code(rng, n, k)
-    c = rotated_qam(size, rng.uniform(0.0, math.pi / 2), "unit-average")
+    c = rotated_qam(size, rng.uniform(0.0, math.pi / 2))
     pts = np.asarray(c.points)
     wi, wq = code.weight_arrays()
     shape = (t, n, rx)
@@ -418,7 +437,7 @@ def test_ml_decode_bruteforce_exact_tie_takes_first_codeword(monkeypatch):
     # lexicographic order wins, in the one GEMM over all 64 codewords and
     # also when later codeword chunks tie with it
     code = _random_code(np.random.default_rng(23), 2, 3)
-    c = rotated_qam(4, 0.3, "unit-average")
+    c = rotated_qam(4, 0.3)
     first = np.full(3, c.points[0])
     assert np.array_equal(ml_decode_bruteforce(code, np.zeros((2, 1)), np.zeros((2, 1)), c),
                           first)
@@ -432,7 +451,7 @@ def test_ml_decode_bruteforce_memory_bounded():
     # 64^3 = 4^9 codewords: the codeword chunk, not T or |A|^k, sets the peak
     rng = np.random.default_rng(29)
     code = _random_code(rng, 2, 3)
-    c = rotated_qam(64, 0.3, "unit-average")
+    c = rotated_qam(64, 0.3)
 
     def peak(t):
         h = rng.standard_normal((t, 2, 1)) + 1j * rng.standard_normal((t, 2, 1))
@@ -451,7 +470,7 @@ def test_ml_decode_bruteforce_memory_bounded():
 
 def test_ml_decode_bruteforce_rejects_mismatched_blocks(ussd4):
     # one y against a batch of fades would otherwise broadcast silently
-    c = rotated_qam(4, 0.3, "unit-average")
+    c = rotated_qam(4, 0.3)
     with pytest.raises(ValueError, match="shape"):
         ml_decode_bruteforce(ussd4, np.ones((4, 1)), np.ones((3, 4, 1)), c)
     with pytest.raises(ValueError, match="shape"):
@@ -461,7 +480,7 @@ def test_ml_decode_bruteforce_rejects_mismatched_blocks(ussd4):
 @pytest.mark.parametrize("rows", [2, 3, 8])
 def test_decoders_reject_blocks_of_another_row_count(ussd4, rows):
     # blocks of the wrong row count are one line naming both sizes, not numpy's matmul error
-    c = rotated_qam(4, 0.3, "unit-average")
+    c = rotated_qam(4, 0.3)
     for decode in (ssd_decode, ml_decode_bruteforce):
         for shape in ((rows, 1), (5, rows, 2)):
             with pytest.raises(ValueError, match=re.escape(
@@ -471,13 +490,13 @@ def test_decoders_reject_blocks_of_another_row_count(ussd4, rows):
 
 
 def test_ml_budget(ussd4):
-    c = rotated_qam(64, 0.3, "unit-average")  # 64^4 codewords, over ML_BUDGET
+    c = rotated_qam(64, 0.3)  # 64^4 codewords, over ML_BUDGET
     with pytest.raises(ValueError, match="over budget"):
         ml_decode_bruteforce(ussd4, np.zeros((4, 1)), np.ones((4, 1)), c)
 
 
 def test_simulate_cer_reproducible(ussd4):
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     config = SimConfig(code=ussd4, constellation=c, snr_db_list=(6.0, 10.0),
                        trials=2000, seed=424242)
     r1 = simulate_cer(config)
@@ -496,9 +515,9 @@ def test_seed_contract_golden_counts(ussd4, ussd8, ciod4):
     # pinned error counts; a change here changes every seeded report.
     # A single-chunk run draws from [seed, point, 0], the same stream as the
     # earlier [seed, point] contract, so its counts predate chunked draws
-    qam16 = rotated_qam(16, optimal_angle(), "unit-average")
+    qam16 = rotated_qam(16, optimal_angle())
     assert _errors(ussd4, qam16, (10.0, 15.0, 20.0), 2000, 7) == [1384, 398, 41]
-    qam4 = rotated_qam(4, optimal_angle(), "unit-average")
+    qam4 = rotated_qam(4, optimal_angle())
     assert _errors(ussd4, qam4, (4.0, 10.0), 2 * _CHUNK + 1000, 7) == [15480, 2028]
     # the benchmark's large shape: 8 antennas, 16-QAM, two receive antennas,
     # pinned per slot too
@@ -509,7 +528,7 @@ def test_seed_contract_golden_counts(ussd4, ussd8, ciod4):
                                                      (12, 22, 19, 18, 19, 19)]
     # brute-force ML over one trial chunk and across two, counted before it was batched
     assert _errors(ussd4, qam4, (6.0, 10.0), _CHUNK + 500, 7, decoder="brute-ml") == [4833, 1002]
-    ciod_qam4 = rotated_qam(4, ciod_optimal_angle(), "unit-average")
+    ciod_qam4 = rotated_qam(4, ciod_optimal_angle())
     assert _errors(ciod4, ciod_qam4, (10.0,), 2000, 7, decoder="brute-ml") == [123]
     # both decoders over a sweep from 0 dB, as `simulate --snr 0:4:12 --seed 5` runs it
     for decoder in ("ssd", "brute-ml"):
@@ -520,9 +539,9 @@ def test_seed_contract_golden_counts(ussd4, ussd8, ciod4):
 def test_seed_contract_golden_counts_on_64_and_8_points(ussd4, ciod4):
     # pinned error counts and slot errors: QAM64 at the benchmark's small sweeps'
     # 15:5:25 dB and 2,000 trials, and rect 8-QAM on two receive antennas; auto angles
-    qam64 = rotated_qam(64, optimal_angle(), "unit-average")
-    ciod_qam64 = rotated_qam(64, ciod_optimal_angle(), "unit-average")
-    rect = special_8qam("rect", ciod_optimal_angle(), "unit-average")
+    qam64 = rotated_qam(64, optimal_angle())
+    ciod_qam64 = rotated_qam(64, ciod_optimal_angle())
+    rect = special_8qam("rect", ciod_optimal_angle())
     for code, constellation, snrs, rx, errors, slot_errors in (
             (ussd4, qam64, (15.0, 20.0, 25.0), 1, [1667, 685, 100],
              [(828, 872, 833, 842), (232, 254, 235, 242), (24, 25, 31, 28)]),
@@ -539,7 +558,7 @@ def test_seed_contract_golden_counts_on_64_and_8_points(ussd4, ciod4):
 @pytest.mark.parametrize("decoder", ["ssd", "brute-ml"])
 def test_slot_errors_bound_codeword_errors(ussd4, decoder):
     # a codeword error has at least one wrong slot and at most k of them
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     config = SimConfig(code=ussd4, constellation=c, snr_db_list=(0.0, 8.0), trials=3000,
                        seed=31, decoder=decoder)
     for p in simulate_cer(config).points:
@@ -550,14 +569,14 @@ def test_slot_errors_bound_codeword_errors(ussd4, decoder):
 
 def test_seed_contract_trial_prefix_stability(ussd4):
     # a longer run repeats every full chunk of a shorter one
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     short = _errors(ussd4, c, (0.0, 6.0), _CHUNK, 21)
     longer = _errors(ussd4, c, (0.0, 6.0), _CHUNK + 1, 21)
     assert all(b - a in (0, 1) for a, b in zip(short, longer))
 
 
 def test_simulate_cer_memory_bounded_in_trials(ussd4):
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
 
     def peak(trials):
         config = SimConfig(code=ussd4, constellation=c, snr_db_list=(10.0,),
@@ -577,7 +596,7 @@ def test_simulate_cer_chunk_memory(ussd8):
     # symbols, noise, [H; N], statistics [Q | H N^H] and metrics: about 8.9 MiB.
     # Blocks of 2^11 trials, whose (T, n, 2n) statistic alone is 4 MiB, peak at
     # 13 MiB, and arrays that each spanned the whole chunk would take about 44.5 MiB
-    c = rotated_qam(16, optimal_angle(), "unit-average")
+    c = rotated_qam(16, optimal_angle())
     config = SimConfig(code=ussd8, constellation=c, snr_db_list=(10.0,), trials=_CHUNK,
                        seed=1, rx_antennas=2)
     classify(ussd8)  # as the CLI does: the SSD gate then reads the cached classification
@@ -596,10 +615,10 @@ def test_simulate_cer_chunk_memory(ussd8):
 def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
     # the block size only schedules the work: 7 divides neither 2^14 nor the tail of 1000
     code, constellation, snr, rx, decoder = {
-        "ussd8-ssd": (ussd8, rotated_qam(16, optimal_angle(), "unit-average"), 10.0, 2, "ssd"),
-        "ciod4-ssd": (ciod4, rotated_qam(4, ciod_optimal_angle(), "unit-average"), 8.0, 1,
+        "ussd8-ssd": (ussd8, rotated_qam(16, optimal_angle()), 10.0, 2, "ssd"),
+        "ciod4-ssd": (ciod4, rotated_qam(4, ciod_optimal_angle()), 8.0, 1,
                       "ssd"),
-        "ussd4-brute-ml": (ussd4, rotated_qam(4, optimal_angle(), "unit-average"), 6.0, 1,
+        "ussd4-brute-ml": (ussd4, rotated_qam(4, optimal_angle()), 6.0, 1,
                            "brute-ml"),
     }[name]
     config = SimConfig(code=code, constellation=constellation, snr_db_list=(snr,),
@@ -611,14 +630,14 @@ def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
 
 
 def test_simulate_cer_vanishes_at_high_snr(ussd4):
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     config = SimConfig(code=ussd4, constellation=c, snr_db_list=(60.0,),
                        trials=2000, seed=3)
     assert simulate_cer(config).points[0].errors == 0
 
 
 def test_simulate_decoders_identical_on_ssd(ciod4):
-    c = rotated_qam(4, ciod_optimal_angle(), "unit-average")
+    c = rotated_qam(4, ciod_optimal_angle())
     kwargs = dict(code=ciod4, constellation=c, snr_db_list=(8.0,), trials=400, seed=11)
     ssd = simulate_cer(SimConfig(decoder="ssd", **kwargs))
     ml = simulate_cer(SimConfig(decoder="brute-ml", **kwargs))
@@ -631,8 +650,8 @@ def test_simulate_decoders_identical_on_ssd(ciod4):
 
 
 def test_simulate_rotated_beats_unrotated(ussd4):
-    rot = rotated_qam(4, optimal_angle(), "unit-average")
-    unrot = rotated_qam(4, 0.0, "unit-average")
+    rot = rotated_qam(4, optimal_angle())
+    unrot = rotated_qam(4, 0.0)
     snrs = (16.0,)
     a = simulate_cer(SimConfig(code=ussd4, constellation=rot, snr_db_list=snrs,
                                trials=20000, seed=5))
@@ -647,7 +666,7 @@ def test_high_snr_slope_shows_full_diversity(ussd4):
     # diversity-2 code (e.g. unrotated QAM) would give about 2, so 3 is
     # the documented soft threshold separating them; 4e5 trials keep
     # enough error events at 20 dB for the pinned seed to clear it
-    c = rotated_qam(4, optimal_angle(), "unit-average")
+    c = rotated_qam(4, optimal_angle())
     config = SimConfig(code=ussd4, constellation=c, snr_db_list=(16.0, 20.0),
                        trials=400_000, seed=20260809)
     lo, hi = simulate_cer(config).points
@@ -662,7 +681,7 @@ def test_simulate_8qam_at_3_bpcu(ussd4):
     # rect 8-QAM has unequal I/Q second moments and a nonzero cross
     # moment once rotated; the energy scaling must absorb both
     for kind in ("rect", "square-derived"):
-        c = special_8qam(kind, optimal_angle(), "unit-average")
+        c = special_8qam(kind, optimal_angle())
         config = SimConfig(code=ussd4, constellation=c, snr_db_list=(14.0,),
                            trials=2000, seed=77)
         point = simulate_cer(config).points[0]
@@ -670,7 +689,7 @@ def test_simulate_8qam_at_3_bpcu(ussd4):
 
 
 def test_config_validation(ussd4):
-    c = rotated_qam(4, 0.0, "unit-average")
+    c = rotated_qam(4, 0.0)
     with pytest.raises(ValueError):
         SimConfig(code=ussd4, constellation=c, snr_db_list=(), trials=10, seed=1)
     with pytest.raises(ValueError):
@@ -684,7 +703,7 @@ def test_config_validation(ussd4):
                                           ("rx_antennas", 1.5)])
 def test_config_rejects_non_integer_or_negative(ussd4, field, value):
     # rejected at the boundary: not left to fail inside numpy or range, nor truncated
-    kwargs = dict(code=ussd4, constellation=rotated_qam(4, 0.0, "unit-average"),
+    kwargs = dict(code=ussd4, constellation=rotated_qam(4, 0.0),
                   snr_db_list=(1.0,), trials=10, seed=1)
     with pytest.raises(ValueError, match=field):
         SimConfig(**{**kwargs, field: value})
@@ -694,7 +713,7 @@ def test_config_rejects_non_integer_or_negative(ussd4, field, value):
 def test_config_rejects_snr_without_finite_noise_power(ussd4, snr):
     # N0 = 10^(-SNR/10) overflows below about -3083 dB: rejected at the boundary,
     # not left to end in an OverflowError inside simulate_cer
-    kwargs = dict(code=ussd4, constellation=rotated_qam(4, 0.0, "unit-average"),
+    kwargs = dict(code=ussd4, constellation=rotated_qam(4, 0.0),
                   trials=10, seed=1)
     with pytest.raises(ValueError, match="noise power"):
         SimConfig(snr_db_list=(10.0, snr), **kwargs)
