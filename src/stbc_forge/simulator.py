@@ -23,22 +23,29 @@ and the two n x n statistics per block Q = H H^H and P = H Y^H.  A
 decoder works on S sub-codes of g symbols each.  One table builder keeps
 the sub-codes' pair terms that are not exactly zero, entrywise in some
 sub-code (a pruned M_pq adds nothing; one mask serves every sub-code),
-and gives one (4n^2, S F) kernel, F = (kept pairs) + 2g.  A batch of T
-blocks takes one batched product H [H; Z]^H = [Q | H Z^H] of (T, n, m)
-blocks h, z and one GEMM of its float64 view to the (T S, F)
-coefficients [R_pq, Re tr(W_p H Z^H)] of every block and sub-code; with
-Z = Y they are [R_pq, b_p].  Those times the (F, C) basis
-[s_p s_q, -2 s_p] of C candidate symbol vectors on the kept pairs give
-every metric in one GEMM.  The kernel assumes nothing about the weights.
+and gives two half-tables: the float64 views of conj(M_pq) on the kept
+pairs and of conj(W_p).  M_pq and Q are Hermitian, so R_pq =
+<conj(M_pq), conj(Q)> and b_p = <conj(W_p), conj(Y H^H)>, real inner
+products.  A batch of T blocks takes one batched product
+conj([H; Z]) H^T = conj([Q; Z H^H]) of (T, n, m) blocks h, z, whose
+halves are 2n^2 contiguous floats per block, and one GEMM per half
+against its half-table, with no structural zero.  The two GEMMs write
+the row blocks of one coefficient-major (F S, T) array,
+F = (kept pairs) + 2g: row f S + i holds coefficient f of sub-code i,
+[R_pq; Re tr(W_p H Z^H)], and with Z = Y that is [R_pq; b_p].  The
+(F, C) basis [s_p s_q, -2 s_p] of C candidate symbol vectors on the kept
+pairs meets it in one GEMM for every metric.  The tables assume nothing
+about the weights.
 
 ``ssd_decode``
     ML of each slot's one-symbol sub-code (S = k, g = 1, from the code's
     (k, 2, n, n) weight stack) over the |A| points: k * |A| metric
-    evaluations, written candidate-major as one (|A|, T k) GEMM
-    basis^T coefficients^T into one block-sized buffer.  It is ML of the
-    code exactly when every cross-symbol M_pq vanishes, the single-symbol
-    decodable codes, so it checks the code first.  No cross-slot product
-    is formed.
+    evaluations.  The coefficients read as (F, k T) without a copy, so one
+    GEMM basis^T coefficients, with no transposed operand, writes the
+    (|A|, k T) metrics candidate-major into one block-sized buffer, column
+    i T + t for slot i of block t.  It is ML of the code exactly when
+    every cross-symbol M_pq vanishes, the single-symbol decodable codes,
+    so it checks the code first.  No cross-slot product is formed.
 
 ``ml_decode_bruteforce``
     ML of the whole code (S = 1, g = k) over its |A|^k codewords.  When
@@ -52,15 +59,17 @@ every metric in one GEMM.  The kernel assumes nothing about the weights.
 One builder, ``_decoder``, sets up either decoder's tables, its map from
 coefficients to symbols and its map from coefficients and sent symbols
 to wrong slots; ``simulate_cer`` calls it once per call and counts once
-per trial block.  The decoders break ties toward the first minimum: SSD
-toward the smallest constellation index, brute-force ML toward the first
-codeword in lexicographic order.  ``simulate_cer`` decodes nothing on
-the SSD path: it counts a slot as wrong when some point's metric is
-strictly below the sent point's, one column minimum, one gather and one
-compare per block; brute-force ML counts by decoding.  The two rules
-agree except at an exact tie with an earlier point, which has
-probability zero under continuous noise; the first-minimum rule keeps
-the decoder-equivalence oracle deterministic.
+per trial block, and the two public decoders call it once per call and
+decode ``_BLOCK`` blocks at a time.  The decoders break ties toward the
+first minimum: SSD toward the smallest constellation index, brute-force
+ML toward the first codeword in lexicographic order.  ``simulate_cer``
+decodes nothing on the SSD path: it counts a slot as wrong when some
+point's metric is strictly below the sent point's, one column minimum,
+one gather and one compare per block; brute-force ML counts by comparing
+the decoded point indices with the sent ones.  The two rules agree
+except at an exact tie with an earlier point, which has probability zero
+under continuous noise; the first-minimum rule keeps the
+decoder-equivalence oracle deterministic.
 
 Sufficient statistics:  Q is Hermitian, so Y = S H + N gives
 P = Q S^H + H N^H and, for any weights,
@@ -70,9 +79,11 @@ P = Q S^H + H N^H and, for any weights,
 
 ``simulate_cer`` forms no codeword and no S H: a block's coefficients of
 Z = N, plus the signal term of its sent symbols added by ``_add_signal``
-over the sub-code's kept pairs, are its coefficients of Y.  The whole
-code (brute-force ML) drops only pruned pairs.  The slot sub-codes (SSD)
-also drop the cross-slot terms, which are exactly zero for every
+over the sub-code's kept pairs, are its coefficients of Y.  Coefficient
+f of every sub-code is one contiguous (S, T) row block, so the signal
+term is one multiply-add per kept pair and weight on whole rows.  The
+whole code (brute-force ML) drops only pruned pairs.  The slot sub-codes
+(SSD) also drop the cross-slot terms, which are exactly zero for every
 built-in code and within ``check_ssd``'s tolerance otherwise.  Every
 CN(0, 1) draw is a complex view of interleaved normals.
 
@@ -88,7 +99,7 @@ before the next block's noise is drawn.  Consecutive
 noise is the whole-chunk draw value for value.  Memory is bounded by one
 chunk's indices and fades plus one block's arrays, in buffers allocated
 once per call, and the block size does not change a count; at 2**10 one
-block's [Q | H N^H] of a USSD8 code on two receive antennas is 2 MiB.  A
+block's conj([Q; N H^H]) of a USSD8 code on two receive antennas is 2 MiB.  A
 (seed, config) pair gives a bit-identical report.  ``[seed, p, 0]``
 seeds the same stream as ``[seed, p]`` (zero padding), so runs of at
 most 2**14 trials per point match the earlier contract that drew a whole
@@ -202,14 +213,15 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
     mean energy is mu^T Gamma mu + <sum_i Gamma_ii, C>: rate-, mean- and
     grid-scale-aware.  Gamma is that of the weights times 2^e, and the
     points are read times 2^t (both ``gmatrix._pow2_scaled``), so the
-    energy cannot overflow; the scale carries 2^(e + t) back.
+    energy cannot overflow; the scale carries 2^(e + t) back.  A scale
+    outside the float range is a ValueError.
     """
     pts, t = _pow2_scaled(constellation.points)
-    return math.ldexp(_transmit_scale(code, pts), t)
+    return _transmit_scale(code, pts, t)
 
 
-def _transmit_scale(code: LinearDispersionCode, pts: np.ndarray) -> float:
-    """:func:`transmit_scale` of the points ``pts`` as they are, read at their scale."""
+def _transmit_scale(code: LinearDispersionCode, pts: np.ndarray, t: int = 0) -> float:
+    """:func:`transmit_scale` of the points ``pts`` times 2^t, read at the scale of ``pts``."""
     gamma, e = code.real_gram
     mu = np.mean(pts)
     d = (pts - mu).view(np.float64).reshape(-1, 2)
@@ -218,7 +230,15 @@ def _transmit_scale(code: LinearDispersionCode, pts: np.ndarray) -> float:
     total = float(mean @ gamma @ mean + np.sum(slots * (d.T @ d)) / len(d))
     if total <= 0.0:
         raise ValueError("code transmits no energy")
-    return math.ldexp(math.sqrt(code.n / total), e)
+    scale = math.sqrt(code.n / total)
+    try:
+        out = math.ldexp(scale, e + t)
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise ValueError(f"the transmit scale, about 2^{math.frexp(scale)[1] + e + t}, "
+                         "is outside the float range")
+    return out
 
 
 def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -228,19 +248,23 @@ def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_kernel(m: np.ndarray) -> np.ndarray:
-    """The real (2n^2, J) kernel from the float64 view of X to Re tr(m[j] X) = Re <m[j]^H, X>."""
-    mh = np.ascontiguousarray(np.conj(np.swapaxes(m, -1, -2))).reshape(len(m), -1)
-    return mh.view(np.float64).T
-
-
 class _Tables(NamedTuple):
-    """The decoding tables of S sub-codes of g symbols each, from :func:`_tables`."""
+    """The decoding tables of S sub-codes of g symbols each, from :func:`_tables`.
+
+    Two half-tables, one per half of the statistic conj([Q; Z H^H]); row f S + i
+    is the float64 view of coefficient f's matrix in sub-code i.
+    """
 
     subcodes: int  # S
     p: np.ndarray  # the kept pairs p <= q of a sub-code's 2g weights, row-major
     q: np.ndarray
-    kernel: np.ndarray  # (4n^2, S F): the float64 view of [Q | H Z^H] to [R_pq, b_p]
+    r: np.ndarray  # (P S, 2n^2): conj(M_pq) of the P kept pairs, to R_pq from conj(Q)
+    b: np.ndarray  # (2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H)
+
+    @property
+    def rows(self) -> int:
+        """F S, the rows of the coefficient-major :func:`_coefficients`."""
+        return len(self.r) + len(self.b)
 
 
 def _tables(subcodes: np.ndarray) -> _Tables:
@@ -249,65 +273,78 @@ def _tables(subcodes: np.ndarray) -> _Tables:
     A pair term M_pq (:func:`.codes.gram`) that is exactly zero, entrywise
     and in every sub-code, adds nothing to the metric or to the signal term
     and is pruned: one mask for all sub-codes, so the basis and the signal
-    term read the same kept (p, q).  The one kernel maps the float64 view
-    of an (n, 2n) statistic [Q | H Z^H] to R_pq = Re tr(M_pq Q) on the kept
-    pairs and Re tr(W_p H Z^H) on the weights, sub-code by sub-code.
+    term read the same kept (p, q).  M_pq and Q are Hermitian, so
+    R_pq = Re tr(M_pq Q) = <conj(M_pq), conj(Q)> and Re tr(W_p H Z^H) =
+    <conj(W_p), conj(Z H^H)>, real inner products of float64 views: each
+    half-table meets one half of the statistic and no structural zero.
     """
     s, g2, n, _ = subcodes.shape
     terms = gram(subcodes)
     keep = np.any(terms != 0, axis=(0, 2, 3))
-    pairs = int(np.count_nonzero(keep))
-    kernel = np.zeros((n, 2, n, 2, s, pairs + g2))
-    kernel[:, 0, :, :, :, :pairs] = _trace_kernel(
-        terms[:, keep].reshape(-1, n, n)).reshape(n, n, 2, s, pairs)
-    kernel[:, 1, :, :, :, pairs:] = _trace_kernel(
-        subcodes.reshape(-1, n, n)).reshape(n, n, 2, s, g2)
+
+    def half_table(m: np.ndarray) -> np.ndarray:
+        # (S, J, n, n) to the (J S, 2n^2) float64 view of conj(m), row j S + i
+        return np.ascontiguousarray(np.conj(m.swapaxes(0, 1))).reshape(-1, n * n).view(np.float64)
+
     p, q = _upper_pairs(g2)
-    return _Tables(s, p[keep], q[keep], kernel.reshape(4 * n * n, -1))
+    return _Tables(s, p[keep], q[keep], half_table(terms[:, keep]), half_table(subcodes))
 
 
 def _coefficients(tables: _Tables, z: np.ndarray, h: np.ndarray, hz: np.ndarray | None = None,
-                  stats: np.ndarray | None = None) -> np.ndarray:
-    """The (T S, F) coefficients [R_pq, Re tr(W_p H Z^H)] of each block and sub-code.
+                  stats: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The (F S, T) coefficients [R_pq; Re tr(W_p H Z^H)] of each sub-code and block.
 
     For T complex blocks z, h of shape (T, n, m) and the ``_tables`` of S
-    sub-codes; row t S + i holds sub-code i of block t.  With Z = Y these
-    are the decoder's [R_pq, b_p]; with Z = N, :func:`_add_signal` adds the
-    rest of b_p.  One batched product H [H; Z]^H = [Q | H Z^H] and one GEMM;
-    ``hz`` and ``stats``, if given, are (T, 2n, m) and (T, n, 2n) buffers
-    for [H; Z] and [Q | H Z^H].
+    sub-codes; row f S + i holds coefficient f of sub-code i.  With Z = Y
+    these are the decoder's [R_pq; b_p]; with Z = N, :func:`_add_signal`
+    adds the rest of b_p.  One batched product conj([H; Z]) H^T =
+    conj([Q; Z H^H]) and one GEMM per half-table; ``hz``, ``stats`` and
+    ``out``, if given, are (T, 2n, m), (T, 2n, n) and (F S, T) buffers for
+    conj([H; Z]), the statistic and the coefficients.
     """
     hz = np.concatenate((h, z), axis=1, out=hz)
-    stats = np.matmul(h, np.conjugate(hz, out=hz).swapaxes(-1, -2), out=stats)
-    r = stats.view(np.float64).reshape(len(h), -1) @ tables.kernel
-    return r.reshape(len(h) * tables.subcodes, -1)
+    stats = np.matmul(np.conjugate(hz, out=hz), h.swapaxes(-1, -2), out=stats)
+    halves = stats.view(np.float64).reshape(len(h), 2, -1)
+    if out is None:
+        out = np.empty((tables.rows, len(h)))
+    np.matmul(tables.r, halves[:, 0].T, out=out[:len(tables.r)])
+    np.matmul(tables.b, halves[:, 1].T, out=out[len(tables.r):])
+    return out
 
 
-def _add_signal(tables: _Tables, coef: np.ndarray, s: np.ndarray) -> None:
-    """Add sum_q R~_pq s_q (module doc) to the b columns of Z = N's ``_coefficients``, in place.
+def _add_signal(tables: _Tables, coef: np.ndarray, parts: np.ndarray) -> None:
+    """Add sum_q R~_pq s_q (module doc) to the b rows of Z = N's ``_coefficients``, in place.
 
-    ``s`` holds the (T S, 2g) real symbol vectors of the rows' sub-codes; the
-    sum runs over the kept pairs.  One multiply-add per pair and weight on
-    1-D column views: elementwise ops on the strided (rows, 2g) block cost more.
+    ``parts`` holds the real and imaginary parts of the (k, T) sent symbols,
+    k = S g, as one C-contiguous (2, k, T) array; the sum runs over the kept
+    pairs.  One multiply-add per pair and weight on contiguous (S, T) rows:
+    one coefficient of every sub-code, and one part of one symbol of each.
     """
-    half = 0.5 * s
-    b = coef[:, len(tables.p):]
+    sub, t = tables.subcodes, parts.shape[2]
+    coef = coef.reshape(-1, sub, t)
+    # s_p of every sub-code and block: part p % 2 of the sub-code's symbol p // 2
+    parts = parts.reshape(2, sub, -1, t)
+    halved = 0.5 * parts
+    s = [parts[p % 2, :, p // 2] for p in range(2 * parts.shape[2])]
+    half = [halved[p % 2, :, p // 2] for p in range(2 * parts.shape[2])]
+    b = coef[len(tables.p):]
     for j, (p, q) in enumerate(zip(tables.p.tolist(), tables.q.tolist())):
-        r = coef[:, j]
-        bp = b[:, p]
+        r = coef[j]
+        bp = b[p]
         if p == q:
-            bp += r * s[:, p]
+            bp += r * s[p]
         else:
-            bp += r * half[:, q]
-            bq = b[:, q]
-            bq += r * half[:, p]
+            bp += r * half[q]
+            bq = b[q]
+            bq += r * half[p]
 
 
 def _basis(tables: _Tables, x: np.ndarray) -> np.ndarray:
     """The (F, C) basis [s_p s_q (kept p <= q), -2 s_p] of C complex symbol vectors x, (C, g).
 
-    s = (x_1I, x_1Q, ..., x_gI, x_gQ), so a row of ``_coefficients`` of
-    Z = Y times column c is ||Y - S H||^2 - ||Y||^2 of codeword c of the sub-code.
+    s = (x_1I, x_1Q, ..., x_gI, x_gQ), so column i T + t of the (F, S T) view of
+    ``_coefficients`` of Z = Y, dotted with column c, is ||Y - S H||^2 - ||Y||^2 of
+    codeword c of sub-code i in block t.
     """
     s = np.ascontiguousarray(x).view(np.float64).T
     # C order: a transposed operand is slower
@@ -325,17 +362,17 @@ class _Decoder(NamedTuple):
 def _wrong(metrics: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """The (k, T) flags of the slots whose sent point some point beats, strictly.
 
-    ``metrics`` is the SSD decoder's C-contiguous (|A|, T k) block, column
-    t k + i for slot i of block t, and ``symbols`` the (T, k) sent indices.
+    ``metrics`` is the SSD decoder's C-contiguous (|A|, k T) block, column
+    i T + t for slot i of block t, and ``symbols`` the (T, k) sent indices.
     A slot is wrong when its column minimum is below the sent point's
-    metric: one reduction, one gather and one compare, no decoded symbol.
-    Only an exact tie with an earlier point, which first-minimum decoding
-    would name, reads right.  Slot-major flags reduce along contiguous rows.
+    metric: one reduction, one gather at ``symbols.T`` and one compare, no
+    decoded symbol.  Only an exact tie with an earlier point, which
+    first-minimum decoding would name, reads right.  The flags come out
+    slot-major, so they reduce along contiguous rows.
     """
-    t, k = symbols.shape
     cols = metrics.shape[1]
-    sent = np.take(metrics, symbols.ravel() * cols + np.arange(cols))
-    return np.less(metrics.min(axis=0).reshape(t, k).T, sent.reshape(t, k).T, order="C")
+    sent = np.take(metrics, symbols.T.ravel() * cols + np.arange(cols))
+    return np.less(metrics.min(axis=0), sent).reshape(symbols.shape[1], -1)
 
 
 def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder: str,
@@ -344,12 +381,14 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
     SSD scores each slot's one-symbol sub-code, the (k, 2, n, n) ``w``, over
-    the |A| points in one candidate-major GEMM into one block-sized buffer;
-    it decodes by the first column minimum and counts by :func:`_wrong`.
-    Brute-force ML scores the whole code, one sub-code of k symbols, over its
-    |A|^k codewords: with one GEMM against a basis built once when they fit
-    one ``_ML_CHUNK`` beside the block, else in chunks from
-    :func:`.codes.lexicographic_first_min`; it counts by decoding.
+    the |A| points: the (F k, T) coefficients read as (F, k T) times the
+    (|A|, F) basis, one GEMM with no transposed operand into one block-sized
+    (|A|, k T) buffer; it decodes by the first column minimum and counts by
+    :func:`_wrong`.  Brute-force ML scores the whole code, one sub-code of k
+    symbols, over its |A|^k codewords: with one GEMM against a basis built
+    once when they fit one ``_ML_CHUNK`` beside the block, else in chunks
+    from :func:`.codes.lexicographic_first_min`; it decodes to point indices
+    and counts by comparing them with the sent ones.
     """
     k, _, n, _ = w.shape
     if decoder == DECODER_SSD:
@@ -360,35 +399,45 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
         buffer = np.empty(len(pts) * block * k)
 
         def metrics(coef: np.ndarray) -> np.ndarray:
-            out = buffer[:len(pts) * len(coef)].reshape(len(pts), -1)
-            return np.matmul(basis_t, coef.T, out=out)
+            coef = coef.reshape(basis_t.shape[1], -1)  # (F, k T), no copy
+            out = buffer[:len(pts) * coef.shape[1]].reshape(len(pts), -1)
+            return np.matmul(basis_t, coef, out=out)
 
         def decode(coef: np.ndarray) -> np.ndarray:
             # first minimum: smallest index
-            return pts[np.argmin(metrics(coef), axis=0)].reshape(-1, k)
+            return pts[np.argmin(metrics(coef), axis=0).reshape(k, -1).T]
         return _Decoder(tables, decode, lambda coef, symbols: _wrong(metrics(coef), symbols))
     total = len(pts) ** k
     if total > ML_BUDGET:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
     tables = _tables(w.reshape(1, 2 * k, n, n))
-    if total * max(block, tables.kernel.shape[1]) <= _ML_CHUNK:
-        codewords = pts[np.indices((len(pts),) * k).reshape(k, -1).T]  # lexicographic
-        basis = _basis(tables, codewords)
+    # first(coef): the (T, k) point indices of the first minimum, the first codeword in
+    # lexicographic order.  The metrics are (T, C), read along rows by argmin: the
+    # (C, T) GEMM with no transposed operand is as fast, but its argmin over columns
+    # copies the block
+    if total * max(block, tables.rows) <= _ML_CHUNK:
+        digits = np.indices((len(pts),) * k).reshape(k, -1).T  # lexicographic
+        basis = _basis(tables, pts[digits])
         buffer = np.empty((block, total))
 
-        def decode(coef: np.ndarray) -> np.ndarray:
-            # first minimum: the first codeword in lexicographic order
-            return codewords[np.argmin(np.matmul(coef, basis, out=buffer[:len(coef)]), axis=1)]
+        def first(coef: np.ndarray) -> np.ndarray:
+            return digits[np.argmin(np.matmul(coef.T, basis, out=buffer[:coef.shape[1]]), axis=1)]
     else:
-        def decode(coef: np.ndarray) -> np.ndarray:
-            return lexicographic_first_min(pts, k, max(1, _ML_CHUNK // max(coef.shape)),
-                                           lambda x: coef @ _basis(tables, x))[1]
-    return _Decoder(tables, decode, lambda coef, symbols: (decode(coef) != pts[symbols]).T)
+        def first(coef: np.ndarray) -> np.ndarray:
+            return lexicographic_first_min(np.arange(len(pts)), k,
+                                           max(1, _ML_CHUNK // max(coef.shape)),
+                                           lambda i: coef.T @ _basis(tables, pts[i]))[1]
+    return _Decoder(tables, lambda coef: pts[first(coef)],
+                    lambda coef, symbols: (first(coef) != symbols).T)
 
 
 def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellation,
                    decoder: str) -> np.ndarray:
-    """Decode one (n, m) block y, h to its k symbols, or T (T, n, m) blocks to (T, k)."""
+    """Decode one (n, m) block y, h to its k symbols, or T (T, n, m) blocks to (T, k).
+
+    One ``_decoder`` (one code check) decodes ``_BLOCK`` blocks at a time, so
+    memory beyond the (T, k) result is bounded in T.
+    """
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if y.shape != h.shape or h.ndim not in (2, 3) or h.shape[-2] != code.n:
@@ -396,8 +445,12 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                          f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
-    dec = _decoder(code, code.w, constellation.points, decoder, len(h))
-    return dec.decode(_coefficients(dec.tables, y, h))
+    dec = _decoder(code, code.w, constellation.points, decoder, min(len(h), _BLOCK))
+    out = np.empty((len(h), code.k), dtype=complex)
+    for b in range(0, len(h), _BLOCK):
+        out[b:b + _BLOCK] = dec.decode(_coefficients(dec.tables, y[b:b + _BLOCK],
+                                                     h[b:b + _BLOCK]))
+    return out
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -434,16 +487,18 @@ def simulate_cer(config: SimConfig) -> CerReport:
     block = min(_BLOCK, chunk)
     # SSD reads the caller's classify
     dec = _decoder(code, w, pts, config.decoder, block)
-    # one chunk's fades and one block's symbols, noise and statistics, in buffers
-    # allocated once per call: a chunk's fresh arrays would be alive beside the last
-    # chunk's, past malloc's mmap threshold they are mapped and faulted in afresh each
-    # time, and a block's fresh [H; N] and [Q | H N^H] fragment the heap (about 1 MB
+    # one chunk's fades and one block's symbols, noise, statistics and coefficients, in
+    # buffers allocated once per call: a chunk's fresh arrays would be alive beside the
+    # last chunk's, past malloc's mmap threshold they are mapped and faulted in afresh
+    # each time, and a block's fresh [H; N] and [Q; N H^H] fragment the heap (about 1 MB
     # more peak RSS on USSD8, two receive antennas)
     h_all = np.empty((chunk, n, m), dtype=complex)
-    x_block = np.empty((block, k), dtype=complex)
+    planes = np.stack((pts.real, pts.imag))
+    parts_block = np.empty(2 * k * block)
     noise_block = np.empty((block, n, m), dtype=complex)
     hz_block = np.empty((block, 2 * n, m), dtype=complex)
-    stats_block = np.empty((block, n, 2 * n), dtype=complex)
+    stats_block = np.empty((block, 2 * n, n), dtype=complex)
+    coef_block = np.empty(dec.tables.rows * block)
     out = []
     for point_index, snr_db in enumerate(config.snr_db_list):
         n0 = _noise_power(snr_db)
@@ -456,15 +511,19 @@ def simulate_cer(config: SimConfig) -> CerReport:
             h = _draw_cn(rng, h_all[:t])
             for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
                 hb = h[b:b + _BLOCK]
-                xb = np.take(pts, symbols[b:b + _BLOCK], out=x_block[:len(hb)])
+                tb = len(hb)
+                sb = symbols[b:b + _BLOCK]
+                # the real and imaginary parts of the block's sent symbols, slot-major
+                parts = np.take(planes, sb.T, axis=1,
+                                out=parts_block[:2 * k * tb].reshape(2, k, tb))
                 # the block's noise continues the chunk's one stream of normals, so
                 # it is the slice a whole-chunk draw would give
-                nb = _draw_cn(rng, noise_block[:len(hb)])
+                nb = _draw_cn(rng, noise_block[:tb])
                 nb *= math.sqrt(n0)
-                coef = _coefficients(dec.tables, nb, hb, hz_block[:len(hb)],
-                                     stats_block[:len(hb)])
-                _add_signal(dec.tables, coef, xb.view(np.float64).reshape(len(coef), -1))
-                wrong = dec.wrong(coef, symbols[b:b + _BLOCK])
+                coef = _coefficients(dec.tables, nb, hb, hz_block[:tb], stats_block[:tb],
+                                     coef_block[:dec.tables.rows * tb].reshape(-1, tb))
+                _add_signal(dec.tables, coef, parts)
+                wrong = dec.wrong(coef, sb)
                 errors += int(np.count_nonzero(wrong.any(axis=0)))
                 slot_errors += wrong.sum(axis=1)
         out.append(CerPoint(snr_db=float(snr_db), trials=config.trials, errors=errors,

@@ -36,12 +36,14 @@ from stbc_forge.simulator import (
 from stbc_forge.verifier import check_ssd, classify
 
 from conftest import random_unitary
+from survey_pins import SURVEY, SURVEY_SEED, SURVEY_SNRS, SURVEY_TRIALS
 
 
 def _slot_metrics(tables, y, h, pts):
     """The (T, k, |A|) per-slot metrics of T blocks, from the SSD decoder's pieces."""
-    metrics = _coefficients(tables, y, h) @ _basis(tables, pts[:, None])
-    return metrics.reshape(len(h), -1, len(pts))
+    basis = _basis(tables, pts[:, None])
+    metrics = basis.T @ _coefficients(tables, y, h).reshape(len(basis), -1)
+    return metrics.reshape(len(pts), -1, len(h)).transpose(2, 1, 0)
 
 
 def test_transmit_scale(ussd4, ciod4):
@@ -50,6 +52,19 @@ def test_transmit_scale(ussd4, ciod4):
     assert transmit_scale(ussd4, unit) == pytest.approx(0.5)
     assert transmit_scale(ciod4, unit) == pytest.approx(1 / math.sqrt(2))
     assert transmit_scale(ussd4, raw) == pytest.approx(0.5 / math.sqrt(2))
+
+
+@pytest.mark.parametrize("weight_scale, grid_scale", [(1e-300, 1e-200), (1e300, 1e200)])
+def test_transmit_scale_outside_the_float_range_is_a_value_error(ussd4, weight_scale,
+                                                                 grid_scale):
+    # the scales are about 2^1659 and 2^-1663: one line naming the cause, not
+    # math.ldexp's bare OverflowError nor a silent 0.0
+    c = rotated_qam(16, optimal_angle())
+    grid = Constellation("qam16", c.points * grid_scale)
+    with pytest.raises(ValueError, match="transmit scale, about 2\\^-?16[56][0-9], is outside "
+                                         "the float range") as rejected:
+        transmit_scale(ussd4.scaled(weight_scale), grid)
+    assert "\n" not in str(rejected.value)
 
 
 @pytest.mark.filterwarnings("error")
@@ -291,15 +306,16 @@ def test_slot_count_flags_the_ssd_decoder_errors(name, points, scale, angle, sig
 
 
 def test_slot_count_keeps_an_exact_tie_with_an_earlier_point():
-    # crafted (|A|, T k) metrics of two blocks of two slots over three points.  Column 0:
-    # the sent point 2 ties with the earlier point 0 at the minimum, which argmin names;
-    # column 1: point 0 beats the sent point 1 by one ulp; column 2: the sent point is
-    # the only minimum; column 3: the sent point 0 ties with the later point 2
-    metrics = np.array([[1.0, np.nextafter(1.0, 0.0), 2.0, 0.5],
+    # crafted (|A|, k T) metrics of two blocks of two slots over three points, column
+    # i T + t for slot i of block t.  Column 0: the sent point 2 ties with the earlier
+    # point 0 at the minimum, which argmin names; column 1: the sent point is the only
+    # minimum; column 2: point 0 beats the sent point 1 by one ulp; column 3: the sent
+    # point 0 ties with the later point 2
+    metrics = np.array([[1.0, 2.0, np.nextafter(1.0, 0.0), 0.5],
                         [2.0, 1.0, 1.0, 3.0],
-                        [1.0, 3.0, 4.0, 0.5]])
+                        [1.0, 4.0, 3.0, 0.5]])
     symbols = np.array([[2, 1], [1, 0]])
-    assert np.array_equal(np.argmin(metrics, axis=0), [0, 0, 1, 0])
+    assert np.array_equal(np.argmin(metrics, axis=0), [0, 1, 0, 0])
     assert np.array_equal(_wrong(metrics, symbols), [[False, False], [True, False]])
 
 
@@ -312,7 +328,7 @@ def test_slot_count_keeps_an_exact_tie_with_an_earlier_point():
 @settings(max_examples=40, deadline=None)
 def test_slot_metrics_match_definition(n, k, rx, t, size, seed):
     # random complex weights are neither unitary nor SSD and random points
-    # form no constellation: the one kernel assumes nothing of either
+    # form no constellation: the tables assume nothing of either
     rng = np.random.default_rng(seed)
 
     def cn(*shape):
@@ -372,7 +388,7 @@ def test_coefficients_from_noise_and_symbols(name, whole, n, k, rx, t, seed, uss
     x, h, noise = cn(t, k), cn(t, n, rx), cn(t, n, rx)
     want = _coefficients(tables, _encode(w, x) @ h + noise, h)
     got = _coefficients(tables, noise, h)
-    _add_signal(tables, got, x.view(np.float64).reshape(len(got), -1))
+    _add_signal(tables, got, np.stack((x.real.T, x.imag.T)))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the pruned pairs are exactly those whose M_pq is zero in every sub-code
@@ -468,6 +484,29 @@ def test_ml_decode_bruteforce_memory_bounded():
     assert peak(1024) < 1.25 * small
 
 
+@pytest.mark.parametrize("decoder, size", [("ssd", 64), ("brute-ml", 4)])
+def test_public_decoders_memory_bounded_in_blocks(ussd4, decoder, size):
+    # a batch is decoded _BLOCK blocks at a time through one decoder, so beyond the
+    # (T, k) result (1 MiB at T = 16,384) the peak does not grow with T; decoding the
+    # whole batch at once peaks at 16 times the metric block
+    decode = {"ssd": ssd_decode, "brute-ml": ml_decode_bruteforce}[decoder]
+    c = rotated_qam(size, optimal_angle())
+    rng = np.random.default_rng(47)
+    decode(ussd4, np.ones((4, 1)), np.ones((4, 1)), c)  # lazy imports outside the window
+
+    def peak(t):
+        h = rng.standard_normal((t, 4, 1)) + 1j * rng.standard_normal((t, 4, 1))
+        y = rng.standard_normal((t, 4, 1)) + 1j * rng.standard_normal((t, 4, 1))
+        tracemalloc.start()
+        try:
+            decode(ussd4, y, h, c)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16384) < 1.5 * peak(1024)
+
+
 def test_ml_decode_bruteforce_rejects_mismatched_blocks(ussd4):
     # one y against a batch of fades would otherwise broadcast silently
     c = rotated_qam(4, 0.3)
@@ -553,6 +592,21 @@ def test_seed_contract_golden_counts_on_64_and_8_points(ussd4, ciod4):
                                         trials=2000, seed=7, rx_antennas=rx))
         assert [p.errors for p in report.points] == errors, constellation.name
         assert [p.slot_errors for p in report.points] == slot_errors, constellation.name
+
+
+@pytest.mark.parametrize("config", sorted(SURVEY))
+def test_seeded_survey_is_pinned(config, request):
+    # errors and slot errors of one seeded configuration of the survey grid
+    # (tests/survey_pins.py); a failure names the code, grid, receive antennas and decoder
+    name, rest = config.split("-", 1)
+    grid, rx, decoder = re.fullmatch(r"(.+)-rx(\d)-(.+)", rest).groups()
+    angle = ciod_optimal_angle() if name == "ciod4" else optimal_angle()
+    c = (rotated_qam(int(grid[3:]), angle) if grid.startswith("qam")
+         else special_8qam("rect" if grid == "8qam-rect" else "square-derived", angle))
+    report = simulate_cer(SimConfig(code=request.getfixturevalue(name), constellation=c,
+                                    snr_db_list=SURVEY_SNRS[grid], trials=SURVEY_TRIALS,
+                                    seed=SURVEY_SEED, rx_antennas=int(rx), decoder=decoder))
+    assert tuple((p.errors, p.slot_errors) for p in report.points) == SURVEY[config]
 
 
 @pytest.mark.parametrize("decoder", ["ssd", "brute-ml"])
