@@ -232,30 +232,6 @@ def _encode(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return s.view(np.complex128).reshape(len(x), n, n)
 
 
-def lexicographic_first_min(values: np.ndarray, k: int, chunk: int,
-                            metric) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force ML's enumerator: the exact first minimum of ``metric`` over |values|^k vectors.
-
-    ``metric`` maps a (C, k) block of at most ``chunk`` vectors of k entries of
-    ``values``, taken in lexicographic (``itertools.product``) order, to (..., C)
-    metrics.  Returns the (...) minima and the (..., k) first vectors that reach them.
-    """
-    shape = (len(values),) * k
-    total = len(values) ** k
-    best, best_idx = np.inf, 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        metrics = metric(values[np.stack(np.unravel_index(idx, shape), axis=1)])
-        arg = np.argmin(metrics, axis=-1)
-        value = np.take_along_axis(metrics, arg[..., None], axis=-1)[..., 0]
-        better = value < best  # strict: an earlier block keeps a tie
-        best = np.where(better, value, best)
-        best_idx = np.where(better, idx[arg], best_idx)
-    # unravelled flat: np.unravel_index misreads large (N, 1) index arrays
-    digits = np.stack(np.unravel_index(np.ravel(best_idx), shape), axis=-1)
-    return best, values[digits.reshape(np.shape(best_idx) + (k,))]
-
-
 def build_max_rate_ussd(a: int, fam: AnticommutingFamily) -> LinearDispersionCode:
     """Maximal-rate unitary-weight SSD code on 2^a antennas (see module doc)."""
     if fam.a != a:

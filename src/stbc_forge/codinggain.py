@@ -101,12 +101,17 @@ def _difference_dets(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     """det(sum_{p<=q} s_p s_q M_pq) per row of the real (V, P) s, on the (pairs, n, n) terms m.
 
     ``m`` is the :func:`.codes.gram` of P weights.  One real GEMM meets the
-    (V, pairs) products s_p s_q with the Re/Im pairs of m.
+    (V, pairs) products s_p s_q with the Re/Im pairs of m.  numpy's det is NaN, with a
+    divide and an invalid warning, at an exact zero pivot, as on some singular sums whose
+    entries span about 1e150 or more: the sum is positive semidefinite, so that reads 0.
+    An overflow stays inf and keeps its warning.
     """
     p, q = _upper_pairs(s.shape[1])
     n = m.shape[-1]
     grams = (s[:, p] * s[:, q]) @ m.reshape(len(m), -1).view(np.float64)
-    return np.linalg.det(grams.view(np.complex128).reshape(len(s), n, n)).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dets = np.linalg.det(grams.view(np.complex128).reshape(len(s), n, n)).real
+    return np.where(np.isnan(dets), 0.0, dets)
 
 
 def _first_tied(values: np.ndarray, best: float) -> int:

@@ -48,19 +48,21 @@ about the weights.
     so it checks the code first.  No cross-slot product is formed.
 
 ``ml_decode_bruteforce``
-    ML of the whole code (S = 1, g = k) over its |A|^k codewords.  When
-    they fit one ``_ML_CHUNK`` of metrics and basis entries beside the
-    block, their basis is built once per call and a block decodes with
-    one GEMM; larger spaces take chunks from
-    :func:`.codes.lexicographic_first_min` of at most ``_ML_CHUNK``
-    metrics and basis entries each, so memory is bounded in T and in
-    |A|^k.
+    ML of the whole code (S = 1, g = k) over its |A|^k codewords, by one
+    enumerator: one loop over lexicographic chunks of codewords, each
+    with at most ``_ML_CHUNK`` metrics and basis entries, so memory is
+    bounded in T and in |A|^k.  Each chunk takes one GEMM and a row
+    argmin, and a strict ``<`` across chunks keeps a tie in the earlier
+    chunk.  When one chunk holds every codeword, its basis is built once
+    per call.
 
-One builder, ``_decoder``, sets up either decoder's tables, its map from
-coefficients to symbols and its map from coefficients and sent symbols
-to wrong slots; ``simulate_cer`` calls it once per call and counts once
-per trial block, and the two public decoders call it once per call and
-decode ``_BLOCK`` blocks at a time.  The decoders break ties toward the
+One builder, ``_decoder``, sets up either decoder: its tables, the
+buffers of one trial block, its map from the block's Z and fades to
+coefficients, its map from coefficients to symbols and its map from
+coefficients and sent symbols to wrong slots.  ``_chunks`` builds it
+once per ``simulate_cer`` call and counts once per trial block, and
+the two public decoders build it once per call and decode ``_BLOCK``
+blocks at a time in its buffers.  The decoders break ties toward the
 first minimum: SSD toward the smallest constellation index, brute-force
 ML toward the first codeword in lexicographic order.  ``simulate_cer``
 decodes nothing on the SSD path: it counts a slot as wrong when some
@@ -88,7 +90,12 @@ built-in code and within ``check_ssd``'s tolerance otherwise.  Every
 CN(0, 1) draw is a complex view of interleaved normals.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
-trials.  Chunk c of point p draws its symbol indices, then its fades,
+trials.  One function, ``_chunks``, owns the draw order: its
+generator for each point yields each chunk's (trials, errors,
+slot_errors) in the order below, and ``simulate_cer`` only sums each
+point's chunks, so a run of C whole chunks counts what the first C
+chunks of a longer run count.
+Chunk c of point p draws its symbol indices, then its fades,
 then its noise from ``default_rng([seed, p, c])``, and is decoded before
 the next chunk is drawn.  Only the indices and the fades are drawn for
 the whole chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
@@ -110,13 +117,14 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .codes import LinearDispersionCode, gram, lexicographic_first_min
+from .codes import LinearDispersionCode, gram
 from .constellations import Constellation
 from .gmatrix import _pow2_scaled, _upper_pairs
 from .verifier import check_ssd
@@ -290,23 +298,24 @@ def _tables(subcodes: np.ndarray) -> _Tables:
     return _Tables(s, p[keep], q[keep], half_table(terms[:, keep]), half_table(subcodes))
 
 
-def _coefficients(tables: _Tables, z: np.ndarray, h: np.ndarray, hz: np.ndarray | None = None,
-                  stats: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _coefficients(tables: _Tables, z: np.ndarray, h: np.ndarray, hz: np.ndarray,
+                  stats: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (F S, T) coefficients [R_pq; Re tr(W_p H Z^H)] of each sub-code and block.
 
     For T complex blocks z, h of shape (T, n, m) and the ``_tables`` of S
     sub-codes; row f S + i holds coefficient f of sub-code i.  With Z = Y
     these are the decoder's [R_pq; b_p]; with Z = N, :func:`_add_signal`
     adds the rest of b_p.  One batched product conj([H; Z]) H^T =
-    conj([Q; Z H^H]) and one GEMM per half-table; ``hz``, ``stats`` and
-    ``out``, if given, are (T, 2n, m), (T, 2n, n) and (F S, T) buffers for
-    conj([H; Z]), the statistic and the coefficients.
+    conj([Q; Z H^H]) and one GEMM per half-table, in buffers of at least T
+    blocks: the first T of the (., 2n, m) ``hz`` for conj([H; Z]) and of the
+    (., 2n, n) ``stats`` for the statistic, and the first F S T of the flat
+    ``out``, whose view it returns.  A decoder owns one set (:func:`_decoder`).
     """
-    hz = np.concatenate((h, z), axis=1, out=hz)
-    stats = np.matmul(np.conjugate(hz, out=hz), h.swapaxes(-1, -2), out=stats)
-    halves = stats.view(np.float64).reshape(len(h), 2, -1)
-    if out is None:
-        out = np.empty((tables.rows, len(h)))
+    t = len(h)
+    hz, stats, out = hz[:t], stats[:t], out[:tables.rows * t].reshape(-1, t)
+    np.concatenate((h, z), axis=1, out=hz)
+    np.matmul(np.conjugate(hz, out=hz), h.swapaxes(-1, -2), out=stats)
+    halves = stats.view(np.float64).reshape(t, 2, -1)
     np.matmul(tables.r, halves[:, 0].T, out=out[:len(tables.r)])
     np.matmul(tables.b, halves[:, 1].T, out=out[len(tables.r):])
     return out
@@ -352,9 +361,10 @@ def _basis(tables: _Tables, x: np.ndarray) -> np.ndarray:
 
 
 class _Decoder(NamedTuple):
-    """A decoder's sub-code tables and its two maps from the ``_coefficients`` of T blocks."""
+    """A decoder's sub-code tables, its coefficients of T blocks and its two maps from them."""
 
     tables: _Tables
+    coefficients: Callable[[np.ndarray, np.ndarray], np.ndarray]  # z, h: ``_coefficients``
     decode: Callable[[np.ndarray], np.ndarray]  # to the (T, k) decoded symbols
     wrong: Callable[[np.ndarray, np.ndarray], np.ndarray]  # and (T, k) sent indices: (k, T) flags
 
@@ -376,25 +386,36 @@ def _wrong(metrics: np.ndarray, symbols: np.ndarray) -> np.ndarray:
 
 
 def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder: str,
-             block: int) -> _Decoder:
-    """A decoder's sub-code tables, and its maps from the coefficients of T <= ``block`` blocks.
+             block: int, rx: int) -> _Decoder:
+    """A decoder of T <= ``block`` blocks on ``rx`` receive antennas, with its block buffers.
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
-    SSD scores each slot's one-symbol sub-code, the (k, 2, n, n) ``w``, over
-    the |A| points: the (F k, T) coefficients read as (F, k T) times the
-    (|A|, F) basis, one GEMM with no transposed operand into one block-sized
-    (|A|, k T) buffer; it decodes by the first column minimum and counts by
-    :func:`_wrong`.  Brute-force ML scores the whole code, one sub-code of k
-    symbols, over its |A|^k codewords: with one GEMM against a basis built
-    once when they fit one ``_ML_CHUNK`` beside the block, else in chunks
-    from :func:`.codes.lexicographic_first_min`; it decodes to point indices
-    and counts by comparing them with the sent ones.
+    The decoder allocates every block buffer once: ``coefficients(z, h)`` is
+    :func:`_coefficients` of T blocks in them, a view that the next call
+    overwrites.  SSD scores each slot's one-symbol sub-code, the (k, 2, n, n)
+    ``w``, over the |A| points: the (F k, T) coefficients read as (F, k T)
+    times the (|A|, F) basis, one GEMM with no transposed operand into one
+    block-sized (|A|, k T) buffer; it decodes by the first column minimum and
+    counts by :func:`_wrong`.  Brute-force ML scores the whole code, one
+    sub-code of k symbols, over its |A|^k codewords in lexicographic chunks
+    of at most ``_ML_CHUNK // max(block, F)`` codewords, so that neither the
+    (T, C) metrics nor the (F, C) basis pass ``_ML_CHUNK`` elements: the
+    argmin of each chunk, and a strict ``<`` across chunks, so a tie keeps
+    the earlier chunk.  When one chunk holds every codeword, its digits and
+    basis are built once per call.  It decodes to point indices and counts
+    by comparing them with the sent ones.
     """
     k, _, n, _ = w.shape
-    if decoder == DECODER_SSD:
-        if not check_ssd(code).ok:
-            raise ValueError("per-symbol decoding requires a single-symbol decodable code")
-        tables = _tables(w)
+    ssd, total = decoder == DECODER_SSD, len(pts) ** k
+    if ssd and not check_ssd(code).ok:
+        raise ValueError("per-symbol decoding requires a single-symbol decodable code")
+    if not ssd and total > ML_BUDGET:
+        raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
+    tables = _tables(w if ssd else w.reshape(1, 2 * k, n, n))
+    coefficients = partial(_coefficients, tables, hz=np.empty((block, 2 * n, rx), dtype=complex),
+                           stats=np.empty((block, 2 * n, n), dtype=complex),
+                           out=np.empty(tables.rows * block))
+    if ssd:
         basis_t = np.ascontiguousarray(_basis(tables, pts[:, None]).T)
         buffer = np.empty(len(pts) * block * k)
 
@@ -406,28 +427,37 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
         def decode(coef: np.ndarray) -> np.ndarray:
             # first minimum: smallest index
             return pts[np.argmin(metrics(coef), axis=0).reshape(k, -1).T]
-        return _Decoder(tables, decode, lambda coef, symbols: _wrong(metrics(coef), symbols))
-    total = len(pts) ** k
-    if total > ML_BUDGET:
-        raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
-    tables = _tables(w.reshape(1, 2 * k, n, n))
-    # first(coef): the (T, k) point indices of the first minimum, the first codeword in
-    # lexicographic order.  The metrics are (T, C), read along rows by argmin: the
-    # (C, T) GEMM with no transposed operand is as fast, but its argmin over columns
-    # copies the block
-    if total * max(block, tables.rows) <= _ML_CHUNK:
-        digits = np.indices((len(pts),) * k).reshape(k, -1).T  # lexicographic
-        basis = _basis(tables, pts[digits])
-        buffer = np.empty((block, total))
+        return _Decoder(tables, coefficients, decode,
+                        lambda coef, symbols: _wrong(metrics(coef), symbols))
+    chunk = min(total, max(1, _ML_CHUNK // max(block, tables.rows)))
+    buffer = np.empty(block * chunk)
 
-        def first(coef: np.ndarray) -> np.ndarray:
-            return digits[np.argmin(np.matmul(coef.T, basis, out=buffer[:coef.shape[1]]), axis=1)]
-    else:
-        def first(coef: np.ndarray) -> np.ndarray:
-            return lexicographic_first_min(np.arange(len(pts)), k,
-                                           max(1, _ML_CHUNK // max(coef.shape)),
-                                           lambda i: coef.T @ _basis(tables, pts[i]))[1]
-    return _Decoder(tables, lambda coef: pts[first(coef)],
+    def candidates(start: int) -> tuple[np.ndarray, np.ndarray]:
+        # the (C, k) point indices of codewords start, start + 1, ... and their basis
+        digits = np.array(np.unravel_index(np.arange(start, min(start + chunk, total)),
+                                           (len(pts),) * k)).T  # F order: gathers faster
+        return digits, _basis(tables, pts[digits])
+
+    whole = candidates(0) if chunk == total else None
+
+    def first(coef: np.ndarray) -> np.ndarray:
+        # the (T, k) point indices of the first minimum, the first codeword in lexicographic
+        # order.  The metrics are (T, C), read along rows by argmin: the (C, T) GEMM with no
+        # transposed operand is as fast, but its argmin over columns copies the block
+        t = coef.shape[1]
+        best, out = np.inf, 0
+        for start in range(0, total, chunk):
+            digits, basis = whole or candidates(start)
+            metrics = np.matmul(coef.T, basis, out=buffer[:t * len(digits)].reshape(t, -1))
+            arg = np.argmin(metrics, axis=1)
+            if whole:
+                return digits[arg]
+            value = metrics[np.arange(t), arg]
+            better = value < best  # strict: an earlier chunk keeps a tie
+            best = np.where(better, value, best)
+            out = np.where(better[:, None], digits[arg], out)
+        return out
+    return _Decoder(tables, coefficients, lambda coef: pts[first(coef)],
                     lambda coef, symbols: (first(coef) != symbols).T)
 
 
@@ -445,11 +475,10 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                          f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
-    dec = _decoder(code, code.w, constellation.points, decoder, min(len(h), _BLOCK))
+    dec = _decoder(code, code.w, constellation.points, decoder, min(len(h), _BLOCK), h.shape[-1])
     out = np.empty((len(h), code.k), dtype=complex)
     for b in range(0, len(h), _BLOCK):
-        out[b:b + _BLOCK] = dec.decode(_coefficients(dec.tables, y[b:b + _BLOCK],
-                                                     h[b:b + _BLOCK]))
+        out[b:b + _BLOCK] = dec.decode(dec.coefficients(y[b:b + _BLOCK], h[b:b + _BLOCK]))
     return out
 
 
@@ -474,8 +503,14 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     return _decode_blocks(code, y, h, constellation, DECODER_BRUTE_ML)
 
 
-def simulate_cer(config: SimConfig) -> CerReport:
-    """Codeword-error-rate sweep over the configured SNR points."""
+def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
+    """Per SNR point, in order, the generator of its chunks' (trials, errors, slot_errors).
+
+    The one owner of the seed contract's draw order (module doc): chunk c of
+    point p yields its trial count, its codeword errors and its (k,) wrong
+    symbols per slot, and draws nothing before it is asked for.  The decoder
+    and the buffers are set up once, here, for every point.
+    """
     code = config.code
     n, m, k = code.n, config.rx_antennas, code.k
     # the points times the 2^t of gmatrix._pow2_scaled, the weights at the transmit scale
@@ -486,33 +521,27 @@ def simulate_cer(config: SimConfig) -> CerReport:
     chunk = min(_CHUNK, config.trials)
     block = min(_BLOCK, chunk)
     # SSD reads the caller's classify
-    dec = _decoder(code, w, pts, config.decoder, block)
-    # one chunk's fades and one block's symbols, noise, statistics and coefficients, in
-    # buffers allocated once per call: a chunk's fresh arrays would be alive beside the
+    dec = _decoder(code, w, pts, config.decoder, block, m)
+    # one chunk's fades and one block's symbols and noise, in buffers allocated once per
+    # call (the decoder holds the rest): a chunk's fresh arrays would be alive beside the
     # last chunk's, past malloc's mmap threshold they are mapped and faulted in afresh
-    # each time, and a block's fresh [H; N] and [Q; N H^H] fragment the heap (about 1 MB
-    # more peak RSS on USSD8, two receive antennas)
+    # each time, and a block's fresh arrays fragment the heap (about 1 MB more peak RSS
+    # on USSD8, two receive antennas)
     h_all = np.empty((chunk, n, m), dtype=complex)
     planes = np.stack((pts.real, pts.imag))
     parts_block = np.empty(2 * k * block)
     noise_block = np.empty((block, n, m), dtype=complex)
-    hz_block = np.empty((block, 2 * n, m), dtype=complex)
-    stats_block = np.empty((block, 2 * n, n), dtype=complex)
-    coef_block = np.empty(dec.tables.rows * block)
-    out = []
-    for point_index, snr_db in enumerate(config.snr_db_list):
-        n0 = _noise_power(snr_db)
-        errors = 0
-        slot_errors = np.zeros(k, dtype=np.int64)
-        for chunk_index, start in enumerate(range(0, config.trials, _CHUNK)):
+
+    def point_chunks(point: int, n0: float) -> Iterator[tuple[int, int, np.ndarray]]:
+        for c, start in enumerate(range(0, config.trials, _CHUNK)):
             t = min(_CHUNK, config.trials - start)
-            rng = np.random.default_rng([config.seed, point_index, chunk_index])
+            rng = np.random.default_rng([config.seed, point, c])
             symbols = rng.integers(0, len(pts), size=(t, k))
             h = _draw_cn(rng, h_all[:t])
+            errors, slot_errors = 0, np.zeros(k, dtype=np.int64)
             for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
-                hb = h[b:b + _BLOCK]
+                hb, sb = h[b:b + _BLOCK], symbols[b:b + _BLOCK]
                 tb = len(hb)
-                sb = symbols[b:b + _BLOCK]
                 # the real and imaginary parts of the block's sent symbols, slot-major
                 parts = np.take(planes, sb.T, axis=1,
                                 out=parts_block[:2 * k * tb].reshape(2, k, tb))
@@ -520,14 +549,21 @@ def simulate_cer(config: SimConfig) -> CerReport:
                 # it is the slice a whole-chunk draw would give
                 nb = _draw_cn(rng, noise_block[:tb])
                 nb *= math.sqrt(n0)
-                coef = _coefficients(dec.tables, nb, hb, hz_block[:tb], stats_block[:tb],
-                                     coef_block[:dec.tables.rows * tb].reshape(-1, tb))
+                coef = dec.coefficients(nb, hb)
                 _add_signal(dec.tables, coef, parts)
                 wrong = dec.wrong(coef, sb)
                 errors += int(np.count_nonzero(wrong.any(axis=0)))
                 slot_errors += wrong.sum(axis=1)
-        out.append(CerPoint(snr_db=float(snr_db), trials=config.trials, errors=errors,
-                            cer=errors / config.trials,
-                            ci95=wilson_halfwidth(errors, config.trials),
+            yield t, errors, slot_errors
+    return [point_chunks(p, _noise_power(snr_db)) for p, snr_db in enumerate(config.snr_db_list)]
+
+
+def simulate_cer(config: SimConfig) -> CerReport:
+    """Codeword-error-rate sweep over the configured SNR points."""
+    out = []
+    for snr_db, chunks in zip(config.snr_db_list, _chunks(config)):
+        trials, errors, slot_errors = map(sum, zip(*chunks))
+        out.append(CerPoint(snr_db=float(snr_db), trials=trials, errors=errors,
+                            cer=errors / trials, ci95=wilson_halfwidth(errors, trials),
                             slot_errors=tuple(slot_errors.tolist())))
     return CerReport(points=tuple(out))

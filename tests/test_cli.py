@@ -187,6 +187,29 @@ def test_coding_gain_reports_lost_diversity(runner, tmp_path):
     assert len(lines(ciod, "auto", "--brute-force")) == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_coding_gain_reads_a_nan_determinant_as_zero(runner, tmp_path):
+    # a float file whose A_1[1, 0] is 1e-160: numpy's det is NaN on some singular
+    # differences of unrotated QAM4, which once printed two RuntimeWarnings
+    ussd = tmp_path / "ussd4.json"
+    _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(ussd))
+    obj = json.loads(ussd.read_text())
+    a1 = obj["weights"][0][0]
+    a1["mode"] = "float"
+    a1["entries"][1][0] = [1e-160, 0]
+    del obj["class"]
+    tiny = tmp_path / "ussd4-tiny.json"
+    tiny.write_text(json.dumps(obj))
+    result = _invoke(runner, "coding-gain", "--code", str(tiny), "--constellation", "qam4",
+                     "--angle", "0", "--brute-force")
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    vector = ", ".join(["-2.000000-2.000000j"] * 4)
+    assert result.output.splitlines()[:2] == [
+        "min_det = 0.000000e+00  (angle 0.000000 rad, full search)",
+        f"achieved by difference vector [{vector}]"]
+
+
 def test_coding_gain_brute_force_is_pinned(runner, tmp_path):
     # the unreduced search names the single-symbol search's vector at the auto angles:
     # the first in lexicographic order within the one tolerance of the minimum

@@ -12,7 +12,6 @@ from stbc_forge.codes import (
     code_to_json_dict,
     gram,
     gram_rows,
-    lexicographic_first_min,
 )
 from stbc_forge.gmatrix import _upper_pairs, is_exact
 from stbc_forge.verifier import (
@@ -268,21 +267,6 @@ def test_weight_shape_validation(fam2):
     obj["weights"][1][0] = code_to_json_dict(build_square_cod(2, fam2))["weights"][0][0]
     with pytest.raises(ValueError, match="matrix 3 is not 2x2"):
         code_from_json_dict(obj)
-
-
-def test_lexicographic_first_min_on_trailing_unit_axis():
-    # np.unravel_index misreads an (N, 1) index array this large, so the
-    # search must unravel its best indices flat
-    rng = np.random.default_rng(53)
-    table = rng.standard_normal((16384, 1, 9))
-
-    def metric(vectors):
-        return table[..., 3 * vectors[:, 0] + vectors[:, 1]]
-
-    best, vectors = lexicographic_first_min(np.arange(3), 2, 4, metric)
-    assert vectors.shape == (16384, 1, 2)
-    assert np.array_equal(3 * vectors[..., 0] + vectors[..., 1], np.argmin(table, axis=-1))
-    assert np.array_equal(best, np.min(table, axis=-1))
 
 
 def test_weights_are_one_read_only_stack(ussd4, ciod4):

@@ -99,6 +99,21 @@ def test_lost_diversity_reports_no_negative_min_det(ussd2, scale, vector):
     assert r.difference == vector
 
 
+@pytest.mark.filterwarnings("error")
+def test_singular_difference_with_a_nan_determinant_reads_zero(ussd4):
+    # A_1[1, 0] = 1e-160 leaves D^H D singular at the zero minimum of unrotated QAM4,
+    # and numpy's complex det returns NaN, with a divide and an invalid warning, on 12
+    # of the 3,280 sums of the unreduced search: they read 0, as exact zeros do
+    w = np.array(ussd4.w)
+    w[0, 0, 1, 0] = 1e-160
+    tiny = LinearDispersionCode(label="ussd4-tiny-entry", n=4, w=w)
+    c = rotated_qam(4)
+    got = min_det_bruteforce(tiny, c, force_full=True)
+    want = min_det_bruteforce(ussd4, c, force_full=True)
+    assert got.value == 0.0 == want.value
+    assert got.difference == want.difference == ((-2 - 2j),) * 4
+
+
 def test_energy_convention_factor(ussd4, ciod4, ussd2, cod2):
     # unitary weights on 4 antennas carry dispersion gain tr Gamma / (2k) = 4 -> factor 16
     for code, gain in ((ussd4, 4.0), (ciod4, 2.0), (ussd2, 2.0), (cod2, 2.0)):

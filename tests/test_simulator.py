@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from stbc_forge import simulator
 from stbc_forge.clifford import generate_family
-from stbc_forge.codes import (LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd,
-                              lexicographic_first_min)
+from stbc_forge.codes import LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd
 from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
                                        rotated_qam, special_8qam)
 from stbc_forge.simulator import (
@@ -22,6 +21,7 @@ from stbc_forge.simulator import (
     SimConfig,
     _add_signal,
     _basis,
+    _chunks,
     _coefficients,
     _decoder,
     _draw_cn,
@@ -39,10 +39,17 @@ from conftest import random_unitary
 from survey_pins import SURVEY, SURVEY_SEED, SURVEY_SNRS, SURVEY_TRIALS
 
 
+def _coefs(tables, z, h):
+    """``_coefficients`` of the T blocks z, h, in fresh buffers."""
+    t, n, m = h.shape
+    return _coefficients(tables, z, h, np.empty((t, 2 * n, m), dtype=complex),
+                         np.empty((t, 2 * n, n), dtype=complex), np.empty(tables.rows * t))
+
+
 def _slot_metrics(tables, y, h, pts):
     """The (T, k, |A|) per-slot metrics of T blocks, from the SSD decoder's pieces."""
     basis = _basis(tables, pts[:, None])
-    metrics = basis.T @ _coefficients(tables, y, h).reshape(len(basis), -1)
+    metrics = basis.T @ _coefs(tables, y, h).reshape(len(basis), -1)
     return metrics.reshape(len(pts), -1, len(h)).transpose(2, 1, 0)
 
 
@@ -299,8 +306,8 @@ def test_slot_count_flags_the_ssd_decoder_errors(name, points, scale, angle, sig
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
     noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * sigma * scale
     y = _encode(code.w, pts[symbols]) @ h + noise
-    dec = _decoder(code, code.w, pts, "ssd", t)
-    flags = dec.wrong(_coefficients(dec.tables, y, h), symbols)
+    dec = _decoder(code, code.w, pts, "ssd", t, rx)
+    flags = dec.wrong(dec.coefficients(y, h), symbols)
     assert flags.shape == (code.k, t)
     assert np.array_equal(flags.T, ssd_decode(code, y, h, c) != pts[symbols])
 
@@ -386,8 +393,8 @@ def test_coefficients_from_noise_and_symbols(name, whole, n, k, rx, t, seed, uss
     subcodes = w.reshape(1, 2 * k, n, n) if whole or name == "random" else w
     tables = _tables(subcodes)
     x, h, noise = cn(t, k), cn(t, n, rx), cn(t, n, rx)
-    want = _coefficients(tables, _encode(w, x) @ h + noise, h)
-    got = _coefficients(tables, noise, h)
+    want = _coefs(tables, _encode(w, x) @ h + noise, h)
+    got = _coefs(tables, noise, h)
     _add_signal(tables, got, np.stack((x.real.T, x.imag.T)))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -419,8 +426,9 @@ def _ml_chunk_for(codewords, t, k):
 def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, whole, seed):
     # random complex weights are neither unitary nor SSD, so only the full
     # quadratic form decodes them; chunks of fewer than |A|^k >= 16
-    # codewords make the first minimum cross chunk boundaries, and a chunk
-    # that just holds every codeword takes the one GEMM against the basis built once
+    # codewords make the first minimum cross chunk boundaries and build one
+    # basis per chunk and block, and a chunk that just holds every codeword
+    # builds its basis once per call
     rng = np.random.default_rng(seed)
     code = _random_code(rng, n, k)
     c = rotated_qam(size, rng.uniform(0.0, math.pi / 2))
@@ -436,16 +444,19 @@ def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, wh
     codewords = np.tensordot(xs.real, wi, axes=1) + np.tensordot(xs.imag, wq, axes=1)
     want = np.stack([xs[np.argmin([np.linalg.norm(y[b] - cw @ h[b]) ** 2 for cw in codewords])]
                      for b in range(t)])
-    walks = []
+    builds = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(size ** k if whole else chunk, t, k))
-        mp.setattr(simulator, "lexicographic_first_min",
-                   lambda *args: walks.append(args) or lexicographic_first_min(*args))
+        mp.setattr(simulator, "_basis", lambda *args: builds.append(args) or _basis(*args))
         batched = ml_decode_bruteforce(code, y, h, c)
+        batched_builds = len(builds)
         one_by_one = np.stack([ml_decode_bruteforce(code, y[b], h[b], c) for b in range(t)])
     assert np.array_equal(batched, want)
     assert np.array_equal(one_by_one, batched)
-    assert bool(walks) != whole
+    # each call decodes one block: one basis per call, or one per chunk
+    per_call = 1 if whole else -(-size ** k // chunk)
+    assert batched_builds == per_call
+    assert len(builds) == (1 + t) * per_call
 
 
 def test_ml_decode_bruteforce_exact_tie_takes_first_codeword(monkeypatch):
@@ -627,6 +638,29 @@ def test_seed_contract_trial_prefix_stability(ussd4):
     short = _errors(ussd4, c, (0.0, 6.0), _CHUNK, 21)
     longer = _errors(ussd4, c, (0.0, 6.0), _CHUNK + 1, 21)
     assert all(b - a in (0, 1) for a, b in zip(short, longer))
+
+
+@pytest.mark.parametrize("decoder", ["ssd", "brute-ml"])
+def test_chunks_follow_the_seed_contract(ussd4, decoder):
+    # chunk c of point p draws from [seed, p, c] alone: the first C chunks of a long
+    # run count what a run of C whole chunks counts, and all its chunks sum to the report
+    c = rotated_qam(4, optimal_angle())
+    config = SimConfig(code=ussd4, constellation=c, snr_db_list=(4.0, 8.0),
+                       trials=3 * _CHUNK + 500, seed=17, decoder=decoder)
+
+    def summed(chunks):
+        return [(sum(t for t, _, _ in point), sum(e for _, e, _ in point),
+                 tuple(sum(s for _, _, s in point).tolist())) for point in chunks]
+
+    def report(trials):
+        points = simulate_cer(dataclasses.replace(config, trials=trials)).points
+        return [(p.trials, p.errors, p.slot_errors) for p in points]
+
+    chunks = [list(point) for point in _chunks(config)]
+    assert [[t for t, _, _ in point] for point in chunks] == [[_CHUNK] * 3 + [500]] * 2
+    for whole in (1, 2):
+        assert summed(point[:whole] for point in chunks) == report(whole * _CHUNK), whole
+    assert summed(chunks) == report(config.trials)
 
 
 def test_simulate_cer_memory_bounded_in_trials(ussd4):
