@@ -19,7 +19,10 @@ has gain n, so its raw determinant is scaled by (2/n)^n; in general the
 plain determinant is the reported value times (gain / 2)^n.  The
 equal-energy minimum is invariant under a uniform scale of the weights,
 which the search reads exactly rescaled by a power of two, so it holds over
-the whole float range.
+the whole float range.  It scales as the 2n-th power of the grid, so the
+search reads the grid's differences rescaled by a power of two 2^t as well
+and carries 2^(2 n t) back exactly; a minimum outside the float range is a
+ValueError.
 
 Every determinant is read off the code's one quadratic form: the difference
 D = sum_p s_p W_p of the real vector s = (d_1I, d_1Q, ..., d_kI, d_kQ) has
@@ -69,6 +72,7 @@ codes the unreduced search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +123,28 @@ def _first_tied(values: np.ndarray, best: float) -> int:
     return int(np.argmax(_negligible(values - best, abs(best))))
 
 
-def _result(w: np.ndarray, best: float, scale: float, vec: tuple[complex, ...],
+def _result(w: np.ndarray, best: float, scale: float, x: np.ndarray, t: int, n: int,
             reduced: bool) -> MinDetResult:
-    """The report of the minimum ``best`` on the power-of-two-scaled weights ``w``, at ``vec``."""
-    # D is formed on the scaled weights, so it is finite at every scale of the code
-    delta = _encode(w, np.array([vec]))[0]
+    """The report of the minimum ``best`` of n x n determinants on the power-of-two-scaled
+    weights ``w`` and differences, at the (k,) difference vector ``x`` of the search.
+
+    The search reads the differences times 2^t, so its determinants are the
+    true ones times 2^(2 n t), exactly; the value carries that factor back,
+    and a positive minimum outside the float range is a ValueError.
+    """
+    # D is formed on the scaled weights and differences, so it is finite at every scale
+    delta = _encode(w, x[None])[0]
     lo, hi = np.linalg.eigvalsh(np.conj(delta.T) @ delta)[[0, -1]]
-    return MinDetResult(value=max(0.0, float(best)) * scale, difference=vec, reduced=reduced,
+    value = max(0.0, float(best)) * scale
+    try:
+        out = math.ldexp(value, -2 * n * t)
+    except OverflowError:
+        out = math.inf
+    if value > 0.0 and not 0.0 < out < math.inf:
+        raise ValueError(f"the minimum determinant, about 2^{math.frexp(value)[1] - 2 * n * t}, "
+                         "is outside the float range")
+    vec = tuple(complex(d) for d in np.ldexp(x.view(np.float64), -t).view(np.complex128))
+    return MinDetResult(value=out, difference=vec, reduced=reduced,
                         full_diversity=not _negligible(lo, hi))
 
 
@@ -137,8 +156,8 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
     differences (provably sufficient, see module doc) unless
     ``force_full`` demands the unreduced enumeration over all
     difference vectors.  Raises ValueError when the unreduced search would
-    exceed ``FULL_SEARCH_BUDGET`` difference vectors, or for a code that
-    transmits no energy.
+    exceed ``FULL_SEARCH_BUDGET`` difference vectors, for a code that
+    transmits no energy, or when the minimum is outside the float range.
     """
     # the equal-energy minimum is scale-invariant: search 2^e w, largest entry part in [1, 2),
     # whose dispersion gain is tr Gamma / (2k) on the code's real_gram
@@ -148,7 +167,9 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
         raise ValueError("code transmits no energy")
     scale = (REFERENCE_DISPERSION_GAIN / gain) ** code.n
     code_class = CLASS_NOT_SSD if force_full else _report(code).code_class
-    diffs = constellation.differences()  # d[i] = -d[-1 - i], and x, -x give the same D^H D
+    # d[i] = -d[-1 - i], and x, -x give the same D^H D; the differences times the 2^t that
+    # puts their largest part in [1, 2), so no determinant of a scaled grid leaves the range
+    diffs, t = _pow2_scaled(constellation.differences())
     half = len(diffs) // 2
     if code_class != CLASS_NOT_SSD:  # one of each pair x, -x: the first half
         s = diffs[:half].view(np.float64).reshape(-1, 2)
@@ -162,8 +183,9 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
             dets = np.stack([_difference_dets(terms[i], s) for i in range(code.k)])
         best = dets.min()
         slot, arg = divmod(_first_tied(dets, best), half)  # slot-major: lexicographic order
-        vec = tuple(complex(diffs[arg]) if i == slot else 0j for i in range(code.k))
-        return _result(w, best, scale, vec, reduced=True)
+        x = np.zeros(code.k, dtype=complex)
+        x[slot] = diffs[arg]
+        return _result(w, best, scale, x, t, code.n, reduced=True)
 
     # unreduced: every vector of per-symbol differences, 0 allowed per slot at half
     per_slot = np.insert(diffs, half, 0)
@@ -192,8 +214,7 @@ def min_det_bruteforce(code: LinearDispersionCode, constellation: Constellation,
     best = mins.min()
     b = _first_tied(mins, best)
     x, dets = held[1:] if held[0] == b else block(starts[b])
-    vec = tuple(complex(d) for d in x[_first_tied(dets, best)])
-    return _result(w, best, scale, vec, reduced=False)
+    return _result(w, best, scale, x[_first_tied(dets, best)], t, code.n, reduced=False)
 
 
 def min_det_closed_form(constellation: Constellation, n: int) -> float:

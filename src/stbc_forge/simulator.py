@@ -15,27 +15,31 @@ Decoders:  both minimize ||Y - SH||^2 through one quadratic form.  With
 the real symbol vector s = (x_1I, x_1Q, ..., x_kI, x_kQ) and the 2k
 weights W_p = A_1, B_1, ..., A_k, B_k,
 
-    ||Y - SH||^2 - ||Y||^2 = sum_{p<=q} s_p s_q R_pq - 2 sum_p s_p b_p,
+    ||Y - SH||^2 - ||Y||^2 = sum_p s_p^2 R~_pp + 2 sum_{p<q} s_p s_q R~_pq
+                             - 2 sum_p s_p b_p,
 
-with R_pq = Re tr(M_pq Q) on the pair terms M_pp = W_p^H W_p and
-M_pq = W_p^H W_q + W_q^H W_p of :func:`.codes.gram`, b_p = Re tr(W_p P),
-and the two n x n statistics per block Q = H H^H and P = H Y^H.  A
-decoder works on S sub-codes of g symbols each.  One table builder keeps
-the sub-codes' pair terms that are not exactly zero, entrywise in some
-sub-code (a pruned M_pq adds nothing; one mask serves every sub-code),
-and gives two half-tables: the float64 views of conj(M_pq) on the kept
-pairs and of conj(W_p).  M_pq and Q are Hermitian, so R_pq =
-<conj(M_pq), conj(Q)> and b_p = <conj(W_p), conj(Y H^H)>, real inner
-products.  A batch of T blocks takes one batched product
-conj([H; Z]) H^T = conj([Q; Z H^H]) of (T, n, m) blocks h, z, whose
-halves are 2n^2 contiguous floats per block, and one GEMM per half
-against its half-table, with no structural zero.  The two GEMMs write
-the row blocks of one coefficient-major (F S, T) array,
-F = (kept pairs) + 2g: row f S + i holds coefficient f of sub-code i,
-[R_pq; Re tr(W_p H Z^H)], and with Z = Y that is [R_pq; b_p].  The
-(F, C) basis [s_p s_q, -2 s_p] of C candidate symbol vectors on the kept
-pairs meets it in one GEMM for every metric.  The tables assume nothing
-about the weights.
+with R~_pq = Re tr(M~_pq Q) on the halved pair terms M~_pp = M_pp and
+M~_pq = M_pq / 2 of the pair terms M_pp = W_p^H W_p and M_pq = W_p^H W_q +
+W_q^H W_p of :func:`.codes.gram`, b_p = Re tr(W_p P), and the two n x n
+statistics per block Q = H H^H and P = H Y^H.  A decoder works on S
+sub-codes of g symbols each.  One table builder keeps the sub-codes' pair
+terms that are not exactly zero, entrywise in some sub-code (a pruned M_pq
+adds nothing; one mask serves every sub-code), and gives two half-tables:
+the float64 views of conj(M~_pq) on the kept pairs and of conj(W_p).  M_pq
+and Q are Hermitian, so R~_pq = <conj(M~_pq), conj(Q)> and b_p =
+<conj(W_p), conj(Y H^H)>, real inner products.  A batch of T blocks takes
+one batched product per statistic of (T, n, m) blocks, conj(H) H^T =
+conj(Q) and conj(Y) H^T = conj(Y H^H), each 2n^2 contiguous floats per
+block, and one GEMM per statistic against its half-table, with no
+structural zero.  The two GEMMs write the row blocks of one
+coefficient-major (F S, T) array, F = (kept pairs) + 2g: row f S + i holds
+coefficient f of sub-code i, [R~_pq; b_p].  The (F, C) basis
+[s_p s_q (twice for p < q), -2 s_p] of C candidate symbol vectors on the
+kept pairs meets it in one GEMM for every metric.  The tables assume
+nothing about the weights.  When the kept pairs split a sub-code into C
+identical blocks of whole symbols, as the whole code of an SSD code splits
+into its slots, the rows run over the blocks fastest, so the whole code
+has the row layout of its k slot sub-codes.
 
 ``ssd_decode``
     ML of each slot's one-symbol sub-code (S = k, g = 1, from the code's
@@ -57,7 +61,7 @@ about the weights.
     per call.
 
 One builder, ``_decoder``, sets up either decoder: its tables, the
-buffers of one trial block, its map from the block's Z and fades to
+buffers of one trial block, its maps from the block's fades (and Y) to
 coefficients, its map from coefficients to symbols and its map from
 coefficients and sent symbols to wrong slots.  ``_chunks`` builds it
 once per ``simulate_cer`` call and counts once per trial block, and
@@ -76,18 +80,26 @@ decoder-equivalence oracle deterministic.
 Sufficient statistics:  Q is Hermitian, so Y = S H + N gives
 P = Q S^H + H N^H and, for any weights,
 
-    b_p = sum_q R~_pq s_q + Re tr(W_p H N^H),   R~_pp = R_pp,
-                                                R~_pq = R~_qp = R_pq / 2.
+    b_p = sum_q R~_pq s_q + Re tr(W_p H N^H).
 
-``simulate_cer`` forms no codeword and no S H: a block's coefficients of
-Z = N, plus the signal term of its sent symbols added by ``_add_signal``
-over the sub-code's kept pairs, are its coefficients of Y.  Coefficient
-f of every sub-code is one contiguous (S, T) row block, so the signal
-term is one multiply-add per kept pair and weight on whole rows.  The
+Given H, the noise terms Re tr(W_p H N^H) of N ~ CN(0, N0) are jointly
+Gaussian with mean 0 and covariance (N0 / 2) R~ (entry p, q is
+(N0 / 2) Re tr(W_q^H W_p Q)).  ``simulate_cer`` therefore draws no noise
+matrix, forms no codeword, no S H and no P: a block's R~ rows come from
+conj(Q) alone (``_quadratic``), ``_write_noise`` writes sqrt(N0 / 2) L g
+into the b rows, with L L^T = R~ the Cholesky factor of each sub-code's
+R~ and g 2k standard normals per trial, and ``_add_signal`` adds the
+signal term of the sent symbols over the sub-code's kept pairs.  The
+factor walks only the kept pairs and their fill, elementwise on whole
+(S, T) rows: for an SSD slot it is the closed-form 2 x 2, and the whole
+code of an SSD code, whose cross-slot pairs are pruned, runs the same
+arithmetic on the same normals, so SSD and brute-force ML count alike.
+A pivot negligible against its diagonal entry (``gmatrix._negligible``)
+reads as 0 with its column, which covers a singular R~ (k > n m).  The
 whole code (brute-force ML) drops only pruned pairs.  The slot sub-codes
 (SSD) also drop the cross-slot terms, which are exactly zero for every
-built-in code and within ``check_ssd``'s tolerance otherwise.  Every
-CN(0, 1) draw is a complex view of interleaved normals.
+built-in code and within ``check_ssd``'s tolerance otherwise.  The fades
+are a complex view of interleaved normals.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  One function, ``_chunks``, owns the draw order: its
@@ -95,22 +107,24 @@ generator for each point yields each chunk's (trials, errors,
 slot_errors) in the order below, and ``simulate_cer`` only sums each
 point's chunks, so a run of C whole chunks counts what the first C
 chunks of a longer run count.
-Chunk c of point p draws its symbol indices, then its fades,
-then its noise from ``default_rng([seed, p, c])``, and is decoded before
+Chunk c of point p draws its symbol indices, then its fades, then its
+noise normals from ``default_rng([seed, p, c])``, and is decoded before
 the next chunk is drawn.  Only the indices and the fades are drawn for
 the whole chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
 2**10 of the chunk's trials: a block takes its symbols from the indices,
-draws its noise from the same Generator, and is decoded and counted
-before the next block's noise is drawn.  Consecutive
-``standard_normal(out=)`` calls continue one stream, so the blocks'
-noise is the whole-chunk draw value for value.  Memory is bounded by one
-chunk's indices and fades plus one block's arrays, in buffers allocated
-once per call, and the block size does not change a count; at 2**10 one
-block's conj([Q; N H^H]) of a USSD8 code on two receive antennas is 2 MiB.  A
-(seed, config) pair gives a bit-identical report.  ``[seed, p, 0]``
-seeds the same stream as ``[seed, p]`` (zero padding), so runs of at
-most 2**14 trials per point match the earlier contract that drew a whole
-point from ``[seed, p]``.
+draws its 2k normals per trial, trial-major as (T, k, 2) (slot, then real
+and imaginary part), from the same Generator, and is decoded and counted
+before the next block's normals are drawn.  Consecutive
+``standard_normal(out=)`` calls continue one stream and the draw is
+trial-major, so the blocks' normals are the whole-chunk draw value for
+value.  Memory is bounded by one chunk's indices and fades plus one
+block's arrays, in buffers allocated once per call, and the block size
+does not change a count.  A (seed, config) pair gives a bit-identical
+report; ``SEED_CONTRACT`` names the contract in every sidecar.  This is
+the second contract: the first drew all n m complex noise entries per
+trial (4 n m normals per trial with the fades, 2 n m + 2k now) and formed
+the b rows from them, so every seeded count changed with it.
+``[seed, p, 0]`` seeds the same stream as ``[seed, p]`` (zero padding).
 """
 
 from __future__ import annotations
@@ -126,7 +140,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram
 from .constellations import Constellation
-from .gmatrix import _pow2_scaled, _upper_pairs
+from .gmatrix import _negligible, _pow2_scaled, _upper_pairs
 from .verifier import check_ssd
 
 DECODER_SSD = "ssd"
@@ -137,7 +151,8 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
 _BLOCK = 1 << 10  # trials of a chunk decoded together
 _ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
-SEED_CONTRACT = f"default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, fades, noise"
+SEED_CONTRACT = (f"v2: default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, fades, "
+                 "then 2k coefficient-space noise normals per trial")
 
 
 @dataclass(frozen=True)
@@ -259,15 +274,23 @@ def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 class _Tables(NamedTuple):
     """The decoding tables of S sub-codes of g symbols each, from :func:`_tables`.
 
-    Two half-tables, one per half of the statistic conj([Q; Z H^H]); row f S + i
-    is the float64 view of coefficient f's matrix in sub-code i.
+    Two half-tables, one per statistic, conj(Q) and conj(Z H^H); row f S + i is
+    the float64 view of coefficient f's matrix in sub-code i.  The kept pairs
+    split each sub-code into C identical blocks of g / C symbols
+    (:func:`_blocks`), and coefficient f is feature f // C of block f % C, so
+    the rows read as F / C features of U = C S units, each a contiguous (U, T)
+    row: one block of one sub-code per unit.  ``factor`` walks one unit's
+    lower-triangular factor of R~.
     """
 
     subcodes: int  # S
-    p: np.ndarray  # the kept pairs p <= q of a sub-code's 2g weights, row-major
+    blocks: int  # C
+    p: np.ndarray  # the kept pairs p <= q of a sub-code's 2g weights, in row order
     q: np.ndarray
-    r: np.ndarray  # (P S, 2n^2): conj(M_pq) of the P kept pairs, to R_pq from conj(Q)
+    weights: np.ndarray  # the weights p of the b rows, in row order
+    r: np.ndarray  # (P S, 2n^2): conj(M~_pq) of the P kept pairs, to R~_pq from conj(Q)
     b: np.ndarray  # (2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H)
+    factor: tuple  # per column j of a unit: (j, the R~_jj row, row j's l < j, entries i > j)
 
     @property
     def rows(self) -> int:
@@ -275,96 +298,210 @@ class _Tables(NamedTuple):
         return len(self.r) + len(self.b)
 
 
+def _blocks(g2: int, p: np.ndarray, q: np.ndarray) -> int:
+    """The most blocks C of whole symbols that split the kept pairs p <= q of 2g weights alike.
+
+    Every kept pair lies in one block of 2g / C consecutive weights, and each
+    block keeps the same pairs, so in row-major order the pairs of block c are
+    those of block 0 offset by c 2g / C: the whole code of an SSD code splits
+    into its k slots.  C = 1 always qualifies.
+    """
+    pairs = list(zip(p.tolist(), q.tolist()))
+    for size in range(2, g2, 2):
+        blocks = g2 // size
+        first = pairs[:len(pairs) // blocks]
+        shifted = [(a + c * size, b + c * size) for c in range(blocks) for a, b in first]
+        if g2 % size == 0 and all(b < size for _, b in first) and pairs == shifted:
+            return blocks
+    return 1
+
+
+def _factor_walk(size: int, p: np.ndarray, q: np.ndarray) -> tuple:
+    """The entries of the lower-triangular factor L of a (size, size) R~ on its kept pairs.
+
+    Column j lists j, the row of R~_jj, the l < j of row j's entries, and each
+    entry (i, j), i > j, as i, the row of R~_ij (-1 where the pair is pruned)
+    and the l < j of the entries (i, l) and (j, l) both.  An entry is a kept
+    pair or the fill of two earlier entries.  A weight that is zero in every
+    sub-code has no kept R~_jj and no column.
+    """
+    kept = {(a, b): row for row, (a, b) in enumerate(zip(p.tolist(), q.tolist()))}
+    rows_of = [set() for _ in range(size)]  # the l < i of the entries (i, l)
+    walk = []
+    for j in range(size):
+        if (j, j) not in kept:
+            continue
+        column = []
+        for i in range(j + 1, size):
+            common = tuple(sorted(rows_of[i] & rows_of[j]))
+            if (j, i) in kept or common:
+                rows_of[i].add(j)
+                column.append((i, kept.get((j, i), -1), common))
+        walk.append((j, kept[j, j], tuple(sorted(rows_of[j])), tuple(column)))
+    return tuple(walk)
+
+
 def _tables(subcodes: np.ndarray) -> _Tables:
     """The decoding tables of an (S, 2g, n, n) stack of S sub-codes of g symbols each.
 
     A pair term M_pq (:func:`.codes.gram`) that is exactly zero, entrywise
-    and in every sub-code, adds nothing to the metric or to the signal term
-    and is pruned: one mask for all sub-codes, so the basis and the signal
-    term read the same kept (p, q).  M_pq and Q are Hermitian, so
-    R_pq = Re tr(M_pq Q) = <conj(M_pq), conj(Q)> and Re tr(W_p H Z^H) =
-    <conj(W_p), conj(Z H^H)>, real inner products of float64 views: each
-    half-table meets one half of the statistic and no structural zero.
+    and in every sub-code, adds nothing to the metric, the signal term or the
+    noise and is pruned: one mask for all sub-codes, so the basis, the signal
+    term and the noise factor read the same kept (p, q).  The pair rows hold
+    R~_pq = Re tr(M~_pq Q) of M~_pp = M_pp and M~_pq = M_pq / 2, an exact
+    halving.  M_pq and Q are Hermitian, so R~_pq = <conj(M~_pq), conj(Q)> and
+    Re tr(W_p H Z^H) = <conj(W_p), conj(Z H^H)>, real inner products of
+    float64 views: each half-table meets one statistic and no structural zero.
+    The rows run over the C blocks fastest (:class:`_Tables`): the whole code
+    of an SSD code has the row layout of its k slot sub-codes.
     """
     s, g2, n, _ = subcodes.shape
     terms = gram(subcodes)
-    keep = np.any(terms != 0, axis=(0, 2, 3))
+    kept = np.flatnonzero(np.any(terms != 0, axis=(0, 2, 3)))
+    p, q = _upper_pairs(g2)
+    blocks = _blocks(g2, p[kept], q[kept])
+    pairs = kept.reshape(blocks, -1).T.ravel()  # feature-major, block-minor
+    weights = np.arange(g2).reshape(blocks, -1).T.ravel()
+    p, q = p[pairs], q[pairs]
 
     def half_table(m: np.ndarray) -> np.ndarray:
         # (S, J, n, n) to the (J S, 2n^2) float64 view of conj(m), row j S + i
         return np.ascontiguousarray(np.conj(m.swapaxes(0, 1))).reshape(-1, n * n).view(np.float64)
 
-    p, q = _upper_pairs(g2)
-    return _Tables(s, p[keep], q[keep], half_table(terms[:, keep]), half_table(subcodes))
+    r = half_table(terms[:, pairs] * np.where(p == q, 1.0, 0.5)[:, None, None])
+    # block 0's pairs, every C-th row, are one unit's in its own weights
+    return _Tables(s, blocks, p, q, weights, r, half_table(subcodes[:, weights]),
+                   _factor_walk(g2 // blocks, p[::blocks], q[::blocks]))
 
 
-def _coefficients(tables: _Tables, z: np.ndarray, h: np.ndarray, hz: np.ndarray,
-                  stats: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The (F S, T) coefficients [R_pq; Re tr(W_p H Z^H)] of each sub-code and block.
+def _quadratic(tables: _Tables, h: np.ndarray, hc: np.ndarray, stats: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The (F S, T) coefficients of T blocks h with their R~ rows formed, the b rows not.
 
-    For T complex blocks z, h of shape (T, n, m) and the ``_tables`` of S
-    sub-codes; row f S + i holds coefficient f of sub-code i.  With Z = Y
-    these are the decoder's [R_pq; b_p]; with Z = N, :func:`_add_signal`
-    adds the rest of b_p.  One batched product conj([H; Z]) H^T =
-    conj([Q; Z H^H]) and one GEMM per half-table, in buffers of at least T
-    blocks: the first T of the (., 2n, m) ``hz`` for conj([H; Z]) and of the
-    (., 2n, n) ``stats`` for the statistic, and the first F S T of the flat
-    ``out``, whose view it returns.  A decoder owns one set (:func:`_decoder`).
+    One batched product conj(H) H^T = conj(Q) of the (T, n, m) fades and one
+    GEMM against the pair half-table, in the first T blocks of the (., n, m)
+    ``hc`` and the (., n, n) ``stats`` and the first F S T of the flat ``out``,
+    whose view it returns.  The one routine that forms the pair rows, for
+    :func:`_coefficients` and for the Monte Carlo.
     """
     t = len(h)
-    hz, stats, out = hz[:t], stats[:t], out[:tables.rows * t].reshape(-1, t)
-    np.concatenate((h, z), axis=1, out=hz)
-    np.matmul(np.conjugate(hz, out=hz), h.swapaxes(-1, -2), out=stats)
-    halves = stats.view(np.float64).reshape(t, 2, -1)
-    np.matmul(tables.r, halves[:, 0].T, out=out[:len(tables.r)])
-    np.matmul(tables.b, halves[:, 1].T, out=out[len(tables.r):])
+    hc, stats, out = hc[:t], stats[:t], out[:tables.rows * t].reshape(-1, t)
+    np.matmul(np.conjugate(h, out=hc), h.swapaxes(-1, -2), out=stats)
+    np.matmul(tables.r, stats.view(np.float64).reshape(t, -1).T, out=out[:len(tables.r)])
     return out
 
 
+def _coefficients(tables: _Tables, y: np.ndarray, h: np.ndarray, hc: np.ndarray,
+                  stats: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (F S, T) coefficients [R~_pq; b_p] of each sub-code and block.
+
+    For T complex blocks y, h of shape (T, n, m) and the ``_tables`` of S
+    sub-codes; row f S + i holds coefficient f of sub-code i.
+    :func:`_quadratic` forms the R~ rows; then the product conj(Y) H^T =
+    conj(Y H^H), in the same ``hc`` and ``stats``, and one GEMM against the
+    weight half-table form b_p = Re tr(W_p H Y^H).  A decoder owns one set
+    of buffers (:func:`_decoder`).
+    """
+    out = _quadratic(tables, h, hc, stats, out)
+    t = len(h)
+    np.matmul(np.conjugate(y, out=hc[:t]), h.swapaxes(-1, -2), out=stats[:t])
+    np.matmul(tables.b, stats[:t].view(np.float64).reshape(t, -1).T, out=out[len(tables.r):])
+    return out
+
+
+def _unit_rows(tables: _Tables, coef: np.ndarray, parts: np.ndarray):
+    """One unit's rows of R~ per kept pair and of b per weight, and its s rows, each (U, T).
+
+    ``coef`` is T blocks' ``_coefficients`` and ``parts`` the real and
+    imaginary parts of k = S g symbols as one C-contiguous (2, k, T) array.
+    Row u = c S + i of each holds block c of sub-code i (:class:`_Tables`);
+    s_p of a unit is part p % 2 of its symbol p // 2.  The R~ and b rows are
+    contiguous; the s rows are when a unit holds one symbol.
+    """
+    s, c, t = tables.subcodes, tables.blocks, parts.shape[-1]
+    coef = coef.reshape(-1, c * s, t)
+    parts = parts.reshape(2, s, c, -1, t).swapaxes(1, 2).reshape(2, c * s, -1, t)
+    pairs = len(tables.r) // (c * s)
+    return coef[:pairs], coef[pairs:], [parts[p % 2, :, p // 2] for p in range(len(coef) - pairs)]
+
+
 def _add_signal(tables: _Tables, coef: np.ndarray, parts: np.ndarray) -> None:
-    """Add sum_q R~_pq s_q (module doc) to the b rows of Z = N's ``_coefficients``, in place.
+    """Add sum_q R~_pq s_q (module doc) to the b rows of T blocks' coefficients, in place.
 
     ``parts`` holds the real and imaginary parts of the (k, T) sent symbols,
     k = S g, as one C-contiguous (2, k, T) array; the sum runs over the kept
-    pairs.  One multiply-add per pair and weight on contiguous (S, T) rows:
-    one coefficient of every sub-code, and one part of one symbol of each.
+    pairs.  One multiply-add per pair and weight of a unit on its contiguous
+    (U, T) rows (:func:`_unit_rows`).
     """
-    sub, t = tables.subcodes, parts.shape[2]
-    coef = coef.reshape(-1, sub, t)
-    # s_p of every sub-code and block: part p % 2 of the sub-code's symbol p // 2
-    parts = parts.reshape(2, sub, -1, t)
-    halved = 0.5 * parts
-    s = [parts[p % 2, :, p // 2] for p in range(2 * parts.shape[2])]
-    half = [halved[p % 2, :, p // 2] for p in range(2 * parts.shape[2])]
-    b = coef[len(tables.p):]
-    for j, (p, q) in enumerate(zip(tables.p.tolist(), tables.q.tolist())):
-        r = coef[j]
+    r, b, s = _unit_rows(tables, coef, parts)
+    c = tables.blocks
+    for rpq, p, q in zip(r, tables.p[::c].tolist(), tables.q[::c].tolist()):
         bp = b[p]
-        if p == q:
-            bp += r * s[p]
-        else:
-            bp += r * half[q]
+        bp += rpq * s[q]
+        if p != q:
             bq = b[q]
-            bq += r * half[p]
+            bq += rpq * s[p]
+
+
+def _write_noise(tables: _Tables, coef: np.ndarray, g: np.ndarray) -> None:
+    """Write L g, L L^T = R~ (module doc), into the b rows of T blocks' coefficients.
+
+    ``g`` holds 2k normals per block as one C-contiguous (2, k, T) array, laid
+    out as the symbol parts of :func:`_add_signal`: the noise coefficients of
+    N ~ CN(0, N0) are these with g times sqrt(N0 / 2).  L is the Cholesky
+    factor of each unit's R~, elementwise on the (U, T) rows of
+    :func:`_unit_rows`, walking only ``tables.factor``: for an SSD slot the
+    closed-form 2 x 2 l11 = sqrt(R~_AA), l21 = R~_AB / l11,
+    l22 = sqrt(R~_BB - l21^2).  A pivot that ``gmatrix._negligible`` judges
+    negligible against its diagonal entry R~_jj reads as 0, and so does its
+    column: R~ is singular when k > n m.
+    """
+    r, b, g = _unit_rows(tables, coef, g)
+    if len(tables.factor) < len(b):  # a weight that is zero in every sub-code
+        b[...] = 0.0
+    low = {}  # (i, j) -> the row of L_ij
+    for j, diag, left, column in tables.factor:
+        d = r[diag]
+        for l in left:
+            d = d - low[j, l] ** 2
+        negligible = _negligible(d, r[diag])
+        singular = negligible.any()
+        # an infinite divisor gives a negligible pivot's column 0
+        piv = np.sqrt(np.where(negligible, np.inf, d) if singular else d)
+        for i, row, common in column:
+            x = r[row] if row >= 0 else np.zeros_like(piv)
+            for l in common:
+                x = x - low[i, l] * low[j, l]
+            low[i, j] = x / piv
+        low[j, j] = np.where(negligible, 0.0, piv) if singular else piv
+        # row j of L is complete
+        bj = np.multiply(low[j, j], g[j], out=b[j])
+        for l in left:
+            bj += low[j, l] * g[l]
 
 
 def _basis(tables: _Tables, x: np.ndarray) -> np.ndarray:
-    """The (F, C) basis [s_p s_q (kept p <= q), -2 s_p] of C complex symbol vectors x, (C, g).
+    """The (F, C) basis [s_p s_q (kept p <= q, twice for p < q), -2 s_p] of C complex symbol
+    vectors x, (C, g).
 
     s = (x_1I, x_1Q, ..., x_gI, x_gQ), so column i T + t of the (F, S T) view of
-    ``_coefficients`` of Z = Y, dotted with column c, is ||Y - S H||^2 - ||Y||^2 of
-    codeword c of sub-code i in block t.
+    ``_coefficients`` of Y, dotted with column c, is ||Y - S H||^2 - ||Y||^2 of
+    codeword c of sub-code i in block t.  Doubling the pair products and halving
+    the pair rows are exact, so each term is s_p s_q R_pq.
     """
     s = np.ascontiguousarray(x).view(np.float64).T
     # C order: a transposed operand is slower
-    return np.concatenate((s[tables.p] * s[tables.q], -2.0 * s))
+    pairs = s[tables.p] * s[tables.q]
+    pairs[tables.p != tables.q] *= 2.0
+    return np.concatenate((pairs, -2.0 * s[tables.weights]))
 
 
 class _Decoder(NamedTuple):
     """A decoder's sub-code tables, its coefficients of T blocks and its two maps from them."""
 
     tables: _Tables
-    coefficients: Callable[[np.ndarray, np.ndarray], np.ndarray]  # z, h: ``_coefficients``
+    quadratic: Callable[[np.ndarray], np.ndarray]  # h: ``_quadratic``
+    coefficients: Callable[[np.ndarray, np.ndarray], np.ndarray]  # y, h: ``_coefficients``
     decode: Callable[[np.ndarray], np.ndarray]  # to the (T, k) decoded symbols
     wrong: Callable[[np.ndarray, np.ndarray], np.ndarray]  # and (T, k) sent indices: (k, T) flags
 
@@ -390,20 +527,22 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
     """A decoder of T <= ``block`` blocks on ``rx`` receive antennas, with its block buffers.
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
-    The decoder allocates every block buffer once: ``coefficients(z, h)`` is
-    :func:`_coefficients` of T blocks in them, a view that the next call
-    overwrites.  SSD scores each slot's one-symbol sub-code, the (k, 2, n, n)
-    ``w``, over the |A| points: the (F k, T) coefficients read as (F, k T)
-    times the (|A|, F) basis, one GEMM with no transposed operand into one
-    block-sized (|A|, k T) buffer; it decodes by the first column minimum and
-    counts by :func:`_wrong`.  Brute-force ML scores the whole code, one
-    sub-code of k symbols, over its |A|^k codewords in lexicographic chunks
-    of at most ``_ML_CHUNK // max(block, F)`` codewords, so that neither the
-    (T, C) metrics nor the (F, C) basis pass ``_ML_CHUNK`` elements: the
-    argmin of each chunk, and a strict ``<`` across chunks, so a tie keeps
-    the earlier chunk.  When one chunk holds every codeword, its digits and
-    basis are built once per call.  It decodes to point indices and counts
-    by comparing them with the sent ones.
+    The decoder allocates every block buffer once: ``coefficients(y, h)`` is
+    :func:`_coefficients` and ``quadratic(h)`` is :func:`_quadratic` of T
+    blocks in them, a view that the next call overwrites.  SSD scores each
+    slot's one-symbol sub-code, the (k, 2, n, n) ``w``, over the |A| points:
+    the (F k, T) coefficients read as (F, k T) times the (|A|, F) basis, one
+    GEMM with no transposed operand into one block-sized (|A|, k T) buffer;
+    it decodes by the first column minimum, found row by row because numpy's
+    argmin over axis 0 copies the whole block, and counts by :func:`_wrong`.
+    Brute-force ML scores the whole code, one sub-code of k symbols, over
+    its |A|^k codewords in lexicographic chunks of at most
+    ``_ML_CHUNK // max(block, F)`` codewords, so that neither the (T, C)
+    metrics nor the (F, C) basis pass ``_ML_CHUNK`` elements: the argmin of
+    each chunk, and a strict ``<`` across chunks, so a tie keeps the earlier
+    chunk.  When one chunk holds every codeword, its digits and basis are
+    built once per call.  It decodes to point indices and counts by
+    comparing them with the sent ones.
     """
     k, _, n, _ = w.shape
     ssd, total = decoder == DECODER_SSD, len(pts) ** k
@@ -412,9 +551,10 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
     if not ssd and total > ML_BUDGET:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
     tables = _tables(w if ssd else w.reshape(1, 2 * k, n, n))
-    coefficients = partial(_coefficients, tables, hz=np.empty((block, 2 * n, rx), dtype=complex),
-                           stats=np.empty((block, 2 * n, n), dtype=complex),
-                           out=np.empty(tables.rows * block))
+    buffers = dict(hc=np.empty((block, n, rx), dtype=complex),
+                   stats=np.empty((block, n, n), dtype=complex), out=np.empty(tables.rows * block))
+    quadratic = partial(_quadratic, tables, **buffers)
+    coefficients = partial(_coefficients, tables, **buffers)
     if ssd:
         basis_t = np.ascontiguousarray(_basis(tables, pts[:, None]).T)
         buffer = np.empty(len(pts) * block * k)
@@ -425,9 +565,15 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
             return np.matmul(basis_t, coef, out=out)
 
         def decode(coef: np.ndarray) -> np.ndarray:
-            # first minimum: smallest index
-            return pts[np.argmin(metrics(coef), axis=0).reshape(k, -1).T]
-        return _Decoder(tables, coefficients, decode,
+            # the first minimum, the smallest index: the column minima, then the points from
+            # the last to the first.  numpy's argmin over axis 0 would copy the whole block
+            scores = metrics(coef)
+            low = scores.min(axis=0)
+            arg = np.zeros(scores.shape[1], dtype=np.intp)
+            for a in range(len(pts) - 1, -1, -1):
+                arg[scores[a] == low] = a
+            return pts[arg.reshape(k, -1).T]
+        return _Decoder(tables, quadratic, coefficients, decode,
                         lambda coef, symbols: _wrong(metrics(coef), symbols))
     chunk = min(total, max(1, _ML_CHUNK // max(block, tables.rows)))
     buffer = np.empty(block * chunk)
@@ -457,7 +603,7 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
             best = np.where(better, value, best)
             out = np.where(better[:, None], digits[arg], out)
         return out
-    return _Decoder(tables, coefficients, lambda coef: pts[first(coef)],
+    return _Decoder(tables, quadratic, coefficients, lambda coef: pts[first(coef)],
                     lambda coef, symbols: (first(coef) != symbols).T)
 
 
@@ -530,9 +676,11 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
     h_all = np.empty((chunk, n, m), dtype=complex)
     planes = np.stack((pts.real, pts.imag))
     parts_block = np.empty(2 * k * block)
-    noise_block = np.empty((block, n, m), dtype=complex)
+    normals = np.empty(2 * k * block)
+    noise_block = np.empty(2 * k * block)
 
     def point_chunks(point: int, n0: float) -> Iterator[tuple[int, int, np.ndarray]]:
+        sigma = math.sqrt(n0 / 2.0)
         for c, start in enumerate(range(0, config.trials, _CHUNK)):
             t = min(_CHUNK, config.trials - start)
             rng = np.random.default_rng([config.seed, point, c])
@@ -545,11 +693,12 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
                 # the real and imaginary parts of the block's sent symbols, slot-major
                 parts = np.take(planes, sb.T, axis=1,
                                 out=parts_block[:2 * k * tb].reshape(2, k, tb))
-                # the block's noise continues the chunk's one stream of normals, so
-                # it is the slice a whole-chunk draw would give
-                nb = _draw_cn(rng, noise_block[:tb])
-                nb *= math.sqrt(n0)
-                coef = dec.coefficients(nb, hb)
+                # the block's 2k normals per trial, trial-major, continue the chunk's one
+                # stream, so they are the slice a whole-chunk draw would give
+                g = rng.standard_normal(out=normals[:2 * k * tb].reshape(tb, k, 2))
+                g = np.multiply(g.T, sigma, out=noise_block[:2 * k * tb].reshape(2, k, tb))
+                coef = dec.quadratic(hb)
+                _write_noise(dec.tables, coef, g)
                 _add_signal(dec.tables, coef, parts)
                 wrong = dec.wrong(coef, sb)
                 errors += int(np.count_nonzero(wrong.any(axis=0)))

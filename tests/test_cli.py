@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import stbc_forge
-from stbc_forge import (__version__, ciod_optimal_angle, codes, min_det_closed_form,
-                        optimal_angle, rotated_qam, simulator, verifier)
+from stbc_forge import (__version__, ciod_optimal_angle, codes, constellations,
+                        min_det_closed_form, optimal_angle, rotated_qam, simulator, verifier)
 from stbc_forge.cli import MAX_SNR_POINTS, _parse_snr, _write_json, main
 from stbc_forge.clifford import (
     MAX_DOUBLINGS,
@@ -30,6 +30,7 @@ from stbc_forge.codes import (
     code_from_json_dict,
     code_to_json_dict,
 )
+from stbc_forge.constellations import Constellation
 from stbc_forge.gmatrix import stack_from_json
 from stbc_forge.simulator import _CHUNK, SEED_CONTRACT
 from stbc_forge.verifier import classify
@@ -208,6 +209,20 @@ def test_coding_gain_reads_a_nan_determinant_as_zero(runner, tmp_path):
     assert result.output.splitlines()[:2] == [
         "min_det = 0.000000e+00  (angle 0.000000 rad, full search)",
         f"achieved by difference vector [{vector}]"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [(), ("--brute-force",)])
+def test_coding_gain_outside_the_float_range_exits_2(runner, tmp_path, monkeypatch, flags):
+    # no built-in grid reaches it: a grid times 1e200 has a minimum of about 1e800
+    code = tmp_path / "ussd2.json"
+    _invoke(runner, "construct", "--antennas", "2", "--family", "ussd", "--out", str(code))
+    monkeypatch.setattr(constellations, "rotated_qam", lambda size, angle=0.0: Constellation(
+        f"qam{size}", rotated_qam(size, angle).points * 1e200))
+    result = runner.invoke(main, ["coding-gain", "--code", str(code), "--constellation", "qam4",
+                                  *flags])
+    assert result.exit_code == 2
+    assert "outside the float range" in result.output and "Traceback" not in result.output
 
 
 def test_coding_gain_brute_force_is_pinned(runner, tmp_path):

@@ -114,6 +114,33 @@ def test_singular_difference_with_a_nan_determinant_reads_zero(ussd4):
     assert got.difference == want.difference == ((-2 - 2j),) * 4
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("force_full", [False, True])
+@pytest.mark.parametrize("grid_scale", [1e100, 1e200, 1e-100])
+def test_a_minimum_outside_the_float_range_is_a_value_error(ussd2, grid_scale, force_full):
+    # the minimum scales as grid^(2n): ussd2's 12.8 on rotated QAM4 times 1e+-400 or more
+    # is no float.  The search reads the grid times a power of two, so no determinant
+    # overflows on the way; it once returned inf, or 0.0 with full_diversity=True
+    grid = Constellation("qam4", rotated_qam(4, optimal_angle()).points * grid_scale)
+    with pytest.raises(ValueError, match="outside the float range"):
+        min_det_bruteforce(ussd2, grid, force_full=force_full)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("force_full", [False, True])
+@pytest.mark.parametrize("name, exponent", [("ussd2", 100), ("ussd4", 40), ("ciod4", -60)])
+def test_a_power_of_two_grid_scale_is_carried_exactly(name, exponent, force_full, request):
+    # the determinants of the grid times 2^e are the grid's times 2^(2 n e), exactly
+    code = request.getfixturevalue(name)
+    grid = rotated_qam(16, ciod_optimal_angle() if name == "ciod4" else optimal_angle())
+    want = min_det_bruteforce(code, grid, force_full=force_full)
+    got = min_det_bruteforce(code, Constellation("qam16", grid.points * 2.0 ** exponent),
+                             force_full=force_full)
+    assert got.value == math.ldexp(want.value, 2 * code.n * exponent) > 0.0
+    assert got.difference == tuple(d * 2.0 ** exponent for d in want.difference)
+    assert (got.reduced, got.full_diversity) == (want.reduced, want.full_diversity)
+
+
 def test_energy_convention_factor(ussd4, ciod4, ussd2, cod2):
     # unitary weights on 4 antennas carry dispersion gain tr Gamma / (2k) = 4 -> factor 16
     for code, gain in ((ussd4, 4.0), (ciod4, 2.0), (ussd2, 2.0), (cod2, 2.0)):
