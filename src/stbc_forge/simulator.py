@@ -20,18 +20,28 @@ weights W_p = A_1, B_1, ..., A_k, B_k,
 
 with R~_pq = Re tr(M~_pq Q) on the halved pair terms M~_pp = M_pp and
 M~_pq = M_pq / 2 of the pair terms M_pp = W_p^H W_p and M_pq = W_p^H W_q +
-W_q^H W_p of :func:`.codes.gram`, b_p = Re tr(W_p P), and the two n x n
-statistics per block Q = H H^H and P = H Y^H.  A decoder works on S
-sub-codes of g symbols each.  One table builder keeps the sub-codes' pair
-terms that are not exactly zero, entrywise in some sub-code (a pruned M_pq
-adds nothing; one mask serves every sub-code), and gives two half-tables:
-the float64 views of conj(M~_pq) on the kept pairs and of conj(W_p).  M_pq
-and Q are Hermitian, so R~_pq = <conj(M~_pq), conj(Q)> and b_p =
-<conj(W_p), conj(Y H^H)>, real inner products.  A batch of T blocks takes
-one batched product per statistic of (T, n, m) blocks, conj(H) H^T =
-conj(Q) and conj(Y) H^T = conj(Y H^H), each 2n^2 contiguous floats per
-block, and one GEMM per statistic against its half-table, with no
-structural zero.  The two GEMMs write the row blocks of one
+W_q^H W_p of :func:`.codes.gram`, b_p = Re tr(W_p P), and the n x n
+statistics Q = H H^H and P = H Y^H.  A decoder works on S sub-codes of g
+symbols each.  One table builder keeps the sub-codes' pair terms that are
+not exactly zero, entrywise in some sub-code (a pruned M_pq adds nothing;
+one mask serves every sub-code).  The R~ rows never form Q: the builder
+writes each kept M~_r as sum_l Lambda_rl v_l v_l^H on one basis V, fixed
+per code before any trial (:func:`_pair_basis`), so that
+
+    R~_r = sum_l Lambda_rl sum_j |v_l^H h_j|^2
+
+over the columns h_j of H.  The kept M~ of every built-in code commute
+(they take at most two values: c I and one Hermitian matrix in a USSD
+code, c I in a COD, two diagonal projections in ciod4), and V is their n
+joint eigenvectors; other codes get n^2 fixed vectors with a
+closed-form Lambda.  A batch of T blocks (T, n, m), read as one (T, n m)
+matrix, meets kron(conj(V), I_m) in one GEMM; the float64 view of the
+(T, L m) product, squared in place, meets Lambda, repeated over the m
+antennas and the Re/Im parts, in a second GEMM.  The b rows take one
+batched product conj(Y) H^T = conj(Y H^H), 2n^2 contiguous floats per
+block, and one GEMM against the float64 view of conj(W_p), since b_p =
+<conj(W_p), conj(Y H^H)> is a real inner product; neither table has a
+structural zero.  The GEMMs write the row blocks of one
 coefficient-major (F S, T) array, F = (kept pairs) + 2g: row f S + i holds
 coefficient f of sub-code i, [R~_pq; b_p].  The (F, C) basis
 [s_p s_q (twice for p < q), -2 s_p] of C candidate symbol vectors on the
@@ -39,7 +49,8 @@ kept pairs meets it in one GEMM for every metric.  The tables assume
 nothing about the weights.  When the kept pairs split a sub-code into C
 identical blocks of whole symbols, as the whole code of an SSD code splits
 into its slots, the rows run over the blocks fastest, so the whole code
-has the row layout of its k slot sub-codes.
+has the row layout of its k slot sub-codes and reads the same list of
+M~, hence the same V and Lambda.
 
 ``ssd_decode``
     ML of each slot's one-symbol sub-code (S = k, g = 1, from the code's
@@ -85,11 +96,13 @@ P = Q S^H + H N^H and, for any weights,
 Given H, the noise terms Re tr(W_p H N^H) of N ~ CN(0, N0) are jointly
 Gaussian with mean 0 and covariance (N0 / 2) R~ (entry p, q is
 (N0 / 2) Re tr(W_q^H W_p Q)).  ``simulate_cer`` therefore draws no noise
-matrix, forms no codeword, no S H and no P: a block's R~ rows come from
-conj(Q) alone (``_quadratic``), ``_write_noise`` writes sqrt(N0 / 2) L g
-into the b rows, with L L^T = R~ the Cholesky factor of each sub-code's
-R~ and g 2k standard normals per trial, and ``_add_signal`` adds the
-signal term of the sent symbols over the sub-code's kept pairs.  The
+matrix, forms no codeword, no S H, no P and no Q: a block's R~ rows come
+from its fades alone by the two GEMMs (``_quadratic``), ``_write_noise``
+writes sqrt(N0 / 2) L g into the b rows, with L L^T = R~ the Cholesky
+factor of each sub-code's R~ and g 2k standard normals per trial, and
+``_add_signal`` adds the signal term of the sent symbols over the
+sub-code's kept pairs, both on the block's one set of
+:func:`_unit_rows`.  The
 factor walks only the kept pairs and their fill, elementwise on whole
 (S, T) rows: for an SSD slot it is the closed-form 2 x 2, and the whole
 code of an SSD code, whose cross-slot pairs are pruned, runs the same
@@ -140,7 +153,7 @@ import numpy as np
 
 from .codes import LinearDispersionCode, gram
 from .constellations import Constellation
-from .gmatrix import _negligible, _pow2_scaled, _upper_pairs
+from .gmatrix import _frobenius, _negligible, _pow2_scaled, _upper_pairs
 from .verifier import check_ssd
 
 DECODER_SSD = "ssd"
@@ -272,10 +285,14 @@ def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 class _Tables(NamedTuple):
-    """The decoding tables of S sub-codes of g symbols each, from :func:`_tables`.
+    """The decoding tables of S sub-codes of g symbols each on m receive antennas, from
+    :func:`_tables`.
 
-    Two half-tables, one per statistic, conj(Q) and conj(Z H^H); row f S + i is
-    the float64 view of coefficient f's matrix in sub-code i.  The kept pairs
+    Two tables for the pair rows, one GEMM each from the (T, n m) fades: ``proj``
+    = kron(conj(V), I_m) gives the (T, L m) products v_l^H h_j, whose float64 view
+    squared meets ``lam``, Lambda repeated over the antennas and the Re/Im parts
+    (:func:`_pair_basis`).  One half-table for the b rows, conj(W_p), meets
+    conj(Z H^H).  Row f S + i is coefficient f in sub-code i.  The kept pairs
     split each sub-code into C identical blocks of g / C symbols
     (:func:`_blocks`), and coefficient f is feature f // C of block f % C, so
     the rows read as F / C features of U = C S units, each a contiguous (U, T)
@@ -288,14 +305,15 @@ class _Tables(NamedTuple):
     p: np.ndarray  # the kept pairs p <= q of a sub-code's 2g weights, in row order
     q: np.ndarray
     weights: np.ndarray  # the weights p of the b rows, in row order
-    r: np.ndarray  # (P S, 2n^2): conj(M~_pq) of the P kept pairs, to R~_pq from conj(Q)
+    proj: np.ndarray  # (n m, L m) complex: kron(conj(V), I_m), to v_l^H h_j from the fades
+    lam: np.ndarray  # (P S, 2 L m): Lambda of the P kept pairs, to R~_pq from |v_l^H h_j|^2
     b: np.ndarray  # (2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H)
     factor: tuple  # per column j of a unit: (j, the R~_jj row, row j's l < j, entries i > j)
 
     @property
     def rows(self) -> int:
         """F S, the rows of the coefficient-major :func:`_coefficients`."""
-        return len(self.r) + len(self.b)
+        return len(self.lam) + len(self.b)
 
 
 def _blocks(g2: int, p: np.ndarray, q: np.ndarray) -> int:
@@ -341,19 +359,82 @@ def _factor_walk(size: int, p: np.ndarray, q: np.ndarray) -> tuple:
     return tuple(walk)
 
 
-def _tables(subcodes: np.ndarray) -> _Tables:
+def _represents(v: np.ndarray, lam: np.ndarray, terms: np.ndarray) -> bool:
+    """Whether every (n, n) ``terms[r]`` is sum_l lam[r, l] v_l v_l^H, to ``gmatrix._negligible``.
+
+    The residual's Frobenius norm against the matrix's.  For a unitary V and
+    lam the real diagonals of V^H M V it is the off-diagonal part of V^H M V,
+    and a V short of a vector that some matrix needs fails it.
+    """
+    residual = terms - (v * lam[:, None, :]) @ v.conj().T
+    return bool(_negligible(_frobenius(residual), _frobenius(terms)).all())
+
+
+def _pair_basis(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V (n, L) complex and Lambda (R, L) real with M_r = sum_l Lambda_rl v_l v_l^H.
+
+    For the R Hermitian (n, n) ``terms`` of the kept pairs, so that
+    Re tr(M_r Q) = sum_l Lambda_rl sum_j |v_l^H h_j|^2 for Q = H H^H.  Two cases:
+
+    - The terms commute, as in every built-in code (module doc).  V is U, the
+      eigenvectors of one fixed real combination of the distinct terms,
+      L = n, and Lambda holds the real diagonals of U^H M_r U, taken when
+      :func:`_represents` accepts them, that is, when the off-diagonal part
+      of every U^H M_r U is negligible.  The weights of the combination are
+      the powers of e^(-1/D) for D distinct terms, so commuting algebraic
+      terms whose joint eigenvalues differ mix to distinct eigenvalues.
+    - Otherwise V is the n^2 vectors e_a, (e_a + e_b) / sqrt(2) and
+      (e_a + i e_b) / sqrt(2), a < b, L = n^2, with the closed form
+      alpha_ab = 2 Re M_ab, beta_ab = -2 Im M_ab on the two pair vectors and
+      mu_a = M_aa - sum_{b != a} (alpha_ab + beta_ab) / 2 on e_a.
+
+    The terms are read in the order given: SSD and brute-force ML of an SSD
+    code pass the same list and get bit-equal tables.
+    """
+    n = terms.shape[-1]
+    raw, size = terms.tobytes(), n * n * terms.itemsize
+    first = {}  # the distinct terms, by their bytes: (their index, their first row)
+    inverse = [first.setdefault(raw[i:i + size], (len(first), i // size))[0]
+               for i in range(0, len(raw), size)]
+    distinct = terms[[i for _, i in first.values()]]
+    d = len(distinct)
+    mix = np.dot([math.exp(-i / d) for i in range(d)], distinct.reshape(d, n * n))
+    u = np.linalg.eigh(mix.reshape(n, n))[1]
+    lam = (u.conj().T @ distinct @ u).diagonal(axis1=1, axis2=2).real
+    if _represents(u, lam, distinct):
+        return u, lam[inverse]
+    a, b = _upper_pairs(n, 1)
+    pairs = np.arange(len(a))
+    v = np.zeros((n, n + 2 * len(a)), dtype=complex)
+    v[np.arange(n), np.arange(n)] = 1.0
+    v[a, n + pairs] = v[b, n + pairs] = v[a, n + len(a) + pairs] = math.sqrt(0.5)
+    v[b, n + len(a) + pairs] = 1j * math.sqrt(0.5)
+    # the Hermitian part's entries, 2 Re H_ab and -2 Im H_ab of H = (M + M^H) / 2
+    alpha = terms[:, a, b].real + terms[:, b, a].real
+    beta = terms[:, b, a].imag - terms[:, a, b].imag
+    ends = np.zeros((len(a), n))
+    ends[pairs, a] = ends[pairs, b] = 0.5
+    mu = np.diagonal(terms, axis1=1, axis2=2).real - (alpha + beta) @ ends
+    return v, np.concatenate((mu, alpha, beta), axis=1)
+
+
+def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
     """The decoding tables of an (S, 2g, n, n) stack of S sub-codes of g symbols each.
 
-    A pair term M_pq (:func:`.codes.gram`) that is exactly zero, entrywise
-    and in every sub-code, adds nothing to the metric, the signal term or the
-    noise and is pruned: one mask for all sub-codes, so the basis, the signal
-    term and the noise factor read the same kept (p, q).  The pair rows hold
-    R~_pq = Re tr(M~_pq Q) of M~_pp = M_pp and M~_pq = M_pq / 2, an exact
-    halving.  M_pq and Q are Hermitian, so R~_pq = <conj(M~_pq), conj(Q)> and
-    Re tr(W_p H Z^H) = <conj(W_p), conj(Z H^H)>, real inner products of
-    float64 views: each half-table meets one statistic and no structural zero.
-    The rows run over the C blocks fastest (:class:`_Tables`): the whole code
-    of an SSD code has the row layout of its k slot sub-codes.
+    On ``rx`` receive antennas.  A pair term M_pq (:func:`.codes.gram`) that is
+    exactly zero, entrywise and in every sub-code, adds nothing to the metric,
+    the signal term or the noise and is pruned: one mask for all sub-codes, so
+    the basis, the signal term and the noise factor read the same kept (p, q).
+    The pair rows hold R~_pq = Re tr(M~_pq Q) of M~_pp = M_pp and
+    M~_pq = M_pq / 2, an exact halving, through the V and Lambda of the kept
+    M~ (:func:`_pair_basis`): R~_r = sum_l Lambda_rl sum_j |v_l^H h_j|^2.  The
+    fades of a trial, read as n m contiguous entries, meet kron(conj(V), I_m)
+    in one GEMM, so a trial's v_l^H h_j come out antenna-fastest, and Lambda
+    is repeated over the m antennas and the Re/Im parts of their float64 view.
+    The b rows are Re tr(W_p H Z^H) = <conj(W_p), conj(Z H^H)>, a real inner
+    product of float64 views with no structural zero.  The rows run over the
+    C blocks fastest (:class:`_Tables`): the whole code of an SSD code has the
+    row layout of its k slot sub-codes.
     """
     s, g2, n, _ = subcodes.shape
     terms = gram(subcodes)
@@ -364,76 +445,83 @@ def _tables(subcodes: np.ndarray) -> _Tables:
     weights = np.arange(g2).reshape(blocks, -1).T.ravel()
     p, q = p[pairs], q[pairs]
 
-    def half_table(m: np.ndarray) -> np.ndarray:
-        # (S, J, n, n) to the (J S, 2n^2) float64 view of conj(m), row j S + i
-        return np.ascontiguousarray(np.conj(m.swapaxes(0, 1))).reshape(-1, n * n).view(np.float64)
+    def rows(m: np.ndarray) -> np.ndarray:
+        # (S, J, n, n) to (J S, n, n), row j S + i
+        return np.ascontiguousarray(m.swapaxes(0, 1)).reshape(-1, n, n)
 
-    r = half_table(terms[:, pairs] * np.where(p == q, 1.0, 0.5)[:, None, None])
+    v, lam = _pair_basis(rows(terms[:, pairs] * np.where(p == q, 1.0, 0.5)[:, None, None]))
+    proj = np.zeros((n, rx, v.shape[1], rx), dtype=complex)
+    antennas = np.arange(rx)
+    proj[:, antennas, :, antennas] = v.conj()  # kron(conj(V), I_m)
+    b = np.conj(rows(subcodes[:, weights])).reshape(-1, n * n).view(np.float64)
     # block 0's pairs, every C-th row, are one unit's in its own weights
-    return _Tables(s, blocks, p, q, weights, r, half_table(subcodes[:, weights]),
+    return _Tables(s, blocks, p, q, weights, proj.reshape(n * rx, -1),
+                   np.repeat(lam, 2 * rx, axis=1), b,
                    _factor_walk(g2 // blocks, p[::blocks], q[::blocks]))
 
 
-def _quadratic(tables: _Tables, h: np.ndarray, hc: np.ndarray, stats: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
+def _quadratic(tables: _Tables, h: np.ndarray, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (F S, T) coefficients of T blocks h with their R~ rows formed, the b rows not.
 
-    One batched product conj(H) H^T = conj(Q) of the (T, n, m) fades and one
-    GEMM against the pair half-table, in the first T blocks of the (., n, m)
-    ``hc`` and the (., n, n) ``stats`` and the first F S T of the flat ``out``,
-    whose view it returns.  The one routine that forms the pair rows, for
-    :func:`_coefficients` and for the Monte Carlo.
+    One GEMM of the (T, n m) fades against ``tables.proj`` into the first T rows
+    of the (., L m) ``proj``, its float64 view squared in place, and one GEMM
+    of ``tables.lam`` against it into the first F S T of the flat ``out``,
+    whose view it returns: no per-trial product.  The one routine that forms
+    the pair rows, for :func:`_coefficients` and for the Monte Carlo.
     """
     t = len(h)
-    hc, stats, out = hc[:t], stats[:t], out[:tables.rows * t].reshape(-1, t)
-    np.matmul(np.conjugate(h, out=hc), h.swapaxes(-1, -2), out=stats)
-    np.matmul(tables.r, stats.view(np.float64).reshape(t, -1).T, out=out[:len(tables.r)])
+    out = out[:tables.rows * t].reshape(-1, t)
+    x = np.matmul(h.reshape(t, -1), tables.proj, out=proj[:t]).view(np.float64)
+    np.matmul(tables.lam, np.square(x, out=x).T, out=out[:len(tables.lam)])
     return out
 
 
 def _coefficients(tables: _Tables, y: np.ndarray, h: np.ndarray, hc: np.ndarray,
-                  stats: np.ndarray, out: np.ndarray) -> np.ndarray:
+                  stats: np.ndarray, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (F S, T) coefficients [R~_pq; b_p] of each sub-code and block.
 
     For T complex blocks y, h of shape (T, n, m) and the ``_tables`` of S
     sub-codes; row f S + i holds coefficient f of sub-code i.
-    :func:`_quadratic` forms the R~ rows; then the product conj(Y) H^T =
-    conj(Y H^H), in the same ``hc`` and ``stats``, and one GEMM against the
-    weight half-table form b_p = Re tr(W_p H Y^H).  A decoder owns one set
-    of buffers (:func:`_decoder`).
+    :func:`_quadratic` forms the R~ rows; then the batched product
+    conj(Y) H^T = conj(Y H^H), in the (., n, m) ``hc`` and the (., n, n)
+    ``stats``, and one GEMM against the weight half-table form
+    b_p = Re tr(W_p H Y^H).  A decoder owns one set of buffers
+    (:func:`_decoder`).
     """
-    out = _quadratic(tables, h, hc, stats, out)
+    out = _quadratic(tables, h, proj, out)
     t = len(h)
     np.matmul(np.conjugate(y, out=hc[:t]), h.swapaxes(-1, -2), out=stats[:t])
-    np.matmul(tables.b, stats[:t].view(np.float64).reshape(t, -1).T, out=out[len(tables.r):])
+    np.matmul(tables.b, stats[:t].view(np.float64).reshape(t, -1).T, out=out[len(tables.lam):])
     return out
 
 
-def _unit_rows(tables: _Tables, coef: np.ndarray, parts: np.ndarray):
-    """One unit's rows of R~ per kept pair and of b per weight, and its s rows, each (U, T).
+def _unit_rows(tables: _Tables, coef: np.ndarray, *parts: np.ndarray) -> tuple:
+    """One unit's rows of R~ per kept pair and of b per weight, and of each ``parts``, each (U, T).
 
-    ``coef`` is T blocks' ``_coefficients`` and ``parts`` the real and
-    imaginary parts of k = S g symbols as one C-contiguous (2, k, T) array.
-    Row u = c S + i of each holds block c of sub-code i (:class:`_Tables`);
-    s_p of a unit is part p % 2 of its symbol p // 2.  The R~ and b rows are
-    contiguous; the s rows are when a unit holds one symbol.
+    ``coef`` is T blocks' ``_coefficients`` and each of ``parts`` the real and
+    imaginary parts of k = S g symbols, or the noise normals laid out alike, as
+    one C-contiguous (2, k, T) array.  Row u = c S + i of each holds block c of
+    sub-code i (:class:`_Tables`); s_p of a unit is part p % 2 of its symbol
+    p // 2.  Returns the R~ rows, the b rows and one list of s rows per
+    ``parts``.  The R~ and b rows are contiguous; the s rows are when a unit
+    holds one symbol.  A block builds them once for the noise and the signal.
     """
-    s, c, t = tables.subcodes, tables.blocks, parts.shape[-1]
+    s, c, t = tables.subcodes, tables.blocks, coef.shape[-1]
     coef = coef.reshape(-1, c * s, t)
-    parts = parts.reshape(2, s, c, -1, t).swapaxes(1, 2).reshape(2, c * s, -1, t)
-    pairs = len(tables.r) // (c * s)
-    return coef[:pairs], coef[pairs:], [parts[p % 2, :, p // 2] for p in range(len(coef) - pairs)]
+    pairs = len(tables.lam) // (c * s)
+    units = [x.reshape(2, s, c, -1, t).swapaxes(1, 2).reshape(2, c * s, -1, t) for x in parts]
+    return (coef[:pairs], coef[pairs:],
+            *([x[p % 2, :, p // 2] for p in range(len(coef) - pairs)] for x in units))
 
 
-def _add_signal(tables: _Tables, coef: np.ndarray, parts: np.ndarray) -> None:
+def _add_signal(tables: _Tables, r: np.ndarray, b: np.ndarray, s: list) -> None:
     """Add sum_q R~_pq s_q (module doc) to the b rows of T blocks' coefficients, in place.
 
-    ``parts`` holds the real and imaginary parts of the (k, T) sent symbols,
-    k = S g, as one C-contiguous (2, k, T) array; the sum runs over the kept
-    pairs.  One multiply-add per pair and weight of a unit on its contiguous
-    (U, T) rows (:func:`_unit_rows`).
+    ``r``, ``b`` and ``s`` are the :func:`_unit_rows` of the coefficients and of
+    the real and imaginary parts of the (k, T) sent symbols, k = S g; the sum
+    runs over the kept pairs.  One multiply-add per pair and weight of a unit
+    on its contiguous (U, T) rows.
     """
-    r, b, s = _unit_rows(tables, coef, parts)
     c = tables.blocks
     for rpq, p, q in zip(r, tables.p[::c].tolist(), tables.q[::c].tolist()):
         bp = b[p]
@@ -443,20 +531,19 @@ def _add_signal(tables: _Tables, coef: np.ndarray, parts: np.ndarray) -> None:
             bq += rpq * s[p]
 
 
-def _write_noise(tables: _Tables, coef: np.ndarray, g: np.ndarray) -> None:
+def _write_noise(tables: _Tables, r: np.ndarray, b: np.ndarray, g: list) -> None:
     """Write L g, L L^T = R~ (module doc), into the b rows of T blocks' coefficients.
 
-    ``g`` holds 2k normals per block as one C-contiguous (2, k, T) array, laid
-    out as the symbol parts of :func:`_add_signal`: the noise coefficients of
-    N ~ CN(0, N0) are these with g times sqrt(N0 / 2).  L is the Cholesky
-    factor of each unit's R~, elementwise on the (U, T) rows of
-    :func:`_unit_rows`, walking only ``tables.factor``: for an SSD slot the
+    ``r``, ``b`` and ``g`` are the :func:`_unit_rows` of the coefficients and of
+    2k normals per block, laid out as the symbol parts of :func:`_add_signal`:
+    the noise coefficients of N ~ CN(0, N0) are these with g times
+    sqrt(N0 / 2).  L is the Cholesky factor of each unit's R~, elementwise on
+    the (U, T) rows, walking only ``tables.factor``: for an SSD slot the
     closed-form 2 x 2 l11 = sqrt(R~_AA), l21 = R~_AB / l11,
     l22 = sqrt(R~_BB - l21^2).  A pivot that ``gmatrix._negligible`` judges
     negligible against its diagonal entry R~_jj reads as 0, and so does its
     column: R~ is singular when k > n m.
     """
-    r, b, g = _unit_rows(tables, coef, g)
     if len(tables.factor) < len(b):  # a weight that is zero in every sub-code
         b[...] = 0.0
     low = {}  # (i, j) -> the row of L_ij
@@ -550,10 +637,12 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
         raise ValueError("per-symbol decoding requires a single-symbol decodable code")
     if not ssd and total > ML_BUDGET:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
-    tables = _tables(w if ssd else w.reshape(1, 2 * k, n, n))
+    tables = _tables(w if ssd else w.reshape(1, 2 * k, n, n), rx)
+    projected = dict(proj=np.empty((block, tables.proj.shape[1]), dtype=complex),
+                     out=np.empty(tables.rows * block))
     buffers = dict(hc=np.empty((block, n, rx), dtype=complex),
-                   stats=np.empty((block, n, n), dtype=complex), out=np.empty(tables.rows * block))
-    quadratic = partial(_quadratic, tables, **buffers)
+                   stats=np.empty((block, n, n), dtype=complex), **projected)
+    quadratic = partial(_quadratic, tables, **projected)
     coefficients = partial(_coefficients, tables, **buffers)
     if ssd:
         basis_t = np.ascontiguousarray(_basis(tables, pts[:, None]).T)
@@ -698,8 +787,9 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
                 g = rng.standard_normal(out=normals[:2 * k * tb].reshape(tb, k, 2))
                 g = np.multiply(g.T, sigma, out=noise_block[:2 * k * tb].reshape(2, k, tb))
                 coef = dec.quadratic(hb)
-                _write_noise(dec.tables, coef, g)
-                _add_signal(dec.tables, coef, parts)
+                r, b_rows, s_rows, g_rows = _unit_rows(dec.tables, coef, parts, g)
+                _write_noise(dec.tables, r, b_rows, g_rows)
+                _add_signal(dec.tables, r, b_rows, s_rows)
                 wrong = dec.wrong(coef, sb)
                 errors += int(np.count_nonzero(wrong.any(axis=0)))
                 slot_errors += wrong.sum(axis=1)

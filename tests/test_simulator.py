@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from stbc_forge import simulator
 from stbc_forge.clifford import generate_family
-from stbc_forge.codes import LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd
+from stbc_forge.codes import (LinearDispersionCode, _encode, build_ciod4, build_max_rate_ussd,
+                              build_square_cod, gram)
 from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
                                        rotated_qam, special_8qam)
 from stbc_forge.simulator import (
@@ -25,8 +26,11 @@ from stbc_forge.simulator import (
     _coefficients,
     _decoder,
     _draw_cn,
+    _pair_basis,
     _quadratic,
+    _represents,
     _tables,
+    _unit_rows,
     _write_noise,
     _wrong,
     ml_decode_bruteforce,
@@ -45,7 +49,15 @@ def _coefs(tables, z, h):
     """``_coefficients`` of the T blocks z, h, in fresh buffers."""
     t, n, m = h.shape
     return _coefficients(tables, z, h, np.empty((t, n, m), dtype=complex),
-                         np.empty((t, n, n), dtype=complex), np.empty(tables.rows * t))
+                         np.empty((t, n, n), dtype=complex),
+                         np.empty((t, tables.proj.shape[1]), dtype=complex),
+                         np.empty(tables.rows * t))
+
+
+def _quad(tables, h):
+    """``_quadratic`` of the T blocks h, in fresh buffers."""
+    return _quadratic(tables, h, np.empty((len(h), tables.proj.shape[1]), dtype=complex),
+                      np.empty(tables.rows * len(h)))
 
 
 def _slot_metrics(tables, y, h, pts):
@@ -133,7 +145,7 @@ def test_ssd_decode_complexity_contract(ussd4):
     rng = np.random.default_rng(13)
     h = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))) / math.sqrt(2)
     y = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    metrics = _slot_metrics(_tables(ussd4.w), y[None], h[None], np.asarray(c.points))
+    metrics = _slot_metrics(_tables(ussd4.w, 1), y[None], h[None], np.asarray(c.points))
     assert metrics.shape == (1, ussd4.k, len(c))  # exactly k * |A| evaluations
 
 
@@ -155,7 +167,7 @@ def test_per_slot_decoding_fails_without_ssd():
     code = LinearDispersionCode(label="blast-ish", n=2, w=[(a1, a1 * 1j), (a2, a2 * 1j)])
     c = rotated_qam(4, 0.0)
     pts = np.asarray(c.points)
-    tables = _tables(code.w)
+    tables = _tables(code.w, 1)
     rng = np.random.default_rng(17)
     disagreements = 0
     for _ in range(200):
@@ -197,7 +209,7 @@ def test_ssd_decode_exact_ties_take_the_first_point(ussd4, size):
     rng = np.random.default_rng(5)
     h = rng.standard_normal((9, 4, 2)) + 1j * rng.standard_normal((9, 4, 2))
     y = np.zeros_like(h)
-    metrics = _slot_metrics(_tables(ussd4.w), y, h, pts)  # (T, k, |A|)
+    metrics = _slot_metrics(_tables(ussd4.w, 2), y, h, pts)  # (T, k, |A|)
     first = np.argmin(metrics, axis=2)
     tied = metrics == metrics.min(axis=2, keepdims=True)
     assert np.all(tied.sum(axis=2) >= 2)  # every slot's minimum is a tie
@@ -224,6 +236,17 @@ def test_ssd_decode_rejects_mismatched_blocks(ussd4):
         ssd_decode(ussd4, np.ones((4, 1)), np.ones((3, 4, 1)), c)
     with pytest.raises(ValueError, match="shape"):
         ssd_decode(ussd4, np.ones((4,)), np.ones((4,)), c)
+
+
+def test_decoders_take_a_code_with_no_pair_term():
+    # all weights zero: no pair is kept, every metric is 0 and both decoders name the
+    # first point of each slot
+    code = LinearDispersionCode(label="zero", n=2, w=np.zeros((2, 2, 2, 2)))
+    c = rotated_qam(4, 0.0)
+    y, h = np.ones((3, 2, 2)), np.ones((3, 2, 2))
+    want = np.full((3, 2), c.points[0])
+    assert np.array_equal(ml_decode_bruteforce(code, y, h, c), want)
+    assert np.array_equal(ssd_decode(code, y, h, c), want)
 
 
 def test_decoders_accept_real_blocks(ussd4):
@@ -370,7 +393,7 @@ def test_slot_metrics_match_definition(n, k, rx, t, size, seed):
             for j, x in enumerate(pts):
                 sh = (x.real * wi[i] + x.imag * wq[i]) @ h[b]
                 ref[b, i, j] = np.linalg.norm(sh) ** 2 - 2.0 * np.vdot(y[b], sh).real
-    got = _slot_metrics(_tables(code.w), y, h, pts)
+    got = _slot_metrics(_tables(code.w, rx), y, h, pts)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -409,11 +432,11 @@ def test_coefficients_from_noise_and_symbols(name, whole, n, k, rx, t, seed, uss
         w = {"ussd2": ussd2, "ussd4": ussd4, "ussd8": ussd8, "cod4": cod4, "ciod4": ciod4}[name].w
     k, _, n, _ = w.shape
     subcodes = w.reshape(1, 2 * k, n, n) if whole or name == "random" else w
-    tables = _tables(subcodes)
+    tables = _tables(subcodes, rx)
     x, h, noise = cn(t, k), cn(t, n, rx), cn(t, n, rx)
     want = _coefs(tables, _encode(w, x) @ h + noise, h)
     got = _coefs(tables, noise, h)
-    _add_signal(tables, got, np.stack((x.real.T, x.imag.T)))
+    _add_signal(tables, *_unit_rows(tables, got, np.stack((x.real.T, x.imag.T))))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the pruned pairs are exactly those whose M_pq is zero in every sub-code, in row-major
@@ -466,15 +489,14 @@ def test_noise_factor_reproduces_the_pair_matrix(name, ussd8, ciod4):
     # weight order, and only a singular R~ (k > n m) has a pivot that reads 0
     subcodes, rx, singular = _noise_case(name, ussd8, ciod4)
     s, g2, n, _ = subcodes.shape
-    tables = _tables(subcodes)
+    tables = _tables(subcodes, rx)
     rng = np.random.default_rng(7)
     h = np.repeat(_draw_cn(rng, np.empty((1, n, rx), dtype=complex)), g2, axis=0)
-    coef = _quadratic(tables, h, np.empty((g2, n, rx), dtype=complex),
-                      np.empty((g2, n, n), dtype=complex), np.empty(tables.rows * g2))
+    coef = _quad(tables, h)
     g = np.zeros((2, s, g2 // 2, g2))  # block t draws e_t in every sub-code
     for t in range(g2):
         g[t % 2, :, t // 2, t] = 1.0
-    _write_noise(tables, coef, g.reshape(2, -1, g2))
+    _write_noise(tables, *_unit_rows(tables, coef, g.reshape(2, -1, g2)))
     rt, b = _pair_matrix_and_b(tables, coef)
     low = b.transpose(0, 2, 1)  # (S, 2g, 2g): column t of sub-code i's L is block t's b
     assert np.array_equal(low, np.tril(low))
@@ -491,19 +513,92 @@ def test_noise_coefficients_have_the_noise_covariance(name, ussd8, ciod4):
     subcodes, rx, _ = _noise_case(name, ussd8, ciod4)
     s, g2, n, _ = subcodes.shape
     t, n0 = 4096, 0.3
-    tables = _tables(subcodes)
+    tables = _tables(subcodes, rx)
     rng = np.random.default_rng(11)
     h = np.repeat(_draw_cn(rng, np.empty((1, n, rx), dtype=complex)), t, axis=0)
-    coef = _quadratic(tables, h, np.empty((t, n, rx), dtype=complex),
-                      np.empty((t, n, n), dtype=complex), np.empty(tables.rows * t))
+    coef = _quad(tables, h)
     g = rng.standard_normal((t, s * g2 // 2, 2)).T * math.sqrt(n0 / 2)
-    _write_noise(tables, coef, np.ascontiguousarray(g))
+    _write_noise(tables, *_unit_rows(tables, coef, np.ascontiguousarray(g)))
     rt, b = _pair_matrix_and_b(tables, coef)
     want = n0 / 2 * rt[:, 0]
     got = np.einsum("itp,itq->ipq", b, b) / t  # zero-mean noise
     var = np.diagonal(want, axis1=1, axis2=2)
     se = np.sqrt((var[:, :, None] * var[:, None, :] + want ** 2) / t)
     assert np.all(np.abs(got - want) <= 5 * se)
+
+
+_BUILT_IN = [f"{family}{2 ** a}" for family in ("ussd", "cod") for a in range(1, 6)] + ["ciod4"]
+
+
+def _pair_case(name):
+    """The sub-code stack of one pair-row case: a code's slots, or the whole of a random code."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name.startswith("random"):  # n = 2, 4, 8 with k = 3, 3, 4: not SSD, brute-force ML only
+        n = int(name.removeprefix("random-n"))
+        k = 4 if n == 8 else 3
+        w = rng.standard_normal((k, 2, n, n)) + 1j * rng.standard_normal((k, 2, n, n))
+        return w.reshape(1, 2 * k, n, n)
+    if name == "ussd4-uvs":
+        return random_unitary(4, rng) @ build_max_rate_ussd(2, generate_family(2)).w \
+            @ random_unitary(4, rng)
+    if name == "ciod4":
+        return build_ciod4().w
+    family, n = re.fullmatch(r"(ussd|cod)(\d+)", name).groups()
+    a = int(n).bit_length() - 1
+    build = build_max_rate_ussd if family == "ussd" else build_square_cod
+    return build(a, generate_family(a)).w
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rx", [1, 2])
+@pytest.mark.parametrize("name", _BUILT_IN + ["ussd4-uvs", "random-n2", "random-n4", "random-n8"])
+def test_pair_rows_are_the_quadratic_form(name, rx):
+    # every R~ row of _quadratic is Re tr(M~_pq Q) of Q = H H^H, to a relative 1e-12 of
+    # ||M~_pq|| ||Q||, through L = n eigenvectors for the commuting pair terms of every
+    # built-in code and the n^2 closed-form vectors for random ones
+    subcodes = _pair_case(name)
+    s, g2, n, _ = subcodes.shape
+    tables = _tables(subcodes, rx)
+    assert tables.proj.shape == (n * rx, (n * n if name.startswith("random") else n) * rx)
+    t = 5
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((t, n, rx)) + 1j * rng.standard_normal((t, n, rx))
+    got = _quad(tables, h)[:len(tables.lam)].reshape(-1, s, t)
+    q = h @ np.conj(h).swapaxes(-1, -2)
+    for f, (p, pq) in enumerate(zip(tables.p.tolist(), tables.q.tolist())):
+        for i in range(s):
+            m = _pair_term(subcodes[i], p, pq) * (1.0 if p == pq else 0.5)
+            want = np.trace(m @ q, axis1=1, axis2=2).real
+            bound = 1e-12 * np.linalg.norm(m) * np.linalg.norm(q, axis=(1, 2))
+            assert np.all(np.abs(got[f, i] - want) <= bound), (p, pq, i)
+
+
+@pytest.mark.parametrize("name", _BUILT_IN + ["ussd4-uvs"])
+def test_whole_ssd_code_has_the_slot_tables(name):
+    # brute-force ML of an SSD code reads the list of pair terms of its slots, so the
+    # pair rows of the twins come from bit-equal tables
+    w = _pair_case(name)
+    k, _, n, _ = w.shape
+    slots, whole = _tables(w, 2), _tables(w.reshape(1, 2 * k, n, n), 2)
+    if name == "ussd4-uvs":  # its cross-slot terms are of rounding size, not zero: kept
+        assert whole.blocks == 1
+        return
+    assert whole.blocks == k
+    assert np.array_equal(slots.proj, whole.proj) and np.array_equal(slots.lam, whole.lam)
+
+
+@pytest.mark.parametrize("name", ["ussd8", "cod4", "ciod4", "random-n4"])
+def test_a_basis_short_of_a_vector_fails_the_check(name):
+    # _pair_basis takes the eigenvectors only when _represents accepts them, and a
+    # basis that drops any one vector no longer represents the pair terms
+    subcodes = _pair_case(name)
+    s, g2, n, _ = subcodes.shape
+    terms = gram(subcodes).reshape(-1, n, n)
+    terms = terms[np.any(terms != 0, axis=(1, 2))]
+    v, lam = _pair_basis(terms)
+    assert _represents(v, lam, terms)
+    for drop in range(v.shape[1]):
+        assert not _represents(np.delete(v, drop, axis=1), np.delete(lam, drop, axis=1), terms)
 
 
 def test_survey_agrees_with_the_earlier_seed_contract():
