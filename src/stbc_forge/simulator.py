@@ -296,8 +296,8 @@ class _Tables(NamedTuple):
     split each sub-code into C identical blocks of g / C symbols
     (:func:`_blocks`), and coefficient f is feature f // C of block f % C, so
     the rows read as F / C features of U = C S units, each a contiguous (U, T)
-    row: one block of one sub-code per unit.  ``factor`` walks one unit's
-    lower-triangular factor of R~.
+    row: one block of one sub-code per unit.  ``unit`` lists one unit's kept
+    pairs and ``factor`` walks its lower-triangular factor of R~.
     """
 
     subcodes: int  # S
@@ -305,6 +305,7 @@ class _Tables(NamedTuple):
     p: np.ndarray  # the kept pairs p <= q of a sub-code's 2g weights, in row order
     q: np.ndarray
     weights: np.ndarray  # the weights p of the b rows, in row order
+    unit: tuple  # one unit's kept pairs (p, q) in its own weights, in row order
     proj: np.ndarray  # (n m, L m) complex: kron(conj(V), I_m), to v_l^H h_j from the fades
     lam: np.ndarray  # (P S, 2 L m): Lambda of the P kept pairs, to R~_pq from |v_l^H h_j|^2
     b: np.ndarray  # (2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H)
@@ -334,8 +335,10 @@ def _blocks(g2: int, p: np.ndarray, q: np.ndarray) -> int:
     return 1
 
 
-def _factor_walk(size: int, p: np.ndarray, q: np.ndarray) -> tuple:
+def _factor_walk(size: int, unit: tuple) -> tuple:
     """The entries of the lower-triangular factor L of a (size, size) R~ on its kept pairs.
+
+    ``unit`` lists one unit's kept pairs (p, q) in row order (:class:`_Tables`).
 
     Column j lists j, the row of R~_jj, the l < j of row j's entries, and each
     entry (i, j), i > j, as i, the row of R~_ij (-1 where the pair is pruned)
@@ -343,7 +346,7 @@ def _factor_walk(size: int, p: np.ndarray, q: np.ndarray) -> tuple:
     pair or the fill of two earlier entries.  A weight that is zero in every
     sub-code has no kept R~_jj and no column.
     """
-    kept = {(a, b): row for row, (a, b) in enumerate(zip(p.tolist(), q.tolist()))}
+    kept = {pq: row for row, pq in enumerate(unit)}
     rows_of = [set() for _ in range(size)]  # the l < i of the entries (i, l)
     walk = []
     for j in range(size):
@@ -455,9 +458,9 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
     proj[:, antennas, :, antennas] = v.conj()  # kron(conj(V), I_m)
     b = np.conj(rows(subcodes[:, weights])).reshape(-1, n * n).view(np.float64)
     # block 0's pairs, every C-th row, are one unit's in its own weights
-    return _Tables(s, blocks, p, q, weights, proj.reshape(n * rx, -1),
-                   np.repeat(lam, 2 * rx, axis=1), b,
-                   _factor_walk(g2 // blocks, p[::blocks], q[::blocks]))
+    unit = tuple(zip(p[::blocks].tolist(), q[::blocks].tolist()))
+    return _Tables(s, blocks, p, q, weights, unit, proj.reshape(n * rx, -1),
+                   np.repeat(lam, 2 * rx, axis=1), b, _factor_walk(g2 // blocks, unit))
 
 
 def _quadratic(tables: _Tables, h: np.ndarray, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -508,7 +511,7 @@ def _unit_rows(tables: _Tables, coef: np.ndarray, *parts: np.ndarray) -> tuple:
     """
     s, c, t = tables.subcodes, tables.blocks, coef.shape[-1]
     coef = coef.reshape(-1, c * s, t)
-    pairs = len(tables.lam) // (c * s)
+    pairs = len(tables.unit)
     units = [x.reshape(2, s, c, -1, t).swapaxes(1, 2).reshape(2, c * s, -1, t) for x in parts]
     return (coef[:pairs], coef[pairs:],
             *([x[p % 2, :, p // 2] for p in range(len(coef) - pairs)] for x in units))
@@ -522,8 +525,7 @@ def _add_signal(tables: _Tables, r: np.ndarray, b: np.ndarray, s: list) -> None:
     runs over the kept pairs.  One multiply-add per pair and weight of a unit
     on its contiguous (U, T) rows.
     """
-    c = tables.blocks
-    for rpq, p, q in zip(r, tables.p[::c].tolist(), tables.q[::c].tolist()):
+    for rpq, (p, q) in zip(r, tables.unit):
         bp = b[p]
         bp += rpq * s[q]
         if p != q:
