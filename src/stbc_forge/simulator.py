@@ -37,7 +37,10 @@ joint eigenvectors; other codes get n^2 fixed vectors with a
 closed-form Lambda.  A batch of T blocks (T, n, m), read as one (T, n m)
 matrix, meets kron(conj(V), I_m) in one GEMM; the float64 view of the
 (T, L m) product, squared in place, meets Lambda, repeated over the m
-antennas and the Re/Im parts, in a second GEMM.  The b rows take one
+antennas and the Re/Im parts, in a second GEMM (``_quadratic``).  The
+Monte Carlo on the n joint eigenvectors skips the first GEMM and the
+squares: it draws the energies |v_l^H h_j|^2 themselves (Sufficient
+statistics).  The b rows take one
 batched product conj(Y) H^T = conj(Y H^H), 2n^2 contiguous floats per
 block, and one GEMM against the float64 view of conj(W_p), since b_p =
 <conj(W_p), conj(Y H^H)> is a real inner product; neither table has a
@@ -72,8 +75,8 @@ M~, hence the same V and Lambda.
     per call.
 
 One builder, ``_decoder``, sets up either decoder: its tables, the
-buffers of one trial block, its maps from the block's fades (and Y) to
-coefficients, its map from coefficients to symbols and its map from
+buffers of one trial block, its maps from the block's energies or fades
+(and Y) to coefficients, its map from coefficients to symbols and its map from
 coefficients and sent symbols to wrong slots.  ``_chunks`` builds it
 once per ``simulate_cer`` call and counts once per trial block, and
 the two public decoders build it once per call and decode ``_BLOCK``
@@ -96,8 +99,15 @@ P = Q S^H + H N^H and, for any weights,
 Given H, the noise terms Re tr(W_p H N^H) of N ~ CN(0, N0) are jointly
 Gaussian with mean 0 and covariance (N0 / 2) R~ (entry p, q is
 (N0 / 2) Re tr(W_q^H W_p Q)).  ``simulate_cer`` therefore draws no noise
-matrix, forms no codeword, no S H, no P and no Q: a block's R~ rows come
-from its fades alone by the two GEMMs (``_quadratic``), ``_write_noise``
+matrix, forms no codeword, no S H, no P and no Q: a block's R~ rows
+depend on H only through the energies |v_l^H h_j|^2.  The n joint
+eigenvectors are orthonormal, so for CN(0, 1) fades each V^H h_j is
+CN(0, I_n) and the n m energies are i.i.d. Exp(1): on that basis a block
+draws the energies, not H, and meets Lambda, repeated over the m
+antennas, in one GEMM (``_energy_rows``).  On the n^2 basis, which is not
+orthonormal, it draws the fades, a complex view of interleaved normals,
+and forms the rows by the two GEMMs of ``_quadratic``.  Either way,
+``_write_noise``
 writes sqrt(N0 / 2) L g into the b rows, with L L^T = R~ the Cholesky
 factor of each sub-code's R~ and g 2k standard normals per trial, and
 ``_add_signal`` adds the signal term of the sent symbols over the
@@ -111,8 +121,9 @@ A pivot negligible against its diagonal entry (``gmatrix._negligible``)
 reads as 0 with its column, which covers a singular R~ (k > n m).  The
 whole code (brute-force ML) drops only pruned pairs.  The slot sub-codes
 (SSD) also drop the cross-slot terms, which are exactly zero for every
-built-in code and within ``check_ssd``'s tolerance otherwise.  The fades
-are a complex view of interleaved normals.
+built-in code and within ``check_ssd``'s tolerance otherwise.  The noise
+and signal terms read H only through R~, so every trial is still one
+draw from the channel model's law.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  One function, ``_chunks``, owns the draw order: its
@@ -120,23 +131,32 @@ generator for each point yields each chunk's (trials, errors,
 slot_errors) in the order below, and ``simulate_cer`` only sums each
 point's chunks, so a run of C whole chunks counts what the first C
 chunks of a longer run count.
-Chunk c of point p draws its symbol indices, then its fades, then its
-noise normals from ``default_rng([seed, p, c])``, and is decoded before
-the next chunk is drawn.  Only the indices and the fades are drawn for
-the whole chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
+Chunk c of point p draws its symbol indices, then its fade energies,
+then its noise normals from ``default_rng([seed, p, c])``, and is
+decoded before the next chunk is drawn.  The energies are n m standard
+exponentials per trial, trial-major as (T, n, m), from one
+``standard_exponential(out=)``, when the tables hold the n joint
+eigenvectors (``_Tables.energy``), as for every built-in code; on the
+n^2 basis the chunk draws its fades instead, 2 n m normals per trial.
+Only the indices and the energies (or fades) are drawn for the whole
+chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
 2**10 of the chunk's trials: a block takes its symbols from the indices,
 draws its 2k normals per trial, trial-major as (T, k, 2) (slot, then real
 and imaginary part), from the same Generator, and is decoded and counted
 before the next block's normals are drawn.  Consecutive
 ``standard_normal(out=)`` calls continue one stream and the draw is
 trial-major, so the blocks' normals are the whole-chunk draw value for
-value.  Memory is bounded by one chunk's indices and fades plus one
-block's arrays, in buffers allocated once per call, and the block size
-does not change a count.  A (seed, config) pair gives a bit-identical
-report; ``SEED_CONTRACT`` names the contract in every sidecar.  This is
-the second contract: the first drew all n m complex noise entries per
-trial (4 n m normals per trial with the fades, 2 n m + 2k now) and formed
-the b rows from them, so every seeded count changed with it.
+value.  Memory is bounded by one chunk's indices and energies (or fades)
+plus one block's arrays, in buffers allocated once per call, and the
+block size does not change a count.  A (seed, config) pair gives a
+bit-identical report; ``SEED_CONTRACT`` names the contract in every
+sidecar.  This is the third contract.  The second drew the fades of
+every code, 2 n m normals per trial, where this one draws n m
+exponentials on the joint eigenvectors; the first also drew all n m
+complex noise entries per trial (4 n m normals with the fades, where the
+second drew 2k) and formed the b rows from them.  Each changed every
+seeded count of a built-in code; a code on the n^2 basis draws as the
+second did, value for value.
 ``[seed, p, 0]`` seeds the same stream as ``[seed, p]`` (zero padding).
 """
 
@@ -146,7 +166,7 @@ import math
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -164,8 +184,9 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
 _BLOCK = 1 << 10  # trials of a chunk decoded together
 _ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
-SEED_CONTRACT = (f"v2: default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, fades, "
-                 "then 2k coefficient-space noise normals per trial")
+SEED_CONTRACT = (f"v3: default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, then "
+                 "n m Exp(1) fade energies on a unitary pair basis (2 n m fade normals on any "
+                 "other basis), then 2k coefficient-space noise normals per trial")
 
 
 @dataclass(frozen=True)
@@ -291,8 +312,12 @@ class _Tables(NamedTuple):
     Two tables for the pair rows, one GEMM each from the (T, n m) fades: ``proj``
     = kron(conj(V), I_m) gives the (T, L m) products v_l^H h_j, whose float64 view
     squared meets ``lam``, Lambda repeated over the antennas and the Re/Im parts
-    (:func:`_pair_basis`).  One half-table for the b rows, conj(W_p), meets
-    conj(Z H^H).  Row f S + i is coefficient f in sub-code i.  The kept pairs
+    (:func:`_pair_basis`).  When V is the n joint eigenvectors, orthonormal,
+    ``energy`` is Lambda repeated over the antennas alone, and one GEMM takes the
+    (T, n m) energies |v_l^H h_j|^2 that the Monte Carlo draws to the same rows
+    (:func:`_energy_rows`); on the n^2 basis it is None and the Monte Carlo
+    draws fades.  The tables thus choose the draw.  One half-table for the b
+    rows, conj(W_p), meets conj(Z H^H).  Row f S + i is coefficient f in sub-code i.  The kept pairs
     split each sub-code into C identical blocks of g / C symbols
     (:func:`_blocks`), and coefficient f is feature f // C of block f % C, so
     the rows read as F / C features of U = C S units, each a contiguous (U, T)
@@ -308,6 +333,7 @@ class _Tables(NamedTuple):
     unit: tuple  # one unit's kept pairs (p, q) in its own weights, in row order
     proj: np.ndarray  # (n m, L m) complex: kron(conj(V), I_m), to v_l^H h_j from the fades
     lam: np.ndarray  # (P S, 2 L m): Lambda of the P kept pairs, to R~_pq from |v_l^H h_j|^2
+    energy: np.ndarray | None  # (P S, n m): Lambda over the antennas if V is unitary, else None
     b: np.ndarray  # (2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H)
     factor: tuple  # per column j of a unit: (j, the R~_jj row, row j's l < j, entries i > j)
 
@@ -434,6 +460,8 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
     fades of a trial, read as n m contiguous entries, meet kron(conj(V), I_m)
     in one GEMM, so a trial's v_l^H h_j come out antenna-fastest, and Lambda
     is repeated over the m antennas and the Re/Im parts of their float64 view.
+    When V is the n joint eigenvectors (L = n, unitary), ``energy`` repeats it
+    over the m antennas only, for the energies that the Monte Carlo draws.
     The b rows are Re tr(W_p H Z^H) = <conj(W_p), conj(Z H^H)>, a real inner
     product of float64 views with no structural zero.  The rows run over the
     C blocks fastest (:class:`_Tables`): the whole code of an SSD code has the
@@ -453,6 +481,8 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
         return np.ascontiguousarray(m.swapaxes(0, 1)).reshape(-1, n, n)
 
     v, lam = _pair_basis(rows(terms[:, pairs] * np.where(p == q, 1.0, 0.5)[:, None, None]))
+    # L = n: V is the n joint eigenvectors, unitary, and the Monte Carlo draws the energies
+    energy = np.repeat(lam, rx, axis=1) if v.shape[1] == n else None
     proj = np.zeros((n, rx, v.shape[1], rx), dtype=complex)
     antennas = np.arange(rx)
     proj[:, antennas, :, antennas] = v.conj()  # kron(conj(V), I_m)
@@ -460,7 +490,7 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
     # block 0's pairs, every C-th row, are one unit's in its own weights
     unit = tuple(zip(p[::blocks].tolist(), q[::blocks].tolist()))
     return _Tables(s, blocks, p, q, weights, unit, proj.reshape(n * rx, -1),
-                   np.repeat(lam, 2 * rx, axis=1), b, _factor_walk(g2 // blocks, unit))
+                   np.repeat(lam, 2 * rx, axis=1), energy, b, _factor_walk(g2 // blocks, unit))
 
 
 def _quadratic(tables: _Tables, h: np.ndarray, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -470,12 +500,27 @@ def _quadratic(tables: _Tables, h: np.ndarray, proj: np.ndarray, out: np.ndarray
     of the (., L m) ``proj``, its float64 view squared in place, and one GEMM
     of ``tables.lam`` against it into the first F S T of the flat ``out``,
     whose view it returns: no per-trial product.  The one routine that forms
-    the pair rows, for :func:`_coefficients` and for the Monte Carlo.
+    the pair rows from fades: for :func:`_coefficients`, and for the Monte
+    Carlo on the n^2 basis.
     """
     t = len(h)
     out = out[:tables.rows * t].reshape(-1, t)
     x = np.matmul(h.reshape(t, -1), tables.proj, out=proj[:t]).view(np.float64)
     np.matmul(tables.lam, np.square(x, out=x).T, out=out[:len(tables.lam)])
+    return out
+
+
+def _energy_rows(tables: _Tables, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (F S, T) coefficients of T blocks' fade energies e with their R~ rows formed.
+
+    ``e`` is (T, n, m), e[t, l, j] = |v_l^H h_j|^2 on the unitary V of the tables
+    (``tables.energy`` is not None).  One GEMM of ``tables.energy`` against it
+    into the first F S T of the flat ``out``, whose view it returns; the b rows
+    are not formed.  The Monte Carlo's pair rows when it draws the energies.
+    """
+    t = len(e)
+    out = out[:tables.rows * t].reshape(-1, t)
+    np.matmul(tables.energy, e.reshape(t, -1).T, out=out[:len(tables.energy)])
     return out
 
 
@@ -589,7 +634,7 @@ class _Decoder(NamedTuple):
     """A decoder's sub-code tables, its coefficients of T blocks and its two maps from them."""
 
     tables: _Tables
-    quadratic: Callable[[np.ndarray], np.ndarray]  # h: ``_quadratic``
+    pair_rows: Callable[[np.ndarray], np.ndarray]  # ``_energy_rows`` or ``_quadratic``
     coefficients: Callable[[np.ndarray, np.ndarray], np.ndarray]  # y, h: ``_coefficients``
     decode: Callable[[np.ndarray], np.ndarray]  # to the (T, k) decoded symbols
     wrong: Callable[[np.ndarray, np.ndarray], np.ndarray]  # and (T, k) sent indices: (k, T) flags
@@ -616,10 +661,14 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
     """A decoder of T <= ``block`` blocks on ``rx`` receive antennas, with its block buffers.
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
-    The decoder allocates every block buffer once: ``coefficients(y, h)`` is
-    :func:`_coefficients` and ``quadratic(h)`` is :func:`_quadratic` of T
-    blocks in them, a view that the next call overwrites.  SSD scores each
-    slot's one-symbol sub-code, the (k, 2, n, n) ``w``, over the |A| points:
+    The decoder allocates each block buffer once, on its first use:
+    ``coefficients(y, h)`` is :func:`_coefficients` of T blocks in them, and
+    the Monte Carlo's ``pair_rows`` is :func:`_energy_rows` of T blocks'
+    energies when the tables hold the n joint eigenvectors, else
+    :func:`_quadratic` of their fades, each a view that the next call
+    overwrites.  So the Monte Carlo holds only the coefficient buffer, and
+    the projection buffer on the n^2 basis.  SSD scores each slot's
+    one-symbol sub-code, the (k, 2, n, n) ``w``, over the |A| points:
     the (F k, T) coefficients read as (F, k T) times the (|A|, F) basis, one
     GEMM with no transposed operand into one block-sized (|A|, k T) buffer;
     it decodes by the first column minimum, found row by row because numpy's
@@ -640,12 +689,23 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
     if not ssd and total > ML_BUDGET:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
     tables = _tables(w if ssd else w.reshape(1, 2 * k, n, n), rx)
-    projected = dict(proj=np.empty((block, tables.proj.shape[1]), dtype=complex),
-                     out=np.empty(tables.rows * block))
-    buffers = dict(hc=np.empty((block, n, rx), dtype=complex),
-                   stats=np.empty((block, n, n), dtype=complex), **projected)
-    quadratic = partial(_quadratic, tables, **projected)
-    coefficients = partial(_coefficients, tables, **buffers)
+    shapes = dict(hc=((block, n, rx), complex), stats=((block, n, n), complex),
+                  proj=((block, tables.proj.shape[1]), complex), out=(tables.rows * block, float))
+
+    @cache
+    def workspace(name: str) -> np.ndarray:
+        # allocated on first use: the Monte Carlo reads only out, and proj when it draws fades
+        return np.empty(*shapes[name])
+
+    if tables.energy is None:
+        def pair_rows(h: np.ndarray) -> np.ndarray:
+            return _quadratic(tables, h, workspace("proj"), workspace("out"))
+    else:
+        def pair_rows(e: np.ndarray) -> np.ndarray:
+            return _energy_rows(tables, e, workspace("out"))
+
+    def coefficients(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return _coefficients(tables, y, h, *map(workspace, ("hc", "stats", "proj", "out")))
     if ssd:
         basis_t = np.ascontiguousarray(_basis(tables, pts[:, None]).T)
         buffer = np.empty(len(pts) * block * k)
@@ -664,7 +724,7 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
             for a in range(len(pts) - 1, -1, -1):
                 arg[scores[a] == low] = a
             return pts[arg.reshape(k, -1).T]
-        return _Decoder(tables, quadratic, coefficients, decode,
+        return _Decoder(tables, pair_rows, coefficients, decode,
                         lambda coef, symbols: _wrong(metrics(coef), symbols))
     chunk = min(total, max(1, _ML_CHUNK // max(block, tables.rows)))
     buffer = np.empty(block * chunk)
@@ -694,7 +754,7 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
             best = np.where(better, value, best)
             out = np.where(better[:, None], digits[arg], out)
         return out
-    return _Decoder(tables, quadratic, coefficients, lambda coef: pts[first(coef)],
+    return _Decoder(tables, pair_rows, coefficients, lambda coef: pts[first(coef)],
                     lambda coef, symbols: (first(coef) != symbols).T)
 
 
@@ -745,8 +805,10 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
 
     The one owner of the seed contract's draw order (module doc): chunk c of
     point p yields its trial count, its codeword errors and its (k,) wrong
-    symbols per slot, and draws nothing before it is asked for.  The decoder
-    and the buffers are set up once, here, for every point.
+    symbols per slot, and draws nothing before it is asked for.  It draws the
+    fade energies or the fades as the decoder's tables choose
+    (``_Tables.energy``).  The decoder and the buffers are set up once, here,
+    for every point.
     """
     code = config.code
     n, m, k = code.n, config.rx_antennas, code.k
@@ -759,12 +821,14 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
     block = min(_BLOCK, chunk)
     # SSD reads the caller's classify
     dec = _decoder(code, w, pts, config.decoder, block, m)
-    # one chunk's fades and one block's symbols and noise, in buffers allocated once per
-    # call (the decoder holds the rest): a chunk's fresh arrays would be alive beside the
-    # last chunk's, past malloc's mmap threshold they are mapped and faulted in afresh
-    # each time, and a block's fresh arrays fragment the heap (about 1 MB more peak RSS
-    # on USSD8, two receive antennas)
-    h_all = np.empty((chunk, n, m), dtype=complex)
+    # the tables choose the draw: the fade energies on a unitary V, else the fades
+    energies = dec.tables.energy is not None
+    # one chunk's energies or fades and one block's symbols and noise, in buffers allocated
+    # once per call (the decoder holds the rest): a chunk's fresh arrays would be alive
+    # beside the last chunk's, past malloc's mmap threshold they are mapped and faulted in
+    # afresh each time, and a block's fresh arrays fragment the heap (about 1 MB more peak
+    # RSS on USSD8, two receive antennas)
+    h_all = np.empty((chunk, n, m), dtype=float if energies else complex)
     planes = np.stack((pts.real, pts.imag))
     parts_block = np.empty(2 * k * block)
     normals = np.empty(2 * k * block)
@@ -776,7 +840,7 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
             t = min(_CHUNK, config.trials - start)
             rng = np.random.default_rng([config.seed, point, c])
             symbols = rng.integers(0, len(pts), size=(t, k))
-            h = _draw_cn(rng, h_all[:t])
+            h = rng.standard_exponential(out=h_all[:t]) if energies else _draw_cn(rng, h_all[:t])
             errors, slot_errors = 0, np.zeros(k, dtype=np.int64)
             for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
                 hb, sb = h[b:b + _BLOCK], symbols[b:b + _BLOCK]
@@ -788,7 +852,7 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
                 # stream, so they are the slice a whole-chunk draw would give
                 g = rng.standard_normal(out=normals[:2 * k * tb].reshape(tb, k, 2))
                 g = np.multiply(g.T, sigma, out=noise_block[:2 * k * tb].reshape(2, k, tb))
-                coef = dec.quadratic(hb)
+                coef = dec.pair_rows(hb)
                 r, b_rows, s_rows, g_rows = _unit_rows(dec.tables, coef, parts, g)
                 _write_noise(dec.tables, r, b_rows, g_rows)
                 _add_signal(dec.tables, r, b_rows, s_rows)
