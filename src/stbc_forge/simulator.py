@@ -34,13 +34,14 @@ over the columns h_j of H.  The kept M~ of every built-in code commute
 (they take at most two values: c I and one Hermitian matrix in a USSD
 code, c I in a COD, two diagonal projections in ciod4), and V is their n
 joint eigenvectors; other codes get n^2 fixed vectors with a
-closed-form Lambda.  A batch of T blocks (T, n, m), read as one (T, n m)
-matrix, meets kron(conj(V), I_m) in one GEMM; the float64 view of the
-(T, L m) product, squared in place, meets Lambda, repeated over the m
-antennas and the Re/Im parts, in a second GEMM (``_quadratic``).  The
-Monte Carlo on the n joint eigenvectors skips the first GEMM and the
-squares: it draws the energies |v_l^H h_j|^2 themselves (Sufficient
-statistics).  The b rows take one
+closed-form Lambda.  One routine forms every R~ row (``_pair_rows``): one
+GEMM of Lambda, repeated over the m antennas, against the (T, L m)
+energies |v_l^H h_j|^2 of T blocks.  The Monte Carlo on the n joint
+eigenvectors draws those energies (Sufficient statistics); elsewhere
+``_fade_energies`` forms them from the fades: the (T, n, m) blocks, read
+as one (T, n m) matrix, meet kron(conj(V), I_m) in one GEMM, and the
+float64 view of the (T, L m) product is squared in place and its Re and
+Im parts added by one strided add.  The b rows take one
 batched product conj(Y) H^T = conj(Y H^H), 2n^2 contiguous floats per
 block, and one GEMM against the float64 view of conj(W_p), since b_p =
 <conj(W_p), conj(Y H^H)> is a real inner product; neither table has a
@@ -74,13 +75,12 @@ M~, hence the same V and Lambda.
     chunk.  When one chunk holds every codeword, its basis is built once
     per call.
 
-One builder, ``_decoder``, sets up either decoder: its tables, the
-buffers of one trial block, its maps from the block's energies or fades
-(and Y) to coefficients, its map from coefficients to symbols and its map from
-coefficients and sent symbols to wrong slots.  ``_chunks`` builds it
-once per ``simulate_cer`` call and counts once per trial block, and
-the two public decoders build it once per call and decode ``_BLOCK``
-blocks at a time in its buffers.  The decoders break ties toward the
+One builder, ``_decoder``, sets up either decoder: its tables, its map
+from coefficients to symbols and its map from coefficients and sent
+symbols to wrong slots.  ``_chunks`` builds it once per ``simulate_cer``
+call and counts once per trial block, and the two public decoders build
+it once per call and decode ``_BLOCK`` blocks at a time; each caller owns
+the buffers of its coefficients.  The decoders break ties toward the
 first minimum: SSD toward the smallest constellation index, brute-force
 ML toward the first codeword in lexicographic order.  ``simulate_cer``
 decodes nothing on the SSD path: it counts a slot as wrong when some
@@ -103,20 +103,18 @@ matrix, forms no codeword, no S H, no P and no Q: a block's R~ rows
 depend on H only through the energies |v_l^H h_j|^2.  The n joint
 eigenvectors are orthonormal, so for CN(0, 1) fades each V^H h_j is
 CN(0, I_n) and the n m energies are i.i.d. Exp(1): on that basis a block
-draws the energies, not H, and meets Lambda, repeated over the m
-antennas, in one GEMM (``_energy_rows``).  On the n^2 basis, which is not
-orthonormal, it draws the fades, a complex view of interleaved normals,
-and forms the rows by the two GEMMs of ``_quadratic``.  Either way,
-``_write_noise``
-writes sqrt(N0 / 2) L g into the b rows, with L L^T = R~ the Cholesky
-factor of each sub-code's R~ and g 2k standard normals per trial, and
-``_add_signal`` adds the signal term of the sent symbols over the
-sub-code's kept pairs, both on the block's one set of
-:func:`_unit_rows`.  The
-factor walks only the kept pairs and their fill, elementwise on whole
-(S, T) rows: for an SSD slot it is the closed-form 2 x 2, and the whole
-code of an SSD code, whose cross-slot pairs are pruned, runs the same
-arithmetic on the same normals, so SSD and brute-force ML count alike.
+draws the energies, not H.  On the n^2 basis, which is not orthonormal,
+it draws the fades, a complex view of interleaved normals, and forms
+their energies.  Either way ``_pair_rows`` forms the rows,
+``_write_noise`` writes sqrt(N0 / 2) L g into the b rows, with L L^T = R~
+the Cholesky factor of each sub-code's R~ and g 2k standard normals per
+trial, and ``_add_signal`` adds the signal term of the sent symbols over
+the sub-code's kept pairs, both on the block's one set of
+:func:`_unit_rows`.  The factor walks only the kept pairs and their fill,
+elementwise on whole (S, T) rows: for an SSD slot it is the closed-form
+2 x 2, and the whole code of an SSD code, whose cross-slot pairs are
+pruned, runs the same arithmetic on the same normals, so SSD and
+brute-force ML count alike.
 A pivot negligible against its diagonal entry (``gmatrix._negligible``)
 reads as 0 with its column, which covers a singular R~ (k > n m).  The
 whole code (brute-force ML) drops only pruned pairs.  The slot sub-codes
@@ -136,7 +134,7 @@ then its noise normals from ``default_rng([seed, p, c])``, and is
 decoded before the next chunk is drawn.  The energies are n m standard
 exponentials per trial, trial-major as (T, n, m), from one
 ``standard_exponential(out=)``, when the tables hold the n joint
-eigenvectors (``_Tables.energy``), as for every built-in code; on the
+eigenvectors (``_Tables.unitary``), as for every built-in code; on the
 n^2 basis the chunk draws its fades instead, 2 n m normals per trial.
 Only the indices and the energies (or fades) are drawn for the whole
 chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
@@ -150,23 +148,15 @@ value.  Memory is bounded by one chunk's indices and energies (or fades)
 plus one block's arrays, in buffers allocated once per call, and the
 block size does not change a count.  A (seed, config) pair gives a
 bit-identical report; ``SEED_CONTRACT`` names the contract in every
-sidecar.  This is the third contract.  The second drew the fades of
-every code, 2 n m normals per trial, where this one draws n m
-exponentials on the joint eigenvectors; the first also drew all n m
-complex noise entries per trial (4 n m normals with the fades, where the
-second drew 2k) and formed the b rows from them.  Each changed every
-seeded count of a built-in code; a code on the n^2 basis draws as the
-second did, value for value.
+sidecar.
 ``[seed, p, 0]`` seeds the same stream as ``[seed, p]`` (zero padding).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -202,10 +192,9 @@ class SimConfig:
     def __post_init__(self):
         for name in ("trials", "seed", "rx_antennas"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            # an integer, as gmatrix._json_int reads one: True and False are not 1 and 0
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.trials < 1:
@@ -309,20 +298,16 @@ class _Tables(NamedTuple):
     """The decoding tables of S sub-codes of g symbols each on m receive antennas, from
     :func:`_tables`.
 
-    Two tables for the pair rows, one GEMM each from the (T, n m) fades: ``proj``
-    = kron(conj(V), I_m) gives the (T, L m) products v_l^H h_j, whose float64 view
-    squared meets ``lam``, Lambda repeated over the antennas and the Re/Im parts
-    (:func:`_pair_basis`).  When V is the n joint eigenvectors, orthonormal,
-    ``energy`` is Lambda repeated over the antennas alone, and one GEMM takes the
-    (T, n m) energies |v_l^H h_j|^2 that the Monte Carlo draws to the same rows
-    (:func:`_energy_rows`); on the n^2 basis it is None and the Monte Carlo
-    draws fades.  The tables thus choose the draw.  One half-table for the b
-    rows, conj(W_p), meets conj(Z H^H).  Row f S + i is coefficient f in sub-code i.  The kept pairs
-    split each sub-code into C identical blocks of g / C symbols
-    (:func:`_blocks`), and coefficient f is feature f // C of block f % C, so
-    the rows read as F / C features of U = C S units, each a contiguous (U, T)
-    row: one block of one sub-code per unit.  ``unit`` lists one unit's kept
-    pairs and ``factor`` walks its lower-triangular factor of R~.
+    One table for the pair rows: ``lam``, Lambda of the kept pairs repeated over the
+    m antennas, meets the (T, L m) energies |v_l^H h_j|^2 in one GEMM
+    (:func:`_pair_rows`).  ``proj`` = kron(conj(V), I_m) takes the (T, n m) fades to
+    the products v_l^H h_j whose squares are those energies (:func:`_fade_energies`).
+    One half-table for the b rows, conj(W_p), meets conj(Z H^H).  Row f S + i is
+    coefficient f in sub-code i.  The kept pairs split each sub-code into C identical
+    blocks of g / C symbols (:func:`_blocks`), and coefficient f is feature f // C of
+    block f % C, so the rows read as F / C features of U = C S units, each a
+    contiguous (U, T) row: one block of one sub-code per unit.  ``unit`` lists one
+    unit's kept pairs and ``factor`` walks its lower-triangular factor of R~.
     """
 
     subcodes: int  # S
@@ -332,8 +317,7 @@ class _Tables(NamedTuple):
     weights: np.ndarray  # the weights p of the b rows, in row order
     unit: tuple  # one unit's kept pairs (p, q) in its own weights, in row order
     proj: np.ndarray  # (n m, L m) complex: kron(conj(V), I_m), to v_l^H h_j from the fades
-    lam: np.ndarray  # (P S, 2 L m): Lambda of the P kept pairs, to R~_pq from |v_l^H h_j|^2
-    energy: np.ndarray | None  # (P S, n m): Lambda over the antennas if V is unitary, else None
+    lam: np.ndarray  # (P S, L m): Lambda of the P kept pairs, to R~_pq from |v_l^H h_j|^2
     b: np.ndarray  # (2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H)
     factor: tuple  # per column j of a unit: (j, the R~_jj row, row j's l < j, entries i > j)
 
@@ -341,6 +325,12 @@ class _Tables(NamedTuple):
     def rows(self) -> int:
         """F S, the rows of the coefficient-major :func:`_coefficients`."""
         return len(self.lam) + len(self.b)
+
+    @property
+    def unitary(self) -> bool:
+        """Whether V is the n joint eigenvectors (L = n), so that the Monte Carlo draws the
+        energies; the n^2 basis is not orthonormal for n > 1."""
+        return self.proj.shape[0] == self.proj.shape[1]
 
 
 def _blocks(g2: int, p: np.ndarray, q: np.ndarray) -> int:
@@ -456,16 +446,14 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
     the basis, the signal term and the noise factor read the same kept (p, q).
     The pair rows hold R~_pq = Re tr(M~_pq Q) of M~_pp = M_pp and
     M~_pq = M_pq / 2, an exact halving, through the V and Lambda of the kept
-    M~ (:func:`_pair_basis`): R~_r = sum_l Lambda_rl sum_j |v_l^H h_j|^2.  The
-    fades of a trial, read as n m contiguous entries, meet kron(conj(V), I_m)
-    in one GEMM, so a trial's v_l^H h_j come out antenna-fastest, and Lambda
-    is repeated over the m antennas and the Re/Im parts of their float64 view.
-    When V is the n joint eigenvectors (L = n, unitary), ``energy`` repeats it
-    over the m antennas only, for the energies that the Monte Carlo draws.
-    The b rows are Re tr(W_p H Z^H) = <conj(W_p), conj(Z H^H)>, a real inner
-    product of float64 views with no structural zero.  The rows run over the
-    C blocks fastest (:class:`_Tables`): the whole code of an SSD code has the
-    row layout of its k slot sub-codes.
+    M~ (:func:`_pair_basis`): R~_r = sum_l Lambda_rl sum_j |v_l^H h_j|^2.  A
+    trial's energies come antenna-fastest, (l, j) at column l m + j, so
+    ``lam`` repeats Lambda over the m antennas, and ``proj`` =
+    kron(conj(V), I_m) gives the products v_l^H h_j in that order from the n m
+    contiguous fades of a trial.  The b rows are Re tr(W_p H Z^H) =
+    <conj(W_p), conj(Z H^H)>, a real inner product of float64 views with no
+    structural zero.  The rows run over the C blocks fastest (:class:`_Tables`):
+    the whole code of an SSD code has the row layout of its k slot sub-codes.
     """
     s, g2, n, _ = subcodes.shape
     terms = gram(subcodes)
@@ -481,8 +469,6 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
         return np.ascontiguousarray(m.swapaxes(0, 1)).reshape(-1, n, n)
 
     v, lam = _pair_basis(rows(terms[:, pairs] * np.where(p == q, 1.0, 0.5)[:, None, None]))
-    # L = n: V is the n joint eigenvectors, unitary, and the Monte Carlo draws the energies
-    energy = np.repeat(lam, rx, axis=1) if v.shape[1] == n else None
     proj = np.zeros((n, rx, v.shape[1], rx), dtype=complex)
     antennas = np.arange(rx)
     proj[:, antennas, :, antennas] = v.conj()  # kron(conj(V), I_m)
@@ -490,53 +476,54 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
     # block 0's pairs, every C-th row, are one unit's in its own weights
     unit = tuple(zip(p[::blocks].tolist(), q[::blocks].tolist()))
     return _Tables(s, blocks, p, q, weights, unit, proj.reshape(n * rx, -1),
-                   np.repeat(lam, 2 * rx, axis=1), energy, b, _factor_walk(g2 // blocks, unit))
+                   np.repeat(lam, rx, axis=1), b, _factor_walk(g2 // blocks, unit))
 
 
-def _quadratic(tables: _Tables, h: np.ndarray, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The (F S, T) coefficients of T blocks h with their R~ rows formed, the b rows not.
+def _fade_energies(tables: _Tables, h: np.ndarray, proj: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The (T, L m) energies |v_l^H h_j|^2 of T blocks' (T, n, m) fades h.
 
-    One GEMM of the (T, n m) fades against ``tables.proj`` into the first T rows
-    of the (., L m) ``proj``, its float64 view squared in place, and one GEMM
-    of ``tables.lam`` against it into the first F S T of the flat ``out``,
-    whose view it returns: no per-trial product.  The one routine that forms
-    the pair rows from fades: for :func:`_coefficients`, and for the Monte
-    Carlo on the n^2 basis.
+    One GEMM of the fades, read as (T, n m) without a copy, against
+    ``tables.proj`` into the first T rows of the (., L m) complex ``proj``,
+    its float64 view squared in place, and Re^2 + Im^2 by one strided add into
+    the first T L m of the flat ``out``, whose (T, L m) view it returns.
     """
     t = len(h)
-    out = out[:tables.rows * t].reshape(-1, t)
     x = np.matmul(h.reshape(t, -1), tables.proj, out=proj[:t]).view(np.float64)
-    np.matmul(tables.lam, np.square(x, out=x).T, out=out[:len(tables.lam)])
-    return out
+    np.square(x, out=x)
+    return np.add(x[:, ::2], x[:, 1::2], out=out[:x.size // 2].reshape(t, -1))
 
 
-def _energy_rows(tables: _Tables, e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The (F S, T) coefficients of T blocks' fade energies e with their R~ rows formed.
+def _pair_rows(tables: _Tables, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (F S, T) coefficients of T blocks with their R~ rows formed, the b rows not.
 
-    ``e`` is (T, n, m), e[t, l, j] = |v_l^H h_j|^2 on the unitary V of the tables
-    (``tables.energy`` is not None).  One GEMM of ``tables.energy`` against it
-    into the first F S T of the flat ``out``, whose view it returns; the b rows
-    are not formed.  The Monte Carlo's pair rows when it draws the energies.
+    ``e`` holds T blocks' energies e[t, l m + j] = |v_l^H h_j|^2, as (T, L m) or
+    (T, n, m): drawn by the Monte Carlo on the n joint eigenvectors, else from
+    :func:`_fade_energies`.  One GEMM of ``tables.lam`` against them into the
+    first F S T of the flat ``out``, whose view it returns: the one routine
+    that forms R~ rows.
     """
     t = len(e)
     out = out[:tables.rows * t].reshape(-1, t)
-    np.matmul(tables.energy, e.reshape(t, -1).T, out=out[:len(tables.energy)])
+    np.matmul(tables.lam, e.reshape(t, -1).T, out=out[:len(tables.lam)])
     return out
 
 
 def _coefficients(tables: _Tables, y: np.ndarray, h: np.ndarray, hc: np.ndarray,
-                  stats: np.ndarray, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
+                  stats: np.ndarray, proj: np.ndarray, energies: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
     """The (F S, T) coefficients [R~_pq; b_p] of each sub-code and block.
 
     For T complex blocks y, h of shape (T, n, m) and the ``_tables`` of S
-    sub-codes; row f S + i holds coefficient f of sub-code i.
-    :func:`_quadratic` forms the R~ rows; then the batched product
+    sub-codes; row f S + i holds coefficient f of sub-code i.  The R~ rows
+    are :func:`_pair_rows` of the :func:`_fade_energies` of h, in ``proj``,
+    ``energies`` and ``out``; then the batched product
     conj(Y) H^T = conj(Y H^H), in the (., n, m) ``hc`` and the (., n, n)
     ``stats``, and one GEMM against the weight half-table form
-    b_p = Re tr(W_p H Y^H).  A decoder owns one set of buffers
-    (:func:`_decoder`).
+    b_p = Re tr(W_p H Y^H).  The public decoders own the buffers
+    (:func:`_decode_blocks`).
     """
-    out = _quadratic(tables, h, proj, out)
+    out = _pair_rows(tables, _fade_energies(tables, h, proj, energies), out)
     t = len(h)
     np.matmul(np.conjugate(y, out=hc[:t]), h.swapaxes(-1, -2), out=stats[:t])
     np.matmul(tables.b, stats[:t].view(np.float64).reshape(t, -1).T, out=out[len(tables.lam):])
@@ -631,11 +618,9 @@ def _basis(tables: _Tables, x: np.ndarray) -> np.ndarray:
 
 
 class _Decoder(NamedTuple):
-    """A decoder's sub-code tables, its coefficients of T blocks and its two maps from them."""
+    """A decoder's sub-code tables and its two maps from the coefficients of T blocks."""
 
     tables: _Tables
-    pair_rows: Callable[[np.ndarray], np.ndarray]  # ``_energy_rows`` or ``_quadratic``
-    coefficients: Callable[[np.ndarray, np.ndarray], np.ndarray]  # y, h: ``_coefficients``
     decode: Callable[[np.ndarray], np.ndarray]  # to the (T, k) decoded symbols
     wrong: Callable[[np.ndarray, np.ndarray], np.ndarray]  # and (T, k) sent indices: (k, T) flags
 
@@ -658,29 +643,25 @@ def _wrong(metrics: np.ndarray, symbols: np.ndarray) -> np.ndarray:
 
 def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder: str,
              block: int, rx: int) -> _Decoder:
-    """A decoder of T <= ``block`` blocks on ``rx`` receive antennas, with its block buffers.
+    """A decoder of T <= ``block`` blocks on ``rx`` receive antennas: its tables and scoring.
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
-    The decoder allocates each block buffer once, on its first use:
-    ``coefficients(y, h)`` is :func:`_coefficients` of T blocks in them, and
-    the Monte Carlo's ``pair_rows`` is :func:`_energy_rows` of T blocks'
-    energies when the tables hold the n joint eigenvectors, else
-    :func:`_quadratic` of their fades, each a view that the next call
-    overwrites.  So the Monte Carlo holds only the coefficient buffer, and
-    the projection buffer on the n^2 basis.  SSD scores each slot's
-    one-symbol sub-code, the (k, 2, n, n) ``w``, over the |A| points:
-    the (F k, T) coefficients read as (F, k T) times the (|A|, F) basis, one
-    GEMM with no transposed operand into one block-sized (|A|, k T) buffer;
-    it decodes by the first column minimum, found row by row because numpy's
-    argmin over axis 0 copies the whole block, and counts by :func:`_wrong`.
-    Brute-force ML scores the whole code, one sub-code of k symbols, over
-    its |A|^k codewords in lexicographic chunks of at most
-    ``_ML_CHUNK // max(block, F)`` codewords, so that neither the (T, C)
-    metrics nor the (F, C) basis pass ``_ML_CHUNK`` elements: the argmin of
-    each chunk, and a strict ``<`` across chunks, so a tie keeps the earlier
-    chunk.  When one chunk holds every codeword, its digits and basis are
-    built once per call.  It decodes to point indices and counts by
-    comparing them with the sent ones.
+    The decoder maps the coefficients of T blocks, from :func:`_coefficients`
+    or the Monte Carlo's :func:`_pair_rows`, to decoded symbols
+    (``decode``) and, with the sent indices, to wrong slots (``wrong``); its
+    callers own the coefficient buffers.  SSD scores each slot's one-symbol
+    sub-code, the (k, 2, n, n) ``w``, over the |A| points: the (F k, T)
+    coefficients read as (F, k T) times the (|A|, F) basis, one GEMM with no
+    transposed operand into one block-sized (|A|, k T) buffer; it decodes by
+    the first column minimum, found row by row because numpy's argmin over
+    axis 0 copies the whole block, and counts by :func:`_wrong`.  Brute-force
+    ML scores the whole code, one sub-code of k symbols, over its |A|^k
+    codewords in lexicographic chunks of at most ``_ML_CHUNK // max(block, F)``
+    codewords, so that neither the (T, C) metrics nor the (F, C) basis pass
+    ``_ML_CHUNK`` elements: the argmin of each chunk, and a strict ``<`` across
+    chunks, so a tie keeps the earlier chunk.  When one chunk holds every
+    codeword, its digits and basis are built once per call.  It decodes to
+    point indices and counts by comparing them with the sent ones.
     """
     k, _, n, _ = w.shape
     ssd, total = decoder == DECODER_SSD, len(pts) ** k
@@ -689,23 +670,6 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
     if not ssd and total > ML_BUDGET:
         raise ValueError(f"brute-force ML needs {total} codewords, over budget {ML_BUDGET}")
     tables = _tables(w if ssd else w.reshape(1, 2 * k, n, n), rx)
-    shapes = dict(hc=((block, n, rx), complex), stats=((block, n, n), complex),
-                  proj=((block, tables.proj.shape[1]), complex), out=(tables.rows * block, float))
-
-    @cache
-    def workspace(name: str) -> np.ndarray:
-        # allocated on first use: the Monte Carlo reads only out, and proj when it draws fades
-        return np.empty(*shapes[name])
-
-    if tables.energy is None:
-        def pair_rows(h: np.ndarray) -> np.ndarray:
-            return _quadratic(tables, h, workspace("proj"), workspace("out"))
-    else:
-        def pair_rows(e: np.ndarray) -> np.ndarray:
-            return _energy_rows(tables, e, workspace("out"))
-
-    def coefficients(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return _coefficients(tables, y, h, *map(workspace, ("hc", "stats", "proj", "out")))
     if ssd:
         basis_t = np.ascontiguousarray(_basis(tables, pts[:, None]).T)
         buffer = np.empty(len(pts) * block * k)
@@ -724,7 +688,7 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
             for a in range(len(pts) - 1, -1, -1):
                 arg[scores[a] == low] = a
             return pts[arg.reshape(k, -1).T]
-        return _Decoder(tables, pair_rows, coefficients, decode,
+        return _Decoder(tables, decode,
                         lambda coef, symbols: _wrong(metrics(coef), symbols))
     chunk = min(total, max(1, _ML_CHUNK // max(block, tables.rows)))
     buffer = np.empty(block * chunk)
@@ -754,7 +718,7 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
             best = np.where(better, value, best)
             out = np.where(better[:, None], digits[arg], out)
         return out
-    return _Decoder(tables, pair_rows, coefficients, lambda coef: pts[first(coef)],
+    return _Decoder(tables, lambda coef: pts[first(coef)],
                     lambda coef, symbols: (first(coef) != symbols).T)
 
 
@@ -762,8 +726,9 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                    decoder: str) -> np.ndarray:
     """Decode one (n, m) block y, h to its k symbols, or T (T, n, m) blocks to (T, k).
 
-    One ``_decoder`` (one code check) decodes ``_BLOCK`` blocks at a time, so
-    memory beyond the (T, k) result is bounded in T.
+    One ``_decoder`` (one code check) decodes ``_BLOCK`` blocks at a time in one
+    set of :func:`_coefficients` buffers, so memory beyond the (T, k) result is
+    bounded in T.
     """
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -772,10 +737,16 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                          f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
-    dec = _decoder(code, code.w, constellation.points, decoder, min(len(h), _BLOCK), h.shape[-1])
+    block, (n, m) = min(len(h), _BLOCK), h.shape[1:]
+    dec = _decoder(code, code.w, constellation.points, decoder, block, m)
+    lm = dec.tables.proj.shape[1]
+    buffers = (np.empty((block, n, m), dtype=complex), np.empty((block, n, n), dtype=complex),
+               np.empty((block, lm), dtype=complex), np.empty(block * lm),
+               np.empty(dec.tables.rows * block))  # hc, stats, proj, energies, out
     out = np.empty((len(h), code.k), dtype=complex)
     for b in range(0, len(h), _BLOCK):
-        out[b:b + _BLOCK] = dec.decode(dec.coefficients(y[b:b + _BLOCK], h[b:b + _BLOCK]))
+        coef = _coefficients(dec.tables, y[b:b + _BLOCK], h[b:b + _BLOCK], *buffers)
+        out[b:b + _BLOCK] = dec.decode(coef)
     return out
 
 
@@ -806,9 +777,10 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
     The one owner of the seed contract's draw order (module doc): chunk c of
     point p yields its trial count, its codeword errors and its (k,) wrong
     symbols per slot, and draws nothing before it is asked for.  It draws the
-    fade energies or the fades as the decoder's tables choose
-    (``_Tables.energy``).  The decoder and the buffers are set up once, here,
-    for every point.
+    fade energies on the n joint eigenvectors (``_Tables.unitary``), else the
+    fades, whose energies :func:`_fade_energies` forms per block; either way
+    :func:`_pair_rows` forms the block's R~ rows.  The decoder and the
+    buffers are set up once, here, for every point.
     """
     code = config.code
     n, m, k = code.n, config.rx_antennas, code.k
@@ -821,14 +793,16 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
     block = min(_BLOCK, chunk)
     # SSD reads the caller's classify
     dec = _decoder(code, w, pts, config.decoder, block, m)
-    # the tables choose the draw: the fade energies on a unitary V, else the fades
-    energies = dec.tables.energy is not None
-    # one chunk's energies or fades and one block's symbols and noise, in buffers allocated
-    # once per call (the decoder holds the rest): a chunk's fresh arrays would be alive
-    # beside the last chunk's, past malloc's mmap threshold they are mapped and faulted in
-    # afresh each time, and a block's fresh arrays fragment the heap (about 1 MB more peak
-    # RSS on USSD8, two receive antennas)
-    h_all = np.empty((chunk, n, m), dtype=float if energies else complex)
+    tables = dec.tables
+    # one chunk's energies or fades and one block's arrays, in buffers allocated once per
+    # call: a chunk's fresh arrays would be alive beside the last chunk's, past malloc's
+    # mmap threshold they are mapped and faulted in afresh each time, and a block's fresh
+    # arrays fragment the heap (about 1 MB more peak RSS on USSD8, two receive antennas)
+    h_all = np.empty((chunk, n, m), dtype=float if tables.unitary else complex)
+    if not tables.unitary:
+        proj = np.empty((block, tables.proj.shape[1]), dtype=complex)
+        energies = np.empty(proj.size)
+    coef_block = np.empty(tables.rows * block)
     planes = np.stack((pts.real, pts.imag))
     parts_block = np.empty(2 * k * block)
     normals = np.empty(2 * k * block)
@@ -840,7 +814,8 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
             t = min(_CHUNK, config.trials - start)
             rng = np.random.default_rng([config.seed, point, c])
             symbols = rng.integers(0, len(pts), size=(t, k))
-            h = rng.standard_exponential(out=h_all[:t]) if energies else _draw_cn(rng, h_all[:t])
+            h = (rng.standard_exponential(out=h_all[:t]) if tables.unitary
+                 else _draw_cn(rng, h_all[:t]))
             errors, slot_errors = 0, np.zeros(k, dtype=np.int64)
             for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
                 hb, sb = h[b:b + _BLOCK], symbols[b:b + _BLOCK]
@@ -852,10 +827,11 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
                 # stream, so they are the slice a whole-chunk draw would give
                 g = rng.standard_normal(out=normals[:2 * k * tb].reshape(tb, k, 2))
                 g = np.multiply(g.T, sigma, out=noise_block[:2 * k * tb].reshape(2, k, tb))
-                coef = dec.pair_rows(hb)
-                r, b_rows, s_rows, g_rows = _unit_rows(dec.tables, coef, parts, g)
-                _write_noise(dec.tables, r, b_rows, g_rows)
-                _add_signal(dec.tables, r, b_rows, s_rows)
+                e = hb if tables.unitary else _fade_energies(tables, hb, proj, energies)
+                coef = _pair_rows(tables, e, coef_block)
+                r, b_rows, s_rows, g_rows = _unit_rows(tables, coef, parts, g)
+                _write_noise(tables, r, b_rows, g_rows)
+                _add_signal(tables, r, b_rows, s_rows)
                 wrong = dec.wrong(coef, sb)
                 errors += int(np.count_nonzero(wrong.any(axis=0)))
                 slot_errors += wrong.sum(axis=1)

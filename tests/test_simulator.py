@@ -27,9 +27,9 @@ from stbc_forge.simulator import (
     _coefficients,
     _decoder,
     _draw_cn,
-    _energy_rows,
+    _fade_energies,
     _pair_basis,
-    _quadratic,
+    _pair_rows,
     _represents,
     _tables,
     _unit_rows,
@@ -51,16 +51,17 @@ from survey_pins import (SURVEY, SURVEY_SEED, SURVEY_SNRS, SURVEY_TRIALS, SURVEY
 def _coefs(tables, z, h):
     """``_coefficients`` of the T blocks z, h, in fresh buffers."""
     t, n, m = h.shape
+    lm = tables.proj.shape[1]
     return _coefficients(tables, z, h, np.empty((t, n, m), dtype=complex),
-                         np.empty((t, n, n), dtype=complex),
-                         np.empty((t, tables.proj.shape[1]), dtype=complex),
-                         np.empty(tables.rows * t))
+                         np.empty((t, n, n), dtype=complex), np.empty((t, lm), dtype=complex),
+                         np.empty(t * lm), np.empty(tables.rows * t))
 
 
 def _quad(tables, h):
-    """``_quadratic`` of the T blocks h, in fresh buffers."""
-    return _quadratic(tables, h, np.empty((len(h), tables.proj.shape[1]), dtype=complex),
-                      np.empty(tables.rows * len(h)))
+    """The ``_pair_rows`` of the ``_fade_energies`` of the T blocks h, in fresh buffers."""
+    t, lm = len(h), tables.proj.shape[1]
+    e = _fade_energies(tables, h, np.empty((t, lm), dtype=complex), np.empty(t * lm))
+    return _pair_rows(tables, e, np.empty(tables.rows * t))
 
 
 def _slot_metrics(tables, y, h, pts):
@@ -351,7 +352,7 @@ def test_slot_count_flags_the_ssd_decoder_errors(name, points, scale, angle, sig
     noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * sigma * scale
     y = _encode(code.w, pts[symbols]) @ h + noise
     dec = _decoder(code, code.w, pts, "ssd", t, rx)
-    flags = dec.wrong(dec.coefficients(y, h), symbols)
+    flags = dec.wrong(_coefs(dec.tables, y, h), symbols)
     assert flags.shape == (code.k, t)
     assert np.array_equal(flags.T, ssd_decode(code, y, h, c) != pts[symbols])
 
@@ -536,7 +537,7 @@ _BUILT_IN = [f"{family}{2 ** a}" for family in ("ussd", "cod") for a in range(1,
 def _pair_case(name):
     """The sub-code stack of one pair-row case: a code's slots, or the whole of a random code."""
     rng = np.random.default_rng(sum(map(ord, name)))
-    if name.startswith("random"):  # n = 2, 4, 8 with k = 3, 3, 4: not SSD, brute-force ML only
+    if name.startswith("random"):  # n = 1, 2, 4, 8 with k = 3, 3, 3, 4: brute-force ML only
         n = int(name.removeprefix("random-n"))
         k = 4 if n == 8 else 3
         w = rng.standard_normal((k, 2, n, n)) + 1j * rng.standard_normal((k, 2, n, n))
@@ -553,16 +554,20 @@ def _pair_case(name):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rx", [1, 2])
-@pytest.mark.parametrize("name", _BUILT_IN + ["ussd4-uvs", "random-n2", "random-n4", "random-n8"])
+@pytest.mark.parametrize("rx", [1, 2, 3])
+@pytest.mark.parametrize("name", _BUILT_IN + ["ussd4-uvs", "random-n1", "random-n2", "random-n4",
+                                              "random-n8"])
 def test_pair_rows_are_the_quadratic_form(name, rx):
-    # every R~ row of _quadratic is Re tr(M~_pq Q) of Q = H H^H, to a relative 1e-12 of
-    # ||M~_pq|| ||Q||, through L = n eigenvectors for the commuting pair terms of every
-    # built-in code and the n^2 closed-form vectors for random ones
+    # every R~ row of _pair_rows on _fade_energies is Re tr(M~_pq Q) of Q = H H^H, to a
+    # relative 1e-12 of ||M~_pq|| ||Q||, through L = n eigenvectors for the commuting pair
+    # terms of every built-in code and the n^2 closed-form vectors for random ones.  The
+    # basis is unitary exactly on the n eigenvectors, where n^2 = n when n = 1; an odd
+    # rx puts the strided Re/Im add on an odd row length
     subcodes = _pair_case(name)
     s, g2, n, _ = subcodes.shape
     tables = _tables(subcodes, rx)
     assert tables.proj.shape == (n * rx, (n * n if name.startswith("random") else n) * rx)
+    assert tables.unitary == (not name.startswith("random") or n == 1)
     t = 5
     rng = np.random.default_rng(3)
     h = rng.standard_normal((t, n, rx)) + 1j * rng.standard_normal((t, n, rx))
@@ -587,14 +592,14 @@ def test_drawn_energies_have_the_law_of_the_fades(name, rx):
     v = tables.proj.reshape(n, rx, -1, rx)[:, 0, :, 0].conj()  # kron(conj(V), I_m)
     assert v.shape == (n, n)
     assert _negligible(_frobenius(v.conj().T @ v - np.eye(n)), math.sqrt(n))
-    lam = tables.energy[:, ::rx]
-    assert np.array_equal(tables.energy, np.repeat(lam, rx, axis=1))
+    lam = tables.lam[:, ::rx]
+    assert np.array_equal(tables.lam, np.repeat(lam, rx, axis=1))
     t = 1 << 16
     rng = np.random.default_rng(2027)
     h = _draw_cn(rng, np.empty((t, n, rx), dtype=complex))
     fades = _quad(tables, h)[:len(lam)].T
-    energies = _energy_rows(tables, rng.standard_exponential((t, n, rx)),
-                            np.empty(tables.rows * t))[:len(lam)].T
+    energies = _pair_rows(tables, rng.standard_exponential((t, n, rx)),
+                          np.empty(tables.rows * t))[:len(lam)].T
     mean, cov = rx * lam.sum(axis=1), rx * lam @ lam.T
     for rows in (fades, energies):
         d = rows - rows.mean(axis=0)
@@ -604,7 +609,7 @@ def test_drawn_energies_have_the_law_of_the_fades(name, rx):
         assert np.all(np.abs(got - cov) <= 5 * np.sqrt((square - got ** 2) / t))
     # and the energies of given fades give their R~ rows to rounding
     e = np.abs(h[:64].reshape(64, -1) @ tables.proj) ** 2
-    got = _energy_rows(tables, e.reshape(64, n, rx), np.empty(tables.rows * 64))[:len(lam)]
+    got = _pair_rows(tables, e.reshape(64, n, rx), np.empty(tables.rows * 64))[:len(lam)]
     assert np.allclose(got, fades[:64].T, rtol=1e-12, atol=1e-12 * np.max(np.abs(fades)))
 
 
@@ -885,7 +890,7 @@ def test_non_commuting_code_keeps_the_fade_draw(rx, want):
     code = _random_code(np.random.default_rng(2026), 4, 2)
     c = rotated_qam(4, optimal_angle())
     dec = _decoder(code, code.w, np.asarray(c.points), "brute-ml", 1, rx)
-    assert dec.tables.proj.shape == (4 * rx, 16 * rx) and dec.tables.energy is None
+    assert dec.tables.proj.shape == (4 * rx, 16 * rx) and not dec.tables.unitary
     report = simulate_cer(SimConfig(code=code, constellation=c, snr_db_list=(0.0, 4.0, 8.0),
                                     trials=3000, seed=5, rx_antennas=rx, decoder="brute-ml"))
     assert [(p.errors, p.slot_errors) for p in report.points] == want
@@ -1059,9 +1064,12 @@ def test_config_validation(ussd4):
 
 
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", -1), ("trials", 2.5),
-                                          ("rx_antennas", 1.5)])
+                                          ("rx_antennas", 1.5), ("trials", True),
+                                          ("rx_antennas", True), ("seed", True),
+                                          ("seed", False)])
 def test_config_rejects_non_integer_or_negative(ussd4, field, value):
-    # rejected at the boundary: not left to fail inside numpy or range, nor truncated
+    # rejected at the boundary: not left to fail inside numpy or range, nor truncated,
+    # and a bool is not read as 1 or 0 (the rule of gmatrix._json_int)
     kwargs = dict(code=ussd4, constellation=rotated_qam(4, 0.0),
                   snr_db_list=(1.0,), trials=10, seed=1)
     with pytest.raises(ValueError, match=field):
