@@ -85,11 +85,14 @@ first minimum: SSD toward the smallest constellation index, brute-force
 ML toward the first codeword in lexicographic order.  ``simulate_cer``
 decodes nothing on the SSD path: it counts a slot as wrong when some
 point's metric is strictly below the sent point's, one column minimum,
-one gather and one compare per block; brute-force ML counts by comparing
+one gather and one compare per block, and only over the slots that the
+screen (below) does not clear; brute-force ML counts by comparing
 the decoded point indices with the sent ones.  The two rules agree
 except at an exact tie with an earlier point, which has probability zero
 under continuous noise; the first-minimum rule keeps the
-decoder-equivalence oracle deterministic.
+decoder-equivalence oracle deterministic.  Brute-force ML, ``ssd_decode``
+and ``ml_decode_bruteforce`` do not screen: they score every slot, so the
+twins and the decoder-equivalence oracle check the screen end to end.
 
 Sufficient statistics:  Q is Hermitian, so Y = S H + N gives
 P = Q S^H + H N^H and, for any weights,
@@ -123,6 +126,26 @@ built-in code and within ``check_ssd``'s tolerance otherwise.  The noise
 and signal terms read H only through R~, so every trial is still one
 draw from the channel model's law.
 
+Screen:  the SSD Monte Carlo clears, before it writes any noise, every slot
+that cannot be wrong.  With d = x - s for a point x and the sent point s,
+the metric of x less that of s is d^T R~ d - 2 d^T n on the slot's 2 x 2
+R~ and noise n = sigma L g, and Cauchy-Schwarz in the R~-norm bounds
+|d^T n| by sigma sqrt(d^T R~ d) ||g||.  So x beats s only if
+d^T R~ d < 4 sigma^2 ||g||^2, and a slot with
+
+    lambda_min(R~) d_min^2 > 4 sigma^2 ||g||^2 + guard
+
+cannot be wrong, d_min the points' minimum distance.  The test reads the
+block's R~ rows and the squares of its normals, both already at hand
+(``_uncleared``); the guard, proportional to trace(R~) max|x|^2 u, covers
+the rounding of the test and of everything the count computes, so a
+cleared slot is one the full count does not flag, float for float.  When
+at least ``_SCREEN_CROSSOVER`` of a block's slots pass, only the others
+are gathered, get their noise and signal written and meet the metric GEMM
+(``_block_flags``); else the block runs whole.  The crossover only
+schedules the work: no count depends on it, and every normal is drawn for
+every slot, so the screen changes no draw and ``SEED_CONTRACT`` is the same.
+
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  One function, ``_chunks``, owns the draw order: its
 generator for each point yields each chunk's (trials, errors,
@@ -140,9 +163,9 @@ Only the indices and the energies (or fades) are drawn for the whole
 chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
 2**10 of the chunk's trials: a block takes its symbols from the indices,
 draws its 2k normals per trial, trial-major as (T, k, 2) (slot, then real
-and imaginary part), from the same Generator, and is decoded and counted
-before the next block's normals are drawn.  Consecutive
-``standard_normal(out=)`` calls continue one stream and the draw is
+and imaginary part), from the same Generator, whatever the screen clears,
+and is decoded and counted before the next block's normals are drawn.
+Consecutive ``standard_normal(out=)`` calls continue one stream and the draw is
 trial-major, so the blocks' normals are the whole-chunk draw value for
 value.  Memory is bounded by one chunk's indices and energies (or fades)
 plus one block's arrays, in buffers allocated once per call, and the
@@ -173,6 +196,8 @@ ML_BUDGET = 1_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
 _BLOCK = 1 << 10  # trials of a chunk decoded together
+_SCREEN_CROSSOVER = 0.5  # an SSD block scores only the uncleared slots when this share passes
+_SCREEN_GUARD = 2.0 ** -43  # 2^10 u: the screen's rounding guard per trace(R~_slot) max|x|^2
 _ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
 SEED_CONTRACT = (f"v3: default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, then "
                  "n m Exp(1) fade energies on a unitary pair basis (2 n m fade normals on any "
@@ -202,6 +227,10 @@ class SimConfig:
         if not self.snr_db_list:
             raise ValueError("need at least one SNR point")
         for snr_db in self.snr_db_list:
+            # a real number, by the rule above: True is not a 1.0 dB point
+            if isinstance(snr_db, bool) or not isinstance(snr_db, (int, float, np.integer,
+                                                                    np.floating)):
+                raise ValueError(f"snr_db_list entries must be real numbers, got {snr_db!r}")
             _noise_power(snr_db)
         if self.rx_antennas < 1:
             raise ValueError("rx_antennas must be >= 1")
@@ -771,6 +800,144 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     return _decode_blocks(code, y, h, constellation, DECODER_BRUTE_ML)
 
 
+class _Screen(NamedTuple):
+    """The SSD Monte Carlo's certificate at one SNR point (module doc), from :func:`_screen`."""
+
+    rows: tuple  # the unit rows of R~_AA, R~_BB and R~_AB, the last None where it is pruned
+    guard: float  # _SCREEN_GUARD max|x|^2 / d_min^2, per unit trace(R~)
+    sums: np.ndarray  # (k, 2k): 4 sigma^2 / d_min^2 kron(I_k, [1, 1]), to X's noise term
+
+
+def _screen(tables: _Tables, pts: np.ndarray) -> Callable[[float], _Screen | None]:
+    """The certificate of the SSD slot sub-codes of ``tables`` over the points ``pts``:
+    a map from sigma to the :class:`_Screen` of that SNR point, or to None.
+
+    d_min^2 and max|x|^2 are read once per call, from the points at the scale the
+    decoder scores.  None where a slot keeps no R~_AA or no R~_BB, so that its R~
+    is singular; where d_min^2 < 2^-64 max|x|^2; and where
+    4 sigma^2 / d_min^2 > 2^64.  These clear next to no slot, and the bounds keep
+    every X of :func:`_uncleared` finite.
+    """
+    unit = tables.unit
+    i, j = _upper_pairs(len(pts), 1)
+    d = pts[i] - pts[j]
+    dmin2 = float(np.min(d.real * d.real + d.imag * d.imag))
+    mmax = float(np.max(pts.real * pts.real + pts.imag * pts.imag))
+    if (0, 0) not in unit or (1, 1) not in unit or not dmin2 >= 2.0 ** -64 * mmax:
+        return lambda sigma: None
+    rows = (unit.index((0, 0)), unit.index((1, 1)), unit.index((0, 1)) if (0, 1) in unit else None)
+    pairs = np.repeat(np.eye(tables.subcodes), 2, axis=1)
+
+    def at(sigma: float) -> _Screen | None:
+        scale = 4.0 * sigma * sigma / dmin2
+        if scale > 2.0 ** 64:
+            return None
+        return _Screen(rows, _SCREEN_GUARD * mmax / dmin2, pairs * scale)
+    return at
+
+
+def _uncleared(screen: _Screen, coef: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The flat indices i T + t of the slots of T blocks that the certificate does not clear.
+
+    ``coef`` holds the blocks' R~ rows (:func:`_pair_rows`) and ``g`` their (T, k, 2)
+    noise normals.  Slot i of block t, with R~ = [[a, b], [b, c]] (b = 0 where the
+    pair is pruned), is cleared when lambda_min(R~) > X =
+    (4 sigma^2 ||g||^2 + G) / d_min^2, G = 2^10 u trace(R~) max|x|^2: tested without
+    a square root as max(a - X, 0) (c - X) > b^2, so that R~ - X I is positive
+    definite.  The noise term of X is one GEMM of ``screen.sums`` with the squared
+    normals, so it comes slot-major, as the R~ rows and the flags of :func:`_wrong`.
+
+    The guard.  The count compares float metrics, so the test must hold through the
+    rounding of all it computes.  Take u = 2^-53, the stored a, b, c as exact,
+    T = a + c, M = max|x|^2, r = sigma ||g||, x and s a point and the sent one,
+    d = x - s and q = d^T R~ d, all short of the subnormal range.  Where the test
+    passes, R~ is positive definite, |b| <= T / 2, r^2 < T M / 2 and
+    ||d||^2 <= 4M, and to first order in u:
+
+    - the factor of :func:`_write_noise` has L^ L^T = R~ + E with
+      d^T E d <= 16u T M (a pivot it zeroes only lowers d^T L^ L^T d), which moves
+      2 r ||L^T d|| by at most 8u T M since q > 4r^2;
+    - the noise and signal writes, at most 4 products per b row, add delta with
+      2 |d^T delta| <= 28u T M, and sigma g rounds by 4u T M in 4r^2;
+    - the metric GEMM over F <= 5 terms, with the basis' rounding, errs by
+      6u (|x|^T |R~| |x| + 2 |x|^T |b|) <= 27u T M per metric, 53u T M for two;
+    - the test, d_min^2 and the terms of X err by at most 30u T M in
+      lambda_min d_min^2.
+
+    So metric(x) - metric(s) >= q - 2r sqrt(q) - 93u T M, and q - 2r sqrt(q) > G' / 2
+    whenever q >= lambda_min d_min^2 > 4r^2 + G'.  A slot the test clears has
+    G' >= G - 34u T M, and G >= 220u T M leaves the count no strict minimum
+    below the sent point.  ``_SCREEN_GUARD`` takes 2^10 u, over four times that.
+    """
+    t, k = g.shape[:2]
+    r = coef.reshape(-1, k, t)
+    aa, bb, ab = screen.rows
+    a, c = r[aa], r[bb]
+    x = np.matmul(screen.sums, np.square(g).reshape(t, -1).T)
+    alpha = np.add(a, c)
+    alpha *= screen.guard
+    x += alpha
+    np.subtract(a, x, out=alpha)
+    np.maximum(alpha, 0.0, out=alpha)
+    alpha *= np.subtract(c, x, out=x)
+    return np.flatnonzero(alpha <= (np.square(r[ab]) if ab is not None else 0.0))
+
+
+class _Workspace(NamedTuple):
+    """The per-call buffers of the Monte Carlo's block step (:func:`_block_flags`)."""
+
+    planes: np.ndarray  # (2, |A|): the real and imaginary parts of the points
+    parts: np.ndarray  # 2k T floats: the sent symbols' parts
+    noise: np.ndarray  # 2k T floats: the noise normals times sigma
+    spare: np.ndarray  # F k T floats: the coefficients of the uncleared slots
+
+
+def _block_flags(dec: _Decoder, work: _Workspace, coef: np.ndarray, symbols: np.ndarray,
+                 g: np.ndarray, sigma: float, screen: _Screen | None = None) -> np.ndarray:
+    """The (k, T) wrong-slot flags of T blocks whose R~ rows ``coef`` holds (module doc).
+
+    ``symbols`` are the (T, k) sent indices and ``g`` the (T, k, 2) noise normals.
+    The whole block gathers every slot's symbol parts and sigma g, writes the noise
+    and the signal into its b rows and scores it.  With the ``screen`` of sigma's
+    point, when at least ``_SCREEN_CROSSOVER`` of the slots pass :func:`_uncleared`,
+    only the others are gathered, written and scored, as n blocks of one slot in
+    the first F n of ``work.spare``, and a cleared slot's flag is 0.  Every index is
+    in range, so the gathers into buffers take ``mode="clip"``, which skips
+    numpy's buffered copy of ``out``.
+    """
+    tables = dec.tables
+    t, k = symbols.shape
+    if screen is not None:
+        fail = _uncleared(screen, coef, g)
+        n = len(fail)
+        if n <= (1.0 - _SCREEN_CROSSOVER) * k * t:
+            flags = np.zeros(k * t, dtype=bool)
+            if n:
+                slot, trial = np.divmod(fail, t)
+                trial *= k
+                trial += slot  # trial-major, as the symbols and the normals
+                sent = np.take(symbols, trial)
+                parts = np.take(work.planes, sent, axis=1, out=work.parts[:2 * n].reshape(2, n),
+                                mode="clip")
+                noise = np.multiply(np.take(g.reshape(-1, 2), trial, axis=0).T, sigma,
+                                    out=work.noise[:2 * n].reshape(2, n))
+                pairs = len(tables.unit)
+                sub = work.spare[:tables.rows // k * n].reshape(-1, n)
+                np.take(coef.reshape(-1, k * t)[:pairs], fail, axis=1, out=sub[:pairs],
+                        mode="clip")
+                _write_noise(tables, sub[:pairs], sub[pairs:], noise)
+                _add_signal(tables, sub[:pairs], sub[pairs:], parts)
+                flags[fail[dec.wrong(sub, sent[:, None])[0]]] = True
+            return flags.reshape(k, t)
+    parts = np.take(work.planes, symbols.T, axis=1, out=work.parts[:2 * k * t].reshape(2, k, t),
+                    mode="clip")
+    noise = np.multiply(g.T, sigma, out=work.noise[:2 * k * t].reshape(2, k, t))
+    r, b, s, z = _unit_rows(tables, coef, parts, noise)
+    _write_noise(tables, r, b, z)
+    _add_signal(tables, r, b, s)
+    return dec.wrong(coef, symbols)
+
+
 def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
     """Per SNR point, in order, the generator of its chunks' (trials, errors, slot_errors).
 
@@ -779,8 +946,10 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
     symbols per slot, and draws nothing before it is asked for.  It draws the
     fade energies on the n joint eigenvectors (``_Tables.unitary``), else the
     fades, whose energies :func:`_fade_energies` forms per block; either way
-    :func:`_pair_rows` forms the block's R~ rows.  The decoder and the
-    buffers are set up once, here, for every point.
+    :func:`_pair_rows` forms the block's R~ rows, and :func:`_block_flags`
+    counts the block, SSD through the screen of its point (:func:`_screen`).
+    The decoder, the screen and the buffers are set up once, here, for every
+    point.
     """
     code = config.code
     n, m, k = code.n, config.rx_antennas, code.k
@@ -803,13 +972,15 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
         proj = np.empty((block, tables.proj.shape[1]), dtype=complex)
         energies = np.empty(proj.size)
     coef_block = np.empty(tables.rows * block)
-    planes = np.stack((pts.real, pts.imag))
-    parts_block = np.empty(2 * k * block)
     normals = np.empty(2 * k * block)
-    noise_block = np.empty(2 * k * block)
+    ssd = config.decoder == DECODER_SSD
+    screens = _screen(tables, pts) if ssd else lambda sigma: None
+    work = _Workspace(np.stack((pts.real, pts.imag)), np.empty(2 * k * block),
+                      np.empty(2 * k * block), np.empty(tables.rows * block if ssd else 0))
 
     def point_chunks(point: int, n0: float) -> Iterator[tuple[int, int, np.ndarray]]:
         sigma = math.sqrt(n0 / 2.0)
+        screen = screens(sigma)
         for c, start in enumerate(range(0, config.trials, _CHUNK)):
             t = min(_CHUNK, config.trials - start)
             rng = np.random.default_rng([config.seed, point, c])
@@ -820,19 +991,12 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
             for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
                 hb, sb = h[b:b + _BLOCK], symbols[b:b + _BLOCK]
                 tb = len(hb)
-                # the real and imaginary parts of the block's sent symbols, slot-major
-                parts = np.take(planes, sb.T, axis=1,
-                                out=parts_block[:2 * k * tb].reshape(2, k, tb))
                 # the block's 2k normals per trial, trial-major, continue the chunk's one
                 # stream, so they are the slice a whole-chunk draw would give
                 g = rng.standard_normal(out=normals[:2 * k * tb].reshape(tb, k, 2))
-                g = np.multiply(g.T, sigma, out=noise_block[:2 * k * tb].reshape(2, k, tb))
                 e = hb if tables.unitary else _fade_energies(tables, hb, proj, energies)
                 coef = _pair_rows(tables, e, coef_block)
-                r, b_rows, s_rows, g_rows = _unit_rows(tables, coef, parts, g)
-                _write_noise(tables, r, b_rows, g_rows)
-                _add_signal(tables, r, b_rows, s_rows)
-                wrong = dec.wrong(coef, sb)
+                wrong = _block_flags(dec, work, coef, sb, g, sigma, screen)
                 errors += int(np.count_nonzero(wrong.any(axis=0)))
                 slot_errors += wrong.sum(axis=1)
             yield t, errors, slot_errors

@@ -17,22 +17,28 @@ from stbc_forge.codes import (LinearDispersionCode, _encode, build_ciod4, build_
                               build_square_cod, gram)
 from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
                                        rotated_qam, special_8qam)
-from stbc_forge.gmatrix import _frobenius, _negligible
+from stbc_forge.gmatrix import _frobenius, _negligible, _pow2_scaled
 from stbc_forge.simulator import (
     _CHUNK,
     SimConfig,
     _add_signal,
     _basis,
+    _block_flags,
     _chunks,
     _coefficients,
     _decoder,
     _draw_cn,
     _fade_energies,
+    _noise_power,
     _pair_basis,
     _pair_rows,
     _represents,
+    _screen,
     _tables,
+    _transmit_scale,
+    _uncleared,
     _unit_rows,
+    _Workspace,
     _write_noise,
     _wrong,
     ml_decode_bruteforce,
@@ -369,6 +375,113 @@ def test_slot_count_keeps_an_exact_tie_with_an_earlier_point():
     symbols = np.array([[2, 1], [1, 0]])
     assert np.array_equal(np.argmin(metrics, axis=0), [0, 1, 0, 0])
     assert np.array_equal(_wrong(metrics, symbols), [[False, False], [True, False]])
+
+
+def _workspace(tables, pts, t):
+    """The block step's buffers for T blocks, fresh."""
+    k = tables.subcodes
+    return _Workspace(np.stack((pts.real, pts.imag)), np.empty(2 * k * t), np.empty(2 * k * t),
+                      np.empty(tables.rows * t))
+
+
+def _whole_and_screened(dec, pts, r_rows, symbols, g, sigma, screen):
+    """The flags of ``_block_flags`` on the whole block and, screening forced, on the slots
+    the certificate does not clear, each from a fresh copy of the R~ rows ``r_rows``."""
+    t = len(symbols)
+    work = _workspace(dec.tables, pts, t)
+
+    def coef():
+        out = np.zeros((dec.tables.rows, t))
+        out[:len(r_rows)] = r_rows
+        return out
+    want = _block_flags(dec, work, coef(), symbols, g, sigma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_SCREEN_CROSSOVER", 0.0)
+        got = _block_flags(dec, work, coef(), symbols, g, sigma, screen)
+    return want, got
+
+
+@pytest.mark.filterwarnings("error")
+@given(name=st.sampled_from(["ussd4", "ussd8", "ciod4"]),
+       points=st.sampled_from(["qam4", "qam16", "qam64", "rect", "square-derived"]),
+       grid_scale=st.sampled_from([1.0, 1e100, 1e-100, 2.0 ** 600, 2.0 ** -600]),
+       angle=st.floats(min_value=0.0, max_value=math.pi / 2),
+       snr=st.floats(min_value=-10.0, max_value=60.0),
+       t=st.sampled_from([1, 7, 64]),
+       rx=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_screened_flags_equal_the_full_count(name, points, grid_scale, angle, snr, t, rx, seed,
+                                             ussd4, ussd8, ciod4):
+    # a slot the certificate clears cannot be wrong, so the block that scores only the
+    # others flags what _wrong flags over the full metric block, on the Monte Carlo's
+    # own route: the points at gmatrix._pow2_scaled, drawn energies, the draws' layout
+    code = {"ussd4": ussd4, "ussd8": ussd8, "ciod4": ciod4}[name]
+    c = (rotated_qam(int(points[3:]), angle) if points.startswith("qam")
+         else special_8qam(points, angle))
+    pts = _pow2_scaled(np.asarray(c.points) * grid_scale)[0]
+    dec = _decoder(code, code.scaled(_transmit_scale(code, pts)).w, pts, "ssd", t, rx)
+    rng = np.random.default_rng(seed)
+    symbols = rng.integers(0, len(pts), size=(t, code.k))
+    r_rows = _pair_rows(dec.tables, rng.standard_exponential((t, code.n, rx)),
+                        np.empty(dec.tables.rows * t))[:len(dec.tables.lam)]
+    g = rng.standard_normal((t, code.k, 2))
+    sigma = math.sqrt(_noise_power(snr) / 2.0)
+    screen = _screen(dec.tables, pts)(sigma)
+    assert screen is not None
+    want, got = _whole_and_screened(dec, pts, r_rows, symbols, g, sigma, screen)
+    assert got.shape == (code.k, t)
+    assert np.array_equal(got, want)
+
+
+def test_the_screen_guard_covers_a_near_tie(ussd4):
+    # every slot is built at a near-tie: R~ has its smaller eigenvalue 1 along the
+    # difference d to a nearest neighbour of the sent point (condition 30), and g lies
+    # along L^T d with 4 sigma^2 ||g||^2 = lambda_min d_min^2 (1 - 2^-50)^2, a margin of
+    # a few ulps.  Rounding in the noise write and the metric GEMM then flags some of
+    # them wrong that a bare certificate clears; the guard must send those to the count
+    pts = _pow2_scaled(rotated_qam(64, optimal_angle()).points)[0]
+    k, t, sigma = ussd4.k, 256, 1.0
+    dec = _decoder(ussd4, ussd4.w, pts, "ssd", t, 1)
+    screen = _screen(dec.tables, pts)(sigma)
+    aa, bb, ab = screen.rows
+    gaps = np.abs(pts[:, None] - pts[None]) ** 2
+    dmin2 = gaps[gaps > 0].min()
+    rng = np.random.default_rng(11)
+    sent = rng.integers(0, len(pts), k * t)
+    near = [rng.choice(np.flatnonzero(np.isclose(gaps[s], dmin2))) for s in sent]
+    d = pts[near] - pts[sent]
+    u = np.stack((d.real, d.imag)) / np.abs(d)
+    a, b, c = u[0] ** 2 + 30.0 * u[1] ** 2, -29.0 * u[0] * u[1], u[1] ** 2 + 30.0 * u[0] ** 2
+    l11 = np.sqrt(a)
+    l21 = b / l11
+    w = np.stack((l11 * d.real + l21 * d.imag, np.sqrt(c - l21 ** 2) * d.imag))  # L^T d
+    lmin = (a + c) / 2.0 - np.sqrt(((a - c) / 2.0) ** 2 + b ** 2)
+    g = w * (np.sqrt(lmin * dmin2) / (2.0 * sigma) * (1.0 - 2.0 ** -50)
+             / np.linalg.norm(w, axis=0))
+    g = np.ascontiguousarray(g.reshape(2, k, t).transpose(2, 1, 0))
+    r_rows = np.zeros((len(dec.tables.unit), k, t))
+    r_rows[aa], r_rows[bb], r_rows[ab] = a.reshape(k, t), c.reshape(k, t), b.reshape(k, t)
+    r_rows = r_rows.reshape(-1, t)
+    symbols = np.ascontiguousarray(sent.reshape(k, t).T)
+    want, got = _whole_and_screened(dec, pts, r_rows, symbols, g, sigma, screen)
+    bare = np.ones(k * t, dtype=bool)
+    bare[_uncleared(screen._replace(guard=0.0), r_rows, g)] = False
+    assert np.count_nonzero(bare & want.ravel()) > 0
+    assert np.array_equal(got, want)
+    assert len(_uncleared(screen, r_rows, g)) == k * t
+
+
+def test_the_screen_skips_most_slots_at_high_snr(ussd4, monkeypatch):
+    # ussd4 on QAM64 at 25 dB: about 92 % of the slots pass the certificate, and a block
+    # scores only the others, so a silent fallback to the whole block fails here
+    scored = []
+    monkeypatch.setattr(simulator, "_wrong", lambda metrics, symbols: (
+        scored.append(metrics.shape[1]) or _wrong(metrics, symbols)))
+    config = SimConfig(code=ussd4, constellation=rotated_qam(64, optimal_angle()),
+                       snr_db_list=(25.0,), trials=20_000, seed=5)
+    assert simulate_cer(config).points[0].errors > 0
+    assert 0 < sum(scored) < 0.2 * config.trials * ussd4.k
 
 
 @given(n=st.sampled_from([2, 4, 8]),
@@ -975,7 +1088,7 @@ def test_simulate_cer_chunk_memory(ussd8):
     assert peak < 10 * 2 ** 20
 
 
-@pytest.mark.parametrize("name", ["ussd8-ssd", "ciod4-ssd", "ussd4-brute-ml"])
+@pytest.mark.parametrize("name", ["ussd8-ssd", "ciod4-ssd", "ussd4-brute-ml", "ussd4-qam64-ssd"])
 def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
     # the block size only schedules the work: 7 divides neither 2^14 nor the tail of 1000
     code, constellation, snr, rx, decoder = {
@@ -984,6 +1097,9 @@ def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
                       "ssd"),
         "ussd4-brute-ml": (ussd4, rotated_qam(4, optimal_angle()), 6.0, 1,
                            "brute-ml"),
+        # about 0.69 of the slots pass the screen: every 1,024-trial block counts only the
+        # others, and blocks of 7 (28 slots) fall on both sides of _SCREEN_CROSSOVER
+        "ussd4-qam64-ssd": (ussd4, rotated_qam(64, optimal_angle()), 20.0, 1, "ssd"),
     }[name]
     config = SimConfig(code=code, constellation=constellation, snr_db_list=(snr,),
                        trials=2 * _CHUNK + 1000, seed=13, rx_antennas=rx, decoder=decoder)
@@ -1066,7 +1182,9 @@ def test_config_validation(ussd4):
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", -1), ("trials", 2.5),
                                           ("rx_antennas", 1.5), ("trials", True),
                                           ("rx_antennas", True), ("seed", True),
-                                          ("seed", False)])
+                                          ("seed", False), ("snr_db_list", (True,)),
+                                          ("snr_db_list", ("4",)), ("snr_db_list", (None,)),
+                                          ("snr_db_list", (10.0, np.True_))])
 def test_config_rejects_non_integer_or_negative(ussd4, field, value):
     # rejected at the boundary: not left to fail inside numpy or range, nor truncated,
     # and a bool is not read as 1 or 0 (the rule of gmatrix._json_int)
