@@ -34,8 +34,13 @@ def _atomic_write_text(path: str, text: str) -> None:
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        # UTF-8 bytes straight to the descriptor: no buffered text stream to set up
+        data = memoryview(text.encode())
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -48,15 +53,17 @@ def _write_json(path: str, obj) -> None:
 
 def _load_code(path: str):
     """Read a code file; a malformed one is a usage error (exit 2), not a traceback."""
-    with open(path) as fh:
-        try:
-            code, declared = codes.code_from_json_dict(json.load(fh))
-            if declared not in (None, *CLASSES):  # null is undeclared
-                raise ValueError(f"class must be null or one of {CLASSES}, got {declared!r}")
-        # RecursionError: json's scanner on deeply nested brackets
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise click.UsageError(
-                f"{path} is not a valid code file: {type(exc).__name__}: {exc}") from None
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        # strict UTF-8, as a text-mode read: json.loads of bytes would take a BOM or UTF-16
+        code, declared = codes.code_from_json_dict(json.loads(data.decode()))
+        if declared not in (None, *CLASSES):  # null is undeclared
+            raise ValueError(f"class must be null or one of {CLASSES}, got {declared!r}")
+    # RecursionError: json's scanner on deeply nested brackets
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise click.UsageError(
+            f"{path} is not a valid code file: {type(exc).__name__}: {exc}") from None
     return code, declared
 
 

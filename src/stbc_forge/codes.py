@@ -103,7 +103,7 @@ class LinearDispersionCode:
         if w.shape[1:] != (2, self.n, self.n):
             raise ValueError(f"weights must form a (k, 2, {self.n}, {self.n}) stack, "
                              f"got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -304,8 +304,8 @@ def code_from_json_dict(obj: dict) -> tuple[LinearDispersionCode, str | None]:
         raise ValueError(f"label must be a string, got {label!r}")
     pairs = obj["weights"]
     if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(m, dict) for m in p)
-            for p in pairs):
+            isinstance(p, list) and len(p) == 2 and isinstance(p[0], dict)
+            and isinstance(p[1], dict) for p in pairs):
         raise ValueError("weights must be a list of [A, B] pairs of matrix objects")
     flat = stack_from_json([m for a, b in pairs for m in (a, b)], n)
     # no pairs give a (0,) stack, so k = 0 and n < 1 reach the constructor's check

@@ -40,9 +40,10 @@ class Constellation:
         points = np.array(self.points, dtype=np.complex128)
         if points.ndim != 1 or len(points) < 2:
             raise ValueError("a constellation needs a 1-D array of at least 2 points")
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise ValueError("constellation points must be finite")
-        if np.any(np.diff(np.sort(points)) == 0):  # np.unique would import numpy.ma
+        s = np.sort(points)  # np.unique would import numpy.ma
+        if (s[1:] == s[:-1]).any():
             raise ValueError("constellation points must be distinct")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -51,18 +52,29 @@ class Constellation:
         return len(self.points)
 
     def differences(self) -> np.ndarray:
-        """The distinct nonzero differences of the points, each once, sorted by key.
+        """The distinct nonzero differences of the points, each once, in sorted order.
 
-        One per key round(2^-t d, 12), 2^t just above the largest |d| (a power-of-two scale
-        keeps every key), the last ordered pair (a, b) of a key its representative d = a - b.
-        d[i] = -d[-1 - i], and a difference keyed 0 is none.
+        Differences group by the one tolerance rule of :mod:`.gmatrix` against 2^t, 2^t
+        just above the largest |d|: sorted by real part, neighbours whose gap is
+        negligible join one run, and each run splits the same way by imaginary part.  A
+        uniform scale moves every gap and 2^t alike, so no scale changes a group.  The
+        last ordered pair (a, b) of a group is its representative d = a - b, the groups
+        come in order of real part, then imaginary part, so d[i] = -d[-1 - i] to
+        rounding, and the group of 0 is none.
         """
-        p = self.points[::-1]  # the ordered pairs last to first: np.unique keeps the first
-        d = (p[:, None] - p)[~np.eye(len(p), dtype=bool)]
-        t = math.frexp(np.max(np.abs(d)))[1]
-        keys, last = np.unique(np.round(np.ldexp(d.view(np.float64), -t), 12)
-                               .view(np.complex128), return_index=True)
-        return d[last[keys != 0]]
+        p = self.points[::-1]  # the ordered pairs last to first: a group's first is its last
+        d = (p[:, None] - p).ravel()  # the zero diagonal puts d[0] = 0 in the group of none
+        scale = math.ldexp(1.0, math.frexp(np.abs(d).max())[1])
+        by_real = d.real.argsort()
+        x = d.real[by_real]
+        run = np.concatenate(([False], ~_negligible(x[1:] - x[:-1], scale))).cumsum()
+        within = np.lexsort((d.imag[by_real], run))  # by run, then by imaginary part
+        order, run = by_real[within], run[within]
+        y = d.imag[order]
+        start = np.concatenate(([True], (run[1:] != run[:-1])
+                                | ~_negligible(y[1:] - y[:-1], scale)))
+        first = np.minimum.reduceat(order, start.nonzero()[0])  # each group's first pair
+        return d[first[first != 0]]
 
 
 def _finish(name: str, base: list[complex], angle: float) -> Constellation:

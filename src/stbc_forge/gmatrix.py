@@ -87,8 +87,8 @@ def _upper_pairs(m: int, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
 def is_exact(z: np.ndarray, axis=None):
     """Gaussian-integer entries with n * max|entry|^2 < 2^53, over all of z or along ``axis``."""
     with np.errstate(over="ignore"):  # a square past the float range is inf: not exact
-        big = z.shape[-1] * np.max(z.real ** 2 + z.imag ** 2, axis=axis, initial=0.0)
-    return np.all(z == np.round(z), axis=axis) & (big < _GUARD)
+        big = z.shape[-1] * (z.real ** 2 + z.imag ** 2).max(axis=axis, initial=0.0)
+    return (z == np.rint(z)).all(axis=axis) & (big < _GUARD)
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -118,12 +118,14 @@ def stack_from_json(objs: list, n: int) -> np.ndarray:
     that are JSON numbers (true, false, strings and null are not), the stack finite
     entries, and its "exact" matrices :func:`is_exact`; ValueError otherwise.
     """
+    exact = []
     for i, obj in enumerate(objs, start=1):
         entries = obj["entries"]
         if _json_int(obj, "n") != n or len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"matrix {i} is not {n}x{n}")
         if obj["mode"] not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {obj['mode']!r}")
+        exact.append(obj["mode"] == EXACT)
     pairs = list(chain.from_iterable(chain.from_iterable(obj["entries"] for obj in objs)))
     parts = list(chain.from_iterable(pairs))
     # JSON numbers by the rule of _json_int, so true and false are not read as 1 and 0
@@ -131,9 +133,9 @@ def stack_from_json(objs: list, n: int) -> np.ndarray:
         raise ValueError("entries must be [re, im] pairs of JSON numbers")
     z = np.array(parts, dtype=np.float64).view(np.complex128)
     z = z.reshape(len(objs), n, n) if objs else z
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("entries must be finite")
-    if not is_exact(z[[obj["mode"] == EXACT for obj in objs]]):
+    if not is_exact(z if all(exact) else z[exact]):
         raise ValueError("exact entries must be Gaussian integers with "
                          "n * max|entry|^2 < 2^53")
     return z

@@ -140,11 +140,12 @@ block's R~ rows and the squares of its normals, both already at hand
 (``_uncleared``); the guard, proportional to trace(R~) max|x|^2 u, covers
 the rounding of the test and of everything the count computes, so a
 cleared slot is one the full count does not flag, float for float.  When
-at least ``_SCREEN_CROSSOVER`` of a block's slots pass, only the others
-are gathered, get their noise and signal written and meet the metric GEMM
-(``_block_flags``); else the block runs whole.  The crossover only
-schedules the work: no count depends on it, and every normal is drawn for
-every slot, so the screen changes no draw and ``SEED_CONTRACT`` is the same.
+at least a crossover share of a block's slots pass, only the others are
+gathered, get their noise and signal written and meet the metric GEMM
+(``_block_flags``); else the block runs whole.  The crossover falls with the
+number of points, whose metric block the screen saves (``_screen_crossover``).
+It only schedules the work: no count depends on it, and every normal is drawn
+for every slot, so the screen changes no draw and ``SEED_CONTRACT`` is the same.
 
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  One function, ``_chunks``, owns the draw order: its
@@ -180,6 +181,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -196,7 +198,6 @@ ML_BUDGET = 1_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
 _BLOCK = 1 << 10  # trials of a chunk decoded together
-_SCREEN_CROSSOVER = 0.5  # an SSD block scores only the uncleared slots when this share passes
 _SCREEN_GUARD = 2.0 ** -43  # 2^10 u: the screen's rounding guard per trace(R~_slot) max|x|^2
 _ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
 SEED_CONTRACT = (f"v3: default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, then "
@@ -298,11 +299,11 @@ def transmit_scale(code: LinearDispersionCode, constellation: Constellation) -> 
 def _transmit_scale(code: LinearDispersionCode, pts: np.ndarray, t: int = 0) -> float:
     """:func:`transmit_scale` of the points ``pts`` times 2^t, read at the scale of ``pts``."""
     gamma, e = code.real_gram
-    mu = np.mean(pts)
+    mu = np.add.reduce(pts) / len(pts)  # pts.mean(), without its Python wrapper
     d = (pts - mu).view(np.float64).reshape(-1, 2)
     mean = np.array([mu.real, mu.imag] * code.k)
     slots = np.einsum("iaib->ab", gamma.reshape(code.k, 2, code.k, 2))  # sum_i Gamma_ii
-    total = float(mean @ gamma @ mean + np.sum(slots * (d.T @ d)) / len(d))
+    total = float(mean @ gamma @ mean + np.add.reduce(slots * (d.T @ d), axis=None) / len(d))
     if total <= 0.0:
         raise ValueError("code transmits no energy")
     scale = math.sqrt(code.n / total)
@@ -323,7 +324,8 @@ def _draw_cn(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Tables(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Tables:
     """The decoding tables of S sub-codes of g symbols each on m receive antennas, from
     :func:`_tables`.
 
@@ -336,7 +338,9 @@ class _Tables(NamedTuple):
     blocks of g / C symbols (:func:`_blocks`), and coefficient f is feature f // C of
     block f % C, so the rows read as F / C features of U = C S units, each a
     contiguous (U, T) row: one block of one sub-code per unit.  ``unit`` lists one
-    unit's kept pairs and ``factor`` walks its lower-triangular factor of R~.
+    unit's kept pairs and ``factor`` walks its lower-triangular factor of R~.  ``proj``
+    and ``b`` are formed on first use: the Monte Carlo on the n joint eigenvectors reads
+    neither.
     """
 
     subcodes: int  # S
@@ -345,32 +349,47 @@ class _Tables(NamedTuple):
     q: np.ndarray
     weights: np.ndarray  # the weights p of the b rows, in row order
     unit: tuple  # one unit's kept pairs (p, q) in its own weights, in row order
-    proj: np.ndarray  # (n m, L m) complex: kron(conj(V), I_m), to v_l^H h_j from the fades
     lam: np.ndarray  # (P S, L m): Lambda of the P kept pairs, to R~_pq from |v_l^H h_j|^2
-    b: np.ndarray  # (2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H)
     factor: tuple  # per column j of a unit: (j, the R~_jj row, row j's l < j, entries i > j)
+    v: np.ndarray  # (n, L) complex: the basis V of the pair terms
+    w: np.ndarray  # the (S, 2g, n, n) weights of the sub-codes
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        """(n m, L m) complex: kron(conj(V), I_m), to v_l^H h_j from the fades."""
+        (n, size), rx = self.v.shape, self.lam.shape[1] // self.v.shape[1]
+        proj = np.zeros((n, rx, size, rx), dtype=complex)
+        antennas = np.arange(rx)
+        proj[:, antennas, :, antennas] = self.v.conj()
+        return proj.reshape(n * rx, -1)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """(2g S, 2n^2): conj(W_p), to Re tr(W_p H Z^H) from conj(Z H^H), row w S + i."""
+        b = self.w.swapaxes(0, 1)[self.weights]
+        return np.conjugate(b, out=b).reshape(len(b) * self.subcodes, -1).view(np.float64)
 
     @property
     def rows(self) -> int:
         """F S, the rows of the coefficient-major :func:`_coefficients`."""
-        return len(self.lam) + len(self.b)
+        return len(self.lam) + len(self.weights) * self.subcodes
 
     @property
     def unitary(self) -> bool:
         """Whether V is the n joint eigenvectors (L = n), so that the Monte Carlo draws the
         energies; the n^2 basis is not orthonormal for n > 1."""
-        return self.proj.shape[0] == self.proj.shape[1]
+        return self.v.shape[0] == self.v.shape[1]
 
 
-def _blocks(g2: int, p: np.ndarray, q: np.ndarray) -> int:
-    """The most blocks C of whole symbols that split the kept pairs p <= q of 2g weights alike.
+def _blocks(g2: int, pairs: list) -> int:
+    """The most blocks C of whole symbols that split the kept pairs (p, q), p <= q, of 2g
+    weights alike.
 
     Every kept pair lies in one block of 2g / C consecutive weights, and each
     block keeps the same pairs, so in row-major order the pairs of block c are
     those of block 0 offset by c 2g / C: the whole code of an SSD code splits
     into its k slots.  C = 1 always qualifies.
     """
-    pairs = list(zip(p.tolist(), q.tolist()))
     for size in range(2, g2, 2):
         blocks = g2 // size
         first = pairs[:len(pairs) // blocks]
@@ -486,26 +505,26 @@ def _tables(subcodes: np.ndarray, rx: int) -> _Tables:
     """
     s, g2, n, _ = subcodes.shape
     terms = gram(subcodes)
-    kept = np.flatnonzero(np.any(terms != 0, axis=(0, 2, 3)))
-    p, q = _upper_pairs(g2)
-    blocks = _blocks(g2, p[kept], q[kept])
-    pairs = kept.reshape(blocks, -1).T.ravel()  # feature-major, block-minor
-    weights = np.arange(g2).reshape(blocks, -1).T.ravel()
-    p, q = p[pairs], q[pairs]
-
-    def rows(m: np.ndarray) -> np.ndarray:
-        # (S, J, n, n) to (J S, n, n), row j S + i
-        return np.ascontiguousarray(m.swapaxes(0, 1)).reshape(-1, n, n)
-
-    v, lam = _pair_basis(rows(terms[:, pairs] * np.where(p == q, 1.0, 0.5)[:, None, None]))
-    proj = np.zeros((n, rx, v.shape[1], rx), dtype=complex)
-    antennas = np.arange(rx)
-    proj[:, antennas, :, antennas] = v.conj()  # kron(conj(V), I_m)
-    b = np.conj(rows(subcodes[:, weights])).reshape(-1, n * n).view(np.float64)
+    # the index bookkeeping of at most a few hundred pairs runs on Python lists: one numpy
+    # call on a tiny array costs more than the list comprehension
+    upper = [(a, b) for a in range(g2) for b in range(a, g2)]  # gram's row-major pair order
+    kept = terms.any(axis=(0, 2, 3)).nonzero()[0].tolist()
+    blocks = _blocks(g2, [upper[i] for i in kept])
+    per, size = len(kept) // blocks, g2 // blocks
+    # feature-major, block-minor: row f C + c is feature f of block c
+    rows = [kept[c * per + f] for f in range(per) for c in range(blocks)]
+    pq = [upper[i] for i in rows]
+    weights = [c * size + f for f in range(size) for c in range(blocks)]
+    # (J, S, n, n) gathers are the (J S, n, n) rows, row j S + i
+    half = terms.swapaxes(0, 1)[rows]
+    half *= np.array([1.0 if a == b else 0.5 for a, b in pq])[:, None, None, None]
+    v, lam = _pair_basis(half.reshape(-1, n, n))
     # block 0's pairs, every C-th row, are one unit's in its own weights
-    unit = tuple(zip(p[::blocks].tolist(), q[::blocks].tolist()))
-    return _Tables(s, blocks, p, q, weights, unit, proj.reshape(n * rx, -1),
-                   np.repeat(lam, rx, axis=1), b, _factor_walk(g2 // blocks, unit))
+    unit = tuple(pq[::blocks])
+    return _Tables(s, blocks, np.array([a for a, _ in pq], dtype=np.intp),
+                   np.array([b for _, b in pq], dtype=np.intp), np.array(weights, dtype=np.intp),
+                   unit, lam.repeat(rx, axis=1), _factor_walk(size, unit), v,
+                   subcodes)
 
 
 def _fade_energies(tables: _Tables, h: np.ndarray, proj: np.ndarray,
@@ -615,7 +634,7 @@ def _write_noise(tables: _Tables, r: np.ndarray, b: np.ndarray, g: list) -> None
         for l in left:
             d = d - low[j, l] ** 2
         negligible = _negligible(d, r[diag])
-        singular = negligible.any()
+        singular = np.count_nonzero(negligible)
         # an infinite divisor gives a negligible pivot's column 0
         piv = np.sqrt(np.where(negligible, np.inf, d) if singular else d)
         for i, row, common in column:
@@ -739,7 +758,7 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
         for start in range(0, total, chunk):
             digits, basis = whole or candidates(start)
             metrics = np.matmul(coef.T, basis, out=buffer[:t * len(digits)].reshape(t, -1))
-            arg = np.argmin(metrics, axis=1)
+            arg = metrics.argmin(axis=1)
             if whole:
                 return digits[arg]
             value = metrics[np.arange(t), arg]
@@ -748,7 +767,8 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
             out = np.where(better[:, None], digits[arg], out)
         return out
     return _Decoder(tables, lambda coef: pts[first(coef)],
-                    lambda coef, symbols: (first(coef) != symbols).T)
+                    # slot-major and contiguous, as SSD's: the counts reduce along rows
+                    lambda coef, symbols: np.not_equal(first(coef).T, symbols.T, order="C"))
 
 
 def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellation,
@@ -800,12 +820,24 @@ def ml_decode_bruteforce(code: LinearDispersionCode, y: np.ndarray, h: np.ndarra
     return _decode_blocks(code, y, h, constellation, DECODER_BRUTE_ML)
 
 
+def _screen_crossover(size: int) -> float:
+    """The share of a block's slots that must pass the screen before the block scores only
+    the others, on a grid of ``size`` points.
+
+    Linear in log2 |A| between the crossovers measured per grid on 1,024-trial blocks, where
+    the screened block costs what the whole one does: about 0.5 on QAM4, 0.45 on 8-QAM and
+    0.35 on QAM16, and below 0.06 on QAM64, whose whole block scores 64 points per slot.
+    """
+    return float(np.interp(math.log2(size), (2.0, 3.0, 4.0, 6.0), (0.5, 0.45, 0.35, 0.05)))
+
+
 class _Screen(NamedTuple):
     """The SSD Monte Carlo's certificate at one SNR point (module doc), from :func:`_screen`."""
 
     rows: tuple  # the unit rows of R~_AA, R~_BB and R~_AB, the last None where it is pruned
     guard: float  # _SCREEN_GUARD max|x|^2 / d_min^2, per unit trace(R~)
     sums: np.ndarray  # (k, 2k): 4 sigma^2 / d_min^2 kron(I_k, [1, 1]), to X's noise term
+    crossover: float  # the share of a block's slots that must pass for it to score only the rest
 
 
 def _screen(tables: _Tables, pts: np.ndarray) -> Callable[[float], _Screen | None]:
@@ -819,20 +851,24 @@ def _screen(tables: _Tables, pts: np.ndarray) -> Callable[[float], _Screen | Non
     every X of :func:`_uncleared` finite.
     """
     unit = tables.unit
-    i, j = _upper_pairs(len(pts), 1)
-    d = pts[i] - pts[j]
-    dmin2 = float(np.min(d.real * d.real + d.imag * d.imag))
-    mmax = float(np.max(pts.real * pts.real + pts.imag * pts.imag))
+    # every ordered pair: x - y = -(y - x) exactly, so these are the squares of the unordered
+    # pairs, and one outer difference costs less than gathering the pairs
+    d = pts[:, None] - pts
+    gaps = d.real * d.real + d.imag * d.imag
+    gaps.ravel()[::len(pts) + 1] = np.inf  # a point against itself
+    dmin2 = float(gaps.min())
+    mmax = float((pts.real * pts.real + pts.imag * pts.imag).max())
     if (0, 0) not in unit or (1, 1) not in unit or not dmin2 >= 2.0 ** -64 * mmax:
         return lambda sigma: None
     rows = (unit.index((0, 0)), unit.index((1, 1)), unit.index((0, 1)) if (0, 1) in unit else None)
-    pairs = np.repeat(np.eye(tables.subcodes), 2, axis=1)
+    pairs = np.eye(tables.subcodes).repeat(2, axis=1)
+    crossover = _screen_crossover(len(pts))
 
     def at(sigma: float) -> _Screen | None:
         scale = 4.0 * sigma * sigma / dmin2
         if scale > 2.0 ** 64:
             return None
-        return _Screen(rows, _SCREEN_GUARD * mmax / dmin2, pairs * scale)
+        return _Screen(rows, _SCREEN_GUARD * mmax / dmin2, pairs * scale, crossover)
     return at
 
 
@@ -880,7 +916,7 @@ def _uncleared(screen: _Screen, coef: np.ndarray, g: np.ndarray) -> np.ndarray:
     np.subtract(a, x, out=alpha)
     np.maximum(alpha, 0.0, out=alpha)
     alpha *= np.subtract(c, x, out=x)
-    return np.flatnonzero(alpha <= (np.square(r[ab]) if ab is not None else 0.0))
+    return (alpha <= (np.square(r[ab]) if ab is not None else 0.0)).ravel().nonzero()[0]
 
 
 class _Workspace(NamedTuple):
@@ -899,7 +935,7 @@ def _block_flags(dec: _Decoder, work: _Workspace, coef: np.ndarray, symbols: np.
     ``symbols`` are the (T, k) sent indices and ``g`` the (T, k, 2) noise normals.
     The whole block gathers every slot's symbol parts and sigma g, writes the noise
     and the signal into its b rows and scores it.  With the ``screen`` of sigma's
-    point, when at least ``_SCREEN_CROSSOVER`` of the slots pass :func:`_uncleared`,
+    point, when at least ``screen.crossover`` of the slots pass :func:`_uncleared`,
     only the others are gathered, written and scored, as n blocks of one slot in
     the first F n of ``work.spare``, and a cleared slot's flag is 0.  Every index is
     in range, so the gathers into buffers take ``mode="clip"``, which skips
@@ -910,7 +946,7 @@ def _block_flags(dec: _Decoder, work: _Workspace, coef: np.ndarray, symbols: np.
     if screen is not None:
         fail = _uncleared(screen, coef, g)
         n = len(fail)
-        if n <= (1.0 - _SCREEN_CROSSOVER) * k * t:
+        if n <= (1.0 - screen.crossover) * k * t:
             flags = np.zeros(k * t, dtype=bool)
             if n:
                 slot, trial = np.divmod(fail, t)
@@ -975,7 +1011,7 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
     normals = np.empty(2 * k * block)
     ssd = config.decoder == DECODER_SSD
     screens = _screen(tables, pts) if ssd else lambda sigma: None
-    work = _Workspace(np.stack((pts.real, pts.imag)), np.empty(2 * k * block),
+    work = _Workspace(np.array((pts.real, pts.imag)), np.empty(2 * k * block),
                       np.empty(2 * k * block), np.empty(tables.rows * block if ssd else 0))
 
     def point_chunks(point: int, n0: float) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -987,7 +1023,7 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
             symbols = rng.integers(0, len(pts), size=(t, k))
             h = (rng.standard_exponential(out=h_all[:t]) if tables.unitary
                  else _draw_cn(rng, h_all[:t]))
-            errors, slot_errors = 0, np.zeros(k, dtype=np.int64)
+            errors = slot_errors = 0  # the first block's sums make slot_errors an array
             for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
                 hb, sb = h[b:b + _BLOCK], symbols[b:b + _BLOCK]
                 tb = len(hb)
@@ -997,8 +1033,9 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
                 e = hb if tables.unitary else _fade_energies(tables, hb, proj, energies)
                 coef = _pair_rows(tables, e, coef_block)
                 wrong = _block_flags(dec, work, coef, sb, g, sigma, screen)
-                errors += int(np.count_nonzero(wrong.any(axis=0)))
-                slot_errors += wrong.sum(axis=1)
+                # the ufuncs' reductions, as .any() and .sum() without their Python wrappers
+                errors += int(np.count_nonzero(np.logical_or.reduce(wrong, axis=0)))
+                slot_errors += np.add.reduce(wrong, axis=1)
             yield t, errors, slot_errors
     return [point_chunks(p, _noise_power(snr_db)) for p, snr_db in enumerate(config.snr_db_list)]
 

@@ -38,17 +38,18 @@ The pass returns the :class:`ClassificationReport` itself, and the report
 of the last code is cached (codes are immutable and compare by
 identity): ``classify``, the checks, the coding-gain route and the
 simulator's SSD gate all read it, so a command computes the products
-once.  On Gaussian-integer weights the SSD and self residuals are
-Gaussian-integer matrices (norm 0 or >= 1) and the UW residual
-W^H W - cI has entries in Z[j] / (2kn); at the built-in scales (c <= 1)
-the tolerance lies far below both steps, so every verdict there is
-bit-exact.
+once.  Its linear independence and normalization are read from the code
+on first use, since only ``verify`` reports them.  On Gaussian-integer
+weights the SSD and self residuals are Gaussian-integer matrices (norm 0
+or >= 1) and the UW residual W^H W - cI has entries in Z[j] / (2kn); at
+the built-in scales (c <= 1) the tolerance lies far below both steps, so
+every verdict there is bit-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -87,18 +88,38 @@ class CheckResult:
         return not self.failures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
+    """The class and failed conditions of ``code``; its two structural verdicts are read
+    from the code when first asked for (module doc)."""
+
     code_class: str
     failed_conditions: tuple[ConditionFailure, ...]
-    linear_independent: bool
-    normalized: bool  # A_1 = t I for some t > 0: kept by a scale s > 0, lost by s < 0
+    code: LinearDispersionCode = field(repr=False)
+
+    @cached_property
+    def linear_independent(self) -> bool:
+        return self.code.linearly_independent()
+
+    @cached_property
+    def normalized(self) -> bool:
+        """A_1 = t I for some t > 0: kept by a scale s > 0, lost by s < 0."""
+        return _scaled_identity(_pow2_scaled(self.code.w)[0][0, 0])[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassificationReport):
+            return NotImplemented
+        return ((self.code_class, self.failed_conditions, self.linear_independent,
+                 self.normalized) == (other.code_class, other.failed_conditions,
+                                      other.linear_independent, other.normalized))
 
 
 def _scaled_identity(a: np.ndarray) -> tuple[float, bool]:
     """t = Re tr(a) / n, and whether a = t I with t > 0 (the one tolerance rule at scale t)."""
-    t = float(np.trace(a).real) / len(a)
-    return t, t > 0 and bool(_negligible(_frobenius(a - t * np.eye(len(a))), t))
+    t = float(a.trace().real) / len(a)
+    residual = a.copy()
+    residual.reshape(-1)[::len(a) + 1] -= t  # a - t I
+    return t, t > 0 and bool(_negligible(_frobenius(residual), t))
 
 
 _SSD_CONDITIONS = (COND_SSD_IQ, COND_SSD_II, COND_SSD_QQ)
@@ -112,41 +133,43 @@ def _report(code: LinearDispersionCode) -> ClassificationReport:
     is its norm divided by c (by 1 for an all-zero code, c = 0).  The failures
     come in the pinned order UW, SSD (i, j loop order), COD-IQ-self.
     """
-    k, m = code.k, 2 * code.k
+    k, m, n = code.k, 2 * code.k, code.n
     w = _pow2_scaled(code.w)[0]
-    norms = np.zeros((m, m))  # ||M_pq||, filled by block rows; the off-diagonal ones are read
-    diag = []
-    for p, q, terms in gram_rows(w.reshape(m, code.n, code.n)):
-        norms[p, q] = norms[q, p] = _frobenius(terms)
-        diag.append(terms[p == q])
-    diag = np.concatenate(diag)
-    c = float(np.trace(code.real_gram[0])) / (m * code.n)
-    off = _frobenius(diag - c * np.eye(code.n)).reshape(k, 2)
+    c = float(code.real_gram[0].trace()) / (m * n)
     scale = c if c > 0 else 1.0
-    vanish, unitary = _negligible(norms, c), _negligible(off, c) & (c > 0)
-    pairs = []  # (condition, i, j) judged at weight pair (x, y), in the pinned order
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                pairs.append((COND_SSD_IQ, i, j, 2 * i, 2 * j + 1))
-            if j > i:
-                pairs += [(COND_SSD_II, i, j, 2 * i, 2 * j),
-                          (COND_SSD_QQ, i, j, 2 * i + 1, 2 * j + 1)]
-    pairs += [(COND_COD_SELF, i, i, 2 * i, 2 * i + 1) for i in range(k)]
-    failures = [ConditionFailure(COND_UW, i + 1, i + 1, float(off[i].max() / scale))
-                for i in range(k) if not unitary[i].all()]
-    failures += [ConditionFailure(cond, i + 1, j + 1, float(norms[x, y] / scale))
-                 for cond, i, j, x, y in pairs if not vanish[x, y]]
+    judged, uw = [], []  # the off-diagonal pairs (x, y) that fail, with their norms
+    for p, q, terms in gram_rows(w.reshape(m, n, n)):
+        diag = p == q
+        # M_pp - c I in place, so one pass of norms holds the UW residuals too; the other
+        # terms' diagonals lose 0.0, which changes no bit
+        terms.reshape(len(p), -1)[:, ::n + 1] -= c * diag[:, None]
+        norms = _frobenius(terms)
+        uw.append(norms[diag])
+        bad = (~diag & ~_negligible(norms, c)).nonzero()[0]
+        judged += zip(p[bad].tolist(), q[bad].tolist(), norms[bad].tolist())
+    off = np.concatenate(uw).reshape(k, 2).max(axis=1)  # each symbol's larger residual
+    failures = [ConditionFailure(COND_UW, i + 1, i + 1, float(off[i] / scale))
+                for i in (~(_negligible(off, c) & (c > 0))).nonzero()[0].tolist()]
+    ordered = []  # (sort key, condition, i, j, norm): SSD by (i, j, IQ < II < QQ), then self
+    for x, y, norm in judged:
+        (i, a), (j, b) = divmod(x, 2), divmod(y, 2)  # weight x is A_i (a = 0) or B_i (a = 1)
+        if i == j:
+            ordered.append(((k, i, 0), COND_COD_SELF, i, i, norm))
+        elif a == b:
+            ordered.append(((i, j, 1 + a), (COND_SSD_II, COND_SSD_QQ)[a], i, j, norm))
+        elif a:  # B_i with A_j, i < j: the IQ condition of (j, i)
+            ordered.append(((j, i, 0), COND_SSD_IQ, j, i, norm))
+        else:
+            ordered.append(((i, j, 0), COND_SSD_IQ, i, j, norm))
+    ordered.sort()
+    failures += [ConditionFailure(cond, i + 1, j + 1, norm / scale)
+                 for _, cond, i, j, norm in ordered]
     failed = {f.condition for f in failures}
     code_class = (CLASS_NOT_SSD if failed.intersection(_SSD_CONDITIONS)
                   else CLASS_NONUW_SSD if COND_UW in failed
                   else CLASS_UW_SSD if COND_COD_SELF in failed else CLASS_COD)
-    return ClassificationReport(
-        code_class=code_class,
-        failed_conditions=tuple(failures),  # the full COD conditions: UW, SSD, self
-        linear_independent=code.linearly_independent(),
-        normalized=_scaled_identity(w[0, 0])[1],
-    )
+    # the full COD conditions: UW, SSD, self
+    return ClassificationReport(code_class, tuple(failures), code)
 
 
 def check_ssd(code: LinearDispersionCode) -> CheckResult:

@@ -77,17 +77,31 @@ def golden_4tx_family() -> AnticommutingFamily:
     return AnticommutingFamily(a=2, matrices=(f1, f2, f3, f4, prod * c), c=c)
 
 
-def difference_keys(points) -> list:
-    """(key, a - b) for the ordered pairs of the points, a != b, row-major (test oracle).
+def difference_groups(points) -> tuple[list, int]:
+    """(group, a - b) for the ordered pairs of the points, a != b, row-major, and the group
+    of 0 (test oracle, by loops).
 
-    A difference's key is the pair round(2^-t d_I, 12), round(2^-t d_Q, 12) with
-    2^t just above the largest |d|.
+    Sorted by real part, the differences and 0 whose neighbouring gaps are at most
+    1e-10 2^t, 2^t just above the largest |d|, form one run; each run splits the same way
+    by imaginary part, and the groups are numbered in that order.
     """
     pts = [complex(p) for p in points]
-    diffs = [a - b for a in pts for b in pts if a != b]
-    t = math.frexp(max(map(abs, diffs)))[1]
-    return [((float(np.round(math.ldexp(d.real, -t), 12)),
-              float(np.round(math.ldexp(d.imag, -t), 12))), d) for d in diffs]
+    diffs = [a - b for a in pts for b in pts if a != b] + [0j]
+    tol = 1e-10 * 2.0 ** math.frexp(max(map(abs, diffs)))[1]
+    runs = []
+    for i in sorted(range(len(diffs)), key=lambda i: diffs[i].real):
+        if not runs or diffs[i].real - diffs[runs[-1][-1]].real > tol:
+            runs.append([])
+        runs[-1].append(i)
+    group, rank = {}, -1
+    for run in runs:
+        last = None
+        for i in sorted(run, key=lambda i: diffs[i].imag):
+            if last is None or diffs[i].imag - diffs[last].imag > tol:
+                rank += 1
+            group[i] = rank
+            last = i
+    return [(group[i], d) for i, d in enumerate(diffs[:-1])], group[len(diffs) - 1]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -292,6 +292,51 @@ def test_coding_gain_explicit_angle_and_full_search(runner, tmp_path):
     assert "full search" in result.output
 
 
+# a seeded run recorded before the loader, the writes and the sidecar were last rewritten:
+# its CSV byte for byte, and its sidecar up to the two version fields
+_PINNED_CSV = (b"snr_db,trials,errors,cer,ci95\n"
+               b"5,20000,19024,0.9512,0.0029868955\n"
+               b"10,20000,13689,0.68445,0.0064402528\n"
+               b"15,20000,4141,0.20705,0.0056153096\n"
+               b"20,20000,366,0.0183,0.0018597058\n")
+_PINNED_SIDECAR = {
+    "code": "c\u00f3digo \u00fc4 \u2603", "class": "unitary-weight-SSD",
+    "constellation": "qam16", "rotation_rad": 1.3389725222944935,
+    "snr_definition": "unit average transmit energy per channel use; "
+                      "SNR = 1/N0 per receive antenna",
+    "snr_db": [5.0, 10.0, 15.0, 20.0], "rx_antennas": 1, "trials": 20000, "seed": 7,
+    "decoder": "ssd",
+    "seed_contract": "v3: default_rng([seed, point, chunk]) per 16384-trial chunk; symbols, then "
+                     "n m Exp(1) fade energies on a unitary pair basis (2 n m fade normals on "
+                     "any other basis), then 2k coefficient-space noise normals per trial",
+    "slot_errors": [[11373, 11479, 11406, 11426], [5782, 5866, 5740, 5826],
+                    [1327, 1321, 1317, 1286], [104, 95, 117, 95]],
+    "code_sha256": "62e738565be2dc0dc293237f261093d9de43159bf3a85e5cefaf7bd503b932e8",
+    "stbc_forge_version": None, "numpy_version": None,
+    "blas_threads": {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+                     "MKL_NUM_THREADS": None},
+}
+
+
+def test_seeded_simulate_writes_the_pinned_bytes(runner, tmp_path, monkeypatch):
+    # the code file carries its non-ASCII label as raw UTF-8, which the loader decodes; the
+    # sidecar writes it escaped, so the outputs stay ASCII whatever the locale
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    obj = code_to_json_dict(build_max_rate_ussd(2, generate_family(2)),
+                            declared_class="unitary-weight-SSD")
+    obj["label"] = "c\u00f3digo \u00fc4 \u2603"
+    code = tmp_path / "code.json"
+    code.write_bytes(json.dumps(obj, ensure_ascii=False).encode())
+    csv_path = tmp_path / "cer.csv"
+    assert _invoke(runner, "simulate", "--code", str(code), "--constellation", "qam16",
+                   "--snr", "5:5:20", "--trials", "20000", "--seed", "7",
+                   "--out", str(csv_path)).exit_code == 0
+    assert csv_path.read_bytes() == _PINNED_CSV
+    want = dict(_PINNED_SIDECAR, stbc_forge_version=__version__, numpy_version=np.__version__)
+    assert (tmp_path / "cer.csv.config.json").read_bytes() == (json.dumps(want) + "\n").encode()
+
+
 def test_simulate_writes_csv_and_sidecar(runner, tmp_path):
     code = tmp_path / "ussd4.json"
     _invoke(runner, "construct", "--antennas", "4", "--family", "ussd", "--out", str(code))
@@ -563,6 +608,20 @@ def test_deeply_nested_code_file_is_a_usage_error(runner, tmp_path):
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert "not a valid code file: RecursionError" in _one_error_line(result)
     assert not list(tmp_path.glob("o.csv*"))
+
+
+@pytest.mark.parametrize("raw, error", [
+    (b"\xef\xbb\xbf" + json.dumps({"n": 4, "weights": []}).encode(), "Unexpected UTF-8 BOM"),
+    (b"\xff\xfe{\x00}\x00", "UnicodeDecodeError"),
+    (b'{"n": 4, "label": "\xff", "weights": []}', "UnicodeDecodeError"),
+])
+def test_code_files_are_strict_utf8(runner, tmp_path, raw, error):
+    # read as bytes, decoded as UTF-8 the way a text-mode read decodes them: a BOM, UTF-16
+    # and invalid UTF-8 are exit 2, which json.loads of the bytes would not all give
+    path = tmp_path / "code.json"
+    path.write_bytes(raw)
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2 and error in _one_error_line(result)
 
 
 def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from stbc_forge.codinggain import min_det_bruteforce, min_det_closed_form
 from stbc_forge.constellations import (Constellation, ciod_optimal_angle, optimal_angle,
                                        rotated_qam, special_8qam)
 
-from conftest import difference_keys, random_unitary
+from conftest import difference_groups, random_unitary
 
 
 def _pairwise_min_det(code, constellation):
@@ -51,10 +51,11 @@ def _difference_det(code, difference):
 
 
 def _per_slot_differences(constellation):
-    """0 and one difference per key, the last ordered pair of the key, sorted by key."""
-    keyed = dict(difference_keys(constellation.points))
-    keyed[(0.0, 0.0)] = 0j
-    return [keyed[key] for key in sorted(keyed)]
+    """0 and one difference per group, the last ordered pair of the group, in group order."""
+    pairs, zero = difference_groups(constellation.points)
+    keyed = dict(pairs)
+    keyed[zero] = 0j
+    return [keyed[group] for group in sorted(keyed)]
 
 
 def _itertools_min_det(code, constellation):

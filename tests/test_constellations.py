@@ -17,7 +17,7 @@ from stbc_forge.constellations import (
     special_8qam,
 )
 
-from conftest import difference_keys
+from conftest import difference_groups
 
 
 def _as_point_set(constellation, ndigits=9):
@@ -118,10 +118,11 @@ def test_difference_set_sizes(make, size):
         assert len(make(angle).differences()) == size
 
 
-def _key_classes(points):
-    """Each ordered pair labelled by the first pair of its key: equal lists, equal partitions."""
+def _group_classes(points):
+    """Each ordered pair labelled by the first pair of its group: equal lists, equal partitions."""
     first = {}
-    return [first.setdefault(key, i) for i, (key, _) in enumerate(difference_keys(points))]
+    pairs, _ = difference_groups(points)
+    return [first.setdefault(group, i) for i, (group, _) in enumerate(pairs)]
 
 
 @given(grid=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
@@ -133,20 +134,69 @@ def test_differences_one_per_relative_key(grid, angle, scale):
     base = Constellation("base", [complex(a, b) * cmath.exp(1j * angle) for a, b in grid])
     c = Constellation("scaled", base.points * scale)
     d = c.differences()
-    keyed = dict(difference_keys(c.points))  # the last ordered pair of each key
-    keys = sorted(key for key in keyed if key != (0.0, 0.0))
-    # one entry per key, the last ordered pair of the key, in key order
-    assert d.dtype == np.complex128 and list(d) == [keyed[key] for key in keys]
-    # d[i] = -d[-1 - i] within one key step, 1e-12 of 2^t
+    pairs, zero = difference_groups(c.points)
+    keyed = dict(pairs)  # the last ordered pair of each group
+    groups = sorted(group for group in keyed if group != zero)
+    # one entry per group, the last ordered pair of the group, in group order
+    assert d.dtype == np.complex128 and list(d) == [keyed[group] for group in groups]
+    # d[i] = -d[-1 - i] to rounding, 1e-12 of 2^t
     step = 1e-12 * 2.0 ** math.frexp(np.max(np.abs(d)))[1]
     assert np.all(np.abs((d + d[::-1]).view(np.float64)) <= step)
-    # the scale groups the pairs as before: exactly so under a power of two, and on the
-    # unrotated grid, whose keys are dyadic; another scale rounds the rotated points, and
-    # two pairs within that rounding of a rounding boundary could split
-    if angle == 0.0 or math.frexp(scale)[0] == 0.5:
-        assert _key_classes(c.points) == _key_classes(base.points)
-        if math.frexp(scale)[0] == 0.5:
-            assert keys == sorted({key for key, _ in difference_keys(base.points)} - {(0.0, 0.0)})
+    # any scale groups the pairs as before: the gaps and 2^t scale alike
+    assert _group_classes(c.points) == _group_classes(base.points)
+
+
+_GRIDS = {"qam4": lambda a: rotated_qam(4, a), "qam16": lambda a: rotated_qam(16, a),
+          "qam64": lambda a: rotated_qam(64, a), "8qam-rect": lambda a: special_8qam("rect", a),
+          "8qam-sq": lambda a: special_8qam("square-derived", a)}
+_SIZES = {"qam4": 8, "qam16": 48, "qam64": 224, "8qam-rect": 20, "8qam-sq": 22}
+
+
+def _representatives(c, differences):
+    """The (a, b) index pair of each difference a - b: the last ordered pair with its value,
+    which is the last of its group."""
+    gaps = (c.points[:, None] - c.points).ravel()
+    return [divmod(int(np.flatnonzero(gaps == d)[-1]), len(c)) for d in differences]
+
+
+def _rounding_key_differences(c):
+    """The rule before the one tolerance rule: one difference per key round(2^-t d, 12)."""
+    p = c.points[::-1]
+    d = (p[:, None] - p)[~np.eye(len(p), dtype=bool)]
+    t = math.frexp(np.max(np.abs(d)))[1]
+    keys, last = np.unique(np.round(np.ldexp(d.view(np.float64), -t), 12).view(np.complex128),
+                           return_index=True)
+    return d[last[keys != 0]]
+
+
+def _groups_hold(differences, grid, angle, scale, ulps):
+    """Whether a rule gives the grid's count and the same representative pairs at a scale
+    and a number of ulps off the angle as on the grid itself."""
+    c = _GRIDS[grid](angle)
+    moved = Constellation("moved", _GRIDS[grid](angle + ulps * math.ulp(angle)).points * scale)
+    want, got = differences(c), differences(moved)
+    return (len(want) == len(got) == _SIZES[grid]
+            and _representatives(c, want) == _representatives(moved, got))
+
+
+@given(grid=st.sampled_from(sorted(_GRIDS)),
+       angle=st.floats(min_value=0.01, max_value=math.pi / 2),
+       scale=st.sampled_from([1.0, 3.0, 0.7, 1e100, 1e-100, 2.0 ** 600, 2.0 ** -600]),
+       ulps=st.sampled_from([-1, 0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_differences_keep_their_groups_under_scale_and_angle(grid, angle, scale, ulps):
+    # the one tolerance rule joins what rounding moves apart: no scale and no ulp of the
+    # angle changes the count or the pair that names a group
+    assert _groups_hold(Constellation.differences, grid, angle, scale, ulps)
+
+
+def test_a_rounding_key_splits_a_group():
+    # the mutant that keys by round(2^-t d, 12) splits a difference of rotated QAM64 that
+    # straddles a rounding boundary into 228; the one tolerance rule keeps 224
+    angle = 0.5473835457503121
+    assert len(_rounding_key_differences(rotated_qam(64, angle))) == 228
+    assert not _groups_hold(_rounding_key_differences, "qam64", angle, 1.0, 0)
+    assert _groups_hold(Constellation.differences, "qam64", angle, 1.0, 0)
 
 
 def test_points_are_one_read_only_array():

@@ -395,9 +395,7 @@ def _whole_and_screened(dec, pts, r_rows, symbols, g, sigma, screen):
         out[:len(r_rows)] = r_rows
         return out
     want = _block_flags(dec, work, coef(), symbols, g, sigma)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_SCREEN_CROSSOVER", 0.0)
-        got = _block_flags(dec, work, coef(), symbols, g, sigma, screen)
+    got = _block_flags(dec, work, coef(), symbols, g, sigma, screen._replace(crossover=0.0))
     return want, got
 
 
@@ -482,6 +480,14 @@ def test_the_screen_skips_most_slots_at_high_snr(ussd4, monkeypatch):
                        snr_db_list=(25.0,), trials=20_000, seed=5)
     assert simulate_cer(config).points[0].errors > 0
     assert 0 < sum(scored) < 0.2 * config.trials * ussd4.k
+
+
+def test_the_screen_crossover_falls_with_the_grid_size():
+    # the share of a block that must pass before it screens falls with |A|: a whole QAM64
+    # block scores 64 points per slot, so there screening pays from a share under 0.09
+    shares = [simulator._screen_crossover(size) for size in (2, 4, 8, 16, 32, 64, 256)]
+    assert shares == sorted(shares, reverse=True) and shares[1] == 0.5
+    assert shares[5] < 0.09 and 0.0 < shares[-1]
 
 
 @given(n=st.sampled_from([2, 4, 8]),
@@ -1088,7 +1094,9 @@ def test_simulate_cer_chunk_memory(ussd8):
     assert peak < 10 * 2 ** 20
 
 
-@pytest.mark.parametrize("name", ["ussd8-ssd", "ciod4-ssd", "ussd4-brute-ml", "ussd4-qam64-ssd"])
+@pytest.mark.parametrize("name", ["ussd8-ssd", "ciod4-ssd", "ussd4-brute-ml", "ussd4-qam64-ssd",
+                                  "ussd4-qam4-crossover", "ussd4-8qam-crossover",
+                                  "ussd4-qam16-crossover", "ussd4-qam64-crossover"])
 def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
     # the block size only schedules the work: 7 divides neither 2^14 nor the tail of 1000
     code, constellation, snr, rx, decoder = {
@@ -1097,16 +1105,33 @@ def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
                       "ssd"),
         "ussd4-brute-ml": (ussd4, rotated_qam(4, optimal_angle()), 6.0, 1,
                            "brute-ml"),
-        # about 0.69 of the slots pass the screen: every 1,024-trial block counts only the
-        # others, and blocks of 7 (28 slots) fall on both sides of _SCREEN_CROSSOVER
+        # about 0.69 of the slots pass the screen: every block counts only the others
         "ussd4-qam64-ssd": (ussd4, rotated_qam(64, optimal_angle()), 20.0, 1, "ssd"),
+        # a pass share near the grid's crossover (simulator._screen_crossover): blocks of
+        # 7 (28 slots) fall on both sides of it, so both schedules count
+        "ussd4-qam4-crossover": (ussd4, rotated_qam(4, optimal_angle()), 4.0, 1, "ssd"),
+        "ussd4-8qam-crossover": (ussd4, special_8qam("rect", optimal_angle()), 8.0, 1, "ssd"),
+        "ussd4-qam16-crossover": (ussd4, rotated_qam(16, optimal_angle()), 9.0, 1, "ssd"),
+        "ussd4-qam64-crossover": (ussd4, rotated_qam(64, optimal_angle()), 5.0, 1, "ssd"),
     }[name]
     config = SimConfig(code=code, constellation=constellation, snr_db_list=(snr,),
                        trials=2 * _CHUNK + 1000, seed=13, rx_antennas=rx, decoder=decoder)
     want = simulate_cer(config)
     assert want.points[0].errors > 0
     monkeypatch.setattr(simulator, "_BLOCK", 7)
+    shares, crossovers = [], set()  # each block's share of cleared slots, the crossover
+    uncleared = simulator._uncleared
+
+    def recorded(screen, coef, g):
+        fail = uncleared(screen, coef, g)
+        shares.append(1.0 - len(fail) / (g.shape[0] * g.shape[1]))
+        crossovers.add(screen.crossover)
+        return fail
+    monkeypatch.setattr(simulator, "_uncleared", recorded)
     assert simulate_cer(config) == want
+    if name.endswith("crossover"):
+        (crossover,) = crossovers
+        assert min(shares) < crossover <= max(shares)
 
 
 def test_simulate_cer_vanishes_at_high_snr(ussd4):
