@@ -59,31 +59,33 @@ M~, hence the same V and Lambda.
 ``ssd_decode``
     ML of each slot's one-symbol sub-code (S = k, g = 1, from the code's
     (k, 2, n, n) weight stack) over the |A| points: k * |A| metric
-    evaluations.  The coefficients read as (F, k T) without a copy, so one
-    GEMM basis^T coefficients, with no transposed operand, writes the
-    (|A|, k T) metrics candidate-major into one block-sized buffer, column
-    i T + t for slot i of block t.  It is ML of the code exactly when
-    every cross-symbol M_pq vanishes, the single-symbol decodable codes,
-    so it checks the code first.  No cross-slot product is formed.
+    evaluations.  The coefficients read as (F, k T) without a copy, column
+    i T + t for slot i of block t, so GEMMs basis^T coefficients, with no
+    transposed operand, write the (|A|, W) metrics of W columns at a time
+    candidate-major into one slice-sized buffer.  It is ML of the code
+    exactly when every cross-symbol M_pq vanishes, the single-symbol
+    decodable codes, so it checks the code first.  No cross-slot product is
+    formed.
 
 ``ml_decode_bruteforce``
     ML of the whole code (S = 1, g = k) over its |A|^k codewords, by one
     enumerator: one loop over lexicographic chunks of codewords, each
-    with at most ``_ML_CHUNK`` metrics and basis entries, so memory is
-    bounded in T and in |A|^k.  Each chunk takes one GEMM and a row
-    argmin, and a strict ``<`` across chunks keeps a tie in the earlier
-    chunk.  When one chunk holds every codeword, its basis is built once
-    per call.
+    chunk's basis and each slice of its (T, C) metrics within a quarter of
+    the cache budget, so memory is bounded in T and in |A|^k.  Each slice
+    of trials takes one GEMM and a row argmin, and a strict ``<`` across
+    chunks keeps a tie in the earlier chunk.  When one chunk holds every
+    codeword, its basis is built once per call.
 
 One builder, ``_decoder``, sets up either decoder: its tables, its map
 from coefficients to symbols and its map from coefficients and sent
 symbols to wrong slots.  ``_chunks`` builds it once per ``simulate_cer``
 call and counts once per trial block, and the two public decoders build
-it once per call and decode ``_BLOCK`` blocks at a time; each caller owns
-the buffers of its coefficients.  The decoders break ties toward the
-first minimum: SSD toward the smallest constellation index, brute-force
-ML toward the first codeword in lexicographic order.  ``simulate_cer``
-decodes nothing on the SSD path: it counts a slot as wrong when some
+it once per call and decode their blocks in turn, as many as fit the
+cache budget (below); each caller owns the buffers of its coefficients.
+The decoders break ties toward the first minimum: SSD toward the smallest
+constellation index, brute-force ML toward the first codeword in
+lexicographic order.  ``simulate_cer`` decodes nothing on the SSD path:
+it counts a slot as wrong when some
 point's metric is strictly below the sent point's, one column minimum,
 one gather and one compare per block, and only over the slots that the
 screen (below) does not clear; brute-force ML counts by comparing
@@ -147,6 +149,18 @@ number of points, whose metric block the screen saves (``_screen_crossover``).
 It only schedules the work: no count depends on it, and every normal is drawn
 for every slot, so the screen changes no draw and ``SEED_CONTRACT`` is the same.
 
+Cache budget:  one byte budget, ``_CACHE`` = 2**20 (half of one core's L2
+cache), bounds the working sets.  Every metric GEMM runs in slices that
+fit: SSD's (|A|, W) metrics of W columns in ``_CACHE`` (the whole block's
+slots, or the uncleared ones, or a public decode), brute-force ML's (F, C)
+basis of C codewords and (W, C) metrics of W trials in a quarter of it,
+where its row argmin ran fastest.  A Monte Carlo block holds ``_BLOCK`` =
+2**11 trials, whose coefficient rows, normals and energies fit the budget
+on every built-in code up to 8 antennas; a public decode's block holds the
+most trials, a power of two and at most ``_BLOCK``, whose coefficient
+buffers fit it.  The sizes only schedule the work: no count, draw or
+decoded symbol depends on them.
+
 Reproducibility:  each SNR point runs in chunks of ``_CHUNK`` = 2**14
 trials.  One function, ``_chunks``, owns the draw order: its
 generator for each point yields each chunk's (trials, errors,
@@ -161,8 +175,8 @@ exponentials per trial, trial-major as (T, n, m), from one
 eigenvectors (``_Tables.unitary``), as for every built-in code; on the
 n^2 basis the chunk draws its fades instead, 2 n m normals per trial.
 Only the indices and the energies (or fades) are drawn for the whole
-chunk.  The rest runs over consecutive blocks of ``_BLOCK`` =
-2**10 of the chunk's trials: a block takes its symbols from the indices,
+chunk.  The rest runs over consecutive blocks of ``_BLOCK`` of the
+chunk's trials: a block takes its symbols from the indices,
 draws its 2k normals per trial, trial-major as (T, k, 2) (slot, then real
 and imaginary part), from the same Generator, whatever the screen clears,
 and is decoded and counted before the next block's normals are drawn.
@@ -197,9 +211,9 @@ DECODER_BRUTE_ML = "brute-ml"
 ML_BUDGET = 1_000_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 14
-_BLOCK = 1 << 10  # trials of a chunk decoded together
+_CACHE = 1 << 20  # bytes: one metric slice, and a public decode's block buffers, stay within it
+_BLOCK = 1 << 11  # trials of a chunk decoded together, and the most of a public decode's block
 _SCREEN_GUARD = 2.0 ** -43  # 2^10 u: the screen's rounding guard per trace(R~_slot) max|x|^2
-_ML_CHUNK = 1 << 20  # elements in one brute-force ML block: T x C metrics or F x C basis
 SEED_CONTRACT = (f"v3: default_rng([seed, point, chunk]) per {_CHUNK}-trial chunk; symbols, then "
                  "n m Exp(1) fade energies on a unitary pair basis (2 n m fade normals on any "
                  "other basis), then 2k coefficient-space noise normals per trial")
@@ -237,6 +251,9 @@ class SimConfig:
             raise ValueError("rx_antennas must be >= 1")
         if self.decoder not in (DECODER_SSD, DECODER_BRUTE_ML):
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        for name in ("trials", "seed", "rx_antennas"):
+            # Python ints, so that a report's counts and rates are Python numbers (json writes them)
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -669,15 +686,20 @@ class _Decoder(NamedTuple):
     """A decoder's sub-code tables and its two maps from the coefficients of T blocks."""
 
     tables: _Tables
-    decode: Callable[[np.ndarray], np.ndarray]  # to the (T, k) decoded symbols
+    decode: Callable[[np.ndarray], np.ndarray]  # to the (T, k) indices of the decoded points
     wrong: Callable[[np.ndarray, np.ndarray], np.ndarray]  # and (T, k) sent indices: (k, T) flags
+
+
+def _fits(size: int, budget: int) -> int:
+    """How many items of ``size`` bytes fit in ``budget`` bytes, at least one."""
+    return max(1, budget // size)
 
 
 def _wrong(metrics: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """The (k, T) flags of the slots whose sent point some point beats, strictly.
 
-    ``metrics`` is the SSD decoder's C-contiguous (|A|, k T) block, column
-    i T + t for slot i of block t, and ``symbols`` the (T, k) sent indices.
+    ``metrics`` is a C-contiguous (|A|, k T) slice of the SSD decoder's metrics,
+    column i T + t for slot i of block t, and ``symbols`` the (T, k) sent indices.
     A slot is wrong when its column minimum is below the sent point's
     metric: one reduction, one gather at ``symbols.T`` and one compare, no
     decoded symbol.  Only an exact tie with an earlier point, which
@@ -695,21 +717,22 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
 
     ``w`` is the code's weight stack, at the transmit scale in a simulation.
     The decoder maps the coefficients of T blocks, from :func:`_coefficients`
-    or the Monte Carlo's :func:`_pair_rows`, to decoded symbols
-    (``decode``) and, with the sent indices, to wrong slots (``wrong``); its
-    callers own the coefficient buffers.  SSD scores each slot's one-symbol
-    sub-code, the (k, 2, n, n) ``w``, over the |A| points: the (F k, T)
-    coefficients read as (F, k T) times the (|A|, F) basis, one GEMM with no
-    transposed operand into one block-sized (|A|, k T) buffer; it decodes by
-    the first column minimum, found row by row because numpy's argmin over
-    axis 0 copies the whole block, and counts by :func:`_wrong`.  Brute-force
-    ML scores the whole code, one sub-code of k symbols, over its |A|^k
-    codewords in lexicographic chunks of at most ``_ML_CHUNK // max(block, F)``
-    codewords, so that neither the (T, C) metrics nor the (F, C) basis pass
-    ``_ML_CHUNK`` elements: the argmin of each chunk, and a strict ``<`` across
-    chunks, so a tie keeps the earlier chunk.  When one chunk holds every
-    codeword, its digits and basis are built once per call.  It decodes to
-    point indices and counts by comparing them with the sent ones.
+    or the Monte Carlo's :func:`_pair_rows`, to the indices of the decoded
+    points (``decode``) and, with the sent indices, to wrong slots (``wrong``);
+    its callers own the coefficient buffers.  Every metric GEMM runs in slices
+    that fit the cache budget, into one buffer of one slice.  SSD scores each
+    slot's one-symbol sub-code, the (k, 2, n, n) ``w``, over the |A| points:
+    the (F k, T) coefficients read as (F, k T) and meet the (|A|, F) basis in
+    slices of at most ``_CACHE`` bytes of (|A|, W) metrics, one GEMM each with
+    no transposed operand; it decodes by the first column minimum, found row by
+    row because numpy's argmin over axis 0 copies the slice, and counts by
+    :func:`_wrong`.  Brute-force ML scores the whole code, one sub-code of k
+    symbols, over its |A|^k codewords in lexicographic chunks of C codewords
+    whose (F, C) basis fits in a quarter of the budget, and each chunk in slices
+    of trials whose (W, C) metrics fit there too: the argmin of each slice, and
+    a strict ``<`` across chunks, so a tie keeps the earlier chunk.  When one
+    chunk holds every codeword, its digits and basis are built once per call.
+    It counts by comparing the decoded indices with the sent ones.
     """
     k, _, n, _ = w.shape
     ssd, total = decoder == DECODER_SSD, len(pts) ** k
@@ -720,26 +743,38 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
     tables = _tables(w if ssd else w.reshape(1, 2 * k, n, n), rx)
     if ssd:
         basis_t = np.ascontiguousarray(_basis(tables, pts[:, None]).T)
-        buffer = np.empty(len(pts) * block * k)
+        step = _fits(8 * len(pts), _CACHE)  # columns per metric slice
+        buffer = np.empty(len(pts) * min(step, block * k))
 
-        def metrics(coef: np.ndarray) -> np.ndarray:
-            coef = coef.reshape(basis_t.shape[1], -1)  # (F, k T), no copy
-            out = buffer[:len(pts) * coef.shape[1]].reshape(len(pts), -1)
-            return np.matmul(basis_t, coef, out=out)
+        def scores(part: np.ndarray) -> np.ndarray:
+            # the (|A|, W) metrics of W columns of the (F, k T) coefficients, in the buffer
+            out = buffer[:len(pts) * part.shape[1]].reshape(len(pts), -1)
+            return np.matmul(basis_t, part, out=out)
 
         def decode(coef: np.ndarray) -> np.ndarray:
             # the first minimum, the smallest index: the column minima, then the points from
-            # the last to the first.  numpy's argmin over axis 0 would copy the whole block
-            scores = metrics(coef)
-            low = scores.min(axis=0)
-            arg = np.zeros(scores.shape[1], dtype=np.intp)
-            for a in range(len(pts) - 1, -1, -1):
-                arg[scores[a] == low] = a
-            return pts[arg.reshape(k, -1).T]
-        return _Decoder(tables, decode,
-                        lambda coef, symbols: _wrong(metrics(coef), symbols))
-    chunk = min(total, max(1, _ML_CHUNK // max(block, tables.rows)))
-    buffer = np.empty(block * chunk)
+            # the last to the first.  numpy's argmin over axis 0 would copy the slice
+            coef = coef.reshape(basis_t.shape[1], -1)  # (F, k T), no copy
+            arg = np.zeros(coef.shape[1], dtype=np.intp)
+            for a in range(0, coef.shape[1], step):
+                metrics = scores(coef[:, a:a + step])
+                low, part = metrics.min(axis=0), arg[a:a + metrics.shape[1]]
+                for p in range(len(pts) - 1, -1, -1):
+                    part[metrics[p] == low] = p
+            return arg.reshape(k, -1).T
+
+        def wrong(coef: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+            coef = coef.reshape(basis_t.shape[1], -1)
+            sent = symbols.T.reshape(-1, 1)  # a slice's W columns read as W one-slot blocks
+            flags = [_wrong(scores(coef[:, a:a + step]), sent[a:a + step])[0]
+                     for a in range(0, len(sent), step)]
+            return np.concatenate(flags).reshape(symbols.shape[1], -1)
+        return _Decoder(tables, decode, wrong)
+    # a quarter of the budget: brute-force ML's argmin and gathers along its (T, C) rows ran
+    # fastest there
+    chunk = min(total, _fits(8 * tables.rows, _CACHE // 4))  # codewords whose (F, C) basis fits
+    step = _fits(8 * chunk, _CACHE // 4)  # trials per (T, C) metric slice
+    buffer = np.empty(min(step, block) * chunk)
 
     def candidates(start: int) -> tuple[np.ndarray, np.ndarray]:
         # the (C, k) point indices of codewords start, start + 1, ... and their basis
@@ -752,21 +787,27 @@ def _decoder(code: LinearDispersionCode, w: np.ndarray, pts: np.ndarray, decoder
     def first(coef: np.ndarray) -> np.ndarray:
         # the (T, k) point indices of the first minimum, the first codeword in lexicographic
         # order.  The metrics are (T, C), read along rows by argmin: the (C, T) GEMM with no
-        # transposed operand is as fast, but its argmin over columns copies the block
+        # transposed operand is as fast, but its argmin over columns copies the slice
         t = coef.shape[1]
-        best, out = np.inf, 0
+        out = np.zeros((t, k), dtype=np.intp)
+        best = None if whole else np.full(t, np.inf)
         for start in range(0, total, chunk):
             digits, basis = whole or candidates(start)
-            metrics = np.matmul(coef.T, basis, out=buffer[:t * len(digits)].reshape(t, -1))
-            arg = metrics.argmin(axis=1)
-            if whole:
-                return digits[arg]
-            value = metrics[np.arange(t), arg]
-            better = value < best  # strict: an earlier chunk keeps a tie
-            best = np.where(better, value, best)
-            out = np.where(better[:, None], digits[arg], out)
+            for a in range(0, t, step):
+                rows = slice(a, a + step)
+                part = coef[:, rows].T
+                metrics = np.matmul(part, basis, out=buffer[:len(part) * len(digits)]
+                                    .reshape(len(part), -1))
+                arg = metrics.argmin(axis=1)
+                if whole:
+                    out[rows] = digits[arg]
+                    continue
+                value = metrics[np.arange(len(part)), arg]
+                better = value < best[rows]  # strict: an earlier chunk keeps a tie
+                best[rows] = np.where(better, value, best[rows])
+                out[rows] = np.where(better[:, None], digits[arg], out[rows])
         return out
-    return _Decoder(tables, lambda coef: pts[first(coef)],
+    return _Decoder(tables, first,
                     # slot-major and contiguous, as SSD's: the counts reduce along rows
                     lambda coef, symbols: np.not_equal(first(coef).T, symbols.T, order="C"))
 
@@ -775,9 +816,11 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                    decoder: str) -> np.ndarray:
     """Decode one (n, m) block y, h to its k symbols, or T (T, n, m) blocks to (T, k).
 
-    One ``_decoder`` (one code check) decodes ``_BLOCK`` blocks at a time in one
-    set of :func:`_coefficients` buffers, so memory beyond the (T, k) result is
-    bounded in T.
+    One ``_decoder`` (one code check) decodes the blocks in turn in one set of
+    :func:`_coefficients` buffers, as many per turn as fit in ``_CACHE``, to point
+    indices in the smallest integer type that holds them.  The points are gathered
+    once the buffers are freed, so the peak holds the (T, k) result or one block's
+    buffers, not both, and memory beyond the result is bounded in T.
     """
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -786,17 +829,22 @@ def _decode_blocks(code: LinearDispersionCode, y, h, constellation: Constellatio
                          f"got {y.shape} and {h.shape}")
     if h.ndim == 2:
         return _decode_blocks(code, y[None], h[None], constellation, decoder)[0]
-    block, (n, m) = min(len(h), _BLOCK), h.shape[1:]
-    dec = _decoder(code, code.w, constellation.points, decoder, block, m)
-    lm = dec.tables.proj.shape[1]
+    pts, (n, m) = constellation.points, h.shape[1:]
+    dec = _decoder(code, code.w, pts, decoder, min(len(h), _BLOCK), m)
+    lm = dec.tables.lam.shape[1]
+    # the most trials, a power of two up to _BLOCK, whose hc, stats, proj, energies and out
+    # fit in _CACHE
+    per_trial = 16 * (n * m + n * n + lm) + 8 * (lm + dec.tables.rows)
+    block = min(_BLOCK, max(len(h), 1), 1 << (_fits(per_trial, _CACHE).bit_length() - 1))
     buffers = (np.empty((block, n, m), dtype=complex), np.empty((block, n, n), dtype=complex),
                np.empty((block, lm), dtype=complex), np.empty(block * lm),
-               np.empty(dec.tables.rows * block))  # hc, stats, proj, energies, out
-    out = np.empty((len(h), code.k), dtype=complex)
-    for b in range(0, len(h), _BLOCK):
-        coef = _coefficients(dec.tables, y[b:b + _BLOCK], h[b:b + _BLOCK], *buffers)
-        out[b:b + _BLOCK] = dec.decode(coef)
-    return out
+               np.empty(dec.tables.rows * block))
+    out = np.empty((len(h), code.k), dtype=np.min_scalar_type(len(pts) - 1))
+    for b in range(0, len(h), block):
+        out[b:b + block] = dec.decode(_coefficients(dec.tables, y[b:b + block], h[b:b + block],
+                                                    *buffers))
+    del dec, buffers
+    return pts[out]
 
 
 def ssd_decode(code: LinearDispersionCode, y: np.ndarray, h: np.ndarray,
@@ -824,11 +872,13 @@ def _screen_crossover(size: int) -> float:
     """The share of a block's slots that must pass the screen before the block scores only
     the others, on a grid of ``size`` points.
 
-    Linear in log2 |A| between the crossovers measured per grid on 1,024-trial blocks, where
-    the screened block costs what the whole one does: about 0.5 on QAM4, 0.45 on 8-QAM and
-    0.35 on QAM16, and below 0.06 on QAM64, whose whole block scores 64 points per slot.
+    Linear in log2 |A| between the crossovers measured per grid, where the screened block
+    costs what the whole one does: about 0.5 on QAM4, 0.45 on 8-QAM and 0.35 on QAM16 (on
+    1,024-trial blocks), and about 0.25 on QAM64 (on 2,048-trial blocks, whose whole block
+    scores its metrics in cache-sized slices; 0.22-0.29 for ussd4, ciod4 and ussd8 on two
+    antennas).
     """
-    return float(np.interp(math.log2(size), (2.0, 3.0, 4.0, 6.0), (0.5, 0.45, 0.35, 0.05)))
+    return float(np.interp(math.log2(size), (2.0, 3.0, 4.0, 6.0), (0.5, 0.45, 0.35, 0.25)))
 
 
 class _Screen(NamedTuple):
@@ -1024,8 +1074,8 @@ def _chunks(config: SimConfig) -> list[Iterator[tuple[int, int, np.ndarray]]]:
             h = (rng.standard_exponential(out=h_all[:t]) if tables.unitary
                  else _draw_cn(rng, h_all[:t]))
             errors = slot_errors = 0  # the first block's sums make slot_errors an array
-            for b in range(0, t, _BLOCK):  # the rest runs per block, in cache
-                hb, sb = h[b:b + _BLOCK], symbols[b:b + _BLOCK]
+            for b in range(0, t, block):  # the rest runs per block, in cache
+                hb, sb = h[b:b + block], symbols[b:b + block]
                 tb = len(hb)
                 # the block's 2k normals per trial, trial-major, continue the chunk's one
                 # stream, so they are the slice a whole-chunk draw would give

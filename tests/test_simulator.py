@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -484,10 +485,11 @@ def test_the_screen_skips_most_slots_at_high_snr(ussd4, monkeypatch):
 
 def test_the_screen_crossover_falls_with_the_grid_size():
     # the share of a block that must pass before it screens falls with |A|: a whole QAM64
-    # block scores 64 points per slot, so there screening pays from a share under 0.09
+    # block scores 64 points per slot, in cache-sized metric slices, so there screening pays
+    # from a share near 0.25
     shares = [simulator._screen_crossover(size) for size in (2, 4, 8, 16, 32, 64, 256)]
     assert shares == sorted(shares, reverse=True) and shares[1] == 0.5
-    assert shares[5] < 0.09 and 0.0 < shares[-1]
+    assert 0.2 < shares[5] < 0.3 and 0.0 < shares[-1]
 
 
 @given(n=st.sampled_from([2, 4, 8]),
@@ -790,9 +792,11 @@ def _random_code(rng, n, k):
     return LinearDispersionCode(label="random", n=n, w=w)
 
 
-def _ml_chunk_for(codewords, t, k):
-    """The ``_ML_CHUNK`` that makes ``ml_decode_bruteforce`` take ``codewords`` per block."""
-    return codewords * max(t, k * (2 * k + 1) + 2 * k)
+def _cache_for(codewords, rows):
+    """The ``_CACHE`` whose quarter holds brute-force ML's basis of ``codewords`` over its
+    ``rows`` coefficients, F = k (2k + 1) + 2k on a random code of k symbols: its chunks
+    then hold that many codewords, and its slices F trials."""
+    return 4 * 8 * codewords * rows
 
 
 @given(n=st.sampled_from([2, 4]),
@@ -809,7 +813,7 @@ def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, wh
     # quadratic form decodes them; chunks of fewer than |A|^k >= 16
     # codewords make the first minimum cross chunk boundaries and build one
     # basis per chunk and block, and a chunk that just holds every codeword
-    # builds its basis once per call
+    # builds its basis once per call.  A budget that small also cuts the blocks
     rng = np.random.default_rng(seed)
     code = _random_code(rng, n, k)
     c = rotated_qam(size, rng.uniform(0.0, math.pi / 2))
@@ -825,19 +829,22 @@ def test_ml_decode_bruteforce_matches_direct_argmin(n, k, rx, t, size, chunk, wh
     codewords = np.tensordot(xs.real, wi, axes=1) + np.tensordot(xs.imag, wq, axes=1)
     want = np.stack([xs[np.argmin([np.linalg.norm(y[b] - cw @ h[b]) ** 2 for cw in codewords])]
                      for b in range(t)])
-    builds = []
+    builds, blocks = [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(size ** k if whole else chunk, t, k))
+        mp.setattr(simulator, "_CACHE",
+                   _cache_for(size ** k if whole else chunk, k * (2 * k + 1) + 2 * k))
         mp.setattr(simulator, "_basis", lambda *args: builds.append(args) or _basis(*args))
+        mp.setattr(simulator, "_coefficients",
+                   lambda *args: blocks.append(args) or _coefficients(*args))
         batched = ml_decode_bruteforce(code, y, h, c)
-        batched_builds = len(builds)
+        batched_builds, batched_blocks = len(builds), len(blocks)
         one_by_one = np.stack([ml_decode_bruteforce(code, y[b], h[b], c) for b in range(t)])
     assert np.array_equal(batched, want)
     assert np.array_equal(one_by_one, batched)
-    # each call decodes one block: one basis per call, or one per chunk
+    # one basis per call, or one per chunk and block; a one-block call builds per_call
     per_call = 1 if whole else -(-size ** k // chunk)
-    assert batched_builds == per_call
-    assert len(builds) == (1 + t) * per_call
+    assert batched_builds == (per_call if whole else per_call * batched_blocks)
+    assert len(builds) == batched_builds + t * per_call
 
 
 def test_ml_decode_bruteforce_exact_tie_takes_first_codeword(monkeypatch):
@@ -849,14 +856,17 @@ def test_ml_decode_bruteforce_exact_tie_takes_first_codeword(monkeypatch):
     first = np.full(3, c.points[0])
     assert np.array_equal(ml_decode_bruteforce(code, np.zeros((2, 1)), np.zeros((2, 1)), c),
                           first)
-    for codewords in (64, 5):
-        monkeypatch.setattr(simulator, "_ML_CHUNK", _ml_chunk_for(codewords, 7, 3))
+    for codewords in (64, 7, 5, 1):
+        monkeypatch.setattr(simulator, "_CACHE", _cache_for(codewords, 27))
         got = ml_decode_bruteforce(code, np.zeros((7, 2, 1)), np.zeros((7, 2, 1)), c)
         assert np.array_equal(got, np.tile(first, (7, 1))), codewords
 
 
-def test_ml_decode_bruteforce_memory_bounded():
-    # 64^3 = 4^9 codewords: the codeword chunk, not T or |A|^k, sets the peak
+def test_ml_decode_bruteforce_memory_bounded(monkeypatch):
+    # 64^3 = 4^9 codewords: the codeword chunk, not T or |A|^k, sets the peak.  At the
+    # default schedule a block's buffers and metric slice grow with T up to the cache
+    # budget, so the peak stays within one 64-trial block's plus the budget.  With blocks
+    # of 64 trials the buffers are held fixed, and the peak is flat in T
     rng = np.random.default_rng(29)
     code = _random_code(rng, 2, 3)
     c = rotated_qam(64, 0.3)
@@ -871,16 +881,28 @@ def test_ml_decode_bruteforce_memory_bounded():
         finally:
             tracemalloc.stop()
 
-    small = peak(64)
+    small = peak(64)  # one 64-trial block either way
     assert small < 32 * 2 ** 20
+    for t in (1024, 2048):
+        assert peak(t) < small + simulator._CACHE, t
+    monkeypatch.setattr(simulator, "_BLOCK", 64)
     assert peak(1024) < 1.25 * small
+
+
+def test_public_decoders_take_an_empty_batch(ussd4):
+    # zero blocks decode to a (0, k) result: blocks of at least one trial, none of them run
+    c = rotated_qam(16, optimal_angle())
+    for decode in (ssd_decode, ml_decode_bruteforce):
+        got = decode(ussd4, np.zeros((0, 4, 1)), np.zeros((0, 4, 1)), c)
+        assert got.shape == (0, ussd4.k) and got.dtype == complex
 
 
 @pytest.mark.parametrize("decoder, size", [("ssd", 64), ("brute-ml", 4)])
 def test_public_decoders_memory_bounded_in_blocks(ussd4, decoder, size):
-    # a batch is decoded _BLOCK blocks at a time through one decoder, so beyond the
+    # a batch is decoded through one decoder in blocks that fit the cache budget, to point
+    # indices, and the points are gathered once the block buffers are freed, so beyond the
     # (T, k) result (1 MiB at T = 16,384) the peak does not grow with T; decoding the
-    # whole batch at once peaks at 16 times the metric block
+    # whole batch at once peaks at 16 times the block's buffers
     decode = {"ssd": ssd_decode, "brute-ml": ml_decode_bruteforce}[decoder]
     c = rotated_qam(size, optimal_angle())
     rng = np.random.default_rng(47)
@@ -1075,10 +1097,10 @@ def test_simulate_cer_memory_bounded_in_trials(ussd4):
 
 
 def test_simulate_cer_chunk_memory(ussd8):
-    # one chunk's symbol indices and fade energies (2.75 MiB) plus one 2^10-trial
-    # block's symbols, normals, coefficients and metrics: about 4.3 MiB.  Blocks of
-    # 2^11 trials peak at 5.8 MiB, and arrays that each spanned the whole chunk would
-    # take about 27 MiB
+    # one chunk's symbol indices and fade energies (2.75 MiB) plus one 2^11-trial
+    # block's symbols, normals, coefficients, screen temporaries and metric slices:
+    # about 5.6 MiB (4.4 MiB in blocks of 2^10 trials).  Arrays that each spanned the
+    # whole chunk would take about 27 MiB
     c = rotated_qam(16, optimal_angle())
     config = SimConfig(code=ussd8, constellation=c, snr_db_list=(10.0,), trials=_CHUNK,
                        seed=1, rx_antennas=2)
@@ -1112,7 +1134,7 @@ def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
         "ussd4-qam4-crossover": (ussd4, rotated_qam(4, optimal_angle()), 4.0, 1, "ssd"),
         "ussd4-8qam-crossover": (ussd4, special_8qam("rect", optimal_angle()), 8.0, 1, "ssd"),
         "ussd4-qam16-crossover": (ussd4, rotated_qam(16, optimal_angle()), 9.0, 1, "ssd"),
-        "ussd4-qam64-crossover": (ussd4, rotated_qam(64, optimal_angle()), 5.0, 1, "ssd"),
+        "ussd4-qam64-crossover": (ussd4, rotated_qam(64, optimal_angle()), 14.0, 1, "ssd"),
     }[name]
     config = SimConfig(code=code, constellation=constellation, snr_db_list=(snr,),
                        trials=2 * _CHUNK + 1000, seed=13, rx_antennas=rx, decoder=decoder)
@@ -1132,6 +1154,88 @@ def test_simulate_cer_block_invariance(name, ussd4, ussd8, ciod4, monkeypatch):
     if name.endswith("crossover"):
         (crossover,) = crossovers
         assert min(shares) < crossover <= max(shares)
+
+
+@pytest.mark.parametrize("name, width", [
+    ("ssd-whole", 1), ("ssd-whole", 7), ("ssd-screened", 1), ("ssd-screened", 7),
+    ("ml-chunks", 1), ("ml-chunks", 7), ("ml-one-chunk", 256)])
+def test_simulate_cer_slice_invariance(name, width, ussd4, monkeypatch):
+    # the cache budget only schedules the work.  A budget whose SSD metric slices hold 1 or
+    # 7 columns, whose brute-force ML chunks hold 1 or 7 codewords, or one chunk of all 256
+    # in slices of F = 20 trials, counts what the default budget counts.  QAM64 at 0 dB
+    # scores nearly every slot in whole blocks, at 20 dB only the slots the screen leaves
+    # (about 0.3 of them)
+    size, snr, decoder, trials = {"ssd-whole": (64, 0.0, "ssd", 2000),
+                                  "ssd-screened": (64, 20.0, "ssd", 2000),
+                                  "ml-chunks": (4, 6.0, "brute-ml", 300),
+                                  "ml-one-chunk": (4, 6.0, "brute-ml", 300)}[name]
+    config = SimConfig(code=ussd4, constellation=rotated_qam(size, optimal_angle()),
+                       snr_db_list=(snr,), trials=trials, seed=19, decoder=decoder)
+    want = simulate_cer(config)
+    assert want.points[0].errors > 0
+    widths, builds = [], []
+    monkeypatch.setattr(simulator, "_wrong", lambda metrics, symbols: (
+        widths.append(metrics.shape[1]) or _wrong(metrics, symbols)))
+    monkeypatch.setattr(simulator, "_basis", lambda *args: builds.append(args) or _basis(*args))
+    # SSD: |A| metrics of 8 bytes per column; ML: a quarter holds F = 20 rows per codeword
+    monkeypatch.setattr(simulator, "_CACHE",
+                        8 * size * width if decoder == "ssd" else _cache_for(width, 20))
+    assert simulate_cer(config) == want
+    if decoder == "ssd":
+        assert max(widths) == width
+        scored = sum(widths) / (trials * ussd4.k)  # about 0.99, or 0.32
+        assert scored > 0.95 if name == "ssd-whole" else 0.0 < scored < 0.5
+    else:
+        # the 300 trials run as one block: one basis per chunk
+        assert len(builds) == -(-256 // width)
+
+
+@pytest.mark.parametrize("decoder, size, width, ties", [
+    ("ssd", 64, 1, [0, 7, 21]), ("ssd", 64, 7, [0, 7, 21]),
+    ("brute-ml", 4, 1, [0, 7, 21]), ("brute-ml", 4, 7, [0, 7, 21]),
+    ("brute-ml", 4, 256, [0, 20, 40])])
+def test_public_decoders_slice_invariance(ussd4, decoder, size, width, ties, monkeypatch):
+    # slices of 1 or 7 columns (SSD), chunks of 1 or 7 codewords (brute-force ML), or one
+    # chunk in slices of 20 trials decode what the default budget decodes.  The blocks
+    # y = h = 0 tie every point, or codeword, at the metric 0, so each of their columns
+    # decodes to the first; with SSD blocks of 4 trials their columns 0 and 7 start a
+    # slice of 7, and trials 20 and 40 start ML's slices of 20
+    decode = {"ssd": ssd_decode, "brute-ml": ml_decode_bruteforce}[decoder]
+    c = rotated_qam(size, optimal_angle())
+    rng = np.random.default_rng(53)
+    shape = (45, 4, 1)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y[ties] = h[ties] = 0.0
+    want = decode(ussd4, y, h, c)
+    monkeypatch.setattr(simulator, "_CACHE",
+                        8 * size * width if decoder == "ssd" else _cache_for(width, 20))
+    got = decode(ussd4, y, h, c)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[ties], np.full((len(ties), ussd4.k), c.points[0]))
+
+
+@pytest.mark.parametrize("decoder, size, snrs, trials, bound", [
+    ("ssd", 64, (0.0,), _CHUNK, 4), ("brute-ml", 4, (6.0, 10.0), 8192, 3)])
+def test_simulate_cer_memory_within_the_budget(ussd4, decoder, size, snrs, trials, bound):
+    # ussd4 on QAM64 at 0 dB scores whole blocks: one chunk's symbol indices and fade
+    # energies (1 MiB), one 2^11-trial block's arrays and one metric slice of at most
+    # simulator._CACHE = 1 MiB peak at 3.4-3.5 MiB.  Brute-force ML on the benchmark's
+    # job (ussd4, QAM4) at 8,192 trials per point, whose (T, 256) metrics run in 128-trial
+    # slices, peaks at 1.8-2.3 MiB.  Each bound holds at twice the trials, past one chunk.
+    # Unsliced, 2^11-trial blocks would hold 4 MiB of QAM64 metrics and 4 MiB of ML ones
+    config = SimConfig(code=ussd4, constellation=rotated_qam(size, optimal_angle()),
+                       snr_db_list=snrs, trials=trials, seed=1, decoder=decoder)
+    classify(ussd4)
+    simulate_cer(dataclasses.replace(config, trials=1))  # lazy imports outside the window
+    for t in (trials, 2 * trials):
+        tracemalloc.start()
+        try:
+            simulate_cer(dataclasses.replace(config, trials=t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2 ** 20, t
 
 
 def test_simulate_cer_vanishes_at_high_snr(ussd4):
@@ -1217,6 +1321,20 @@ def test_config_rejects_non_integer_or_negative(ussd4, field, value):
                   snr_db_list=(1.0,), trials=10, seed=1)
     with pytest.raises(ValueError, match=field):
         SimConfig(**{**kwargs, field: value})
+
+
+def test_config_and_report_hold_python_numbers(ussd4):
+    # numpy integers pass the boundary, but the config keeps them as Python ints, so the
+    # report's counts and rates are Python numbers that json writes
+    config = SimConfig(code=ussd4, constellation=rotated_qam(4, 0.0),
+                       snr_db_list=(np.float64(0.0),), trials=np.int64(3), seed=np.int64(1),
+                       rx_antennas=np.int32(1))
+    assert [type(getattr(config, f)) for f in ("trials", "seed", "rx_antennas")] == [int] * 3
+    (point,) = simulate_cer(config).points
+    assert [type(getattr(point, f)) for f in ("snr_db", "trials", "errors", "cer", "ci95")] == [
+        float, int, int, float, float]
+    assert {type(s) for s in point.slot_errors} == {int}
+    assert json.loads(json.dumps(dataclasses.asdict(point)))["trials"] == 3
 
 
 @pytest.mark.parametrize("snr", [-4000.0, -3090.0, math.inf, -math.inf, math.nan])
